@@ -51,12 +51,21 @@ def as_mode(arr, exact: bool = False) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def max_abs(arr) -> float:
-    """Largest absolute entry as a plain float (works for Fractions)."""
-    a = np.asarray(arr)
-    if a.size == 0:
-        return 0.0
-    return max(abs(float(v)) for v in a.reshape(-1))
+def max_abs(*arrays) -> float:
+    """Largest absolute entry over the arrays as a plain float (0.0 if empty).
+
+    A NaN anywhere gives NaN, so a NaN residual never passes a tolerance.
+    Fraction arrays are converted entry by entry.
+    """
+    peaks = []
+    for arr in arrays:
+        a = np.asarray(arr)
+        if a.size == 0:
+            continue
+        if is_exact(a):
+            a = np.array([float(v) for v in a.reshape(-1)])
+        peaks.append(np.max(np.abs(a)))
+    return float(np.max(peaks)) if peaks else 0.0
 
 
 def inv_exact(m: np.ndarray) -> np.ndarray:
@@ -91,10 +100,3 @@ def pinv(m: np.ndarray) -> np.ndarray:
         mt = m.T
         return inv_exact(mt.dot(m)).dot(mt)
     return np.linalg.pinv(m)
-
-
-def lstsq(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if is_exact(m) or is_exact(rhs):
-        return pinv(m).dot(rhs)
-    sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    return sol

@@ -1,11 +1,12 @@
 """Command-line front end.
 
     g2lab identities [--exact] [--tol T]
-    g2lab curvature [--count N] [--seed S] [--tol T]
+    g2lab curvature [--count N] [--seed S] [--tol T]      (N >= 1)
     g2lab analyze FILE.g2 [--json] [--tol T]
     g2lab warp --f PROFILE --theta PROFILE --sigma S --t T
     g2lab sweep [--t T] [--json]
 
+--json and --tol may stand before or after the command.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad input.
 The default tolerance is 1e-9 (relative where a scale is available) and can
 also be set through the environment variable G2LAB_TOL.
@@ -23,6 +24,7 @@ three-form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -288,33 +290,48 @@ def cmd_sweep(args) -> int:
 # --- entry point --------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="g2lab", description=__doc__.splitlines()[0])
     ap.add_argument("--tol", type=float, default=None, help="residual tolerance")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
+    # the same switches after the command; SUPPRESS keeps a value given
+    # before the command when they are absent here
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="residual tolerance")
+    common.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output"
+    )
     sub = ap.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("identities", help="run the pointwise identity suite")
+    p = add_command("identities", help="run the pointwise identity suite")
     p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
     p.set_defaults(fn=cmd_identities)
 
-    p = sub.add_parser("curvature", help="verify the five-block decomposition")
-    p.add_argument("--count", type=int, default=25)
+    p = add_command("curvature", help="verify the five-block decomposition")
+    p.add_argument("--count", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_curvature)
 
-    p = sub.add_parser("analyze", help="analyze a Lie algebra document")
+    p = add_command("analyze", help="analyze a Lie algebra document")
     p.add_argument("path")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("warp", help="torsion of a warped product at a point")
+    p = add_command("warp", help="torsion of a warped product at a point")
     p.add_argument("--f", default="sin")
     p.add_argument("--theta", default="t")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
     p.set_defaults(fn=cmd_warp)
 
-    p = sub.add_parser("sweep", help="Fernandez-Gray type sweep")
+    p = add_command("sweep", help="Fernandez-Gray type sweep")
     p.add_argument("--t", type=float, default=1.0)
     p.set_defaults(fn=cmd_sweep)
     return ap

@@ -35,6 +35,9 @@ from .exterior_algebra import (
     basis_vector,
     hodge,
     interior,
+    standard_omega,
+    standard_psi_minus,
+    standard_psi_plus,
     wedge,
 )
 from .g2_algebra import project
@@ -155,10 +158,6 @@ def jet_profile(name: str, t: float) -> Jet:
 # --- fiber models -------------------------------------------------------------------
 
 
-def _form6(terms: dict, degree: int) -> Form:
-    return Form.from_terms(degree, terms)
-
-
 @dataclass
 class FiberModel:
     """Finite invariant-form algebra of the 6-dimensional fiber.
@@ -226,17 +225,12 @@ def _star6(a: Form) -> Form:
     return sign * interior(basis_vector(7), hodge(a))
 
 
-_OMEGA = {(1, 2): 1, (3, 4): 1, (5, 6): 1}
-_PSI_P = {(1, 3, 5): 1, (2, 4, 5): -1, (1, 4, 6): -1, (2, 3, 6): -1}
-_PSI_M = {(2, 4, 6): -1, (1, 3, 6): 1, (2, 3, 5): 1, (1, 4, 5): 1}
-
-
 def nearly_kahler_model(sigma: float) -> FiberModel:
     """Invariant algebra of a nearly Kaehler 6-fold (Calabi-Yau at sigma=0)."""
     one = Form.from_terms(0, {(): 1})
-    om = _form6(_OMEGA, 2)
-    psip = _form6(_PSI_P, 3)
-    psim = _form6(_PSI_M, 3)
+    om = standard_omega()
+    psip = standard_psi_plus()
+    psim = standard_psi_minus()
     w2 = wedge(om, om)
     w3 = wedge(w2, om)
     symbols = {
@@ -265,13 +259,9 @@ def nearly_kahler_model(sigma: float) -> FiberModel:
 def flag_model() -> FiberModel:
     """Invariant algebra of the torus-symmetric flag fiber (three om_i)."""
     one = Form.from_terms(0, {(): 1})
-    oms = [
-        _form6({(1, 2): 1}, 2),
-        _form6({(3, 4): 1}, 2),
-        _form6({(5, 6): 1}, 2),
-    ]
-    psip = _form6(_PSI_P, 3)
-    psim = _form6(_PSI_M, 3)
+    oms = [Form.from_terms(2, {pair: 1}) for pair in ((1, 2), (3, 4), (5, 6))]
+    psip = standard_psi_plus()
+    psim = standard_psi_minus()
     symbols = {
         "one": (0, one),
         "om1": (2, oms[0]),

@@ -31,12 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eye, is_exact, max_abs, scalar, zeros
-from .exterior_algebra import BASIS, DIM, INDEX, basis_vector, interior, phi_arrays
+from .exterior_algebra import BASIS, DIM, INDEX, basis_vector, index_columns, interior, phi_arrays
 from .g2_algebra import projector_matrix
 
 PAIRS = BASIS[2]
 NPAIRS = len(PAIRS)
 PAIR_INDEX = INDEX[2]
+#: (i, j, k, l) index arrays over pair p = (i, j) (rows) and q = (k, l) (columns)
+_I, _J = index_columns(PAIRS, 2)[:, :, None]
+_K, _L = _I.T, _J.T
 
 
 @dataclass(frozen=True)
@@ -59,15 +62,10 @@ class CurvatureTensor:
     def to_full(self) -> np.ndarray:
         """Full R_ijkl array with both antisymmetries unfolded."""
         full = zeros((DIM,) * 4, self.exact)
-        for p, (i, j) in enumerate(PAIRS):
-            for q, (k, l) in enumerate(PAIRS):
-                v = self.mat[p, q]
-                if v == 0:
-                    continue
-                full[i, j, k, l] = v
-                full[j, i, k, l] = -v
-                full[i, j, l, k] = -v
-                full[j, i, l, k] = v
+        full[_I, _J, _K, _L] = self.mat
+        full[_J, _I, _K, _L] = -self.mat
+        full[_I, _J, _L, _K] = -self.mat
+        full[_J, _I, _L, _K] = self.mat
         return full
 
     def norm2(self):
@@ -90,11 +88,8 @@ class CurvatureTensor:
 
 
 def from_full(full: np.ndarray) -> CurvatureTensor:
-    m = zeros((NPAIRS, NPAIRS), is_exact(full))
-    for p, (i, j) in enumerate(PAIRS):
-        for q, (k, l) in enumerate(PAIRS):
-            m[p, q] = full[i, j, k, l]
-    return CurvatureTensor(m)
+    m = full[_I, _J, _K, _L]
+    return CurvatureTensor(m if is_exact(full) else np.asarray(m, dtype=float))
 
 
 def inner(a: CurvatureTensor, b: CurvatureTensor):

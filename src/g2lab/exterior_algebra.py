@@ -12,6 +12,13 @@ Conventions, fixed once for the whole package:
   k-form is k! times its form norm.  Identities in later modules name which
   of the two norms they use; mixing them up is a factor-of-k! bug.
 
+The kernels (wedge, Hodge star, interior product, contraction and the
+antisymmetric unfold) are stored as integer index tables, built once per
+degree: the positions each structure constant reads and writes and its
+sign.  Applying one is a numpy gather and an ``np.add.at`` scatter, the same
+code for float64 and for ``Fraction`` object arrays; float sums run in the
+table's row order.  `perm_sign` is only called while a table is built.
+
 The distinguished three-form is
 
     phi = e^127 + e^347 + e^567 + e^135 - e^245 - e^146 - e^236
@@ -22,13 +29,14 @@ between their component arrays that the rest of the package relies on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eye, is_exact, max_abs, scalar, zeros
+from ._linalg import is_exact, max_abs, scalar, zeros
 
 DIM = 7
 
@@ -155,25 +163,50 @@ def form_inner(a: Form, b: Form):
     return (a.coeffs * b.coeffs).sum()
 
 
+# --- index tables -----------------------------------------------------------
+
+
+def index_columns(rows, width: int) -> np.ndarray:
+    """Integer rows as a read-only array of contiguous columns (the tables are
+    cached and shared by every caller)."""
+    cols = np.array(rows, dtype=np.intp).reshape(-1, width).T.copy()
+    cols.flags.writeable = False
+    return cols
+
+
+@dataclass(frozen=True)
+class IndexTable:
+    """Bilinear kernel out[po] += sign * x[pa] * y[pb], summed in row order."""
+
+    pa: np.ndarray
+    pb: np.ndarray
+    po: np.ndarray
+    sign: np.ndarray
+    n_out: int
+
+    @staticmethod
+    def from_rows(rows, n_out: int) -> "IndexTable":
+        return IndexTable(*index_columns(rows, 4), n_out)
+
+    def apply(self, x: np.ndarray, y: np.ndarray, exact: bool) -> np.ndarray:
+        out = zeros(self.n_out, exact)
+        np.add.at(out, self.po, self.sign * x[self.pa] * y[self.pb])
+        return out
+
+
 # --- wedge -----------------------------------------------------------------
 
-_WEDGE_TABLES: dict = {}
 
-
-def _wedge_table(ka: int, kb: int):
-    """List of (pos_a, pos_b, pos_out, sign) with I, J disjoint."""
-    tab = _WEDGE_TABLES.get((ka, kb))
-    if tab is None:
-        tab = []
-        for pa, I in enumerate(BASIS[ka]):
-            si = set(I)
-            for pb, J in enumerate(BASIS[kb]):
-                if si.isdisjoint(J):
-                    merged = I + J
-                    out = tuple(sorted(merged))
-                    tab.append((pa, pb, INDEX[ka + kb][out], perm_sign(merged)))
-        _WEDGE_TABLES[(ka, kb)] = tab
-    return tab
+@functools.cache
+def _wedge_table(ka: int, kb: int) -> IndexTable:
+    """Rows (pos_a, pos_b, pos_out, sign) over disjoint I, J."""
+    rows = []
+    for pa, I in enumerate(BASIS[ka]):
+        for pb, J in enumerate(BASIS[kb]):
+            if set(I).isdisjoint(J):
+                merged = I + J
+                rows.append((pa, pb, INDEX[ka + kb][tuple(sorted(merged))], perm_sign(merged)))
+    return IndexTable.from_rows(rows, dim_of(ka + kb))
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -182,16 +215,7 @@ def wedge(a: Form, b: Form) -> Form:
         raise ValueError(
             f"wedge of degrees {a.degree} and {b.degree} exceeds dimension {DIM}"
         )
-    out = zeros(dim_of(a.degree + b.degree), a.exact or b.exact)
-    ca, cb = a.coeffs, b.coeffs
-    for pa, pb, po, sg in _wedge_table(a.degree, b.degree):
-        va = ca[pa]
-        if va == 0:
-            continue
-        vb = cb[pb]
-        if vb == 0:
-            continue
-        out[po] += sg * va * vb
+    out = _wedge_table(a.degree, b.degree).apply(a.coeffs, b.coeffs, a.exact or b.exact)
     return Form(a.degree + b.degree, out)
 
 
@@ -204,25 +228,22 @@ def wedge_all(*forms: Form) -> Form:
 
 # --- Hodge star ------------------------------------------------------------
 
-_HODGE_TABLES: dict = {}
 
-
-def _hodge_table(k: int):
-    tab = _HODGE_TABLES.get(k)
-    if tab is None:
-        tab = []
-        for pos, I in enumerate(BASIS[k]):
-            comp = tuple(i for i in range(DIM) if i not in I)
-            tab.append((pos, INDEX[DIM - k][comp], perm_sign(I + comp)))
-        _HODGE_TABLES[k] = tab
-    return tab
+@functools.cache
+def hodge_table(k: int):
+    """(pos_out, sign) per input position: *e^I = sign(I, I^c) e^(I^c)."""
+    rows = []
+    for I in BASIS[k]:
+        comp = tuple(i for i in range(DIM) if i not in I)
+        rows.append((INDEX[DIM - k][comp], perm_sign(I + comp)))
+    return index_columns(rows, 2)
 
 
 def hodge(a: Form) -> Form:
     """Hodge star for vol = e^1234567; a wedge *b = <a,b> vol."""
+    po, sign = hodge_table(a.degree)
     out = zeros(dim_of(DIM - a.degree), a.exact)
-    for pos, po, sg in _hodge_table(a.degree):
-        out[po] = sg * a.coeffs[pos]
+    out[po] = sign * a.coeffs
     return Form(DIM - a.degree, out)
 
 
@@ -232,20 +253,15 @@ def volume_form(exact: bool = False) -> Form:
 
 # --- interior product -------------------------------------------------------
 
-_INTERIOR_TABLES: dict = {}
 
-
-def _interior_table(k: int):
-    """Per degree: list of (pos_in, vector_index, pos_out, sign)."""
-    tab = _INTERIOR_TABLES.get(k)
-    if tab is None:
-        tab = []
-        for pos, I in enumerate(BASIS[k]):
-            for p, i in enumerate(I):
-                rest = I[:p] + I[p + 1 :]
-                tab.append((pos, i, INDEX[k - 1][rest], (-1) ** p))
-        _INTERIOR_TABLES[k] = tab
-    return tab
+@functools.cache
+def _interior_table(k: int) -> IndexTable:
+    """Rows (vector_index, pos_in, pos_out, sign): i_(e_i) e^I for i in I."""
+    rows = []
+    for pos, I in enumerate(BASIS[k]):
+        for p, i in enumerate(I):
+            rows.append((i, pos, INDEX[k - 1][I[:p] + I[p + 1 :]], (-1) ** p))
+    return IndexTable.from_rows(rows, dim_of(k - 1))
 
 
 def interior(v, a: Form) -> Form:
@@ -253,12 +269,7 @@ def interior(v, a: Form) -> Form:
     v = np.asarray(v, dtype=object if a.exact else float)
     if a.degree == 0:
         return Form.zero(0, a.exact)
-    out = zeros(dim_of(a.degree - 1), a.exact)
-    for pos, i, po, sg in _interior_table(a.degree):
-        c = a.coeffs[pos]
-        if c != 0 and v[i] != 0:
-            out[po] += sg * v[i] * c
-    return Form(a.degree - 1, out)
+    return Form(a.degree - 1, _interior_table(a.degree).apply(v, a.coeffs, a.exact))
 
 
 def basis_vector(i: int, exact: bool = False) -> np.ndarray:
@@ -268,6 +279,23 @@ def basis_vector(i: int, exact: bool = False) -> np.ndarray:
     return v
 
 
+@functools.cache
+def _contract_table(ka: int, kb: int) -> IndexTable:
+    """Rows (pos_a, pos_b, pos_out, sign): e^I -| e^J = i_(I_last)..i_(I_1) e^J."""
+    rows = []
+    for pa, I in enumerate(BASIS[ka]):
+        for pb, J in enumerate(BASIS[kb]):
+            if not set(I) <= set(J):
+                continue
+            rest, sign = list(J), 1
+            for i in I:
+                p = rest.index(i)
+                sign *= (-1) ** p
+                del rest[p]
+            rows.append((pa, pb, INDEX[kb - ka][tuple(rest)], sign))
+    return IndexTable.from_rows(rows, dim_of(kb - ka))
+
+
 def contract(a: Form, b: Form) -> Form:
     """Adjoint of wedging: <contract(a, b), c> = <b, a wedge c>.
 
@@ -275,16 +303,8 @@ def contract(a: Form, b: Form) -> Form:
     """
     if a.degree > b.degree:
         raise ValueError("cannot contract a higher degree into a lower one")
-    out = Form.zero(b.degree - a.degree, a.exact or b.exact)
-    for pos, I in enumerate(BASIS[a.degree]):
-        c = a.coeffs[pos]
-        if c == 0:
-            continue
-        piece = b
-        for i in I:
-            piece = interior(basis_vector(i + 1, piece.exact), piece)
-        out = out + c * piece
-    return out
+    out = _contract_table(a.degree, b.degree).apply(a.coeffs, b.coeffs, a.exact or b.exact)
+    return Form(b.degree - a.degree, out)
 
 
 # --- totally antisymmetric component arrays ---------------------------------
@@ -301,15 +321,32 @@ class AntisymArray:
         return (self.array * self.array).sum()
 
 
+def _flat(idx) -> int:
+    """Position of the entry idx in a flattened (7,)*k array."""
+    pos = 0
+    for i in idx:
+        pos = pos * DIM + i
+    return pos
+
+
+@functools.cache
+def _antisym_table(k: int):
+    """(flat entry, coefficient position, sign) over all orderings of each I,
+    and the flat entry of each sorted I."""
+    rows = [
+        (_flat(perm), p, perm_sign(perm))
+        for p, I in enumerate(BASIS[k])
+        for perm in itertools.permutations(I)
+    ]
+    (sorted_entry,) = index_columns([_flat(I) for I in BASIS[k]], 1)
+    return (*index_columns(rows, 3), sorted_entry)
+
+
 def to_antisym(a: Form) -> AntisymArray:
-    arr = zeros((DIM,) * a.degree, a.exact)
-    for pos, I in enumerate(BASIS[a.degree]):
-        c = a.coeffs[pos]
-        if c == 0:
-            continue
-        for perm in itertools.permutations(I):
-            arr[perm] = perm_sign(perm) * c
-    return AntisymArray(a.degree, arr)
+    entry, pos, sign, _ = _antisym_table(a.degree)
+    flat = zeros(DIM**a.degree, a.exact)
+    flat[entry] = sign * a.coeffs[pos]  # every entry is written once
+    return AntisymArray(a.degree, flat.reshape((DIM,) * a.degree))
 
 
 def from_antisym(arr, degree: int = None, tol: float = 1e-12) -> Form:
@@ -320,12 +357,12 @@ def from_antisym(arr, degree: int = None, tol: float = 1e-12) -> Form:
     if degree is None:
         degree = arr.ndim
     exact = is_exact(arr)
-    out = zeros(dim_of(degree), exact)
-    for pos, I in enumerate(BASIS[degree]):
-        out[pos] = arr[I]
-    form = Form(degree, out)
-    residual = max_abs(to_antisym(form).array - arr)
-    if residual > tol:
+    coeffs = arr.reshape(-1)[_antisym_table(degree)[3]]
+    form = Form(degree, coeffs if exact else np.asarray(coeffs, dtype=float))
+    rebuilt = to_antisym(form).array
+    off = rebuilt != arr  # subtract only where they differ: cheap on Fractions
+    residual = max_abs(rebuilt[off] - arr[off])
+    if not residual <= tol:
         raise ValueError(f"input array is not antisymmetric (residual {residual:.3g})")
     return form
 
@@ -397,7 +434,11 @@ def check_contraction_identities(exact: bool = False) -> dict:
     residual is literally 0.0).
     """
     p3, p4 = phi_arrays(exact)
-    g = eye(DIM, exact)
+    if exact:
+        # the entries are 0 and +-1 and every identity has integer
+        # coefficients, so int64 arithmetic is exact without Fractions
+        p3, p4 = p3.astype(np.int64), p4.astype(np.int64)
+    g = np.eye(DIM, dtype=p3.dtype)
 
     dd = _outer(g, g).transpose(0, 2, 1, 3)  # delta_ik delta_jl
     dd_swap = dd.transpose(1, 0, 2, 3)  # delta_jk delta_il

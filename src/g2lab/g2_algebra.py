@@ -33,6 +33,7 @@ from .exterior_algebra import (
     dim_of,
     form_inner,
     hodge,
+    hodge_table,
     interior,
     phi_arrays,
     standard_phi,
@@ -104,11 +105,12 @@ def _build_projectors(exact: bool) -> dict:
     }
     mats[(3, 27)] = eye(35, exact) - mats[(3, 1)] - mats[(3, 7)]
 
-    # degrees 4, 5 by p_d^{7-r} = * p_d^r *
+    # degrees 4, 5 by p_d^{7-r} = * p_d^r *; the star is a signed
+    # permutation (*e^I = sign_I e^(po_I), ** = 1), so this is a reindexing
     for (r, d), m in list(mats.items()):
-        star_lo = _matrix_of(hodge, 7 - r, exact)
-        star_hi = _matrix_of(hodge, r, exact)
-        mats[(7 - r, d)] = star_hi.dot(m).dot(star_lo)
+        po, sign = hodge_table(r)
+        src = np.argsort(po)
+        mats[(7 - r, d)] = np.outer(sign[src], sign[src]) * m[np.ix_(src, src)]
     return mats
 
 
@@ -128,20 +130,7 @@ def project(a: Form, label) -> Form:
     return Form(r, projector_matrix(r, d, a.exact).dot(a.coeffs))
 
 
-def in_subspace(a: Form, label, tol: float = 1e-10) -> bool:
-    return max_abs(project(a, label).coeffs - a.coeffs) <= tol
-
-
 # --- symmetric 2-tensors ------------------------------------------------------
-
-
-def sym_part(h: np.ndarray) -> np.ndarray:
-    return (h + h.T) / 2
-
-
-def traceless(h: np.ndarray) -> np.ndarray:
-    g = eye(DIM, is_exact(h))
-    return h - g * (h.trace() / DIM)
 
 
 def lambda3(h: np.ndarray) -> Form:

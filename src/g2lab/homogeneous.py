@@ -8,6 +8,14 @@ Riemann tensor, the torsion of any compatible invariant G2 form, the
 canonical G2 connection, and the full set of pointwise curvature-torsion
 identities of the companion modules, bundled into `analyze`.
 
+`analyze` is one pass: `geometry` builds the d-matrices (from an index table
+over d on 1-forms), the Levi-Civita connection and the torsion once, and
+everything downstream reuses them.  The functions that need the d-matrices
+(`invariant_d`, `jacobi_residual`, `d_squared_residual`, `levi_civita`,
+`canonical_connection`) accept either a spec, from which they build them,
+or the already-built matrices; `levi_civita` reads the structure constants
+back off d on 1-forms and keeps its Jacobi gate either way.
+
 Sign conventions: Gamma[i,j,k] = g(grad_{e_i} e_j, e_k) and
 R_ijkl = g(R(e_i,e_j) e_k, e_l) so that the hyperbolic solvable example
 comes out with negative sectional curvature (a build-time self test).
@@ -15,6 +23,7 @@ comes out with negative sectional curvature (a build-time self test).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +38,8 @@ from .exterior_algebra import (
     form_inner,
     from_antisym,
     hodge,
+    index_columns,
+    perm_sign,
     phi_arrays,
     standard_phi,
     to_antisym,
@@ -100,49 +111,57 @@ def spec_from_coframe_d(name: str, coframe_d: dict, exact: bool = False) -> LieA
 
 # --- invariant exterior derivative ------------------------------------------------
 
+#: the pairs (i, j), i < j, in Lambda^2 basis order, as index arrays
+_PAIR_I, _PAIR_J = index_columns(BASIS[2], 2)
+
 
 def _d_on_one_forms(spec: LieAlgebraSpec) -> np.ndarray:
     """Matrix of d: Lambda^1 -> Lambda^2 over coefficient bases."""
-    m = zeros((dim_of(2), DIM), spec.exact)
-    for k in range(DIM):
-        for p, (i, j) in enumerate(BASIS[2]):
-            m[p, k] = -spec.c[k, i, j]
-    return m
+    return -spec.c[:, _PAIR_I, _PAIR_J].T
+
+
+@functools.cache
+def _d_table(k: int):
+    """Index table of d on k-forms in terms of d on 1-forms.
+
+    d is a derivation and 2-forms are central, so
+    d e^I = sum_s (-1)^s de^(i_s) ^ e^(I - i_s).  Rows (pos_out, pos_in,
+    pair, head, sign): D_k[pos_out, pos_in] += sign * D_1[pair, head].
+    """
+    rows = []
+    for pos, I in enumerate(BASIS[k]):
+        for s, head in enumerate(I):
+            rest = I[:s] + I[s + 1 :]
+            for p, pair in enumerate(BASIS[2]):
+                if set(pair).isdisjoint(rest):
+                    merged = pair + rest
+                    out = INDEX[k + 1][tuple(sorted(merged))]
+                    rows.append((out, pos, p, head, (-1) ** s * perm_sign(merged)))
+    return index_columns(rows, 5)
 
 
 def invariant_d_matrices(spec: LieAlgebraSpec) -> dict:
     """Per-degree matrices of the invariant exterior derivative."""
-    mats = {0: zeros((DIM, 1), spec.exact), 1: _d_on_one_forms(spec)}
+    d1 = _d_on_one_forms(spec)
+    mats = {0: zeros((DIM, 1), spec.exact), 1: d1}
     for k in range(2, DIM):
+        out, pos, pair, head, sign = _d_table(k)
         m = zeros((dim_of(k + 1), dim_of(k)), spec.exact)
-        for pos, I in enumerate(BASIS[k]):
-            head = I[0]
-            tail = I[1:]
-            e_head = Form.basis((head + 1,), spec.exact)
-            tail_form = Form(k - 1, _unit(dim_of(k - 1), INDEX[k - 1][tail], spec.exact))
-            d_head = Form(2, mats[1][:, head].copy())
-            d_tail = Form(k, mats[k - 1].dot(tail_form.coeffs))
-            out = wedge(d_head, tail_form) - wedge(e_head, d_tail)
-            m[:, pos] = out.coeffs
+        np.add.at(m, (out, pos), sign * d1[pair, head])
         mats[k] = m
     return mats
 
 
-def _unit(n: int, pos: int, exact: bool) -> np.ndarray:
-    v = zeros(n, exact)
-    v[pos] = scalar(1, exact)
-    return v
+def _as_mats(spec_or_mats) -> dict:
+    if isinstance(spec_or_mats, LieAlgebraSpec):
+        return invariant_d_matrices(spec_or_mats)
+    return spec_or_mats
 
 
 def invariant_d(spec_or_mats, a: Form) -> Form:
     if a.degree == DIM:
         raise ValueError("d of a top-degree form vanishes identically")
-    mats = (
-        invariant_d_matrices(spec_or_mats)
-        if isinstance(spec_or_mats, LieAlgebraSpec)
-        else spec_or_mats
-    )
-    return Form(a.degree + 1, mats[a.degree].dot(a.coeffs))
+    return Form(a.degree + 1, _as_mats(spec_or_mats)[a.degree].dot(a.coeffs))
 
 
 def invariant_delta(spec_or_mats, a: Form) -> Form:
@@ -153,25 +172,36 @@ def invariant_delta(spec_or_mats, a: Form) -> Form:
     return sign * hodge(invariant_d(spec_or_mats, hodge(a)))
 
 
-def jacobi_residual(spec: LieAlgebraSpec) -> float:
+def jacobi_residual(spec_or_mats) -> float:
     """Max residual of d(d e^k); zero iff the Jacobi identity holds."""
-    mats = invariant_d_matrices(spec)
+    mats = _as_mats(spec_or_mats)
     return max_abs(mats[2].dot(mats[1]))
 
 
-def d_squared_residual(spec: LieAlgebraSpec) -> float:
-    mats = invariant_d_matrices(spec)
-    return max(max_abs(mats[k + 1].dot(mats[k])) for k in range(1, DIM - 1))
+def d_squared_residual(spec_or_mats) -> float:
+    mats = _as_mats(spec_or_mats)
+    return max_abs(*(mats[k + 1].dot(mats[k]) for k in range(1, DIM - 1)))
 
 
 # --- connection and curvature ------------------------------------------------------
 
 
-def levi_civita(spec: LieAlgebraSpec, tol: float = 1e-10) -> np.ndarray:
+def _bracket_constants(mats: dict) -> np.ndarray:
+    """cl[i,j,k] = c^k_ij = g([e_i, e_j], e_k), read off d on 1-forms."""
+    d1 = mats[1]
+    cl = zeros((DIM, DIM, DIM), is_exact(d1))
+    cl[_PAIR_I, _PAIR_J] = -d1
+    cl[_PAIR_J, _PAIR_I] = d1
+    return cl
+
+
+def levi_civita(spec_or_mats, tol: float = 1e-10) -> np.ndarray:
     """Koszul: Gamma_ijk = (c_ijk - c_jki + c_kij)/2, c_ijk = g([e_i,e_j],e_k)."""
-    if jacobi_residual(spec) > tol:
-        raise ValueError(f"structure constants fail the Jacobi identity for {spec.name}")
-    cl = spec.c.transpose(1, 2, 0)  # cl[i,j,k] = c^k_ij = g([e_i, e_j], e_k)
+    mats = _as_mats(spec_or_mats)
+    jac = jacobi_residual(mats)
+    if not jac <= tol:
+        raise ValueError(f"structure constants fail the Jacobi identity (residual {jac:.3g})")
+    cl = _bracket_constants(mats)
     c_jki = cl.transpose(2, 0, 1)  # entry [i,j,k] = cl[j,k,i]
     c_kij = cl.transpose(1, 2, 0)  # entry [i,j,k] = cl[k,i,j]
     return (cl - c_jki + c_kij) / 2
@@ -196,16 +226,11 @@ def connection_form_action(gamma: np.ndarray, a: Form) -> list:
     (grad_i a)_{j1..jk} = -sum_s Gamma[i, j_s, p] a[.. p ..].
     """
     arr = to_antisym(a).array
-    out = []
-    for i in range(DIM):
-        g_i = gamma[i]
-        acc = zeros(arr.shape, is_exact(arr) or is_exact(gamma))
-        for slot in range(a.degree):
-            acc -= np.moveaxis(
-                np.tensordot(g_i, arr, axes=([1], [slot])), 0, slot
-            )
-        out.append(from_antisym(acc, a.degree))
-    return out
+    acc = zeros((DIM,) + arr.shape, is_exact(arr) or is_exact(gamma))
+    for slot in range(a.degree):
+        # Gamma[i, j_s, p] a[.. p ..] with j_s moved back into its slot
+        acc -= np.moveaxis(np.tensordot(gamma, arr, axes=([2], [slot])), 1, 1 + slot)
+    return [from_antisym(acc[i], a.degree) for i in range(DIM)]
 
 
 def covariant_wedge(gamma: np.ndarray, a: Form) -> Form:
@@ -248,23 +273,36 @@ class InvariantGeometry:
         return covariant_wedge(self.gamma_bar, a)
 
 
-def canonical_connection(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9):
+def _torsion_of(mats: dict, phi: Form) -> TorsionComponents:
+    return extract_torsion(phi, invariant_d(mats, phi), invariant_d(mats, hodge(phi)))
+
+
+def canonical_connection(
+    spec_or_mats,
+    phi: Form = None,
+    tol: float = 1e-9,
+    gamma: np.ndarray = None,
+    torsion: TorsionComponents = None,
+):
     """Intrinsic torsion and canonical-connection coefficients.
 
     Returns (xi, gamma_bar) with gamma_bar = gamma - xi; construction fails
     if nabla-bar phi does not vanish, which would signal a convention error
-    upstream rather than a property of the input.
+    upstream rather than a property of the input.  The Levi-Civita
+    coefficients and the torsion are computed unless they are passed in.
     """
+    mats = _as_mats(spec_or_mats)
     if phi is None:
-        phi = standard_phi(spec.exact)
-    mats = invariant_d_matrices(spec)
-    gamma = levi_civita(spec)
-    t = extract_torsion(phi, invariant_d(mats, phi), invariant_d(mats, hodge(phi)))
-    xi = intrinsic_from_torsion(t)
+        phi = standard_phi(is_exact(mats[1]))
+    if gamma is None:
+        gamma = levi_civita(mats)
+    if torsion is None:
+        torsion = _torsion_of(mats, phi)
+    xi = intrinsic_from_torsion(torsion)
     gamma_bar = gamma - xi.xi
-    res = max(max_abs(f.coeffs) for f in connection_form_action(gamma_bar, phi))
+    res = max_abs(*(f.coeffs for f in connection_form_action(gamma_bar, phi)))
     scale = max(max_abs(gamma), 1.0)
-    if res > tol * scale:
+    if not res <= tol * scale:
         raise ValueError(
             f"canonical connection does not annihilate phi (residual {res:.3g})"
         )
@@ -272,14 +310,18 @@ def canonical_connection(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e
 
 
 def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
-    """Assemble the full invariant geometry of (spec, phi)."""
+    """Assemble the full invariant geometry of (spec, phi).
+
+    The d-matrices, the Levi-Civita connection and the torsion are each
+    built once here and shared by everything downstream.
+    """
     if phi is None:
         phi = standard_phi(spec.exact)
     mats = invariant_d_matrices(spec)
-    gamma = levi_civita(spec)
+    gamma = levi_civita(mats)
     r = riemann(spec, gamma)
-    t = extract_torsion(phi, invariant_d(mats, phi), invariant_d(mats, hodge(phi)))
-    xi, gamma_bar = canonical_connection(spec, phi)
+    t = _torsion_of(mats, phi)
+    xi, gamma_bar = canonical_connection(mats, phi, gamma=gamma, torsion=t)
     return InvariantGeometry(
         spec=spec,
         phi=phi,
@@ -369,10 +411,10 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     if phi is None:
         phi = standard_phi(exact)
 
-    report.add("jacobi (d d e^k = 0)", jacobi_residual(spec), tol)
-    report.add("d^2 = 0 (all degrees)", d_squared_residual(spec), tol)
-
     geo = geometry(spec, phi)
+    report.add("jacobi (d d e^k = 0)", jacobi_residual(geo.d_mats), tol)
+    report.add("d^2 = 0 (all degrees)", d_squared_residual(geo.d_mats), tol)
+
     t = geo.torsion
     starphi = hodge(phi)
     dphi = geo.d(phi)
@@ -381,7 +423,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     rec_d, rec_s = recompose(t)
     report.add(
         "structure equations solve (d phi, d *phi)",
-        max(max_abs(rec_d.coeffs - dphi.coeffs), max_abs(rec_s.coeffs - dstarphi.coeffs)),
+        max_abs(rec_d.coeffs - dphi.coeffs, rec_s.coeffs - dstarphi.coeffs),
         tol,
     )
 
@@ -406,7 +448,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     # canonical connection
     report.add(
         "nabla-bar phi = 0",
-        max(max_abs(f.coeffs) for f in geo.nabla_bar(phi)),
+        max_abs(*(f.coeffs for f in geo.nabla_bar(phi))),
         tol,
     )
     report.add(
@@ -414,9 +456,8 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         max_abs(geo.gamma_bar + geo.gamma_bar.transpose(0, 2, 1)),
         tol,
     )
-    g2_res = max(
-        max_abs(project(Form(2, from_antisym(geo.gamma_bar[i], 2).coeffs), (2, 7)).coeffs)
-        for i in range(DIM)
+    g2_res = max_abs(
+        *(project(from_antisym(geo.gamma_bar[i], 2), (2, 7)).coeffs for i in range(DIM))
     )
     report.add("gamma-bar is g2-valued", g2_res, tol)
 
@@ -449,7 +490,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         geo.d_nabla_bar(t.tau2),
         geo.d_nabla_bar(t.tau3),
     )
-    scale44 = max(max_abs(ric0g), max_abs(ric0p), 1.0)
+    scale44 = max(max_abs(ric0g, ric0p), 1.0)
     for k in K_VALUES:
         ric0k = k[0] * ric0g + k[1] * ric0p
         lhs = lambda3(ric0k)
@@ -496,12 +537,16 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
 
     closed = max_abs(dphi.coeffs) <= 1e-10 * max(max_abs(phi.coeffs), 1.0)
     if closed:
-        _closed_structure_checks(report, geo, dec, s_g, tol)
+        _closed_structure_checks(report, geo, dec, s_g, (ric0g, ric0p), dbar_terms[1], tol)
     return report
 
 
-def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, tol):
-    """The d phi = 0 chain: everything the closed case pins down pointwise."""
+def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, ric0, dbar_tau, tol):
+    """The d phi = 0 chain: everything the closed case pins down pointwise.
+
+    ``ric0`` is (Ric0^g, Ric0^phi) and ``dbar_tau`` is d^nabla-bar tau2,
+    both already computed by `analyze`.
+    """
     t = geo.torsion
     tau = t.tau2
     phi = geo.phi
@@ -511,7 +556,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, t
 
     report.add(
         "closed: torsion reduces to tau2",
-        max(abs(float(t.tau0)), max_abs(t.tau1.coeffs), max_abs(t.tau3.coeffs)),
+        max_abs(t.tau0, t.tau1.coeffs, t.tau3.coeffs),
         tol,
     )
     report.add(
@@ -526,9 +571,9 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, t
     report.add("closed: nabla-bar tau has no 7-part", max_abs(g7.array), tol)
 
     # d^nabla-bar tau = d tau - *(tau^tau)/6 - |tau|^2 phi / 6
-    dbar_tau = geo.d_nabla_bar(tau)
+    dtau = geo.d(tau)
     rhs = (
-        geo.d(tau)
+        dtau
         - one / 6 * hodge(wedge(tau, tau))
         - one / 6 * tau.norm2() * phi
     )
@@ -539,19 +584,15 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, t
     )
     report.add(
         "closed: d^nabla-bar tau lands in Lambda^3_27",
-        max(
-            max_abs(project(dbar_tau, (3, 1)).coeffs),
-            max_abs(project(dbar_tau, (3, 7)).coeffs),
-        ),
+        max_abs(project(dbar_tau, (3, 1)).coeffs, project(dbar_tau, (3, 7)).coeffs),
         tol * 10,
     )
 
     # the inner-product chain around *d(tau^3)
-    dtau = geo.d(tau)
     tt = wedge(tau, tau)
     star_tt = hodge(tt)
-    d_tau3_form = geo.d(wedge(tt, tau))
-    lhs_a = hodge(d_tau3_form).coeffs[0] / 3
+    star_d_tau3 = hodge(geo.d(wedge(tt, tau))).coeffs[0]
+    lhs_a = star_d_tau3 / 3
     lhs_b = form_inner(dtau, star_tt)
     lhs_c = form_inner(dbar_tau, project(star_tt, (3, 27)))
     scale = max(abs(float(lhs_a)), 1.0)
@@ -564,8 +605,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, t
 
     # closed-case Ricci formula and norms
     r = geo.curvature
-    ric0g = traceless_part(ricci(r))
-    ric0p = traceless_part(phi_ricci(r))
+    ric0g, ric0p = ric0
     for k in K_VALUES:
         ric0k = k[0] * ric0g + k[1] * ric0p
         rhs_c = -(k[0] - 4 * k[1]) * dbar_tau + one / 3 * (k[0] + 5 * k[1]) * project(
@@ -609,8 +649,6 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, t
     report.summary["epr_identity"] = (epr_lhs, epr_rhs)
 
     # closed case: the 64-block norm is tied to the canonical derivative
-    nb_tau = nabla_bar_tau(geo)
-    g64, g27, g7 = split_v14(nb_tau)
     w64_n = dec.w64.norm2()
     report.add(
         "closed: ||W64||^2 = ||(nabla-bar tau)_64||^2 / 3",
@@ -626,8 +664,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, t
     #                  + (tau_pq tau_pt phi_qij - tau_ip tau_jq phi_pqt)/6
     full = r.to_full()
     tau_arr = to_antisym(tau).array
-    nb_slices = geo.nabla_bar(tau)
-    nb_arr = np.stack([to_antisym(f).array for f in nb_slices], axis=0)  # (t, i, j)
+    nb_arr = np.stack([to_antisym(nb_tau.slice(i)).array for i in range(DIM)])  # (t, i, j)
     lhs40 = np.tensordot(full, p3, axes=([2, 3], [0, 1]))  # R_ijab phi_abt -> (i,j,t)
     dbar_arr = to_antisym(dbar_tau).array
     a_qt = np.tensordot(tau_arr, tau_arr, axes=([0], [0]))  # tau_pq tau_pt
@@ -646,7 +683,6 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, t
 
     # the squared identity with the *d(tau^3) term evaluated explicitly
     lhs41 = (lhs40 * lhs40).sum()
-    star_d_tau3 = hodge(geo.d(wedge(wedge(tau, tau), tau))).coeffs[0]
     ric0g_n = (ric0g * ric0g).sum()
     rhs41 = (
         3 * w64_n

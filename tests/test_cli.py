@@ -178,3 +178,29 @@ def test_tolerance_env_override(capsys, monkeypatch):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_curvature_rejects_count_below_one(capsys):
+    for count in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["curvature", "--count", count])
+        assert exc.value.code == 2
+    assert "checks passed" not in capsys.readouterr().out
+
+
+def test_switches_after_the_command(capsys):
+    path = os.path.join(BUNDLED, "bryant.g2")
+    code, out = run(capsys, "analyze", path, "--json")
+    assert code == 0
+    assert json.loads(out)["summary"]["fg_type"] == [2]
+    code, out = run(capsys, "--json", "sweep")
+    assert code == 0 and "realized" in json.loads(out)
+    # a tolerance after the command reaches the checks
+    hyp = os.path.join(BUNDLED, "hyperbolic.g2")
+    code, out = run(capsys, "analyze", hyp, "--tol", "1e-30", "--json")
+    assert code == 1 and not json.loads(out)["passed"]
+    code, _ = run(capsys, "--tol", "1e-30", "analyze", hyp)
+    assert code == 1
+    # given on both sides, the one after the command wins
+    code, _ = run(capsys, "--tol", "1e-30", "analyze", hyp, "--tol", "1e-9")
+    assert code == 0

@@ -1,6 +1,7 @@
 """Form calculus on R^7: wedge, star, interior, component arrays."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,3 +246,104 @@ def test_psi_split_of_phi():
     rebuilt = wedge(standard_omega(), Form.basis((7,))) + standard_psi_plus()
     np.testing.assert_allclose(rebuilt.coeffs, standard_phi().coeffs)
     assert standard_psi_minus().norm2() == 4.0
+
+
+# --- index-table kernels against plain loop references --------------------------
+
+
+def _sign(seq):
+    inversions = sum(1 for x, y in itertools.combinations(seq, 2) if x > y)
+    return -1 if inversions % 2 else 1
+
+
+def _ref_zeros(n, exact):
+    return [Fraction(0) if exact else 0.0 for _ in range(n)]
+
+
+def ref_wedge(a, b, exact):
+    out = _ref_zeros(dim_of(a.degree + b.degree), exact)
+    for pa, I in enumerate(BASIS[a.degree]):
+        for pb, J in enumerate(BASIS[b.degree]):
+            if not set(I) & set(J):
+                out[BASIS[a.degree + b.degree].index(tuple(sorted(I + J)))] += (
+                    _sign(I + J) * a.coeffs[pa] * b.coeffs[pb]
+                )
+    return out
+
+
+def ref_interior(v, a, exact):
+    if a.degree == 0:
+        return _ref_zeros(1, exact)
+    out = _ref_zeros(dim_of(a.degree - 1), exact)
+    for pos, I in enumerate(BASIS[a.degree]):
+        for p, i in enumerate(I):
+            out[BASIS[a.degree - 1].index(I[:p] + I[p + 1 :])] += (-1) ** p * v[i] * a.coeffs[pos]
+    return out
+
+
+def ref_contract(a, b, exact):
+    out = _ref_zeros(dim_of(b.degree - a.degree), exact)
+    for pa, I in enumerate(BASIS[a.degree]):
+        piece = b
+        for i in I:
+            piece = Form(piece.degree - 1, np.array(ref_interior(basis_vector(i + 1, exact), piece, exact), dtype=object if exact else float))
+        for q in range(len(out)):
+            out[q] += a.coeffs[pa] * piece.coeffs[q]
+    return out
+
+
+def ref_to_antisym(a, exact):
+    arr = np.empty((7,) * a.degree, dtype=object if exact else float)
+    arr[...] = Fraction(0) if exact else 0.0
+    for pos, I in enumerate(BASIS[a.degree]):
+        for perm in itertools.permutations(I):
+            arr[perm] = _sign(perm) * a.coeffs[pos]
+    return arr
+
+
+def seeded_form(degree, exact, rng):
+    if exact:
+        nums = rng.integers(-9, 10, size=dim_of(degree))
+        dens = rng.integers(1, 6, size=dim_of(degree))
+        return Form(degree, np.array([Fraction(int(n), int(d)) for n, d in zip(nums, dens)], dtype=object))
+    return Form(degree, rng.normal(size=dim_of(degree)))
+
+
+def assert_matches(got, want, exact):
+    got = np.asarray(got).reshape(-1)
+    want = np.asarray(want, dtype=object if exact else float).reshape(-1)
+    assert got.shape == want.shape
+    if exact:
+        assert set(map(type, got)) == {Fraction}
+        assert np.array_equal(got, want)
+    else:
+        assert got.dtype == float
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_wedge_and_contract_match_loop_reference(exact):
+    rng = np.random.default_rng(7)
+    for ka in range(8):
+        for kb in range(8 - ka):
+            a, b = seeded_form(ka, exact, rng), seeded_form(kb, exact, rng)
+            assert_matches(wedge(a, b).coeffs, ref_wedge(a, b, exact), exact)
+    for ka in range(8):
+        for kb in range(ka, 8):
+            a, b = seeded_form(ka, exact, rng), seeded_form(kb, exact, rng)
+            assert_matches(contract(a, b).coeffs, ref_contract(a, b, exact), exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_interior_and_antisym_match_loop_reference(exact):
+    rng = np.random.default_rng(8)
+    for k in range(8):
+        a = seeded_form(k, exact, rng)
+        v = seeded_form(1, exact, rng).coeffs
+        assert_matches(interior(v, a).coeffs, ref_interior(v, a, exact), exact)
+        arr = to_antisym(a).array
+        assert arr.shape == (7,) * k
+        assert_matches(arr, ref_to_antisym(a, exact), exact)
+        back = from_antisym(arr, k)
+        assert_matches(back.coeffs, [arr[I] for I in BASIS[k]], exact)
+        assert_matches(back.coeffs, a.coeffs, exact)

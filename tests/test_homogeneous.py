@@ -15,6 +15,7 @@ from g2lab.exterior_algebra import (
 from g2lab.g2_algebra import split_v14
 from g2lab.homogeneous import (
     LieAlgebraSpec,
+    Report,
     analyze,
     builtin_examples,
     canonical_connection,
@@ -277,3 +278,43 @@ def test_conformal_scaling_of_lie_spec():
     assert max_abs(rw) > 1.0
     assert max_abs(rw2 - math.exp(-2 * f0) * rw) < 1e-10
     assert fg_type(geometry(scaled).torsion) == {2}
+
+
+def test_analyze_builds_each_stage_once(monkeypatch):
+    import g2lab.homogeneous as hm
+
+    calls = {}
+
+    def counting(name):
+        real = getattr(hm, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hm, name, wrapper)
+
+    for name in ("invariant_d_matrices", "levi_civita", "extract_torsion", "nabla_bar_tau"):
+        counting(name)
+    rep = hm.analyze(builtin_examples()["bryant"]["spec"])
+    assert rep.passed
+    assert calls == {
+        "invariant_d_matrices": 1,
+        "levi_civita": 1,
+        "extract_torsion": 1,
+        "nabla_bar_tau": 1,
+    }
+
+
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_nan_residual_fails_its_check(where):
+    arr = np.full(7, 1e-13)
+    arr[where] = np.nan
+    assert np.isnan(max_abs(arr))
+    assert np.isnan(max_abs(np.zeros(3), arr))
+    assert np.isnan(max_abs(np.array(list(arr), dtype=object)))
+    rep = Report("nan")
+    rep.add("clean", max_abs(np.zeros(7)), 1e-9)
+    rep.add("nan somewhere", max_abs(arr), 1e-9)
+    assert [c.passed for c in rep.checks] == [True, False]
+    assert not rep.passed
