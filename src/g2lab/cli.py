@@ -250,21 +250,20 @@ def cmd_warp(args) -> int:
         f = co.jet_profile(args.f, args.t)
         theta = co.jet_profile(args.theta, args.t)
         spec = co.WarpSpec(f, theta, args.sigma)
-        tor = co.warped_torsion(spec)
+        tor = co.warped_torsion(spec, tol=_tol(args))
+        payload = {
+            "t": args.t,
+            "fg_type": sorted(fg_type(tor)),
+            "tau0": float(tor.tau0),
+            "tau1_norm": tor.norms()[4],
+            "tau2_norm": tor.norms()[2],
+            "tau3_norm": tor.norms()[3],
+            "scalar_curvature": co.scalar_curvature_warped(spec),
+            "ricW_residual": co.ricW_vanishes(spec),
+        }
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cls = sorted(fg_type(tor))
-    payload = {
-        "t": args.t,
-        "fg_type": cls,
-        "tau0": float(tor.tau0),
-        "tau1_norm": tor.norms()[4],
-        "tau2_norm": tor.norms()[2],
-        "tau3_norm": tor.norms()[3],
-        "scalar_curvature": co.scalar_curvature_warped(spec),
-        "ricW_residual": co.ricW_vanishes(spec),
-    }
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -274,7 +273,11 @@ def cmd_warp(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    table = co.type_sweep(t=args.t)
+    try:
+        table = co.type_sweep(t=args.t)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     realized = sorted({tuple(v) for v in table.values()})
     if args.json:
         print(json.dumps({"table": table, "realized": [list(r) for r in realized]}, indent=2))

@@ -12,19 +12,26 @@ order-2 jets in t.  Two fiber models are shipped:
 
 Fiber elements are stored in the orthonormal-frame ("unit") symbols, so
 the Hodge and wedge tables are constant and all t-dependence sits in the
-jet coefficients and in the frame weights that enter d.  Pointwise
-evaluation maps each symbol to its coefficient array on R^7 and undoes the
-phase of psi_t^+/psi_t^- by a frame rotation, landing every form in the
-adapted frame of the standard phi, where the generic torsion machinery
-applies.  Closed-form torsion components and the generic structure-
+jet coefficients and in the frame weights that enter d.  Those tables, the
+symbol dictionaries and the frame weights do not depend on sigma either: they
+are built (and span-checked) once per fiber kind, on first use, and shared
+read-only by every model of that kind; a model adds only its d table, which
+carries sigma.  Pointwise evaluation maps each symbol to its coefficient
+array on R^7 and undoes the phase of psi_t^+/psi_t^- by a frame rotation,
+landing every form in the adapted frame of the standard phi, where the
+generic torsion machinery applies.  Closed-form torsion components and the generic structure-
 equation extraction are cross-checked against each other at every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,58 +165,41 @@ def jet_profile(name: str, t: float) -> Jet:
 # --- fiber models -------------------------------------------------------------------
 
 
-@dataclass
+class _FiberTables(NamedTuple):
+    symbols: Mapping
+    weight_fn: Mapping
+    by_degree: Mapping
+    star6: Mapping
+    wedge: Mapping
+
+
 class FiberModel:
     """Finite invariant-form algebra of the 6-dimensional fiber.
 
-    symbols: name -> (degree, dictionary Form on e^1..e^6, frame weight);
-    the weight w(spec) is the jet with unit_symbol = w * geometric_symbol.
-    d_geom: geometric-symbol d table.  Wedge and Hodge tables on the unit
-    symbols are computed numerically from the dictionaries at build time.
+    The sigma-independent tables are built once per fiber kind and shared,
+    read-only, by every model of that kind: symbols (name -> (degree,
+    dictionary Form on e^1..e^6)), weight_fn (name -> frame weight, the jet
+    w(spec) with unit_symbol = w * geometric_symbol), _by_degree, and the
+    Hodge and wedge tables _star6 and _wedge on the unit symbols.  Only
+    d_geom, the geometric-symbol d table, carries sigma; constructing a model
+    attaches it to the shared tables.
     """
 
-    name: str
-    symbols: dict
-    d_geom: dict
-    weight_fn: dict
-
-    def __post_init__(self):
-        self._by_degree = {}
-        for s, (deg, form) in self.symbols.items():
-            self._by_degree.setdefault(deg, []).append(s)
-        self._star6 = {}
-        for s, (deg, form) in self.symbols.items():
-            self._star6[s] = self._express(_star6(form), 6 - deg)
-        self._wedge = {}
-        for s1, (d1, f1) in self.symbols.items():
-            for s2, (d2, f2) in self.symbols.items():
-                if d1 + d2 <= 6:
-                    self._wedge[(s1, s2)] = self._express(wedge(f1, f2), d1 + d2)
-
-    def _express(self, form: Form, degree: int) -> dict:
-        """Write a fiber form in the symbol span of its degree."""
-        syms = self._by_degree.get(degree, [])
-        if not syms:
-            if max_abs(form.coeffs) > 1e-12:
-                raise ValueError(f"{self.name}: form of degree {degree} not in span")
-            return {}
-        cols = np.stack([self.symbols[s][1].coeffs for s in syms], axis=1)
-        sol, *_ = np.linalg.lstsq(cols, np.asarray(form.coeffs, dtype=float), rcond=None)
-        if max_abs(cols.dot(sol) - form.coeffs) > 1e-10:
-            raise ValueError(f"{self.name}: degree-{degree} form escapes the symbol span")
-        return {s: c for s, c in zip(syms, sol) if abs(c) > 1e-14}
+    def __init__(self, name: str, tables: _FiberTables, d_geom: dict):
+        self.name = name
+        self.d_geom = d_geom
+        self.symbols, self.weight_fn, self._by_degree, self._star6, self._wedge = tables
 
     def weight(self, spec, s: str) -> Jet:
         return self.weight_fn[s](spec)
 
     def d_unit(self, spec, s: str) -> dict:
         """d of a unit symbol: sum over targets of D_geom * weight ratio."""
-        out = {}
         w_s = self.weight(spec, s)
-        for s2, coeff in self.d_geom.get(s, {}).items():
-            out[s2] = coeff(spec) if callable(coeff) else Jet.const(coeff)
-            out[s2] = out[s2] * (w_s / self.weight(spec, s2))
-        return out
+        return {
+            s2: Jet.const(coeff) * (w_s / self.weight(spec, s2))
+            for s2, coeff in self.d_geom.get(s, {}).items()
+        }
 
     def degree(self, s: str) -> int:
         return self.symbols[s][0]
@@ -225,25 +215,55 @@ def _star6(a: Form) -> Form:
     return sign * interior(basis_vector(7), hodge(a))
 
 
-def nearly_kahler_model(sigma: float) -> FiberModel:
-    """Invariant algebra of a nearly Kaehler 6-fold (Calabi-Yau at sigma=0)."""
+def _express(kind: str, symbols: Mapping, syms: tuple, form: Form, degree: int) -> Mapping:
+    """Write a fiber form in the span of the symbols syms of its degree."""
+    if not syms:
+        if not max_abs(form.coeffs) <= 1e-12:
+            raise ValueError(f"{kind}: form of degree {degree} not in span")
+        return MappingProxyType({})
+    cols = np.stack([symbols[s][1].coeffs for s in syms], axis=1)
+    sol, *_ = np.linalg.lstsq(cols, np.asarray(form.coeffs, dtype=float), rcond=None)
+    if not max_abs(cols.dot(sol) - form.coeffs) <= 1e-10:
+        raise ValueError(f"{kind}: degree-{degree} form escapes the symbol span")
+    return MappingProxyType({s: c for s, c in zip(syms, sol) if abs(c) > 1e-14})
+
+
+def _build_tables(kind: str, symbols: dict, weight_fn: dict) -> _FiberTables:
+    """Freeze the dictionaries and derive the Hodge and wedge tables, checking
+    that every entry lies in the symbol span of its degree."""
+    by_degree = {}
+    for s, (deg, form) in symbols.items():
+        form.coeffs.setflags(write=False)
+        by_degree.setdefault(deg, []).append(s)
+    by_degree = {deg: tuple(syms) for deg, syms in by_degree.items()}
+
+    def express(form: Form, degree: int) -> Mapping:
+        return _express(kind, symbols, by_degree.get(degree, ()), form, degree)
+
+    star6 = {s: express(_star6(form), 6 - deg) for s, (deg, form) in symbols.items()}
+    wedge_table = {
+        (s1, s2): express(wedge(f1, f2), d1 + d2)
+        for s1, (d1, f1) in symbols.items()
+        for s2, (d2, f2) in symbols.items()
+        if d1 + d2 <= 6
+    }
+    return _FiberTables(
+        *map(MappingProxyType, (symbols, weight_fn, by_degree, star6, wedge_table))
+    )
+
+
+@functools.cache
+def _nearly_kahler_tables() -> _FiberTables:
     one = Form.from_terms(0, {(): 1})
     om = standard_omega()
-    psip = standard_psi_plus()
-    psim = standard_psi_minus()
     w2 = wedge(om, om)
-    w3 = wedge(w2, om)
     symbols = {
         "one": (0, one),
         "om": (2, om),
-        "psi+": (3, psip),
-        "psi-": (3, psim),
+        "psi+": (3, standard_psi_plus()),
+        "psi-": (3, standard_psi_minus()),
         "om2": (4, w2),
-        "om3": (6, w3),
-    }
-    d_geom = {
-        "om": {"psi+": 3 * sigma},
-        "psi-": {"om2": -2 * sigma},
+        "om3": (6, wedge(w2, om)),
     }
     weight_fn = {
         "one": lambda s: Jet.const(1.0),
@@ -253,37 +273,25 @@ def nearly_kahler_model(sigma: float) -> FiberModel:
         "om2": lambda s: (s.f * s.f) * (s.f * s.f),
         "om3": lambda s: (s.f * s.f * s.f) * (s.f * s.f * s.f),
     }
-    return FiberModel(f"NK(sigma={sigma})", symbols, d_geom, weight_fn)
+    return _build_tables("NK", symbols, weight_fn)
 
 
-def flag_model() -> FiberModel:
-    """Invariant algebra of the torus-symmetric flag fiber (three om_i)."""
+@functools.cache
+def _flag_tables() -> _FiberTables:
     one = Form.from_terms(0, {(): 1})
     oms = [Form.from_terms(2, {pair: 1}) for pair in ((1, 2), (3, 4), (5, 6))]
-    psip = standard_psi_plus()
-    psim = standard_psi_minus()
     symbols = {
         "one": (0, one),
         "om1": (2, oms[0]),
         "om2": (2, oms[1]),
         "om3": (2, oms[2]),
-        "psi+": (3, psip),
-        "psi-": (3, psim),
+        "psi+": (3, standard_psi_plus()),
+        "psi-": (3, standard_psi_minus()),
         "m23": (4, wedge(oms[1], oms[2])),
         "m13": (4, wedge(oms[0], oms[2])),
         "m12": (4, wedge(oms[0], oms[1])),
         "vol": (6, wedge(wedge(oms[0], oms[1]), oms[2])),
     }
-    d_geom = {
-        "om1": {"psi+": 0.5},
-        "om2": {"psi+": 0.5},
-        "om3": {"psi+": 0.5},
-        "psi-": {"m23": -2.0, "m13": -2.0, "m12": -2.0},
-    }
-
-    def fi(spec, i):
-        return (spec.f1, spec.f2, spec.f3)[i]
-
     weight_fn = {
         "one": lambda s: Jet.const(1.0),
         "om1": lambda s: s.f1 * s.f1,
@@ -296,7 +304,27 @@ def flag_model() -> FiberModel:
         "m12": lambda s: (s.f1 * s.f1) * (s.f2 * s.f2),
         "vol": lambda s: (s.f1 * s.f2 * s.f3) * (s.f1 * s.f2 * s.f3),
     }
-    return FiberModel("flag", symbols, d_geom, weight_fn)
+    return _build_tables("flag", symbols, weight_fn)
+
+
+def nearly_kahler_model(sigma: float) -> FiberModel:
+    """Invariant algebra of a nearly Kaehler 6-fold (Calabi-Yau at sigma=0)."""
+    d_geom = {
+        "om": {"psi+": 3 * sigma},
+        "psi-": {"om2": -2 * sigma},
+    }
+    return FiberModel(f"NK(sigma={sigma})", _nearly_kahler_tables(), d_geom)
+
+
+def flag_model() -> FiberModel:
+    """Invariant algebra of the torus-symmetric flag fiber (three om_i)."""
+    d_geom = {
+        "om1": {"psi+": 0.5},
+        "om2": {"psi+": 0.5},
+        "om3": {"psi+": 0.5},
+        "psi-": {"m23": -2.0, "m13": -2.0, "m12": -2.0},
+    }
+    return FiberModel("flag", _flag_tables(), d_geom)
 
 
 # --- product forms -------------------------------------------------------------------
@@ -411,6 +439,15 @@ class ProductForm:
 # --- warped and cohomogeneity-one specs -----------------------------------------------
 
 
+def _require_finite(spec) -> None:
+    """Reject a spec with a NaN or infinite jet entry or sigma."""
+    for fld in fields(spec):
+        x = getattr(spec, fld.name)
+        entries = (x.value, x.d1, x.d2) if isinstance(x, Jet) else (x,)
+        if not all(map(math.isfinite, entries)):
+            raise ValueError(f"{fld.name} must be finite, got {x}")
+
+
 @dataclass(frozen=True)
 class WarpSpec:
     """Warped product over a nearly Kaehler fiber: f, theta jets, sigma >= 0."""
@@ -420,6 +457,7 @@ class WarpSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.f.value <= 0:
             raise ValueError("warp factor f must be positive")
         if self.sigma < 0:
@@ -436,6 +474,7 @@ class CohomSpec:
     theta: Jet
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.f1.value, self.f2.value, self.f3.value) <= 0:
             raise ValueError("warp factors must be positive")
 
@@ -580,13 +619,13 @@ def extraction_route(spec) -> TorsionComponents:
 def _two_route(spec, tol: float) -> TorsionComponents:
     t_closed = _tau_pointwise(spec)
     t_generic = extraction_route(spec)
-    resid = max(
-        abs(float(t_closed.tau0 - t_generic.tau0)),
-        max_abs(t_closed.tau1.coeffs - t_generic.tau1.coeffs),
-        max_abs(t_closed.tau2.coeffs - t_generic.tau2.coeffs),
-        max_abs(t_closed.tau3.coeffs - t_generic.tau3.coeffs),
+    resid = max_abs(
+        t_closed.tau0 - t_generic.tau0,
+        t_closed.tau1.coeffs - t_generic.tau1.coeffs,
+        t_closed.tau2.coeffs - t_generic.tau2.coeffs,
+        t_closed.tau3.coeffs - t_generic.tau3.coeffs,
     )
-    if resid > tol:
+    if not resid <= tol:
         raise ValueError(
             f"closed-form and structure-equation torsion disagree "
             f"(residual {resid:.3g}): closed {t_closed.norms()} vs "
@@ -609,7 +648,7 @@ def cohom_torsion(spec: CohomSpec, tol: float = 1e-9) -> TorsionComponents:
     and a warning is emitted.
     """
     res = holonomy_residual(spec.f1, spec.f2, spec.f3)
-    if max(abs(x) for x in res) > 1e-9:
+    if not max_abs(res) <= 1e-9:
         warnings.warn(
             f"holonomy condition fails (residuals {res}); "
             "closed-form torsion not comparable",

@@ -23,6 +23,7 @@ rebuild the differentials from xibar (`differential_from_xibar`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +194,8 @@ def fg_type(t: TorsionComponents, eps: float = 1e-9, eps_abs: float = 1e-12) -> 
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     norms = t.norms()
+    if not all(map(math.isfinite, norms.values())):
+        raise ValueError(f"torsion norms are not finite: {norms}")
     scale = sum(norms.values())
     return frozenset(
         cls for cls, n in norms.items() if n > max(eps * scale, eps_abs)

@@ -161,6 +161,29 @@ def test_warp_bad_input(capsys):
     assert main(["warp", "--f", "unknown-profile", "--theta", "t"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["warp", "--t", "nan"], ["warp", "--sigma", "nan"], ["warp", "--sigma", "inf"], ["sweep", "--t", "nan"]],
+)
+def test_non_finite_input_exits_2(capsys, argv):
+    # NaN once printed fg_type [] (sweep: every warped row "parallel") and exited 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert "parallel" not in captured.out
+
+
+def test_warp_honours_tolerance(capsys, monkeypatch):
+    code, _ = run(capsys, "warp")
+    assert code == 0
+    # the two routes agree to about 1e-15, not to 1e-30
+    assert main(["warp", "--tol", "1e-30"]) != 0
+    assert "disagree" in capsys.readouterr().err
+    monkeypatch.setenv("G2LAB_TOL", "1e-30")
+    assert main(["warp"]) != 0
+    assert "disagree" in capsys.readouterr().err
+
+
 def test_sweep_command(capsys):
     code, out = run(capsys, "--json", "sweep")
     assert code == 0

@@ -1,10 +1,12 @@
 """Warped products and cohomogeneity-one fibers: jets, two-route torsion."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from g2lab import cohomo_one as co
 from g2lab._linalg import max_abs
 from g2lab.cohomo_one import (
     CohomSpec,
@@ -36,7 +38,7 @@ from g2lab.exterior_algebra import (
     wedge,
     wedge_all,
 )
-from g2lab.torsion import conformal_transform, fg_type
+from g2lab.torsion import TorsionComponents, conformal_transform, fg_type
 
 T0 = 1.1
 
@@ -79,6 +81,40 @@ def test_spec_validation():
         WarpSpec(Jet.const(1.0), Jet.const(0.0), -2.0)
     with pytest.raises(ValueError):
         CohomSpec(Jet.const(1.0), Jet.const(-1.0), Jet.const(1.0), Jet.const(0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_entries(bad):
+    good = Jet(1.0, 0.2, 0.1)
+    for jet in (Jet(bad), Jet(1.0, bad, 0.0), Jet(1.0, 0.0, bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            WarpSpec(jet, good, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            WarpSpec(good, jet, 1.0)
+        for i in range(4):
+            jets = [good] * 4
+            jets[i] = jet
+            with pytest.raises(ValueError, match="must be finite"):
+                CohomSpec(*jets)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        WarpSpec(good, good, bad)
+
+
+def test_nan_residual_fails_the_gates(monkeypatch):
+    # a NaN from the generic route must not pass the two-route comparison
+    nan_torsion = TorsionComponents(math.nan, Form.zero(1), Form.zero(2), Form.zero(3))
+    warp = WarpSpec(jet_var(T0).sin(), jet_var(T0), 1.0)
+    cohom = CohomSpec(*holonomy_triple(0.5, 0.5, 0.5), Jet(0.3, 0.5, 0.1))
+    monkeypatch.setattr(co, "extraction_route", lambda spec: nan_torsion)
+    with pytest.raises(ValueError, match="disagree"):
+        warped_torsion(warp)
+    with pytest.raises(ValueError, match="disagree"):
+        cohom_torsion(cohom)
+    # a NaN holonomy residual is off the locus, not on it
+    monkeypatch.undo()
+    monkeypatch.setattr(co, "holonomy_residual", lambda *fs: (math.nan, 0.0, 0.0))
+    with pytest.warns(UserWarning, match="holonomy condition fails"):
+        cohom_torsion(cohom)
 
 
 # --- fiber models --------------------------------------------------------------------
@@ -143,6 +179,94 @@ def test_d_squared_vanishes_pointwise():
 def test_fiber_models_closed_under_wedge():
     nearly_kahler_model(1.0)
     flag_model()  # construction already asserts closure
+    # the tables are built once per process, so check every entry here too
+    for model in (nearly_kahler_model(1.0), flag_model()):
+
+        def rebuild(table_entry, degree, model=model):
+            out = Form.zero(degree)
+            for s, c in table_entry.items():
+                out = out + c * model.dictionary(s)
+            return out
+
+        for s1 in model.symbols:
+            for s2 in model.symbols:
+                degree = model.degree(s1) + model.degree(s2)
+                if degree > 6:
+                    assert (s1, s2) not in model._wedge
+                    continue
+                want = wedge(model.dictionary(s1), model.dictionary(s2))
+                got = rebuild(model._wedge[(s1, s2)], degree)
+                assert max_abs(got.coeffs - want.coeffs) < 1e-12, (s1, s2)
+            want = co._star6(model.dictionary(s1))
+            got = rebuild(model._star6[s1], 6 - model.degree(s1))
+            assert max_abs(got.coeffs - want.coeffs) < 1e-12, s1
+
+
+def test_fiber_tables_built_once_per_kind(monkeypatch):
+    nearly_kahler_model(0.3)
+    flag_model()
+    calls = {"wedge": 0, "express": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(co, "wedge", counting("wedge", co.wedge))
+    monkeypatch.setattr(co, "_express", counting("express", co._express))
+    for sigma in (0.0, 0.5, 1.0, 2.5):
+        nearly_kahler_model(sigma)
+    flag_model()
+    assert calls == {"wedge": 0, "express": 0}
+    # the counters do see a build: drop the cached tables and rebuild them
+    monkeypatch.setattr(co, "_flag_tables", functools.cache(co._flag_tables.__wrapped__))
+    flag_model()
+    flag_model()
+    assert calls["wedge"] > 0 and calls["express"] > 0
+    built = dict(calls)
+    flag_model()
+    assert calls == built
+
+
+def test_models_share_tables_but_not_d():
+    nk0, nk1 = nearly_kahler_model(0.0), nearly_kahler_model(1.0)
+    assert nk0._wedge is nk1._wedge
+    assert nk0._star6 is nk1._star6
+    assert nk0.symbols is nk1.symbols
+    spec = WarpSpec(jet_var(T0).sin(), Jet.const(0.0), 1.0)
+    # d om = 3 sigma psi+ in geometric symbols; unit symbols add f^2 / f^3
+    assert nk0.d_unit(spec, "om")["psi+"].value == 0.0
+    assert abs(nk1.d_unit(spec, "om")["psi+"].value - 3 / math.sin(T0)) < 1e-14
+    assert flag_model()._wedge is flag_model()._wedge
+
+
+def test_shared_tables_are_read_only():
+    model = nearly_kahler_model(1.0)
+    with pytest.raises(ValueError):
+        model.dictionary("om").coeffs[0] = 5.0
+    with pytest.raises(ValueError):
+        flag_model().dictionary("vol").coeffs *= 2
+    with pytest.raises(TypeError):
+        model._wedge[("om", "om")] = {}
+    with pytest.raises(TypeError):
+        model._star6["om"]["om2"] = 1.0
+    # the failed writes left every later result untouched
+    assert model.dictionary("om").coeff((1, 2)) == 1.0
+    assert abs(warped_torsion(WarpSpec(jet_var(T0).sin(), jet_var(T0), 1.0)).tau0 - 4.0) < 1e-12
+
+
+def test_repeated_calls_give_identical_arrays():
+    warp = WarpSpec(Jet(0.9, 0.6, -0.3), Jet(0.8, 1.2, 0.4), 1.3)
+    cohom = CohomSpec(*holonomy_triple(0.6, 0.9, 1.4), Jet(0.5, 0.7, -0.2))
+    for solve, spec in ((warped_torsion, warp), (cohom_torsion, cohom)):
+        first, second = solve(spec), solve(spec)
+        assert first.tau0 == second.tau0
+        for a, b in ((first.tau1, second.tau1), (first.tau2, second.tau2), (first.tau3, second.tau3)):
+            np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    assert ricW_vanishes(warp) == ricW_vanishes(warp)
+    assert ricW_vanishes(warp, k=(1, 0)) == ricW_vanishes(warp, k=(1, 0))
 
 
 # --- warped torsion -------------------------------------------------------------------

@@ -118,6 +118,17 @@ def test_fg_type_cases():
         fg_type(t, eps=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fg_type_rejects_non_finite_norms(bad):
+    # a NaN norm would otherwise compare as zero and read as parallel
+    with pytest.raises(ValueError, match="not finite"):
+        fg_type(TorsionComponents(bad, Form.zero(1), Form.zero(2), Form.zero(3)))
+    tau3 = Form.zero(3).coeffs.copy()
+    tau3[0] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        fg_type(TorsionComponents(0.0, Form.zero(1), Form.zero(2), Form(3, tau3)))
+
+
 # --- intrinsic torsion -------------------------------------------------------------
 
 
