@@ -75,6 +75,7 @@ from .homogeneous import (
 from .cohomo_one import (
     CohomSpec,
     Jet,
+    RouteMismatch,
     WarpSpec,
     cohom_torsion,
     einstein_warp_check,

@@ -261,6 +261,9 @@ def cmd_warp(args) -> int:
             "scalar_curvature": co.scalar_curvature_warped(spec),
             "ricW_residual": co.ricW_vanishes(spec),
         }
+    except co.RouteMismatch as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -616,6 +616,11 @@ def extraction_route(spec) -> TorsionComponents:
     return extract_torsion(forms.phi_point, dphi, dstarphi)
 
 
+class RouteMismatch(ValueError):
+    """The closed-form and structure-equation torsion disagree: a failed
+    check on valid input, not malformed input."""
+
+
 def _two_route(spec, tol: float) -> TorsionComponents:
     t_closed = _tau_pointwise(spec)
     t_generic = extraction_route(spec)
@@ -626,7 +631,7 @@ def _two_route(spec, tol: float) -> TorsionComponents:
         t_closed.tau3.coeffs - t_generic.tau3.coeffs,
     )
     if not resid <= tol:
-        raise ValueError(
+        raise RouteMismatch(
             f"closed-form and structure-equation torsion disagree "
             f"(residual {resid:.3g}): closed {t_closed.norms()} vs "
             f"generic {t_generic.norms()}"

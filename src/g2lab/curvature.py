@@ -26,12 +26,13 @@ matrix through the degree-2 projectors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import eye, is_exact, max_abs, scalar, zeros
-from .exterior_algebra import BASIS, DIM, INDEX, basis_vector, index_columns, interior, phi_arrays
+from .exterior_algebra import BASIS, DIM, INDEX, frame_interior, index_columns, phi_arrays, standard_phi
 from .g2_algebra import projector_matrix
 
 PAIRS = BASIS[2]
@@ -149,19 +150,10 @@ def scalar_curvature(r: CurvatureTensor):
     return ricci(r).trace()
 
 
-_IPHI_MATRIX: dict = {}
-
-
+@functools.cache
 def _iphi_matrix(exact: bool) -> np.ndarray:
     """7 x 21 matrix whose row u holds the pair coefficients of e_u -| phi."""
-    key = bool(exact)
-    if key not in _IPHI_MATRIX:
-        from .exterior_algebra import standard_phi
-
-        phi = standard_phi(exact)
-        rows = [interior(basis_vector(u + 1, exact), phi).coeffs for u in range(DIM)]
-        _IPHI_MATRIX[key] = np.stack(rows, axis=0)
-    return _IPHI_MATRIX[key]
+    return frame_interior(standard_phi(exact))
 
 
 def phi_ricci(r: CurvatureTensor) -> np.ndarray:
@@ -269,11 +261,11 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     """
     scale = max(max_abs(r.mat), 1.0)
     res = bianchi_residual(r)
-    if res > tol * scale:
+    if not res <= tol * scale:
         raise ValueError(
             f"input violates the first Bianchi identity (residual {res:.3g})"
         )
-    if r.symmetry_residual() > tol * scale:
+    if not r.symmetry_residual() <= tol * scale:
         raise ValueError("input pair matrix is not symmetric")
     exact = r.exact
     one = scalar(1, exact)

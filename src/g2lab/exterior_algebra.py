@@ -18,13 +18,17 @@ degree: the positions each structure constant reads and writes and its
 sign.  Applying one is a numpy gather and an ``np.add.at`` scatter, the same
 code for float64 and for ``Fraction`` object arrays; float sums run in the
 table's row order.  `perm_sign` is only called while a table is built.
+The composite maps of `g2_algebra` are built once from these tables, in
+integer arithmetic; `frame_wedge` and `frame_interior` apply e^i ^ and
+e_i -| for all seven i in one pass.
 
 The distinguished three-form is
 
     phi = e^127 + e^347 + e^567 + e^135 - e^245 - e^146 - e^236
 
-and its dual four-form *phi, together with the contraction identities
-between their component arrays that the rest of the package relies on.
+and its dual four-form *phi (each call returns a fresh copy of a cached
+read-only template), together with the contraction identities between
+their component arrays that the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import is_exact, max_abs, scalar, zeros
+from ._linalg import as_mode, is_exact, max_abs, scalar, zeros
 
 DIM = 7
 
@@ -176,21 +180,44 @@ def index_columns(rows, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndexTable:
-    """Bilinear kernel out[po] += sign * x[pa] * y[pb], summed in row order."""
+    """Bilinear kernel out[po] += coef * x[pa] * y[pb], summed in row order.
+
+    The coefficients are integers: signs for the basic kernels, small
+    multiplicities for the tables composed from them.
+    """
 
     pa: np.ndarray
     pb: np.ndarray
     po: np.ndarray
-    sign: np.ndarray
+    coef: np.ndarray
     n_out: int
 
     @staticmethod
     def from_rows(rows, n_out: int) -> "IndexTable":
         return IndexTable(*index_columns(rows, 4), n_out)
 
+    @staticmethod
+    def merged(pa, pb, po, coef, n_out: int, n_a: int, n_b: int) -> "IndexTable":
+        """The table of integer rows, with rows of equal (po, pa, pb) summed,
+        zero sums dropped, and the rows sorted by (po, pa, pb)."""
+        key = (po * n_a + pa) * n_b + pb
+        uniq, inverse = np.unique(key, return_inverse=True)
+        total = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(total, inverse, coef)
+        keep = total != 0
+        po, rest = np.divmod(uniq[keep], n_a * n_b)
+        pa, pb = np.divmod(rest, n_b)
+        return IndexTable.from_rows(np.stack([pa, pb, po, total[keep]], axis=1), n_out)
+
+    def dense(self, n_a: int, n_b: int) -> np.ndarray:
+        """The table as an integer array t[out, a, b], for composing tables."""
+        t = np.zeros((self.n_out, n_a, n_b), dtype=np.int64)
+        np.add.at(t, (self.po, self.pa, self.pb), self.coef)
+        return t
+
     def apply(self, x: np.ndarray, y: np.ndarray, exact: bool) -> np.ndarray:
         out = zeros(self.n_out, exact)
-        np.add.at(out, self.po, self.sign * x[self.pa] * y[self.pb])
+        np.add.at(out, self.po, self.coef * x[self.pa] * y[self.pb])
         return out
 
 
@@ -219,6 +246,14 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(a.degree + b.degree, out)
 
 
+def frame_wedge(stack: np.ndarray, degree: int) -> Form:
+    """sum_i e^i ^ stack[i] for a (7, dim_k) stack of k-form coefficients."""
+    t = _wedge_table(1, degree)
+    out = zeros(t.n_out, is_exact(stack))
+    np.add.at(out, t.po, t.coef * stack[t.pa, t.pb])
+    return Form(degree + 1, out)
+
+
 def wedge_all(*forms: Form) -> Form:
     acc = forms[0]
     for f in forms[1:]:
@@ -237,6 +272,22 @@ def hodge_table(k: int):
         comp = tuple(i for i in range(DIM) if i not in I)
         rows.append((INDEX[DIM - k][comp], perm_sign(I + comp)))
     return index_columns(rows, 2)
+
+
+def hodge_matrix(k: int) -> np.ndarray:
+    """The Hodge star on k-forms as an integer (signed permutation) matrix."""
+    po, sign = hodge_table(k)
+    m = np.zeros((dim_of(DIM - k), dim_of(k)), dtype=np.int64)
+    m[po, np.arange(dim_of(k))] = sign
+    return m
+
+
+@functools.cache
+def wedge_phi_matrix(k: int) -> np.ndarray:
+    """Read-only integer matrix of a -> a ^ phi on k-forms."""
+    m = _wedge_table(k, 3).dense(dim_of(k), dim_of(3)).dot(phi_coefficients())
+    m.flags.writeable = False
+    return m
 
 
 def hodge(a: Form) -> Form:
@@ -270,6 +321,14 @@ def interior(v, a: Form) -> Form:
     if a.degree == 0:
         return Form.zero(0, a.exact)
     return Form(a.degree - 1, _interior_table(a.degree).apply(v, a.coeffs, a.exact))
+
+
+def frame_interior(a: Form) -> np.ndarray:
+    """The (7, dim_(k-1)) stack of e_i -| a for i = 1..7 (degree k >= 1)."""
+    t = _interior_table(a.degree)
+    out = zeros((DIM, t.n_out), a.exact)
+    out[t.pa, t.po] = t.coef * a.coeffs[t.pb]  # each entry is written once
+    return out
 
 
 def basis_vector(i: int, exact: bool = False) -> np.ndarray:
@@ -342,11 +401,36 @@ def _antisym_table(k: int):
     return (*index_columns(rows, 3), sorted_entry)
 
 
+def _unfold(coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """Flattened component arrays of a (..., dim_k) stack of coefficients."""
+    entry, pos, sign, _ = _antisym_table(degree)
+    flat = zeros(coeffs.shape[:-1] + (DIM**degree,), is_exact(coeffs))
+    flat[..., entry] = sign * coeffs[..., pos]  # every entry is written once
+    return flat
+
+
 def to_antisym(a: Form) -> AntisymArray:
-    entry, pos, sign, _ = _antisym_table(a.degree)
-    flat = zeros(DIM**a.degree, a.exact)
-    flat[entry] = sign * a.coeffs[pos]  # every entry is written once
-    return AntisymArray(a.degree, flat.reshape((DIM,) * a.degree))
+    return AntisymArray(a.degree, _unfold(a.coeffs, a.degree).reshape((DIM,) * a.degree))
+
+
+def antisym_coefficients(arr: np.ndarray, degree: int, tol: float = 1e-12) -> np.ndarray:
+    """Coefficients of the antisymmetric arrays on the last ``degree`` axes.
+
+    Leading axes are a batch: a (7, 7, 7) array of degree 2 gives a (7, 21)
+    stack.  One check covers the whole stack and rejects it if any array is
+    not antisymmetric.
+    """
+    exact = is_exact(arr)
+    flat = arr.reshape(arr.shape[: arr.ndim - degree] + (DIM**degree,))
+    coeffs = flat[..., _antisym_table(degree)[3]]
+    if not exact:
+        coeffs = np.asarray(coeffs, dtype=float)
+    rebuilt = _unfold(coeffs, degree)
+    off = rebuilt != flat  # subtract only where they differ: cheap on Fractions
+    residual = max_abs(rebuilt[off] - flat[off])
+    if not residual <= tol:
+        raise ValueError(f"input array is not antisymmetric (residual {residual:.3g})")
+    return coeffs
 
 
 def from_antisym(arr, degree: int = None, tol: float = 1e-12) -> Form:
@@ -356,15 +440,7 @@ def from_antisym(arr, degree: int = None, tol: float = 1e-12) -> Form:
     arr = np.asarray(arr)
     if degree is None:
         degree = arr.ndim
-    exact = is_exact(arr)
-    coeffs = arr.reshape(-1)[_antisym_table(degree)[3]]
-    form = Form(degree, coeffs if exact else np.asarray(coeffs, dtype=float))
-    rebuilt = to_antisym(form).array
-    off = rebuilt != arr  # subtract only where they differ: cheap on Fractions
-    residual = max_abs(rebuilt[off] - arr[off])
-    if not residual <= tol:
-        raise ValueError(f"input array is not antisymmetric (residual {residual:.3g})")
-    return form
+    return Form(degree, antisym_coefficients(arr, degree, tol))
 
 
 # --- the G2 three-form -------------------------------------------------------
@@ -380,13 +456,34 @@ _PHI_TERMS = {
 }
 
 
+
+@functools.cache
+def phi_coefficients() -> np.ndarray:
+    """The coefficients of phi as a read-only integer vector."""
+    c = np.zeros(dim_of(3), dtype=np.int64)
+    for idx, v in _PHI_TERMS.items():
+        c[INDEX[3][check_multi_index(idx, 3)]] = v
+    c.flags.writeable = False
+    return c
+
+
+@functools.cache
+def _phi_templates(exact: bool) -> tuple:
+    """Read-only coefficient arrays of phi and *phi in one scalar mode."""
+    phi = Form(3, as_mode(phi_coefficients(), exact))
+    templates = (phi.coeffs, hodge(phi).coeffs)
+    for t in templates:
+        t.flags.writeable = False
+    return templates
+
+
 def standard_phi(exact: bool = False) -> Form:
-    """The fundamental three-form in its adapted coframe."""
-    return Form.from_terms(3, _PHI_TERMS, exact)
+    """The fundamental three-form in its adapted coframe (a fresh array)."""
+    return Form(3, _phi_templates(bool(exact))[0].copy())
 
 
 def standard_phi_dual(exact: bool = False) -> Form:
-    return hodge(standard_phi(exact))
+    return Form(4, _phi_templates(bool(exact))[1].copy())
 
 
 def standard_omega(exact: bool = False) -> Form:

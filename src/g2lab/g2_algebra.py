@@ -16,29 +16,38 @@ Projector conventions (degree 2 and 3 from the defining formulas, degrees
 
 sigma contracts over both slots of the component arrays,
 sigma(alpha)_ij = phi_ipq alpha_jpq, so sigma(phi) = 6 g.
+
+lambda3 and the brackets are stored as data: lambda3 is a 35 x 49 integer
+matrix, and [a (.) b], [b^2]^A and [b^2]^B are bilinear index tables.  They
+and the projectors are composed once per process, in integer arithmetic,
+from the interior, contraction, wedge and Hodge tables of
+`exterior_algebra`, and the same tables serve float64 and exact mode.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eye, is_exact, max_abs, pinv, scalar, zeros
+from ._linalg import as_mode, eye, is_exact, max_abs, pinv, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
-    basis_vector,
-    contract,
+    IndexTable,
+    _contract_table,
+    _interior_table,
+    _wedge_table,
     dim_of,
-    form_inner,
-    hodge,
+    frame_interior,
+    frame_wedge,
+    hodge_matrix,
     hodge_table,
-    interior,
     phi_arrays,
-    standard_phi,
+    phi_coefficients,
     to_antisym,
-    wedge,
+    wedge_phi_matrix,
 )
 
 #: the valid (degree, dimension) labels of the irreducible pieces
@@ -68,40 +77,24 @@ def check_label(label):
 _PROJECTORS: dict = {}
 
 
-def _matrix_of(op, degree: int, exact: bool) -> np.ndarray:
-    """Matrix of a linear Form -> Form operator on the degree-k basis."""
-    n = dim_of(degree)
-    cols = []
-    for pos in range(n):
-        c = zeros(n, exact)
-        c[pos] = scalar(1, exact)
-        cols.append(op(Form(degree, c)).coeffs)
-    return np.stack(cols, axis=1)
-
-
 def _build_projectors(exact: bool) -> dict:
-    phi = standard_phi(exact)
-    starphi = hodge(phi)
-
-    def p27(a):
-        s = hodge(wedge(a, phi))
-        return Form(2, (a.coeffs + s.coeffs) / 3)
-
-    def p214(a):
-        s = hodge(wedge(a, phi))
-        return Form(2, (2 * a.coeffs - s.coeffs) / 3)
-
-    def p31(b):
-        return Form(3, form_inner(b, phi) * phi.coeffs / 7)
-
-    def p37(b):
-        return Form(3, hodge(wedge(hodge(wedge(phi, b)), phi)).coeffs / 4)
-
+    # the defining operators from integer matrices: a -> *(a ^ phi) on
+    # Lambda^2, b -> <b, phi> phi and b -> *(*(phi ^ b) ^ phi) on Lambda^3
+    # (phi ^ b = -b ^ phi for a 3-form b); the last star is applied as the
+    # signed reindexing `hodge` does, which keeps the float tables bit-equal
+    # to the star of each basis form
+    phi = as_mode(phi_coefficients(), exact)
+    star_phi2 = as_mode(hodge_matrix(5).dot(wedge_phi_matrix(2)), exact)
+    m4 = -wedge_phi_matrix(1).dot(hodge_matrix(6)).dot(wedge_phi_matrix(3))
+    po, sign = hodge_table(4)
+    p37 = zeros((35, 35), exact)
+    p37[po] = sign[:, None] * as_mode(m4, exact)
+    one2 = eye(21, exact)
     mats = {
-        (2, 7): _matrix_of(p27, 2, exact),
-        (2, 14): _matrix_of(p214, 2, exact),
-        (3, 1): _matrix_of(p31, 3, exact),
-        (3, 7): _matrix_of(p37, 3, exact),
+        (2, 7): (one2 + star_phi2) / 3,
+        (2, 14): (2 * one2 - star_phi2) / 3,
+        (3, 1): np.outer(phi, phi) / 7,
+        (3, 7): p37 / 4,
     }
     mats[(3, 27)] = eye(35, exact) - mats[(3, 1)] - mats[(3, 7)]
 
@@ -133,19 +126,25 @@ def project(a: Form, label) -> Form:
 # --- symmetric 2-tensors ------------------------------------------------------
 
 
+def _iphi_dense() -> np.ndarray:
+    """Integer (21, 7) array whose column k holds e_k -| phi."""
+    return _interior_table(3).dense(DIM, dim_of(3)).dot(phi_coefficients())
+
+
+@functools.cache
+def _lambda3_matrix(exact: bool) -> np.ndarray:
+    """The 35 x 49 integer matrix of lambda3 on h flattened row by row:
+    column 7a + b holds e^a ^ (e_b -| phi).  Python ints in exact mode."""
+    m = _wedge_table(1, 2).dense(DIM, dim_of(2)).dot(_iphi_dense()).reshape(dim_of(3), DIM * DIM)
+    m = m.astype(object if exact else float)
+    m.flags.writeable = False
+    return m
+
+
 def lambda3(h: np.ndarray) -> Form:
     """lambda3(h) = sum_ab h_ab e^a ^ (e_b -| phi); lambda3(g) = 3 phi."""
     h = np.asarray(h)
-    exact = is_exact(h)
-    phi = standard_phi(exact)
-    out = Form.zero(3, exact)
-    for b in range(DIM):
-        ib = interior(basis_vector(b + 1, exact), phi)
-        for a in range(DIM):
-            if h[a, b] != 0:
-                ea = Form.basis((a + 1,), exact)
-                out = out + h[a, b] * wedge(ea, ib)
-    return out
+    return Form(3, _lambda3_matrix(is_exact(h)).dot(h.reshape(DIM * DIM)))
 
 
 def sigma_contract(a: Form) -> np.ndarray:
@@ -181,16 +180,11 @@ def _sym_basis():
 def _lambda3_pinv(exact: bool) -> tuple:
     key = bool(exact)
     if key not in _LAMBDA3_PINV:
-        cols = []
         sym = _sym_basis()
-        for a, b in sym:
-            h = zeros((DIM, DIM), exact)
-            h[a, b] += scalar(1, exact)
-            h[b, a] += scalar(1, exact)
-            if a == b:
-                h[a, b] -= scalar(1, exact)
-            cols.append(lambda3(h).coeffs)
-        m = np.stack(cols, axis=1)  # 35 x 28, rank 28
+        lam = _lambda3_matrix(True)
+        # lambda3 of E_ab: columns 7a + b and 7b + a, once on the diagonal
+        cols = [lam[:, DIM * a + b] + (lam[:, DIM * b + a] if a != b else 0) for a, b in sym]
+        m = as_mode(np.stack(cols, axis=1), key)  # 35 x 28, rank 28
         _LAMBDA3_PINV[key] = (sym, pinv(m))
     return _LAMBDA3_PINV[key]
 
@@ -204,7 +198,7 @@ def sym2_from_27(a: Form, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("sym2_from_27 expects a 3-form")
     r1 = max_abs(project(a, (3, 1)).coeffs)
     r7 = max_abs(project(a, (3, 7)).coeffs)
-    if r1 > tol or r7 > tol:
+    if not (r1 <= tol and r7 <= tol):
         raise ValueError(
             f"input is not in Lambda^3_27: |p_1 a| = {r1:.3g}, |p_7 a| = {r7:.3g}"
         )
@@ -220,23 +214,64 @@ def sym2_from_27(a: Form, tol: float = 1e-10) -> np.ndarray:
 # --- quadratic contractions ---------------------------------------------------
 
 
+def _pairing_table(
+    left: IndexTable, right: IndexTable, kl: int, kr: int, n_a: int, n_b: int
+) -> IndexTable:
+    """The table of (a, b) -> sum_k L_k(e^a) ^ R_k(e^b) on n_a x n_b inputs.
+
+    L_k and R_k map into degrees kl and kr; they are given as rows
+    (k, input, output, coef), the layout of the interior table.  Every pair
+    of rows with the same k is wedged through the wedge table.
+    """
+    w = _wedge_table(kl, kr)
+    w_out = np.zeros((left.n_out, right.n_out), dtype=np.intp)
+    w_coef = np.zeros((left.n_out, right.n_out), dtype=np.int64)
+    w_out[w.pa, w.pb] = w.po
+    w_coef[w.pa, w.pb] = w.coef  # 0 where the two monomials overlap
+    il, ir = np.nonzero(left.pa[:, None] == right.pa[None, :])
+    x, y = left.po[il], right.po[ir]
+    coef = left.coef[il] * right.coef[ir] * w_coef[x, y]
+    return IndexTable.merged(left.pb[il], right.pb[ir], w_out[x, y], coef, w.n_out, n_a, n_b)
+
+
+@functools.cache
+def _odot_table(ka: int, kb: int) -> IndexTable:
+    return _pairing_table(
+        _interior_table(ka), _interior_table(kb), ka - 1, kb - 1, dim_of(ka), dim_of(kb)
+    )
+
+
+@functools.cache
+def _quad_tables() -> dict:
+    """The tables of [b^2]^A and [b^2]^B on 3-forms."""
+    n = dim_of(3)
+    odot = _odot_table(3, 3)
+    po, sign = hodge_table(4)
+    quad_a = IndexTable.merged(odot.pa, odot.pb, po[odot.po], sign[odot.po] * odot.coef, n, n, n)
+    # (e_k -| phi) -| e^a as rows (k, a, p, coef), paired with e_k -| e^b
+    c = _contract_table(2, 3).dense(dim_of(2), n)  # [p, x, a]
+    c_iphi = np.einsum("pxa,xk->kap", c, _iphi_dense())
+    k, a, p = np.nonzero(c_iphi)
+    contract_iphi = IndexTable.from_rows(np.stack([k, a, p, c_iphi[k, a, p]], axis=1), DIM)
+    quad_b = _pairing_table(contract_iphi, _interior_table(3), 1, 2, n, n)
+    return {"A": quad_a, "B": quad_b}
+
+
 def odot_bracket(a: Form, b: Form) -> Form:
-    """[a (.) b] = sum_k i_k a ^ i_k b."""
-    exact = a.exact or b.exact
-    out = Form.zero(a.degree + b.degree - 2, exact)
-    for k in range(1, DIM + 1):
-        ek = basis_vector(k, exact)
-        out = out + wedge(interior(ek, a), interior(ek, b))
-    return out
+    """[a (.) b] = sum_k i_k a ^ i_k b (degrees at least 1)."""
+    out = _odot_table(a.degree, b.degree).apply(a.coeffs, b.coeffs, a.exact or b.exact)
+    return Form(a.degree + b.degree - 2, out)
+
+
+def _quad(name: str, b: Form) -> Form:
+    if b.degree != 3:
+        raise ValueError(f"quad_{name} expects a 3-form")
+    return Form(3, _quad_tables()[name].apply(b.coeffs, b.coeffs, b.exact))
 
 
 def quad_A(b: Form) -> Form:
     """[b^2]^A = sum_k *(i_k b ^ i_k b)."""
-    out = Form.zero(3, b.exact)
-    for k in range(1, DIM + 1):
-        ik = interior(basis_vector(k, b.exact), b)
-        out = out + hodge(wedge(ik, ik))
-    return out
+    return _quad("A", b)
 
 
 def quad_B(b: Form) -> Form:
@@ -246,12 +281,7 @@ def quad_B(b: Form) -> Form:
     the Ricci formulas with the printed coefficients (pinned numerically on
     the invariant examples).
     """
-    phi = standard_phi(b.exact)
-    out = Form.zero(3, b.exact)
-    for k in range(1, DIM + 1):
-        ek = basis_vector(k, b.exact)
-        out = out + wedge(contract(interior(ek, phi), b), interior(ek, b))
-    return out
+    return _quad("B", b)
 
 
 def quad_C(b: Form) -> Form:
@@ -317,22 +347,17 @@ def tensor_product(alpha: Form, beta: Form) -> MixedV14:
 
 def include_3form(beta: Form) -> np.ndarray:
     """The inclusion of a 3-form into V* (x) Lambda^2: sum_a e^a (x) i_a beta."""
-    rows = [interior(basis_vector(a + 1, beta.exact), beta).coeffs for a in range(DIM)]
-    return np.stack(rows, axis=0)
+    return frame_interior(beta)
 
 
 def wedge3(gamma: MixedV14) -> Form:
     """The wedge map sum_i e^i ^ gamma_i from mixed tensors to 3-forms."""
-    out = Form.zero(3, gamma.exact)
-    for i in range(DIM):
-        out = out + wedge(Form.basis((i + 1,), gamma.exact), gamma.slice(i))
-    return out
+    return frame_wedge(gamma.array, 2)
 
 
-def _wedge3_adjoint(w: Form, exact: bool) -> MixedV14:
+def _wedge3_adjoint(w: Form) -> MixedV14:
     """Adjoint of wedge3 under coefficient inner products."""
-    rows = [interior(basis_vector(i + 1, exact), w).coeffs for i in range(DIM)]
-    return mixed_project_14(np.stack(rows, axis=0))
+    return mixed_project_14(frame_interior(w))
 
 
 _SPLIT_CONSTANTS: dict = {}
@@ -348,7 +373,7 @@ def _split_constants(exact: bool):
             tr = scalar(0, exact)
             for pos in range(35):
                 w = Form(3, q[:, pos].copy())
-                gam = _wedge3_adjoint(w, exact)
+                gam = _wedge3_adjoint(w)
                 tr += wedge3(gam).coeffs[pos]
             consts[d] = tr / d
         _SPLIT_CONSTANTS[key] = consts
@@ -362,14 +387,14 @@ def split_v14(gamma: MixedV14, tol: float = 1e-9):
     pieces of wedge3(gamma); the 64 part is the remainder (the kernel of
     wedge3).  The pieces are mutually orthogonal and sum to gamma.
     """
-    if gamma.membership_residual() > tol:
+    if not gamma.membership_residual() <= tol:
         raise ValueError("slices of gamma are not in Lambda^2_14")
     consts = _split_constants(gamma.exact)
     w = wedge3(gamma)
     parts = {}
     for d in (27, 7):
         wd = project(w, (3, d))
-        parts[d] = (1 / consts[d]) * _wedge3_adjoint(wd, gamma.exact)
+        parts[d] = (1 / consts[d]) * _wedge3_adjoint(wd)
     g64 = gamma - parts[27] - parts[7]
     return g64, parts[27], parts[7]
 

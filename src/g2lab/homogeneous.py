@@ -34,7 +34,9 @@ from .exterior_algebra import (
     DIM,
     INDEX,
     Form,
+    antisym_coefficients,
     dim_of,
+    frame_wedge,
     form_inner,
     from_antisym,
     hodge,
@@ -81,7 +83,9 @@ class LieAlgebraSpec:
     def __post_init__(self):
         if self.c.shape != (DIM, DIM, DIM):
             raise ValueError("structure constants must be a 7x7x7 array")
-        if max_abs(self.c + self.c.transpose(0, 2, 1)) > 1e-12:
+        if not (self.exact or np.isfinite(self.c).all()):
+            raise ValueError("structure constants must be finite")
+        if not max_abs(self.c + self.c.transpose(0, 2, 1)) <= 1e-12:
             raise ValueError("structure constants must be antisymmetric in (i, j)")
 
     @property
@@ -220,25 +224,29 @@ def riemann(spec: LieAlgebraSpec, gamma: np.ndarray = None) -> CurvatureTensor:
     return from_full(term1 - term2 - term3)
 
 
-def connection_form_action(gamma: np.ndarray, a: Form) -> list:
-    """[grad_{e_i} a for i = 1..7] for an invariant form a.
+def _connection_stack(gamma: np.ndarray, a: Form) -> np.ndarray:
+    """(7, dim_k) coefficients of grad_{e_i} a, i = 1..7, for an invariant a.
 
-    (grad_i a)_{j1..jk} = -sum_s Gamma[i, j_s, p] a[.. p ..].
+    (grad_i a)_{j1..jk} = -sum_s Gamma[i, j_s, p] a[.. p ..]; the seven
+    component arrays are folded back to coefficients in one gather with one
+    antisymmetry check.
     """
     arr = to_antisym(a).array
     acc = zeros((DIM,) + arr.shape, is_exact(arr) or is_exact(gamma))
     for slot in range(a.degree):
         # Gamma[i, j_s, p] a[.. p ..] with j_s moved back into its slot
         acc -= np.moveaxis(np.tensordot(gamma, arr, axes=([2], [slot])), 1, 1 + slot)
-    return [from_antisym(acc[i], a.degree) for i in range(DIM)]
+    return antisym_coefficients(acc, a.degree)
+
+
+def connection_form_action(gamma: np.ndarray, a: Form) -> list:
+    """[grad_{e_i} a for i = 1..7] for an invariant form a."""
+    return [Form(a.degree, row) for row in _connection_stack(gamma, a)]
 
 
 def covariant_wedge(gamma: np.ndarray, a: Form) -> Form:
     """alt(grad a) = sum_i e^i ^ grad_i a (equals d a for Levi-Civita)."""
-    out = Form.zero(a.degree + 1, a.exact or is_exact(gamma))
-    for i, da in enumerate(connection_form_action(gamma, a)):
-        out = out + wedge(Form.basis((i + 1,), out.exact), da)
-    return out
+    return frame_wedge(_connection_stack(gamma, a), a.degree)
 
 
 # --- the full invariant pipeline -----------------------------------------------------
@@ -300,7 +308,7 @@ def canonical_connection(
         torsion = _torsion_of(mats, phi)
     xi = intrinsic_from_torsion(torsion)
     gamma_bar = gamma - xi.xi
-    res = max_abs(*(f.coeffs for f in connection_form_action(gamma_bar, phi)))
+    res = max_abs(_connection_stack(gamma_bar, phi))
     scale = max(max_abs(gamma), 1.0)
     if not res <= tol * scale:
         raise ValueError(
@@ -338,7 +346,7 @@ def nabla_bar_tau(geo: InvariantGeometry) -> MixedV14:
     """nabla-bar of the Lambda^2_14 torsion form as a mixed tensor."""
     slices = geo.nabla_bar(geo.torsion.tau2)
     mixed = mixed_from_slices(slices)
-    if mixed.membership_residual() > 1e-8:
+    if not mixed.membership_residual() <= 1e-8:
         raise ValueError("nabla-bar tau left Lambda^2_14; connection is not G2")
     return mixed
 
@@ -446,11 +454,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     )
 
     # canonical connection
-    report.add(
-        "nabla-bar phi = 0",
-        max_abs(*(f.coeffs for f in geo.nabla_bar(phi))),
-        tol,
-    )
+    report.add("nabla-bar phi = 0", max_abs(_connection_stack(geo.gamma_bar, phi)), tol)
     report.add(
         "nabla-bar g = 0 (gamma-bar antisymmetry)",
         max_abs(geo.gamma_bar + geo.gamma_bar.transpose(0, 2, 1)),

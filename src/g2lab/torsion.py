@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eye, is_exact, max_abs, pinv, scalar, zeros
+from ._linalg import as_mode, eye, is_exact, max_abs, pinv, scalar
 from .exterior_algebra import (
     DIM,
     Form,
@@ -40,6 +40,7 @@ from .exterior_algebra import (
     standard_phi_dual,
     to_antisym,
     wedge,
+    wedge_phi_matrix,
 )
 from .g2_algebra import (
     odot_bracket,
@@ -70,9 +71,10 @@ class TorsionComponents:
         return self.tau1.exact
 
     def membership_residual(self) -> float:
-        r2 = max_abs(project(self.tau2, (2, 14)).coeffs - self.tau2.coeffs)
-        r3 = max_abs(project(self.tau3, (3, 27)).coeffs - self.tau3.coeffs)
-        return max(r2, r3)
+        return max_abs(
+            project(self.tau2, (2, 14)).coeffs - self.tau2.coeffs,
+            project(self.tau3, (3, 27)).coeffs - self.tau3.coeffs,
+        )
 
     def norms(self) -> dict:
         """Form norms of the four components."""
@@ -107,7 +109,7 @@ def random_torsion(seed: int = 0) -> TorsionComponents:
 
 def recompose(t: TorsionComponents, tol: float = 1e-9):
     """(d phi, d *phi) generated by a torsion quadruple."""
-    if t.membership_residual() > tol:
+    if not t.membership_residual() <= tol:
         raise ValueError("tau2 / tau3 are not in their irreducible subspaces")
     exact = t.exact
     phi = standard_phi(exact)
@@ -130,19 +132,8 @@ def _wedge_phi_inverses(exact: bool):
     """
     key = bool(exact)
     if key not in _WEDGE_PHI_PINV:
-        phi = standard_phi(exact)
-        cols1 = []
-        for i in range(DIM):
-            c = zeros(DIM, exact)
-            c[i] = scalar(1, exact)
-            cols1.append(wedge(Form(1, c), phi).coeffs)
-        w1 = np.stack(cols1, axis=1)  # 35 x 7
-        cols2 = []
-        for j in range(21):
-            c = zeros(21, exact)
-            c[j] = scalar(1, exact)
-            cols2.append(wedge(Form(2, c), phi).coeffs)
-        w2 = np.stack(cols2, axis=1)  # 21 x 21, invertible
+        w1 = as_mode(wedge_phi_matrix(1), exact)  # 35 x 7
+        w2 = as_mode(wedge_phi_matrix(2), exact)  # 21 x 21, invertible
         q14 = projector_matrix(2, 14, exact)
         _WEDGE_PHI_PINV[key] = (pinv(w1), q14.dot(pinv(w2)))
     return _WEDGE_PHI_PINV[key]
@@ -159,7 +150,7 @@ def extract_torsion(
     """
     exact = dphi.exact
     std = standard_phi(exact)
-    if max_abs(phi.coeffs - std.coeffs) > 1e-12:
+    if not max_abs(phi.coeffs - std.coeffs) <= 1e-12:
         raise ValueError("phi must be the standard three-form in an adapted frame")
     if dphi.degree != 4 or dstarphi.degree != 5:
         raise ValueError("expected (d phi, d *phi) of degrees (4, 5)")
@@ -174,8 +165,8 @@ def extract_torsion(
 
     rd, rs = recompose(t)
     scale = max(max_abs(dphi.coeffs), max_abs(dstarphi.coeffs), 1.0)
-    residual = max(max_abs(rd.coeffs - dphi.coeffs), max_abs(rs.coeffs - dstarphi.coeffs))
-    if residual > tol * scale:
+    residual = max_abs(rd.coeffs - dphi.coeffs, rs.coeffs - dstarphi.coeffs)
+    if not residual <= tol * scale:
         raise ValueError(
             f"(d phi, d *phi) is not generated by any torsion quadruple "
             f"(residual {residual:.3g})"
@@ -233,7 +224,7 @@ def xibar_from_xi(xi: np.ndarray) -> np.ndarray:
 def intrinsic_from_torsion(t: TorsionComponents) -> IntrinsicTorsion:
     """Assemble xibar from the four torsion components, then xi.
 
-    The四 pieces live in the splitting of a 2-tensor: trace, symmetric
+    The four pieces live in the splitting of a 2-tensor: trace, symmetric
     traceless, Lambda^2_14 and Lambda^2_7.
     """
     exact = t.exact
@@ -310,7 +301,7 @@ def closed_identities(tau2: Form, tol: float = 1e-9) -> dict:
     *(tau ^ tau ^ phi) = -|tau|^2,  |tau ^ tau|^2 = |tau|^4,
     |(tau ^ tau)_27|^2 = 6/7 |tau|^4   (all form norms).
     """
-    if max_abs(project(tau2, (2, 14)).coeffs - tau2.coeffs) > tol:
+    if not max_abs(project(tau2, (2, 14)).coeffs - tau2.coeffs) <= tol:
         raise ValueError("tau2 is not in Lambda^2_14")
     phi = standard_phi(tau2.exact)
     tt = wedge(tau2, tau2)

@@ -227,3 +227,41 @@ def test_switches_after_the_command(capsys):
     # given on both sides, the one after the command wins
     code, _ = run(capsys, "--tol", "1e-30", "analyze", hyp, "--tol", "1e-9")
     assert code == 0
+
+
+def test_warp_exit_codes(capsys, monkeypatch):
+    # a failed two-route check is a failed check (1); bad input stays 2
+    assert main(["warp", "--tol", "1e-30"]) == 1
+    assert "disagree" in capsys.readouterr().err
+    bad_inputs = (
+        ["warp", "--f", "const:-1", "--theta", "t"],
+        ["warp", "--f", "unknown-profile"],
+        ["warp", "--t", "nan"],
+        ["warp", "--sigma", "inf"],
+    )
+    monkeypatch.setenv("G2LAB_TOL", "1e-30")
+    assert main(["warp"]) == 1
+    for argv in bad_inputs:
+        assert main(argv) == 2, argv
+    monkeypatch.delenv("G2LAB_TOL")
+    for argv in bad_inputs:
+        assert main(argv) == 2, argv
+
+
+def test_warp_route_mismatch_is_a_value_error():
+    from g2lab import cohomo_one as co
+
+    spec = co.WarpSpec(co.jet_profile("sin", 1.0), co.jet_profile("t", 1.0), 1.0)
+    with pytest.raises(ValueError, match="disagree") as exc:
+        co.warped_torsion(spec, tol=1e-30)
+    assert isinstance(exc.value, co.RouteMismatch)
+
+
+def test_analyze_nan_coefficient_exits_2_at_load(tmp_path, capsys):
+    path = tmp_path / "nan.g2"
+    doc = {"dim": 7, "coframe_d": [{"k": 1, "terms": [{"i": 1, "j": 7, "coeff": float("nan")}]}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="must be finite"):
+        load_spec(str(path))
+    assert main(["analyze", str(path)]) == 2
+    assert "must be finite" in capsys.readouterr().err

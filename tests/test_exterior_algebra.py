@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 
 from g2lab.exterior_algebra import (
+    _PHI_TERMS,
     BASIS,
     Form,
+    antisym_coefficients,
     basis_vector,
     check_contraction_identities,
     check_multi_index,
     contract,
     dim_of,
     form_inner,
+    frame_interior,
+    frame_wedge,
     from_antisym,
     hodge,
     interior,
@@ -347,3 +351,45 @@ def test_interior_and_antisym_match_loop_reference(exact):
         back = from_antisym(arr, k)
         assert_matches(back.coeffs, [arr[I] for I in BASIS[k]], exact)
         assert_matches(back.coeffs, a.coeffs, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_standard_phi_returns_its_own_array(exact):
+    phi, dual = standard_phi(exact), standard_phi_dual(exact)
+    assert phi.coeffs.flags.writeable and dual.coeffs.flags.writeable
+    phi.coeffs[:] = 5
+    dual.coeffs[:] = 5
+    assert standard_phi(exact).coeff((1, 2, 7)) == 1 and standard_phi(exact).coeff((1, 2, 3)) == 0
+    assert standard_phi_dual(exact).coeff((1, 2, 3, 4)) == 1
+    assert_matches(standard_phi(exact).coeffs, Form.from_terms(3, _PHI_TERMS, exact).coeffs, exact)
+    assert_matches(standard_phi_dual(exact).coeffs, hodge(standard_phi(exact)).coeffs, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_frame_kernels_match_loop_reference(exact):
+    rng = np.random.default_rng(9)
+    for k in range(1, 8):
+        a = seeded_form(k, exact, rng)
+        rows = [ref_interior(basis_vector(i + 1, exact), a, exact) for i in range(7)]
+        assert_matches(frame_interior(a), rows, exact)
+    for k in range(7):
+        stack = np.stack([seeded_form(k, exact, rng).coeffs for _ in range(7)])
+        want = _ref_zeros(dim_of(k + 1), exact)
+        for i in range(7):
+            e_i = Form.basis((i + 1,), exact)
+            want = [w + c for w, c in zip(want, ref_wedge(e_i, Form(k, stack[i]), exact))]
+        got = frame_wedge(stack, k)
+        assert got.degree == k + 1
+        assert_matches(got.coeffs, want, exact)
+
+
+def test_antisym_coefficients_checks_the_whole_stack():
+    rng = np.random.default_rng(10)
+    forms = [random_form(2, rng) for _ in range(7)]
+    stack = np.stack([to_antisym(f).array for f in forms])
+    coeffs = antisym_coefficients(stack, 2)
+    assert coeffs.shape == (7, 21)
+    assert_matches(coeffs, [f.coeffs for f in forms], False)
+    stack[4, 0, 1] += 1e-6  # one slice loses its antisymmetry
+    with pytest.raises(ValueError, match="input array is not antisymmetric"):
+        antisym_coefficients(stack, 2)

@@ -1,6 +1,7 @@
 """Irreducible projections, lambda3 / sigma, quadratic brackets, V* (x) L14."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,12 @@ import pytest
 from g2lab._linalg import max_abs
 from g2lab.exterior_algebra import (
     Form,
+    basis_vector,
+    contract,
     dim_of,
+    form_inner,
     hodge,
+    interior,
     standard_omega,
     standard_phi,
     standard_psi_minus,
@@ -304,3 +309,141 @@ def test_include_3form_weights():
     inc = include_3form(beta)
     # sum_a e^a (x) i_a beta is an isometry for the tensor norms
     assert abs(2 * (inc * inc).sum() - beta.tensor_norm2()) < 1e-10
+
+
+# --- index tables against plain loop references ----------------------------------
+#
+# The references are the per-basis loops the tables replaced, written with the
+# wedge / interior / contract / Hodge kernels (themselves checked against loops
+# in test_exterior_algebra.py).
+
+
+def _seeded(shape, exact, rng):
+    if exact:
+        nums = rng.integers(-9, 10, size=shape)
+        dens = rng.integers(1, 6, size=shape)
+        out = np.empty(shape, dtype=object)
+        out.flat[:] = [Fraction(int(n), int(d)) for n, d in zip(nums.flat, dens.flat)]
+        return out
+    return rng.normal(size=shape)
+
+
+def _seeded_form(degree, exact, rng):
+    return Form(degree, _seeded(dim_of(degree), exact, rng))
+
+
+def assert_table_matches(got, want, exact):
+    """Exact: identical Fractions; float: within 1e-14 max(1, |ref|) per entry."""
+    got, want = np.asarray(got).reshape(-1), np.asarray(want).reshape(-1)
+    assert got.shape == want.shape
+    if exact:
+        assert set(map(type, got)) == {Fraction}
+        assert np.array_equal(got, want)
+    else:
+        assert got.dtype == float
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+def ref_lambda3(h, exact):
+    phi = standard_phi(exact)
+    out = Form.zero(3, exact)
+    for b in range(7):
+        ib = interior(basis_vector(b + 1, exact), phi)
+        for a in range(7):
+            if h[a, b] != 0:
+                out = out + h[a, b] * wedge(Form.basis((a + 1,), exact), ib)
+    return out.coeffs
+
+
+def ref_odot_bracket(a, b, exact):
+    out = Form.zero(a.degree + b.degree - 2, exact)
+    for k in range(1, 8):
+        ek = basis_vector(k, exact)
+        out = out + wedge(interior(ek, a), interior(ek, b))
+    return out.coeffs
+
+
+def ref_quad_A(b, exact):
+    out = Form.zero(3, exact)
+    for k in range(1, 8):
+        ik = interior(basis_vector(k, exact), b)
+        out = out + hodge(wedge(ik, ik))
+    return out.coeffs
+
+
+def ref_quad_B(b, exact):
+    phi = standard_phi(exact)
+    out = Form.zero(3, exact)
+    for k in range(1, 8):
+        ek = basis_vector(k, exact)
+        out = out + wedge(contract(interior(ek, phi), b), interior(ek, b))
+    return out.coeffs
+
+
+def ref_wedge3(arr, exact):
+    out = Form.zero(3, exact)
+    for i in range(7):
+        out = out + wedge(Form.basis((i + 1,), exact), Form(2, arr[i]))
+    return out.coeffs
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_lambda3_matches_loop_reference(exact):
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        h = _seeded((7, 7), exact, rng)  # not symmetric: lambda3 is defined on all of V* (x) V*
+        assert_table_matches(lambda3(h).coeffs, ref_lambda3(h, exact), exact)
+    g = np.eye(7, dtype=object) * Fraction(1) if exact else np.eye(7)
+    assert_table_matches(lambda3(g).coeffs, ref_lambda3(g, exact), exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_brackets_match_loop_reference(exact):
+    rng = np.random.default_rng(12)
+    for ka, kb in [(2, 3), (3, 3), (1, 2), (2, 2)]:
+        a, b = _seeded_form(ka, exact, rng), _seeded_form(kb, exact, rng)
+        assert_table_matches(odot_bracket(a, b).coeffs, ref_odot_bracket(a, b, exact), exact)
+    for _ in range(2):
+        b = _seeded_form(3, exact, rng)
+        qa, qb = ref_quad_A(b, exact), ref_quad_B(b, exact)
+        assert_table_matches(quad_A(b).coeffs, qa, exact)
+        assert_table_matches(quad_B(b).coeffs, qb, exact)
+        assert_table_matches(quad_C(b).coeffs, qa - 2 * qb, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_wedge3_and_inclusion_match_loop_reference(exact):
+    rng = np.random.default_rng(13)
+    arr = _seeded((7, 21), exact, rng)
+    assert_table_matches(wedge3(MixedV14(arr)).coeffs, ref_wedge3(arr, exact), exact)
+    beta = _seeded_form(3, exact, rng)
+    rows = [interior(basis_vector(a + 1, exact), beta).coeffs for a in range(7)]
+    assert_table_matches(include_3form(beta), np.stack(rows), exact)
+
+
+def _ref_matrix_of(op, degree, exact):
+    """The operator's matrix, column by column on the basis forms."""
+    cols = []
+    for pos in range(dim_of(degree)):
+        c = np.zeros(dim_of(degree), dtype=object if exact else float)
+        if exact:
+            c[:] = Fraction(0)
+        c[pos] = Fraction(1) if exact else 1.0
+        cols.append(op(Form(degree, c)))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_projectors_match_basis_by_basis_build(exact):
+    phi = standard_phi(exact)
+    ops = {
+        (2, 7): (2, lambda a: (a.coeffs + hodge(wedge(a, phi)).coeffs) / 3),
+        (2, 14): (2, lambda a: (2 * a.coeffs - hodge(wedge(a, phi)).coeffs) / 3),
+        (3, 1): (3, lambda b: form_inner(b, phi) * phi.coeffs / 7),
+        (3, 7): (3, lambda b: hodge(wedge(hodge(wedge(phi, b)), phi)).coeffs / 4),
+    }
+    for label, (degree, op) in ops.items():
+        got, want = projector_matrix(*label, exact), _ref_matrix_of(op, degree, exact)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if not exact:
+            assert got.tobytes() == want.tobytes()  # bit for bit, signs of zeros included

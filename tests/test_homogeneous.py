@@ -1,24 +1,31 @@
 """Left-invariant geometry: connection, curvature, torsion, analyze."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from g2lab._linalg import max_abs
-from g2lab.curvature import decompose, kn_product, ric_W, scalar_curvature
+from g2lab.curvature import CurvatureTensor, decompose, kn_product, ric_W, scalar_curvature
 from g2lab.exterior_algebra import (
+    BASIS,
     Form,
     dim_of,
     form_inner,
     standard_phi,
     standard_phi_dual,
+    to_antisym,
+    wedge,
 )
-from g2lab.g2_algebra import split_v14
+from g2lab.g2_algebra import MixedV14, split_v14, sym2_from_27
 from g2lab.homogeneous import (
     LieAlgebraSpec,
     Report,
     analyze,
     builtin_examples,
     canonical_connection,
+    connection_form_action,
     covariant_wedge,
     d_squared_residual,
     geometry,
@@ -31,7 +38,13 @@ from g2lab.homogeneous import (
     riemann,
     spec_from_coframe_d,
 )
-from g2lab.torsion import fg_type
+from g2lab.torsion import (
+    TorsionComponents,
+    closed_identities,
+    extract_torsion,
+    fg_type,
+    recompose,
+)
 
 PHI = standard_phi()
 
@@ -306,6 +319,21 @@ def test_analyze_builds_each_stage_once(monkeypatch):
     }
 
 
+def test_warm_analyze_makes_no_from_terms_call(monkeypatch):
+    spec = builtin_examples()["bryant"]["spec"]
+    analyze(spec)  # builds every table once
+    calls = []
+    real = Form.from_terms
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(Form, "from_terms", staticmethod(counting))
+    assert analyze(spec).passed
+    assert calls == []
+
+
 @pytest.mark.parametrize("where", [0, 3, 6])
 def test_nan_residual_fails_its_check(where):
     arr = np.full(7, 1e-13)
@@ -318,3 +346,119 @@ def test_nan_residual_fails_its_check(where):
     rep.add("nan somewhere", max_abs(arr), 1e-9)
     assert [c.passed for c in rep.checks] == [True, False]
     assert not rep.passed
+
+
+# --- batched connection action against a per-component loop -----------------------
+
+
+def _seeded(shape, exact, rng):
+    if exact:
+        nums = rng.integers(-9, 10, size=shape)
+        dens = rng.integers(1, 6, size=shape)
+        out = np.empty(shape, dtype=object)
+        out.flat[:] = [Fraction(int(n), int(d)) for n, d in zip(nums.flat, dens.flat)]
+        return out
+    return rng.normal(size=shape)
+
+
+def ref_connection_form_action(gamma, a, exact):
+    """(grad_i a)_J = -sum_s sum_p Gamma[i, j_s, p] a[J with j_s -> p], entry by entry."""
+    arr = to_antisym(a).array
+    out = []
+    for i in range(7):
+        c = [Fraction(0) if exact else 0.0 for _ in range(dim_of(a.degree))]
+        for pos, J in enumerate(BASIS[a.degree]):
+            for s in range(len(J)):
+                for p in range(7):
+                    c[pos] -= gamma[i, J[s], p] * arr[J[:s] + (p,) + J[s + 1 :]]
+        out.append(c)
+    return out
+
+
+def assert_matches_ref(got, want, exact):
+    got = np.asarray(got).reshape(-1)
+    want = np.asarray(want, dtype=object if exact else float).reshape(-1)
+    if exact:
+        assert set(map(type, got)) == {Fraction}
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_connection_action_and_covariant_wedge_match_loop_reference(exact):
+    rng = np.random.default_rng(21)
+    gamma = _seeded((7, 7, 7), exact, rng)  # any coefficients, not only metric ones
+    for degree in (1, 2, 3, 4):
+        a = Form(degree, _seeded(dim_of(degree), exact, rng))
+        ref = ref_connection_form_action(gamma, a, exact)
+        slices = connection_form_action(gamma, a)
+        assert [s.degree for s in slices] == [degree] * 7
+        assert_matches_ref([s.coeffs for s in slices], ref, exact)
+        alt = Form.zero(degree + 1, exact)
+        for i in range(7):
+            alt = alt + wedge(Form.basis((i + 1,), exact), Form(degree, np.array(ref[i], dtype=alt.coeffs.dtype)))
+        assert_matches_ref(covariant_wedge(gamma, a).coeffs, alt.coeffs, exact)
+
+
+def test_connection_action_keeps_its_antisymmetry_check():
+    gamma = np.zeros((7, 7, 7))
+    gamma[2, 0, 1] = np.nan  # one slice of the stack goes bad
+    with pytest.raises(ValueError, match="input array is not antisymmetric"):
+        connection_form_action(gamma, PHI)
+
+
+# --- NaN never passes a gate ---------------------------------------------------------
+
+
+def _nan(shape):
+    return np.full(shape, np.nan)
+
+
+NAN_GATES = {
+    "extract_torsion: phi": (
+        lambda: extract_torsion(Form(3, _nan(35)), Form.zero(4), Form.zero(5)),
+        "standard three-form",
+    ),
+    "extract_torsion: d phi": (  # once returned tau0 = nan
+        lambda: extract_torsion(PHI, Form(4, _nan(35)), Form.zero(5)),
+        "irreducible subspaces|not generated by any torsion quadruple",
+    ),
+    "recompose: membership": (
+        lambda: recompose(TorsionComponents(0.0, Form.zero(1), Form.zero(2), Form(3, _nan(35)))),
+        "not in their irreducible subspaces",
+    ),
+    "sym2_from_27": (lambda: sym2_from_27(Form(3, _nan(35))), "not in Lambda\\^3_27"),
+    "split_v14": (lambda: split_v14(MixedV14(_nan((7, 21)))), "not in Lambda\\^2_14"),
+    "nabla_bar_tau": (
+        lambda: nabla_bar_tau(
+            SimpleNamespace(
+                torsion=SimpleNamespace(tau2=Form.zero(2)),
+                nabla_bar=lambda a: [Form(2, _nan(21))] * 7,
+            )
+        ),
+        "left Lambda\\^2_14",
+    ),
+    "closed_identities": (lambda: closed_identities(Form(2, _nan(21))), "not in Lambda\\^2_14"),
+    "LieAlgebraSpec": (lambda: LieAlgebraSpec("nan", _nan((7, 7, 7))), "must be finite"),
+    "LieAlgebraSpec: one constant": (
+        lambda: LieAlgebraSpec("nan", np.where(np.arange(343).reshape(7, 7, 7) == 6, np.nan, 0.0)),
+        "must be finite",
+    ),
+    "decompose": (lambda: decompose(CurvatureTensor(_nan((21, 21)))), "first Bianchi identity"),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(NAN_GATES))
+def test_nan_input_fails_the_gate(gate):
+    call, message = NAN_GATES[gate]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_nan_reconstruction_fails_the_extraction_gate(monkeypatch):
+    import g2lab.torsion as tr
+
+    monkeypatch.setattr(tr, "recompose", lambda t: (Form(4, _nan(35)), Form(5, _nan(21))))
+    with pytest.raises(ValueError, match="not generated by any torsion quadruple"):
+        extract_torsion(PHI, Form.zero(4), Form.zero(5))
