@@ -47,7 +47,6 @@ from .exterior_algebra import (
     standard_psi_plus,
     wedge,
 )
-from .g2_algebra import project
 from .torsion import (
     TorsionComponents,
     extract_torsion,
@@ -741,8 +740,7 @@ def ricW_vanishes(spec, k=(4, -5)) -> float:
     d_term2 = sym["tau2"].d().evaluate(th)
     d_term3 = sym["tau3"].d().evaluate(th)
 
-    rhs = ricci_rhs_exterior(t, d_term1, d_term2, d_term3, k)
-    return max_abs(project(rhs, (3, 27)).coeffs)
+    return max_abs(ricci_rhs_exterior(t, d_term1, d_term2, d_term3, k).coeffs)
 
 
 # --- Fernandez-Gray type sweep ---------------------------------------------------------

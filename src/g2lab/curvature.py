@@ -270,9 +270,10 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     exact = r.exact
     one = scalar(1, exact)
 
-    s = scalar_curvature(r)
-    ric0 = traceless_part(ricci(r))
-    ricw = ric_W(r)
+    ric = ricci(r)  # the one Ricci contraction: s, Ric0 and Ric^W share it
+    s = ric.trace()
+    ric0 = traceless_part(ric)
+    ricw = (4 * ric0 - 5 * traceless_part(phi_ricci(r))) / 20
 
     g = eye(DIM, exact)
     s_block = (s * one / 84) * kn_product(g)

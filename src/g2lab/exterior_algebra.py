@@ -147,9 +147,6 @@ class Form:
     def tensor_norm2(self):
         return math.factorial(self.degree) * self.norm2()
 
-    def to_float(self) -> "Form":
-        return Form(self.degree, np.asarray(self.coeffs, dtype=float))
-
     def __repr__(self):
         parts = []
         for pos, I in enumerate(BASIS[self.degree]):
@@ -503,17 +500,14 @@ def standard_psi_minus(exact: bool = False) -> Form:
     )
 
 
-_PHI_ARRAYS: dict = {}
+@functools.cache
+def _phi_component_arrays(exact: bool) -> tuple:
+    return to_antisym(standard_phi(exact)).array, to_antisym(standard_phi_dual(exact)).array
 
 
 def phi_arrays(exact: bool = False):
     """Cached component arrays (phi_ijk, phi_ijkl) of phi and *phi."""
-    key = bool(exact)
-    if key not in _PHI_ARRAYS:
-        p3 = to_antisym(standard_phi(exact)).array
-        p4 = to_antisym(standard_phi_dual(exact)).array
-        _PHI_ARRAYS[key] = (p3, p4)
-    return _PHI_ARRAYS[key]
+    return _phi_component_arrays(bool(exact))
 
 
 # --- contraction identity suite ---------------------------------------------

@@ -74,10 +74,8 @@ def check_label(label):
 
 # --- projector matrices -------------------------------------------------------
 
-_PROJECTORS: dict = {}
-
-
-def _build_projectors(exact: bool) -> dict:
+@functools.cache
+def _projectors(exact: bool) -> dict:
     # the defining operators from integer matrices: a -> *(a ^ phi) on
     # Lambda^2, b -> <b, phi> phi and b -> *(*(phi ^ b) ^ phi) on Lambda^3
     # (phi ^ b = -b ^ phi for a 3-form b); the last star is applied as the
@@ -109,10 +107,7 @@ def _build_projectors(exact: bool) -> dict:
 
 def projector_matrix(degree: int, dim: int, exact: bool = False) -> np.ndarray:
     r, d = check_label((degree, dim))
-    key = bool(exact)
-    if key not in _PROJECTORS:
-        _PROJECTORS[key] = _build_projectors(key)
-    return _PROJECTORS[key][(r, d)]
+    return _projectors(bool(exact))[(r, d)]
 
 
 def project(a: Form, label) -> Form:
@@ -165,9 +160,6 @@ def sigma_contract(a: Form) -> np.ndarray:
 SIGMA_LAMBDA3_CONSTANT = 4
 
 
-_LAMBDA3_PINV: dict = {}
-
-
 def _sym_basis():
     """Basis E_ab (a <= b) of symmetric 2-tensors, E_ab = e^a (.) e^b."""
     basis = []
@@ -177,16 +169,14 @@ def _sym_basis():
     return basis
 
 
+@functools.cache
 def _lambda3_pinv(exact: bool) -> tuple:
-    key = bool(exact)
-    if key not in _LAMBDA3_PINV:
-        sym = _sym_basis()
-        lam = _lambda3_matrix(True)
-        # lambda3 of E_ab: columns 7a + b and 7b + a, once on the diagonal
-        cols = [lam[:, DIM * a + b] + (lam[:, DIM * b + a] if a != b else 0) for a, b in sym]
-        m = as_mode(np.stack(cols, axis=1), key)  # 35 x 28, rank 28
-        _LAMBDA3_PINV[key] = (sym, pinv(m))
-    return _LAMBDA3_PINV[key]
+    sym = _sym_basis()
+    lam = _lambda3_matrix(True)
+    # lambda3 of E_ab: columns 7a + b and 7b + a, once on the diagonal
+    cols = [lam[:, DIM * a + b] + (lam[:, DIM * b + a] if a != b else 0) for a, b in sym]
+    m = as_mode(np.stack(cols, axis=1), exact)  # 35 x 28, rank 28
+    return sym, pinv(m)
 
 
 def sym2_from_27(a: Form, tol: float = 1e-10) -> np.ndarray:
@@ -360,24 +350,19 @@ def _wedge3_adjoint(w: Form) -> MixedV14:
     return mixed_project_14(frame_interior(w))
 
 
-_SPLIT_CONSTANTS: dict = {}
-
-
-def _split_constants(exact: bool):
+@functools.cache
+def _split_constants(exact: bool) -> dict:
     """Schur constants c_d with L_d L_d^T = c_d Q_d for the wedge3 pullbacks."""
-    key = bool(exact)
-    if key not in _SPLIT_CONSTANTS:
-        consts = {}
-        for d in (27, 7):
-            q = projector_matrix(3, d, exact)
-            tr = scalar(0, exact)
-            for pos in range(35):
-                w = Form(3, q[:, pos].copy())
-                gam = _wedge3_adjoint(w)
-                tr += wedge3(gam).coeffs[pos]
-            consts[d] = tr / d
-        _SPLIT_CONSTANTS[key] = consts
-    return _SPLIT_CONSTANTS[key]
+    consts = {}
+    for d in (27, 7):
+        q = projector_matrix(3, d, exact)
+        tr = scalar(0, exact)
+        for pos in range(35):
+            w = Form(3, q[:, pos].copy())
+            gam = _wedge3_adjoint(w)
+            tr += wedge3(gam).coeffs[pos]
+        consts[d] = tr / d
+    return consts
 
 
 def split_v14(gamma: MixedV14, tol: float = 1e-9):

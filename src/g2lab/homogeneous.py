@@ -10,7 +10,9 @@ identities of the companion modules, bundled into `analyze`.
 
 `analyze` is one pass: `geometry` builds the d-matrices (from an index table
 over d on 1-forms), the Levi-Civita connection and the torsion once, and
-everything downstream reuses them.  The functions that need the d-matrices
+everything downstream reuses them; the torsion terms of the generalized
+Ricci formula and their derivatives are likewise built once and serve both
+routes at every weighting.  The functions that need the d-matrices
 (`invariant_d`, `jacobi_residual`, `d_squared_residual`, `levi_civita`,
 `canonical_connection`) accept either a spec, from which they build them,
 or the already-built matrices; `levi_civita` reads the structure constants
@@ -38,7 +40,6 @@ from .exterior_algebra import (
     dim_of,
     frame_wedge,
     form_inner,
-    from_antisym,
     hodge,
     index_columns,
     perm_sign,
@@ -47,26 +48,25 @@ from .exterior_algebra import (
     to_antisym,
     wedge,
 )
-from .g2_algebra import MixedV14, mixed_from_slices, project, split_v14
+from .g2_algebra import MixedV14, mixed_from_slices, project, projector_matrix, split_v14
 from .curvature import (
     CurvatureTensor,
     bianchi_residual,
     decompose,
     from_full,
     phi_ricci,
-    ricci,
-    scalar_curvature,
     traceless_part,
 )
 from .torsion import (
+    RICCI_ROUTES,
     IntrinsicTorsion,
     TorsionComponents,
     extract_torsion,
     fg_type,
     intrinsic_from_torsion,
-    ricci_rhs_exterior,
-    ricci_rhs_canonical,
     recompose,
+    ricci_rhs,
+    ricci_terms,
     scalar_from_torsion,
 )
 from .exterior_algebra import contract
@@ -460,9 +460,8 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         max_abs(geo.gamma_bar + geo.gamma_bar.transpose(0, 2, 1)),
         tol,
     )
-    g2_res = max_abs(
-        *(project(from_antisym(geo.gamma_bar[i], 2), (2, 7)).coeffs for i in range(DIM))
-    )
+    slots = antisym_coefficients(geo.gamma_bar, 2)  # row i: the 2-form gamma-bar_i
+    g2_res = max_abs(slots.dot(projector_matrix(2, 7, exact).T))
     report.add("gamma-bar is g2-valued", g2_res, tol)
 
     # curvature block
@@ -474,7 +473,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         max_abs(dec.reassemble().mat - r.mat),
         max(tol * max(max_abs(r.mat), 1.0), tol),
     )
-    s_g = scalar_curvature(r)
+    s_g = dec.s
 
     # scalar curvature from torsion, Eq-4.25 style
     delta_tau1 = geo.delta(t.tau1).coeffs[0]
@@ -484,49 +483,43 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         max(tol * max(abs(float(s_g)), 1.0), tol),
     )
 
-    # generalized Ricci formulas, both routes, three weightings
-    ric0g = traceless_part(ricci(r))
+    # generalized Ricci formulas, both routes, three weightings, on one set
+    # of torsion terms and derivatives
+    ric0g = dec.ric0
     ric0p = traceless_part(phi_ricci(r))
-    t1_wstar = hodge(wedge(t.tau1, starphi))
-    d_terms = (geo.d(t1_wstar), geo.d(t.tau2), geo.d(t.tau3))
-    dbar_terms = (
-        geo.d_nabla_bar(t1_wstar),
-        geo.d_nabla_bar(t.tau2),
-        geo.d_nabla_bar(t.tau3),
-    )
+    terms = ricci_terms(t)
+    sources = (terms["*(tau1^*phi)"], t.tau2, t.tau3)
+    derivs = {
+        "exterior": [geo.d(a) for a in sources],
+        "canonical": [geo.d_nabla_bar(a) for a in sources],
+    }
     scale44 = max(max_abs(ric0g, ric0p), 1.0)
     for k in K_VALUES:
-        ric0k = k[0] * ric0g + k[1] * ric0p
-        lhs = lambda3(ric0k)
-        rhs = ricci_rhs_exterior(t, *d_terms, k)
-        report.add(
-            f"Ricci formula, exterior route, k={k}",
-            max_abs(project(rhs, (3, 27)).coeffs - lhs.coeffs),
-            tol * scale44 * 50,
-        )
-        rhs_bar = ricci_rhs_canonical(t, *dbar_terms, k)
-        report.add(
-            f"Ricci formula, canonical route, k={k}",
-            max_abs(project(rhs_bar, (3, 27)).coeffs - lhs.coeffs),
-            tol * scale44 * 50,
-        )
+        lhs = lambda3(k[0] * ric0g + k[1] * ric0p)
+        for route in RICCI_ROUTES:
+            report.add(
+                f"Ricci formula, {route} route, k={k}",
+                max_abs(ricci_rhs(route, derivs[route], terms, k).coeffs - lhs.coeffs),
+                tol * scale44 * 50,
+            )
 
     # d tau2 conversion identity (exterior vs canonical derivative); the
     # 7-part coefficient is pinned by the pointwise fit over random torsion
     # tuples, matching alt(xi . tau2)
     one = scalar(1, exact)
+    d_tau2, dbar_tau2 = derivs["exterior"][1], derivs["canonical"][1]
     conv = (
-        dbar_terms[1]
-        + 2 * one / 3 * wedge(t.tau1, t.tau2)
-        - 8 * one / 3 * project(wedge(t.tau1, t.tau2), (3, 7))
-        + one / 6 * hodge(wedge(t.tau2, t.tau2))
+        dbar_tau2
+        + 2 * one / 3 * terms["tau1^tau2"]
+        - 8 * one / 3 * project(terms["tau1^tau2"], (3, 7))
+        + one / 6 * terms["*(tau2^tau2)"]
         + one / 6 * t.tau2.norm2() * phi
         - one / 6 * odot_bracket(t.tau2, t.tau3)
         + one / 6 * hodge(wedge(contract(t.tau2, t.tau3), phi))
     )
     report.add(
         "d tau2 vs canonical-derivative conversion",
-        max_abs(conv.coeffs - d_terms[1].coeffs),
+        max_abs(conv.coeffs - d_tau2.coeffs),
         tol * 50,
     )
 
@@ -541,15 +534,20 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
 
     closed = max_abs(dphi.coeffs) <= 1e-10 * max(max_abs(phi.coeffs), 1.0)
     if closed:
-        _closed_structure_checks(report, geo, dec, s_g, (ric0g, ric0p), dbar_terms[1], tol)
+        _closed_structure_checks(
+            report, geo, dec, ric0p, d_tau2, dbar_tau2, terms["*(tau2^tau2)"], tol
+        )
     return report
 
 
-def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, ric0, dbar_tau, tol):
+def _closed_structure_checks(
+    report: Report, geo: InvariantGeometry, dec, ric0p, dtau, dbar_tau, star_tt, tol
+):
     """The d phi = 0 chain: everything the closed case pins down pointwise.
 
-    ``ric0`` is (Ric0^g, Ric0^phi) and ``dbar_tau`` is d^nabla-bar tau2,
-    both already computed by `analyze`.
+    ``ric0p`` is Ric0^phi, ``dtau`` and ``dbar_tau`` are d tau2 and
+    d^nabla-bar tau2, ``star_tt`` is *(tau2 ^ tau2), all already computed
+    by `analyze`; the scalar curvature and Ric0^g come from ``dec``.
     """
     t = geo.torsion
     tau = t.tau2
@@ -575,12 +573,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, r
     report.add("closed: nabla-bar tau has no 7-part", max_abs(g7.array), tol)
 
     # d^nabla-bar tau = d tau - *(tau^tau)/6 - |tau|^2 phi / 6
-    dtau = geo.d(tau)
-    rhs = (
-        dtau
-        - one / 6 * hodge(wedge(tau, tau))
-        - one / 6 * tau.norm2() * phi
-    )
+    rhs = dtau - one / 6 * star_tt - one / 6 * tau.norm2() * phi
     report.add(
         "closed: canonical-derivative identity for d tau",
         max_abs(dbar_tau.coeffs - rhs.coeffs),
@@ -593,9 +586,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, r
     )
 
     # the inner-product chain around *d(tau^3)
-    tt = wedge(tau, tau)
-    star_tt = hodge(tt)
-    star_d_tau3 = hodge(geo.d(wedge(tt, tau))).coeffs[0]
+    star_d_tau3 = hodge(geo.d(wedge(wedge(tau, tau), tau))).coeffs[0]
     lhs_a = star_d_tau3 / 3
     lhs_b = form_inner(dtau, star_tt)
     lhs_c = form_inner(dbar_tau, project(star_tt, (3, 27)))
@@ -609,7 +600,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, s_g, r
 
     # closed-case Ricci formula and norms
     r = geo.curvature
-    ric0g, ric0p = ric0
+    s_g, ric0g = dec.s, dec.ric0
     for k in K_VALUES:
         ric0k = k[0] * ric0g + k[1] * ric0p
         rhs_c = -(k[0] - 4 * k[1]) * dbar_tau + one / 3 * (k[0] + 5 * k[1]) * project(

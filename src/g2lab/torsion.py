@@ -19,10 +19,16 @@ xi_ijk = xibar_ip phi_pjk / 6.  The 27-part normalisation is pinned by
 requiring that the reconstructed xi reproduces (d phi, d *phi) through
 d = alt(grad) with grad phi = -xi . phi, which is also how the module can
 rebuild the differentials from xibar (`differential_from_xibar`).
+
+The generalized Ricci formula is linear in its weighting k, so it is stored
+as data: `RICCI_TABLE` holds, per term and route, the (k1, k2) coefficients
+over 6; `ricci_terms` builds the k-independent torsion terms once and
+`ricci_rhs` combines them with a route's derivatives for any k.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +54,6 @@ from .g2_algebra import (
     projector_matrix,
     quad_A,
     quad_B,
-    quad_C,
     sigma_contract,
 )
 
@@ -119,9 +124,7 @@ def recompose(t: TorsionComponents, tol: float = 1e-9):
     return dphi, dstarphi
 
 
-_WEDGE_PHI_PINV: dict = {}
-
-
+@functools.cache
 def _wedge_phi_inverses(exact: bool):
     """Pseudo-inverses of a -> a ^ phi on Lambda^1 and Lambda^2.
 
@@ -130,13 +133,10 @@ def _wedge_phi_inverses(exact: bool):
     Lambda^2_14), so its pseudo-inverse is a true inverse.  The tau2
     extraction composes it with the projection onto Lambda^2_14.
     """
-    key = bool(exact)
-    if key not in _WEDGE_PHI_PINV:
-        w1 = as_mode(wedge_phi_matrix(1), exact)  # 35 x 7
-        w2 = as_mode(wedge_phi_matrix(2), exact)  # 21 x 21, invertible
-        q14 = projector_matrix(2, 14, exact)
-        _WEDGE_PHI_PINV[key] = (pinv(w1), q14.dot(pinv(w2)))
-    return _WEDGE_PHI_PINV[key]
+    w1 = as_mode(wedge_phi_matrix(1), exact)  # 35 x 7
+    w2 = as_mode(wedge_phi_matrix(2), exact)  # 21 x 21, invertible
+    q14 = projector_matrix(2, 14, exact)
+    return pinv(w1), q14.dot(pinv(w2))
 
 
 def extract_torsion(
@@ -326,8 +326,6 @@ def conformal_transform(t: TorsionComponents, f0: float, df: Form = None) -> Tor
     Pointwise model: f0 is the value of f at the point and df its
     differential there.
     """
-    import math
-
     if df is None:
         df = Form.zero(1, t.exact)
     if df.degree != 1:
@@ -336,60 +334,70 @@ def conformal_transform(t: TorsionComponents, f0: float, df: Form = None) -> Tor
     return TorsionComponents(t.tau0 / ef, t.tau1 + df, ef * t.tau2, (ef * ef) * t.tau3)
 
 
-# --- generalized Ricci right-hand sides (exterior and canonical routes) ---------
+# --- the generalized Ricci formula (exterior and canonical routes) ---------------
+
+#: Per term, in summation order, the (k1, k2) coefficients over 6 of the
+#: exterior route (derivatives d) and the canonical route (d^nabla-bar) in
+#: p_27(sum of the terms) = lambda3(k1 Ric0^g + k2 Ric0^phi); d tau3 enters
+#: through its star.  Both *(tau1 ^ *phi) rows are multiples of 5 k1 + 4 k2
+#: and drop for the Weyl-Ricci weighting (4, -5), which is what makes that
+#: tensor conformally invariant.  (Re-derived from the invariant examples;
+#: the constants are otherwise unavailable to machine precision.)
+RICCI_ROUTES = ("exterior", "canonical")
+RICCI_TABLE = (
+    # term                exterior    canonical
+    ("d*(tau1^*phi)", (-30, -24), (-30, -24)),
+    ("tau1^*(tau1^*phi)", (60, 48), (-20, -16)),
+    ("d tau2", (-6, 24), (-6, 24)),
+    ("*(tau2^tau2)", (3, 6), (2, 10)),
+    ("*d tau3", (6, 24), (6, 24)),
+    ("[tau3^2]^A", (0, 6), (-1, 2)),
+    ("[tau3^2]^B", (3, 0), (2, -4)),
+    ("tau0 tau3", (-3, 12), (-4, 8)),
+    ("tau1^tau2", (6, -24), (-8, -16)),
+    ("*(tau1^tau3)", (18, -24), (4, -16)),
+    ("[tau2.tau3]_27", (0, 12), (1, 8)),
+)
+
+
+def ricci_terms(t: TorsionComponents) -> dict:
+    """The k-independent torsion terms of the generalized Ricci formula.
+
+    Also holds the 2-form *(tau1 ^ *phi), whose derivative the formula takes.
+    """
+    t1_w = hodge(wedge(t.tau1, standard_phi_dual(t.exact)))
+    return {
+        "*(tau1^*phi)": t1_w,
+        "tau1^*(tau1^*phi)": wedge(t.tau1, t1_w),
+        "*(tau2^tau2)": hodge(wedge(t.tau2, t.tau2)),
+        "[tau3^2]^A": quad_A(t.tau3),
+        "[tau3^2]^B": quad_B(t.tau3),
+        "tau0 tau3": t.tau0 * t.tau3,
+        "tau1^tau2": wedge(t.tau1, t.tau2),
+        "*(tau1^tau3)": hodge(wedge(t.tau1, t.tau3)),
+        "[tau2.tau3]_27": project(odot_bracket(t.tau2, t.tau3), (3, 27)),
+    }
+
+
+def ricci_rhs(route: str, derivs, terms: dict, k) -> Form:
+    """Lambda^3_27 part of the generalized Ricci right-hand side of a route.
+
+    ``derivs`` are the route's derivatives of *(tau1 ^ *phi), tau2 and tau3
+    (3-, 3- and 4-form), ``terms`` the output of `ricci_terms`.  The terms
+    are summed left to right in table order, with only the bracket term
+    projected beforehand: a different order moves the rounding of the
+    exterior route, whose residual `cohomo_one.ricW_vanishes` reports.
+    """
+    col = RICCI_ROUTES.index(route)
+    d_t1_w, d_tau2, d_tau3 = derivs
+    forms = {**terms, "d*(tau1^*phi)": d_t1_w, "d tau2": d_tau2, "*d tau3": hodge(d_tau3)}
+    parts = [
+        scalar(coeffs[col][0] * k[0] + coeffs[col][1] * k[1], d_tau2.exact) / 6 * forms[name]
+        for name, *coeffs in RICCI_TABLE
+    ]
+    return project(sum(parts[1:], parts[0]), (3, 27))
 
 
 def ricci_rhs_exterior(t: TorsionComponents, d_star_t1_wstar: Form, d_tau2: Form, d_tau3: Form, k):
-    """RHS of the exterior-derivative Ricci formula, before p_27 projection.
-
-    The derivative inputs are d*(tau1 ^ *phi) (a 3-form), d tau2 (3-form)
-    and d tau3 (4-form), supplied by whichever model can differentiate.
-    The leading coefficient is -(5 k1 + 4 k2): both tau1 terms then drop
-    for the Weyl-Ricci weighting (4, -5), which is what makes that tensor
-    conformally invariant.  (Re-derived from the invariant examples; the
-    constants are otherwise unavailable to machine precision.)
-    """
-    k1, k2 = k
-    phi = standard_phi(t.exact)
-    starphi = hodge(phi)
-    t1_w = hodge(wedge(t.tau1, starphi))  # 2-form *(tau1 ^ *phi)
-    return (
-        -(5 * k1 + 4 * k2) * d_star_t1_wstar
-        + 2 * (5 * k1 + 4 * k2) * wedge(t.tau1, t1_w)
-        - (k1 - 4 * k2) * d_tau2
-        + scalar(1, t.exact) / 2 * (k1 + 2 * k2) * hodge(wedge(t.tau2, t.tau2))
-        + (k1 + 4 * k2) * hodge(d_tau3)
-        + k2 * quad_A(t.tau3)
-        + scalar(1, t.exact) / 2 * k1 * quad_B(t.tau3)
-        - scalar(1, t.exact) / 2 * (k1 - 4 * k2) * (t.tau0 * t.tau3)
-        + (k1 - 4 * k2) * wedge(t.tau1, t.tau2)
-        + (3 * k1 - 4 * k2) * hodge(wedge(t.tau1, t.tau3))
-        + 2 * k2 * project(odot_bracket(t.tau2, t.tau3), (3, 27))
-    )
-
-
-def ricci_rhs_canonical(
-    t: TorsionComponents, dbar_star_t1_wstar: Form, dbar_tau2: Form, dbar_tau3: Form, k
-):
-    """RHS of the canonical-connection Ricci formula, before p_27 projection.
-
-    Derivative inputs are the d^nabla-bar analogues of the three terms.
-    The leading coefficient is -(5 k1 + 4 k2), as in the exterior version.
-    """
-    k1, k2 = k
-    one = scalar(1, t.exact)
-    phi = standard_phi(t.exact)
-    starphi = hodge(phi)
-    t1_w = hodge(wedge(t.tau1, starphi))
-    return (
-        -(5 * k1 + 4 * k2) * dbar_star_t1_wstar
-        - 2 * one / 3 * (5 * k1 + 4 * k2) * wedge(t.tau1, t1_w)
-        - (k1 - 4 * k2) * dbar_tau2
-        + one / 3 * (k1 + 5 * k2) * hodge(wedge(t.tau2, t.tau2))
-        + (k1 + 4 * k2) * hodge(dbar_tau3)
-        - one / 6 * (k1 - 2 * k2) * quad_C(t.tau3)
-        - 2 * one / 3 * (k1 - 2 * k2) * (t.tau0 * t.tau3)
-        - 4 * one / 3 * (k1 + 2 * k2) * wedge(t.tau1, t.tau2)
-        + 2 * one / 3 * (k1 - 4 * k2) * hodge(wedge(t.tau1, t.tau3))
-        + one / 6 * (k1 + 8 * k2) * project(odot_bracket(t.tau2, t.tau3), (3, 27))
-    )
+    """`ricci_rhs` on the exterior route, building the torsion terms of t."""
+    return ricci_rhs("exterior", (d_star_t1_wstar, d_tau2, d_tau3), ricci_terms(t), k)

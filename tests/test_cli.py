@@ -6,6 +6,7 @@ import os
 import pytest
 
 from g2lab.cli import build_parser, load_spec, main
+from g2lab.exterior_algebra import BASIS, standard_phi
 
 HERE = os.path.dirname(__file__)
 BUNDLED = os.path.join(HERE, os.pardir, "examples_g2")
@@ -125,6 +126,34 @@ def test_load_spec_custom_phi(tmp_path):
     path.write_text(json.dumps(doc))
     spec, phi = load_spec(str(path))
     assert phi is not None and phi.coeff((1, 2, 7)) == 1.0
+
+
+#: the standard three-form as the terms of a .g2 "phi" field
+STANDARD_PHI = [
+    {"indices": [i + 1 for i in idx], "coeff": float(c)}
+    for idx, c in zip(BASIS[3], standard_phi().coeffs)
+    if c
+]
+
+
+@pytest.mark.parametrize(
+    "phi, code",
+    [
+        (STANDARD_PHI, 0),
+        ([{"indices": [1, 2, 7], "coeff": 1.0}], 2),
+        ([dict(term, coeff=2 * term["coeff"]) for term in STANDARD_PHI], 2),
+    ],
+    ids=["standard", "partial", "doubled"],
+)
+def test_analyze_accepts_only_the_standard_phi(tmp_path, capsys, phi, code):
+    with open(os.path.join(BUNDLED, "hyperbolic.g2")) as fh:
+        doc = json.load(fh)
+    doc["phi"] = phi
+    path = tmp_path / "phi.g2"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == code
+    if code == 2:
+        assert "phi must be the standard three-form" in capsys.readouterr().err
 
 
 def test_warp_command(capsys):

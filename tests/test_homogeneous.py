@@ -294,21 +294,29 @@ def test_conformal_scaling_of_lie_spec():
 
 
 def test_analyze_builds_each_stage_once(monkeypatch):
+    import g2lab.curvature as cv
     import g2lab.homogeneous as hm
 
     calls = {}
 
-    def counting(name):
-        real = getattr(hm, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(hm, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("invariant_d_matrices", "levi_civita", "extract_torsion", "nabla_bar_tau"):
-        counting(name)
+    for name in (
+        "invariant_d_matrices",
+        "levi_civita",
+        "extract_torsion",
+        "nabla_bar_tau",
+        "ricci_terms",
+    ):
+        counting(hm, name)
+    counting(cv, "ricci")  # the Ricci contraction, wherever it is called from
     rep = hm.analyze(builtin_examples()["bryant"]["spec"])
     assert rep.passed
     assert calls == {
@@ -316,6 +324,8 @@ def test_analyze_builds_each_stage_once(monkeypatch):
         "levi_civita": 1,
         "extract_torsion": 1,
         "nabla_bar_tau": 1,
+        "ricci_terms": 1,
+        "ricci": 1,
     }
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from g2lab._linalg import max_abs
+from g2lab._linalg import as_mode, max_abs, scalar
 from g2lab.exterior_algebra import (
     Form,
     hodge,
@@ -14,8 +14,18 @@ from g2lab.exterior_algebra import (
     to_antisym,
     wedge,
 )
-from g2lab.g2_algebra import project, projector_matrix, sigma_contract
+from g2lab.g2_algebra import (
+    odot_bracket,
+    project,
+    projector_matrix,
+    quad_A,
+    quad_B,
+    quad_C,
+    sigma_contract,
+)
+from g2lab.homogeneous import K_VALUES
 from g2lab.torsion import (
+    RICCI_ROUTES,
     TorsionComponents,
     closed_identities,
     conformal_transform,
@@ -25,6 +35,8 @@ from g2lab.torsion import (
     intrinsic_from_torsion,
     random_torsion,
     recompose,
+    ricci_rhs,
+    ricci_terms,
     scalar_from_torsion,
     xi_from_xibar,
     xibar_from_xi,
@@ -276,3 +288,96 @@ def test_recompose_output_splits_by_irreducible_type():
             p7.coeffs, (3 * wedge(t.tau1, PHI)).coeffs, atol=1e-11
         )
         np.testing.assert_allclose(p27.coeffs, hodge(t.tau3).coeffs, atol=1e-11)
+
+
+# --- the generalized Ricci formula ---------------------------------------------------
+# The two routes as hand-written sums, the form they had before the coefficient
+# table; the exterior one keeps its summation order, which `ricci_rhs` must
+# reproduce bit for bit in float.
+
+
+def ricci_rhs_exterior_reference(t, d_star_t1_wstar, d_tau2, d_tau3, k):
+    k1, k2 = k
+    starphi = hodge(standard_phi(t.exact))
+    t1_w = hodge(wedge(t.tau1, starphi))
+    rhs = (
+        -(5 * k1 + 4 * k2) * d_star_t1_wstar
+        + 2 * (5 * k1 + 4 * k2) * wedge(t.tau1, t1_w)
+        - (k1 - 4 * k2) * d_tau2
+        + scalar(1, t.exact) / 2 * (k1 + 2 * k2) * hodge(wedge(t.tau2, t.tau2))
+        + (k1 + 4 * k2) * hodge(d_tau3)
+        + k2 * quad_A(t.tau3)
+        + scalar(1, t.exact) / 2 * k1 * quad_B(t.tau3)
+        - scalar(1, t.exact) / 2 * (k1 - 4 * k2) * (t.tau0 * t.tau3)
+        + (k1 - 4 * k2) * wedge(t.tau1, t.tau2)
+        + (3 * k1 - 4 * k2) * hodge(wedge(t.tau1, t.tau3))
+        + 2 * k2 * project(odot_bracket(t.tau2, t.tau3), (3, 27))
+    )
+    return project(rhs, (3, 27))
+
+
+def ricci_rhs_canonical_reference(t, dbar_star_t1_wstar, dbar_tau2, dbar_tau3, k):
+    k1, k2 = k
+    one = scalar(1, t.exact)
+    starphi = hodge(standard_phi(t.exact))
+    t1_w = hodge(wedge(t.tau1, starphi))
+    rhs = (
+        -(5 * k1 + 4 * k2) * dbar_star_t1_wstar
+        - 2 * one / 3 * (5 * k1 + 4 * k2) * wedge(t.tau1, t1_w)
+        - (k1 - 4 * k2) * dbar_tau2
+        + one / 3 * (k1 + 5 * k2) * hodge(wedge(t.tau2, t.tau2))
+        + (k1 + 4 * k2) * hodge(dbar_tau3)
+        - one / 6 * (k1 - 2 * k2) * quad_C(t.tau3)
+        - 2 * one / 3 * (k1 - 2 * k2) * (t.tau0 * t.tau3)
+        - 4 * one / 3 * (k1 + 2 * k2) * wedge(t.tau1, t.tau2)
+        + 2 * one / 3 * (k1 - 4 * k2) * hodge(wedge(t.tau1, t.tau3))
+        + one / 6 * (k1 + 8 * k2) * project(odot_bracket(t.tau2, t.tau3), (3, 27))
+    )
+    return project(rhs, (3, 27))
+
+
+RICCI_REFERENCES = {
+    "exterior": ricci_rhs_exterior_reference,
+    "canonical": ricci_rhs_canonical_reference,
+}
+
+
+def ricci_inputs(seed: int, exact: bool = False):
+    """random_torsion(seed) and random derivative inputs (3-, 3-, 4-form)."""
+    t = random_torsion(seed)
+    rng = np.random.default_rng([seed, 1])
+    derivs = [Form(d, rng.normal(size=35)) for d in (3, 3, 4)]
+    if exact:
+        t = TorsionComponents(
+            scalar(t.tau0, True),
+            *(Form(f.degree, as_mode(f.coeffs, True)) for f in (t.tau1, t.tau2, t.tau3)),
+        )
+        derivs = [Form(f.degree, as_mode(f.coeffs, True)) for f in derivs]
+    return t, derivs
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("route", RICCI_ROUTES)
+@pytest.mark.parametrize("k", K_VALUES + ((3, 7),))
+def test_ricci_rhs_matches_the_hand_written_routes(route, k, exact):
+    for seed in range(2 if exact else 6):
+        t, derivs = ricci_inputs(seed, exact)
+        ref = RICCI_REFERENCES[route](t, *derivs, k)
+        got = ricci_rhs(route, derivs, ricci_terms(t), k)
+        if exact:
+            assert got.exact and list(got.coeffs) == list(ref.coeffs)
+            continue
+        if route == "exterior":  # same terms in the same order
+            np.testing.assert_array_equal(got.coeffs, ref.coeffs)
+        assert max_abs(got.coeffs - ref.coeffs) <= 1e-14 * max(1.0, max_abs(ref.coeffs))
+
+
+@pytest.mark.parametrize("route", RICCI_ROUTES)
+def test_weyl_ricci_ignores_the_tau1_derivative(route):
+    t, (d_a, d_tau2, d_tau3) = ricci_inputs(4)
+    terms = ricci_terms(t)
+    other = Form(3, 1e3 * np.random.default_rng(9).normal(size=35))
+    for k, ignored in (((4, -5), True), ((1, 0), False)):
+        a = ricci_rhs(route, (d_a, d_tau2, d_tau3), terms, k)
+        b = ricci_rhs(route, (other, d_tau2, d_tau3), terms, k)
+        assert np.array_equal(a.coeffs, b.coeffs) == ignored
