@@ -57,15 +57,18 @@ def max_abs(*arrays) -> float:
     A NaN anywhere gives NaN, so a NaN residual never passes a tolerance.
     Fraction arrays are converted entry by entry.
     """
-    peaks = []
+    peak = 0.0
     for arr in arrays:
         a = np.asarray(arr)
         if a.size == 0:
             continue
         if is_exact(a):
             a = np.array([float(v) for v in a.reshape(-1)])
-        peaks.append(np.max(np.abs(a)))
-    return float(np.max(peaks)) if peaks else 0.0
+        m = float(np.abs(a).max())
+        if m != m:  # NaN
+            return m
+        peak = max(peak, m)
+    return peak
 
 
 def inv_exact(m: np.ndarray) -> np.ndarray:

@@ -277,7 +277,7 @@ def cmd_warp(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        table = co.type_sweep(t=args.t)
+        table, wrong = co.sweep_check(t=args.t)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -290,6 +290,9 @@ def cmd_sweep(args) -> int:
             label = "{" + ", ".join(map(str, cls)) + "}" if cls else "parallel"
             print(f"{name:<{width}}  {label}")
         print("realized classes:", [list(r) for r in realized])
+    if wrong:
+        print(f"FAIL: realized class differs from the designed one at {wrong}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,26 +1,26 @@
 """Warped-product and cohomogeneity-one torsion over SU(3)-model fibers.
 
 Geometry of the form M = I x M* with G2 three-form phi = omega_t ^ dt
-+ psi_t^+, handled by a tiny symbolic layer: a fixed basis of invariant
-fiber forms with a wedge table, a d table and a Hodge table, tensored with
-order-2 jets in t.  Two fiber models are shipped:
++ psi_t^+.  Two fiber models are shipped:
 
 * a nearly Kaehler model (d omega = 3 sigma psi+, d psi- = -2 sigma
   omega^2), sigma = 0 giving the Calabi-Yau case;
 * the flag-manifold model with torus symmetry (three Kaehler forms
   omega_i, d omega_i = psi+/2, d psi- = -2 sum omega_i omega_j).
 
-Fiber elements are stored in the orthonormal-frame ("unit") symbols, so
-the Hodge and wedge tables are constant and all t-dependence sits in the
-jet coefficients and in the frame weights that enter d.  Those tables, the
-symbol dictionaries and the frame weights do not depend on sigma either: they
-are built (and span-checked) once per fiber kind, on first use, and shared
-read-only by every model of that kind; a model adds only its d table, which
-carries sigma.  Pointwise evaluation maps each symbol to its coefficient
-array on R^7 and undoes the phase of psi_t^+/psi_t^- by a frame rotation,
-landing every form in the adapted frame of the standard phi, where the
-generic torsion machinery applies.  Closed-form torsion components and the generic structure-
-equation extraction are cross-checked against each other at every call.
+A product form alpha + beta ^ dt is one array of order-2 jets in t, shape
+(2, n, 3): the fiber and dt blocks over the n orthonormal-frame ("unit")
+symbols of the fiber, the value, first and second derivative last.  The
+Leibniz rule is one constant (3, 3, 3) table.  The Hodge star, the wedge and
+the stacked per-degree dictionaries are constant matrices over the 2n rows,
+built and span-checked once per fiber kind and shared read-only; a model
+adds only its sigma-dependent d table.  The frame weights (monomials in the
+warp factors, from an integer exponent table) are evaluated once per spec,
+where they turn d into one matrix on the flattened array.  Evaluation undoes
+the phase of psi_t^+/psi_t^- by a frame rotation and lands every form in the
+adapted frame of the standard phi, where the generic torsion machinery
+applies.  Closed-form torsion components and the generic structure-equation
+extraction are cross-checked against each other at every call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import functools
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -40,6 +40,7 @@ from .exterior_algebra import (
     DIM,
     Form,
     basis_vector,
+    dim_of,
     hodge,
     interior,
     standard_omega,
@@ -161,44 +162,55 @@ def jet_profile(name: str, t: float) -> Jet:
     return JET_PROFILES[name](t)
 
 
+#: Leibniz rule of order-2 jets: (a b)_k = sum_ij LEIBNIZ[i, j, k] a_i b_j.
+LEIBNIZ = np.zeros((3, 3, 3))
+LEIBNIZ[0, 0, 0] = LEIBNIZ[1, 0, 1] = LEIBNIZ[0, 1, 1] = LEIBNIZ[2, 0, 2] = LEIBNIZ[0, 2, 2] = 1
+LEIBNIZ[1, 1, 2] = 2
+LEIBNIZ.flags.writeable = False
+
+#: c -> w c as a matrix: _MULTIPLY[j] holds LEIBNIZ[i, j, k] at [k, i]
+_MULTIPLY = LEIBNIZ.transpose(1, 2, 0).reshape(3, 9)
+#: d/dt of a jet, truncated: (value, d1, d2) -> (d1, d2, 0)
+_SHIFT = np.eye(3, k=1)
+
+
+def jet_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of arrays of jets (last axis: value, d1, d2), broadcast."""
+    return np.einsum("...i,...j,ijk->...k", a, b, LEIBNIZ)
+
+
+def jet_matrices(w: np.ndarray) -> np.ndarray:
+    """The (..., 3, 3) matrices of c -> w c for an array of jets w."""
+    return (w @ _MULTIPLY).reshape(w.shape[:-1] + (3, 3))
+
+
 # --- fiber models -------------------------------------------------------------------
 
 
 class _FiberTables(NamedTuple):
-    symbols: Mapping
-    weight_fn: Mapping
-    by_degree: Mapping
-    star6: Mapping
-    wedge: Mapping
+    """The sigma-independent tables of a fiber kind over its n unit symbols;
+    star, wedge and dictionaries act on the 2n rows (fiber, dt) of a product
+    form."""
+
+    symbols: Mapping  # name -> (degree, dictionary Form on e^1..e^6)
+    index: Mapping  # name -> row
+    exponents: np.ndarray  # frame weights w_s = prod_i f_i ** exponents[s, i]
+    sign: np.ndarray  # (-1) ** degree
+    star: np.ndarray  # (2n, 2n)
+    wedge: np.ndarray  # (2n, 2n, 2n): out[o] = sum wedge[o, a, b] x[a] y[b]
+    dictionaries: tuple  # per degree p, (2n, C(7, p)): the form of each row on R^7
 
 
 class FiberModel:
-    """Finite invariant-form algebra of the 6-dimensional fiber.
-
-    The sigma-independent tables are built once per fiber kind and shared,
-    read-only, by every model of that kind: symbols (name -> (degree,
-    dictionary Form on e^1..e^6)), weight_fn (name -> frame weight, the jet
-    w(spec) with unit_symbol = w * geometric_symbol), _by_degree, and the
-    Hodge and wedge tables _star6 and _wedge on the unit symbols.  Only
-    d_geom, the geometric-symbol d table, carries sigma; constructing a model
-    attaches it to the shared tables.
-    """
+    """Finite invariant-form algebra of the 6-dimensional fiber: the read-only
+    tables shared by every model of its kind, and d_geom, the
+    geometric-symbol d table, which carries sigma."""
 
     def __init__(self, name: str, tables: _FiberTables, d_geom: dict):
         self.name = name
+        self.tables = tables
         self.d_geom = d_geom
-        self.symbols, self.weight_fn, self._by_degree, self._star6, self._wedge = tables
-
-    def weight(self, spec, s: str) -> Jet:
-        return self.weight_fn[s](spec)
-
-    def d_unit(self, spec, s: str) -> dict:
-        """d of a unit symbol: sum over targets of D_geom * weight ratio."""
-        w_s = self.weight(spec, s)
-        return {
-            s2: Jet.const(coeff) * (w_s / self.weight(spec, s2))
-            for s2, coeff in self.d_geom.get(s, {}).items()
-        }
+        self.symbols = tables.symbols
 
     def degree(self, s: str) -> int:
         return self.symbols[s][0]
@@ -227,27 +239,51 @@ def _express(kind: str, symbols: Mapping, syms: tuple, form: Form, degree: int) 
     return MappingProxyType({s: c for s, c in zip(syms, sol) if abs(c) > 1e-14})
 
 
-def _build_tables(kind: str, symbols: dict, weight_fn: dict) -> _FiberTables:
-    """Freeze the dictionaries and derive the Hodge and wedge tables, checking
-    that every entry lies in the symbol span of its degree."""
-    by_degree = {}
-    for s, (deg, form) in symbols.items():
+def _build_tables(kind: str, entries: dict) -> _FiberTables:
+    """Freeze the dictionaries and derive the Hodge, wedge and evaluation
+    tables, checking that every product lies in the symbol span of its degree.
+
+    entries: name -> (degree, dictionary Form, frame-weight exponents).
+    """
+    symbols = {s: (deg, form) for s, (deg, form, _) in entries.items()}
+    index = {s: i for i, s in enumerate(entries)}
+    n = len(index)
+    for _, form in symbols.values():
         form.coeffs.setflags(write=False)
-        by_degree.setdefault(deg, []).append(s)
-    by_degree = {deg: tuple(syms) for deg, syms in by_degree.items()}
 
     def express(form: Form, degree: int) -> Mapping:
-        return _express(kind, symbols, by_degree.get(degree, ()), form, degree)
+        syms = tuple(s for s in symbols if symbols[s][0] == degree)
+        return _express(kind, symbols, syms, form, degree)
 
-    star6 = {s: express(_star6(form), 6 - deg) for s, (deg, form) in symbols.items()}
-    wedge_table = {
-        (s1, s2): express(wedge(f1, f2), d1 + d2)
-        for s1, (d1, f1) in symbols.items()
-        for s2, (d2, f2) in symbols.items()
-        if d1 + d2 <= 6
-    }
+    sign = np.array([(-1.0) ** deg for deg, _ in symbols.values()])
+    star6, wedge6 = np.zeros((n, n)), np.zeros((n, n, n))
+    for s, (deg, form) in symbols.items():
+        for s2, x in express(_star6(form), 6 - deg).items():
+            star6[index[s2], index[s]] = x
+        for t, (deg2, form2) in symbols.items():
+            if deg + deg2 <= 6:
+                for s3, x in express(wedge(form, form2), deg + deg2).items():
+                    wedge6[index[s3], index[s], index[t]] = x
+    # *(a + b dt) = (-1)^deg(b) *b + *a dt and
+    # (a + b dt) ^ (c + e dt) = a ^ c + ((-1)^deg(a) a ^ e + b ^ c) dt
+    zero = np.zeros((n, n))
+    star = np.block([[zero, star6 * sign], [star6, zero]])
+    wedge_rows = np.zeros((2, n, 2, n, 2, n))
+    wedge_rows[0, :, 0, :, 0] = wedge_rows[1, :, 1, :, 0] = wedge6
+    wedge_rows[1, :, 0, :, 1] = wedge6 * sign[:, None]
+
+    e7 = Form.basis((7,))
+    dictionaries = tuple(np.zeros((2 * n, dim_of(p))) for p in range(DIM + 1))
+    for s, (deg, form) in symbols.items():
+        dictionaries[deg][index[s]] = form.coeffs
+        dictionaries[deg + 1][n + index[s]] = wedge(form, e7).coeffs
+
+    exponents = np.array([exps for *_, exps in entries.values()])
+    wedge_rows = wedge_rows.reshape(2 * n, 2 * n, 2 * n)
+    for a in (exponents, sign, star, wedge_rows, *dictionaries):
+        a.flags.writeable = False
     return _FiberTables(
-        *map(MappingProxyType, (symbols, weight_fn, by_degree, star6, wedge_table))
+        *map(MappingProxyType, (symbols, index)), exponents, sign, star, wedge_rows, dictionaries
     )
 
 
@@ -256,54 +292,34 @@ def _nearly_kahler_tables() -> _FiberTables:
     one = Form.from_terms(0, {(): 1})
     om = standard_omega()
     w2 = wedge(om, om)
-    symbols = {
-        "one": (0, one),
-        "om": (2, om),
-        "psi+": (3, standard_psi_plus()),
-        "psi-": (3, standard_psi_minus()),
-        "om2": (4, w2),
-        "om3": (6, wedge(w2, om)),
-    }
-    weight_fn = {
-        "one": lambda s: Jet.const(1.0),
-        "om": lambda s: s.f * s.f,
-        "psi+": lambda s: s.f * s.f * s.f,
-        "psi-": lambda s: s.f * s.f * s.f,
-        "om2": lambda s: (s.f * s.f) * (s.f * s.f),
-        "om3": lambda s: (s.f * s.f * s.f) * (s.f * s.f * s.f),
-    }
-    return _build_tables("NK", symbols, weight_fn)
+    # unit symbol = f^k * geometric symbol; the exponent k is the frame weight
+    return _build_tables("NK", {
+        "one": (0, one, (0,)),
+        "om": (2, om, (2,)),
+        "psi+": (3, standard_psi_plus(), (3,)),
+        "psi-": (3, standard_psi_minus(), (3,)),
+        "om2": (4, w2, (4,)),
+        "om3": (6, wedge(w2, om), (6,)),
+    })
 
 
 @functools.cache
 def _flag_tables() -> _FiberTables:
     one = Form.from_terms(0, {(): 1})
     oms = [Form.from_terms(2, {pair: 1}) for pair in ((1, 2), (3, 4), (5, 6))]
-    symbols = {
-        "one": (0, one),
-        "om1": (2, oms[0]),
-        "om2": (2, oms[1]),
-        "om3": (2, oms[2]),
-        "psi+": (3, standard_psi_plus()),
-        "psi-": (3, standard_psi_minus()),
-        "m23": (4, wedge(oms[1], oms[2])),
-        "m13": (4, wedge(oms[0], oms[2])),
-        "m12": (4, wedge(oms[0], oms[1])),
-        "vol": (6, wedge(wedge(oms[0], oms[1]), oms[2])),
-    }
-    weight_fn = {
-        "one": lambda s: Jet.const(1.0),
-        "om1": lambda s: s.f1 * s.f1,
-        "om2": lambda s: s.f2 * s.f2,
-        "om3": lambda s: s.f3 * s.f3,
-        "psi+": lambda s: s.f1 * s.f2 * s.f3,
-        "psi-": lambda s: s.f1 * s.f2 * s.f3,
-        "m23": lambda s: (s.f2 * s.f2) * (s.f3 * s.f3),
-        "m13": lambda s: (s.f1 * s.f1) * (s.f3 * s.f3),
-        "m12": lambda s: (s.f1 * s.f1) * (s.f2 * s.f2),
-        "vol": lambda s: (s.f1 * s.f2 * s.f3) * (s.f1 * s.f2 * s.f3),
-    }
-    return _build_tables("flag", symbols, weight_fn)
+    # frame weights are monomials in (f1, f2, f3)
+    return _build_tables("flag", {
+        "one": (0, one, (0, 0, 0)),
+        "om1": (2, oms[0], (2, 0, 0)),
+        "om2": (2, oms[1], (0, 2, 0)),
+        "om3": (2, oms[2], (0, 0, 2)),
+        "psi+": (3, standard_psi_plus(), (1, 1, 1)),
+        "psi-": (3, standard_psi_minus(), (1, 1, 1)),
+        "m23": (4, wedge(oms[1], oms[2]), (0, 2, 2)),
+        "m13": (4, wedge(oms[0], oms[2]), (2, 0, 2)),
+        "m12": (4, wedge(oms[0], oms[1]), (2, 2, 0)),
+        "vol": (6, wedge(wedge(oms[0], oms[1]), oms[2]), (2, 2, 2)),
+    })
 
 
 def nearly_kahler_model(sigma: float) -> FiberModel:
@@ -326,89 +342,95 @@ def flag_model() -> FiberModel:
     return FiberModel("flag", _flag_tables(), d_geom)
 
 
+def _frame_weights(exponents: np.ndarray, factors) -> np.ndarray:
+    """Jets (2, n, 3) of the frame weights w_s = prod_i f_i ** exponents[s, i]
+    and of their inverses, from the log-derivatives l1 = w'/w and
+    l2 = (w'/w)' of the warp factors: w = w0 (1, l1, l2 + l1^2)."""
+    f = np.array([(j.value, j.d1, j.d2) for j in factors])
+    dlog = f[:, 1] / f[:, 0]
+    lam1, lam2 = exponents @ dlog, exponents @ (f[:, 2] / f[:, 0] - dlog * dlog)
+    w0, one, sq = (f[:, 0] ** exponents).prod(axis=1), np.ones(len(exponents)), lam1 * lam1
+    jets = np.array([[one, lam1, lam2 + sq], [one, -lam1, sq - lam2]])
+    return jets.transpose(0, 2, 1) * np.array([w0, 1 / w0])[:, :, None]
+
+
+def _d_operator(model: FiberModel, factors) -> np.ndarray:
+    """Exterior derivative on flattened (2, n, 3) product forms as one matrix.
+
+    In geometric symbols d is d_geom on both blocks plus (-1)^degree dt ^ d/dt
+    from fiber to dt.  A unit symbol is the geometric one times its frame
+    weight w, so d_geom s -> t carries the jet w_s / w_t, and d/dt of a unit
+    coefficient c is (c w)' / w."""
+    tab = model.tables
+    n = len(tab.index)
+    weights = _frame_weights(tab.exponents, factors)
+    w, w_inv = weights
+    entries = [(tab.index[t], tab.index[s], c) for s, row in model.d_geom.items() for t, c in row.items()]
+    out, src, coeff = map(np.array, zip(*entries))
+    across = jet_matrices(coeff[:, None] * jet_product(w[src], w_inv[out]))
+    lw, lw_inv = jet_matrices(weights)
+    diag = np.arange(n)
+    op = np.zeros((2, n, 3, 2, n, 3))
+    op[0, out, :, 0, src, :] = op[1, out, :, 1, src, :] = across
+    op[1, diag, :, 0, diag, :] = tab.sign[:, None, None] * (lw_inv @ _SHIFT @ lw)
+    return op.reshape(6 * n, 6 * n)
+
+
+class _Frame:
+    """The fiber model of a spec, with the d operator at the spec built on
+    first use and shared by every product form of the frame."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        warped = isinstance(spec, WarpSpec)
+        self.model = nearly_kahler_model(spec.sigma) if warped else flag_model()
+        self.factors = (spec.f,) if warped else (spec.f1, spec.f2, spec.f3)
+
+    @functools.cached_property
+    def d_operator(self) -> np.ndarray:
+        return _d_operator(self.model, self.factors)
+
+
 # --- product forms -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductForm:
-    """alpha + beta ^ dt with fiber parts in unit symbols, jet coefficients."""
+    """alpha + beta ^ dt: jets (2, n, 3) of the unit-symbol coefficients of
+    the fiber part alpha (block 0) and of beta (block 1)."""
 
-    model: FiberModel
-    spec: object
+    frame: _Frame
     degree: int
-    fiber: dict = field(default_factory=dict)
-    dt: dict = field(default_factory=dict)
+    jets: np.ndarray
 
-    def __add__(self, other):
-        out = ProductForm(self.model, self.spec, self.degree, dict(self.fiber), dict(self.dt))
-        for s, c in other.fiber.items():
-            out.fiber[s] = out.fiber.get(s, Jet.const(0)) + c
-        for s, c in other.dt.items():
-            out.dt[s] = out.dt.get(s, Jet.const(0)) + c
-        return out
+    @staticmethod
+    def of(frame: _Frame, degree: int, fiber: dict = None, dt: dict = None) -> "ProductForm":
+        """The product form with the given {symbol: Jet or number} parts."""
+        index = frame.model.tables.index
+        jets = np.zeros((2, len(index), 3))
+        for block, part in enumerate((fiber or {}, dt or {})):
+            for s, c in part.items():
+                jets[block, index[s]] = (c.value, c.d1, c.d2) if isinstance(c, Jet) else (c, 0.0, 0.0)
+        return ProductForm(frame, degree, jets)
 
-    def __mul__(self, c):
-        c = Jet.coerce(c)
-        return ProductForm(
-            self.model,
-            self.spec,
-            self.degree,
-            {s: v * c for s, v in self.fiber.items()},
-            {s: v * c for s, v in self.dt.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (-1) * other
+    fiber = property(lambda self: self.jets[0])
+    dt = property(lambda self: self.jets[1])
 
     def d(self) -> "ProductForm":
-        """Exterior derivative: d_fiber plus dt ^ (time derivative).
-
-        The time derivative acts on the geometric coefficient c * w_s,
-        since the unit symbols themselves scale with the frame weights.
-        """
-        out = ProductForm(self.model, self.spec, self.degree + 1)
-        sign = 1 if self.degree % 2 == 0 else -1
-        for s, c in self.fiber.items():
-            for s2, r in self.model.d_unit(self.spec, s).items():
-                out.fiber[s2] = out.fiber.get(s2, Jet.const(0)) + c * r
-            w = self.model.weight(self.spec, s)
-            out.dt[s] = out.dt.get(s, Jet.const(0)) + sign * ((c * w).derivative() / w)
-        for s, c in self.dt.items():
-            for s2, r in self.model.d_unit(self.spec, s).items():
-                out.dt[s2] = out.dt.get(s2, Jet.const(0)) + c * r
-        return out
+        """Exterior derivative: d_fiber plus dt ^ (time derivative)."""
+        jets = self.frame.d_operator @ self.jets.reshape(-1)
+        return ProductForm(self.frame, self.degree + 1, jets.reshape(self.jets.shape))
 
     def star(self) -> "ProductForm":
         """Hodge star of the product metric (orthonormal unit symbols)."""
-        out = ProductForm(self.model, self.spec, DIM - self.degree)
-        for s, c in self.fiber.items():
-            for s2, x in self.model._star6[s].items():
-                out.dt[s2] = out.dt.get(s2, Jet.const(0)) + x * c
-        beta_sign = 1 if (self.degree - 1) % 2 == 0 else -1
-        for s, c in self.dt.items():
-            for s2, x in self.model._star6[s].items():
-                out.fiber[s2] = out.fiber.get(s2, Jet.const(0)) + beta_sign * x * c
-        return out
+        jets = self.frame.model.tables.star @ self.jets.reshape(-1, 3)
+        return ProductForm(self.frame, DIM - self.degree, jets.reshape(self.jets.shape))
 
     def wedge(self, other: "ProductForm") -> "ProductForm":
-        out = ProductForm(self.model, self.spec, self.degree + other.degree)
-        tbl = self.model._wedge
-        for s1, c1 in self.fiber.items():
-            for s2, c2 in other.fiber.items():
-                for s3, x in tbl[(s1, s2)].items():
-                    out.fiber[s3] = out.fiber.get(s3, Jet.const(0)) + x * c1 * c2
-        a_sign = 1 if self.degree % 2 == 0 else -1
-        for s1, c1 in self.fiber.items():
-            for s2, c2 in other.dt.items():
-                for s3, x in tbl[(s1, s2)].items():
-                    out.dt[s3] = out.dt.get(s3, Jet.const(0)) + a_sign * x * c1 * c2
-        for s1, c1 in self.dt.items():
-            for s2, c2 in other.fiber.items():
-                for s3, x in tbl[(s1, s2)].items():
-                    out.dt[s3] = out.dt.get(s3, Jet.const(0)) + x * c1 * c2
-        return out
+        table = self.frame.model.tables.wedge
+        a, b = self.jets.reshape(-1, 3), other.jets.reshape(-1, 3)
+        jets = table.reshape(len(table), -1) @ jet_product(a[:, None], b[None]).reshape(-1, 3)
+        return ProductForm(self.frame, self.degree + other.degree, jets.reshape(self.jets.shape))
 
     def evaluate(self, theta_value: float) -> Form:
         """Pointwise coefficients in the rotated orthonormal frame.
@@ -418,21 +440,13 @@ class ProductForm:
         is always the standard three-form.
         """
         c, s = math.cos(theta_value), math.sin(theta_value)
-
-        def eval_part(part: dict, degree: int) -> Form:
-            out = Form.zero(degree)
-            a = part.get("psi+", Jet.const(0)).value
-            b = part.get("psi-", Jet.const(0)).value
-            rot = {"psi+": c * a - s * b, "psi-": s * a + c * b}
-            for sym, coeff in part.items():
-                v = rot[sym] if sym in rot else coeff.value
-                if v != 0:
-                    out = out + v * self.model.dictionary(sym)
-            return out
-
-        out = eval_part(self.fiber, self.degree)
-        beta = eval_part(self.dt, self.degree - 1)
-        return out + wedge(beta, Form.basis((7,)))
+        tab = self.frame.model.tables
+        plus, minus = tab.index["psi+"], tab.index["psi-"]
+        values = self.jets[:, :, 0].copy()
+        for row in values:
+            a, b = row[plus], row[minus]
+            row[plus], row[minus] = c * a - s * b, s * a + c * b
+        return Form(self.degree, values.reshape(-1) @ tab.dictionaries[self.degree])
 
 
 # --- warped and cohomogeneity-one specs -----------------------------------------------
@@ -486,36 +500,27 @@ class WarpedForms:
     starphi_point: Form
 
 
-def _model_for(spec) -> FiberModel:
-    if isinstance(spec, WarpSpec):
-        return nearly_kahler_model(spec.sigma)
-    return flag_model()
+def _phi_forms(frame: _Frame) -> tuple:
+    """phi = omega_t ^ dt + psi_t^+ and its dual as product forms."""
+    th = frame.spec.theta
+    om = ("om",) if isinstance(frame.spec, WarpSpec) else ("om1", "om2", "om3")
+    phi = ProductForm.of(
+        frame, 3, fiber={"psi+": th.cos(), "psi-": -1 * th.sin()}, dt=dict.fromkeys(om, 1.0)
+    )
+    return phi, phi.star()
 
 
 def warped_phi(spec) -> WarpedForms:
     """phi = omega_t ^ dt + psi_t^+ and its dual, symbolic and pointwise."""
-    model = _model_for(spec)
-    th = spec.theta
-    cos_t, sin_t = th.cos(), th.sin()
-    if isinstance(spec, WarpSpec):
-        om_syms = {"om": Jet.const(1.0)}
-    else:
-        om_syms = {"om1": Jet.const(1.0), "om2": Jet.const(1.0), "om3": Jet.const(1.0)}
-    phi = ProductForm(
-        model, spec, 3, fiber={"psi+": cos_t, "psi-": -1 * sin_t}, dt=dict(om_syms)
-    )
-    starphi = phi.star()
-    return WarpedForms(
-        phi=phi,
-        starphi=starphi,
-        phi_point=phi.evaluate(th.value),
-        starphi_point=starphi.evaluate(th.value),
-    )
+    phi, starphi = _phi_forms(_Frame(spec))
+    th = spec.theta.value
+    return WarpedForms(phi, starphi, phi.evaluate(th), starphi.evaluate(th))
 
 
-def _tau_symbolic(spec) -> dict:
+def _tau_symbolic(frame: _Frame) -> dict:
     """Closed-form torsion components as symbolic product forms."""
-    model = _model_for(spec)
+    spec = frame.spec
+    form = functools.partial(ProductForm.of, frame)
     th = spec.theta
     sin_t, cos_t = th.sin(), th.cos()
     tp = th.derivative()
@@ -523,52 +528,44 @@ def _tau_symbolic(spec) -> dict:
         f, sg = spec.f, spec.sigma
         tau0 = (4.0 / 7.0) * (tp + 6.0 * sg * sin_t / f)
         u1 = (f.derivative() - sg * cos_t) / f
-        tau1 = ProductForm(model, spec, 1, dt={"one": u1})
-        tau2 = ProductForm(model, spec, 2)
+        tau1 = form(1, dt={"one": u1})
+        tau2 = form(2)
         w = tp - sg * sin_t / f
-        tau3 = ProductForm(
-            model,
-            spec,
+        tau3 = form(
             3,
             fiber={"psi+": (3.0 / 7.0) * w * cos_t, "psi-": (-3.0 / 7.0) * w * sin_t},
             dt={"om": (-4.0 / 7.0) * w},
         )
     else:
-        f1, f2, f3 = spec.f1, spec.f2, spec.f3
-        fs = (f1, f2, f3)
-        p = f1 * f2 * f3
-        h = (f1 * f1 + f2 * f2 + f3 * f3) / (2 * p)
+        fs = (spec.f1, spec.f2, spec.f3)
+        sq = [fi * fi for fi in fs]
+        total = sq[0] + sq[1] + sq[2]
+        inv_2p = (2 * (fs[0] * fs[1] * fs[2])).inv()
+        h = total * inv_2p
+        one_minus_cos = 1 - cos_t
         tau0 = (4.0 / 7.0) * (tp + 2.0 * h * sin_t)
-        tau1 = ProductForm(model, spec, 1, dt={"one": (1.0 / 3.0) * h * (1 - cos_t)})
-        t2 = {}
-        t3_dt = {}
-        for i in range(3):
-            fi, fj, fk = fs[i], fs[(i + 1) % 3], fs[(i + 2) % 3]
-            t2[f"om{i+1}"] = (
-                (-2.0 / 3.0) * (1 - cos_t) / p * (2 * fi * fi - fj * fj - fk * fk)
-            )
-            coef = (5 * fi * fi - 2 * (fj * fj + fk * fk)) / (2 * p)
-            t3_dt[f"om{i+1}"] = (-4.0 / 7.0) * (tp - coef * sin_t)
-        tau2 = ProductForm(model, spec, 2, fiber=t2)
+        tau1 = form(1, dt={"one": (1.0 / 3.0) * h * one_minus_cos})
+        # 2 fi^2 - fj^2 - fk^2 = 3 fi^2 - total, 5 fi^2 - 2 (fj^2 + fk^2) = 7 fi^2 - 2 total
+        c2 = (-4.0 / 3.0) * one_minus_cos * inv_2p
+        tau2 = form(2, fiber={f"om{i + 1}": c2 * (3 * sq[i] - total) for i in range(3)})
         w = tp - (1.0 / 3.0) * h * sin_t
-        tau3 = ProductForm(
-            model,
-            spec,
+        two_total, sin_2p = 2 * total, sin_t * inv_2p
+        tau3 = form(
             3,
             fiber={"psi+": (3.0 / 7.0) * w * cos_t, "psi-": (-3.0 / 7.0) * w * sin_t},
-            dt=t3_dt,
+            dt={
+                f"om{i + 1}": (-4.0 / 7.0) * (tp - (7 * sq[i] - two_total) * sin_2p)
+                for i in range(3)
+            },
         )
     return {"tau0": tau0, "tau1": tau1, "tau2": tau2, "tau3": tau3}
 
 
-def _tau_pointwise(spec) -> TorsionComponents:
-    sym = _tau_symbolic(spec)
+def _tau_pointwise(spec, sym: dict = None) -> TorsionComponents:
+    sym = sym or _tau_symbolic(_Frame(spec))
     th = spec.theta.value
     return TorsionComponents(
-        sym["tau0"].value,
-        sym["tau1"].evaluate(th),
-        sym["tau2"].evaluate(th),
-        sym["tau3"].evaluate(th),
+        sym["tau0"].value, sym["tau1"].evaluate(th), sym["tau2"].evaluate(th), sym["tau3"].evaluate(th)
     )
 
 
@@ -608,11 +605,9 @@ def holonomy_triple(v1: float, v2: float, v3: float) -> tuple:
 
 def extraction_route(spec) -> TorsionComponents:
     """Torsion via d phi / d *phi and the generic structure-equation solve."""
-    forms = warped_phi(spec)
+    phi, starphi = _phi_forms(_Frame(spec))
     th = spec.theta.value
-    dphi = forms.phi.d().evaluate(th)
-    dstarphi = forms.starphi.d().evaluate(th)
-    return extract_torsion(forms.phi_point, dphi, dstarphi)
+    return extract_torsion(phi.evaluate(th), phi.d().evaluate(th), starphi.d().evaluate(th))
 
 
 class RouteMismatch(ValueError):
@@ -667,10 +662,12 @@ def theta_family(b: Jet, a_value: float, branch: int = 1) -> Jet:
 
     Returns the jet of theta with cos(theta) = (1-a^2)/(1+a^2) and
     sin(theta) = branch * 2a/(1+a^2); the constant branches sin(theta) = 0
-    are Jet.const(0) and Jet.const(pi).
+    are Jet.const(0) and Jet.const(pi).  branch is 1 or -1.
     """
     if a_value <= 0:
         raise ValueError("a must be positive")
+    if branch not in (1, -1):
+        raise ValueError(f"branch must be 1 or -1, got {branch}")
     cos_t = (1 - a_value**2) / (1 + a_value**2)
     sin_t = branch * 2 * a_value / (1 + a_value**2)
     theta0 = math.atan2(sin_t, cos_t)
@@ -705,8 +702,8 @@ def delta_tau1(spec) -> float:
 
     delta(u dt) = -(u' + u d/dt log(fiber volume density)).
     """
-    sym = _tau_symbolic(spec)
-    u = sym["tau1"].dt["one"]
+    tau1 = _tau_symbolic(_Frame(spec))["tau1"]
+    u = Jet(*tau1.dt[tau1.frame.model.tables.index["one"]].tolist())
     if isinstance(spec, WarpSpec):
         dlog = 6 * spec.f.derivative() / spec.f
     else:
@@ -730,16 +727,14 @@ def ricW_vanishes(spec, k=(4, -5)) -> float:
     this is the Weyl-Ricci tensor of the warped structure, expected to be
     zero for every warped product over a nearly Kaehler fiber.
     """
-    sym = _tau_symbolic(spec)
+    frame = _Frame(spec)
+    sym = _tau_symbolic(frame)
     th = spec.theta.value
-    t = _tau_pointwise(spec)
-
-    forms = warped_phi(spec)
-    tau1_w_starphi = sym["tau1"].wedge(forms.starphi)
-    d_term1 = tau1_w_starphi.star().d().evaluate(th)
+    _, starphi = _phi_forms(frame)
+    d_term1 = sym["tau1"].wedge(starphi).star().d().evaluate(th)
     d_term2 = sym["tau2"].d().evaluate(th)
     d_term3 = sym["tau3"].d().evaluate(th)
-
+    t = _tau_pointwise(spec, sym)
     return max_abs(ricci_rhs_exterior(t, d_term1, d_term2, d_term3, k).coeffs)
 
 
@@ -747,47 +742,41 @@ def ricW_vanishes(spec, k=(4, -5)) -> float:
 
 
 def sweep_grid(t: float = 1.0) -> list:
-    """The shipped grid of (name, spec) pairs for the type sweep."""
-    grid = []
+    """The shipped grid of (name, spec, designed Fernandez-Gray class) entries."""
     sin_t, theta_t = jet_var(t).sin(), jet_var(t)
-
-    grid.append(("flat cone over S6", WarpSpec(jet_var(t), Jet.const(0.0), 1.0)))
-    grid.append(("nearly parallel S7", WarpSpec(sin_t, theta_t, 1.0)))
-    grid.append(("S7-compatible type 4", WarpSpec(sin_t, Jet.const(0.0), 1.0)))
-    grid.append(("hyperbolic cusp", WarpSpec(jet_var(t).exp(), Jet.const(0.0), 0.0)))
-    grid.append(("generic over NK", WarpSpec(sin_t, Jet(0.7, 0.9, 0.2), 1.0)))
-
-    # theta branches killing tau3 (b = sigma/f) or tau0 (b = -6 sigma/f)
     f = sin_t
-    b3 = 1.0 / f
-    grid.append(("tau3 killed", WarpSpec(f, theta_family(b3, 1.3), 1.0)))
-    b0 = -6.0 / f
-    grid.append(("tau0 killed", WarpSpec(f, theta_family(b0, 0.6), 1.0)))
-
-    grid.append(
-        ("Calabi-Yau fiber, rotating phase", WarpSpec(Jet.const(1.0), theta_t, 0.0))
-    )
-
     eq = holonomy_triple(0.5, 0.5, 0.5)
     uneq = holonomy_triple(0.6, 0.9, 1.4)
-    grid.append(("flag, equal factors, theta pi", CohomSpec(*eq, Jet.const(math.pi))))
-    grid.append(("flag, unequal, theta pi", CohomSpec(*uneq, Jet.const(math.pi))))
-    grid.append(("flag, equal, generic theta", CohomSpec(*eq, Jet(0.8, 0.5, 0.1))))
-    grid.append(("flag, unequal, generic theta", CohomSpec(*uneq, Jet(0.8, 0.5, 0.1))))
-    h = (
-        uneq[0] * uneq[0] + uneq[1] * uneq[1] + uneq[2] * uneq[2]
-    ) / (2 * uneq[0] * uneq[1] * uneq[2])
-    grid.append(
-        ("flag, unequal, tau0 killed", CohomSpec(*uneq, theta_family(-2 * h, 0.7)))
-    )
-    grid.append(("flag, parallel", CohomSpec(*eq, Jet.const(0.0))))
-    return grid
+    h = (uneq[0] * uneq[0] + uneq[1] * uneq[1] + uneq[2] * uneq[2]) / (2 * uneq[0] * uneq[1] * uneq[2])
+    return [
+        ("flat cone over S6", WarpSpec(jet_var(t), Jet.const(0.0), 1.0), ()),
+        ("nearly parallel S7", WarpSpec(sin_t, theta_t, 1.0), (1,)),
+        ("S7-compatible type 4", WarpSpec(sin_t, Jet.const(0.0), 1.0), (4,)),
+        ("hyperbolic cusp", WarpSpec(jet_var(t).exp(), Jet.const(0.0), 0.0), (4,)),
+        ("generic over NK", WarpSpec(sin_t, Jet(0.7, 0.9, 0.2), 1.0), (1, 3, 4)),
+        # theta branches killing tau3 (b = sigma/f) or tau0 (b = -6 sigma/f)
+        ("tau3 killed", WarpSpec(f, theta_family(1.0 / f, 1.3), 1.0), (1, 4)),
+        ("tau0 killed", WarpSpec(f, theta_family(-6.0 / f, 0.6), 1.0), (3, 4)),
+        ("Calabi-Yau fiber, rotating phase", WarpSpec(Jet.const(1.0), theta_t, 0.0), (1, 3)),
+        ("flag, equal factors, theta pi", CohomSpec(*eq, Jet.const(math.pi)), (4,)),
+        ("flag, unequal, theta pi", CohomSpec(*uneq, Jet.const(math.pi)), (2, 4)),
+        ("flag, equal, generic theta", CohomSpec(*eq, Jet(0.8, 0.5, 0.1)), (1, 3, 4)),
+        ("flag, unequal, generic theta", CohomSpec(*uneq, Jet(0.8, 0.5, 0.1)), (1, 2, 3, 4)),
+        ("flag, unequal, tau0 killed", CohomSpec(*uneq, theta_family(-2 * h, 0.7)), (2, 3, 4)),
+        ("flag, parallel", CohomSpec(*eq, Jet.const(0.0)), ()),
+    ]
+
+
+def sweep_check(t: float = 1.0, eps: float = 1e-7) -> tuple:
+    """`type_sweep` and the names of the entries off their designed class."""
+    grid = sweep_grid(t)
+    table = {
+        name: sorted(fg_type(warped_torsion(spec) if isinstance(spec, WarpSpec) else cohom_torsion(spec), eps))
+        for name, spec, _ in grid
+    }
+    return table, [name for name, _, cls in grid if table[name] != list(cls)]
 
 
 def type_sweep(t: float = 1.0, eps: float = 1e-7) -> dict:
     """Classify the shipped grid; returns {name: sorted class list}."""
-    out = {}
-    for name, spec in sweep_grid(t):
-        tor = warped_torsion(spec) if isinstance(spec, WarpSpec) else cohom_torsion(spec)
-        out[name] = sorted(fg_type(tor, eps))
-    return out
+    return sweep_check(t, eps)[0]

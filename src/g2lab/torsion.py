@@ -34,14 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_mode, eye, is_exact, max_abs, pinv, scalar
+from ._linalg import as_mode, eye, is_exact, max_abs, pinv, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
-    form_inner,
+    _wedge_table,
     from_antisym,
     hodge,
+    hodge_matrix,
+    hodge_table,
     phi_arrays,
+    phi_coefficients,
     standard_phi,
     standard_phi_dual,
     to_antisym,
@@ -76,10 +79,8 @@ class TorsionComponents:
         return self.tau1.exact
 
     def membership_residual(self) -> float:
-        return max_abs(
-            project(self.tau2, (2, 14)).coeffs - self.tau2.coeffs,
-            project(self.tau3, (3, 27)).coeffs - self.tau3.coeffs,
-        )
+        """Distance of tau2 / tau3 from Lambda^2_14 / Lambda^3_27."""
+        return max_abs(_structure_tables(self.exact)[1].dot(_pack(self)))
 
     def norms(self) -> dict:
         """Form norms of the four components."""
@@ -110,33 +111,68 @@ def random_torsion(seed: int = 0) -> TorsionComponents:
 
 
 # --- structure equations -----------------------------------------------------
+# A quadruple is packed as one vector v = (tau0, tau1, tau2, tau3) of length
+# 1 + 7 + 21 + 35 and the pair (d phi, d *phi) as one u of length 35 + 21;
+# extraction, membership and reconstruction are each one matrix product.
+
+
+def _pack(t: TorsionComponents) -> np.ndarray:
+    return np.concatenate(([t.tau0], t.tau1.coeffs, t.tau2.coeffs, t.tau3.coeffs))
+
+
+@functools.cache
+def _structure_tables(exact: bool) -> tuple:
+    """Read-only (extract, membership, rebuild) matrices in one scalar mode.
+
+    extract (64 x 56) solves u for v: tau0 = <d phi, *phi> / 7, tau1 and
+    tau2 by pseudo-inverses of a -> a ^ phi on the 7-part of d phi and the
+    14-part of d *phi (the degree-1 map is injective into Lambda^4_7; the
+    degree-2 map is a bijection of 21-dimensional spaces, composed with the
+    projection onto Lambda^2_14), tau3 = *(d phi)_27.  membership (56 x 64)
+    is p - 1 of Lambda^2_14 on tau2 and of Lambda^3_27 on tau3; rebuild
+    (56 x 64) is the structure equations v -> u.
+    """
+    starphi = hodge_matrix(3).dot(phi_coefficients())
+    w1 = as_mode(wedge_phi_matrix(1), exact)  # 35 x 7
+    w2 = as_mode(wedge_phi_matrix(2), exact)  # 21 x 21, invertible
+    q14 = projector_matrix(2, 14, exact)
+
+    extract = zeros((64, 56), exact)
+    extract[0, :35] = as_mode(starphi, exact) / 7
+    extract[1:8, :35] = pinv(w1).dot(projector_matrix(4, 7, exact)) / 3
+    extract[8:29, 35:] = q14.dot(pinv(w2)).dot(projector_matrix(5, 14, exact))
+    po, sign = hodge_table(4)
+    extract[29 + po, :35] = as_mode(sign[:, None], exact) * projector_matrix(4, 27, exact)
+
+    membership = zeros((56, 64), exact)
+    membership[:21, 8:29] = q14 - eye(21, exact)
+    membership[21:, 29:] = projector_matrix(3, 27, exact) - eye(35, exact)
+
+    rebuild = np.zeros((56, 64), dtype=np.int64)
+    rebuild[:35, 0] = starphi
+    rebuild[:35, 1:8] = 3 * wedge_phi_matrix(1)
+    rebuild[:35, 29:] = hodge_matrix(3)
+    rebuild[35:, 1:8] = 4 * _wedge_table(1, 4).dense(DIM, 35).dot(starphi)
+    rebuild[35:, 8:29] = wedge_phi_matrix(2)
+    nonzero = rebuild != 0  # exact zeros stay one shared Fraction
+    rebuild, entries = zeros(rebuild.shape, exact), as_mode(rebuild[nonzero], exact)
+    rebuild[nonzero] = entries
+
+    for m in (extract, membership, rebuild):
+        m.flags.writeable = False
+    return extract, membership, rebuild
+
+
+def _membership_gate(residual, tol: float = 1e-9) -> None:
+    if not residual <= tol:
+        raise ValueError("tau2 / tau3 are not in their irreducible subspaces")
 
 
 def recompose(t: TorsionComponents, tol: float = 1e-9):
     """(d phi, d *phi) generated by a torsion quadruple."""
-    if not t.membership_residual() <= tol:
-        raise ValueError("tau2 / tau3 are not in their irreducible subspaces")
-    exact = t.exact
-    phi = standard_phi(exact)
-    starphi = hodge(phi)
-    dphi = t.tau0 * starphi + 3 * wedge(t.tau1, phi) + hodge(t.tau3)
-    dstarphi = 4 * wedge(t.tau1, starphi) + wedge(t.tau2, phi)
-    return dphi, dstarphi
-
-
-@functools.cache
-def _wedge_phi_inverses(exact: bool):
-    """Pseudo-inverses of a -> a ^ phi on Lambda^1 and Lambda^2.
-
-    The degree-1 map is injective into Lambda^4_7; the degree-2 map is a
-    bijection of 21-dimensional spaces (2* on Lambda^2_7, -* on
-    Lambda^2_14), so its pseudo-inverse is a true inverse.  The tau2
-    extraction composes it with the projection onto Lambda^2_14.
-    """
-    w1 = as_mode(wedge_phi_matrix(1), exact)  # 35 x 7
-    w2 = as_mode(wedge_phi_matrix(2), exact)  # 21 x 21, invertible
-    q14 = projector_matrix(2, 14, exact)
-    return pinv(w1), q14.dot(pinv(w2))
+    _membership_gate(t.membership_residual(), tol)
+    u = _structure_tables(t.exact)[2].dot(_pack(t))
+    return Form(4, u[:35]), Form(5, u[35:])
 
 
 def extract_torsion(
@@ -146,7 +182,8 @@ def extract_torsion(
 
     ``phi`` must carry the standard coefficients (the adapted-frame
     pointwise model); inputs that are not in the image of any torsion
-    quadruple are rejected with the reconstruction residual.
+    quadruple are rejected with the reconstruction residual.  The solved
+    quadruple passes the membership gate of `recompose`.
     """
     exact = dphi.exact
     std = standard_phi(exact)
@@ -154,24 +191,17 @@ def extract_torsion(
         raise ValueError("phi must be the standard three-form in an adapted frame")
     if dphi.degree != 4 or dstarphi.degree != 5:
         raise ValueError("expected (d phi, d *phi) of degrees (4, 5)")
-    starphi = standard_phi_dual(exact)
-
-    tau0 = form_inner(dphi, starphi) / 7
-    w1_pinv, w2_pinv = _wedge_phi_inverses(exact)
-    tau1 = Form(1, w1_pinv.dot(project(dphi, (4, 7)).coeffs) / 3)
-    tau2 = Form(2, w2_pinv.dot(project(dstarphi, (5, 14)).coeffs))
-    tau3 = hodge(project(dphi, (4, 27)))
-    t = TorsionComponents(tau0, tau1, tau2, tau3)
-
-    rd, rs = recompose(t)
-    scale = max(max_abs(dphi.coeffs), max_abs(dstarphi.coeffs), 1.0)
-    residual = max_abs(rd.coeffs - dphi.coeffs, rs.coeffs - dstarphi.coeffs)
-    if not residual <= tol * scale:
+    extract, membership, rebuild = _structure_tables(exact)
+    u = np.concatenate((dphi.coeffs, dstarphi.coeffs))
+    v = extract.dot(u)
+    _membership_gate(max_abs(membership.dot(v)))
+    residual = max_abs(rebuild.dot(v) - u)
+    if not residual <= tol * max(max_abs(u), 1.0):
         raise ValueError(
             f"(d phi, d *phi) is not generated by any torsion quadruple "
             f"(residual {residual:.3g})"
         )
-    return t
+    return TorsionComponents(v[0], Form(1, v[1:8]), Form(2, v[8:29]), Form(3, v[29:]))
 
 
 def fg_type(t: TorsionComponents, eps: float = 1e-9, eps_abs: float = 1e-12) -> frozenset:

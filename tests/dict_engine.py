@@ -1,0 +1,192 @@
+"""The dict-of-Jet product-form engine, kept as a reference for the array engine.
+
+A product form here is a pair of dictionaries {unit symbol: Jet}, its fiber
+part and its dt part.  d, the Hodge star, the wedge and the pointwise
+evaluation loop over symbols with scalar `Jet` arithmetic, the frame weights
+come from one function of the spec per symbol, and the Hodge and wedge tables
+are {symbol: {symbol: coefficient}} dictionaries fitted in the symbol span.
+This is how `g2lab.cohomo_one` computed product forms before its array
+engine; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from g2lab import cohomo_one as co
+from g2lab.cohomo_one import Jet
+from g2lab.exterior_algebra import DIM, Form, wedge
+
+#: frame weight of each unit symbol: unit_symbol = w(spec) * geometric_symbol
+WEIGHT_FNS = {
+    "NK": {
+        "one": lambda s: Jet.const(1.0),
+        "om": lambda s: s.f * s.f,
+        "psi+": lambda s: s.f * s.f * s.f,
+        "psi-": lambda s: s.f * s.f * s.f,
+        "om2": lambda s: (s.f * s.f) * (s.f * s.f),
+        "om3": lambda s: (s.f * s.f * s.f) * (s.f * s.f * s.f),
+    },
+    "flag": {
+        "one": lambda s: Jet.const(1.0),
+        "om1": lambda s: s.f1 * s.f1,
+        "om2": lambda s: s.f2 * s.f2,
+        "om3": lambda s: s.f3 * s.f3,
+        "psi+": lambda s: s.f1 * s.f2 * s.f3,
+        "psi-": lambda s: s.f1 * s.f2 * s.f3,
+        "m23": lambda s: (s.f2 * s.f2) * (s.f3 * s.f3),
+        "m13": lambda s: (s.f1 * s.f1) * (s.f3 * s.f3),
+        "m12": lambda s: (s.f1 * s.f1) * (s.f2 * s.f2),
+        "vol": lambda s: (s.f1 * s.f2 * s.f3) * (s.f1 * s.f2 * s.f3),
+    },
+}
+
+
+@functools.cache
+def dict_tables(kind: str) -> tuple:
+    """(star6, wedge) of a fiber kind as dictionaries, fitted in the span."""
+    model = co.nearly_kahler_model(1.0) if kind == "NK" else co.flag_model()
+    symbols = model.symbols
+    by_degree = {}
+    for s, (deg, _) in symbols.items():
+        by_degree.setdefault(deg, []).append(s)
+
+    def express(form: Form, degree: int) -> dict:
+        return dict(co._express(kind, symbols, tuple(by_degree.get(degree, ())), form, degree))
+
+    star6 = {s: express(co._star6(form), 6 - deg) for s, (deg, form) in symbols.items()}
+    wedge_table = {
+        (s1, s2): express(wedge(f1, f2), d1 + d2)
+        for s1, (d1, f1) in symbols.items()
+        for s2, (d2, f2) in symbols.items()
+        if d1 + d2 <= 6
+    }
+    return star6, wedge_table
+
+
+class DictModel:
+    """A fiber model with the dictionary tables and per-symbol weights."""
+
+    def __init__(self, model: co.FiberModel):
+        self.kind = "NK" if model.name.startswith("NK") else "flag"
+        self.symbols = model.symbols
+        self.d_geom = model.d_geom
+        self.weight_fn = WEIGHT_FNS[self.kind]
+        self._star6, self._wedge = dict_tables(self.kind)
+
+    def weight(self, spec, s: str) -> Jet:
+        return self.weight_fn[s](spec)
+
+    def d_unit(self, spec, s: str) -> dict:
+        """d of a unit symbol: sum over targets of D_geom * weight ratio."""
+        w_s = self.weight(spec, s)
+        return {
+            s2: Jet.const(coeff) * (w_s / self.weight(spec, s2))
+            for s2, coeff in self.d_geom.get(s, {}).items()
+        }
+
+    def dictionary(self, s: str) -> Form:
+        return self.symbols[s][1]
+
+
+@dataclass
+class DictProductForm:
+    """alpha + beta ^ dt with fiber parts in unit symbols, jet coefficients."""
+
+    model: DictModel
+    spec: object
+    degree: int
+    fiber: dict = field(default_factory=dict)
+    dt: dict = field(default_factory=dict)
+
+    def d(self) -> "DictProductForm":
+        """Exterior derivative: d_fiber plus dt ^ (time derivative)."""
+        out = DictProductForm(self.model, self.spec, self.degree + 1)
+        sign = 1 if self.degree % 2 == 0 else -1
+        for s, c in self.fiber.items():
+            for s2, r in self.model.d_unit(self.spec, s).items():
+                out.fiber[s2] = out.fiber.get(s2, Jet.const(0)) + c * r
+            w = self.model.weight(self.spec, s)
+            out.dt[s] = out.dt.get(s, Jet.const(0)) + sign * ((c * w).derivative() / w)
+        for s, c in self.dt.items():
+            for s2, r in self.model.d_unit(self.spec, s).items():
+                out.dt[s2] = out.dt.get(s2, Jet.const(0)) + c * r
+        return out
+
+    def star(self) -> "DictProductForm":
+        """Hodge star of the product metric (orthonormal unit symbols)."""
+        out = DictProductForm(self.model, self.spec, DIM - self.degree)
+        for s, c in self.fiber.items():
+            for s2, x in self.model._star6[s].items():
+                out.dt[s2] = out.dt.get(s2, Jet.const(0)) + x * c
+        beta_sign = 1 if (self.degree - 1) % 2 == 0 else -1
+        for s, c in self.dt.items():
+            for s2, x in self.model._star6[s].items():
+                out.fiber[s2] = out.fiber.get(s2, Jet.const(0)) + beta_sign * x * c
+        return out
+
+    def wedge(self, other: "DictProductForm") -> "DictProductForm":
+        out = DictProductForm(self.model, self.spec, self.degree + other.degree)
+        tbl = self.model._wedge
+        for s1, c1 in self.fiber.items():
+            for s2, c2 in other.fiber.items():
+                for s3, x in tbl[(s1, s2)].items():
+                    out.fiber[s3] = out.fiber.get(s3, Jet.const(0)) + x * c1 * c2
+        a_sign = 1 if self.degree % 2 == 0 else -1
+        for s1, c1 in self.fiber.items():
+            for s2, c2 in other.dt.items():
+                for s3, x in tbl[(s1, s2)].items():
+                    out.dt[s3] = out.dt.get(s3, Jet.const(0)) + a_sign * x * c1 * c2
+        for s1, c1 in self.dt.items():
+            for s2, c2 in other.fiber.items():
+                for s3, x in tbl[(s1, s2)].items():
+                    out.dt[s3] = out.dt.get(s3, Jet.const(0)) + x * c1 * c2
+        return out
+
+    def evaluate(self, theta_value: float) -> Form:
+        """Pointwise coefficients in the rotated orthonormal frame."""
+        c, s = math.cos(theta_value), math.sin(theta_value)
+
+        def eval_part(part: dict, degree: int) -> Form:
+            out = Form.zero(degree)
+            a = part.get("psi+", Jet.const(0)).value
+            b = part.get("psi-", Jet.const(0)).value
+            rot = {"psi+": c * a - s * b, "psi-": s * a + c * b}
+            for sym, coeff in part.items():
+                v = rot[sym] if sym in rot else coeff.value
+                if v != 0:
+                    out = out + v * self.model.dictionary(sym)
+            return out
+
+        out = eval_part(self.fiber, self.degree)
+        beta = eval_part(self.dt, self.degree - 1)
+        return out + wedge(beta, Form.basis((7,)))
+
+
+def to_dict(form: co.ProductForm) -> DictProductForm:
+    """The reference form with the same jets; rows of a symbol whose degree
+    does not fit the form must be zero."""
+    model = DictModel(form.frame.model)
+    parts = []
+    for block, degree in zip(form.jets, (form.degree, form.degree - 1)):
+        part = {}
+        for s, row in zip(form.frame.model.tables.index, block):
+            if model.symbols[s][0] == degree:
+                part[s] = Jet(*row.tolist())
+            elif row.any():
+                raise ValueError(f"{s} has degree {model.symbols[s][0]}, not {degree}")
+        parts.append(part)
+    return DictProductForm(model, form.frame.spec, form.degree, *parts)
+
+
+def to_array(form: DictProductForm, index) -> np.ndarray:
+    """The (2, n, 3) jets of a reference form in the row order of index."""
+    out = np.zeros((2, len(index), 3))
+    for block, part in enumerate((form.fiber, form.dt)):
+        for s, j in part.items():
+            out[block, index[s]] = j.value, j.d1, j.d2
+    return out

@@ -221,6 +221,26 @@ def test_sweep_command(capsys):
     assert [1, 2, 3] not in doc["realized"]
 
 
+def test_sweep_fails_on_a_row_off_its_designed_class(capsys, monkeypatch):
+    import g2lab.cohomo_one as co
+
+    real, calls = co.fg_type, []
+
+    def wrong_first_row(t, eps=1e-9):
+        calls.append(t)
+        return frozenset({4}) if len(calls) == 1 else real(t, eps)
+
+    monkeypatch.setattr(co, "fg_type", wrong_first_row)
+    code = main(["--json", "sweep"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "flat cone over S6" in captured.err and "nearly parallel" not in captured.err
+    # the table is still printed, with the class that was realized
+    assert json.loads(captured.out)["table"]["flat cone over S6"] == [4]
+    monkeypatch.undo()
+    assert run(capsys, "sweep")[0] == 0
+
+
 def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("G2LAB_TOL", "1e-3")
     code, _ = run(capsys, "identities")

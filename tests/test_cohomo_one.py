@@ -2,15 +2,20 @@
 
 import functools
 import math
+import sys
 
+import dict_engine as ref
 import numpy as np
 import pytest
 
 from g2lab import cohomo_one as co
+from g2lab import exterior_algebra
 from g2lab._linalg import max_abs
 from g2lab.cohomo_one import (
+    LEIBNIZ,
     CohomSpec,
     Jet,
+    ProductForm,
     WarpSpec,
     cohom_torsion,
     conformal_warp,
@@ -19,6 +24,8 @@ from g2lab.cohomo_one import (
     flag_model,
     holonomy_residual,
     holonomy_triple,
+    jet_matrices,
+    jet_product,
     jet_profile,
     jet_var,
     nearly_kahler_model,
@@ -158,9 +165,10 @@ def test_symbolic_star_matches_display():
     spec = WarpSpec(jet_var(T0).sin(), Jet(0.4, 0.7, 0.1), 1.0)
     forms = warped_phi(spec)
     s = forms.phi.star()
-    assert abs(s.fiber["om2"].value - 0.5) < 1e-14
-    assert abs(s.dt["psi+"].value - math.sin(0.4)) < 1e-14
-    assert abs(s.dt["psi-"].value - math.cos(0.4)) < 1e-14
+    index = s.frame.model.tables.index
+    assert abs(s.fiber[index["om2"], 0] - 0.5) < 1e-14
+    assert abs(s.dt[index["psi+"], 0] - math.sin(0.4)) < 1e-14
+    assert abs(s.dt[index["psi-"], 0] - math.cos(0.4)) < 1e-14
 
 
 def test_d_squared_vanishes_pointwise():
@@ -181,24 +189,30 @@ def test_fiber_models_closed_under_wedge():
     flag_model()  # construction already asserts closure
     # the tables are built once per process, so check every entry here too
     for model in (nearly_kahler_model(1.0), flag_model()):
+        tab = model.tables
+        n = len(tab.index)
+        # the fiber blocks: fiber ^ fiber -> fiber, and * from fiber to dt
+        wedge6, star6 = tab.wedge[:n, :n, :n], tab.star[n:, :n]
 
-        def rebuild(table_entry, degree, model=model):
+        def rebuild(column, degree, model=model):
             out = Form.zero(degree)
-            for s, c in table_entry.items():
-                out = out + c * model.dictionary(s)
+            for s, c in zip(tab.index, column):
+                if c:
+                    out = out + c * model.dictionary(s)
             return out
 
         for s1 in model.symbols:
             for s2 in model.symbols:
                 degree = model.degree(s1) + model.degree(s2)
+                column = wedge6[:, tab.index[s1], tab.index[s2]]
                 if degree > 6:
-                    assert (s1, s2) not in model._wedge
+                    assert not column.any()
                     continue
                 want = wedge(model.dictionary(s1), model.dictionary(s2))
-                got = rebuild(model._wedge[(s1, s2)], degree)
+                got = rebuild(column, degree)
                 assert max_abs(got.coeffs - want.coeffs) < 1e-12, (s1, s2)
             want = co._star6(model.dictionary(s1))
-            got = rebuild(model._star6[s1], 6 - model.degree(s1))
+            got = rebuild(star6[:, tab.index[s1]], 6 - model.degree(s1))
             assert max_abs(got.coeffs - want.coeffs) < 1e-12, s1
 
 
@@ -232,14 +246,21 @@ def test_fiber_tables_built_once_per_kind(monkeypatch):
 
 def test_models_share_tables_but_not_d():
     nk0, nk1 = nearly_kahler_model(0.0), nearly_kahler_model(1.0)
-    assert nk0._wedge is nk1._wedge
-    assert nk0._star6 is nk1._star6
+    assert nk0.tables.wedge is nk1.tables.wedge
+    assert nk0.tables.star is nk1.tables.star
     assert nk0.symbols is nk1.symbols
     spec = WarpSpec(jet_var(T0).sin(), Jet.const(0.0), 1.0)
-    # d om = 3 sigma psi+ in geometric symbols; unit symbols add f^2 / f^3
-    assert nk0.d_unit(spec, "om")["psi+"].value == 0.0
-    assert abs(nk1.d_unit(spec, "om")["psi+"].value - 3 / math.sin(T0)) < 1e-14
-    assert flag_model()._wedge is flag_model()._wedge
+    # d om = 3 sigma psi+ in geometric symbols; unit symbols add f^2 / f^3:
+    # the value of the fiber psi+ row of d on the fiber om row
+    index = nk0.tables.index
+
+    def d_om_to_psi(model):
+        op = co._d_operator(model, (spec.f,)).reshape(2, len(index), 3, 2, len(index), 3)
+        return op[0, index["psi+"], 0, 0, index["om"], 0]
+
+    assert d_om_to_psi(nk0) == 0.0
+    assert abs(d_om_to_psi(nk1) - 3 / math.sin(T0)) < 1e-14
+    assert flag_model().tables.wedge is flag_model().tables.wedge
 
 
 def test_shared_tables_are_read_only():
@@ -248,10 +269,17 @@ def test_shared_tables_are_read_only():
         model.dictionary("om").coeffs[0] = 5.0
     with pytest.raises(ValueError):
         flag_model().dictionary("vol").coeffs *= 2
+    with pytest.raises(ValueError):
+        model.tables.wedge[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        model.tables.star[0, 0] = 1.0
     with pytest.raises(TypeError):
-        model._wedge[("om", "om")] = {}
-    with pytest.raises(TypeError):
-        model._star6["om"]["om2"] = 1.0
+        model.tables.index["om"] = 0
+    # every array the product forms read is read-only
+    for tab in (model.tables, flag_model().tables):
+        arrays = [x for x in tab if isinstance(x, np.ndarray)] + list(tab.dictionaries)
+        assert len(arrays) == 4 + 8
+        assert not any(a.flags.writeable for a in arrays)
     # the failed writes left every later result untouched
     assert model.dictionary("om").coeff((1, 2)) == 1.0
     assert abs(warped_torsion(WarpSpec(jet_var(T0).sin(), jet_var(T0), 1.0)).tau0 - 4.0) < 1e-12
@@ -382,6 +410,10 @@ def test_theta_family():
     assert abs(th2.d1 - b.value * math.sin(th2.value)) < 1e-13
     with pytest.raises(ValueError):
         theta_family(b, -1.0)
+    # any other branch would not solve theta' = b sin(theta)
+    for branch in (2, 0.5):
+        with pytest.raises(ValueError, match="branch"):
+            theta_family(b, 0.4, branch=branch)
 
 
 def test_theta_family_kills_components():
@@ -474,9 +506,18 @@ def test_type_sweep_realizes_required_classes():
     assert (1, 2, 3) not in realized
 
 
+@pytest.mark.parametrize("t", [0.05, 1.0, 3.1])
+def test_sweep_grid_realizes_its_designed_classes(t):
+    table, wrong = co.sweep_check(t)
+    assert wrong == []
+    assert table == {name: list(cls) for name, _, cls in sweep_grid(t)}
+    assert table == type_sweep(t)
+    assert len(table) == 14
+
+
 def test_sweep_grid_two_route_everywhere():
     # every grid entry passes the internal closed-form / generic agreement
-    for name, spec in sweep_grid():
+    for name, spec, _ in sweep_grid():
         if isinstance(spec, WarpSpec):
             warped_torsion(spec, tol=1e-8)
         else:
@@ -500,3 +541,158 @@ def test_fiber_normalisation_identities():
         assert max_abs(wedge(om_i, om_i).coeffs) == 0.0
         for psi in ("psi+", "psi-"):
             assert max_abs(wedge(om_i, flag.dictionary(psi)).coeffs) == 0.0
+
+
+# --- the array engine against the dict-of-Jet reference ---------------------------------
+# dict_engine.py keeps the product forms as they were computed before the array
+# engine: dictionaries {symbol: Jet}, scalar jet arithmetic per symbol.
+
+
+def assert_matches_ref(new, want, what="", terms=0.0):
+    """new within 1e-14 max(1, |want|, terms) of the reference: |want| is the
+    largest entry of the array, terms the largest summed product where a
+    result cancels."""
+    new, want = np.asarray(new, dtype=float), np.asarray(want, dtype=float)
+    assert new.shape == want.shape, what
+    err = max_abs(new - want) / max(1.0, max_abs(want), terms)
+    assert err <= 1e-14, (what, err)
+
+
+def check_form(form: ProductForm, want: "ref.DictProductForm", theta: float, what: str, terms=0.0):
+    """The jets of form against the reference result, and its pointwise value
+    against the reference evaluation of the same jets.  (The reference rotates
+    psi+ into psi- only when both are keys of its dictionary, which its own
+    results do not always have.)"""
+    assert form.degree == want.degree, what
+    assert_matches_ref(form.jets, ref.to_array(want, form.frame.model.tables.index), what, terms)
+    if 1 <= form.degree <= 7:
+        want_point = ref.to_dict(form).evaluate(theta)
+        assert_matches_ref(form.evaluate(theta).coeffs, want_point.coeffs, what + " evaluated")
+
+
+def check_engine(forms: dict, theta: float):
+    """d, star and every wedge of the given product forms against the
+    reference, each operation on the reference copy of the same input."""
+    for name, form in forms.items():
+        check_form(form, ref.to_dict(form), theta, name)
+        check_form(form.d(), ref.to_dict(form).d(), theta, f"d {name}")
+        check_form(form.star(), ref.to_dict(form).star(), theta, f"* {name}")
+        for other_name, other in forms.items():
+            if form.degree + other.degree <= 6:  # the reference table stops at 6
+                # phi ^ tau3 = 0 on Lambda^3_27, a sum of products that cancel
+                want = ref.to_dict(form).wedge(ref.to_dict(other))
+                terms = max_abs(form.jets) * max_abs(other.jets)
+                check_form(form.wedge(other), want, theta, f"{name} ^ {other_name}", terms)
+
+
+def random_form(frame, degree: int, rng) -> ProductForm:
+    """Random jets on every symbol that fits a product form of the degree."""
+    jets = np.zeros((2, len(frame.model.tables.index), 3))
+    for s, i in frame.model.tables.index.items():
+        for block, deg in enumerate((degree, degree - 1)):
+            if frame.model.degree(s) == deg:
+                jets[block, i] = rng.normal(size=3)
+    return ProductForm(frame, degree, jets)
+
+
+def random_jet(rng, low=None) -> Jet:
+    value = rng.uniform(low, 2.0) if low else rng.uniform(-2.0, 2.0)
+    return Jet(value, rng.normal(), rng.normal())
+
+
+def test_product_table_is_the_jet_product():
+    rng = np.random.default_rng(31)
+    nonzero = {tuple(int(x) for x in ijk): LEIBNIZ[ijk] for ijk in zip(*np.nonzero(LEIBNIZ))}
+    assert nonzero == {(0, 0, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (2, 0, 2): 1, (1, 1, 2): 2, (0, 2, 2): 1}
+    assert not LEIBNIZ.flags.writeable
+    for _ in range(200):
+        a, b = random_jet(rng), random_jet(rng)
+        want = a * b
+        want = [want.value, want.d1, want.d2]
+        arr_a, arr_b = np.array([a.value, a.d1, a.d2]), np.array([b.value, b.d1, b.d2])
+        assert_matches_ref(jet_product(arr_a, arr_b), want, "jet_product")
+        assert_matches_ref(jet_matrices(arr_a) @ arr_b, want, "jet_matrices")
+    # broadcast over leading axes
+    a, b = rng.normal(size=(4, 5, 3)), rng.normal(size=(5, 3))
+    rows = [[jet_product(a[i, j], b[j]) for j in range(5)] for i in range(4)]
+    assert_matches_ref(jet_product(a, b), rows, "broadcast")
+
+
+@pytest.mark.parametrize("kind", ["NK", "flag"])
+def test_array_engine_matches_reference_on_random_forms(kind):
+    rng = np.random.default_rng(37)
+    for _ in range(4):
+        if kind == "NK":
+            spec = WarpSpec(random_jet(rng, 0.3), random_jet(rng), rng.uniform(0.0, 2.0))
+        else:  # d needs no holonomy condition: arbitrary positive warp factors
+            spec = CohomSpec(random_jet(rng, 0.3), random_jet(rng, 0.3), random_jet(rng, 0.3), random_jet(rng))
+        frame = co._Frame(spec)
+        forms = {f"random {p}": random_form(frame, p, rng) for p in range(8)}
+        check_engine(forms, rng.uniform(-2.0, 2.0))
+
+
+def structure_forms(spec) -> dict:
+    """The product forms the torsion routes and ricW_vanishes build."""
+    frame = co._Frame(spec)
+    phi, starphi = co._phi_forms(frame)
+    sym = co._tau_symbolic(frame)
+    forms = {"phi": phi, "*phi": starphi, "tau1": sym["tau1"], "tau2": sym["tau2"], "tau3": sym["tau3"]}
+    forms["tau1 ^ *phi"] = sym["tau1"].wedge(starphi)
+    return forms
+
+
+def test_array_engine_matches_reference_on_warped_sweep_profiles():
+    rng = np.random.default_rng(41)
+    for f in ("sin", "exp", "cosh", "sinh"):
+        for theta in ("t", "zero", "sin", "cos"):
+            for sigma in (0.0, 1.0):
+                t = rng.uniform(0.05, math.pi - 0.05)
+                spec = WarpSpec(jet_profile(f, t), jet_profile(theta, t), sigma)
+                check_engine(structure_forms(spec), spec.theta.value)
+
+
+def test_array_engine_matches_reference_on_holonomy_triples():
+    rng = np.random.default_rng(43)
+    for _ in range(16):
+        theta = Jet(rng.uniform(0.0, math.pi), rng.uniform(-1, 1), rng.uniform(-1, 1))
+        spec = CohomSpec(*holonomy_triple(*rng.uniform(0.3, 1.5, size=3)), theta)
+        check_engine(structure_forms(spec), theta.value)
+
+
+def test_reference_conversion_rejects_misplaced_jets():
+    frame = co._Frame(WarpSpec(jet_var(T0).sin(), jet_var(T0), 1.0))
+    bad = ProductForm.of(frame, 3, fiber={"om": 1.0})  # om has degree 2
+    with pytest.raises(ValueError, match="degree"):
+        ref.to_dict(bad)
+
+
+def test_torsion_call_builds_each_stage_once(monkeypatch):
+    warp = WarpSpec(Jet(0.9, 0.6, -0.3), Jet(0.8, 1.2, 0.4), 1.3)
+    cohom = CohomSpec(*holonomy_triple(0.6, 0.9, 1.4), Jet(0.5, 0.7, -0.2))
+    warped_torsion(warp), cohom_torsion(cohom)  # the tables exist
+    calls = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(co, "_frame_weights")
+    counting(co, "_d_operator")
+    # every binding of the exterior-algebra wedge in the package
+    real_wedge = exterior_algebra.wedge
+    for name, module in list(sys.modules.items()):
+        if name.startswith("g2lab") and getattr(module, "wedge", None) is real_wedge:
+            counting(module, "wedge")
+    for solve, spec in ((warped_torsion, warp), (cohom_torsion, cohom)):
+        calls.clear()
+        solve(spec)
+        assert calls == {"_frame_weights": 1, "_d_operator": 1}
+    # the counters do see a wedge: the Ricci terms of ricW take several
+    calls.clear()
+    ricW_vanishes(warp)
+    assert calls["wedge"] > 0 and calls["_d_operator"] == 1

@@ -469,6 +469,8 @@ def test_nan_input_fails_the_gate(gate):
 def test_nan_reconstruction_fails_the_extraction_gate(monkeypatch):
     import g2lab.torsion as tr
 
-    monkeypatch.setattr(tr, "recompose", lambda t: (Form(4, _nan(35)), Form(5, _nan(21))))
+    # extraction rebuilds (d phi, d *phi) with the packed structure equations
+    extract, membership, rebuild = tr._structure_tables(False)
+    monkeypatch.setattr(tr, "_structure_tables", lambda exact: (extract, membership, _nan(rebuild.shape)))
     with pytest.raises(ValueError, match="not generated by any torsion quadruple"):
         extract_torsion(PHI, Form.zero(4), Form.zero(5))

@@ -1,18 +1,22 @@
 """Structure-equation torsion: extraction, recomposition, classification."""
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from g2lab._linalg import as_mode, max_abs, scalar
+from g2lab._linalg import as_mode, max_abs, pinv, scalar
 from g2lab.exterior_algebra import (
     Form,
+    form_inner,
     hodge,
     standard_phi,
     standard_phi_dual,
     to_antisym,
     wedge,
+    wedge_phi_matrix,
 )
 from g2lab.g2_algebra import (
     odot_bracket,
@@ -139,6 +143,115 @@ def test_fg_type_rejects_non_finite_norms(bad):
     tau3[0] = bad
     with pytest.raises(ValueError, match="not finite"):
         fg_type(TorsionComponents(0.0, Form.zero(1), Form.zero(2), Form(3, tau3)))
+
+
+# --- packed structure equations against the Form-by-Form chain ----------------------
+# The chain extract_torsion and recompose computed before the packed matrices:
+# projections, pseudo-inverses and wedges one Form at a time.
+
+
+@functools.cache
+def chain_inverses(exact):
+    w1 = as_mode(wedge_phi_matrix(1), exact)
+    w2 = as_mode(wedge_phi_matrix(2), exact)
+    return pinv(w1), projector_matrix(2, 14, exact).dot(pinv(w2))
+
+
+def chain_extract(dphi, dstarphi):
+    exact = dphi.exact
+    w1_pinv, w2_pinv = chain_inverses(exact)
+    return TorsionComponents(
+        form_inner(dphi, standard_phi_dual(exact)) / 7,
+        Form(1, w1_pinv.dot(project(dphi, (4, 7)).coeffs) / 3),
+        Form(2, w2_pinv.dot(project(dstarphi, (5, 14)).coeffs)),
+        hodge(project(dphi, (4, 27))),
+    )
+
+
+def chain_recompose(t):
+    phi = standard_phi(t.exact)
+    starphi = hodge(phi)
+    dphi = t.tau0 * starphi + 3 * wedge(t.tau1, phi) + hodge(t.tau3)
+    dstarphi = 4 * wedge(t.tau1, starphi) + wedge(t.tau2, phi)
+    return dphi, dstarphi
+
+
+def chain_membership(t):
+    return max_abs(
+        project(t.tau2, (2, 14)).coeffs - t.tau2.coeffs,
+        project(t.tau3, (3, 27)).coeffs - t.tau3.coeffs,
+    )
+
+
+def torsion_arrays(t):
+    return [np.array([t.tau0], dtype=object if t.exact else float), t.tau1.coeffs, t.tau2.coeffs, t.tau3.coeffs]
+
+
+def assert_float_close(got, want):
+    for a, b in zip(got, want):
+        assert max_abs(a - b) <= 1e-14 * max(1.0, max_abs(b))
+
+
+def exact_torsion(seed):
+    """A quadruple of small rationals with tau2, tau3 in their subspaces."""
+    rng = np.random.default_rng(seed)
+
+    def ints(n):
+        return as_mode(rng.integers(-5, 6, size=n), True)
+
+    return TorsionComponents(
+        Fraction(int(rng.integers(-5, 6)), 3),
+        Form(1, ints(7)),
+        Form(2, projector_matrix(2, 14, True).dot(ints(21))),
+        Form(3, projector_matrix(3, 27, True).dot(ints(35))),
+    )
+
+
+def test_packed_structure_equations_match_the_chain_in_float():
+    for seed in range(50):
+        t = random_torsion(seed)
+        dphi, dstar = recompose(t)
+        want_d, want_s = chain_recompose(t)
+        assert_float_close([dphi.coeffs, dstar.coeffs], [want_d.coeffs, want_s.coeffs])
+        # extraction from the chain's differentials
+        got = extract_torsion(PHI, want_d, want_s)
+        assert_float_close(torsion_arrays(got), torsion_arrays(chain_extract(want_d, want_s)))
+        assert t.membership_residual() <= 1e-14 and chain_membership(t) <= 1e-14
+    # quadruples off the subspaces: both residuals see the same distance
+    for bad in (
+        TorsionComponents(0.0, Form.zero(1), Form.basis((1, 7)), Form.zero(3)),
+        TorsionComponents(0.0, Form.zero(1), Form.zero(2), Form.basis((1, 2, 3))),
+    ):
+        assert bad.membership_residual() > 0.1
+        assert abs(bad.membership_residual() - chain_membership(bad)) <= 1e-14
+
+
+def test_packed_structure_equations_match_the_chain_exactly():
+    for seed in range(3):
+        t = exact_torsion(seed)
+        dphi, dstar = recompose(t)
+        want_d, want_s = chain_recompose(t)
+        assert list(dphi.coeffs) == list(want_d.coeffs) and list(dstar.coeffs) == list(want_s.coeffs)
+        assert all(isinstance(x, Fraction) for x in list(dphi.coeffs) + list(dstar.coeffs))
+        got = extract_torsion(standard_phi(True), dphi, dstar)
+        for a, b, c in zip(torsion_arrays(got), torsion_arrays(chain_extract(dphi, dstar)), torsion_arrays(t)):
+            assert list(a) == list(b) == list(c)
+            assert all(isinstance(x, Fraction) for x in a)
+        assert t.membership_residual() == 0.0 == chain_membership(t)
+
+
+def test_extraction_gates_in_order():
+    dphi, dstar = recompose(random_torsion(2))
+    with pytest.raises(ValueError, match="standard three-form"):
+        extract_torsion(2 * PHI, Form.zero(5), Form.zero(4))
+    with pytest.raises(ValueError, match="degrees"):
+        extract_torsion(PHI, dstar, dphi)
+    nan_d = Form(4, dphi.coeffs.copy())
+    nan_d.coeffs[3] = math.nan
+    with pytest.raises(ValueError, match="irreducible subspaces"):
+        extract_torsion(PHI, nan_d, dstar)
+    with pytest.raises(ValueError, match="not generated"):
+        extract_torsion(PHI, dphi, dstar + Form.basis((1, 2, 3, 4, 5)))
 
 
 # --- intrinsic torsion -------------------------------------------------------------
