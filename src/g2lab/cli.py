@@ -306,7 +306,9 @@ def _positive_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="g2lab", description=__doc__.splitlines()[0])
     ap.add_argument("--tol", type=float, default=None, help="residual tolerance")
     ap.add_argument("--json", action="store_true", help="machine-readable output")

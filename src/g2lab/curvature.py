@@ -22,6 +22,11 @@ The five-block splitting is
 
 with P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 acting on the pair
 matrix through the degree-2 projectors.
+
+r_g is an index table from the 49 entries of h to the 441 pair-matrix
+entries, and r_g(g) is a cached constant.  `decompose` builds every block
+once and keeps the blocks, Ric0^g, Ric0^phi and the Bianchi residual of its
+gate, so that reassembly, block norms and callers reuse them.
 """
 
 from __future__ import annotations
@@ -169,19 +174,39 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
 # --- Kulkarni-Nomizu style products ------------------------------------------------
 
 
+@functools.cache
+def _kn_table():
+    """Rows (pos_out, pos_in, sign) of r_g over the 441 pair-matrix entries and
+    the 49 entries of h, from R_ijkl = h_jk g_il - h_ik g_jl + h_il g_jk - h_jl g_ik.
+
+    An entry has at most two rows (the g_jl and g_ik terms, on the diagonal
+    pairs), so a float sum does not depend on their order.
+    """
+    i, j = (np.repeat(c, NPAIRS) for c in index_columns(PAIRS, 2))
+    k, l = (np.tile(c, NPAIRS) for c in index_columns(PAIRS, 2))
+    out = np.arange(NPAIRS * NPAIRS)
+    rows = []
+    for a, b, x, y, sign in ((j, k, i, l, 1), (i, k, j, l, -1), (i, l, j, k, 1), (j, l, i, k, -1)):
+        hit = x == y  # the g factor
+        rows.append(np.stack([out[hit], (DIM * a + b)[hit], np.full(hit.sum(), sign)], axis=1))
+    return index_columns(np.concatenate(rows), 3)
+
+
 def kn_product(h: np.ndarray) -> CurvatureTensor:
     """r_g(h) = h (.) g, the Kulkarni-Nomizu product with the metric."""
     h = np.asarray(h)
-    g = eye(DIM, is_exact(h))
-    gh = np.multiply.outer(g, h)  # gh[a,b,c,d] = g_ab h_cd
-    # R_ijkl = h_jk g_il - h_ik g_jl + h_il g_jk - h_jl g_ik
-    full = (
-        gh.transpose(0, 2, 3, 1)  # g_il h_jk
-        - gh.transpose(2, 0, 3, 1)  # g_jl h_ik
-        + gh.transpose(2, 0, 1, 3)  # g_jk h_il
-        - gh.transpose(0, 2, 1, 3)  # g_ik h_jl
-    )
-    return from_full(full)
+    pos_out, pos_in, sign = _kn_table()
+    m = zeros(NPAIRS * NPAIRS, is_exact(h))
+    np.add.at(m, pos_out, sign * h.reshape(DIM * DIM)[pos_in])
+    return CurvatureTensor(m.reshape(NPAIRS, NPAIRS))
+
+
+@functools.cache
+def _kn_metric(exact: bool) -> CurvatureTensor:
+    """r_g(g), read-only (-2 Id as a pair matrix)."""
+    m = kn_product(eye(DIM, exact)).mat
+    m.flags.writeable = False
+    return CurvatureTensor(m)
 
 
 def phi_product(h: np.ndarray) -> CurvatureTensor:
@@ -212,20 +237,18 @@ def ric_W(r: CurvatureTensor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureDecomposition:
+    """The five blocks of an algebraic curvature tensor, with the Ricci data
+    they were built from and the input's first Bianchi residual."""
+
     w77: CurvatureTensor
     w64: CurvatureTensor
     w27: CurvatureTensor
-    ric0: np.ndarray  # traceless Ricci, determines R_0 = r_g(ric0)/5
+    ricci_block: CurvatureTensor  # R_0 = r_g(ric0) / 5
+    scalar_block: CurvatureTensor  # S = s/84 r_g(g)
+    ric0: np.ndarray  # traceless Ricci
+    ric0_phi: np.ndarray  # traceless phi-Ricci
     s: object  # scalar curvature
-
-    @property
-    def scalar_block(self) -> CurvatureTensor:
-        g = eye(DIM, is_exact(self.ric0))
-        return (self.s / 84) * kn_product(g)
-
-    @property
-    def ricci_block(self) -> CurvatureTensor:
-        return kn_product(self.ric0) * (scalar(1, is_exact(self.ric0)) / 5)
+    bianchi: float  # max |b(R)| of the input, measured by the gate of `decompose`
 
     def reassemble(self) -> CurvatureTensor:
         return (
@@ -273,17 +296,25 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     ric = ricci(r)  # the one Ricci contraction: s, Ric0 and Ric^W share it
     s = ric.trace()
     ric0 = traceless_part(ric)
-    ricw = (4 * ric0 - 5 * traceless_part(phi_ricci(r))) / 20
+    ric0_phi = traceless_part(phi_ricci(r))
+    ricw = (4 * ric0 - 5 * ric0_phi) / 20
 
-    g = eye(DIM, exact)
-    s_block = (s * one / 84) * kn_product(g)
+    s_block = (s * one / 84) * _kn_metric(exact)
     r_block = (one / 5) * kn_product(ric0)
     w27 = (3 * one / 112) * (kn_product(ricw) - 5 * phi_product(ricw))
 
     weyl_rest = r - s_block - r_block - w27
-    w64 = CurvatureTensor(_p_odot(weyl_rest.mat, exact))
-    w77 = CurvatureTensor(_p_g2(weyl_rest.mat, exact))
-    return CurvatureDecomposition(w77=w77, w64=w64, w27=w27, ric0=ric0, s=s)
+    return CurvatureDecomposition(
+        w77=CurvatureTensor(_p_g2(weyl_rest.mat, exact)),
+        w64=CurvatureTensor(_p_odot(weyl_rest.mat, exact)),
+        w27=w27,
+        ricci_block=r_block,
+        scalar_block=s_block,
+        ric0=ric0,
+        ric0_phi=ric0_phi,
+        s=s,
+        bianchi=res,
+    )
 
 
 def norm_split_residual(r: CurvatureTensor, dec: CurvatureDecomposition = None) -> float:

@@ -9,10 +9,15 @@ canonical G2 connection, and the full set of pointwise curvature-torsion
 identities of the companion modules, bundled into `analyze`.
 
 `analyze` is one pass: `geometry` builds the d-matrices (from an index table
-over d on 1-forms), the Levi-Civita connection and the torsion once, and
+over d on 1-forms), the Levi-Civita connection, the torsion and the
+nabla-bar phi residual of the canonical-connection gate once, and
 everything downstream reuses them; the torsion terms of the generalized
-Ricci formula and their derivatives are likewise built once and serve both
-routes at every weighting.  The functions that need the d-matrices
+Ricci formula and their derivatives are likewise built once, and each route
+gets its rows for all three weightings from one weighted sum over them.
+A connection acts on forms through an index table of the gl(7) action per
+degree (`_connection_stack`): the form is scattered into a 49 x dim_k matrix
+and the seven covariant derivatives are one product with Gamma, in float64
+and in exact mode alike.  The functions that need the d-matrices
 (`invariant_d`, `jacobi_residual`, `d_squared_residual`, `levi_civita`,
 `canonical_connection`) accept either a spec, from which they build them,
 or the already-built matrices; `levi_civita` reads the structure constants
@@ -49,14 +54,7 @@ from .exterior_algebra import (
     wedge,
 )
 from .g2_algebra import MixedV14, mixed_from_slices, project, projector_matrix, split_v14
-from .curvature import (
-    CurvatureTensor,
-    bianchi_residual,
-    decompose,
-    from_full,
-    phi_ricci,
-    traceless_part,
-)
+from .curvature import CurvatureTensor, decompose, from_full
 from .torsion import (
     RICCI_ROUTES,
     IntrinsicTorsion,
@@ -65,7 +63,7 @@ from .torsion import (
     fg_type,
     intrinsic_from_torsion,
     recompose,
-    ricci_rhs,
+    ricci_rows,
     ricci_terms,
     scalar_from_torsion,
 )
@@ -224,19 +222,42 @@ def riemann(spec: LieAlgebraSpec, gamma: np.ndarray = None) -> CurvatureTensor:
     return from_full(term1 - term2 - term3)
 
 
+@functools.cache
+def _action_table(k: int):
+    """Index table of the gl(7) action on k-forms, rows (j*7 + p, pos_in, pos_out, coef).
+
+    Gamma_i acts as a derivation: (grad_i a)_J = -sum_s Gamma[i, j_s, p]
+    a_(J with j_s -> p), and the moved multi-index is sorted back to the
+    basis form at pos_in with the sign of that sort.  (j*7 + p, pos_out) is
+    distinct across rows: j fixes the slot s of J.
+    """
+    rows = []
+    for pos, J in enumerate(BASIS[k]):
+        for s, j in enumerate(J):
+            for p in range(DIM):
+                moved = J[:s] + (p,) + J[s + 1 :]
+                if len(set(moved)) == k:
+                    rows.append((j * DIM + p, INDEX[k][tuple(sorted(moved))], pos, -perm_sign(moved)))
+    return index_columns(rows, 4)
+
+
 def _connection_stack(gamma: np.ndarray, a: Form) -> np.ndarray:
     """(7, dim_k) coefficients of grad_{e_i} a, i = 1..7, for an invariant a.
 
-    (grad_i a)_{j1..jk} = -sum_s Gamma[i, j_s, p] a[.. p ..]; the seven
-    component arrays are folded back to coefficients in one gather with one
-    antisymmetry check.
+    The action table scatters a into a (49, dim_k) matrix M with
+    M[j*7 + p, J] = d(grad a)_J / d Gamma[., j, p]; the stack is one product
+    of Gamma, read as a 7 x 49 matrix, with M.  A finite Gamma always gives
+    the coefficients of seven k-forms; a NaN or infinite one is rejected as
+    the antisymmetric fold (`antisym_coefficients`) rejects a bad array.
     """
-    arr = to_antisym(a).array
-    acc = zeros((DIM,) + arr.shape, is_exact(arr) or is_exact(gamma))
-    for slot in range(a.degree):
-        # Gamma[i, j_s, p] a[.. p ..] with j_s moved back into its slot
-        acc -= np.moveaxis(np.tensordot(gamma, arr, axes=([2], [slot])), 1, 1 + slot)
-    return antisym_coefficients(acc, a.degree)
+    jp, pos_in, pos_out, coef = _action_table(a.degree)
+    exact = is_exact(gamma) or a.exact
+    m = zeros((DIM * DIM, dim_of(a.degree)), exact)
+    m[jp, pos_out] = coef * a.coeffs[pos_in]  # each entry is written once
+    stack = gamma.reshape(DIM, DIM * DIM).dot(m)
+    if not (exact or np.isfinite(stack).all()):
+        raise ValueError("input array is not antisymmetric (residual nan)")
+    return stack
 
 
 def connection_form_action(gamma: np.ndarray, a: Form) -> list:
@@ -262,6 +283,7 @@ class InvariantGeometry:
     torsion: TorsionComponents
     xi: IntrinsicTorsion
     gamma_bar: np.ndarray
+    nabla_bar_phi: float  # max |nabla-bar phi|, measured by the canonical-connection gate
 
     @property
     def exact(self) -> bool:
@@ -285,21 +307,8 @@ def _torsion_of(mats: dict, phi: Form) -> TorsionComponents:
     return extract_torsion(phi, invariant_d(mats, phi), invariant_d(mats, hodge(phi)))
 
 
-def canonical_connection(
-    spec_or_mats,
-    phi: Form = None,
-    tol: float = 1e-9,
-    gamma: np.ndarray = None,
-    torsion: TorsionComponents = None,
-):
-    """Intrinsic torsion and canonical-connection coefficients.
-
-    Returns (xi, gamma_bar) with gamma_bar = gamma - xi; construction fails
-    if nabla-bar phi does not vanish, which would signal a convention error
-    upstream rather than a property of the input.  The Levi-Civita
-    coefficients and the torsion are computed unless they are passed in.
-    """
-    mats = _as_mats(spec_or_mats)
+def _canonical_connection(mats: dict, phi: Form, tol: float, gamma: np.ndarray, torsion) -> tuple:
+    """(xi, gamma_bar, max |nabla-bar phi|) behind the gate of `canonical_connection`."""
     if phi is None:
         phi = standard_phi(is_exact(mats[1]))
     if gamma is None:
@@ -314,14 +323,32 @@ def canonical_connection(
         raise ValueError(
             f"canonical connection does not annihilate phi (residual {res:.3g})"
         )
+    return xi, gamma_bar, res
+
+
+def canonical_connection(
+    spec_or_mats,
+    phi: Form = None,
+    tol: float = 1e-9,
+    gamma: np.ndarray = None,
+    torsion: TorsionComponents = None,
+):
+    """Intrinsic torsion and canonical-connection coefficients.
+
+    Returns (xi, gamma_bar) with gamma_bar = gamma - xi; construction fails
+    if nabla-bar phi does not vanish, which would signal a convention error
+    upstream rather than a property of the input.  The Levi-Civita
+    coefficients and the torsion are computed unless they are passed in.
+    """
+    xi, gamma_bar, _ = _canonical_connection(_as_mats(spec_or_mats), phi, tol, gamma, torsion)
     return xi, gamma_bar
 
 
 def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
     """Assemble the full invariant geometry of (spec, phi).
 
-    The d-matrices, the Levi-Civita connection and the torsion are each
-    built once here and shared by everything downstream.
+    The d-matrices, the Levi-Civita connection, the torsion and nabla-bar phi
+    are each built once here and shared by everything downstream.
     """
     if phi is None:
         phi = standard_phi(spec.exact)
@@ -329,7 +356,7 @@ def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
     gamma = levi_civita(mats)
     r = riemann(spec, gamma)
     t = _torsion_of(mats, phi)
-    xi, gamma_bar = canonical_connection(mats, phi, gamma=gamma, torsion=t)
+    xi, gamma_bar, nabla_bar_phi = _canonical_connection(mats, phi, 1e-9, gamma, t)
     return InvariantGeometry(
         spec=spec,
         phi=phi,
@@ -339,6 +366,7 @@ def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
         torsion=t,
         xi=xi,
         gamma_bar=gamma_bar,
+        nabla_bar_phi=nabla_bar_phi,
     )
 
 
@@ -454,7 +482,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     )
 
     # canonical connection
-    report.add("nabla-bar phi = 0", max_abs(_connection_stack(geo.gamma_bar, phi)), tol)
+    report.add("nabla-bar phi = 0", geo.nabla_bar_phi, tol)
     report.add(
         "nabla-bar g = 0 (gamma-bar antisymmetry)",
         max_abs(geo.gamma_bar + geo.gamma_bar.transpose(0, 2, 1)),
@@ -466,8 +494,8 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
 
     # curvature block
     r = geo.curvature
-    report.add("first Bianchi identity", bianchi_residual(r), tol)
     dec = decompose(r, tol=max(tol, 1e-8))
+    report.add("first Bianchi identity", dec.bianchi, tol)
     report.add(
         "curvature blocks reassemble",
         max_abs(dec.reassemble().mat - r.mat),
@@ -485,21 +513,21 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
 
     # generalized Ricci formulas, both routes, three weightings, on one set
     # of torsion terms and derivatives
-    ric0g = dec.ric0
-    ric0p = traceless_part(phi_ricci(r))
+    ric0g, ric0p = dec.ric0, dec.ric0_phi
     terms = ricci_terms(t)
     sources = (terms["*(tau1^*phi)"], t.tau2, t.tau3)
     derivs = {
         "exterior": [geo.d(a) for a in sources],
         "canonical": [geo.d_nabla_bar(a) for a in sources],
     }
+    rhs = {route: ricci_rows(route, derivs[route], terms, K_VALUES) for route in RICCI_ROUTES}
     scale44 = max(max_abs(ric0g, ric0p), 1.0)
-    for k in K_VALUES:
+    for row, k in enumerate(K_VALUES):
         lhs = lambda3(k[0] * ric0g + k[1] * ric0p)
         for route in RICCI_ROUTES:
             report.add(
                 f"Ricci formula, {route} route, k={k}",
-                max_abs(ricci_rhs(route, derivs[route], terms, k).coeffs - lhs.coeffs),
+                max_abs(rhs[route][row] - lhs.coeffs),
                 tol * scale44 * 50,
             )
 

@@ -23,7 +23,8 @@ rebuild the differentials from xibar (`differential_from_xibar`).
 The generalized Ricci formula is linear in its weighting k, so it is stored
 as data: `RICCI_TABLE` holds, per term and route, the (k1, k2) coefficients
 over 6; `ricci_terms` builds the k-independent torsion terms once and
-`ricci_rhs` combines them with a route's derivatives for any k.
+`ricci_rows` combines them with a route's derivatives for several k in one
+weighted reduction over the stacked terms (`ricci_rhs` for one k).
 """
 
 from __future__ import annotations
@@ -388,6 +389,9 @@ RICCI_TABLE = (
     ("*(tau1^tau3)", (18, -24), (4, -16)),
     ("[tau2.tau3]_27", (0, 12), (1, 8)),
 )
+#: the coefficients of RICCI_TABLE as a read-only (route, term, k) integer array
+_RICCI_COEFFS = np.array([[row[1 + r] for row in RICCI_TABLE] for r in range(len(RICCI_ROUTES))])
+_RICCI_COEFFS.flags.writeable = False
 
 
 def ricci_terms(t: TorsionComponents) -> dict:
@@ -409,23 +413,31 @@ def ricci_terms(t: TorsionComponents) -> dict:
     }
 
 
-def ricci_rhs(route: str, derivs, terms: dict, k) -> Form:
-    """Lambda^3_27 part of the generalized Ricci right-hand side of a route.
+def ricci_rows(route: str, derivs, terms: dict, ks) -> np.ndarray:
+    """The route's generalized Ricci right-hand sides, one Lambda^3_27 row per k in ks.
 
     ``derivs`` are the route's derivatives of *(tau1 ^ *phi), tau2 and tau3
-    (3-, 3- and 4-form), ``terms`` the output of `ricci_terms`.  The terms
-    are summed left to right in table order, with only the bracket term
-    projected beforehand: a different order moves the rounding of the
-    exterior route, whose residual `cohomo_one.ricW_vanishes` reports.
+    (3-, 3- and 4-form), ``terms`` the output of `ricci_terms`.  The terms are
+    stacked in table order and each row is their coefficient-weighted sum, a
+    reduction over the term axis that adds left to right, with only the
+    bracket term projected beforehand: a different order moves the rounding
+    of the exterior route, whose residual `cohomo_one.ricW_vanishes` reports.
     """
-    col = RICCI_ROUTES.index(route)
     d_t1_w, d_tau2, d_tau3 = derivs
+    exact = d_tau2.exact
     forms = {**terms, "d*(tau1^*phi)": d_t1_w, "d tau2": d_tau2, "*d tau3": hodge(d_tau3)}
-    parts = [
-        scalar(coeffs[col][0] * k[0] + coeffs[col][1] * k[1], d_tau2.exact) / 6 * forms[name]
-        for name, *coeffs in RICCI_TABLE
-    ]
-    return project(sum(parts[1:], parts[0]), (3, 27))
+    stack = np.stack([forms[name].coeffs for name, *_ in RICCI_TABLE])  # (term, 35)
+    weights = as_mode(np.dot(ks, _RICCI_COEFFS[RICCI_ROUTES.index(route)].T), exact) / 6
+    total = (weights[:, :, None] * stack).sum(axis=1)  # (k, 35), term by term
+    # one matrix-vector product per row, the same for one k as for several
+    p27 = projector_matrix(3, 27, exact)
+    return np.stack([p27.dot(row) for row in total])
+
+
+def ricci_rhs(route: str, derivs, terms: dict, k) -> Form:
+    """Lambda^3_27 part of the generalized Ricci right-hand side of a route:
+    the row of `ricci_rows` for the one weighting k."""
+    return Form(3, ricci_rows(route, derivs, terms, (k,))[0])
 
 
 def ricci_rhs_exterior(t: TorsionComponents, d_star_t1_wstar: Form, d_tau2: Form, d_tau3: Form, k):

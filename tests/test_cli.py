@@ -278,6 +278,23 @@ def test_switches_after_the_command(capsys):
     assert code == 0
 
 
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # one parser serves every call in a process; the switches of one call
+    # must not reach the next, whichever side of the command they stand on
+    monkeypatch.delenv("G2LAB_TOL", raising=False)
+    assert build_parser() is build_parser()
+    for before in (True, False):
+        for tol, want in (("1e-30", 1), ("1e-9", 0)):
+            switches = ["--tol", tol, "--json"]
+            code, out = run(capsys, *(switches + ["warp"] if before else ["warp"] + switches))
+            assert code == want, (before, tol)
+            if want == 0:
+                assert json.loads(out)["fg_type"] == [1]  # nearly parallel S7
+            code, out = run(capsys, "warp")
+            assert code == 0, (before, tol)  # the default tolerance again
+            assert out.startswith("t: ")  # and text output
+
+
 def test_warp_exit_codes(capsys, monkeypatch):
     # a failed two-route check is a failed check (1); bad input stays 2
     assert main(["warp", "--tol", "1e-30"]) == 1

@@ -1,17 +1,19 @@
 """Algebraic curvature tensors and the five-block decomposition."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from g2lab._linalg import max_abs
+from g2lab._linalg import eye, is_exact, max_abs
 from g2lab.curvature import (
     CurvatureTensor,
     bianchi_b,
     bianchi_residual,
     coefficient_consistency_report,
     decompose,
+    from_full,
     generalized_ricci,
     inner,
     kn_product,
@@ -68,6 +70,31 @@ def test_sphere_pattern_of_kn_product():
     assert full[0, 1, 1, 0] == 2.0
     assert full[0, 1, 0, 1] == -2.0
     assert kn_product(np.zeros((7, 7))).norm2() == 0.0
+
+
+def ref_kn_product(h):
+    """r_g(h) from the outer product g (x) h: R_ijkl = h_jk g_il - h_ik g_jl + h_il g_jk - h_jl g_ik."""
+    gh = np.multiply.outer(eye(7, is_exact(h)), h)  # gh[a,b,c,d] = g_ab h_cd
+    full = (
+        gh.transpose(0, 2, 3, 1)  # g_il h_jk
+        - gh.transpose(2, 0, 3, 1)  # g_jl h_ik
+        + gh.transpose(2, 0, 1, 3)  # g_jk h_il
+        - gh.transpose(0, 2, 1, 3)  # g_ik h_jl
+    )
+    return from_full(full)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_kn_product_matches_the_outer_product_formula(exact):
+    rng = np.random.default_rng(17)
+    for h in (np.eye(7), rng.normal(size=(7, 7)), rng.normal(size=(7, 7)) * 1e-7):
+        if exact:  # any 7 x 7 h, not only symmetric ones
+            h = np.array([Fraction(x).limit_denominator(64) for x in h.flat], dtype=object).reshape(7, 7)
+        got, want = kn_product(h).mat, ref_kn_product(h).mat
+        if exact:
+            assert set(map(type, got.flat)) == {Fraction}
+        # at most two terms per entry, so float sums do not depend on their order
+        assert np.array_equal(got, want)
 
 
 def test_ricci_contraction_constants():

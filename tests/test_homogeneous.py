@@ -297,17 +297,31 @@ def test_analyze_builds_each_stage_once(monkeypatch):
     import g2lab.curvature as cv
     import g2lab.homogeneous as hm
 
+    spec = builtin_examples()["bryant"]["spec"]
+    hm.analyze(spec)  # builds the cached tables, r_g(g) among them
+    lc = hm.levi_civita(spec)  # nabla-bar phi is the action of any other gamma on phi
     calls = {}
+
+    def count(name):
+        calls[name] = calls.get(name, 0) + 1
 
     def counting(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            count(name)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
+    real_stack = hm._connection_stack
+
+    def stack(gamma, a):
+        if np.array_equal(a.coeffs, PHI.coeffs) and not np.array_equal(gamma, lc):
+            count("nabla-bar phi")
+        return real_stack(gamma, a)
+
+    monkeypatch.setattr(hm, "_connection_stack", stack)
     for name in (
         "invariant_d_matrices",
         "levi_civita",
@@ -316,9 +330,14 @@ def test_analyze_builds_each_stage_once(monkeypatch):
         "ricci_terms",
     ):
         counting(hm, name)
-    counting(cv, "ricci")  # the Ricci contraction, wherever it is called from
-    rep = hm.analyze(builtin_examples()["bryant"]["spec"])
+    # the curvature stages, wherever they are called from
+    for name in ("ricci", "phi_ricci", "kn_product", "bianchi_residual"):
+        for module in (cv, hm):
+            if hasattr(module, name):
+                counting(module, name)
+    rep = hm.analyze(spec)
     assert rep.passed
+    assert calls.pop("kn_product") == 2  # r_g(Ric0) and r_g(Ric^W); r_g(g) is cached
     assert calls == {
         "invariant_d_matrices": 1,
         "levi_civita": 1,
@@ -326,6 +345,9 @@ def test_analyze_builds_each_stage_once(monkeypatch):
         "nabla_bar_tau": 1,
         "ricci_terms": 1,
         "ricci": 1,
+        "phi_ricci": 1,
+        "bianchi_residual": 1,
+        "nabla-bar phi": 1,
     }
 
 
@@ -399,7 +421,7 @@ def assert_matches_ref(got, want, exact):
 def test_connection_action_and_covariant_wedge_match_loop_reference(exact):
     rng = np.random.default_rng(21)
     gamma = _seeded((7, 7, 7), exact, rng)  # any coefficients, not only metric ones
-    for degree in (1, 2, 3, 4):
+    for degree in range(7):
         a = Form(degree, _seeded(dim_of(degree), exact, rng))
         ref = ref_connection_form_action(gamma, a, exact)
         slices = connection_form_action(gamma, a)

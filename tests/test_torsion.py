@@ -40,6 +40,7 @@ from g2lab.torsion import (
     random_torsion,
     recompose,
     ricci_rhs,
+    ricci_rows,
     ricci_terms,
     scalar_from_torsion,
     xi_from_xibar,
@@ -483,6 +484,28 @@ def test_ricci_rhs_matches_the_hand_written_routes(route, k, exact):
         if route == "exterior":  # same terms in the same order
             np.testing.assert_array_equal(got.coeffs, ref.coeffs)
         assert max_abs(got.coeffs - ref.coeffs) <= 1e-14 * max(1.0, max_abs(ref.coeffs))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("route", RICCI_ROUTES)
+def test_stacked_ricci_rows_equal_ricci_rhs_per_k(route, exact):
+    ks = K_VALUES + ((3, 7),)
+    for seed in range(2 if exact else 6):
+        t, derivs = ricci_inputs(seed, exact)
+        terms = ricci_terms(t)
+        rows = ricci_rows(route, derivs, terms, ks)
+        assert rows.shape == (len(ks), 35)
+        for row, k in zip(rows, ks):
+            want = ricci_rhs(route, derivs, terms, k).coeffs
+            ref = RICCI_REFERENCES[route](t, *derivs, k).coeffs
+            if exact:
+                assert set(map(type, row)) == {Fraction}
+                assert list(row) == list(want) == list(ref)
+                continue
+            np.testing.assert_array_equal(row, want)  # bit for bit
+            if route == "exterior":
+                np.testing.assert_array_equal(row, ref)
+            assert max_abs(row - ref) <= 1e-14 * max(1.0, max_abs(ref))
 
 
 @pytest.mark.parametrize("route", RICCI_ROUTES)
