@@ -187,23 +187,46 @@ def cmd_curvature(args) -> int:
 # --- analyze -----------------------------------------------------------------------
 
 
+#: the JSON shapes a .g2 document is read with
+_SHAPES = {dict: "an object", list: "a list", int: "an integer", (int, float): "a number"}
+
+
+def _shape(value, kind, what: str):
+    """value if it has the JSON shape kind (true and false are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_SHAPES[kind]}, got {value!r}")
+    return value
+
+
+def _coeff(value, what: str) -> float:
+    try:
+        return float(_shape(value, (int, float), what))
+    except OverflowError:
+        raise ValueError(f"{what} is out of the float range") from None
+
+
 def load_spec(path: str):
-    """Parse a .g2 JSON document into (LieAlgebraSpec, phi)."""
+    """Parse a .g2 JSON document into (LieAlgebraSpec, phi).
+
+    A document of the wrong shape is rejected with a ValueError.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _shape(json.load(fh), dict, f"{path}: the document")
     if doc.get("dim", 7) != 7:
         raise ValueError(f"{path}: only dim = 7 is supported")
     coframe = {}
-    for entry in doc.get("coframe_d", []):
-        k = int(entry["k"])
+    for entry in _shape(doc.get("coframe_d", []), list, f"{path}: coframe_d"):
+        entry = _shape(entry, dict, f"{path}: a coframe_d entry")
+        k = _shape(entry["k"], int, f"{path}: coframe index k")
         if not 1 <= k <= 7:
             raise ValueError(f"{path}: coframe index k = {k} out of range")
         terms = {}
-        for t in entry.get("terms", []):
-            i, j = int(t["i"]), int(t["j"])
+        for t in _shape(entry.get("terms", []), list, f"{path}: the terms of k = {k}"):
+            t = _shape(t, dict, f"{path}: a term of k = {k}")
+            i, j = (_shape(t[key], int, f"{path}: index {key} for k = {k}") for key in "ij")
             if not 1 <= i < j <= 7:
                 raise ValueError(f"{path}: bad index pair ({i}, {j}) for k = {k}")
-            terms[(i, j)] = float(t["coeff"])
+            terms[(i, j)] = _coeff(t["coeff"], f"{path}: coeff of ({i}, {j}) for k = {k}")
         coframe[k] = terms
     from .homogeneous import spec_from_coframe_d
 
@@ -211,7 +234,12 @@ def load_spec(path: str):
     spec = spec_from_coframe_d(name, coframe)
     phi = None
     if "phi" in doc:
-        terms = {tuple(t["indices"]): float(t["coeff"]) for t in doc["phi"]}
+        terms = {}
+        for t in _shape(doc["phi"], list, f"{path}: phi"):
+            t = _shape(t, dict, f"{path}: a phi term")
+            indices = _shape(t["indices"], list, f"{path}: phi indices")
+            idx = tuple(_shape(i, int, f"{path}: a phi index") for i in indices)
+            terms[idx] = _coeff(t["coeff"], f"{path}: coeff of phi term {idx}")
         phi = Form.from_terms(3, terms)
     return spec, phi
 

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eye, is_exact, max_abs, scalar, zeros
-from .exterior_algebra import BASIS, DIM, INDEX, frame_interior, index_columns, phi_arrays, standard_phi
-from .g2_algebra import projector_matrix
+from ._linalg import as_mode, eye, is_exact, max_abs, scalar, zeros
+from .exterior_algebra import BASIS, DIM, INDEX, index_columns, phi_arrays
+from .g2_algebra import iphi_matrix, projector_matrix
 
 PAIRS = BASIS[2]
 NPAIRS = len(PAIRS)
@@ -157,8 +157,10 @@ def scalar_curvature(r: CurvatureTensor):
 
 @functools.cache
 def _iphi_matrix(exact: bool) -> np.ndarray:
-    """7 x 21 matrix whose row u holds the pair coefficients of e_u -| phi."""
-    return frame_interior(standard_phi(exact))
+    """`iphi_matrix` in one scalar mode, read-only."""
+    m = as_mode(iphi_matrix(), exact)
+    m.flags.writeable = False
+    return m
 
 
 def phi_ricci(r: CurvatureTensor) -> np.ndarray:

@@ -22,6 +22,13 @@ The composite maps of `g2_algebra` are built once from these tables, in
 integer arithmetic; `frame_wedge` and `frame_interior` apply e^i ^ and
 e_i -| for all seven i in one pass.
 
+The Leibniz rule D e^I = sum_s (-1)^s D(e^(i_s)) ^ e^(I - i_s) is one
+table as well (`_derivation_table(k, r)`), for a derivation that maps
+1-forms to r-forms: with r = 2 it builds the invariant exterior derivative
+of `homogeneous` from d on 1-forms, with r = 1 the action of a connection
+with constant coefficients on k-forms (`_connection_stack`), and
+`covariant_wedge` alternates that action into sum_i e^i ^ grad_i a.
+
 The distinguished three-form is
 
     phi = e^127 + e^347 + e^567 + e^135 - e^245 - e^146 - e^236
@@ -249,6 +256,55 @@ def frame_wedge(stack: np.ndarray, degree: int) -> Form:
     out = zeros(t.n_out, is_exact(stack))
     np.add.at(out, t.po, t.coef * stack[t.pa, t.pb])
     return Form(degree + 1, out)
+
+
+@functools.cache
+def _derivation_table(k: int, r: int):
+    """Index table of a derivation D on k-forms from D on 1-forms.
+
+    D e^I = sum_s (-1)^s D(e^(i_s)) ^ e^(I - i_s) holds for d, which maps
+    1-forms to 2-forms (r = 2), and for the gl(7) action of a connection,
+    which maps 1-forms to 1-forms (r = 1).  Rows (pos_out, pos_in, target,
+    head, sign): D_k[pos_out, pos_in] += sign * D_1[target, head], target
+    the position of a basis r-form.
+    """
+    rows = []
+    for pos, I in enumerate(BASIS[k]):
+        for s, head in enumerate(I):
+            rest = I[:s] + I[s + 1 :]
+            for target, T in enumerate(BASIS[r]):
+                if set(T).isdisjoint(rest):
+                    merged = T + rest
+                    out = INDEX[k - 1 + r][tuple(sorted(merged))]
+                    rows.append((out, pos, target, head, (-1) ** s * perm_sign(merged)))
+    return index_columns(rows, 5)
+
+
+def _connection_stack(gamma: np.ndarray, a: Form) -> np.ndarray:
+    """(7, dim_k) coefficients of grad_(e_i) a, i = 1..7, for a form a with
+    constant coefficients.
+
+    Gamma[i, j, p] = g(grad_(e_i) e_j, e_p) gives grad_i e^p =
+    -sum_j Gamma[i, j, p] e^j, extended to k-forms by the r = 1 derivation
+    table: a is scattered into a (49, dim_k) matrix M with
+    M[j*7 + p, J] = d(grad a)_J / d Gamma[., j, p], and the stack is one
+    product of Gamma, read as 7 x 49, with M.  A NaN or infinite Gamma is
+    rejected as the antisymmetric fold (`antisym_coefficients`) rejects a
+    bad array.
+    """
+    out, pos, target, head, sign = _derivation_table(a.degree, 1)
+    exact = is_exact(gamma) or a.exact
+    m = zeros((DIM * DIM, dim_of(a.degree)), exact)
+    m[target * DIM + head, out] = -sign * a.coeffs[pos]  # each entry is written once
+    stack = gamma.reshape(DIM, DIM * DIM).dot(m)
+    if not (exact or np.isfinite(stack).all()):
+        raise ValueError("input array is not antisymmetric (residual nan)")
+    return stack
+
+
+def covariant_wedge(gamma: np.ndarray, a: Form) -> Form:
+    """alt(grad a) = sum_i e^i ^ grad_i a (equals d a for Levi-Civita)."""
+    return frame_wedge(_connection_stack(gamma, a), a.degree)
 
 
 def wedge_all(*forms: Form) -> Form:

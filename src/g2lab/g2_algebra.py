@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -121,16 +122,19 @@ def project(a: Form, label) -> Form:
 # --- symmetric 2-tensors ------------------------------------------------------
 
 
-def _iphi_dense() -> np.ndarray:
-    """Integer (21, 7) array whose column k holds e_k -| phi."""
-    return _interior_table(3).dense(DIM, dim_of(3)).dot(phi_coefficients())
+@functools.cache
+def iphi_matrix() -> np.ndarray:
+    """Read-only integer (7, 21) matrix whose row u holds e_u -| phi."""
+    m = _interior_table(3).dense(DIM, dim_of(3)).dot(phi_coefficients()).T.copy()
+    m.flags.writeable = False
+    return m
 
 
 @functools.cache
 def _lambda3_matrix(exact: bool) -> np.ndarray:
     """The 35 x 49 integer matrix of lambda3 on h flattened row by row:
     column 7a + b holds e^a ^ (e_b -| phi).  Python ints in exact mode."""
-    m = _wedge_table(1, 2).dense(DIM, dim_of(2)).dot(_iphi_dense()).reshape(dim_of(3), DIM * DIM)
+    m = _wedge_table(1, 2).dense(DIM, dim_of(2)).dot(iphi_matrix().T).reshape(dim_of(3), DIM * DIM)
     m = m.astype(object if exact else float)
     m.flags.writeable = False
     return m
@@ -240,7 +244,7 @@ def _quad_tables() -> dict:
     quad_a = IndexTable.merged(odot.pa, odot.pb, po[odot.po], sign[odot.po] * odot.coef, n, n, n)
     # (e_k -| phi) -| e^a as rows (k, a, p, coef), paired with e_k -| e^b
     c = _contract_table(2, 3).dense(dim_of(2), n)  # [p, x, a]
-    c_iphi = np.einsum("pxa,xk->kap", c, _iphi_dense())
+    c_iphi = np.einsum("pxa,kx->kap", c, iphi_matrix())
     k, a, p = np.nonzero(c_iphi)
     contract_iphi = IndexTable.from_rows(np.stack([k, a, p, c_iphi[k, a, p]], axis=1), DIM)
     quad_b = _pairing_table(contract_iphi, _interior_table(3), 1, 2, n, n)
@@ -350,19 +354,9 @@ def _wedge3_adjoint(w: Form) -> MixedV14:
     return mixed_project_14(frame_interior(w))
 
 
-@functools.cache
-def _split_constants(exact: bool) -> dict:
-    """Schur constants c_d with L_d L_d^T = c_d Q_d for the wedge3 pullbacks."""
-    consts = {}
-    for d in (27, 7):
-        q = projector_matrix(3, d, exact)
-        tr = scalar(0, exact)
-        for pos in range(35):
-            w = Form(3, q[:, pos].copy())
-            gam = _wedge3_adjoint(w)
-            tr += wedge3(gam).coeffs[pos]
-        consts[d] = tr / d
-    return consts
+# measured once by tracing wedge3 after the adjoint pullback over the basis
+# 3-forms and frozen: wedge3 of the pullback of w in Lambda^3_d is c_d w
+SPLIT_V14_CONSTANTS = {27: Fraction(7, 3), 7: Fraction(1)}
 
 
 def split_v14(gamma: MixedV14, tol: float = 1e-9):
@@ -374,12 +368,11 @@ def split_v14(gamma: MixedV14, tol: float = 1e-9):
     """
     if not gamma.membership_residual() <= tol:
         raise ValueError("slices of gamma are not in Lambda^2_14")
-    consts = _split_constants(gamma.exact)
     w = wedge3(gamma)
     parts = {}
-    for d in (27, 7):
+    for d, c in SPLIT_V14_CONSTANTS.items():
         wd = project(w, (3, d))
-        parts[d] = (1 / consts[d]) * _wedge3_adjoint(wd)
+        parts[d] = (1 / scalar(c, gamma.exact)) * _wedge3_adjoint(wd)
     g64 = gamma - parts[27] - parts[7]
     return g64, parts[27], parts[7]
 

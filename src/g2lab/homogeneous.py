@@ -8,20 +8,19 @@ Riemann tensor, the torsion of any compatible invariant G2 form, the
 canonical G2 connection, and the full set of pointwise curvature-torsion
 identities of the companion modules, bundled into `analyze`.
 
-`analyze` is one pass: `geometry` builds the d-matrices (from an index table
-over d on 1-forms), the Levi-Civita connection, the torsion and the
-nabla-bar phi residual of the canonical-connection gate once, and
-everything downstream reuses them; the torsion terms of the generalized
-Ricci formula and their derivatives are likewise built once, and each route
-gets its rows for all three weightings from one weighted sum over them.
-A connection acts on forms through an index table of the gl(7) action per
-degree (`_connection_stack`): the form is scattered into a 49 x dim_k matrix
-and the seven covariant derivatives are one product with Gamma, in float64
-and in exact mode alike.  The functions that need the d-matrices
-(`invariant_d`, `jacobi_residual`, `d_squared_residual`, `levi_civita`,
-`canonical_connection`) accept either a spec, from which they build them,
-or the already-built matrices; `levi_civita` reads the structure constants
-back off d on 1-forms and keeps its Jacobi gate either way.
+`analyze` is one pass: `geometry` builds the d-matrices, the Levi-Civita
+connection, the torsion and the nabla-bar phi residual of the
+canonical-connection gate once, and everything downstream reuses them; the
+torsion terms of the generalized Ricci formula and their derivatives are
+likewise built once, and each route gets its rows for all three weightings
+from one weighted sum over them.  d on k-forms and the action of a
+connection on k-forms are the one derivation table of `exterior_algebra`
+applied to d on 1-forms and to Gamma; both run in float64 and in exact mode
+alike.  The functions that need the d-matrices (`invariant_d`,
+`jacobi_residual`, `d_squared_residual`, `levi_civita`) accept either a
+spec, from which they build them, or the already-built matrices;
+`levi_civita` reads the structure constants back off d on 1-forms and keeps
+its Jacobi gate either way.
 
 Sign conventions: Gamma[i,j,k] = g(grad_{e_i} e_j, e_k) and
 R_ijkl = g(R(e_i,e_j) e_k, e_l) so that the hyperbolic solvable example
@@ -30,7 +29,6 @@ comes out with negative sectional curvature (a build-time self test).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,15 +37,15 @@ from ._linalg import is_exact, max_abs, scalar, zeros
 from .exterior_algebra import (
     BASIS,
     DIM,
-    INDEX,
     Form,
+    _connection_stack,
+    _derivation_table,
     antisym_coefficients,
+    covariant_wedge,
     dim_of,
-    frame_wedge,
     form_inner,
     hodge,
     index_columns,
-    perm_sign,
     phi_arrays,
     standard_phi,
     to_antisym,
@@ -122,32 +120,12 @@ def _d_on_one_forms(spec: LieAlgebraSpec) -> np.ndarray:
     return -spec.c[:, _PAIR_I, _PAIR_J].T
 
 
-@functools.cache
-def _d_table(k: int):
-    """Index table of d on k-forms in terms of d on 1-forms.
-
-    d is a derivation and 2-forms are central, so
-    d e^I = sum_s (-1)^s de^(i_s) ^ e^(I - i_s).  Rows (pos_out, pos_in,
-    pair, head, sign): D_k[pos_out, pos_in] += sign * D_1[pair, head].
-    """
-    rows = []
-    for pos, I in enumerate(BASIS[k]):
-        for s, head in enumerate(I):
-            rest = I[:s] + I[s + 1 :]
-            for p, pair in enumerate(BASIS[2]):
-                if set(pair).isdisjoint(rest):
-                    merged = pair + rest
-                    out = INDEX[k + 1][tuple(sorted(merged))]
-                    rows.append((out, pos, p, head, (-1) ** s * perm_sign(merged)))
-    return index_columns(rows, 5)
-
-
 def invariant_d_matrices(spec: LieAlgebraSpec) -> dict:
     """Per-degree matrices of the invariant exterior derivative."""
     d1 = _d_on_one_forms(spec)
     mats = {0: zeros((DIM, 1), spec.exact), 1: d1}
     for k in range(2, DIM):
-        out, pos, pair, head, sign = _d_table(k)
+        out, pos, pair, head, sign = _derivation_table(k, 2)
         m = zeros((dim_of(k + 1), dim_of(k)), spec.exact)
         np.add.at(m, (out, pos), sign * d1[pair, head])
         mats[k] = m
@@ -222,52 +200,9 @@ def riemann(spec: LieAlgebraSpec, gamma: np.ndarray = None) -> CurvatureTensor:
     return from_full(term1 - term2 - term3)
 
 
-@functools.cache
-def _action_table(k: int):
-    """Index table of the gl(7) action on k-forms, rows (j*7 + p, pos_in, pos_out, coef).
-
-    Gamma_i acts as a derivation: (grad_i a)_J = -sum_s Gamma[i, j_s, p]
-    a_(J with j_s -> p), and the moved multi-index is sorted back to the
-    basis form at pos_in with the sign of that sort.  (j*7 + p, pos_out) is
-    distinct across rows: j fixes the slot s of J.
-    """
-    rows = []
-    for pos, J in enumerate(BASIS[k]):
-        for s, j in enumerate(J):
-            for p in range(DIM):
-                moved = J[:s] + (p,) + J[s + 1 :]
-                if len(set(moved)) == k:
-                    rows.append((j * DIM + p, INDEX[k][tuple(sorted(moved))], pos, -perm_sign(moved)))
-    return index_columns(rows, 4)
-
-
-def _connection_stack(gamma: np.ndarray, a: Form) -> np.ndarray:
-    """(7, dim_k) coefficients of grad_{e_i} a, i = 1..7, for an invariant a.
-
-    The action table scatters a into a (49, dim_k) matrix M with
-    M[j*7 + p, J] = d(grad a)_J / d Gamma[., j, p]; the stack is one product
-    of Gamma, read as a 7 x 49 matrix, with M.  A finite Gamma always gives
-    the coefficients of seven k-forms; a NaN or infinite one is rejected as
-    the antisymmetric fold (`antisym_coefficients`) rejects a bad array.
-    """
-    jp, pos_in, pos_out, coef = _action_table(a.degree)
-    exact = is_exact(gamma) or a.exact
-    m = zeros((DIM * DIM, dim_of(a.degree)), exact)
-    m[jp, pos_out] = coef * a.coeffs[pos_in]  # each entry is written once
-    stack = gamma.reshape(DIM, DIM * DIM).dot(m)
-    if not (exact or np.isfinite(stack).all()):
-        raise ValueError("input array is not antisymmetric (residual nan)")
-    return stack
-
-
 def connection_form_action(gamma: np.ndarray, a: Form) -> list:
     """[grad_{e_i} a for i = 1..7] for an invariant form a."""
     return [Form(a.degree, row) for row in _connection_stack(gamma, a)]
-
-
-def covariant_wedge(gamma: np.ndarray, a: Form) -> Form:
-    """alt(grad a) = sum_i e^i ^ grad_i a (equals d a for Levi-Civita)."""
-    return frame_wedge(_connection_stack(gamma, a), a.degree)
 
 
 # --- the full invariant pipeline -----------------------------------------------------
@@ -303,45 +238,11 @@ class InvariantGeometry:
         return covariant_wedge(self.gamma_bar, a)
 
 
-def _torsion_of(mats: dict, phi: Form) -> TorsionComponents:
-    return extract_torsion(phi, invariant_d(mats, phi), invariant_d(mats, hodge(phi)))
-
-
-def _canonical_connection(mats: dict, phi: Form, tol: float, gamma: np.ndarray, torsion) -> tuple:
-    """(xi, gamma_bar, max |nabla-bar phi|) behind the gate of `canonical_connection`."""
-    if phi is None:
-        phi = standard_phi(is_exact(mats[1]))
-    if gamma is None:
-        gamma = levi_civita(mats)
-    if torsion is None:
-        torsion = _torsion_of(mats, phi)
-    xi = intrinsic_from_torsion(torsion)
-    gamma_bar = gamma - xi.xi
-    res = max_abs(_connection_stack(gamma_bar, phi))
-    scale = max(max_abs(gamma), 1.0)
-    if not res <= tol * scale:
-        raise ValueError(
-            f"canonical connection does not annihilate phi (residual {res:.3g})"
-        )
-    return xi, gamma_bar, res
-
-
-def canonical_connection(
-    spec_or_mats,
-    phi: Form = None,
-    tol: float = 1e-9,
-    gamma: np.ndarray = None,
-    torsion: TorsionComponents = None,
-):
-    """Intrinsic torsion and canonical-connection coefficients.
-
-    Returns (xi, gamma_bar) with gamma_bar = gamma - xi; construction fails
-    if nabla-bar phi does not vanish, which would signal a convention error
-    upstream rather than a property of the input.  The Levi-Civita
-    coefficients and the torsion are computed unless they are passed in.
-    """
-    xi, gamma_bar, _ = _canonical_connection(_as_mats(spec_or_mats), phi, tol, gamma, torsion)
-    return xi, gamma_bar
+def canonical_connection(spec: LieAlgebraSpec, phi: Form = None):
+    """Intrinsic torsion and canonical-connection coefficients (xi, gamma_bar)
+    of `geometry`, with gamma_bar = gamma - xi."""
+    geo = geometry(spec, phi)
+    return geo.xi, geo.gamma_bar
 
 
 def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
@@ -355,8 +256,16 @@ def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
     mats = invariant_d_matrices(spec)
     gamma = levi_civita(mats)
     r = riemann(spec, gamma)
-    t = _torsion_of(mats, phi)
-    xi, gamma_bar, nabla_bar_phi = _canonical_connection(mats, phi, 1e-9, gamma, t)
+    t = extract_torsion(phi, invariant_d(mats, phi), invariant_d(mats, hodge(phi)))
+    xi = intrinsic_from_torsion(t)
+    gamma_bar = gamma - xi.xi
+    # the canonical connection annihilates phi; a residual signals a
+    # convention error upstream rather than a property of the input
+    nabla_bar_phi = max_abs(_connection_stack(gamma_bar, phi))
+    if not nabla_bar_phi <= 1e-9 * max(max_abs(gamma), 1.0):
+        raise ValueError(
+            f"canonical connection does not annihilate phi (residual {nabla_bar_phi:.3g})"
+        )
     return InvariantGeometry(
         spec=spec,
         phi=phi,

@@ -17,8 +17,8 @@ The intrinsic torsion is recovered through the contraction dictionary
 
 xi_ijk = xibar_ip phi_pjk / 6.  The 27-part normalisation is pinned by
 requiring that the reconstructed xi reproduces (d phi, d *phi) through
-d = alt(grad) with grad phi = -xi . phi, which is also how the module can
-rebuild the differentials from xibar (`differential_from_xibar`).
+d = alt(grad), where grad phi and grad *phi are the gl(7) action of xi:
+`differential_from_xibar` is `covariant_wedge(xi, .)` on phi and *phi.
 
 The generalized Ricci formula is linear in its weighting k, so it is stored
 as data: `RICCI_TABLE` holds, per term and route, the (k1, k2) coefficients
@@ -40,7 +40,7 @@ from .exterior_algebra import (
     DIM,
     Form,
     _wedge_table,
-    from_antisym,
+    covariant_wedge,
     hodge,
     hodge_matrix,
     hodge_table,
@@ -270,42 +270,16 @@ def intrinsic_from_torsion(t: TorsionComponents) -> IntrinsicTorsion:
 
 
 def differential_from_xibar(xibar: np.ndarray):
-    """(d phi, d *phi) implied by an intrinsic torsion, via grad = alt(d).
+    """(d phi, d *phi) implied by an intrinsic torsion, via d = alt(grad).
 
-    With grad_i phi = -(xi_i . phi) for the so(7) action of xi_i and the
-    alternation formula for d on parallel-coefficient forms.  Used to pin
-    the normalisations of intrinsic_from_torsion against recompose.
+    The canonical connection annihilates phi and *phi, so the Levi-Civita
+    derivative of either is the gl(7) action of xi, and d is its
+    alternation `covariant_wedge`.  Used to pin the normalisations of
+    intrinsic_from_torsion against recompose.
     """
-    exact = is_exact(xibar)
     xi = xi_from_xibar(xibar)
-    p3, p4 = phi_arrays(exact)
-
-    # (grad_i phi)_jkl = -(xi_ijp phi_pkl + xi_ikp phi_jpl + xi_ilp phi_jkp)
-    # with T[i,a,b,c] = xi_iap phi_pbc the three terms are
-    # T[i,j,k,l], -T[i,k,j,l], T[i,l,j,k]
-    t1 = np.tensordot(xi, p3, axes=([2], [0]))
-    grad_phi = -(t1 - t1.swapaxes(1, 2) + np.moveaxis(t1, 1, 3))
-    dphi_arr = (
-        grad_phi
-        - np.moveaxis(grad_phi, 0, 1)
-        + np.moveaxis(grad_phi, 0, 2)
-        - np.moveaxis(grad_phi, 0, 3)
-    )
-
-    # same pattern one degree up: S[i,j,k,l,m], -S[i,k,j,l,m],
-    # S[i,l,j,k,m], -S[i,m,j,k,l]
-    s1 = np.tensordot(xi, p4, axes=([2], [0]))
-    grad_star = -(
-        s1 - s1.swapaxes(1, 2) + np.moveaxis(s1, 1, 3) - np.moveaxis(s1, 1, 4)
-    )
-    dstar_arr = (
-        grad_star
-        - np.moveaxis(grad_star, 0, 1)
-        + np.moveaxis(grad_star, 0, 2)
-        - np.moveaxis(grad_star, 0, 3)
-        + np.moveaxis(grad_star, 0, 4)
-    )
-    return from_antisym(dphi_arr, 4), from_antisym(dstar_arr, 5)
+    exact = is_exact(xibar)
+    return covariant_wedge(xi, standard_phi(exact)), covariant_wedge(xi, standard_phi_dual(exact))
 
 
 # --- scalar curvature and closed-structure identities ---------------------------

@@ -100,6 +100,26 @@ def test_analyze_malformed_file(tmp_path, capsys):
         )
     )
     assert main(["analyze", str(bad)]) == 2
+    # documents of the wrong JSON shape are input errors, not crashes
+    term = {"i": 1, "j": 7, "coeff": 1}
+    shapes = [
+        [1, 2],
+        "x",
+        {"coframe_d": 5},
+        {"coframe_d": [5]},
+        {"coframe_d": [{"k": 1, "terms": 3}]},
+        {"coframe_d": [{"k": 1, "terms": [{**term, "coeff": [1]}]}]},
+        {"coframe_d": [{"k": 1, "terms": [{**term, "i": None}]}]},
+        {"coframe_d": [{"k": 1, "terms": [{**term, "coeff": 10**400}]}]},
+        {"phi": [{"indices": 5, "coeff": 1}]},
+        {"phi": [{"indices": [1, 2, True], "coeff": 1}]},
+    ]
+    for doc in shapes:
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_spec(str(bad))
+        assert main(["analyze", str(bad)]) == 2, doc
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_analyze_jacobi_violation(tmp_path, capsys):

@@ -6,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g2lab._linalg import max_abs
+from g2lab._linalg import max_abs, scalar
 from g2lab.exterior_algebra import (
     Form,
     basis_vector,
     contract,
     dim_of,
     form_inner,
+    frame_interior,
     hodge,
     interior,
     standard_omega,
@@ -23,9 +24,12 @@ from g2lab.exterior_algebra import (
 )
 from g2lab.g2_algebra import (
     SIGMA_LAMBDA3_CONSTANT,
+    SPLIT_V14_CONSTANTS,
     VALID_LABELS,
     MixedV14,
+    _wedge3_adjoint,
     include_3form,
+    iphi_matrix,
     lambda3,
     wedge3_test_pair,
     mixed_project_14,
@@ -149,6 +153,13 @@ def test_sigma_symmetry_criteria():
     assert abs(np.trace(s27)) < 1e-12  # traceless without a 1-part
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_iphi_matrix_rows_are_interior_products_of_phi(exact):
+    m = iphi_matrix()
+    assert m.dtype == np.int64 and not m.flags.writeable
+    assert np.array_equal(m, frame_interior(standard_phi(exact)))
+
+
 def test_sigma_lambda3_constant_frozen():
     for _ in range(5):
         h = random_traceless()
@@ -243,6 +254,18 @@ def test_split_reassembles_and_orthogonal():
         assert max_abs(project(w27, (3, 27)).coeffs - w27.coeffs) < 1e-10
         w7 = wedge3(g7)
         assert max_abs(project(w7, (3, 7)).coeffs - w7.coeffs) < 1e-10
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_split_constants_frozen(exact):
+    # Schur: wedge3 of the adjoint pullback is c_d p_d on 3-forms, so its
+    # trace over the basis 3-forms, projected to Lambda^3_d, is d c_d
+    for d, c in SPLIT_V14_CONSTANTS.items():
+        q = projector_matrix(3, d, exact)
+        tr = scalar(0, exact)
+        for pos in range(35):
+            tr += wedge3(_wedge3_adjoint(Form(3, q[:, pos].copy()))).coeffs[pos]
+        assert tr / d == scalar(c, exact)
 
 
 def test_split_rejects_bad_slices():

@@ -199,6 +199,7 @@ def test_canonical_connection_annihilates_phi():
     ):
         xi, gamma_bar = canonical_connection(spec)
         geo = geometry(spec)
+        assert np.array_equal(xi.xi, geo.xi.xi) and np.array_equal(gamma_bar, geo.gamma_bar)
         res = max(max_abs(f.coeffs) for f in geo.nabla_bar(PHI))
         assert res < 1e-12
         assert max_abs(gamma_bar + gamma_bar.transpose(0, 2, 1)) < 1e-13
@@ -415,6 +416,30 @@ def assert_matches_ref(got, want, exact):
         assert np.array_equal(got, want)
     else:
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+def ref_d(spec, degree, exact):
+    """Columns d e^I = sum_s (-1)^s de^(i_s) ^ e^(I - i_s), through `wedge`,
+    with de^h = -sum_(i<j) c^h_ij e^ij read off the structure constants."""
+    de = [Form(2, -np.array([spec.c[h, i, j] for i, j in BASIS[2]])) for h in range(7)]
+    cols = []
+    for I in BASIS[degree]:
+        col = Form.zero(degree + 1, exact)
+        for s, head in enumerate(I):
+            rest = Form.basis([i + 1 for i in I[:s] + I[s + 1 :]], exact)
+            col = col + (-1) ** s * wedge(de[head], rest)
+        cols.append(col.coeffs)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_d_matrices_match_leibniz_reference(exact):
+    rng = np.random.default_rng(22)
+    c = _seeded((7, 7, 7), exact, rng)
+    spec = LieAlgebraSpec("random", c - c.transpose(0, 2, 1))  # Jacobi is not needed for d
+    mats = invariant_d_matrices(spec)
+    for degree in range(1, 7):
+        assert_matches_ref(mats[degree], ref_d(spec, degree, exact), exact)
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -297,6 +297,21 @@ def test_xibar_piece_projections():
     )
 
 
+def dyadic_torsion(seed: int) -> TorsionComponents:
+    """An exact quadruple from dyadic draws, projected onto Lambda^2_14 and Lambda^3_27."""
+    rng = np.random.default_rng(seed)
+
+    def dyadic(n):
+        return as_mode(np.round(rng.normal(size=n) * 16) / 16, True)
+
+    return TorsionComponents(
+        dyadic(1)[0],
+        Form(1, dyadic(7)),
+        Form(2, projector_matrix(2, 14, True).dot(dyadic(21))),
+        Form(3, projector_matrix(3, 27, True).dot(dyadic(35))),
+    )
+
+
 def test_intrinsic_matches_structure_equations():
     """The assembled xibar regenerates (d phi, d *phi) through grad = alt(d)."""
     for seed in range(10):
@@ -306,6 +321,14 @@ def test_intrinsic_matches_structure_equations():
         r1, r2 = recompose(t)
         assert max_abs(d1.coeffs - r1.coeffs) < 1e-11
         assert max_abs(d2.coeffs - r2.coeffs) < 1e-11
+    for seed in range(3):
+        t = dyadic_torsion(seed)
+        assert max_abs(t.tau2.coeffs) > 0 and max_abs(t.tau3.coeffs) > 0
+        d1, d2 = differential_from_xibar(intrinsic_from_torsion(t).xi_bar)
+        r1, r2 = recompose(t)
+        for got, want in ((d1.coeffs, r1.coeffs), (d2.coeffs, r2.coeffs)):
+            assert set(map(type, got)) == {Fraction}
+            assert np.array_equal(got, want)
 
 
 def test_closed_cyclic_identity():
