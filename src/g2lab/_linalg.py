@@ -3,8 +3,9 @@
 Every kernel in this package runs in one of two scalar modes: float64
 (default) or exact rationals (``fractions.Fraction`` held in object-dtype
 numpy arrays).  numpy's ``dot``/``tensordot`` support object arrays, but
-``einsum``, ``matmul`` and most of ``np.linalg`` do not, so the few places
-that need an inverse or pseudo-inverse go through the helpers below.
+``einsum``, ``matmul`` and most of ``np.linalg`` do not.  The package
+inverts its maps by closed-form identities; `pinv` and `inv_exact` remain
+as the numerical references the tests compare those against.
 """
 
 from __future__ import annotations

@@ -208,7 +208,9 @@ def _coeff(value, what: str) -> float:
 def load_spec(path: str):
     """Parse a .g2 JSON document into (LieAlgebraSpec, phi).
 
-    A document of the wrong shape is rejected with a ValueError.
+    A document of the wrong shape, or one that repeats a coframe index k, an
+    index pair within one k or a phi multi-index, is rejected with a
+    ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         doc = _shape(json.load(fh), dict, f"{path}: the document")
@@ -220,12 +222,16 @@ def load_spec(path: str):
         k = _shape(entry["k"], int, f"{path}: coframe index k")
         if not 1 <= k <= 7:
             raise ValueError(f"{path}: coframe index k = {k} out of range")
+        if k in coframe:
+            raise ValueError(f"{path}: coframe index k = {k} is repeated")
         terms = {}
         for t in _shape(entry.get("terms", []), list, f"{path}: the terms of k = {k}"):
             t = _shape(t, dict, f"{path}: a term of k = {k}")
             i, j = (_shape(t[key], int, f"{path}: index {key} for k = {k}") for key in "ij")
             if not 1 <= i < j <= 7:
                 raise ValueError(f"{path}: bad index pair ({i}, {j}) for k = {k}")
+            if (i, j) in terms:
+                raise ValueError(f"{path}: index pair ({i}, {j}) is repeated for k = {k}")
             terms[(i, j)] = _coeff(t["coeff"], f"{path}: coeff of ({i}, {j}) for k = {k}")
         coframe[k] = terms
     from .homogeneous import spec_from_coframe_d
@@ -239,6 +245,8 @@ def load_spec(path: str):
             t = _shape(t, dict, f"{path}: a phi term")
             indices = _shape(t["indices"], list, f"{path}: phi indices")
             idx = tuple(_shape(i, int, f"{path}: a phi index") for i in indices)
+            if idx in terms:
+                raise ValueError(f"{path}: phi multi-index {idx} is repeated")
             terms[idx] = _coeff(t["coeff"], f"{path}: coeff of phi term {idx}")
         phi = Form.from_terms(3, terms)
     return spec, phi

@@ -10,7 +10,9 @@ conventions:
   ||r_g(g)||^2 = 336;
 * the Ricci contraction is c^g(r)(u, v) = r(u, e_i, e_i, v) and the
   phi-Ricci is c^phi(r)(u, v) = 4 r(u -| phi, v -| phi), evaluated by
-  pairing pair-basis coefficient vectors.
+  pairing pair-basis coefficient vectors.  c^g is the adjoint of r_g and
+  gathers through the r_g table; r_phi(h) is b^T h^T b with b the rows
+  e_u -| phi, the matrix c^phi pairs with.
 
 The five-block splitting is
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import as_mode, eye, is_exact, max_abs, scalar, zeros
-from .exterior_algebra import BASIS, DIM, INDEX, index_columns, phi_arrays
+from .exterior_algebra import BASIS, DIM, INDEX, index_columns
 from .g2_algebra import iphi_matrix, projector_matrix
 
 PAIRS = BASIS[2]
@@ -147,8 +149,16 @@ def random_algebraic_curvature(seed: int = 0, exact: bool = False) -> CurvatureT
 
 
 def ricci(r: CurvatureTensor) -> np.ndarray:
-    """c^g(r)(u, v) = r(u, e_i, e_i, v)."""
-    return r.to_full().trace(axis1=1, axis2=2)
+    """c^g(r)(u, v) = r(u, e_i, e_i, v).
+
+    c^g is the adjoint of r_g over the pair matrix, <h, c^g(M)> =
+    <r_g(h), M> for every 21 x 21 M, so it gathers through the table of
+    `kn_product`.
+    """
+    pos_out, pos_in, sign = _kn_table()
+    ric = zeros(DIM * DIM, r.exact)
+    np.add.at(ric, pos_in, sign * r.mat.reshape(-1)[pos_out])
+    return ric.reshape(DIM, DIM)
 
 
 def scalar_curvature(r: CurvatureTensor):
@@ -214,13 +224,12 @@ def _kn_metric(exact: bool) -> CurvatureTensor:
 def phi_product(h: np.ndarray) -> CurvatureTensor:
     """r_phi(h): insert both slots of h into phi, Bianchi-projected.
 
-    T_ijkl = h_ab phi_aij phi_bkl followed by removal of the Lambda^4 part.
+    T_ijkl = h_ab phi_bij phi_akl, the pair matrix b^T h^T b with b the rows
+    e_u -| phi of `iphi_matrix`, followed by removal of the Lambda^4 part.
     """
     h = np.asarray(h)
-    p3, _ = phi_arrays(is_exact(h))
-    hphi = np.tensordot(h, p3, axes=([1], [0]))  # (a, i, j) -> h_ab phi_bij
-    full = np.tensordot(hphi, p3, axes=([0], [0]))  # phi_a.. phi_a..
-    return project_to_kernel(from_full(full))
+    b = _iphi_matrix(is_exact(h))
+    return project_to_kernel(CurvatureTensor(b.T.dot(h.T).dot(b)))
 
 
 def generalized_ricci(r: CurvatureTensor, k) -> np.ndarray:

@@ -304,6 +304,8 @@ def _connection_stack(gamma: np.ndarray, a: Form) -> np.ndarray:
 
 def covariant_wedge(gamma: np.ndarray, a: Form) -> Form:
     """alt(grad a) = sum_i e^i ^ grad_i a (equals d a for Levi-Civita)."""
+    if a.degree == DIM:
+        raise ValueError("alt(grad a) of a top-degree form vanishes identically")
     return frame_wedge(_connection_stack(gamma, a), a.degree)
 
 

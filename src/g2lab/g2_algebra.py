@@ -15,7 +15,10 @@ Projector conventions (degree 2 and 3 from the defining formulas, degrees
     p Lambda^3_7  (beta)  = *(*(phi ^ beta) ^ phi) / 4
 
 sigma contracts over both slots of the component arrays,
-sigma(alpha)_ij = phi_ipq alpha_jpq, so sigma(phi) = 6 g.
+sigma(alpha)_ij = phi_ipq alpha_jpq, so sigma(phi) = 6 g.  It is twice the
+adjoint of lambda3 (2 lambda3^T, read as a 7 x 7 matrix and transposed), and
+sigma(lambda3(h)) = 4 h on traceless symmetric h makes sigma / 4 the inverse
+of lambda3 on Lambda^3_27.
 
 lambda3 and the brackets are stored as data: lambda3 is a 35 x 49 integer
 matrix, and [a (.) b], [b^2]^A and [b^2]^B are bilinear index tables.  They
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import as_mode, eye, is_exact, max_abs, pinv, scalar, zeros
+from ._linalg import as_mode, eye, is_exact, max_abs, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
@@ -45,9 +48,7 @@ from .exterior_algebra import (
     frame_wedge,
     hodge_matrix,
     hodge_table,
-    phi_arrays,
     phi_coefficients,
-    to_antisym,
     wedge_phi_matrix,
 )
 
@@ -149,14 +150,14 @@ def lambda3(h: np.ndarray) -> Form:
 def sigma_contract(a: Form) -> np.ndarray:
     """sigma(a)_ij = phi_ipq a_jpq (both slots contracted); sigma(phi) = 6 g.
 
-    Symmetric exactly when a has no Lambda^3_7 part, traceless exactly when
-    it has no Lambda^3_1 part.
+    sigma is twice the adjoint of lambda3: <lambda3(h), a> = <h, sigma(a)^T> / 2
+    in coefficient inner products, so it is one product with the transposed
+    lambda3 matrix.  Symmetric exactly when a has no Lambda^3_7 part,
+    traceless exactly when it has no Lambda^3_1 part.
     """
     if a.degree != 3:
         raise ValueError("sigma_contract expects a 3-form")
-    p3, _ = phi_arrays(a.exact)
-    arr = to_antisym(a).array
-    return np.tensordot(p3, arr, axes=([1, 2], [1, 2]))
+    return 2 * _lambda3_matrix(a.exact).T.dot(a.coeffs).reshape(DIM, DIM).T
 
 
 # measured once on basis tensors and frozen: sigma(lambda3(h))_0 = c h for
@@ -164,29 +165,11 @@ def sigma_contract(a: Form) -> np.ndarray:
 SIGMA_LAMBDA3_CONSTANT = 4
 
 
-def _sym_basis():
-    """Basis E_ab (a <= b) of symmetric 2-tensors, E_ab = e^a (.) e^b."""
-    basis = []
-    for a in range(DIM):
-        for b in range(a, DIM):
-            basis.append((a, b))
-    return basis
-
-
-@functools.cache
-def _lambda3_pinv(exact: bool) -> tuple:
-    sym = _sym_basis()
-    lam = _lambda3_matrix(True)
-    # lambda3 of E_ab: columns 7a + b and 7b + a, once on the diagonal
-    cols = [lam[:, DIM * a + b] + (lam[:, DIM * b + a] if a != b else 0) for a, b in sym]
-    m = as_mode(np.stack(cols, axis=1), exact)  # 35 x 28, rank 28
-    return sym, pinv(m)
-
-
 def sym2_from_27(a: Form, tol: float = 1e-10) -> np.ndarray:
     """Invert lambda3 on Lambda^3_27, returning a traceless symmetric tensor.
 
-    Rejects inputs with a Lambda^3_1 or Lambda^3_7 component above tol.
+    On Lambda^3_27 the inverse is sigma / SIGMA_LAMBDA3_CONSTANT.  Rejects
+    inputs with a Lambda^3_1 or Lambda^3_7 component above tol.
     """
     if a.degree != 3:
         raise ValueError("sym2_from_27 expects a 3-form")
@@ -196,13 +179,7 @@ def sym2_from_27(a: Form, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(
             f"input is not in Lambda^3_27: |p_1 a| = {r1:.3g}, |p_7 a| = {r7:.3g}"
         )
-    sym, m_pinv = _lambda3_pinv(a.exact)
-    sol = m_pinv.dot(a.coeffs)
-    h = zeros((DIM, DIM), a.exact)
-    for (pa, pb), v in zip(sym, sol):
-        h[pa, pb] = v
-        h[pb, pa] = v
-    return h
+    return sigma_contract(a) / SIGMA_LAMBDA3_CONSTANT
 
 
 # --- quadratic contractions ---------------------------------------------------

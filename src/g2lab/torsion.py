@@ -7,8 +7,9 @@ takes its standard coefficients.  The structure equations
     d *phi = 4 tau1 ^ *phi + tau2 ^ phi
 
 with tau2 in Lambda^2_14 and tau3 in Lambda^3_27 determine the four torsion
-components uniquely; extraction inverts the constant injective maps
-a -> a ^ phi degreewise with precomputed pseudo-inverses.
+components uniquely.  Extraction inverts a -> a ^ phi degreewise by two
+pointwise identities (Bryant, arXiv:math/0305124): |alpha ^ phi|^2 =
+4 |alpha|^2 on 1-forms and tau ^ phi = -*tau on Lambda^2_14.
 
 The intrinsic torsion is recovered through the contraction dictionary
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_mode, eye, is_exact, max_abs, pinv, scalar, zeros
+from ._linalg import as_mode, eye, is_exact, max_abs, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
@@ -125,28 +126,23 @@ def _pack(t: TorsionComponents) -> np.ndarray:
 def _structure_tables(exact: bool) -> tuple:
     """Read-only (extract, membership, rebuild) matrices in one scalar mode.
 
-    extract (64 x 56) solves u for v: tau0 = <d phi, *phi> / 7, tau1 and
-    tau2 by pseudo-inverses of a -> a ^ phi on the 7-part of d phi and the
-    14-part of d *phi (the degree-1 map is injective into Lambda^4_7; the
-    degree-2 map is a bijection of 21-dimensional spaces, composed with the
-    projection onto Lambda^2_14), tau3 = *(d phi)_27.  membership (56 x 64)
-    is p - 1 of Lambda^2_14 on tau2 and of Lambda^3_27 on tau3; rebuild
-    (56 x 64) is the structure equations v -> u.
+    extract (64 x 56) solves u for v: tau0 = <d phi, *phi> / 7, tau1 =
+    w1^T (d phi)_7 / 12 with w1 the matrix of a -> a ^ phi on 1-forms
+    (w1^T w1 = 4), tau2 = -*(d *phi)_14 (tau ^ phi = -*tau on Lambda^2_14,
+    and * maps Lambda^5_14 onto Lambda^2_14), tau3 = *(d phi)_27.
+    membership (56 x 64) is p - 1 of Lambda^2_14 on tau2 and of Lambda^3_27
+    on tau3; rebuild (56 x 64) is the structure equations v -> u.
     """
     starphi = hodge_matrix(3).dot(phi_coefficients())
-    w1 = as_mode(wedge_phi_matrix(1), exact)  # 35 x 7
-    w2 = as_mode(wedge_phi_matrix(2), exact)  # 21 x 21, invertible
-    q14 = projector_matrix(2, 14, exact)
-
     extract = zeros((64, 56), exact)
     extract[0, :35] = as_mode(starphi, exact) / 7
-    extract[1:8, :35] = pinv(w1).dot(projector_matrix(4, 7, exact)) / 3
-    extract[8:29, 35:] = q14.dot(pinv(w2)).dot(projector_matrix(5, 14, exact))
+    extract[1:8, :35] = as_mode(wedge_phi_matrix(1).T, exact).dot(projector_matrix(4, 7, exact)) / 12
+    extract[8:29, 35:] = as_mode(-hodge_matrix(5), exact).dot(projector_matrix(5, 14, exact))
     po, sign = hodge_table(4)
     extract[29 + po, :35] = as_mode(sign[:, None], exact) * projector_matrix(4, 27, exact)
 
     membership = zeros((56, 64), exact)
-    membership[:21, 8:29] = q14 - eye(21, exact)
+    membership[:21, 8:29] = projector_matrix(2, 14, exact) - eye(21, exact)
     membership[21:, 29:] = projector_matrix(3, 27, exact) - eye(35, exact)
 
     rebuild = np.zeros((56, 64), dtype=np.int64)

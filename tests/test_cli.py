@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -114,12 +115,22 @@ def test_analyze_malformed_file(tmp_path, capsys):
         {"phi": [{"indices": 5, "coeff": 1}]},
         {"phi": [{"indices": [1, 2, True], "coeff": 1}]},
     ]
-    for doc in shapes:
+    # a repeated entry is named, not silently overwritten
+    repeats = {
+        "k = 1 is repeated": {"coframe_d": [{"k": 1, "terms": [term]}, {"k": 1, "terms": [{**term, "i": 2}]}]},
+        "(2, 7) is repeated for k = 2": {"coframe_d": [{"k": 2, "terms": [{**term, "i": 2}] * 2}]},
+        "(1, 2, 3) is repeated": {"phi": [{"indices": [1, 2, 3], "coeff": 1}] * 2},
+    }
+    for doc in shapes + list(repeats.values()):
         bad.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_spec(str(bad))
         assert main(["analyze", str(bad)]) == 2, doc
         assert capsys.readouterr().err.startswith("error: ")
+    for what, doc in repeats.items():
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(what)):
+            load_spec(str(bad))
 
 
 def test_analyze_jacobi_violation(tmp_path, capsys):

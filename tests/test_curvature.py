@@ -26,6 +26,7 @@ from g2lab.curvature import (
     ricci,
     scalar_curvature,
 )
+from g2lab.exterior_algebra import phi_arrays
 
 RNG = np.random.default_rng(11)
 G = np.eye(7)
@@ -95,6 +96,49 @@ def test_kn_product_matches_the_outer_product_formula(exact):
             assert set(map(type, got.flat)) == {Fraction}
         # at most two terms per entry, so float sums do not depend on their order
         assert np.array_equal(got, want)
+
+
+def _dyadic(shape, rng):
+    return np.vectorize(lambda v: Fraction(int(v), 8), otypes=[object])(rng.integers(-40, 41, size=shape))
+
+
+def ref_phi_product(h):
+    """r_phi through the full arrays: two tensordots with phi, then the kernel projection."""
+    p3, _ = phi_arrays(is_exact(h))
+    hphi = np.tensordot(h, p3, axes=([1], [0]))  # (a, i, j) -> h_ab phi_bij
+    return project_to_kernel(from_full(np.tensordot(hphi, p3, axes=([0], [0]))))
+
+
+#: a few roundings of the largest input entry: each output entry of ricci and
+#: r_phi sums a handful of products of the input with small integer weights
+ROUNDING = 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_ricci_is_the_adjoint_of_kn_product(exact):
+    rng = np.random.default_rng(19)
+    for _ in range(4):  # not symmetric: the adjoint holds on every pair matrix
+        m = _dyadic((21, 21), rng) if exact else rng.normal(size=(21, 21))
+        r = CurvatureTensor(m)
+        got, want = ricci(r), r.to_full().trace(axis1=1, axis2=2)
+        if exact:
+            assert set(map(type, got.flat)) == {Fraction} and np.array_equal(got, want)
+        else:
+            assert max_abs(got - want) <= ROUNDING * max_abs(m)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_phi_product_matches_the_tensordot_formula(exact):
+    rng = np.random.default_rng(23)
+    for symmetric in (True, False, False):
+        h = _dyadic((7, 7), rng) if exact else rng.normal(size=(7, 7))
+        if symmetric:
+            h = (h + h.T) / 2
+        got, want = phi_product(h).mat, ref_phi_product(h).mat
+        if exact:
+            assert set(map(type, got.flat)) == {Fraction} and np.array_equal(got, want)
+        else:
+            assert max_abs(got - want) <= ROUNDING * max_abs(h)
 
 
 def test_ricci_contraction_constants():

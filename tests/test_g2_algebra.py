@@ -16,10 +16,12 @@ from g2lab.exterior_algebra import (
     frame_interior,
     hodge,
     interior,
+    phi_arrays,
     standard_omega,
     standard_phi,
     standard_psi_minus,
     standard_psi_plus,
+    to_antisym,
     wedge,
 )
 from g2lab.g2_algebra import (
@@ -378,6 +380,12 @@ def ref_lambda3(h, exact):
     return out.coeffs
 
 
+def ref_sigma(a):
+    """sigma through the unfolded component arrays of phi and a."""
+    p3, _ = phi_arrays(a.exact)
+    return np.tensordot(p3, to_antisym(a).array, axes=([1, 2], [1, 2]))
+
+
 def ref_odot_bracket(a, b, exact):
     out = Form.zero(a.degree + b.degree - 2, exact)
     for k in range(1, 8):
@@ -418,6 +426,34 @@ def test_lambda3_matches_loop_reference(exact):
         assert_table_matches(lambda3(h).coeffs, ref_lambda3(h, exact), exact)
     g = np.eye(7, dtype=object) * Fraction(1) if exact else np.eye(7)
     assert_table_matches(lambda3(g).coeffs, ref_lambda3(g, exact), exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_sigma_matches_the_unfolded_contraction(exact):
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        a = _seeded_form(3, exact, rng)  # all three parts, so sigma(a) is not symmetric
+        got, want = sigma_contract(a), ref_sigma(a)
+        if exact:
+            assert_table_matches(got, want, exact)
+        else:
+            # per entry the reference sums six products phi_ipq a_jpq, the
+            # table three and doubles them: a few roundings of max |a|
+            assert max_abs(got - want) <= 16 * np.finfo(float).eps * max_abs(a.coeffs)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_sym2_from_27_inverts_lambda3_exactly_on_dyadic_input(exact):
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        n = rng.integers(-64, 65, size=(7, 7))
+        n = n + n.T
+        n[6, 6] = -np.trace(n[:6, :6])
+        h = np.vectorize(lambda v: Fraction(int(v), 8), otypes=[object])(n)
+        if not exact:
+            h = h.astype(float)  # dyadic, so float carries it exactly
+        rec = sym2_from_27(lambda3(h))
+        assert rec.dtype == h.dtype and np.array_equal(rec, h)
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -214,6 +214,14 @@ def test_d_equals_alt_grad():
         assert max_abs(lhs.coeffs - rhs.coeffs) < 1e-12
 
 
+def test_covariant_wedge_of_a_top_degree_form_is_rejected():
+    geo = geometry(builtin_examples()["bryant"]["spec"])
+    vol = Form.basis(tuple(range(1, 8)))
+    for alt_grad in (lambda a: covariant_wedge(geo.gamma, a), geo.d_nabla_bar, geo.d):
+        with pytest.raises(ValueError, match="top-degree form vanishes identically"):
+            alt_grad(vol)
+
+
 def test_nabla_bar_tau_split_closed():
     geo = geometry(HEIS)
     # heis is not closed; use bryant and a closed nilpotent variant

@@ -2,11 +2,13 @@
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from g2lab import _linalg, torsion
 from g2lab._linalg import as_mode, max_abs, pinv, scalar
 from g2lab.exterior_algebra import (
     Form,
@@ -26,6 +28,7 @@ from g2lab.g2_algebra import (
     quad_B,
     quad_C,
     sigma_contract,
+    sym2_from_27,
 )
 from g2lab.homogeneous import K_VALUES
 from g2lab.torsion import (
@@ -239,6 +242,46 @@ def test_packed_structure_equations_match_the_chain_exactly():
             assert list(a) == list(b) == list(c)
             assert all(isinstance(x, Fraction) for x in a)
         assert t.membership_residual() == 0.0 == chain_membership(t)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_extraction_rows_equal_the_pseudo_inverse_composition(exact):
+    w1_pinv, w2_pinv = chain_inverses(exact)
+    want_1 = w1_pinv.dot(projector_matrix(4, 7, exact)) / 3
+    want_2 = w2_pinv.dot(projector_matrix(5, 14, exact))
+    extract = torsion._structure_tables(exact)[0]
+    got_1, got_2 = extract[1:8, :35], extract[8:29, 35:]
+    if exact:
+        assert np.array_equal(got_1, want_1) and np.array_equal(got_2, want_2)
+        assert all(isinstance(x, Fraction) for x in np.concatenate((got_1.flat, got_2.flat)))
+    else:
+        assert max_abs(got_1 - want_1, got_2 - want_2) <= 1e-15
+
+
+def test_no_numerical_inverse_builds_the_tables_or_inverts_lambda3(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "g2lab":
+            for name in ("pinv", "inv_exact"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    monkeypatch.setattr(np.linalg, "pinv", counted("np.linalg.pinv", np.linalg.pinv))
+    torsion._structure_tables.cache_clear()
+    for exact in (True, False):
+        torsion._structure_tables(exact)
+        a = projector_matrix(3, 27, exact).dot(as_mode(np.arange(35) % 5 - 2, exact))
+        sym2_from_27(Form(3, a))
+    assert calls == []
+    _linalg.pinv(as_mode(np.eye(2), True))  # the counters do see a call
+    assert calls == ["pinv", "inv_exact"]
 
 
 def test_extraction_gates_in_order():
