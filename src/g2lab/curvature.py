@@ -1,8 +1,8 @@
 """Algebraic curvature tensors on R^7 and their five G2 blocks.
 
 A curvature-like tensor is stored as a symmetric 21 x 21 matrix over the
-i < j pair basis of Lambda^2, M[(ij), (kl)] = R_ijkl.  Component
-conventions:
+i < j pair basis of Lambda^2, M[(ij), (kl)] = R_ijkl, and no map here
+unfolds it into the 7^4 array.  Component conventions:
 
 * R_ijkl = g(R(e_i, e_j) e_k, e_l), so the round sphere has R_ijji = +1
   and r_g(g) = g (.) g equals -2 Id as a pair matrix;
@@ -26,7 +26,8 @@ with P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 acting on the pair
 matrix through the degree-2 projectors.
 
 r_g is an index table from the 49 entries of h to the 441 pair-matrix
-entries, and r_g(g) is a cached constant.  `decompose` builds every block
+entries, r_g(g) is a cached constant, and b is two gathers (the R_kijl and
+R_jkil terms of each entry).  `decompose` builds every block
 once and keeps the blocks, Ric0^g, Ric0^phi and the Bianchi residual of its
 gate, so that reassembly, block norms and callers reuse them.
 """
@@ -39,15 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import as_mode, eye, is_exact, max_abs, scalar, zeros
-from .exterior_algebra import BASIS, DIM, INDEX, index_columns
+from .exterior_algebra import BASIS, DIM, index_columns
 from .g2_algebra import iphi_matrix, projector_matrix
 
 PAIRS = BASIS[2]
 NPAIRS = len(PAIRS)
-PAIR_INDEX = INDEX[2]
-#: (i, j, k, l) index arrays over pair p = (i, j) (rows) and q = (k, l) (columns)
-_I, _J = index_columns(PAIRS, 2)[:, :, None]
-_K, _L = _I.T, _J.T
 
 
 @dataclass(frozen=True)
@@ -66,15 +63,6 @@ class CurvatureTensor:
 
     def symmetry_residual(self) -> float:
         return max_abs(self.mat - self.mat.T)
-
-    def to_full(self) -> np.ndarray:
-        """Full R_ijkl array with both antisymmetries unfolded."""
-        full = zeros((DIM,) * 4, self.exact)
-        full[_I, _J, _K, _L] = self.mat
-        full[_J, _I, _K, _L] = -self.mat
-        full[_I, _J, _L, _K] = -self.mat
-        full[_J, _I, _L, _K] = self.mat
-        return full
 
     def norm2(self):
         """Tensor norm, summed over all four indices."""
@@ -95,11 +83,6 @@ class CurvatureTensor:
         return CurvatureTensor(-self.mat)
 
 
-def from_full(full: np.ndarray) -> CurvatureTensor:
-    m = full[_I, _J, _K, _L]
-    return CurvatureTensor(m if is_exact(full) else np.asarray(m, dtype=float))
-
-
 def inner(a: CurvatureTensor, b: CurvatureTensor):
     return 4 * (a.mat * b.mat).sum()
 
@@ -107,10 +90,30 @@ def inner(a: CurvatureTensor, b: CurvatureTensor):
 # --- Bianchi map ----------------------------------------------------------------
 
 
+@functools.cache
+def _bianchi_table():
+    """(p1, s1, p2, s2): at each pair-matrix entry (ij), (kl), the flat positions
+    and signs of R_kijl and R_jkil, the terms b adds to R_ijkl.  The sign is 0
+    where a pair repeats an index."""
+    i, j = index_columns(PAIRS, 2)
+    pos = np.zeros((DIM, DIM), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(NPAIRS)
+    sign = np.sign(np.subtract.outer(range(DIM), range(DIM))).T  # +1 where a < b
+    i, j, k, l = i[:, None], j[:, None], i, j  # rows (ij) against columns (kl)
+    table = []
+    for w, x, y, z in ((k, i, j, l), (j, k, i, l)):  # R_wxyz
+        table += [pos[w, x] * NPAIRS + pos[y, z], sign[w, x] * sign[y, z]]
+    table = np.stack(table)
+    table.flags.writeable = False
+    return table
+
+
 def bianchi_b(r: CurvatureTensor) -> np.ndarray:
-    """(br)(X,Y,Z,W) = R(X,Y,Z,W) + R(Y,Z,X,W) + R(Z,X,Y,W)."""
-    full = r.to_full()
-    return full + full.transpose(1, 2, 0, 3) + full.transpose(2, 0, 1, 3)
+    """b(R)_ijkl = R_ijkl + R_jkil + R_kijl as a 21 x 21 array over i < j, k < l;
+    on S^2(Lambda^2) b(R) is a 4-form, which these entries determine."""
+    p1, s1, p2, s2 = _bianchi_table()
+    flat = r.mat.reshape(-1)
+    return (r.mat + s1 * flat[p1]) + s2 * flat[p2]
 
 
 def bianchi_residual(r: CurvatureTensor) -> float:
@@ -121,11 +124,9 @@ def project_to_kernel(r: CurvatureTensor) -> CurvatureTensor:
     """Orthogonal projection of S^2(Lambda^2) onto ker b.
 
     Subtracts the total antisymmetrisation (the Lambda^4 part), which is
-    b/3 reindexed into S^2(Lambda^2).
+    b/3 at the pair-matrix entries.
     """
-    full = r.to_full()
-    lam4 = (full + full.transpose(1, 2, 0, 3) + full.transpose(2, 0, 1, 3)) / 3
-    return from_full(full - lam4)
+    return CurvatureTensor(r.mat - bianchi_b(r) / 3)
 
 
 def random_algebraic_curvature(seed: int = 0, exact: bool = False) -> CurvatureTensor:
@@ -333,7 +334,7 @@ def norm_split_residual(r: CurvatureTensor, dec: CurvatureDecomposition = None) 
     + 4/5 ||Ric0||^2 + 1/21 s^2, relative to ||R||^2."""
     if dec is None:
         dec = decompose(r)
-    ricw = ric_W(r)
+    ricw = (4 * dec.ric0 - 5 * dec.ric0_phi) / 20
     total = (
         dec.w77.norm2()
         + dec.w64.norm2()

@@ -169,13 +169,14 @@ def sym2_from_27(a: Form, tol: float = 1e-10) -> np.ndarray:
     """Invert lambda3 on Lambda^3_27, returning a traceless symmetric tensor.
 
     On Lambda^3_27 the inverse is sigma / SIGMA_LAMBDA3_CONSTANT.  Rejects
-    inputs with a Lambda^3_1 or Lambda^3_7 component above tol.
+    inputs with a Lambda^3_1 or Lambda^3_7 component above tol * max |a|.
     """
     if a.degree != 3:
         raise ValueError("sym2_from_27 expects a 3-form")
     r1 = max_abs(project(a, (3, 1)).coeffs)
     r7 = max_abs(project(a, (3, 7)).coeffs)
-    if not (r1 <= tol and r7 <= tol):
+    bound = tol * max_abs(a.coeffs)
+    if not (r1 <= bound and r7 <= bound):
         raise ValueError(
             f"input is not in Lambda^3_27: |p_1 a| = {r1:.3g}, |p_7 a| = {r7:.3g}"
         )

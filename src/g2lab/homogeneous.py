@@ -44,6 +44,7 @@ from .exterior_algebra import (
     covariant_wedge,
     dim_of,
     form_inner,
+    frame_interior,
     hodge,
     index_columns,
     phi_arrays,
@@ -52,7 +53,7 @@ from .exterior_algebra import (
     wedge,
 )
 from .g2_algebra import MixedV14, mixed_from_slices, project, projector_matrix, split_v14
-from .curvature import CurvatureTensor, decompose, from_full
+from .curvature import CurvatureTensor, _iphi_matrix, decompose
 from .torsion import (
     RICCI_ROUTES,
     IntrinsicTorsion,
@@ -188,16 +189,16 @@ def levi_civita(spec_or_mats, tol: float = 1e-10) -> np.ndarray:
 
 
 def riemann(spec: LieAlgebraSpec, gamma: np.ndarray = None) -> CurvatureTensor:
-    """R_ijkl = g(R(e_i, e_j) e_k, e_l) for the left-invariant metric."""
+    """R_ijkl = g(R(e_i, e_j) e_k, e_l) for the left-invariant metric, built at
+    the pair-matrix entries i < j, k < l."""
     if gamma is None:
         gamma = levi_civita(spec)
     # grad_i grad_j e_k = Gamma_jkp Gamma_ipl e_l
     gg = np.tensordot(gamma, gamma, axes=([2], [1]))  # (j,k),(i,l) -> j,k,i,l
-    term1 = gg.transpose(2, 0, 1, 3)  # Gamma_jkp Gamma_ipl -> (i,j,k,l)
-    term2 = term1.transpose(1, 0, 2, 3)  # i <-> j
-    cl = spec.c.transpose(1, 2, 0)  # cl[i,j,p] = c^p_ij
-    term3 = np.tensordot(cl, gamma, axes=([2], [0]))  # c^p_ij Gamma_pkl
-    return from_full(term1 - term2 - term3)
+    i, j, k, l = _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J  # rows (ij), columns (kl)
+    brackets = spec.c[:, _PAIR_I, _PAIR_J].T  # (ij, p) -> c^p_ij
+    # R_ijkl = Gamma_jkp Gamma_ipl - Gamma_ikp Gamma_jpl - c^p_ij Gamma_pkl
+    return CurvatureTensor(gg[j, k, i, l] - gg[i, k, j, l] - brackets.dot(gamma[:, k, l]))
 
 
 def connection_form_action(gamma: np.ndarray, a: Form) -> list:
@@ -591,22 +592,17 @@ def _closed_structure_checks(
     nb_norm = float(nb_tau.tensor_norm2())
     report.summary["parallel_torsion"] = bool(nb_norm <= 1e-12 * max(float(tau.norm2()), 1.0))
 
-    # contraction of the curvature against phi, componentwise:
+    # contraction of the curvature against phi at the pairs i < j (rows) and t:
     # R_ijab phi_abt = (dbar tau)_ijt - nabla-bar_t tau_ij
     #                  + (tau_pq tau_pt phi_qij - tau_ip tau_jq phi_pqt)/6
-    full = r.to_full()
+    b = _iphi_matrix(exact)  # b[t, ab] = phi_abt
+    lhs40 = 2 * r.mat.dot(b.T)  # the sum over a < b, doubled
     tau_arr = to_antisym(tau).array
-    nb_arr = np.stack([to_antisym(nb_tau.slice(i)).array for i in range(DIM)])  # (t, i, j)
-    lhs40 = np.tensordot(full, p3, axes=([2, 3], [0, 1]))  # R_ijab phi_abt -> (i,j,t)
-    dbar_arr = to_antisym(dbar_tau).array
-    a_qt = np.tensordot(tau_arr, tau_arr, axes=([0], [0]))  # tau_pq tau_pt
-    term1 = np.moveaxis(np.tensordot(a_qt, p3, axes=([0], [0])), 0, 2)  # (t,i,j)->(i,j,t)
-    # term2_ijt = tau_ip tau_jq phi_pqt
-    term2 = np.tensordot(
-        np.tensordot(tau_arr, p3, axes=([1], [0])), tau_arr, axes=([1], [1])
-    )  # tau_ip phi_pqt tau_jq -> (i, q, t) x ... -> (i, t, j)
-    term2 = term2.transpose(0, 2, 1)
-    rhs40 = (dbar_arr - np.moveaxis(nb_arr, 0, 2)) + (term1 - term2) / 6
+    term1 = b.T.dot(tau_arr.T.dot(tau_arr))  # phi_qij (tau_pq tau_pt)
+    # term2_ijt = tau_ip phi_pqt tau_jq, as (i, t, j)
+    term2 = np.tensordot(np.tensordot(tau_arr, p3, axes=([1], [0])), tau_arr, axes=([1], [1]))
+    term2 = term2[_PAIR_I, :, _PAIR_J]
+    rhs40 = (frame_interior(dbar_tau).T - nb_tau.array.T) + (term1 - term2) / 6
     report.add(
         "closed: curvature contraction identity (componentwise)",
         max_abs(lhs40 - rhs40),
@@ -614,7 +610,7 @@ def _closed_structure_checks(
     )
 
     # the squared identity with the *d(tau^3) term evaluated explicitly
-    lhs41 = (lhs40 * lhs40).sum()
+    lhs41 = 2 * (lhs40 * lhs40).sum()  # the (i, j) and (j, i) entries
     ric0g_n = (ric0g * ric0g).sum()
     rhs41 = (
         3 * w64_n

@@ -6,14 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g2lab._linalg import eye, is_exact, max_abs
+from g2lab._linalg import eye, is_exact, max_abs, zeros
 from g2lab.curvature import (
     CurvatureTensor,
     bianchi_b,
     bianchi_residual,
     coefficient_consistency_report,
     decompose,
-    from_full,
     generalized_ricci,
     inner,
     kn_product,
@@ -26,10 +25,40 @@ from g2lab.curvature import (
     ricci,
     scalar_curvature,
 )
-from g2lab.exterior_algebra import phi_arrays
+from g2lab.exterior_algebra import BASIS, phi_arrays
 
 RNG = np.random.default_rng(11)
 G = np.eye(7)
+
+# --- the 7^4 array R_ijkl, the reference the pair-matrix maps are checked against
+
+_I, _J = np.array(BASIS[2]).T[:, :, None]  # pair (ij) along the rows
+_K, _L = _I.T, _J.T  # pair (kl) along the columns
+
+
+def ref_to_full(r):
+    """The full R_ijkl array of a pair matrix, both antisymmetries unfolded."""
+    full = zeros((7,) * 4, r.exact)
+    full[_I, _J, _K, _L] = r.mat
+    full[_J, _I, _K, _L] = -r.mat
+    full[_I, _J, _L, _K] = -r.mat
+    full[_J, _I, _L, _K] = r.mat
+    return full
+
+
+def ref_from_full(full):
+    return CurvatureTensor(full[_I, _J, _K, _L])
+
+
+def ref_bianchi_b(r):
+    """b(R)_ijkl = R_ijkl + R_jkil + R_kijl over all four indices."""
+    full = ref_to_full(r)
+    return full + full.transpose(1, 2, 0, 3) + full.transpose(2, 0, 1, 3)
+
+
+def ref_project_to_kernel(r):
+    """Subtract the Lambda^4 part b/3 of the full array."""
+    return ref_from_full(ref_to_full(r) - ref_bianchi_b(r) / 3)
 
 
 def random_traceless(rng=RNG):
@@ -67,7 +96,7 @@ def test_random_algebraic_curvature():
 
 def test_sphere_pattern_of_kn_product():
     # r_g(g)(x, y, y, x) = 2 for orthonormal x perp y
-    full = kn_product(G).to_full()
+    full = ref_to_full(kn_product(G))
     assert full[0, 1, 1, 0] == 2.0
     assert full[0, 1, 0, 1] == -2.0
     assert kn_product(np.zeros((7, 7))).norm2() == 0.0
@@ -82,7 +111,7 @@ def ref_kn_product(h):
         + gh.transpose(2, 0, 1, 3)  # g_jk h_il
         - gh.transpose(0, 2, 1, 3)  # g_ik h_jl
     )
-    return from_full(full)
+    return ref_from_full(full)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -106,7 +135,7 @@ def ref_phi_product(h):
     """r_phi through the full arrays: two tensordots with phi, then the kernel projection."""
     p3, _ = phi_arrays(is_exact(h))
     hphi = np.tensordot(h, p3, axes=([1], [0]))  # (a, i, j) -> h_ab phi_bij
-    return project_to_kernel(from_full(np.tensordot(hphi, p3, axes=([0], [0]))))
+    return ref_project_to_kernel(ref_from_full(np.tensordot(hphi, p3, axes=([0], [0]))))
 
 
 #: a few roundings of the largest input entry: each output entry of ricci and
@@ -120,7 +149,7 @@ def test_ricci_is_the_adjoint_of_kn_product(exact):
     for _ in range(4):  # not symmetric: the adjoint holds on every pair matrix
         m = _dyadic((21, 21), rng) if exact else rng.normal(size=(21, 21))
         r = CurvatureTensor(m)
-        got, want = ricci(r), r.to_full().trace(axis1=1, axis2=2)
+        got, want = ricci(r), ref_to_full(r).trace(axis1=1, axis2=2)
         if exact:
             assert set(map(type, got.flat)) == {Fraction} and np.array_equal(got, want)
         else:
@@ -254,6 +283,32 @@ def test_project_to_kernel_is_orthogonal_projection():
     assert bianchi_residual(p) < 1e-12
     # residual r - p is orthogonal to the kernel
     assert abs(inner(r - p, p)) < 1e-9
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_bianchi_map_matches_the_full_array_reference(exact):
+    # b at the pair entries and the kernel projection repeat the reference's
+    # arithmetic entry by entry: bit for bit in float, the same Fractions in
+    # exact mode, on symmetric and non-symmetric input at every scale
+    rng = np.random.default_rng(29)
+    for e in range(-8, 9, 4):
+        for symmetric in (True, False):
+            if exact:
+                m = _dyadic((21, 21), rng) * Fraction(10) ** e
+            else:
+                m = rng.normal(size=(21, 21)) * 10.0**e
+            if symmetric:
+                m = (m + m.T) / 2
+            r = CurvatureTensor(m)
+            pairs = [(bianchi_b(r), ref_bianchi_b(r)[_I, _J, _K, _L])]
+            pairs.append((project_to_kernel(r).mat, ref_project_to_kernel(r).mat))
+            for got, want in pairs:
+                if exact:
+                    assert set(map(type, got.flat)) == {Fraction} and np.array_equal(got, want)
+                else:
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            if exact and symmetric:  # on S^2(Lambda^2) b is a 4-form: the pairs hold all of it
+                assert max_abs(bianchi_b(r)) == max_abs(ref_bianchi_b(r)) > 0
 
 
 def test_coefficient_consistency_report():

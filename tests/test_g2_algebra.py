@@ -203,6 +203,17 @@ def test_sym2_from_27_rejects_other_parts():
         sym2_from_27(standard_psi_minus())
 
 
+def test_sym2_from_27_judges_relative_to_its_input():
+    # a valid lambda3(h) passes and a pure Lambda^3_7 input fails at every scale
+    h = random_traceless(np.random.default_rng(37))
+    seven = project(Form(3, np.random.default_rng(38).normal(size=35)), (3, 7))
+    for scale in 10.0 ** np.arange(-8, 9):
+        rec = sym2_from_27(lambda3(scale * h))
+        assert max_abs(rec - scale * h) <= 1e-12 * scale
+        with pytest.raises(ValueError, match="not in Lambda\\^3_27"):
+            sym2_from_27(scale * seven)
+
+
 def test_sym2_from_27_zero():
     assert max_abs(sym2_from_27(Form.zero(3))) == 0.0
 

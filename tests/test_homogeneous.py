@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from g2lab._linalg import max_abs
+from g2lab._linalg import as_mode, is_exact, max_abs, zeros
 from g2lab.curvature import CurvatureTensor, decompose, kn_product, ric_W, scalar_curvature
 from g2lab.exterior_algebra import (
     BASIS,
@@ -54,12 +54,37 @@ def diag_spec(name, a):
 
 
 def almost_abelian(name, mat):
-    c = np.zeros((7, 7, 7))
+    mat = np.asarray(mat)
+    c = zeros((7, 7, 7), is_exact(mat))
     for k in range(6):
         for j in range(6):
             c[k, j, 6] = mat[k, j]
             c[k, 6, j] = -mat[k, j]
     return LieAlgebraSpec(name, c)
+
+
+def closed_almost_abelian(name, z, exact=False):
+    """R^6 semidirect R with D the real form of an integer traceless complex
+    3 x 3 matrix z: entry z_ab becomes the 2 x 2 block [[Re z, -Im z],
+    [Im z, Re z]] of D.
+
+    Such D lie in sl(3, C), the stabiliser of psi+ for z_k = e^(2k-1) + i e^(2k),
+    so phi = omega ^ e^7 + psi+ is closed; nabla-bar tau is not 0 in general.
+    """
+    z = np.asarray(z, dtype=complex)
+    assert z.trace() == 0 and np.array_equal(z, z.round())
+    d = np.block([[np.array([[w.real, -w.imag], [w.imag, w.real]]) for w in row] for row in z])
+    return almost_abelian(name, as_mode(d, exact))
+
+
+#: a closed structure whose torsion is not parallel, unlike Bryant's
+CLOSED_Z = [[1 + 2j, -1, 2j], [1j, -2 + 1j, 1], [2, 1 - 1j, 1 - 3j]]
+
+
+def seeded_closed_z(rng):
+    z = rng.integers(-3, 4, size=(3, 3)) + 1j * rng.integers(-3, 4, size=(3, 3))
+    z[2, 2] = -(z[0, 0] + z[1, 1])
+    return z
 
 
 SU2SU2 = spec_from_coframe_d(
@@ -274,6 +299,25 @@ def test_analyze_flat_summary_is_trivial():
     assert all(v < 1e-14 for v in rep.summary["block_norms"].values())
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_closed_structure_with_non_parallel_torsion(exact):
+    # Bryant's nabla-bar tau is 0: only this input exercises the nabla-bar tau
+    # term of the curvature contraction identity
+    spec = closed_almost_abelian("closed", CLOSED_Z, exact)
+    geo = geometry(spec)
+    assert max_abs(geo.d(geo.phi).coeffs) == 0
+    rep = analyze(spec)
+    assert rep.passed, [c.name for c in rep.failed_checks()]
+    names = [c.name for c in rep.checks]
+    assert len(names) == 37 and sum(n.startswith("closed:") for n in names) == 18  # all but EPR's
+    assert "closed: curvature contraction identity (componentwise)" in names
+    assert rep.summary["fg_type"] == [2]
+    assert rep.summary["extremally_pinched"] is False
+    assert rep.summary["parallel_torsion"] is False
+    if exact:
+        assert [c.name for c in rep.checks if c.residual != 0] == []
+
+
 def test_exact_mode_bryant():
     from fractions import Fraction
 
@@ -360,6 +404,27 @@ def test_analyze_builds_each_stage_once(monkeypatch):
     }
 
 
+def test_warm_analyze_unfolds_three_forms(monkeypatch):
+    # two in intrinsic_from_torsion and tau in the closed chain: the curvature
+    # is never unfolded into R_ijkl
+    import sys
+
+    spec = builtin_examples()["bryant"]["spec"]
+    analyze(spec)  # builds every table once
+    calls = []
+    real = to_antisym
+
+    def counting(a):
+        calls.append(a.degree)
+        return real(a)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "g2lab" and hasattr(mod, "to_antisym"):
+            monkeypatch.setattr(mod, "to_antisym", counting)
+    assert analyze(spec).passed
+    assert calls == [2, 2, 2]
+
+
 def test_warm_analyze_makes_no_from_terms_call(monkeypatch):
     spec = builtin_examples()["bryant"]["spec"]
     analyze(spec)  # builds every table once
@@ -438,6 +503,40 @@ def ref_d(spec, degree, exact):
             col = col + (-1) ** s * wedge(de[head], rest)
         cols.append(col.coeffs)
     return np.stack(cols, axis=1)
+
+
+def ref_riemann(spec, gamma):
+    """R_ijkl = Gamma_jkp Gamma_ipl - Gamma_ikp Gamma_jpl - c^p_ij Gamma_pkl as
+    three full 7^4 terms, read off at the pair-matrix entries."""
+    gg = np.tensordot(gamma, gamma, axes=([2], [1]))  # (j,k),(i,l) -> j,k,i,l
+    term1 = gg.transpose(2, 0, 1, 3)  # Gamma_jkp Gamma_ipl -> (i,j,k,l)
+    term2 = term1.transpose(1, 0, 2, 3)  # i <-> j
+    term3 = np.tensordot(spec.c.transpose(1, 2, 0), gamma, axes=([2], [0]))  # c^p_ij Gamma_pkl
+    i, j = np.array(BASIS[2]).T[:, :, None]
+    return (term1 - term2 - term3)[i, j, i.T, j.T]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_riemann_matches_the_full_array_reference(exact):
+    # the pair-matrix entries repeat the reference's arithmetic: bit for bit
+    # in float, the same Fractions in exact mode
+    rng = np.random.default_rng(31)
+    examples = builtin_examples(exact)
+    specs = [examples[name]["spec"] for name in ("hyperbolic", "bryant")]
+    specs.append(closed_almost_abelian("closed", CLOSED_Z, exact))
+    specs.append(closed_almost_abelian("closed-seeded", seeded_closed_z(rng), exact))
+    for i in range(1 if exact else 4):
+        d4 = rng.integers(-8, 9, size=(6, 6))
+        specs.append(almost_abelian(f"aa{i}", as_mode(d4, exact) / 4))
+        if not exact:  # not dyadic: every product rounds
+            specs.append(almost_abelian(f"aa{i}-normal", rng.normal(size=(6, 6))))
+    for spec in specs:
+        gamma = levi_civita(spec)
+        got, want = riemann(spec, gamma).mat, ref_riemann(spec, gamma)
+        if exact:
+            assert set(map(type, got.flat)) == {Fraction} and np.array_equal(got, want)
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("exact", [False, True])
