@@ -11,16 +11,22 @@ Geometry of the form M = I x M* with G2 three-form phi = omega_t ^ dt
 A product form alpha + beta ^ dt is one array of order-2 jets in t, shape
 (2, n, 3): the fiber and dt blocks over the n orthonormal-frame ("unit")
 symbols of the fiber, the value, first and second derivative last.  The
-Leibniz rule is one constant (3, 3, 3) table.  The Hodge star, the wedge and
-the stacked per-degree dictionaries are constant matrices over the 2n rows,
-built and span-checked once per fiber kind and shared read-only; a model
-adds only its sigma-dependent d table.  The frame weights (monomials in the
-warp factors, from an integer exponent table) are evaluated once per spec,
-where they turn d into one matrix on the flattened array.  Evaluation undoes
-the phase of psi_t^+/psi_t^- by a frame rotation and lands every form in the
-adapted frame of the standard phi, where the generic torsion machinery
-applies.  Closed-form torsion components and the generic structure-equation
-extraction are cross-checked against each other at every call.
+Leibniz rule is one constant (3, 3, 3) table.  The Hodge star, the wedge,
+the stacked per-degree dictionaries and the pattern of d (its geometric-symbol
+coefficients at unit scale, and where each 3 x 3 jet block sits in the d
+operator) are constant arrays over the 2n rows, built and span-checked once
+per fiber kind and shared read-only; a model adds only the scale of d (sigma
+for a nearly Kaehler fiber).  The frame weights (monomials in the warp
+factors, from an exponent table) are evaluated once per spec, where they
+turn d into one matrix on the flattened array.  Evaluation undoes the phase
+of psi_t^+/psi_t^- by a frame rotation of the (psi+, psi-) rows and lands
+every form in the adapted frame of the standard phi, where the generic
+torsion machinery applies.
+
+Closed-form torsion components (scalar `Jet` arithmetic, one tuple per
+operation) and the generic structure-equation extraction are cross-checked
+against each other at every call.  One solve builds one `_Frame`: one fiber
+model and one d operator, shared by both routes.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -50,6 +57,7 @@ from .exterior_algebra import (
 )
 from .torsion import (
     TorsionComponents,
+    _pack,
     extract_torsion,
     fg_type,
     ricci_rhs_exterior,
@@ -59,17 +67,39 @@ from .torsion import (
 # --- order-2 jets ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Order-2 jet (value, first, second derivative) of a function of t."""
+_tuple_new = tuple.__new__
 
-    value: float
-    d1: float = 0.0
-    d2: float = 0.0
+
+class Jet(tuple):
+    """Order-2 jet (value, first, second derivative) of a function of t.
+
+    An immutable triple of Python floats: a tuple subclass with named
+    fields, so that the scalar arithmetic of the closed-form torsion pays for
+    one tuple per operation, and never for numpy scalar arithmetic.  A plain
+    number operand is the constant jet (x, 0, 0), and every operator applies
+    the same formula to it as to a jet.
+    """
+
+    __slots__ = ()
+    #: numpy defers mixed arithmetic (a numpy scalar times a jet) to Jet
+    __array_ufunc__ = None
+
+    def __new__(cls, value, d1=0.0, d2=0.0):
+        return _tuple_new(cls, (float(value), float(d1), float(d2)))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    value = property(itemgetter(0))
+    d1 = property(itemgetter(1))
+    d2 = property(itemgetter(2))
+
+    def __repr__(self):
+        return f"Jet(value={self[0]!r}, d1={self[1]!r}, d2={self[2]!r})"
 
     @staticmethod
     def const(c) -> "Jet":
-        return Jet(float(c), 0.0, 0.0)
+        return _tuple_new(Jet, (float(c), 0.0, 0.0))
 
     @staticmethod
     def coerce(x) -> "Jet":
@@ -77,36 +107,40 @@ class Jet:
 
     def derivative(self) -> "Jet":
         """Shift down one order; the top slot of the result is truncated."""
-        return Jet(self.d1, self.d2, 0.0)
+        return _tuple_new(Jet, (self[1], self[2], 0.0))
 
     def __add__(self, o):
-        o = Jet.coerce(o)
-        return Jet(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2)
+        v, a, b = self
+        x, y, z = o if isinstance(o, Jet) else (float(o), 0.0, 0.0)
+        return _tuple_new(Jet, (v + x, a + y, b + z))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.value, -self.d1, -self.d2)
+        v, a, b = self
+        return _tuple_new(Jet, (-v, -a, -b))
 
+    # u - w is u + (-w) in IEEE arithmetic, signed zeros included
     def __sub__(self, o):
-        return self + (-Jet.coerce(o))
+        v, a, b = self
+        x, y, z = o if isinstance(o, Jet) else (float(o), 0.0, 0.0)
+        return _tuple_new(Jet, (v - x, a - y, b - z))
 
     def __rsub__(self, o):
-        return Jet.coerce(o) + (-self)
+        v, a, b = self
+        x, y, z = o if isinstance(o, Jet) else (float(o), 0.0, 0.0)
+        return _tuple_new(Jet, (x - v, y - a, z - b))
 
     def __mul__(self, o):
-        o = Jet.coerce(o)
-        return Jet(
-            self.value * o.value,
-            self.d1 * o.value + self.value * o.d1,
-            self.d2 * o.value + 2 * self.d1 * o.d1 + self.value * o.d2,
-        )
+        v, a, b = self
+        x, y, z = o if isinstance(o, Jet) else (float(o), 0.0, 0.0)
+        return _tuple_new(Jet, (v * x, a * x + v * y, b * x + 2 * a * y + v * z))
 
     __rmul__ = __mul__
 
     def inv(self):
-        v = self.value
-        return Jet(1 / v, -self.d1 / v**2, (2 * self.d1**2 - v * self.d2) / v**3)
+        v, a, b = self
+        return _tuple_new(Jet, (1 / v, -a / v**2, (2 * a**2 - v * b) / v**3))
 
     def __truediv__(self, o):
         return self * Jet.coerce(o).inv()
@@ -115,22 +149,23 @@ class Jet:
         return Jet.coerce(o) * self.inv()
 
     def _chain(self, f, fp, fpp):
-        return Jet(f, fp * self.d1, fpp * self.d1**2 + fp * self.d2)
+        a, b = self[1], self[2]
+        return _tuple_new(Jet, (f, fp * a, fpp * a**2 + fp * b))
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = math.sin(self[0]), math.cos(self[0])
         return self._chain(s, c, -s)
 
     def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = math.sin(self[0]), math.cos(self[0])
         return self._chain(c, -s, -c)
 
     def exp(self):
-        e = math.exp(self.value)
+        e = math.exp(self[0])
         return self._chain(e, e, e)
 
     def log(self):
-        v = self.value
+        v = self[0]
         return self._chain(math.log(v), 1 / v, -1 / v**2)
 
 
@@ -199,17 +234,24 @@ class _FiberTables(NamedTuple):
     star: np.ndarray  # (2n, 2n)
     wedge: np.ndarray  # (2n, 2n, 2n): out[o] = sum wedge[o, a, b] x[a] y[b]
     dictionaries: tuple  # per degree p, (2n, C(7, p)): the form of each row on R^7
+    psi: slice  # the adjacent rows (psi+, psi-) that evaluation rotates
+    d_source: np.ndarray  # d_geom at d_scale 1 as rows (source, target, coefficient)
+    d_target: np.ndarray
+    d_coeff: np.ndarray
+    d_positions: np.ndarray  # flat positions of the jet blocks of the `_d_operator` matrix
 
 
 class FiberModel:
     """Finite invariant-form algebra of the 6-dimensional fiber: the read-only
-    tables shared by every model of its kind, and d_geom, the
-    geometric-symbol d table, which carries sigma."""
+    tables shared by every model of its kind, and d_scale, the factor of its
+    geometric-symbol d over the kind's unit table (sigma for a nearly Kaehler
+    fiber, 1 for the flag)."""
 
-    def __init__(self, name: str, tables: _FiberTables, d_geom: dict):
+    def __init__(self, name: str, tables: _FiberTables, d_scale: float):
         self.name = name
         self.tables = tables
-        self.d_geom = d_geom
+        self.d_scale = d_scale
+        self.d_coeff = d_scale * tables.d_coeff
         self.symbols = tables.symbols
 
     def degree(self, s: str) -> int:
@@ -239,14 +281,37 @@ def _express(kind: str, symbols: Mapping, syms: tuple, form: Form, degree: int) 
     return MappingProxyType({s: c for s, c in zip(syms, sol) if abs(c) > 1e-14})
 
 
-def _build_tables(kind: str, entries: dict) -> _FiberTables:
-    """Freeze the dictionaries and derive the Hodge, wedge and evaluation
-    tables, checking that every product lies in the symbol span of its degree.
+def _d_positions(index: Mapping, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Flat positions of the 3 x 3 jet blocks of the d operator of
+    `_d_operator`, shaped (2, n, 3, 2, n, 3), in the order it fills them:
+    d_geom on the fiber block, d_geom on the dt block, and dt ^ d/dt from
+    each fiber row to its dt row."""
+    n, k = len(index), np.arange(3)
+    rows = np.arange(n)
+
+    def blocks(out_block, out, src_block, src):
+        at = (out_block, out[:, None, None], k[:, None], src_block, src[:, None, None], k)
+        return np.ravel_multi_index(at, (2, n, 3, 2, n, 3)).reshape(-1)
+
+    return np.concatenate(
+        (blocks(0, target, 0, source), blocks(1, target, 1, source), blocks(1, rows, 0, rows))
+    )
+
+
+def _build_tables(kind: str, entries: dict, d_geom: dict) -> _FiberTables:
+    """Freeze the dictionaries; derive the Hodge, wedge and evaluation tables,
+    checking that every product lies in the symbol span of its degree; and lay
+    out the pattern of the exterior derivative.
 
     entries: name -> (degree, dictionary Form, frame-weight exponents).
+    d_geom: source -> {target: coefficient}, the geometric-symbol d of a
+    model with d_scale 1.
     """
     symbols = {s: (deg, form) for s, (deg, form, _) in entries.items()}
     index = {s: i for i, s in enumerate(entries)}
+    psi = slice(index["psi+"], index["psi+"] + 2)
+    if index["psi-"] != psi.stop - 1:
+        raise ValueError(f"{kind}: psi- must follow psi+ in the symbol order")
     n = len(index)
     for _, form in symbols.values():
         form.coeffs.setflags(write=False)
@@ -278,12 +343,17 @@ def _build_tables(kind: str, entries: dict) -> _FiberTables:
         dictionaries[deg][index[s]] = form.coeffs
         dictionaries[deg + 1][n + index[s]] = wedge(form, e7).coeffs
 
-    exponents = np.array([exps for *_, exps in entries.values()])
+    exponents = np.array([exps for *_, exps in entries.values()], dtype=float)
     wedge_rows = wedge_rows.reshape(2 * n, 2 * n, 2 * n)
-    for a in (exponents, sign, star, wedge_rows, *dictionaries):
+    d_rows = [(index[s], index[t], c) for s, row in d_geom.items() for t, c in row.items()]
+    d_source, d_target, d_coeff = (np.array(x) for x in zip(*d_rows))
+    d_positions = _d_positions(index, d_source, d_target)
+    arrays = (exponents, sign, star, wedge_rows, d_source, d_target, d_coeff, d_positions, *dictionaries)
+    for a in arrays:
         a.flags.writeable = False
     return _FiberTables(
-        *map(MappingProxyType, (symbols, index)), exponents, sign, star, wedge_rows, dictionaries
+        *map(MappingProxyType, (symbols, index)), exponents, sign, star, wedge_rows, dictionaries, psi,
+        d_source, d_target, d_coeff, d_positions,
     )
 
 
@@ -300,7 +370,7 @@ def _nearly_kahler_tables() -> _FiberTables:
         "psi-": (3, standard_psi_minus(), (3,)),
         "om2": (4, w2, (4,)),
         "om3": (6, wedge(w2, om), (6,)),
-    })
+    }, {"om": {"psi+": 3.0}, "psi-": {"om2": -2.0}})
 
 
 @functools.cache
@@ -319,37 +389,34 @@ def _flag_tables() -> _FiberTables:
         "m13": (4, wedge(oms[0], oms[2]), (2, 0, 2)),
         "m12": (4, wedge(oms[0], oms[1]), (2, 2, 0)),
         "vol": (6, wedge(wedge(oms[0], oms[1]), oms[2]), (2, 2, 2)),
-    })
-
-
-def nearly_kahler_model(sigma: float) -> FiberModel:
-    """Invariant algebra of a nearly Kaehler 6-fold (Calabi-Yau at sigma=0)."""
-    d_geom = {
-        "om": {"psi+": 3 * sigma},
-        "psi-": {"om2": -2 * sigma},
-    }
-    return FiberModel(f"NK(sigma={sigma})", _nearly_kahler_tables(), d_geom)
-
-
-def flag_model() -> FiberModel:
-    """Invariant algebra of the torus-symmetric flag fiber (three om_i)."""
-    d_geom = {
+    }, {
         "om1": {"psi+": 0.5},
         "om2": {"psi+": 0.5},
         "om3": {"psi+": 0.5},
         "psi-": {"m23": -2.0, "m13": -2.0, "m12": -2.0},
-    }
-    return FiberModel("flag", _flag_tables(), d_geom)
+    })
+
+
+def nearly_kahler_model(sigma: float) -> FiberModel:
+    """Invariant algebra of a nearly Kaehler 6-fold (Calabi-Yau at sigma=0):
+    d om = 3 sigma psi+, d psi- = -2 sigma om^2."""
+    return FiberModel(f"NK(sigma={sigma})", _nearly_kahler_tables(), sigma)
+
+
+def flag_model() -> FiberModel:
+    """Invariant algebra of the torus-symmetric flag fiber (three om_i):
+    d om_i = psi+ / 2, d psi- = -2 (om2 om3 + om1 om3 + om1 om2)."""
+    return FiberModel("flag", _flag_tables(), 1.0)
 
 
 def _frame_weights(exponents: np.ndarray, factors) -> np.ndarray:
     """Jets (2, n, 3) of the frame weights w_s = prod_i f_i ** exponents[s, i]
     and of their inverses, from the log-derivatives l1 = w'/w and
     l2 = (w'/w)' of the warp factors: w = w0 (1, l1, l2 + l1^2)."""
-    f = np.array([(j.value, j.d1, j.d2) for j in factors])
-    dlog = f[:, 1] / f[:, 0]
-    lam1, lam2 = exponents @ dlog, exponents @ (f[:, 2] / f[:, 0] - dlog * dlog)
-    w0, one, sq = (f[:, 0] ** exponents).prod(axis=1), np.ones(len(exponents)), lam1 * lam1
+    value, d1, d2 = np.array(factors).T
+    dlog = d1 / value
+    lam1, lam2 = exponents.dot(dlog), exponents.dot(d2 / value - dlog * dlog)
+    w0, one, sq = (value ** exponents).prod(axis=1), np.ones(len(exponents)), lam1 * lam1
     jets = np.array([[one, lam1, lam2 + sq], [one, -lam1, sq - lam2]])
     return jets.transpose(0, 2, 1) * np.array([w0, 1 / w0])[:, :, None]
 
@@ -362,18 +429,15 @@ def _d_operator(model: FiberModel, factors) -> np.ndarray:
     weight w, so d_geom s -> t carries the jet w_s / w_t, and d/dt of a unit
     coefficient c is (c w)' / w."""
     tab = model.tables
-    n = len(tab.index)
     weights = _frame_weights(tab.exponents, factors)
     w, w_inv = weights
-    entries = [(tab.index[t], tab.index[s], c) for s, row in model.d_geom.items() for t, c in row.items()]
-    out, src, coeff = map(np.array, zip(*entries))
-    across = jet_matrices(coeff[:, None] * jet_product(w[src], w_inv[out]))
+    across = jet_matrices(model.d_coeff[:, None] * jet_product(w[tab.d_source], w_inv[tab.d_target]))
     lw, lw_inv = jet_matrices(weights)
-    diag = np.arange(n)
-    op = np.zeros((2, n, 3, 2, n, 3))
-    op[0, out, :, 0, src, :] = op[1, out, :, 1, src, :] = across
-    op[1, diag, :, 0, diag, :] = tab.sign[:, None, None] * (lw_inv @ _SHIFT @ lw)
-    return op.reshape(6 * n, 6 * n)
+    along_t = tab.sign[:, None, None] * (lw_inv @ _SHIFT @ lw)
+    size = 6 * len(tab.sign)
+    op = np.zeros(size * size)
+    op[tab.d_positions] = np.concatenate((across, across, along_t), axis=None)
+    return op.reshape(size, size)
 
 
 class _Frame:
@@ -394,8 +458,7 @@ class _Frame:
 # --- product forms -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductForm:
+class ProductForm(NamedTuple):
     """alpha + beta ^ dt: jets (2, n, 3) of the unit-symbol coefficients of
     the fiber part alpha (block 0) and of beta (block 1)."""
 
@@ -410,7 +473,7 @@ class ProductForm:
         jets = np.zeros((2, len(index), 3))
         for block, part in enumerate((fiber or {}, dt or {})):
             for s, c in part.items():
-                jets[block, index[s]] = (c.value, c.d1, c.d2) if isinstance(c, Jet) else (c, 0.0, 0.0)
+                jets[block, index[s]] = c if isinstance(c, Jet) else (c, 0.0, 0.0)
         return ProductForm(frame, degree, jets)
 
     fiber = property(lambda self: self.jets[0])
@@ -418,18 +481,18 @@ class ProductForm:
 
     def d(self) -> "ProductForm":
         """Exterior derivative: d_fiber plus dt ^ (time derivative)."""
-        jets = self.frame.d_operator @ self.jets.reshape(-1)
+        jets = self.frame.d_operator.dot(self.jets.reshape(-1))
         return ProductForm(self.frame, self.degree + 1, jets.reshape(self.jets.shape))
 
     def star(self) -> "ProductForm":
         """Hodge star of the product metric (orthonormal unit symbols)."""
-        jets = self.frame.model.tables.star @ self.jets.reshape(-1, 3)
+        jets = self.frame.model.tables.star.dot(self.jets.reshape(-1, 3))
         return ProductForm(self.frame, DIM - self.degree, jets.reshape(self.jets.shape))
 
     def wedge(self, other: "ProductForm") -> "ProductForm":
         table = self.frame.model.tables.wedge
         a, b = self.jets.reshape(-1, 3), other.jets.reshape(-1, 3)
-        jets = table.reshape(len(table), -1) @ jet_product(a[:, None], b[None]).reshape(-1, 3)
+        jets = table.reshape(len(table), -1).dot(jet_product(a[:, None], b[None]).reshape(-1, 3))
         return ProductForm(self.frame, self.degree + other.degree, jets.reshape(self.jets.shape))
 
     def evaluate(self, theta_value: float) -> Form:
@@ -441,12 +504,10 @@ class ProductForm:
         """
         c, s = math.cos(theta_value), math.sin(theta_value)
         tab = self.frame.model.tables
-        plus, minus = tab.index["psi+"], tab.index["psi-"]
         values = self.jets[:, :, 0].copy()
-        for row in values:
-            a, b = row[plus], row[minus]
-            row[plus], row[minus] = c * a - s * b, s * a + c * b
-        return Form(self.degree, values.reshape(-1) @ tab.dictionaries[self.degree])
+        (a, b), (a_dt, b_dt) = values[:, tab.psi].tolist()
+        values[:, tab.psi] = (c * a - s * b, s * a + c * b), (c * a_dt - s * b_dt, s * a_dt + c * b_dt)
+        return Form(self.degree, values.reshape(-1).dot(tab.dictionaries[self.degree]))
 
 
 # --- warped and cohomogeneity-one specs -----------------------------------------------
@@ -561,9 +622,9 @@ def _tau_symbolic(frame: _Frame) -> dict:
     return {"tau0": tau0, "tau1": tau1, "tau2": tau2, "tau3": tau3}
 
 
-def _tau_pointwise(spec, sym: dict = None) -> TorsionComponents:
-    sym = sym or _tau_symbolic(_Frame(spec))
-    th = spec.theta.value
+def _tau_pointwise(frame: _Frame, sym: dict) -> TorsionComponents:
+    """The closed-form torsion of `_tau_symbolic` at the sample point."""
+    th = frame.spec.theta.value
     return TorsionComponents(
         sym["tau0"].value, sym["tau1"].evaluate(th), sym["tau2"].evaluate(th), sym["tau3"].evaluate(th)
     )
@@ -603,9 +664,10 @@ def holonomy_triple(v1: float, v2: float, v3: float) -> tuple:
     return tuple(Jet(v[i], d1[i], d2[i]) for i in range(3))
 
 
-def extraction_route(spec) -> TorsionComponents:
-    """Torsion via d phi / d *phi and the generic structure-equation solve."""
-    phi, starphi = _phi_forms(_Frame(spec))
+def extraction_route(spec, frame: _Frame = None) -> TorsionComponents:
+    """Torsion via d phi / d *phi and the generic structure-equation solve;
+    frame, when given, is the spec's frame, whose d operator is then shared."""
+    phi, starphi = _phi_forms(frame or _Frame(spec))
     th = spec.theta.value
     return extract_torsion(phi.evaluate(th), phi.d().evaluate(th), starphi.d().evaluate(th))
 
@@ -616,14 +678,10 @@ class RouteMismatch(ValueError):
 
 
 def _two_route(spec, tol: float) -> TorsionComponents:
-    t_closed = _tau_pointwise(spec)
-    t_generic = extraction_route(spec)
-    resid = max_abs(
-        t_closed.tau0 - t_generic.tau0,
-        t_closed.tau1.coeffs - t_generic.tau1.coeffs,
-        t_closed.tau2.coeffs - t_generic.tau2.coeffs,
-        t_closed.tau3.coeffs - t_generic.tau3.coeffs,
-    )
+    frame = _Frame(spec)
+    t_closed = _tau_pointwise(frame, _tau_symbolic(frame))
+    t_generic = extraction_route(spec, frame)
+    resid = max_abs(_pack(t_closed) - _pack(t_generic))
     if not resid <= tol:
         raise RouteMismatch(
             f"closed-form and structure-equation torsion disagree "
@@ -676,20 +734,6 @@ def theta_family(b: Jet, a_value: float, branch: int = 1) -> Jet:
     return Jet(theta0, d1, d2)
 
 
-def conformal_warp(spec: WarpSpec, u: Jet) -> WarpSpec:
-    """The warped spec of e^{3u(t)} phi: f -> e^u f in arclength time.
-
-    A t-dependent conformal factor keeps the warped ansatz, with new time
-    coordinate s, ds = e^u dt; the returned jets are d/ds jets.
-    """
-    eu = u.exp()
-
-    def reparam(g: Jet) -> Jet:
-        return Jet(g.value, g.d1 / eu.value, (g.d2 - u.d1 * g.d1) / eu.value**2)
-
-    return WarpSpec(reparam(eu * spec.f), reparam(spec.theta), spec.sigma)
-
-
 def einstein_warp_check(f: Jet, rho: float, rho_star: float) -> tuple:
     """Residuals of (f')^2 + rho f^2 = rho* and f'' + rho f = 0."""
     r1 = f.d1**2 + rho * f.value**2 - rho_star
@@ -714,7 +758,8 @@ def delta_tau1(spec) -> float:
 
 def scalar_curvature_warped(spec) -> float:
     """Scalar curvature via the torsion formula with the honest delta tau1."""
-    t = _tau_pointwise(spec)
+    frame = _Frame(spec)
+    t = _tau_pointwise(frame, _tau_symbolic(frame))
     return float(scalar_from_torsion(t, delta_tau1(spec)))
 
 
@@ -734,7 +779,7 @@ def ricW_vanishes(spec, k=(4, -5)) -> float:
     d_term1 = sym["tau1"].wedge(starphi).star().d().evaluate(th)
     d_term2 = sym["tau2"].d().evaluate(th)
     d_term3 = sym["tau3"].d().evaluate(th)
-    t = _tau_pointwise(spec, sym)
+    t = _tau_pointwise(frame, sym)
     return max_abs(ricci_rhs_exterior(t, d_term1, d_term2, d_term3, k).coeffs)
 
 

@@ -6,7 +6,9 @@ evaluation loop over symbols with scalar `Jet` arithmetic, the frame weights
 come from one function of the spec per symbol, and the Hodge and wedge tables
 are {symbol: {symbol: coefficient}} dictionaries fitted in the symbol span.
 This is how `g2lab.cohomo_one` computed product forms before its array
-engine; the tests compare the two.
+engine; the tests compare the two.  `conformal_warp`, the warped spec of a
+conformally rescaled structure, is the geometric side of the
+conformal-transform tests.
 """
 
 from __future__ import annotations
@@ -46,6 +48,19 @@ WEIGHT_FNS = {
 }
 
 
+#: geometric-symbol d of each fiber kind for d_scale 1; a model multiplies it
+#: by its d_scale (sigma for a nearly Kaehler fiber)
+D_GEOM = {
+    "NK": {"om": {"psi+": 3.0}, "psi-": {"om2": -2.0}},
+    "flag": {
+        "om1": {"psi+": 0.5},
+        "om2": {"psi+": 0.5},
+        "om3": {"psi+": 0.5},
+        "psi-": {"m23": -2.0, "m13": -2.0, "m12": -2.0},
+    },
+}
+
+
 @functools.cache
 def dict_tables(kind: str) -> tuple:
     """(star6, wedge) of a fiber kind as dictionaries, fitted in the span."""
@@ -74,7 +89,7 @@ class DictModel:
     def __init__(self, model: co.FiberModel):
         self.kind = "NK" if model.name.startswith("NK") else "flag"
         self.symbols = model.symbols
-        self.d_geom = model.d_geom
+        self.d_geom = {s: {t: model.d_scale * c for t, c in row.items()} for s, row in D_GEOM[self.kind].items()}
         self.weight_fn = WEIGHT_FNS[self.kind]
         self._star6, self._wedge = dict_tables(self.kind)
 
@@ -181,6 +196,20 @@ def to_dict(form: co.ProductForm) -> DictProductForm:
                 raise ValueError(f"{s} has degree {model.symbols[s][0]}, not {degree}")
         parts.append(part)
     return DictProductForm(model, form.frame.spec, form.degree, *parts)
+
+
+def conformal_warp(spec: co.WarpSpec, u: Jet) -> co.WarpSpec:
+    """The warped spec of e^{3u(t)} phi: f -> e^u f in arclength time.
+
+    A t-dependent conformal factor keeps the warped ansatz, with new time
+    coordinate s, ds = e^u dt; the returned jets are d/ds jets.
+    """
+    eu = u.exp()
+
+    def reparam(g: Jet) -> Jet:
+        return Jet(g.value, g.d1 / eu.value, (g.d2 - u.d1 * g.d1) / eu.value**2)
+
+    return co.WarpSpec(reparam(eu * spec.f), reparam(spec.theta), spec.sigma)
 
 
 def to_array(form: DictProductForm, index) -> np.ndarray:

@@ -53,10 +53,10 @@ from g2lab.torsion import (
     random_torsion,
     recompose,
 )
+from dict_engine import conformal_warp
 from g2lab.cohomo_one import (
     Jet,
     WarpSpec,
-    conformal_warp,
     jet_var,
     ricW_vanishes,
     scalar_curvature_warped,

@@ -318,6 +318,24 @@ def test_closed_structure_with_non_parallel_torsion(exact):
         assert [c.name for c in rep.checks if c.residual != 0] == []
 
 
+def test_closed_inner_product_chain_holds_at_every_scale():
+    # *d(tau^3) is 0 on these unimodular algebras while the inner products
+    # grow like |tau|^4 = lambda^4; judged against max(|*d(tau^3)/3|, 1)
+    # alone, the chain failed on 1 of the 13 algebras at 2^3 and 11 at 2^6
+    rng = np.random.default_rng(77)
+    zs = [CLOSED_Z] + [seeded_closed_z(rng) for _ in range(12)]
+    chain = {
+        "closed: *d(tau^3)/3 = <d tau, *(tau^tau)>",
+        "closed: <d tau, *(tau^tau)> = <dbar tau, *(tau^tau)_27>",
+    }
+    for i, z in enumerate(zs):
+        spec = closed_almost_abelian(f"closed {i}", z)
+        for k in range(-8, 9):
+            rep = analyze(LieAlgebraSpec(spec.name, spec.c * 2.0**k))
+            assert chain <= {c.name for c in rep.checks}
+            assert rep.passed, (i, k, [c.name for c in rep.failed_checks()])
+
+
 def test_exact_mode_bryant():
     from fractions import Fraction
 
