@@ -6,6 +6,10 @@ numpy arrays).  numpy's ``dot``/``tensordot`` support object arrays, but
 ``einsum``, ``matmul`` and most of ``np.linalg`` do not.  The package
 inverts its maps by closed-form identities; `pinv` and `inv_exact` remain
 as the numerical references the tests compare those against.
+
+`bound` is the one judging rule of the package: every relative gate and
+every `Report` check passes when ``residual <= bound(tol, scale)``, and a
+gate raises on ``not residual <= bound(...)``, so a NaN residual fails.
 """
 
 from __future__ import annotations
@@ -70,6 +74,16 @@ def max_abs(*arrays) -> float:
             return m
         peak = max(peak, m)
     return peak
+
+
+def bound(tol: float, scale: float = 0.0) -> float:
+    """The largest residual a check judged against ``scale`` may have:
+    tol relative to the scale, and absolute below unit scale.
+
+    A NaN scale gives a NaN bound (``max(nan, 1.0)`` is NaN), which no
+    residual passes.
+    """
+    return tol * max(scale, 1.0)
 
 
 def inv_exact(m: np.ndarray) -> np.ndarray:

@@ -41,7 +41,6 @@ from .curvature import (
     random_algebraic_curvature,
 )
 from .homogeneous import Report, analyze
-from .torsion import fg_type
 
 
 def _tol(args) -> float:
@@ -50,17 +49,26 @@ def _tol(args) -> float:
     return float(os.environ.get("G2LAB_TOL", "1e-9"))
 
 
-def _print_checks(rows, as_json: bool) -> int:
+def report_to_text(rep: Report) -> str:
+    lines = [rep.name]
+    for key, val in rep.summary.items():
+        lines.append(f"  {key}: {val}")
+    width = max(len(c.name) for c in rep.checks)
+    for c in rep.checks:
+        mark = "ok " if c.passed else "FAIL"
+        lines.append(f"[{mark}] {c.name:<{width}}  residual {c.residual:.3e}")
+    n_bad = len(rep.failed_checks())
+    lines.append(f"{len(rep.checks) - n_bad}/{len(rep.checks)} checks passed")
+    lines.append("PASS" if rep.passed else "FAIL")
+    return "\n".join(lines)
+
+
+def _print_report(rep: Report, as_json: bool) -> int:
     if as_json:
-        print(json.dumps({"checks": rows, "passed": all(r["passed"] for r in rows)}, indent=2))
+        print(json.dumps(rep.as_dict(), indent=2, default=str))
     else:
-        width = max(len(r["name"]) for r in rows)
-        for r in rows:
-            mark = "ok " if r["passed"] else "FAIL"
-            print(f"[{mark}] {r['name']:<{width}}  residual {r['residual']:.3e}")
-        n_bad = sum(not r["passed"] for r in rows)
-        print(f"{len(rows) - n_bad}/{len(rows)} checks passed")
-    return 0 if all(r["passed"] for r in rows) else 1
+        print(report_to_text(rep))
+    return 0 if rep.passed else 1
 
 
 # --- identities --------------------------------------------------------------------
@@ -91,73 +99,68 @@ def cmd_identities(args) -> int:
     from .curvature import inner, kn_product, phi_product, phi_ricci, ricci
 
     exact = args.exact
-    tol = 0.0 if exact else max(_tol(args), 1e-12)
-    rows = []
-
-    def add(name, residual):
-        rows.append(
-            {"name": name, "residual": float(residual), "passed": float(residual) <= tol}
-        )
+    rep = Report(
+        "identities (exact)" if exact else "identities", 0.0 if exact else max(_tol(args), 1e-12)
+    )
 
     for name, res in check_contraction_identities(exact).items():
-        add(f"contraction: {name}", res)
+        rep.add(f"contraction: {name}", res)
 
     for r, d in VALID_LABELS:
         p = projector_matrix(r, d, exact)
-        add(f"projector ({r},{d}) idempotent", max_abs(p.dot(p) - p))
-        add(f"projector ({r},{d}) trace = {d}", abs(float(p.trace()) - d))
+        rep.add(f"projector ({r},{d}) idempotent", max_abs(p.dot(p) - p))
+        rep.add(f"projector ({r},{d}) trace = {d}", abs(float(p.trace()) - d))
 
     g = eye(7, exact)
     phi = standard_phi(exact)
-    add("lambda3(g) = 3 phi", max_abs(lambda3(g).coeffs - 3 * phi.coeffs))
-    add("sigma(phi) = 6 g", max_abs(sigma_contract(phi) - 6 * g))
+    rep.add("lambda3(g) = 3 phi", max_abs(lambda3(g).coeffs - 3 * phi.coeffs))
+    rep.add("sigma(phi) = 6 g", max_abs(sigma_contract(phi) - 6 * g))
 
     h = random_traceless(0, exact)
     hn = (h * h).sum()
-    add("|lambda3(h)|^2 = 2 ||h||^2", abs(float(lambda3(h).norm2() - 2 * hn)))
+    rep.add("|lambda3(h)|^2 = 2 ||h||^2", abs(float(lambda3(h).norm2() - 2 * hn)))
     s0 = sigma_contract(lambda3(h))
     s0 = s0 - g * (s0.trace() / 7)
-    add(
+    rep.add(
         f"sigma(lambda3(h))_0 = {SIGMA_LAMBDA3_CONSTANT} h",
         max_abs(s0 - SIGMA_LAMBDA3_CONSTANT * h),
     )
 
     gp, gpp = wedge3_test_pair(exact)
-    add("mixed tensor ||gamma'||^2 = 4", abs(float(gp.tensor_norm2() - 4)))
-    add("mixed tensor ||gamma''||^2 = 16/3", abs(float(gpp.tensor_norm2() * 3 - 16)))
-    add(
+    rep.add("mixed tensor ||gamma'||^2 = 4", abs(float(gp.tensor_norm2() - 4)))
+    rep.add("mixed tensor ||gamma''||^2 = 16/3", abs(float(gpp.tensor_norm2() * 3 - 16)))
+    rep.add(
         "wedge3(gamma'') = 4/3 wedge3(gamma')",
         max_abs(3 * wedge3(gpp).coeffs - 4 * wedge3(gp).coeffs),
     )
     gam = gp + gpp
-    add(
+    rep.add(
         "7 ||gamma||^2 = ||wedge3 gamma||^2",
         abs(float(7 * gam.tensor_norm2() - wedge3(gam).tensor_norm2())),
     )
 
     rg, rp = kn_product(h), phi_product(h)
     one = scalar(1, exact)
-    add("c^g(r_g(h)) = 5 h", max_abs(ricci(rg) - 5 * h))
-    add("c^g(r_phi(h)) = h", max_abs(ricci(rp) - h))
-    add("c^phi(r_g(h)) = 4 h", max_abs(phi_ricci(rg) - 4 * h))
-    add("c^phi(r_phi(h)) = 92/3 h", max_abs(phi_ricci(rp) - (92 * one / 3) * h))
+    rep.add("c^g(r_g(h)) = 5 h", max_abs(ricci(rg) - 5 * h))
+    rep.add("c^g(r_phi(h)) = h", max_abs(ricci(rp) - h))
+    rep.add("c^phi(r_g(h)) = 4 h", max_abs(phi_ricci(rg) - 4 * h))
+    rep.add("c^phi(r_phi(h)) = 92/3 h", max_abs(phi_ricci(rp) - (92 * one / 3) * h))
     rgg = kn_product(g)
-    add("c^g(r_g(g)) = 12 g", max_abs(ricci(rgg) - 12 * g))
-    add("c^phi(r_g(g)) = -24 g", max_abs(phi_ricci(rgg) + 24 * g))
-    add("||r_g(h)||^2 = 20 ||h||^2", abs(float(rg.norm2() - 20 * hn)))
-    add("||r_phi(h)||^2 = 92/3 ||h||^2", abs(float(3 * rp.norm2() - 92 * hn)))
-    add("<r_phi(h), r_g(h)> = 4 ||h||^2", abs(float(inner(rp, rg) - 4 * hn)))
-    add("||r_g(g)||^2 = 336", abs(float(rgg.norm2() - 336)))
+    rep.add("c^g(r_g(g)) = 12 g", max_abs(ricci(rgg) - 12 * g))
+    rep.add("c^phi(r_g(g)) = -24 g", max_abs(phi_ricci(rgg) + 24 * g))
+    rep.add("||r_g(h)||^2 = 20 ||h||^2", abs(float(rg.norm2() - 20 * hn)))
+    rep.add("||r_phi(h)||^2 = 92/3 ||h||^2", abs(float(3 * rp.norm2() - 92 * hn)))
+    rep.add("<r_phi(h), r_g(h)> = 4 ||h||^2", abs(float(inner(rp, rg) - 4 * hn)))
+    rep.add("||r_g(g)||^2 = 336", abs(float(rgg.norm2() - 336)))
 
-    return _print_checks(rows, args.json)
+    return _print_report(rep, args.json)
 
 
 # --- curvature ---------------------------------------------------------------------
 
 
 def cmd_curvature(args) -> int:
-    tol = _tol(args)
-    rows = []
+    rep = Report("five-block decomposition", max(_tol(args), 1e-10))
     worst = {"reassemble": 0.0, "orthogonality": 0.0, "norm split": 0.0}
     import itertools
 
@@ -174,14 +177,8 @@ def cmd_curvature(args) -> int:
         )
         worst["norm split"] = max(worst["norm split"], norm_split_residual(r, dec))
     for name, res in worst.items():
-        rows.append(
-            {
-                "name": f"{name} over {args.count} random tensors",
-                "residual": res,
-                "passed": res <= max(tol, 1e-10),
-            }
-        )
-    return _print_checks(rows, args.json)
+        rep.add(f"{name} over {args.count} random tensors", res)
+    return _print_report(rep, args.json)
 
 
 # --- analyze -----------------------------------------------------------------------
@@ -252,18 +249,6 @@ def load_spec(path: str):
     return spec, phi
 
 
-def report_to_text(rep: Report) -> str:
-    lines = [f"analysis of {rep.name}"]
-    for key, val in rep.summary.items():
-        lines.append(f"  {key}: {val}")
-    width = max(len(c.name) for c in rep.checks)
-    for c in rep.checks:
-        mark = "ok " if c.passed else "FAIL"
-        lines.append(f"[{mark}] {c.name:<{width}}  residual {c.residual:.3e}")
-    lines.append("PASS" if rep.passed else "FAIL")
-    return "\n".join(lines)
-
-
 def cmd_analyze(args) -> int:
     try:
         spec, phi = load_spec(args.path)
@@ -271,11 +256,7 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(rep.as_dict(), indent=2, default=str))
-    else:
-        print(report_to_text(rep))
-    return 0 if rep.passed else 1
+    return _print_report(rep, args.json)
 
 
 # --- warp / sweep -------------------------------------------------------------------
@@ -285,18 +266,7 @@ def cmd_warp(args) -> int:
     try:
         f = co.jet_profile(args.f, args.t)
         theta = co.jet_profile(args.theta, args.t)
-        spec = co.WarpSpec(f, theta, args.sigma)
-        tor = co.warped_torsion(spec, tol=_tol(args))
-        payload = {
-            "t": args.t,
-            "fg_type": sorted(fg_type(tor)),
-            "tau0": float(tor.tau0),
-            "tau1_norm": tor.norms()[4],
-            "tau2_norm": tor.norms()[2],
-            "tau3_norm": tor.norms()[3],
-            "scalar_curvature": co.scalar_curvature_warped(spec),
-            "ricW_residual": co.ricW_vanishes(spec),
-        }
+        payload = {"t": args.t, **co.warp_point(co.WarpSpec(f, theta, args.sigma), tol=_tol(args))}
     except co.RouteMismatch as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,8 @@ torsion machinery applies.
 Closed-form torsion components (scalar `Jet` arithmetic, one tuple per
 operation) and the generic structure-equation extraction are cross-checked
 against each other at every call.  One solve builds one `_Frame`: one fiber
-model and one d operator, shared by both routes.
+model, one d operator and one closed-form torsion, shared by both routes,
+by the scalar curvature and by the Weyl-Ricci residual (`warp_point`).
 """
 
 from __future__ import annotations
@@ -677,10 +678,9 @@ class RouteMismatch(ValueError):
     check on valid input, not malformed input."""
 
 
-def _two_route(spec, tol: float) -> TorsionComponents:
-    frame = _Frame(spec)
-    t_closed = _tau_pointwise(frame, _tau_symbolic(frame))
-    t_generic = extraction_route(spec, frame)
+def _two_route(frame: _Frame, sym: dict, tol: float) -> TorsionComponents:
+    t_closed = _tau_pointwise(frame, sym)
+    t_generic = extraction_route(frame.spec, frame)
     resid = max_abs(_pack(t_closed) - _pack(t_generic))
     if not resid <= tol:
         raise RouteMismatch(
@@ -694,7 +694,8 @@ def _two_route(spec, tol: float) -> TorsionComponents:
 def warped_torsion(spec: WarpSpec, tol: float = 1e-9) -> TorsionComponents:
     """Torsion of a warped spec; closed forms cross-checked against the
     generic pipeline at the sample point."""
-    return _two_route(spec, tol)
+    frame = _Frame(spec)
+    return _two_route(frame, _tau_symbolic(frame), tol)
 
 
 def cohom_torsion(spec: CohomSpec, tol: float = 1e-9) -> TorsionComponents:
@@ -712,7 +713,8 @@ def cohom_torsion(spec: CohomSpec, tol: float = 1e-9) -> TorsionComponents:
             stacklevel=2,
         )
         return extraction_route(spec)
-    return _two_route(spec, tol)
+    frame = _Frame(spec)
+    return _two_route(frame, _tau_symbolic(frame), tol)
 
 
 def theta_family(b: Jet, a_value: float, branch: int = 1) -> Jet:
@@ -746,8 +748,13 @@ def delta_tau1(spec) -> float:
 
     delta(u dt) = -(u' + u d/dt log(fiber volume density)).
     """
-    tau1 = _tau_symbolic(_Frame(spec))["tau1"]
-    u = Jet(*tau1.dt[tau1.frame.model.tables.index["one"]].tolist())
+    frame = _Frame(spec)
+    return _delta_tau1(frame, _tau_symbolic(frame))
+
+
+def _delta_tau1(frame: _Frame, sym: dict) -> float:
+    spec, tau1 = frame.spec, sym["tau1"]
+    u = Jet(*tau1.dt[frame.model.tables.index["one"]].tolist())
     if isinstance(spec, WarpSpec):
         dlog = 6 * spec.f.derivative() / spec.f
     else:
@@ -759,8 +766,11 @@ def delta_tau1(spec) -> float:
 def scalar_curvature_warped(spec) -> float:
     """Scalar curvature via the torsion formula with the honest delta tau1."""
     frame = _Frame(spec)
-    t = _tau_pointwise(frame, _tau_symbolic(frame))
-    return float(scalar_from_torsion(t, delta_tau1(spec)))
+    return _scalar_curvature(frame, _tau_symbolic(frame))
+
+
+def _scalar_curvature(frame: _Frame, sym: dict) -> float:
+    return float(scalar_from_torsion(_tau_pointwise(frame, sym), _delta_tau1(frame, sym)))
 
 
 def ricW_vanishes(spec, k=(4, -5)) -> float:
@@ -773,14 +783,35 @@ def ricW_vanishes(spec, k=(4, -5)) -> float:
     zero for every warped product over a nearly Kaehler fiber.
     """
     frame = _Frame(spec)
-    sym = _tau_symbolic(frame)
-    th = spec.theta.value
+    return _ricW(frame, _tau_symbolic(frame), k)
+
+
+def _ricW(frame: _Frame, sym: dict, k=(4, -5)) -> float:
+    th = frame.spec.theta.value
     _, starphi = _phi_forms(frame)
     d_term1 = sym["tau1"].wedge(starphi).star().d().evaluate(th)
     d_term2 = sym["tau2"].d().evaluate(th)
     d_term3 = sym["tau3"].d().evaluate(th)
     t = _tau_pointwise(frame, sym)
     return max_abs(ricci_rhs_exterior(t, d_term1, d_term2, d_term3, k).coeffs)
+
+
+def warp_point(spec: WarpSpec, tol: float = 1e-9) -> dict:
+    """Torsion, class, scalar curvature and Weyl-Ricci residual of a warped
+    spec, all from one frame; raises RouteMismatch as `warped_torsion` does."""
+    frame = _Frame(spec)
+    sym = _tau_symbolic(frame)
+    tor = _two_route(frame, sym, tol)
+    norms = tor.norms()
+    return {
+        "fg_type": sorted(fg_type(tor)),
+        "tau0": float(tor.tau0),
+        "tau1_norm": norms[4],
+        "tau2_norm": norms[2],
+        "tau3_norm": norms[3],
+        "scalar_curvature": _scalar_curvature(frame, sym),
+        "ricW_residual": _ricW(frame, sym),
+    }
 
 
 # --- Fernandez-Gray type sweep ---------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_mode, eye, is_exact, max_abs, scalar, zeros
+from ._linalg import as_mode, bound, eye, is_exact, max_abs, scalar, zeros
 from .exterior_algebra import BASIS, DIM, index_columns
 from .g2_algebra import iphi_matrix, projector_matrix
 
@@ -267,14 +267,19 @@ class CurvatureDecomposition:
             self.w77 + self.w64 + self.w27 + self.ricci_block + self.scalar_block
         )
 
-    def block_norms(self) -> dict:
+    @functools.cached_property
+    def norm2s(self) -> dict:
+        """Squared norms of the five blocks, in the scalar mode of the tensor."""
         return {
-            "W77": float(self.w77.norm2()),
-            "W64": float(self.w64.norm2()),
-            "W27": float(self.w27.norm2()),
-            "R0": float(self.ricci_block.norm2()),
-            "S": float(self.scalar_block.norm2()),
+            "W77": self.w77.norm2(),
+            "W64": self.w64.norm2(),
+            "W27": self.w27.norm2(),
+            "R0": self.ricci_block.norm2(),
+            "S": self.scalar_block.norm2(),
         }
+
+    def block_norms(self) -> dict:
+        return {name: float(n) for name, n in self.norm2s.items()}
 
 
 def _p_g2(m: np.ndarray, exact: bool) -> np.ndarray:
@@ -294,13 +299,13 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     Rejects input whose first Bianchi residual exceeds tol (relative to the
     largest entry) rather than silently projecting.
     """
-    scale = max(max_abs(r.mat), 1.0)
+    limit = bound(tol, max_abs(r.mat))
     res = bianchi_residual(r)
-    if not res <= tol * scale:
+    if not res <= limit:
         raise ValueError(
             f"input violates the first Bianchi identity (residual {res:.3g})"
         )
-    if not r.symmetry_residual() <= tol * scale:
+    if not r.symmetry_residual() <= limit:
         raise ValueError("input pair matrix is not symmetric")
     exact = r.exact
     one = scalar(1, exact)
@@ -344,48 +349,3 @@ def norm_split_residual(r: CurvatureTensor, dec: CurvatureDecomposition = None) 
     )
     n = r.norm2()
     return abs(float(total - n)) / max(float(n), 1e-30)
-
-
-def coefficient_consistency_report() -> dict:
-    """Re-derive the splitting coefficients from the measured contraction
-    constants of r_g and r_phi, and report them against the closed forms.
-
-    Returns {name: (derived, stated, |difference|)}.
-    """
-    rng = np.random.default_rng(7)
-    h = rng.normal(size=(DIM, DIM))
-    h = traceless_part((h + h.T) / 2)
-    hn = (h * h).sum()
-
-    rg, rp = kn_product(h), phi_product(h)
-    cg_rg = ricci(rg)[0, 1] / h[0, 1]
-    cg_rp = ricci(rp)[0, 1] / h[0, 1]
-    cp_rg = phi_ricci(rg)[0, 1] / h[0, 1]
-    cp_rp = phi_ricci(rp)[0, 1] / h[0, 1]
-
-    # W27 normaliser: ric_W((r_g - 5 r_phi)(h)) = c h needs 1/c as coefficient
-    c = (4 * (cg_rg - 5 * cg_rp) - 5 * (cp_rg - 5 * cp_rp)) / 20
-    derived_w27 = 1 / c
-
-    n_rg = rg.norm2() / hn
-    n_rp = rp.norm2() / hn
-    x_gp = inner(rg, rp) / hn
-    n_w27_per_ricw = (n_rg - 10 * x_gp + 25 * n_rp) / c**2  # ||W27||^2 / ||RicW||^2
-    g = np.eye(DIM)
-    n_rgg = kn_product(g).norm2()
-
-    report = {
-        "c^g r_g |S0": (cg_rg, 5.0),
-        "c^g r_phi |S0": (cg_rp, 1.0),
-        "c^phi r_g |S0": (cp_rg, 4.0),
-        "c^phi r_phi |S0": (cp_rp, 92.0 / 3),
-        "||r_g(h)||^2 / ||h||^2": (n_rg, 20.0),
-        "||r_phi(h)||^2 / ||h||^2": (n_rp, 92.0 / 3),
-        "<r_g(h), r_phi(h)> / ||h||^2": (x_gp, 4.0),
-        "||r_g(g)||^2": (n_rgg, 336.0),
-        "W27 coefficient": (derived_w27, 3.0 / 112),
-        "norm weight RicW": (n_w27_per_ricw, 15.0 / 28),
-        "norm weight Ric0": (n_rg / 25, 4.0 / 5),
-        "norm weight s": (n_rgg / 84**2, 1.0 / 21),
-    }
-    return {k: (a, b, abs(a - b)) for k, (a, b) in report.items()}

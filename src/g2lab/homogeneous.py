@@ -22,6 +22,12 @@ spec, from which they build them, or the already-built matrices;
 `levi_civita` reads the structure constants back off d on 1-forms and keeps
 its Jacobi gate either way.
 
+`analyze` returns a `Report`.  A report holds one base tolerance, and each
+check it records is judged against ``bound(tol, scale) * slack``: the scale
+is the size of what the check compares (0 for an absolute check) and the
+slack (10 or 50) the headroom of a long chain of rounding.  The closed,
+EPR and parallel-torsion predicates use the same `bound`.
+
 Sign conventions: Gamma[i,j,k] = g(grad_{e_i} e_j, e_k) and
 R_ijkl = g(R(e_i,e_j) e_k, e_l) so that the hyperbolic solvable example
 comes out with negative sectional curvature (a build-time self test).
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import is_exact, max_abs, scalar, zeros
+from ._linalg import bound, is_exact, max_abs, scalar, zeros
 from .exterior_algebra import (
     BASIS,
     DIM,
@@ -263,7 +269,7 @@ def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
     # the canonical connection annihilates phi; a residual signals a
     # convention error upstream rather than a property of the input
     nabla_bar_phi = max_abs(_connection_stack(gamma_bar, phi))
-    if not nabla_bar_phi <= 1e-9 * max(max_abs(gamma), 1.0):
+    if not nabla_bar_phi <= bound(1e-9, max_abs(gamma)):
         raise ValueError(
             f"canonical connection does not annihilate phi (residual {nabla_bar_phi:.3g})"
         )
@@ -297,6 +303,7 @@ class Check:
     name: str
     residual: float
     tol: float
+    scale: float = 0.0  # the size the tolerance is relative to; 0 for absolute checks
     detail: str = ""
 
     @property
@@ -308,6 +315,7 @@ class Check:
             "name": self.name,
             "residual": self.residual,
             "tol": self.tol,
+            "scale": self.scale,
             "passed": self.passed,
             "detail": self.detail,
         }
@@ -315,12 +323,19 @@ class Check:
 
 @dataclass
 class Report:
+    """Named checks judged by one rule: a check passes when its residual is
+    at most ``bound(tol, scale) * slack``, with ``tol`` the report's base
+    tolerance and ``slack`` the headroom of a long chain of rounding."""
+
     name: str
+    tol: float
     checks: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    def add(self, name: str, residual, tol: float, detail: str = ""):
-        self.checks.append(Check(name, float(residual), tol, detail))
+    def add(self, name: str, residual, scale: float = 0.0, slack: int = 1, detail: str = ""):
+        self.checks.append(
+            Check(name, float(residual), bound(self.tol, scale) * slack, scale, detail)
+        )
 
     @property
     def passed(self) -> bool:
@@ -350,16 +365,17 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     exterior and canonical-connection form for three weightings, the scalar
     curvature formula, and the closed-structure chain (cyclic identity,
     nabla-bar tau splitting, Ricci-pinching predicate, the curvature
-    contraction identities) when d phi = 0.
+    contraction identities) when d phi = 0.  Each check is judged by
+    `Report.add` against the size of what it compares.
     """
-    report = Report(spec.name)
+    report = Report(spec.name, tol)
     exact = spec.exact
     if phi is None:
         phi = standard_phi(exact)
 
     geo = geometry(spec, phi)
-    report.add("jacobi (d d e^k = 0)", jacobi_residual(geo.d_mats), tol)
-    report.add("d^2 = 0 (all degrees)", d_squared_residual(geo.d_mats), tol)
+    report.add("jacobi (d d e^k = 0)", jacobi_residual(geo.d_mats))
+    report.add("d^2 = 0 (all degrees)", d_squared_residual(geo.d_mats))
 
     t = geo.torsion
     starphi = hodge(phi)
@@ -370,46 +386,36 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     report.add(
         "structure equations solve (d phi, d *phi)",
         max_abs(rec_d.coeffs - dphi.coeffs, rec_s.coeffs - dstarphi.coeffs),
-        tol,
     )
 
     # Levi-Civita sanity: metric and torsion-free
     report.add(
         "Levi-Civita metric (Gamma antisym in last two)",
         max_abs(geo.gamma + geo.gamma.transpose(0, 2, 1)),
-        tol,
     )
     cl = spec.c.transpose(1, 2, 0)
     report.add(
-        "Levi-Civita torsion-free",
-        max_abs(geo.gamma - geo.gamma.transpose(1, 0, 2) - cl),
-        tol,
+        "Levi-Civita torsion-free", max_abs(geo.gamma - geo.gamma.transpose(1, 0, 2) - cl)
     )
     report.add(
-        "d = alt(grad) on phi",
-        max_abs(covariant_wedge(geo.gamma, phi).coeffs - dphi.coeffs),
-        tol,
+        "d = alt(grad) on phi", max_abs(covariant_wedge(geo.gamma, phi).coeffs - dphi.coeffs)
     )
 
     # canonical connection
-    report.add("nabla-bar phi = 0", geo.nabla_bar_phi, tol)
+    report.add("nabla-bar phi = 0", geo.nabla_bar_phi)
     report.add(
         "nabla-bar g = 0 (gamma-bar antisymmetry)",
         max_abs(geo.gamma_bar + geo.gamma_bar.transpose(0, 2, 1)),
-        tol,
     )
     slots = antisym_coefficients(geo.gamma_bar, 2)  # row i: the 2-form gamma-bar_i
-    g2_res = max_abs(slots.dot(projector_matrix(2, 7, exact).T))
-    report.add("gamma-bar is g2-valued", g2_res, tol)
+    report.add("gamma-bar is g2-valued", max_abs(slots.dot(projector_matrix(2, 7, exact).T)))
 
     # curvature block
     r = geo.curvature
     dec = decompose(r, tol=max(tol, 1e-8))
-    report.add("first Bianchi identity", dec.bianchi, tol)
+    report.add("first Bianchi identity", dec.bianchi)
     report.add(
-        "curvature blocks reassemble",
-        max_abs(dec.reassemble().mat - r.mat),
-        max(tol * max(max_abs(r.mat), 1.0), tol),
+        "curvature blocks reassemble", max_abs(dec.reassemble().mat - r.mat), max_abs(r.mat)
     )
     s_g = dec.s
 
@@ -418,7 +424,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     report.add(
         "scalar curvature from torsion",
         abs(float(scalar_from_torsion(t, delta_tau1) - s_g)),
-        max(tol * max(abs(float(s_g)), 1.0), tol),
+        abs(float(s_g)),
     )
 
     # generalized Ricci formulas, both routes, three weightings, on one set
@@ -431,14 +437,15 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         "canonical": [geo.d_nabla_bar(a) for a in sources],
     }
     rhs = {route: ricci_rows(route, derivs[route], terms, K_VALUES) for route in RICCI_ROUTES}
-    scale44 = max(max_abs(ric0g, ric0p), 1.0)
+    scale44 = max_abs(ric0g, ric0p)
     for row, k in enumerate(K_VALUES):
         lhs = lambda3(k[0] * ric0g + k[1] * ric0p)
         for route in RICCI_ROUTES:
             report.add(
                 f"Ricci formula, {route} route, k={k}",
                 max_abs(rhs[route][row] - lhs.coeffs),
-                tol * scale44 * 50,
+                scale44,
+                slack=50,
             )
 
     # d tau2 conversion identity (exterior vs canonical derivative); the
@@ -458,69 +465,66 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     report.add(
         "d tau2 vs canonical-derivative conversion",
         max_abs(conv.coeffs - d_tau2.coeffs),
-        tol * 50,
+        slack=50,
     )
 
     # summary data
+    ric0g_n = (ric0g * ric0g).sum()
     report.summary = {
         "fg_type": sorted(fg_type(t)),
         "torsion_norms": t.norms(),
         "scalar_curvature": float(s_g),
         "block_norms": dec.block_norms(),
-        "ric0_norm2": float((ric0g * ric0g).sum()),
+        "ric0_norm2": float(ric0g_n),
     }
 
-    closed = max_abs(dphi.coeffs) <= 1e-10 * max(max_abs(phi.coeffs), 1.0)
+    closed = max_abs(dphi.coeffs) <= bound(1e-10, max_abs(phi.coeffs))
     if closed:
         _closed_structure_checks(
-            report, geo, dec, ric0p, d_tau2, dbar_tau2, terms["*(tau2^tau2)"], tol
+            report, geo, dec, ric0p, ric0g_n, d_tau2, dbar_tau2, terms["*(tau2^tau2)"]
         )
     return report
 
 
 def _closed_structure_checks(
-    report: Report, geo: InvariantGeometry, dec, ric0p, dtau, dbar_tau, star_tt, tol
+    report: Report, geo: InvariantGeometry, dec, ric0p, ric0g_n, dtau, dbar_tau, star_tt
 ):
     """The d phi = 0 chain: everything the closed case pins down pointwise.
 
-    ``ric0p`` is Ric0^phi, ``dtau`` and ``dbar_tau`` are d tau2 and
-    d^nabla-bar tau2, ``star_tt`` is *(tau2 ^ tau2), all already computed
-    by `analyze`; the scalar curvature and Ric0^g come from ``dec``.
+    ``ric0p`` is Ric0^phi, ``ric0g_n`` is ||Ric0^g||^2, ``dtau`` and
+    ``dbar_tau`` are d tau2 and d^nabla-bar tau2, ``star_tt`` is
+    *(tau2 ^ tau2), all already computed by `analyze`; the scalar curvature,
+    Ric0^g and the block norms come from ``dec``.
     """
     t = geo.torsion
     tau = t.tau2
+    tau_n = tau.norm2()
     phi = geo.phi
     exact = geo.exact
     one = scalar(1, exact)
     p3, _ = phi_arrays(exact)
 
     report.add(
-        "closed: torsion reduces to tau2",
-        max_abs(t.tau0, t.tau1.coeffs, t.tau3.coeffs),
-        tol,
+        "closed: torsion reduces to tau2", max_abs(t.tau0, t.tau1.coeffs, t.tau3.coeffs)
     )
-    report.add(
-        "closed: delta phi = tau",
-        max_abs(geo.delta(phi).coeffs - tau.coeffs),
-        tol,
-    )
-    report.add("closed: cyclic identity for xi", geo.xi.cyclic_residual(), tol)
+    report.add("closed: delta phi = tau", max_abs(geo.delta(phi).coeffs - tau.coeffs))
+    report.add("closed: cyclic identity for xi", geo.xi.cyclic_residual())
 
     nb_tau = nabla_bar_tau(geo)
     g64, g27, g7 = split_v14(nb_tau)
-    report.add("closed: nabla-bar tau has no 7-part", max_abs(g7.array), tol)
+    report.add("closed: nabla-bar tau has no 7-part", max_abs(g7.array))
 
     # d^nabla-bar tau = d tau - *(tau^tau)/6 - |tau|^2 phi / 6
-    rhs = dtau - one / 6 * star_tt - one / 6 * tau.norm2() * phi
+    rhs = dtau - one / 6 * star_tt - one / 6 * tau_n * phi
     report.add(
         "closed: canonical-derivative identity for d tau",
         max_abs(dbar_tau.coeffs - rhs.coeffs),
-        tol * 10,
+        slack=10,
     )
     report.add(
         "closed: d^nabla-bar tau lands in Lambda^3_27",
         max_abs(project(dbar_tau, (3, 1)).coeffs, project(dbar_tau, (3, 7)).coeffs),
-        tol * 10,
+        slack=10,
     )
 
     # the inner-product chain around *d(tau^3); *d(tau^3) is 0 on every
@@ -530,18 +534,21 @@ def _closed_structure_checks(
     star_tt27 = project(star_tt, (3, 27))
     lhs_a = star_d_tau3 / 3
     lhs_b = form_inner(dtau, star_tt)
-    lhs_c = form_inner(dbar_tau, star_tt27)
+    lhs_c = form_inner(dbar_tau, star_tt27)  # <dbar tau, *(tau^tau)_27>
 
     def norm(form) -> float:
         return float(form.norm2()) ** 0.5
 
-    scale_ab = max(abs(float(lhs_a)), 1.0, norm(dtau) * norm(star_tt))
+    scale_ab = max(abs(float(lhs_a)), norm(dtau) * norm(star_tt))
     scale_bc = max(scale_ab, norm(dbar_tau) * norm(star_tt27))
-    report.add("closed: *d(tau^3)/3 = <d tau, *(tau^tau)>", abs(float(lhs_a - lhs_b)), tol * scale_ab * 10)
+    report.add(
+        "closed: *d(tau^3)/3 = <d tau, *(tau^tau)>", abs(float(lhs_a - lhs_b)), scale_ab, slack=10
+    )
     report.add(
         "closed: <d tau, *(tau^tau)> = <dbar tau, *(tau^tau)_27>",
         abs(float(lhs_b - lhs_c)),
-        tol * scale_bc * 10,
+        scale_bc,
+        slack=10,
     )
 
     # closed-case Ricci formula and norms
@@ -549,56 +556,54 @@ def _closed_structure_checks(
     s_g, ric0g = dec.s, dec.ric0
     for k in K_VALUES:
         ric0k = k[0] * ric0g + k[1] * ric0p
-        rhs_c = -(k[0] - 4 * k[1]) * dbar_tau + one / 3 * (k[0] + 5 * k[1]) * project(
-            star_tt, (3, 27)
-        )
+        k_dbar, k_tt = k[0] - 4 * k[1], k[0] + 5 * k[1]
+        rhs_c = -k_dbar * dbar_tau + one / 3 * k_tt * star_tt27
         report.add(
             f"closed: Ricci formula, k={k}",
             max_abs(lambda3(ric0k).coeffs - rhs_c.coeffs),
-            tol * max(max_abs(ric0k), 1.0) * 10,
+            max_abs(ric0k),
+            slack=10,
         )
         n_pred = (
-            one / 2 * (k[0] - 4 * k[1]) ** 2 * dbar_tau.norm2()
-            + one / 21 * (k[0] + 5 * k[1]) ** 2 * tau.norm2() ** 2
-            - one
-            / 3
-            * (k[0] + 5 * k[1])
-            * (k[0] - 4 * k[1])
-            * form_inner(dbar_tau, project(star_tt, (3, 27)))
+            one / 2 * k_dbar**2 * dbar_tau.norm2()
+            + one / 21 * k_tt**2 * tau_n**2
+            - one / 3 * k_tt * k_dbar * lhs_c
         )
         n_true = (ric0k * ric0k).sum()
         report.add(
             f"closed: Ricci norm identity, k={k}",
             abs(float(n_pred - n_true)),
-            tol * max(abs(float(n_true)), 1.0) * 10,
+            abs(float(n_true)),
+            slack=10,
         )
 
     report.add(
-        "closed: scalar curvature = -|tau|^2 / 2",
-        abs(float(s_g + tau.norm2() / 2)),
-        tol * max(abs(float(s_g)), 1.0),
+        "closed: scalar curvature = -|tau|^2 / 2", abs(float(s_g + tau_n / 2)), abs(float(s_g))
     )
 
     # extremally pinched Ricci predicate: d^nabla-bar tau = 0 iff
     # ||Ric0||^2 = 4/21 s^2; report both sides
-    epr_lhs = float((ric0g * ric0g).sum())
+    epr_lhs = float(ric0g_n)
     epr_rhs = float(4 * s_g * s_g / 21)
-    is_epr = max_abs(dbar_tau.coeffs) <= 1e-8 * max(float(tau.norm2()), 1.0)
+    is_epr = max_abs(dbar_tau.coeffs) <= bound(1e-8, float(tau_n))
     if is_epr:
-        report.add("closed: EPR norm identity (dbar tau = 0)", abs(epr_lhs - epr_rhs), tol * max(epr_rhs, 1.0) * 10)
+        report.add(
+            "closed: EPR norm identity (dbar tau = 0)", abs(epr_lhs - epr_rhs), epr_rhs, slack=10
+        )
     report.summary["extremally_pinched"] = bool(is_epr)
     report.summary["epr_identity"] = (epr_lhs, epr_rhs)
 
     # closed case: the 64-block norm is tied to the canonical derivative
-    w64_n = dec.w64.norm2()
+    w64_n = dec.norm2s["W64"]
     report.add(
         "closed: ||W64||^2 = ||(nabla-bar tau)_64||^2 / 3",
         abs(float(w64_n - g64.tensor_norm2() / 3)),
-        tol * max(float(w64_n), 1.0) * 10,
+        float(w64_n),
+        slack=10,
     )
     # parallel-torsion characterisation: nabla-bar tau = 0 iff EPR and W64 = 0
     nb_norm = float(nb_tau.tensor_norm2())
-    report.summary["parallel_torsion"] = bool(nb_norm <= 1e-12 * max(float(tau.norm2()), 1.0))
+    report.summary["parallel_torsion"] = bool(nb_norm <= bound(1e-12, float(tau_n)))
 
     # contraction of the curvature against phi at the pairs i < j (rows) and t:
     # R_ijab phi_abt = (dbar tau)_ijt - nabla-bar_t tau_ij
@@ -614,12 +619,12 @@ def _closed_structure_checks(
     report.add(
         "closed: curvature contraction identity (componentwise)",
         max_abs(lhs40 - rhs40),
-        tol * max(max_abs(lhs40), 1.0) * 10,
+        max_abs(lhs40),
+        slack=10,
     )
 
     # the squared identity with the *d(tau^3) term evaluated explicitly
     lhs41 = 2 * (lhs40 * lhs40).sum()  # the (i, j) and (j, i) entries
-    ric0g_n = (ric0g * ric0g).sum()
     rhs41 = (
         3 * w64_n
         + scalar(40, exact) / 7 * ric0g_n
@@ -629,7 +634,8 @@ def _closed_structure_checks(
     report.add(
         "closed: squared contraction identity",
         abs(float(lhs41 - rhs41)),
-        tol * max(abs(float(lhs41)), 1.0) * 10,
+        abs(float(lhs41)),
+        slack=10,
     )
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_mode, eye, is_exact, max_abs, scalar, zeros
+from ._linalg import as_mode, bound, eye, is_exact, max_abs, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
@@ -193,7 +193,7 @@ def extract_torsion(
     v = extract.dot(u)
     _membership_gate(max_abs(membership.dot(v)))
     residual = max_abs(rebuild.dot(v) - u)
-    if not residual <= tol * max(max_abs(u), 1.0):
+    if not residual <= bound(tol, max_abs(u)):
         raise ValueError(
             f"(d phi, d *phi) is not generated by any torsion quadruple "
             f"(residual {residual:.3g})"

@@ -52,6 +52,24 @@ def test_identities_report_failure_names_check(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identities",),
+        ("identities", "--exact"),
+        ("curvature", "--count", "3"),
+        ("analyze", os.path.join(BUNDLED, "bryant.g2")),
+    ],
+)
+def test_json_rows_show_how_each_check_was_judged(capsys, argv):
+    code, out = run(capsys, "--json", *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] and doc["checks"]
+    for row in doc["checks"]:
+        assert {"name", "residual", "tol", "scale", "passed"} <= row.keys()
+        assert row["passed"] == (row["residual"] <= row["tol"])
+
+
 def test_curvature_suite(capsys):
     code, out = run(capsys, "--json", "curvature", "--count", "10", "--seed", "3")
     assert code == 0

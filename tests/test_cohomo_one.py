@@ -1,6 +1,8 @@
 """Warped products and cohomogeneity-one fibers: jets, two-route torsion."""
 
+import contextlib
 import functools
+import io
 import math
 import sys
 
@@ -11,6 +13,7 @@ import pytest
 from g2lab import cohomo_one as co
 from g2lab import exterior_algebra
 from g2lab._linalg import max_abs
+from g2lab.cli import main
 from g2lab.cohomo_one import (
     LEIBNIZ,
     CohomSpec,
@@ -694,7 +697,7 @@ def test_torsion_call_builds_each_stage_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_Frame", "nearly_kahler_model", "flag_model", "_frame_weights", "_d_operator"):
+    for name in ("_Frame", "_tau_symbolic", "nearly_kahler_model", "flag_model", "_frame_weights", "_d_operator"):
         counting(co, name)
     # every binding of the exterior-algebra wedge in the package
     real_wedge = exterior_algebra.wedge
@@ -706,9 +709,21 @@ def test_torsion_call_builds_each_stage_once(monkeypatch):
     for solve, spec, model in ((warped_torsion, warp, "nearly_kahler_model"), (cohom_torsion, cohom, "flag_model")):
         calls.clear()
         solve(spec)
-        assert calls == {"_Frame": 1, model: 1, "_frame_weights": 1, "_d_operator": 1}
+        assert calls == {"_Frame": 1, "_tau_symbolic": 1, model: 1, "_frame_weights": 1, "_d_operator": 1}
+    # the scalar curvature and its delta tau1 share one closed-form solve,
+    # which needs no d operator
+    calls.clear()
+    scalar_curvature_warped(warp)
+    assert calls == {"_Frame": 1, "_tau_symbolic": 1, "nearly_kahler_model": 1}
     # the counters do see a wedge: the Ricci terms of ricW take several
+    once = {"_Frame": 1, "_tau_symbolic": 1, "nearly_kahler_model": 1, "_frame_weights": 1, "_d_operator": 1}
     calls.clear()
     ricW_vanishes(warp)
     assert calls.pop("wedge") > 0
-    assert calls == {"_Frame": 1, "nearly_kahler_model": 1, "_frame_weights": 1, "_d_operator": 1}
+    assert calls == once
+    # `g2lab warp` reports torsion, scalar curvature and ricW from one frame
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--json", "warp", "--f", "exp", "--theta", "sin", "--t", "0.7"]) == 0
+    assert calls.pop("wedge") > 0
+    assert calls == once

@@ -11,7 +11,6 @@ from g2lab.curvature import (
     CurvatureTensor,
     bianchi_b,
     bianchi_residual,
-    coefficient_consistency_report,
     decompose,
     generalized_ricci,
     inner,
@@ -309,11 +308,6 @@ def test_bianchi_map_matches_the_full_array_reference(exact):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             if exact and symmetric:  # on S^2(Lambda^2) b is a 4-form: the pairs hold all of it
                 assert max_abs(bianchi_b(r)) == max_abs(ref_bianchi_b(r)) > 0
-
-
-def test_coefficient_consistency_report():
-    for name, (derived, stated, diff) in coefficient_consistency_report().items():
-        assert diff < 1e-10, f"{name}: derived {derived} vs stated {stated}"
 
 
 def test_exact_mode_decomposition():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from g2lab._linalg import as_mode, is_exact, max_abs, zeros
+from g2lab._linalg import as_mode, bound, is_exact, max_abs, zeros
 from g2lab.curvature import CurvatureTensor, decompose, kn_product, ric_W, scalar_curvature
 from g2lab.exterior_algebra import (
     BASIS,
@@ -465,11 +465,24 @@ def test_nan_residual_fails_its_check(where):
     assert np.isnan(max_abs(arr))
     assert np.isnan(max_abs(np.zeros(3), arr))
     assert np.isnan(max_abs(np.array(list(arr), dtype=object)))
-    rep = Report("nan")
-    rep.add("clean", max_abs(np.zeros(7)), 1e-9)
-    rep.add("nan somewhere", max_abs(arr), 1e-9)
+    rep = Report("nan", 1e-9)
+    rep.add("clean", max_abs(np.zeros(7)))
+    rep.add("nan somewhere", max_abs(arr))
     assert [c.passed for c in rep.checks] == [True, False]
     assert not rep.passed
+
+
+def test_every_analyze_check_is_judged_by_bound():
+    rep = analyze(builtin_examples()["bryant"]["spec"])
+    slacks = set()
+    for c in rep.checks:
+        found = {s for s in (1, 10, 50) if c.tol == bound(1e-9, c.scale) * s}
+        assert found, (c.name, c.tol, c.scale)
+        slacks |= found
+        assert c.as_dict()["scale"] == c.scale
+    # every slack is in use, and scales above the unit floor reach the bound
+    assert set(slacks) == {1, 10, 50}
+    assert any(c.scale > 1 and c.tol > 50e-9 for c in rep.checks)
 
 
 # --- batched connection action against a per-component loop -----------------------
