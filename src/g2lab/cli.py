@@ -9,7 +9,8 @@
 --json and --tol may stand before or after the command.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad input.
 The default tolerance is 1e-9 (relative where a scale is available) and can
-also be set through the environment variable G2LAB_TOL.
+also be set through the environment variable G2LAB_TOL; a tolerance that is
+not a finite number >= 0 is bad input for every command.
 
 Lie algebras are read from UTF-8 JSON files:
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -44,9 +46,16 @@ from .homogeneous import Report, analyze
 
 
 def _tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    return float(os.environ.get("G2LAB_TOL", "1e-9"))
+    """--tol, else G2LAB_TOL, else 1e-9; ValueError unless a finite number >= 0."""
+    source = "--tol" if args.tol is not None else "G2LAB_TOL"
+    text = args.tol if args.tol is not None else os.environ.get("G2LAB_TOL", "1e-9")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{source} must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def report_to_text(rep: Report) -> str:
@@ -100,7 +109,7 @@ def cmd_identities(args) -> int:
 
     exact = args.exact
     rep = Report(
-        "identities (exact)" if exact else "identities", 0.0 if exact else max(_tol(args), 1e-12)
+        "identities (exact)" if exact else "identities", 0.0 if exact else max(args.tol, 1e-12)
     )
 
     for name, res in check_contraction_identities(exact).items():
@@ -160,7 +169,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    rep = Report("five-block decomposition", max(_tol(args), 1e-10))
+    rep = Report("five-block decomposition", max(args.tol, 1e-10))
     worst = {"reassemble": 0.0, "orthogonality": 0.0, "norm split": 0.0}
     import itertools
 
@@ -252,7 +261,7 @@ def load_spec(path: str):
 def cmd_analyze(args) -> int:
     try:
         spec, phi = load_spec(args.path)
-        rep = analyze(spec, phi, tol=_tol(args))
+        rep = analyze(spec, phi, tol=args.tol)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -266,7 +275,7 @@ def cmd_warp(args) -> int:
     try:
         f = co.jet_profile(args.f, args.t)
         theta = co.jet_profile(args.theta, args.t)
-        payload = {"t": args.t, **co.warp_point(co.WarpSpec(f, theta, args.sigma), tol=_tol(args))}
+        payload = {"t": args.t, **co.warp_point(co.WarpSpec(f, theta, args.sigma), tol=args.tol)}
     except co.RouteMismatch as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
@@ -356,6 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        args.tol = _tol(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

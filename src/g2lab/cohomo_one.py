@@ -678,8 +678,7 @@ class RouteMismatch(ValueError):
     check on valid input, not malformed input."""
 
 
-def _two_route(frame: _Frame, sym: dict, tol: float) -> TorsionComponents:
-    t_closed = _tau_pointwise(frame, sym)
+def _two_route(frame: _Frame, t_closed: TorsionComponents, tol: float) -> TorsionComponents:
     t_generic = extraction_route(frame.spec, frame)
     resid = max_abs(_pack(t_closed) - _pack(t_generic))
     if not resid <= tol:
@@ -695,7 +694,7 @@ def warped_torsion(spec: WarpSpec, tol: float = 1e-9) -> TorsionComponents:
     """Torsion of a warped spec; closed forms cross-checked against the
     generic pipeline at the sample point."""
     frame = _Frame(spec)
-    return _two_route(frame, _tau_symbolic(frame), tol)
+    return _two_route(frame, _tau_pointwise(frame, _tau_symbolic(frame)), tol)
 
 
 def cohom_torsion(spec: CohomSpec, tol: float = 1e-9) -> TorsionComponents:
@@ -714,7 +713,7 @@ def cohom_torsion(spec: CohomSpec, tol: float = 1e-9) -> TorsionComponents:
         )
         return extraction_route(spec)
     frame = _Frame(spec)
-    return _two_route(frame, _tau_symbolic(frame), tol)
+    return _two_route(frame, _tau_pointwise(frame, _tau_symbolic(frame)), tol)
 
 
 def theta_family(b: Jet, a_value: float, branch: int = 1) -> Jet:
@@ -766,11 +765,12 @@ def _delta_tau1(frame: _Frame, sym: dict) -> float:
 def scalar_curvature_warped(spec) -> float:
     """Scalar curvature via the torsion formula with the honest delta tau1."""
     frame = _Frame(spec)
-    return _scalar_curvature(frame, _tau_symbolic(frame))
+    sym = _tau_symbolic(frame)
+    return _scalar_curvature(frame, sym, _tau_pointwise(frame, sym))
 
 
-def _scalar_curvature(frame: _Frame, sym: dict) -> float:
-    return float(scalar_from_torsion(_tau_pointwise(frame, sym), _delta_tau1(frame, sym)))
+def _scalar_curvature(frame: _Frame, sym: dict, t: TorsionComponents) -> float:
+    return float(scalar_from_torsion(t, _delta_tau1(frame, sym)))
 
 
 def ricW_vanishes(spec, k=(4, -5)) -> float:
@@ -783,16 +783,16 @@ def ricW_vanishes(spec, k=(4, -5)) -> float:
     zero for every warped product over a nearly Kaehler fiber.
     """
     frame = _Frame(spec)
-    return _ricW(frame, _tau_symbolic(frame), k)
+    sym = _tau_symbolic(frame)
+    return _ricW(frame, sym, _tau_pointwise(frame, sym), k)
 
 
-def _ricW(frame: _Frame, sym: dict, k=(4, -5)) -> float:
+def _ricW(frame: _Frame, sym: dict, t: TorsionComponents, k=(4, -5)) -> float:
     th = frame.spec.theta.value
     _, starphi = _phi_forms(frame)
     d_term1 = sym["tau1"].wedge(starphi).star().d().evaluate(th)
     d_term2 = sym["tau2"].d().evaluate(th)
     d_term3 = sym["tau3"].d().evaluate(th)
-    t = _tau_pointwise(frame, sym)
     return max_abs(ricci_rhs_exterior(t, d_term1, d_term2, d_term3, k).coeffs)
 
 
@@ -801,7 +801,8 @@ def warp_point(spec: WarpSpec, tol: float = 1e-9) -> dict:
     spec, all from one frame; raises RouteMismatch as `warped_torsion` does."""
     frame = _Frame(spec)
     sym = _tau_symbolic(frame)
-    tor = _two_route(frame, sym, tol)
+    t_closed = _tau_pointwise(frame, sym)
+    tor = _two_route(frame, t_closed, tol)
     norms = tor.norms()
     return {
         "fg_type": sorted(fg_type(tor)),
@@ -809,8 +810,8 @@ def warp_point(spec: WarpSpec, tol: float = 1e-9) -> dict:
         "tau1_norm": norms[4],
         "tau2_norm": norms[2],
         "tau3_norm": norms[3],
-        "scalar_curvature": _scalar_curvature(frame, sym),
-        "ricW_residual": _ricW(frame, sym),
+        "scalar_curvature": _scalar_curvature(frame, sym, t_closed),
+        "ricW_residual": _ricW(frame, sym, t_closed),
     }
 
 

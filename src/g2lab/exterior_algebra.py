@@ -17,14 +17,18 @@ antisymmetric unfold) are stored as integer index tables, built once per
 degree: the positions each structure constant reads and writes and its
 sign.  Applying one is a numpy gather and an ``np.add.at`` scatter, the same
 code for float64 and for ``Fraction`` object arrays; float sums run in the
-table's row order.  `perm_sign` is only called while a table is built.
-The composite maps of `g2_algebra` are built once from these tables, in
-integer arithmetic; `frame_wedge` and `frame_interior` apply e^i ^ and
-e_i -| for all seven i in one pass.
+table's row order.  Signs come from two sources only: the wedge table and
+the antisymmetric unfold call `perm_sign`, and every other table is read
+off the wedge table.  The contraction is its adjoint, <e^I -| e^J, e^C> =
+<e^J, e^I ^ e^C>; the interior product is contraction by a 1-form; the
+Hodge star pairs with vol, e^I ^ *e^I = vol; and the Leibniz rule
+D e^I = sum_s (-1)^s D(e^(i_s)) ^ e^(I - i_s) of a derivation that maps
+1-forms to r-forms (`_derivation_table(k, r)`) is an interior row followed
+by wedge rows.  The composite maps of `g2_algebra` are built once from
+these tables, in integer arithmetic; `frame_wedge` and `frame_interior`
+apply e^i ^ and e_i -| for all seven i in one pass.
 
-The Leibniz rule D e^I = sum_s (-1)^s D(e^(i_s)) ^ e^(I - i_s) is one
-table as well (`_derivation_table(k, r)`), for a derivation that maps
-1-forms to r-forms: with r = 2 it builds the invariant exterior derivative
+With r = 2 the derivation table builds the invariant exterior derivative
 of `homogeneous` from d on 1-forms, with r = 1 the action of a connection
 with constant coefficients on k-forms (`_connection_stack`), and
 `covariant_wedge` alternates that action into sum_i e^i ^ grad_i a.
@@ -266,18 +270,18 @@ def _derivation_table(k: int, r: int):
     1-forms to 2-forms (r = 2), and for the gl(7) action of a connection,
     which maps 1-forms to 1-forms (r = 1).  Rows (pos_out, pos_in, target,
     head, sign): D_k[pos_out, pos_in] += sign * D_1[target, head], target
-    the position of a basis r-form.
+    the position of a basis r-form.  Each interior row e_head -| e^I, in
+    (pos_in, head) order, is followed by the wedge rows e^T ^ e^(I - head)
+    of (r, k - 1) in target order; k - 1 + r must not exceed 7.
     """
-    rows = []
-    for pos, I in enumerate(BASIS[k]):
-        for s, head in enumerate(I):
-            rest = I[:s] + I[s + 1 :]
-            for target, T in enumerate(BASIS[r]):
-                if set(T).isdisjoint(rest):
-                    merged = T + rest
-                    out = INDEX[k - 1 + r][tuple(sorted(merged))]
-                    rows.append((out, pos, target, head, (-1) ** s * perm_sign(merged)))
-    return index_columns(rows, 5)
+    if k == 0:
+        return index_columns([], 5)
+    c = _contract_table(1, k)
+    order = np.lexsort((c.pa, c.pb))
+    head, pos, rest, sign = c.pa[order], c.pb[order], c.po[order], c.coef[order]
+    w = _wedge_table(r, k - 1)
+    i, j = np.nonzero(rest[:, None] == w.pb[None, :])
+    return index_columns(np.stack([w.po[j], pos[i], w.pa[j], head[i], sign[i] * w.coef[j]], axis=1), 5)
 
 
 def _connection_stack(gamma: np.ndarray, a: Form) -> np.ndarray:
@@ -309,24 +313,15 @@ def covariant_wedge(gamma: np.ndarray, a: Form) -> Form:
     return frame_wedge(_connection_stack(gamma, a), a.degree)
 
 
-def wedge_all(*forms: Form) -> Form:
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge(acc, f)
-    return acc
-
-
 # --- Hodge star ------------------------------------------------------------
 
 
-@functools.cache
 def hodge_table(k: int):
-    """(pos_out, sign) per input position: *e^I = sign(I, I^c) e^(I^c)."""
-    rows = []
-    for I in BASIS[k]:
-        comp = tuple(i for i in range(DIM) if i not in I)
-        rows.append((INDEX[DIM - k][comp], perm_sign(I + comp)))
-    return index_columns(rows, 2)
+    """(pos_out, sign) per input position: *e^I = sign(I, I^c) e^(I^c), read
+    off the one row e^I ^ e^(I^c) = sign(I, I^c) vol per I of the wedge
+    table of (k, 7 - k).  Both arrays are read-only."""
+    w = _wedge_table(k, DIM - k)
+    return w.pb, w.coef
 
 
 def hodge_matrix(k: int) -> np.ndarray:
@@ -353,21 +348,7 @@ def hodge(a: Form) -> Form:
     return Form(DIM - a.degree, out)
 
 
-def volume_form(exact: bool = False) -> Form:
-    return Form.basis(range(1, 8), exact)
-
-
 # --- interior product -------------------------------------------------------
-
-
-@functools.cache
-def _interior_table(k: int) -> IndexTable:
-    """Rows (vector_index, pos_in, pos_out, sign): i_(e_i) e^I for i in I."""
-    rows = []
-    for pos, I in enumerate(BASIS[k]):
-        for p, i in enumerate(I):
-            rows.append((i, pos, INDEX[k - 1][I[:p] + I[p + 1 :]], (-1) ** p))
-    return IndexTable.from_rows(rows, dim_of(k - 1))
 
 
 def interior(v, a: Form) -> Form:
@@ -375,12 +356,12 @@ def interior(v, a: Form) -> Form:
     v = np.asarray(v, dtype=object if a.exact else float)
     if a.degree == 0:
         return Form.zero(0, a.exact)
-    return Form(a.degree - 1, _interior_table(a.degree).apply(v, a.coeffs, a.exact))
+    return Form(a.degree - 1, _contract_table(1, a.degree).apply(v, a.coeffs, a.exact))
 
 
 def frame_interior(a: Form) -> np.ndarray:
     """The (7, dim_(k-1)) stack of e_i -| a for i = 1..7 (degree k >= 1)."""
-    t = _interior_table(a.degree)
+    t = _contract_table(1, a.degree)
     out = zeros((DIM, t.n_out), a.exact)
     out[t.pa, t.po] = t.coef * a.coeffs[t.pb]  # each entry is written once
     return out
@@ -395,19 +376,12 @@ def basis_vector(i: int, exact: bool = False) -> np.ndarray:
 
 @functools.cache
 def _contract_table(ka: int, kb: int) -> IndexTable:
-    """Rows (pos_a, pos_b, pos_out, sign): e^I -| e^J = i_(I_last)..i_(I_1) e^J."""
-    rows = []
-    for pa, I in enumerate(BASIS[ka]):
-        for pb, J in enumerate(BASIS[kb]):
-            if not set(I) <= set(J):
-                continue
-            rest, sign = list(J), 1
-            for i in I:
-                p = rest.index(i)
-                sign *= (-1) ** p
-                del rest[p]
-            rows.append((pa, pb, INDEX[kb - ka][tuple(rest)], sign))
-    return IndexTable.from_rows(rows, dim_of(kb - ka))
+    """Rows (pos_a, pos_b, pos_out, sign) of e^I -| e^J, the adjoint of the
+    wedge: <e^I -| e^J, e^C> = <e^J, e^I ^ e^C>, so the wedge table of
+    (ka, kb - ka) with its second input and its output exchanged.  With
+    ka = 1 it is the interior product, rows (i, pos_in, pos_out, sign)."""
+    w = _wedge_table(ka, kb - ka)
+    return IndexTable(w.pa, w.po, w.pb, w.coef, dim_of(kb - ka))
 
 
 def contract(a: Form, b: Form) -> Form:

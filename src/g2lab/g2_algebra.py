@@ -41,7 +41,6 @@ from .exterior_algebra import (
     Form,
     IndexTable,
     _contract_table,
-    _interior_table,
     _wedge_table,
     dim_of,
     frame_interior,
@@ -126,7 +125,7 @@ def project(a: Form, label) -> Form:
 @functools.cache
 def iphi_matrix() -> np.ndarray:
     """Read-only integer (7, 21) matrix whose row u holds e_u -| phi."""
-    m = _interior_table(3).dense(DIM, dim_of(3)).dot(phi_coefficients()).T.copy()
+    m = _contract_table(1, 3).dense(DIM, dim_of(3)).dot(phi_coefficients()).T.copy()
     m.flags.writeable = False
     return m
 
@@ -192,8 +191,9 @@ def _pairing_table(
     """The table of (a, b) -> sum_k L_k(e^a) ^ R_k(e^b) on n_a x n_b inputs.
 
     L_k and R_k map into degrees kl and kr; they are given as rows
-    (k, input, output, coef), the layout of the interior table.  Every pair
-    of rows with the same k is wedged through the wedge table.
+    (k, input, output, coef), the layout of the interior table
+    `_contract_table(1, k)`.  Every pair of rows with the same k is wedged
+    through the wedge table.
     """
     w = _wedge_table(kl, kr)
     w_out = np.zeros((left.n_out, right.n_out), dtype=np.intp)
@@ -209,7 +209,7 @@ def _pairing_table(
 @functools.cache
 def _odot_table(ka: int, kb: int) -> IndexTable:
     return _pairing_table(
-        _interior_table(ka), _interior_table(kb), ka - 1, kb - 1, dim_of(ka), dim_of(kb)
+        _contract_table(1, ka), _contract_table(1, kb), ka - 1, kb - 1, dim_of(ka), dim_of(kb)
     )
 
 
@@ -225,7 +225,7 @@ def _quad_tables() -> dict:
     c_iphi = np.einsum("pxa,kx->kap", c, iphi_matrix())
     k, a, p = np.nonzero(c_iphi)
     contract_iphi = IndexTable.from_rows(np.stack([k, a, p, c_iphi[k, a, p]], axis=1), DIM)
-    quad_b = _pairing_table(contract_iphi, _interior_table(3), 1, 2, n, n)
+    quad_b = _pairing_table(contract_iphi, _contract_table(1, 3), 1, 2, n, n)
     return {"A": quad_a, "B": quad_b}
 
 
@@ -298,10 +298,6 @@ class MixedV14:
         return MixedV14(self.array * c)
 
     __rmul__ = __mul__
-
-
-def mixed_from_slices(slices) -> MixedV14:
-    return MixedV14(np.stack([s.coeffs for s in slices], axis=0))
 
 
 def mixed_project_14(arr: np.ndarray) -> MixedV14:

@@ -58,7 +58,7 @@ from .exterior_algebra import (
     to_antisym,
     wedge,
 )
-from .g2_algebra import MixedV14, mixed_from_slices, project, projector_matrix, split_v14
+from .g2_algebra import MixedV14, project, projector_matrix, split_v14
 from .curvature import CurvatureTensor, _iphi_matrix, decompose
 from .torsion import (
     RICCI_ROUTES,
@@ -237,9 +237,6 @@ class InvariantGeometry:
     def delta(self, a: Form) -> Form:
         return invariant_delta(self.d_mats, a)
 
-    def nabla_bar(self, a: Form) -> list:
-        return connection_form_action(self.gamma_bar, a)
-
     def d_nabla_bar(self, a: Form) -> Form:
         """d^nabla-bar a = sum_i e^i ^ nabla-bar_i a."""
         return covariant_wedge(self.gamma_bar, a)
@@ -288,8 +285,7 @@ def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
 
 def nabla_bar_tau(geo: InvariantGeometry) -> MixedV14:
     """nabla-bar of the Lambda^2_14 torsion form as a mixed tensor."""
-    slices = geo.nabla_bar(geo.torsion.tau2)
-    mixed = mixed_from_slices(slices)
+    mixed = MixedV14(_connection_stack(geo.gamma_bar, geo.torsion.tau2))
     if not mixed.membership_residual() <= 1e-8:
         raise ValueError("nabla-bar tau left Lambda^2_14; connection is not G2")
     return mixed

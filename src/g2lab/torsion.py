@@ -16,10 +16,12 @@ The intrinsic torsion is recovered through the contraction dictionary
     xibar_1 = -tau0/2 g,   xibar_7 = 2 *(tau1 ^ *phi),
     xibar_14 = tau2,       xibar_27 = sigma(tau3) / 2,
 
-xi_ijk = xibar_ip phi_pjk / 6.  The 27-part normalisation is pinned by
-requiring that the reconstructed xi reproduces (d phi, d *phi) through
-d = alt(grad), where grad phi and grad *phi are the gl(7) action of xi:
-`differential_from_xibar` is `covariant_wedge(xi, .)` on phi and *phi.
+xi_ijk = xibar_ip phi_pjk / 6.  The first three pieces are one constant
+49 x 29 matrix on the packed (tau0, tau1, tau2), composed once per scalar
+mode (`_intrinsic_table`); sigma(tau3) / 2 is added to its product.  The
+27-part normalisation is pinned by requiring that the reconstructed xi
+reproduces (d phi, d *phi) through d = alt(grad), where grad phi and
+grad *phi are the gl(7) action of xi, `covariant_wedge(xi, .)`.
 
 The generalized Ricci formula is linear in its weighting k, so it is stored
 as data: `RICCI_TABLE` holds, per term and route, the (k1, k2) coefficients
@@ -40,8 +42,8 @@ from ._linalg import as_mode, bound, eye, is_exact, max_abs, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
+    _unfold,
     _wedge_table,
-    covariant_wedge,
     hodge,
     hodge_matrix,
     hodge_table,
@@ -49,7 +51,6 @@ from .exterior_algebra import (
     phi_coefficients,
     standard_phi,
     standard_phi_dual,
-    to_antisym,
     wedge,
     wedge_phi_matrix,
 )
@@ -100,18 +101,6 @@ class TorsionComponents:
         )
 
 
-def random_torsion(seed: int = 0) -> TorsionComponents:
-    rng = np.random.default_rng(seed)
-    q14 = projector_matrix(2, 14)
-    q27 = projector_matrix(3, 27)
-    return TorsionComponents(
-        float(rng.normal()),
-        Form(1, rng.normal(size=7)),
-        Form(2, q14.dot(rng.normal(size=21))),
-        Form(3, q27.dot(rng.normal(size=35))),
-    )
-
-
 # --- structure equations -----------------------------------------------------
 # A quadruple is packed as one vector v = (tau0, tau1, tau2, tau3) of length
 # 1 + 7 + 21 + 35 and the pair (d phi, d *phi) as one u of length 35 + 21;
@@ -120,6 +109,14 @@ def random_torsion(seed: int = 0) -> TorsionComponents:
 
 def _pack(t: TorsionComponents) -> np.ndarray:
     return np.concatenate(([t.tau0], t.tau1.coeffs, t.tau2.coeffs, t.tau3.coeffs))
+
+
+@functools.cache
+def _wedge_starphi() -> np.ndarray:
+    """Read-only integer (21, 7) matrix of a -> a ^ *phi on 1-forms."""
+    m = _wedge_table(1, 4).dense(DIM, 35).dot(hodge_matrix(3).dot(phi_coefficients()))
+    m.flags.writeable = False
+    return m
 
 
 @functools.cache
@@ -149,7 +146,7 @@ def _structure_tables(exact: bool) -> tuple:
     rebuild[:35, 0] = starphi
     rebuild[:35, 1:8] = 3 * wedge_phi_matrix(1)
     rebuild[:35, 29:] = hodge_matrix(3)
-    rebuild[35:, 1:8] = 4 * _wedge_table(1, 4).dense(DIM, 35).dot(starphi)
+    rebuild[35:, 1:8] = 4 * _wedge_starphi()
     rebuild[35:, 8:29] = wedge_phi_matrix(2)
     nonzero = rebuild != 0  # exact zeros stay one shared Fraction
     rebuild, entries = zeros(rebuild.shape, exact), as_mode(rebuild[nonzero], exact)
@@ -158,6 +155,22 @@ def _structure_tables(exact: bool) -> tuple:
     for m in (extract, membership, rebuild):
         m.flags.writeable = False
     return extract, membership, rebuild
+
+
+@functools.cache
+def _intrinsic_table(exact: bool) -> np.ndarray:
+    """Read-only 49 x 29 matrix of the packed (tau0, tau1, tau2) to
+    -tau0/2 g + 2 *(tau1 ^ *phi) + tau2 as a component array, flattened row
+    by row.  The 2-forms *(e^k ^ *phi) have disjoint monomials, so each row
+    holds at most two nonzero entries and each entry of a product is one
+    rounded sum of two exact terms.
+    """
+    table = zeros((DIM * DIM, 29), exact)
+    table[:, 0] = -eye(DIM, exact).reshape(-1) / 2
+    table[:, 1:8] = _unfold(as_mode(2 * hodge_matrix(5).dot(_wedge_starphi()).T, exact), 2).T
+    table[:, 8:] = _unfold(eye(21, exact), 2).T
+    table.flags.writeable = False
+    return table
 
 
 def _membership_gate(residual, tol: float = 1e-9) -> None:
@@ -242,40 +255,16 @@ def xi_from_xibar(xibar: np.ndarray) -> np.ndarray:
     return np.tensordot(xibar, p3, axes=([1], [0])) / 6
 
 
-def xibar_from_xi(xi: np.ndarray) -> np.ndarray:
-    """xibar_ij = xi_ipq phi_jpq (inverse of xi_from_xibar by phi.phi = 6g)."""
-    p3, _ = phi_arrays(is_exact(xi))
-    return np.tensordot(xi, p3, axes=([1, 2], [1, 2]))
-
-
 def intrinsic_from_torsion(t: TorsionComponents) -> IntrinsicTorsion:
     """Assemble xibar from the four torsion components, then xi.
 
     The four pieces live in the splitting of a 2-tensor: trace, symmetric
-    traceless, Lambda^2_14 and Lambda^2_7.
+    traceless, Lambda^2_14 and Lambda^2_7.  All but the symmetric traceless
+    one come from one product with `_intrinsic_table`; sigma(tau3) / 2 is
+    added to it last.
     """
-    exact = t.exact
-    g = eye(DIM, exact)
-    phi = standard_phi(exact)
-    starphi = hodge(phi)
-    xibar = -(t.tau0 / 2) * g
-    xibar = xibar + 2 * to_antisym(hodge(wedge(t.tau1, starphi))).array
-    xibar = xibar + to_antisym(t.tau2).array
-    xibar = xibar + sigma_contract(t.tau3) / 2
+    xibar = _intrinsic_table(t.exact).dot(_pack(t)[:29]).reshape(DIM, DIM) + sigma_contract(t.tau3) / 2
     return IntrinsicTorsion(xi=xi_from_xibar(xibar), xi_bar=xibar)
-
-
-def differential_from_xibar(xibar: np.ndarray):
-    """(d phi, d *phi) implied by an intrinsic torsion, via d = alt(grad).
-
-    The canonical connection annihilates phi and *phi, so the Levi-Civita
-    derivative of either is the gl(7) action of xi, and d is its
-    alternation `covariant_wedge`.  Used to pin the normalisations of
-    intrinsic_from_torsion against recompose.
-    """
-    xi = xi_from_xibar(xibar)
-    exact = is_exact(xibar)
-    return covariant_wedge(xi, standard_phi(exact)), covariant_wedge(xi, standard_phi_dual(exact))
 
 
 # --- scalar curvature and closed-structure identities ---------------------------

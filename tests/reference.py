@@ -1,0 +1,135 @@
+"""Reference code for the tests: helpers the package itself does not use,
+and the plain loops that built the index tables of `g2lab.exterior_algebra`
+before they were read off the wedge table.
+
+Each loop builds its rows from the multi-indices directly, with a
+permutation sign of its own, so comparing a derived table with its loop
+checks the derivation, not a shared helper.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from g2lab._linalg import is_exact
+from g2lab.exterior_algebra import (
+    BASIS,
+    DIM,
+    INDEX,
+    Form,
+    covariant_wedge,
+    phi_arrays,
+    standard_phi,
+    standard_phi_dual,
+    wedge,
+)
+from g2lab.g2_algebra import projector_matrix
+from g2lab.torsion import TorsionComponents, xi_from_xibar
+
+# --- forms and torsion ----------------------------------------------------------
+
+
+def wedge_all(*forms: Form) -> Form:
+    acc = forms[0]
+    for f in forms[1:]:
+        acc = wedge(acc, f)
+    return acc
+
+
+def volume_form(exact: bool = False) -> Form:
+    return Form.basis(range(1, 8), exact)
+
+
+def random_torsion(seed: int = 0) -> TorsionComponents:
+    rng = np.random.default_rng(seed)
+    q14 = projector_matrix(2, 14)
+    q27 = projector_matrix(3, 27)
+    return TorsionComponents(
+        float(rng.normal()),
+        Form(1, rng.normal(size=7)),
+        Form(2, q14.dot(rng.normal(size=21))),
+        Form(3, q27.dot(rng.normal(size=35))),
+    )
+
+
+def xibar_from_xi(xi: np.ndarray) -> np.ndarray:
+    """xibar_ij = xi_ipq phi_jpq (inverse of xi_from_xibar by phi.phi = 6g)."""
+    p3, _ = phi_arrays(is_exact(xi))
+    return np.tensordot(xi, p3, axes=([1, 2], [1, 2]))
+
+
+def differential_from_xibar(xibar: np.ndarray):
+    """(d phi, d *phi) implied by an intrinsic torsion, via d = alt(grad).
+
+    The canonical connection annihilates phi and *phi, so the Levi-Civita
+    derivative of either is the gl(7) action of xi, and d is its
+    alternation `covariant_wedge`.  Pins the normalisations of
+    `intrinsic_from_torsion` against `recompose`.
+    """
+    xi = xi_from_xibar(xibar)
+    exact = is_exact(xibar)
+    return covariant_wedge(xi, standard_phi(exact)), covariant_wedge(xi, standard_phi_dual(exact))
+
+
+# --- loop references of the index tables ------------------------------------------
+
+
+def sign_of(seq) -> int:
+    """Sign of the permutation sorting seq, by counting inversions."""
+    inversions = sum(1 for x, y in itertools.combinations(seq, 2) if x > y)
+    return -1 if inversions % 2 else 1
+
+
+def _rows(rows, width: int) -> np.ndarray:
+    return np.array(rows, dtype=np.intp).reshape(-1, width)
+
+
+def loop_contract_rows(ka: int, kb: int) -> np.ndarray:
+    """Rows (pos_a, pos_b, pos_out, sign): e^I -| e^J = i_(I_last)..i_(I_1) e^J."""
+    rows = []
+    for pa, I in enumerate(BASIS[ka]):
+        for pb, J in enumerate(BASIS[kb]):
+            if not set(I) <= set(J):
+                continue
+            rest, sign = list(J), 1
+            for i in I:
+                p = rest.index(i)
+                sign *= (-1) ** p
+                del rest[p]
+            rows.append((pa, pb, INDEX[kb - ka][tuple(rest)], sign))
+    return _rows(rows, 4)
+
+
+def loop_interior_rows(k: int) -> np.ndarray:
+    """Rows (vector_index, pos_in, pos_out, sign): i_(e_i) e^I for i in I."""
+    rows = []
+    for pos, I in enumerate(BASIS[k]):
+        for p, i in enumerate(I):
+            rows.append((i, pos, INDEX[k - 1][I[:p] + I[p + 1 :]], (-1) ** p))
+    return _rows(rows, 4)
+
+
+def loop_hodge_rows(k: int) -> np.ndarray:
+    """(pos_out, sign) per input position: *e^I = sign(I, I^c) e^(I^c)."""
+    rows = []
+    for I in BASIS[k]:
+        comp = tuple(i for i in range(DIM) if i not in I)
+        rows.append((INDEX[DIM - k][comp], sign_of(I + comp)))
+    return _rows(rows, 2)
+
+
+def loop_derivation_rows(k: int, r: int) -> np.ndarray:
+    """Rows (pos_out, pos_in, target, head, sign) of the Leibniz rule
+    D e^I = sum_s (-1)^s D(e^(i_s)) ^ e^(I - i_s), D mapping 1-forms to r-forms."""
+    rows = []
+    for pos, I in enumerate(BASIS[k]):
+        for s, head in enumerate(I):
+            rest = I[:s] + I[s + 1 :]
+            for target, T in enumerate(BASIS[r]):
+                if set(T).isdisjoint(rest):
+                    merged = T + rest
+                    out = INDEX[k - 1 + r][tuple(sorted(merged))]
+                    rows.append((out, pos, target, head, (-1) ** s * sign_of(merged)))
+    return _rows(rows, 5)

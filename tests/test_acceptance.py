@@ -50,10 +50,10 @@ from g2lab.torsion import (
     conformal_transform,
     extract_torsion,
     fg_type,
-    random_torsion,
     recompose,
 )
 from dict_engine import conformal_warp
+from reference import random_torsion
 from g2lab.cohomo_one import (
     Jet,
     WarpSpec,

@@ -296,6 +296,40 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["identities"],
+        ["identities", "--exact"],
+        ["curvature", "--count", "1"],
+        ["analyze", os.path.join(BUNDLED, "bryant.g2")],
+        ["warp"],
+        ["sweep"],
+    ],
+    ids=["identities", "identities --exact", "curvature", "analyze", "warp", "sweep"],
+)
+def test_bad_tolerance_is_bad_input(command, capsys, monkeypatch):
+    # once passed as a traceback (abc), clamped to 1e-12 (-1) or turned into a
+    # Bianchi "violation" (nan)
+    for text in ("abc", "-1", "nan", "inf", "-inf"):
+        monkeypatch.setenv("G2LAB_TOL", text)
+        assert main(command) == 2, text
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: G2LAB_TOL must be") and captured.out == ""
+    monkeypatch.delenv("G2LAB_TOL")
+    for text in ("-1", "nan", "inf", "-1e-300"):
+        for argv in (["--tol=" + text] + command, command + ["--tol=" + text]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: --tol must be") and captured.out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol=abc"] + command)  # argparse's own float check
+    assert exc.value.code == 2
+    assert "invalid float value" in capsys.readouterr().err
+    monkeypatch.setenv("G2LAB_TOL", "nan")
+    assert main(["--tol=0"] + command) != 2  # --tol wins over the environment
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

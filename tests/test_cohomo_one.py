@@ -45,9 +45,9 @@ from g2lab.exterior_algebra import (
     interior,
     standard_phi,
     wedge,
-    wedge_all,
 )
 from g2lab.torsion import TorsionComponents, conformal_transform, fg_type
+from reference import wedge_all
 
 T0 = 1.1
 
@@ -722,8 +722,10 @@ def test_torsion_call_builds_each_stage_once(monkeypatch):
     assert calls.pop("wedge") > 0
     assert calls == once
     # `g2lab warp` reports torsion, scalar curvature and ricW from one frame
+    # and one pointwise closed-form torsion
+    counting(co, "_tau_pointwise")
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--json", "warp", "--f", "exp", "--theta", "sin", "--t", "0.7"]) == 0
     assert calls.pop("wedge") > 0
-    assert calls == once
+    assert calls == {**once, "_tau_pointwise": 1}

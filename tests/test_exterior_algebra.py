@@ -1,14 +1,19 @@
 """Form calculus on R^7: wedge, star, interior, component arrays."""
 
+import ast
 import itertools
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import reference
 from g2lab.exterior_algebra import (
     _PHI_TERMS,
     BASIS,
+    _contract_table,
+    _derivation_table,
     Form,
     antisym_coefficients,
     basis_vector,
@@ -21,6 +26,7 @@ from g2lab.exterior_algebra import (
     frame_wedge,
     from_antisym,
     hodge,
+    hodge_table,
     interior,
     phi_arrays,
     standard_omega,
@@ -29,10 +35,9 @@ from g2lab.exterior_algebra import (
     standard_psi_minus,
     standard_psi_plus,
     to_antisym,
-    volume_form,
     wedge,
-    wedge_all,
 )
+from reference import volume_form, wedge_all
 
 RNG = np.random.default_rng(20240811)
 
@@ -393,3 +398,65 @@ def test_antisym_coefficients_checks_the_whole_stack():
     stack[4, 0, 1] += 1e-6  # one slice loses its antisymmetry
     with pytest.raises(ValueError, match="input array is not antisymmetric"):
         antisym_coefficients(stack, 2)
+
+
+# --- tables read off the wedge table against the loops they replaced -----------
+
+
+def _table_rows(t):
+    return np.stack([t.pa, t.pb, t.po, t.coef], axis=1)
+
+
+def _by_output(rows):
+    """Rows stably sorted by their output position: equal for two tables with
+    the same rows and, per output, the same summation order."""
+    return rows[np.argsort(rows[:, 2], kind="stable")]
+
+
+def test_derived_tables_match_their_loop_references():
+    for kb in range(8):
+        for ka in range(kb + 1):
+            got = _by_output(_table_rows(_contract_table(ka, kb)))
+            assert np.array_equal(got, _by_output(reference.loop_contract_rows(ka, kb))), (ka, kb)
+    for k in range(1, 8):
+        got = _by_output(_table_rows(_contract_table(1, k)))
+        assert np.array_equal(got, _by_output(reference.loop_interior_rows(k))), k
+    for k in range(8):
+        po, sign = hodge_table(k)
+        assert not (po.flags.writeable or sign.flags.writeable)
+        assert np.array_equal(np.stack([po, sign], axis=1), reference.loop_hodge_rows(k)), k
+    # row for row in the loop's order, which invariant_d_matrices sums in;
+    # the image of a k-form has degree k - 1 + r <= 7
+    for r in (1, 2):
+        for k in range(9 - r):
+            got = np.stack(_derivation_table(k, r), axis=1)
+            assert np.array_equal(got, reference.loop_derivation_rows(k, r)), (k, r)
+
+
+def _perm_sign_users(tree: ast.AST) -> set:
+    """Enclosing function of every name, attribute or import of perm_sign."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if "perm_sign" in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+            isinstance(node, ast.alias) and node.name == "perm_sign"
+        ):
+            found.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_perm_sign_is_used_only_by_the_wedge_and_antisym_tables():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "g2lab"
+    users = {
+        path.name: _perm_sign_users(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(src.glob("*.py"))
+    }
+    assert users.pop("exterior_algebra.py") == {"_wedge_table", "_antisym_table"}
+    assert {name: found for name, found in users.items() if found} == {}
+    assert _perm_sign_users(ast.parse("from m import perm_sign\ndef f():\n    return m.perm_sign\n")) == {None, "f"}

@@ -225,7 +225,7 @@ def test_canonical_connection_annihilates_phi():
         xi, gamma_bar = canonical_connection(spec)
         geo = geometry(spec)
         assert np.array_equal(xi.xi, geo.xi.xi) and np.array_equal(gamma_bar, geo.gamma_bar)
-        res = max(max_abs(f.coeffs) for f in geo.nabla_bar(PHI))
+        res = max(max_abs(f.coeffs) for f in connection_form_action(geo.gamma_bar, PHI))
         assert res < 1e-12
         assert max_abs(gamma_bar + gamma_bar.transpose(0, 2, 1)) < 1e-13
 
@@ -422,9 +422,9 @@ def test_analyze_builds_each_stage_once(monkeypatch):
     }
 
 
-def test_warm_analyze_unfolds_three_forms(monkeypatch):
-    # two in intrinsic_from_torsion and tau in the closed chain: the curvature
-    # is never unfolded into R_ijkl
+def test_warm_analyze_unfolds_only_tau(monkeypatch):
+    # tau in the closed chain: intrinsic_from_torsion is one table product and
+    # the curvature is never unfolded into R_ijkl
     import sys
 
     spec = builtin_examples()["bryant"]["spec"]
@@ -440,7 +440,7 @@ def test_warm_analyze_unfolds_three_forms(monkeypatch):
         if mod_name.split(".")[0] == "g2lab" and hasattr(mod, "to_antisym"):
             monkeypatch.setattr(mod, "to_antisym", counting)
     assert analyze(spec).passed
-    assert calls == [2, 2, 2]
+    assert calls == [2]
 
 
 def test_warm_analyze_makes_no_from_terms_call(monkeypatch):
@@ -625,14 +625,11 @@ NAN_GATES = {
     ),
     "sym2_from_27": (lambda: sym2_from_27(Form(3, _nan(35))), "not in Lambda\\^3_27"),
     "split_v14": (lambda: split_v14(MixedV14(_nan((7, 21)))), "not in Lambda\\^2_14"),
-    "nabla_bar_tau": (
+    "nabla_bar_tau": (  # the connection action rejects a NaN connection
         lambda: nabla_bar_tau(
-            SimpleNamespace(
-                torsion=SimpleNamespace(tau2=Form.zero(2)),
-                nabla_bar=lambda a: [Form(2, _nan(21))] * 7,
-            )
+            SimpleNamespace(torsion=SimpleNamespace(tau2=Form.zero(2)), gamma_bar=_nan((7, 7, 7)))
         ),
-        "left Lambda\\^2_14",
+        "input array is not antisymmetric",
     ),
     "closed_identities": (lambda: closed_identities(Form(2, _nan(21))), "not in Lambda\\^2_14"),
     "LieAlgebraSpec": (lambda: LieAlgebraSpec("nan", _nan((7, 7, 7))), "must be finite"),
@@ -649,6 +646,13 @@ def test_nan_input_fails_the_gate(gate):
     call, message = NAN_GATES[gate]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_nabla_bar_tau_rejects_a_connection_that_is_not_g2():
+    geo = geometry(builtin_examples()["bryant"]["spec"])
+    # Levi-Civita moves tau out of Lambda^2_14 where the canonical connection does not
+    with pytest.raises(ValueError, match="left Lambda\\^2_14"):
+        nabla_bar_tau(SimpleNamespace(torsion=geo.torsion, gamma_bar=geo.gamma))
 
 
 def test_nan_reconstruction_fails_the_extraction_gate(monkeypatch):
