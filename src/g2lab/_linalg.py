@@ -56,23 +56,31 @@ def as_mode(arr, exact: bool = False) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
+_max_reduce = np.maximum.reduce
+
+
 def max_abs(*arrays) -> float:
     """Largest absolute entry over the arrays as a plain float (0.0 if empty).
 
     A NaN anywhere gives NaN, so a NaN residual never passes a tolerance.
-    Fraction arrays are converted entry by entry.
+    Fraction arrays are converted entry by entry; lists and scalars go
+    through ``np.asarray``.  A float ndarray, the case of every residual on
+    the float hot path, takes neither conversion, and its maximum is the
+    ufunc reduction that ``ndarray.max`` wraps.  -0.0 gives 0.0.
     """
     peak = 0.0
-    for arr in arrays:
-        a = np.asarray(arr)
+    for a in arrays:
+        if type(a) is not np.ndarray:
+            a = np.asarray(a)
         if a.size == 0:
             continue
-        if is_exact(a):
+        if a.dtype == object:
             a = np.array([float(v) for v in a.reshape(-1)])
-        m = float(np.abs(a).max())
+        m = float(_max_reduce(np.abs(a), None))
         if m != m:  # NaN
             return m
-        peak = max(peak, m)
+        if m > peak:
+            peak = m
     return peak
 
 

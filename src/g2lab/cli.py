@@ -108,9 +108,7 @@ def cmd_identities(args) -> int:
     from .curvature import inner, kn_product, phi_product, phi_ricci, ricci
 
     exact = args.exact
-    rep = Report(
-        "identities (exact)" if exact else "identities", 0.0 if exact else max(args.tol, 1e-12)
-    )
+    rep = Report("identities (exact)" if exact else "identities", 0.0 if exact else args.tol)
 
     for name, res in check_contraction_identities(exact).items():
         rep.add(f"contraction: {name}", res)
@@ -169,7 +167,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    rep = Report("five-block decomposition", max(args.tol, 1e-10))
+    rep = Report("five-block decomposition", args.tol)
     worst = {"reassemble": 0.0, "orthogonality": 0.0, "norm split": 0.0}
     import itertools
 

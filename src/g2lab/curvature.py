@@ -316,17 +316,19 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     ric0_phi = traceless_part(phi_ricci(r))
     ricw = (4 * ric0 - 5 * ric0_phi) / 20
 
-    s_block = (s * one / 84) * _kn_metric(exact)
-    r_block = (one / 5) * kn_product(ric0)
-    w27 = (3 * one / 112) * (kn_product(ricw) - 5 * phi_product(ricw))
+    # the blocks as pair matrices; each scalar multiplies from the right, as
+    # CurvatureTensor.__mul__ does
+    s_block = _kn_metric(exact).mat * (s * one / 84)
+    r_block = kn_product(ric0).mat * (one / 5)
+    w27 = (kn_product(ricw).mat - phi_product(ricw).mat * 5) * (3 * one / 112)
 
-    weyl_rest = r - s_block - r_block - w27
+    weyl_rest = r.mat - s_block - r_block - w27
     return CurvatureDecomposition(
-        w77=CurvatureTensor(_p_g2(weyl_rest.mat, exact)),
-        w64=CurvatureTensor(_p_odot(weyl_rest.mat, exact)),
-        w27=w27,
-        ricci_block=r_block,
-        scalar_block=s_block,
+        w77=CurvatureTensor(_p_g2(weyl_rest, exact)),
+        w64=CurvatureTensor(_p_odot(weyl_rest, exact)),
+        w27=CurvatureTensor(w27),
+        ricci_block=CurvatureTensor(r_block),
+        scalar_block=CurvatureTensor(s_block),
         ric0=ric0,
         ric0_phi=ric0_phi,
         s=s,

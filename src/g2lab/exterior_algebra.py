@@ -65,6 +65,10 @@ def dim_of(degree: int) -> int:
     return len(BASIS[degree])
 
 
+#: degree -> the shape of a coefficient vector of that degree
+_COEFF_SHAPES = {k: (dim_of(k),) for k in range(DIM + 1)}
+
+
 def perm_sign(seq) -> int:
     """Sign of the permutation sorting ``seq`` (entries must be distinct)."""
     seq = list(seq)
@@ -97,9 +101,10 @@ class Form:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.degree <= DIM:
+        shape = _COEFF_SHAPES.get(self.degree)
+        if shape is None:
             raise ValueError(f"degree must be 0..7, got {self.degree}")
-        if self.coeffs.shape != (dim_of(self.degree),):
+        if self.coeffs.shape != shape:
             raise ValueError(
                 f"degree-{self.degree} form needs {dim_of(self.degree)} "
                 f"coefficients, got shape {self.coeffs.shape}"
@@ -254,11 +259,19 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(a.degree + b.degree, out)
 
 
+@functools.cache
+def _frame_wedge_table(k: int):
+    """Read-only columns (flat position in a (7, dim_k) stack, output
+    position, sign) of the wedge table of (1, k), in its row order."""
+    t = _wedge_table(1, k)
+    return index_columns(np.stack([t.pa * dim_of(k) + t.pb, t.po, t.coef], axis=1), 3)
+
+
 def frame_wedge(stack: np.ndarray, degree: int) -> Form:
     """sum_i e^i ^ stack[i] for a (7, dim_k) stack of k-form coefficients."""
-    t = _wedge_table(1, degree)
-    out = zeros(t.n_out, is_exact(stack))
-    np.add.at(out, t.po, t.coef * stack[t.pa, t.pb])
+    src, po, sign = _frame_wedge_table(degree)
+    out = zeros(dim_of(degree + 1), is_exact(stack))
+    np.add.at(out, po, sign * stack.reshape(-1)[src])
     return Form(degree + 1, out)
 
 
@@ -284,6 +297,16 @@ def _derivation_table(k: int, r: int):
     return index_columns(np.stack([w.po[j], pos[i], w.pa[j], head[i], sign[i] * w.coef[j]], axis=1), 5)
 
 
+@functools.cache
+def _connection_scatter(k: int):
+    """Read-only columns (flat position in the (49, dim_k) matrix M of
+    `_connection_stack`, input position, sign) of the r = 1 derivation table,
+    the sign negated: grad_i e^p = -sum_j Gamma[i, j, p] e^j."""
+    out, pos, target, head, sign = _derivation_table(k, 1)
+    flat = (target * DIM + head) * dim_of(k) + out
+    return index_columns(np.stack([flat, pos, -sign], axis=1), 3)
+
+
 def _connection_stack(gamma: np.ndarray, a: Form) -> np.ndarray:
     """(7, dim_k) coefficients of grad_(e_i) a, i = 1..7, for a form a with
     constant coefficients.
@@ -296,11 +319,11 @@ def _connection_stack(gamma: np.ndarray, a: Form) -> np.ndarray:
     rejected as the antisymmetric fold (`antisym_coefficients`) rejects a
     bad array.
     """
-    out, pos, target, head, sign = _derivation_table(a.degree, 1)
+    flat, pos, sign = _connection_scatter(a.degree)
     exact = is_exact(gamma) or a.exact
-    m = zeros((DIM * DIM, dim_of(a.degree)), exact)
-    m[target * DIM + head, out] = -sign * a.coeffs[pos]  # each entry is written once
-    stack = gamma.reshape(DIM, DIM * DIM).dot(m)
+    m = zeros(DIM * DIM * dim_of(a.degree), exact)
+    m[flat] = sign * a.coeffs[pos]  # each entry is written once
+    stack = gamma.reshape(DIM, DIM * DIM).dot(m.reshape(DIM * DIM, -1))
     if not (exact or np.isfinite(stack).all()):
         raise ValueError("input array is not antisymmetric (residual nan)")
     return stack
@@ -361,6 +384,8 @@ def interior(v, a: Form) -> Form:
 
 def frame_interior(a: Form) -> np.ndarray:
     """The (7, dim_(k-1)) stack of e_i -| a for i = 1..7 (degree k >= 1)."""
+    if a.degree == 0:
+        raise ValueError("the interior product of a 0-form has no degree -1 result")
     t = _contract_table(1, a.degree)
     out = zeros((DIM, t.n_out), a.exact)
     out[t.pa, t.po] = t.coef * a.coeffs[t.pb]  # each entry is written once

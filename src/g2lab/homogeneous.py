@@ -8,19 +8,27 @@ Riemann tensor, the torsion of any compatible invariant G2 form, the
 canonical G2 connection, and the full set of pointwise curvature-torsion
 identities of the companion modules, bundled into `analyze`.
 
-`analyze` is one pass: `geometry` builds the d-matrices, the Levi-Civita
-connection, the torsion and the nabla-bar phi residual of the
-canonical-connection gate once, and everything downstream reuses them; the
+`analyze` is one pass: `geometry` builds the d-matrices, the Jacobi
+product d_2 d_1, the Levi-Civita connection, d phi and d *phi, the torsion
+and the nabla-bar phi residual of the canonical-connection gate once, and
+everything downstream reuses them: the Jacobi check is the residual of the Levi-Civita
+gate, and d^2 = 0 is checked on that product and the four others.  The
 torsion terms of the generalized Ricci formula and their derivatives are
-likewise built once, and each route gets its rows for all three weightings
-from one weighted sum over them.  d on k-forms and the action of a
-connection on k-forms are the one derivation table of `exterior_algebra`
-applied to d on 1-forms and to Gamma; both run in float64 and in exact mode
-alike.  The functions that need the d-matrices (`invariant_d`,
-`jacobi_residual`, `d_squared_residual`, `levi_civita`) accept either a
-spec, from which they build them, or the already-built matrices;
-`levi_civita` reads the structure constants back off d on 1-forms and keeps
-its Jacobi gate either way.
+likewise built once, each route gets its rows for all three weightings
+from one weighted sum over them, and the six residuals are one reduction.
+
+d on k-forms and the action of a connection on k-forms are the one
+derivation table of `exterior_algebra` applied to d on 1-forms and to
+Gamma.  For d, the tables of degrees 2..6 are fused into one cached table
+over a flat buffer that holds the five matrices back to back (`_d_table`),
+so building them is one scatter of d on 1-forms, each matrix a view of the
+buffer; the rows of every entry keep their order, so float sums are those
+of a per-degree build.  Both run in float64 and in exact mode alike.  The
+functions that need the d-matrices (`invariant_d`, `jacobi_residual`,
+`d_squared_residual`, `levi_civita`) accept either a spec, from which they
+build them, or the already-built matrices; `levi_civita` reads the
+structure constants back off d on 1-forms and keeps its Jacobi gate either
+way, measuring the residual itself unless the caller passes it.
 
 `analyze` returns a `Report`.  A report holds one base tolerance, and each
 check it records is judged against ``bound(tol, scale) * slack``: the scale
@@ -35,6 +43,7 @@ comes out with negative sectional curvature (a build-time self test).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +82,7 @@ from .torsion import (
     scalar_from_torsion,
 )
 from .exterior_algebra import contract
-from .g2_algebra import lambda3, odot_bracket
+from .g2_algebra import lambda3
 
 
 @dataclass(frozen=True)
@@ -127,15 +136,35 @@ def _d_on_one_forms(spec: LieAlgebraSpec) -> np.ndarray:
     return -spec.c[:, _PAIR_I, _PAIR_J].T
 
 
-def invariant_d_matrices(spec: LieAlgebraSpec) -> dict:
-    """Per-degree matrices of the invariant exterior derivative."""
-    d1 = _d_on_one_forms(spec)
-    mats = {0: zeros((DIM, 1), spec.exact), 1: d1}
+@functools.cache
+def _d_table():
+    """The rows of `_derivation_table(k, 2)` for k = 2..6 as one read-only
+    table over a flat buffer that holds the five matrices back to back:
+    columns (flat position, flat position in d on 1-forms, sign), then the
+    (start, stop, shape) of each degree's matrix in the buffer.  The rows of
+    each degree keep their order, so every entry sums as a scatter of its
+    degree alone would.
+    """
+    cols, layout, start = [], {}, 0
     for k in range(2, DIM):
         out, pos, pair, head, sign = _derivation_table(k, 2)
-        m = zeros((dim_of(k + 1), dim_of(k)), spec.exact)
-        np.add.at(m, (out, pos), sign * d1[pair, head])
-        mats[k] = m
+        shape = (dim_of(k + 1), dim_of(k))
+        cols.append(np.stack([start + out * shape[1] + pos, pair * DIM + head, sign], axis=1))
+        layout[k] = (start, start + shape[0] * shape[1], shape)
+        start += shape[0] * shape[1]
+    return (*index_columns(np.concatenate(cols), 3), layout)
+
+
+def invariant_d_matrices(spec: LieAlgebraSpec) -> dict:
+    """Per-degree matrices of the invariant exterior derivative: d on
+    1-forms, and one scatter of it through `_d_table` for degrees 2..6."""
+    d1 = _d_on_one_forms(spec)
+    flat, src, sign, layout = _d_table()
+    buf = zeros(layout[DIM - 1][1], spec.exact)  # degree 6 ends the buffer
+    np.add.at(buf, flat, sign * d1.reshape(-1)[src])
+    mats = {0: zeros((DIM, 1), spec.exact), 1: d1}
+    for k, (start, stop, shape) in layout.items():
+        mats[k] = buf[start:stop].reshape(shape)
     return mats
 
 
@@ -165,12 +194,24 @@ def jacobi_residual(spec_or_mats) -> float:
     return max_abs(mats[2].dot(mats[1]))
 
 
-def d_squared_residual(spec_or_mats) -> float:
+def d_squared_residual(spec_or_mats, jacobi_product: np.ndarray = None) -> float:
+    """Max residual of d d over all degrees.  ``jacobi_product`` is d_2 d_1,
+    the product of the Jacobi gate, when the caller has formed it already."""
     mats = _as_mats(spec_or_mats)
-    return max_abs(*(mats[k + 1].dot(mats[k]) for k in range(1, DIM - 1)))
+    if jacobi_product is None:
+        jacobi_product = mats[2].dot(mats[1])
+    return max_abs(jacobi_product, *(mats[k + 1].dot(mats[k]) for k in range(2, DIM - 1)))
 
 
 # --- connection and curvature ------------------------------------------------------
+
+#: the flat positions of the entries (jk, il) and (ik, jl) of the 49 x 49
+#: product Gamma_jkp Gamma_ipl that `riemann` reads at the pair-matrix
+#: entries, rows (ij) against columns (kl)
+_GG_ENTRIES = (
+    (_PAIR_J[:, None] * DIM + _PAIR_I) * DIM**2 + _PAIR_I[:, None] * DIM + _PAIR_J,
+    (_PAIR_I[:, None] * DIM + _PAIR_I) * DIM**2 + _PAIR_J[:, None] * DIM + _PAIR_J,
+)
 
 
 def _bracket_constants(mats: dict) -> np.ndarray:
@@ -182,10 +223,14 @@ def _bracket_constants(mats: dict) -> np.ndarray:
     return cl
 
 
-def levi_civita(spec_or_mats, tol: float = 1e-10) -> np.ndarray:
-    """Koszul: Gamma_ijk = (c_ijk - c_jki + c_kij)/2, c_ijk = g([e_i,e_j],e_k)."""
+def levi_civita(spec_or_mats, tol: float = 1e-10, jacobi: float = None) -> np.ndarray:
+    """Koszul: Gamma_ijk = (c_ijk - c_jki + c_kij)/2, c_ijk = g([e_i,e_j],e_k).
+
+    Gated on the Jacobi identity: ``jacobi`` is the caller's measurement of
+    `jacobi_residual` on the same matrices, taken here when not given.
+    """
     mats = _as_mats(spec_or_mats)
-    jac = jacobi_residual(mats)
+    jac = jacobi_residual(mats) if jacobi is None else jacobi
     if not jac <= tol:
         raise ValueError(f"structure constants fail the Jacobi identity (residual {jac:.3g})")
     cl = _bracket_constants(mats)
@@ -199,12 +244,13 @@ def riemann(spec: LieAlgebraSpec, gamma: np.ndarray = None) -> CurvatureTensor:
     the pair-matrix entries i < j, k < l."""
     if gamma is None:
         gamma = levi_civita(spec)
-    # grad_i grad_j e_k = Gamma_jkp Gamma_ipl e_l
-    gg = np.tensordot(gamma, gamma, axes=([2], [1]))  # (j,k),(i,l) -> j,k,i,l
-    i, j, k, l = _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J  # rows (ij), columns (kl)
+    # grad_i grad_j e_k = Gamma_jkp Gamma_ipl e_l, as a flattened (jk, il) matrix
+    gg = gamma.reshape(DIM * DIM, DIM).dot(gamma.transpose(1, 0, 2).reshape(DIM, DIM * DIM))
+    gg = gg.reshape(-1)
+    jkil, ikjl = _GG_ENTRIES
     brackets = spec.c[:, _PAIR_I, _PAIR_J].T  # (ij, p) -> c^p_ij
     # R_ijkl = Gamma_jkp Gamma_ipl - Gamma_ikp Gamma_jpl - c^p_ij Gamma_pkl
-    return CurvatureTensor(gg[j, k, i, l] - gg[i, k, j, l] - brackets.dot(gamma[:, k, l]))
+    return CurvatureTensor(gg[jkil] - gg[ikjl] - brackets.dot(gamma[:, _PAIR_I, _PAIR_J]))
 
 
 def connection_form_action(gamma: np.ndarray, a: Form) -> list:
@@ -220,11 +266,15 @@ class InvariantGeometry:
     spec: LieAlgebraSpec
     phi: Form
     d_mats: dict
+    dphi: Form
+    dstarphi: Form  # d *phi
     gamma: np.ndarray
     curvature: CurvatureTensor
     torsion: TorsionComponents
     xi: IntrinsicTorsion
     gamma_bar: np.ndarray
+    jacobi_product: np.ndarray  # d_2 d_1, d(d e^k) for each k, formed once
+    jacobi: float  # max |d d e^k|, measured by the Levi-Civita gate
     nabla_bar_phi: float  # max |nabla-bar phi|, measured by the canonical-connection gate
 
     @property
@@ -252,15 +302,19 @@ def canonical_connection(spec: LieAlgebraSpec, phi: Form = None):
 def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
     """Assemble the full invariant geometry of (spec, phi).
 
-    The d-matrices, the Levi-Civita connection, the torsion and nabla-bar phi
-    are each built once here and shared by everything downstream.
+    The d-matrices, the Jacobi product d_2 d_1, the Levi-Civita connection,
+    d phi and d *phi, the torsion and nabla-bar phi are each built once here
+    and shared by everything downstream.
     """
     if phi is None:
         phi = standard_phi(spec.exact)
     mats = invariant_d_matrices(spec)
-    gamma = levi_civita(mats)
+    jacobi_product = mats[2].dot(mats[1])
+    jacobi = max_abs(jacobi_product)
+    gamma = levi_civita(mats, jacobi=jacobi)
     r = riemann(spec, gamma)
-    t = extract_torsion(phi, invariant_d(mats, phi), invariant_d(mats, hodge(phi)))
+    dphi, dstarphi = invariant_d(mats, phi), invariant_d(mats, hodge(phi))
+    t = extract_torsion(phi, dphi, dstarphi)
     xi = intrinsic_from_torsion(t)
     gamma_bar = gamma - xi.xi
     # the canonical connection annihilates phi; a residual signals a
@@ -274,11 +328,15 @@ def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
         spec=spec,
         phi=phi,
         d_mats=mats,
+        dphi=dphi,
+        dstarphi=dstarphi,
         gamma=gamma,
         curvature=r,
         torsion=t,
         xi=xi,
         gamma_bar=gamma_bar,
+        jacobi_product=jacobi_product,
+        jacobi=jacobi,
         nabla_bar_phi=nabla_bar_phi,
     )
 
@@ -370,13 +428,11 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         phi = standard_phi(exact)
 
     geo = geometry(spec, phi)
-    report.add("jacobi (d d e^k = 0)", jacobi_residual(geo.d_mats))
-    report.add("d^2 = 0 (all degrees)", d_squared_residual(geo.d_mats))
+    report.add("jacobi (d d e^k = 0)", geo.jacobi)
+    report.add("d^2 = 0 (all degrees)", d_squared_residual(geo.d_mats, geo.jacobi_product))
 
     t = geo.torsion
-    starphi = hodge(phi)
-    dphi = geo.d(phi)
-    dstarphi = geo.d(starphi)
+    dphi, dstarphi = geo.dphi, geo.dstarphi
 
     rec_d, rec_s = recompose(t)
     report.add(
@@ -432,16 +488,14 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         "exterior": [geo.d(a) for a in sources],
         "canonical": [geo.d_nabla_bar(a) for a in sources],
     }
-    rhs = {route: ricci_rows(route, derivs[route], terms, K_VALUES) for route in RICCI_ROUTES}
+    rhs = np.array([ricci_rows(route, derivs[route], terms, K_VALUES) for route in RICCI_ROUTES])
+    lhs = np.array([lambda3(k[0] * ric0g + k[1] * ric0p).coeffs for k in K_VALUES])
+    residuals = np.abs(rhs - lhs).max(axis=-1)  # (route, k)
     scale44 = max_abs(ric0g, ric0p)
     for row, k in enumerate(K_VALUES):
-        lhs = lambda3(k[0] * ric0g + k[1] * ric0p)
-        for route in RICCI_ROUTES:
+        for col, route in enumerate(RICCI_ROUTES):
             report.add(
-                f"Ricci formula, {route} route, k={k}",
-                max_abs(rhs[route][row] - lhs.coeffs),
-                scale44,
-                slack=50,
+                f"Ricci formula, {route} route, k={k}", residuals[col, row], scale44, slack=50
             )
 
     # d tau2 conversion identity (exterior vs canonical derivative); the
@@ -450,18 +504,16 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     one = scalar(1, exact)
     d_tau2, dbar_tau2 = derivs["exterior"][1], derivs["canonical"][1]
     conv = (
-        dbar_tau2
-        + 2 * one / 3 * terms["tau1^tau2"]
-        - 8 * one / 3 * project(terms["tau1^tau2"], (3, 7))
-        + one / 6 * terms["*(tau2^tau2)"]
-        + one / 6 * t.tau2.norm2() * phi
-        - one / 6 * odot_bracket(t.tau2, t.tau3)
-        + one / 6 * hodge(wedge(contract(t.tau2, t.tau3), phi))
+        dbar_tau2.coeffs
+        + 2 * one / 3 * terms["tau1^tau2"].coeffs
+        - 8 * one / 3 * project(terms["tau1^tau2"], (3, 7)).coeffs
+        + one / 6 * terms["*(tau2^tau2)"].coeffs
+        + one / 6 * t.tau2.norm2() * phi.coeffs
+        - one / 6 * terms["[tau2.tau3]"].coeffs
+        + one / 6 * hodge(wedge(contract(t.tau2, t.tau3), phi)).coeffs
     )
     report.add(
-        "d tau2 vs canonical-derivative conversion",
-        max_abs(conv.coeffs - d_tau2.coeffs),
-        slack=50,
+        "d tau2 vs canonical-derivative conversion", max_abs(conv - d_tau2.coeffs), slack=50
     )
 
     # summary data

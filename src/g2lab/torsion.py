@@ -252,7 +252,7 @@ class IntrinsicTorsion:
 def xi_from_xibar(xibar: np.ndarray) -> np.ndarray:
     """xi_ijk = xibar_ip phi_pjk / 6."""
     p3, _ = phi_arrays(is_exact(xibar))
-    return np.tensordot(xibar, p3, axes=([1], [0])) / 6
+    return xibar.dot(p3.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM) / 6
 
 
 def intrinsic_from_torsion(t: TorsionComponents) -> IntrinsicTorsion:
@@ -356,9 +356,12 @@ _RICCI_COEFFS.flags.writeable = False
 def ricci_terms(t: TorsionComponents) -> dict:
     """The k-independent torsion terms of the generalized Ricci formula.
 
-    Also holds the 2-form *(tau1 ^ *phi), whose derivative the formula takes.
+    Also holds the 2-form *(tau1 ^ *phi), whose derivative the formula takes,
+    and the bracket [tau2.tau3] before its projection, which the d tau2
+    conversion of `homogeneous.analyze` reads.
     """
     t1_w = hodge(wedge(t.tau1, standard_phi_dual(t.exact)))
+    bracket = odot_bracket(t.tau2, t.tau3)
     return {
         "*(tau1^*phi)": t1_w,
         "tau1^*(tau1^*phi)": wedge(t.tau1, t1_w),
@@ -368,7 +371,8 @@ def ricci_terms(t: TorsionComponents) -> dict:
         "tau0 tau3": t.tau0 * t.tau3,
         "tau1^tau2": wedge(t.tau1, t.tau2),
         "*(tau1^tau3)": hodge(wedge(t.tau1, t.tau3)),
-        "[tau2.tau3]_27": project(odot_bracket(t.tau2, t.tau3), (3, 27)),
+        "[tau2.tau3]_27": project(bracket, (3, 27)),
+        "[tau2.tau3]": bracket,
     }
 
 
@@ -385,12 +389,22 @@ def ricci_rows(route: str, derivs, terms: dict, ks) -> np.ndarray:
     d_t1_w, d_tau2, d_tau3 = derivs
     exact = d_tau2.exact
     forms = {**terms, "d*(tau1^*phi)": d_t1_w, "d tau2": d_tau2, "*d tau3": hodge(d_tau3)}
-    stack = np.stack([forms[name].coeffs for name, *_ in RICCI_TABLE])  # (term, 35)
-    weights = as_mode(np.dot(ks, _RICCI_COEFFS[RICCI_ROUTES.index(route)].T), exact) / 6
-    total = (weights[:, :, None] * stack).sum(axis=1)  # (k, 35), term by term
+    stack = np.array([forms[name].coeffs for name, *_ in RICCI_TABLE])  # (term, 35)
+    weights = _ricci_weights(route, tuple(map(tuple, ks)), exact)
+    total = (weights * stack).sum(axis=1)  # (k, 35), term by term
     # one matrix-vector product per row, the same for one k as for several
     p27 = projector_matrix(3, 27, exact)
-    return np.stack([p27.dot(row) for row in total])
+    return np.array([p27.dot(row) for row in total])
+
+
+@functools.lru_cache(maxsize=64)
+def _ricci_weights(route: str, ks: tuple, exact: bool) -> np.ndarray:
+    """Read-only (k, term, 1) weights of a route's rows in `ricci_rows`: the
+    RICCI_TABLE coefficients of each k in ks, over 6."""
+    weights = as_mode(np.dot(ks, _RICCI_COEFFS[RICCI_ROUTES.index(route)].T), exact) / 6
+    weights = weights[:, :, None]
+    weights.flags.writeable = False
+    return weights
 
 
 def ricci_rhs(route: str, derivs, terms: dict, k) -> Form:

@@ -1,6 +1,7 @@
 """Reference code for the tests: helpers the package itself does not use,
-and the plain loops that built the index tables of `g2lab.exterior_algebra`
-before they were read off the wedge table.
+the plain loops that built the index tables of `g2lab.exterior_algebra`
+before they were read off the wedge table, and the degree-by-degree build
+of the invariant d-matrices that `g2lab.homogeneous` fuses into one scatter.
 
 Each loop builds its rows from the multi-indices directly, with a
 permutation sign of its own, so comparing a derived table with its loop
@@ -13,19 +14,22 @@ import itertools
 
 import numpy as np
 
-from g2lab._linalg import is_exact
+from g2lab._linalg import is_exact, zeros
 from g2lab.exterior_algebra import (
     BASIS,
     DIM,
     INDEX,
     Form,
+    _derivation_table,
     covariant_wedge,
+    dim_of,
     phi_arrays,
     standard_phi,
     standard_phi_dual,
     wedge,
 )
 from g2lab.g2_algebra import projector_matrix
+from g2lab.homogeneous import _d_on_one_forms
 from g2lab.torsion import TorsionComponents, xi_from_xibar
 
 # --- forms and torsion ----------------------------------------------------------
@@ -133,3 +137,19 @@ def loop_derivation_rows(k: int, r: int) -> np.ndarray:
                     out = INDEX[k - 1 + r][tuple(sorted(merged))]
                     rows.append((out, pos, target, head, (-1) ** s * sign_of(merged)))
     return _rows(rows, 5)
+
+
+# --- the invariant d-matrices degree by degree --------------------------------------
+
+
+def loop_invariant_d_matrices(spec) -> dict:
+    """d on k-forms as one scatter of d on 1-forms per degree, each through
+    the derivation table of its own degree."""
+    d1 = _d_on_one_forms(spec)
+    mats = {0: zeros((DIM, 1), spec.exact), 1: d1}
+    for k in range(2, DIM):
+        out, pos, pair, head, sign = _derivation_table(k, 2)
+        m = zeros((dim_of(k + 1), dim_of(k)), spec.exact)
+        np.add.at(m, (out, pos), sign * d1[pair, head])
+        mats[k] = m
+    return mats

@@ -76,6 +76,20 @@ def test_curvature_suite(capsys):
     assert json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize(
+    "command", [["identities"], ["curvature", "--count", "3"]], ids=["identities", "curvature"]
+)
+def test_tol_reaches_every_check(capsys, command):
+    # both commands once raised --tol to a floor of their own (1e-12 for
+    # identities, 1e-10 for curvature), so a stricter --tol still printed PASS
+    code, out = run(capsys, "--json", "--tol", "1e-13", *command)
+    checks = json.loads(out)["checks"]
+    assert checks and all(row["tol"] == 1e-13 for row in checks)
+    assert code == (0 if all(row["passed"] for row in checks) else 1)
+    code, out = run(capsys, "--tol", "0", *command)
+    assert code == 1 and out.rstrip().endswith("FAIL")  # float residuals are not all exactly 0
+
+
 @pytest.mark.parametrize("name", ["bryant", "flat", "hyperbolic"])
 def test_analyze_bundled(capsys, name):
     code, out = run(capsys, "analyze", os.path.join(BUNDLED, f"{name}.g2"))

@@ -175,6 +175,13 @@ def test_interior_degree_zero():
     assert z.degree == 0 and z.coeffs[0] == 0
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_frame_interior_of_a_zero_form_is_rejected(exact):
+    # once a KeyError from the interior table of degree -1
+    with pytest.raises(ValueError, match="0-form"):
+        frame_interior(Form.zero(0, exact))
+
+
 def test_nondegeneracy_identity():
     # i_u phi ^ i_v phi ^ phi = 6 <u, v> vol
     phi = standard_phi()

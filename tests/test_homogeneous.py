@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import reference
 from g2lab._linalg import as_mode, bound, is_exact, max_abs, zeros
 from g2lab.curvature import CurvatureTensor, decompose, kn_product, ric_W, scalar_curvature
 from g2lab.exterior_algebra import (
@@ -458,6 +459,69 @@ def test_warm_analyze_makes_no_from_terms_call(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name, max_abs_calls", [("aa", 25), ("bryant", 42)])
+def test_warm_float_analyze_call_counts(monkeypatch, name, max_abs_calls):
+    # d in degrees 2..6 is one scatter; d_2 d_1 is formed once for the
+    # Levi-Civita gate, the Jacobi check and d^2 (it was formed three times);
+    # the six Ricci-formula residuals are one reduction (32 and 49 max_abs
+    # calls before)
+    import sys
+
+    import g2lab.homogeneous as hm
+
+    if name == "aa":
+        spec = almost_abelian("aa", np.random.default_rng(5).integers(-8, 9, size=(6, 6)) / 4)
+    else:
+        spec = builtin_examples()[name]["spec"]
+    hm.analyze(spec)  # builds every table once
+    counts = {"add.at": 0, "jacobi product": 0, "max_abs": 0}
+    d1 = []
+
+    class AddAt:
+        def __call__(self, *args, **kwargs):
+            return np.add(*args, **kwargs)
+
+        def __getattr__(self, attr):
+            return getattr(np.add, attr)
+
+        def at(self, *args):
+            counts["add.at"] += 1
+            return np.add.at(*args)
+
+    class Numpy:
+        add = AddAt()
+
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+    class D2(np.ndarray):
+        def dot(self, other, *args):
+            counts["jacobi product"] += other is d1[0]
+            return np.asarray(self).dot(other, *args)
+
+    real_d = hm.invariant_d_matrices
+
+    def d_matrices(spec):
+        mats = real_d(spec)
+        d1.append(mats[1])
+        mats[2] = mats[2].view(D2)
+        return mats
+
+    def counting_max_abs(*arrays):
+        counts["max_abs"] += 1
+        return max_abs(*arrays)
+
+    monkeypatch.setattr(hm, "np", Numpy())
+    monkeypatch.setattr(hm, "invariant_d_matrices", d_matrices)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "g2lab" and hasattr(mod, "max_abs"):
+            monkeypatch.setattr(mod, "max_abs", counting_max_abs)
+    assert hm.analyze(spec).passed
+    assert len(d1) == 1
+    assert counts["add.at"] == 1 and counts["jacobi product"] == 1
+    assert counts["max_abs"] <= max_abs_calls
+
+
 @pytest.mark.parametrize("where", [0, 3, 6])
 def test_nan_residual_fails_its_check(where):
     arr = np.full(7, 1e-13)
@@ -578,6 +642,31 @@ def test_d_matrices_match_leibniz_reference(exact):
     mats = invariant_d_matrices(spec)
     for degree in range(1, 7):
         assert_matches_ref(mats[degree], ref_d(spec, degree, exact), exact)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_one_scatter_d_matches_the_per_degree_build(exact):
+    # the rows of every output entry keep their order: bit for bit in float,
+    # the same Fractions in exact mode
+    rng = np.random.default_rng(23)
+    specs = [ex["spec"] for ex in builtin_examples(exact).values()]
+    for i in range(2 if exact else 6):
+        d4 = rng.integers(-8, 9, size=(6, 6))
+        specs.append(almost_abelian(f"aa{i}", as_mode(d4, exact) / 4))
+        if not exact:  # not dyadic: the sums round
+            specs.append(almost_abelian(f"aa{i}-normal", rng.normal(size=(6, 6))))
+    c = _seeded((7, 7, 7), exact, rng)
+    specs.append(LieAlgebraSpec("dense", c - c.transpose(0, 2, 1)))  # every entry nonzero
+    for spec in specs:
+        got, want = invariant_d_matrices(spec), reference.loop_invariant_d_matrices(spec)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].dtype == want[k].dtype and got[k].shape == want[k].shape, (spec.name, k)
+            if exact:
+                assert set(map(type, got[k].flat)) == {Fraction}, (spec.name, k)
+                assert np.array_equal(got[k], want[k]), (spec.name, k)
+            else:
+                assert got[k].tobytes() == want[k].tobytes(), (spec.name, k)
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -3,8 +3,12 @@
 import ast
 import math
 import pathlib
+from fractions import Fraction
 
-from g2lab._linalg import bound
+import numpy as np
+import pytest
+
+from g2lab._linalg import bound, max_abs
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "g2lab"
 
@@ -54,3 +58,30 @@ def test_bound():
     assert bound(0.0, 1e6) == 0.0
     assert math.isnan(bound(1e-9, math.nan))
     assert not math.nan <= bound(1e-9, 2.0)
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_max_abs_contract(where):
+    arrays = [np.array([1e-13, -2.0]), np.zeros((3, 3)), [0.5]]
+    assert max_abs(*arrays) == 2.0
+    # a NaN in the first, a middle or the last array gives NaN
+    arrays[where] = np.array([0.0, np.nan, 1.0])
+    assert math.isnan(max_abs(*arrays))
+    # empty arrays give 0.0, and nothing at all does too
+    for empty in ((), (np.zeros(0),), (np.zeros((0, 3)), [])):
+        got = max_abs(*empty)
+        assert got == 0.0 and type(got) is float
+    # lists, scalars and Fraction object arrays, as plain floats
+    fractions = np.array([Fraction(-7, 2), Fraction(1, 3)], dtype=object)
+    for args, want in (
+        (([1, -3],), 3.0),
+        ((-2.5,), 2.5),
+        ((fractions,), 3.5),
+        ((np.array([1.0]), fractions, 4), 4.0),
+    ):
+        got = max_abs(*args)
+        assert got == want and type(got) is float, args
+    assert math.isnan(max_abs(np.array([Fraction(1), math.nan], dtype=object)))
+    # -0.0 gives 0.0
+    for args in ((np.array([-0.0]),), (-0.0, np.array([-0.0]))):
+        assert math.copysign(1.0, max_abs(*args)) == 1.0
