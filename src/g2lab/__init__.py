@@ -28,7 +28,6 @@ from .g2_algebra import (
     projector_matrix,
     quad_A,
     quad_B,
-    quad_C,
     sigma_contract,
     split_v14,
     sym2_from_27,
@@ -78,7 +77,6 @@ from .cohomo_one import (
     RouteMismatch,
     WarpSpec,
     cohom_torsion,
-    einstein_warp_check,
     holonomy_residual,
     holonomy_triple,
     jet_var,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     g2lab identities [--exact] [--tol T]
-    g2lab curvature [--count N] [--seed S] [--tol T]      (N >= 1)
+    g2lab curvature [--count N] [--seed S] [--tol T]      (N >= 1, S >= 0)
     g2lab analyze FILE.g2 [--json] [--tol T]
     g2lab warp --f PROFILE --theta PROFILE --sigma S --t T
     g2lab sweep [--t T] [--json]
@@ -312,11 +312,14 @@ def cmd_sweep(args) -> int:
 # --- entry point --------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    def integer(text: str) -> int:  # named in argparse's "invalid integer value"
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return integer
 
 
 @functools.cache
@@ -340,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_identities)
 
     p = add_command("curvature", help="verify the five-block decomposition")
-    p.add_argument("--count", type=_positive_int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_int_at_least(1), default=25)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=cmd_curvature)
 
     p = add_command("analyze", help="analyze a Lie algebra document")

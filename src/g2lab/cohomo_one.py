@@ -25,9 +25,10 @@ torsion machinery applies.
 
 Closed-form torsion components (scalar `Jet` arithmetic, one tuple per
 operation) and the generic structure-equation extraction are cross-checked
-against each other at every call.  One solve builds one `_Frame`: one fiber
-model, one d operator and one closed-form torsion, shared by both routes,
-by the scalar curvature and by the Weyl-Ricci residual (`warp_point`).
+against each other at every call.  Every public entry point builds one
+`_Solve`: one frame (fiber model, d operator) and the intermediates (phi and
+*phi, the closed-form torsion), each built on first use and read by both
+routes, by the scalar curvature and by the Weyl-Ricci residual.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .torsion import (
     _pack,
     extract_torsion,
     fg_type,
+    fg_type_of_norms,
     ricci_rhs_exterior,
     scalar_from_torsion,
 )
@@ -562,19 +564,9 @@ class WarpedForms:
     starphi_point: Form
 
 
-def _phi_forms(frame: _Frame) -> tuple:
-    """phi = omega_t ^ dt + psi_t^+ and its dual as product forms."""
-    th = frame.spec.theta
-    om = ("om",) if isinstance(frame.spec, WarpSpec) else ("om1", "om2", "om3")
-    phi = ProductForm.of(
-        frame, 3, fiber={"psi+": th.cos(), "psi-": -1 * th.sin()}, dt=dict.fromkeys(om, 1.0)
-    )
-    return phi, phi.star()
-
-
 def warped_phi(spec) -> WarpedForms:
     """phi = omega_t ^ dt + psi_t^+ and its dual, symbolic and pointwise."""
-    phi, starphi = _phi_forms(_Frame(spec))
+    phi, starphi = _Solve(spec).phi_forms
     th = spec.theta.value
     return WarpedForms(phi, starphi, phi.evaluate(th), starphi.evaluate(th))
 
@@ -623,12 +615,78 @@ def _tau_symbolic(frame: _Frame) -> dict:
     return {"tau0": tau0, "tau1": tau1, "tau2": tau2, "tau3": tau3}
 
 
-def _tau_pointwise(frame: _Frame, sym: dict) -> TorsionComponents:
-    """The closed-form torsion of `_tau_symbolic` at the sample point."""
-    th = frame.spec.theta.value
-    return TorsionComponents(
-        sym["tau0"].value, sym["tau1"].evaluate(th), sym["tau2"].evaluate(th), sym["tau3"].evaluate(th)
-    )
+class _Solve:
+    """One solve at a spec: its frame, and each intermediate built on first
+    use and shared by the routes and outputs that read it.  The cache is not
+    on the frame: the cached product forms point back at their frame, and
+    the reference cycle would be freed only by the cyclic garbage collector."""
+
+    def __init__(self, spec):
+        self.spec, self.theta_value = spec, spec.theta.value
+        self.frame = _Frame(spec)
+
+    @functools.cached_property
+    def phi_forms(self) -> tuple:
+        """phi = omega_t ^ dt + psi_t^+ and its dual as product forms."""
+        th = self.spec.theta
+        om = ("om",) if isinstance(self.spec, WarpSpec) else ("om1", "om2", "om3")
+        phi = ProductForm.of(
+            self.frame, 3, fiber={"psi+": th.cos(), "psi-": -1 * th.sin()}, dt=dict.fromkeys(om, 1.0)
+        )
+        return phi, phi.star()
+
+    @functools.cached_property
+    def sym(self) -> dict:
+        """The closed-form torsion components as symbolic product forms."""
+        return _tau_symbolic(self.frame)
+
+    @functools.cached_property
+    def t_closed(self) -> TorsionComponents:
+        """The closed-form torsion at the sample point."""
+        th, sym = self.theta_value, self.sym
+        return TorsionComponents(
+            sym["tau0"].value, sym["tau1"].evaluate(th), sym["tau2"].evaluate(th), sym["tau3"].evaluate(th)
+        )
+
+    def generic_torsion(self) -> TorsionComponents:
+        """Torsion via d phi / d *phi and the generic structure-equation solve."""
+        (phi, starphi), th = self.phi_forms, self.theta_value
+        return extract_torsion(phi.evaluate(th), phi.d().evaluate(th), starphi.d().evaluate(th))
+
+    def two_route(self, tol: float) -> TorsionComponents:
+        """The generic torsion, checked against the closed form within tol."""
+        t_closed, t_generic = self.t_closed, self.generic_torsion()
+        resid = max_abs(_pack(t_closed) - _pack(t_generic))
+        if not resid <= tol:
+            raise RouteMismatch(
+                f"closed-form and structure-equation torsion disagree "
+                f"(residual {resid:.3g}): closed {t_closed.norms()} vs "
+                f"generic {t_generic.norms()}"
+            )
+        return t_generic
+
+    def delta_tau1(self) -> float:
+        """delta(u dt) = -(u' + u d/dt log(fiber volume density)) for tau1 = u dt."""
+        spec = self.spec
+        u = Jet(*self.sym["tau1"].dt[self.frame.model.tables.index["one"]].tolist())
+        if isinstance(spec, WarpSpec):
+            dlog = 6 * spec.f.derivative() / spec.f
+        else:
+            p = spec.f1 * spec.f2 * spec.f3
+            dlog = 2 * p.derivative() / p
+        return -(u.derivative() + u * dlog).value
+
+    def scalar_curvature(self) -> float:
+        """The torsion formula for the scalar curvature with the honest delta tau1."""
+        return float(scalar_from_torsion(self.t_closed, self.delta_tau1()))
+
+    def ricW(self, k=(4, -5)) -> float:
+        """Norm of the exterior-route generalized-Ricci right-hand side at k."""
+        th, sym = self.theta_value, self.sym
+        d_term1 = sym["tau1"].wedge(self.phi_forms[1]).star().d().evaluate(th)
+        d_term2 = sym["tau2"].d().evaluate(th)
+        d_term3 = sym["tau3"].d().evaluate(th)
+        return max_abs(ricci_rhs_exterior(self.t_closed, d_term1, d_term2, d_term3, k).coeffs)
 
 
 def holonomy_residual(f1: Jet, f2: Jet, f3: Jet) -> tuple:
@@ -665,12 +723,9 @@ def holonomy_triple(v1: float, v2: float, v3: float) -> tuple:
     return tuple(Jet(v[i], d1[i], d2[i]) for i in range(3))
 
 
-def extraction_route(spec, frame: _Frame = None) -> TorsionComponents:
-    """Torsion via d phi / d *phi and the generic structure-equation solve;
-    frame, when given, is the spec's frame, whose d operator is then shared."""
-    phi, starphi = _phi_forms(frame or _Frame(spec))
-    th = spec.theta.value
-    return extract_torsion(phi.evaluate(th), phi.d().evaluate(th), starphi.d().evaluate(th))
+def extraction_route(spec) -> TorsionComponents:
+    """Torsion via d phi / d *phi and the generic structure-equation solve."""
+    return _Solve(spec).generic_torsion()
 
 
 class RouteMismatch(ValueError):
@@ -678,23 +733,10 @@ class RouteMismatch(ValueError):
     check on valid input, not malformed input."""
 
 
-def _two_route(frame: _Frame, t_closed: TorsionComponents, tol: float) -> TorsionComponents:
-    t_generic = extraction_route(frame.spec, frame)
-    resid = max_abs(_pack(t_closed) - _pack(t_generic))
-    if not resid <= tol:
-        raise RouteMismatch(
-            f"closed-form and structure-equation torsion disagree "
-            f"(residual {resid:.3g}): closed {t_closed.norms()} vs "
-            f"generic {t_generic.norms()}"
-        )
-    return t_generic
-
-
 def warped_torsion(spec: WarpSpec, tol: float = 1e-9) -> TorsionComponents:
     """Torsion of a warped spec; closed forms cross-checked against the
     generic pipeline at the sample point."""
-    frame = _Frame(spec)
-    return _two_route(frame, _tau_pointwise(frame, _tau_symbolic(frame)), tol)
+    return _Solve(spec).two_route(tol)
 
 
 def cohom_torsion(spec: CohomSpec, tol: float = 1e-9) -> TorsionComponents:
@@ -712,8 +754,7 @@ def cohom_torsion(spec: CohomSpec, tol: float = 1e-9) -> TorsionComponents:
             stacklevel=2,
         )
         return extraction_route(spec)
-    frame = _Frame(spec)
-    return _two_route(frame, _tau_pointwise(frame, _tau_symbolic(frame)), tol)
+    return _Solve(spec).two_route(tol)
 
 
 def theta_family(b: Jet, a_value: float, branch: int = 1) -> Jet:
@@ -735,42 +776,14 @@ def theta_family(b: Jet, a_value: float, branch: int = 1) -> Jet:
     return Jet(theta0, d1, d2)
 
 
-def einstein_warp_check(f: Jet, rho: float, rho_star: float) -> tuple:
-    """Residuals of (f')^2 + rho f^2 = rho* and f'' + rho f = 0."""
-    r1 = f.d1**2 + rho * f.value**2 - rho_star
-    r2 = f.d2 + rho * f.value
-    return (r1, r2)
-
-
 def delta_tau1(spec) -> float:
-    """Codifferential of tau1 = u dt on the warped metric.
-
-    delta(u dt) = -(u' + u d/dt log(fiber volume density)).
-    """
-    frame = _Frame(spec)
-    return _delta_tau1(frame, _tau_symbolic(frame))
-
-
-def _delta_tau1(frame: _Frame, sym: dict) -> float:
-    spec, tau1 = frame.spec, sym["tau1"]
-    u = Jet(*tau1.dt[frame.model.tables.index["one"]].tolist())
-    if isinstance(spec, WarpSpec):
-        dlog = 6 * spec.f.derivative() / spec.f
-    else:
-        p = spec.f1 * spec.f2 * spec.f3
-        dlog = 2 * p.derivative() / p
-    return -(u.derivative() + u * dlog).value
+    """Codifferential of tau1 = u dt on the warped metric."""
+    return _Solve(spec).delta_tau1()
 
 
 def scalar_curvature_warped(spec) -> float:
     """Scalar curvature via the torsion formula with the honest delta tau1."""
-    frame = _Frame(spec)
-    sym = _tau_symbolic(frame)
-    return _scalar_curvature(frame, sym, _tau_pointwise(frame, sym))
-
-
-def _scalar_curvature(frame: _Frame, sym: dict, t: TorsionComponents) -> float:
-    return float(scalar_from_torsion(t, _delta_tau1(frame, sym)))
+    return _Solve(spec).scalar_curvature()
 
 
 def ricW_vanishes(spec, k=(4, -5)) -> float:
@@ -782,36 +795,23 @@ def ricW_vanishes(spec, k=(4, -5)) -> float:
     this is the Weyl-Ricci tensor of the warped structure, expected to be
     zero for every warped product over a nearly Kaehler fiber.
     """
-    frame = _Frame(spec)
-    sym = _tau_symbolic(frame)
-    return _ricW(frame, sym, _tau_pointwise(frame, sym), k)
-
-
-def _ricW(frame: _Frame, sym: dict, t: TorsionComponents, k=(4, -5)) -> float:
-    th = frame.spec.theta.value
-    _, starphi = _phi_forms(frame)
-    d_term1 = sym["tau1"].wedge(starphi).star().d().evaluate(th)
-    d_term2 = sym["tau2"].d().evaluate(th)
-    d_term3 = sym["tau3"].d().evaluate(th)
-    return max_abs(ricci_rhs_exterior(t, d_term1, d_term2, d_term3, k).coeffs)
+    return _Solve(spec).ricW(k)
 
 
 def warp_point(spec: WarpSpec, tol: float = 1e-9) -> dict:
     """Torsion, class, scalar curvature and Weyl-Ricci residual of a warped
     spec, all from one frame; raises RouteMismatch as `warped_torsion` does."""
-    frame = _Frame(spec)
-    sym = _tau_symbolic(frame)
-    t_closed = _tau_pointwise(frame, sym)
-    tor = _two_route(frame, t_closed, tol)
+    solve = _Solve(spec)
+    tor = solve.two_route(tol)
     norms = tor.norms()
     return {
-        "fg_type": sorted(fg_type(tor)),
+        "fg_type": sorted(fg_type_of_norms(norms)),
         "tau0": float(tor.tau0),
         "tau1_norm": norms[4],
         "tau2_norm": norms[2],
         "tau3_norm": norms[3],
-        "scalar_curvature": _scalar_curvature(frame, sym, t_closed),
-        "ricW_residual": _ricW(frame, sym, t_closed),
+        "scalar_curvature": solve.scalar_curvature(),
+        "ricW_residual": solve.ricW(),
     }
 
 

@@ -256,10 +256,6 @@ def quad_B(b: Form) -> Form:
     return _quad("B", b)
 
 
-def quad_C(b: Form) -> Form:
-    return quad_A(b) - 2 * quad_B(b)
-
-
 # --- V* (x) Lambda^2_14 and its three invariant pieces -------------------------
 
 
@@ -313,11 +309,6 @@ def tensor_product(alpha: Form, beta: Form) -> MixedV14:
     return MixedV14(np.multiply.outer(alpha.coeffs, q14.dot(beta.coeffs)))
 
 
-def include_3form(beta: Form) -> np.ndarray:
-    """The inclusion of a 3-form into V* (x) Lambda^2: sum_a e^a (x) i_a beta."""
-    return frame_interior(beta)
-
-
 def wedge3(gamma: MixedV14) -> Form:
     """The wedge map sum_i e^i ^ gamma_i from mixed tensors to 3-forms."""
     return frame_wedge(gamma.array, 2)
@@ -364,5 +355,5 @@ def wedge3_test_pair(exact: bool = False):
     e7 = Form.basis((7,), exact)
     t = Form.from_terms(2, {(1, 2): 1, (3, 4): -1}, exact)
     gamma_p = tensor_product(e7, t)
-    gamma_pp = mixed_project_14(include_3form(wedge3(gamma_p))) - gamma_p
+    gamma_pp = mixed_project_14(frame_interior(wedge3(gamma_p))) - gamma_p
     return gamma_p, gamma_pp

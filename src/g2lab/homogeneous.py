@@ -8,14 +8,14 @@ Riemann tensor, the torsion of any compatible invariant G2 form, the
 canonical G2 connection, and the full set of pointwise curvature-torsion
 identities of the companion modules, bundled into `analyze`.
 
-`analyze` is one pass: `geometry` builds the d-matrices, the Jacobi
-product d_2 d_1, the Levi-Civita connection, d phi and d *phi, the torsion
-and the nabla-bar phi residual of the canonical-connection gate once, and
-everything downstream reuses them: the Jacobi check is the residual of the Levi-Civita
-gate, and d^2 = 0 is checked on that product and the four others.  The
-torsion terms of the generalized Ricci formula and their derivatives are
-likewise built once, each route gets its rows for all three weightings
-from one weighted sum over them, and the six residuals are one reduction.
+`InvariantGeometry` is the one object of an input: each stage is built on
+first use and kept, and every consumer reads it there.  The Jacobi check is
+the residual of the Levi-Civita gate, d^2 = 0 is checked on that product
+and the four others, and the structure-equation check is the residual of
+the extraction gate.  The torsion terms of the generalized Ricci formula
+and their derivatives are likewise built once, each route gets its rows
+for all three weightings from one weighted sum over them, and the six
+residuals are one reduction.
 
 d on k-forms and the action of a connection on k-forms are the one
 derivation table of `exterior_algebra` applied to d on 1-forms and to
@@ -23,12 +23,9 @@ Gamma.  For d, the tables of degrees 2..6 are fused into one cached table
 over a flat buffer that holds the five matrices back to back (`_d_table`),
 so building them is one scatter of d on 1-forms, each matrix a view of the
 buffer; the rows of every entry keep their order, so float sums are those
-of a per-degree build.  Both run in float64 and in exact mode alike.  The
-functions that need the d-matrices (`invariant_d`, `jacobi_residual`,
-`d_squared_residual`, `levi_civita`) accept either a spec, from which they
-build them, or the already-built matrices; `levi_civita` reads the
-structure constants back off d on 1-forms and keeps its Jacobi gate either
-way, measuring the residual itself unless the caller passes it.
+of a per-degree build.  Both run in float64 and in exact mode alike.
+`invariant_d` and `invariant_delta` act through the built matrices, and the
+Koszul formula reads the structure constants back off d on 1-forms.
 
 `analyze` returns a `Report`.  A report holds one base tolerance, and each
 check it records is judged against ``bound(tol, scale) * slack``: the scale
@@ -72,14 +69,12 @@ from .curvature import CurvatureTensor, _iphi_matrix, decompose
 from .torsion import (
     RICCI_ROUTES,
     IntrinsicTorsion,
-    TorsionComponents,
-    extract_torsion,
-    fg_type,
+    fg_type_of_norms,
     intrinsic_from_torsion,
-    recompose,
     ricci_rows,
     ricci_terms,
     scalar_from_torsion,
+    solve_structure_equations,
 )
 from .exterior_algebra import contract
 from .g2_algebra import lambda3
@@ -117,6 +112,8 @@ def spec_from_coframe_d(name: str, coframe_d: dict, exact: bool = False) -> LieA
     """
     c = zeros((DIM, DIM, DIM), exact)
     for k, terms in coframe_d.items():
+        if not 1 <= k <= DIM:
+            raise ValueError(f"bad coframe index {k}")
         for (i, j), v in terms.items():
             if not (1 <= i < j <= DIM):
                 raise ValueError(f"bad coframe index pair {(i, j)}")
@@ -168,39 +165,29 @@ def invariant_d_matrices(spec: LieAlgebraSpec) -> dict:
     return mats
 
 
-def _as_mats(spec_or_mats) -> dict:
-    if isinstance(spec_or_mats, LieAlgebraSpec):
-        return invariant_d_matrices(spec_or_mats)
-    return spec_or_mats
-
-
-def invariant_d(spec_or_mats, a: Form) -> Form:
+def invariant_d(mats: dict, a: Form) -> Form:
+    """d a through the matrices of `invariant_d_matrices`."""
     if a.degree == DIM:
         raise ValueError("d of a top-degree form vanishes identically")
-    return Form(a.degree + 1, _as_mats(spec_or_mats)[a.degree].dot(a.coeffs))
+    return Form(a.degree + 1, mats[a.degree].dot(a.coeffs))
 
 
-def invariant_delta(spec_or_mats, a: Form) -> Form:
+def invariant_delta(mats: dict, a: Form) -> Form:
     """Codifferential delta = (-1)^k * d * on invariant k-forms."""
     if a.degree == 0:
         return Form.zero(0, a.exact)
     sign = -1 if a.degree % 2 else 1
-    return sign * hodge(invariant_d(spec_or_mats, hodge(a)))
+    return sign * hodge(invariant_d(mats, hodge(a)))
 
 
-def jacobi_residual(spec_or_mats) -> float:
+def jacobi_residual(spec: LieAlgebraSpec) -> float:
     """Max residual of d(d e^k); zero iff the Jacobi identity holds."""
-    mats = _as_mats(spec_or_mats)
-    return max_abs(mats[2].dot(mats[1]))
+    return InvariantGeometry(spec).jacobi
 
 
-def d_squared_residual(spec_or_mats, jacobi_product: np.ndarray = None) -> float:
-    """Max residual of d d over all degrees.  ``jacobi_product`` is d_2 d_1,
-    the product of the Jacobi gate, when the caller has formed it already."""
-    mats = _as_mats(spec_or_mats)
-    if jacobi_product is None:
-        jacobi_product = mats[2].dot(mats[1])
-    return max_abs(jacobi_product, *(mats[k + 1].dot(mats[k]) for k in range(2, DIM - 1)))
+def d_squared_residual(spec: LieAlgebraSpec) -> float:
+    """Max residual of d d over all degrees."""
+    return InvariantGeometry(spec).d_squared
 
 
 # --- connection and curvature ------------------------------------------------------
@@ -214,36 +201,29 @@ _GG_ENTRIES = (
 )
 
 
-def _bracket_constants(mats: dict) -> np.ndarray:
-    """cl[i,j,k] = c^k_ij = g([e_i, e_j], e_k), read off d on 1-forms."""
-    d1 = mats[1]
+#: the largest max |d d e^k| the Levi-Civita connection accepts
+JACOBI_TOL = 1e-10
+
+
+def _koszul(d1: np.ndarray) -> np.ndarray:
+    """Gamma_ijk = (c_ijk - c_jki + c_kij)/2, c_ijk = g([e_i,e_j],e_k) = c^k_ij
+    read off d on 1-forms."""
     cl = zeros((DIM, DIM, DIM), is_exact(d1))
     cl[_PAIR_I, _PAIR_J] = -d1
     cl[_PAIR_J, _PAIR_I] = d1
-    return cl
-
-
-def levi_civita(spec_or_mats, tol: float = 1e-10, jacobi: float = None) -> np.ndarray:
-    """Koszul: Gamma_ijk = (c_ijk - c_jki + c_kij)/2, c_ijk = g([e_i,e_j],e_k).
-
-    Gated on the Jacobi identity: ``jacobi`` is the caller's measurement of
-    `jacobi_residual` on the same matrices, taken here when not given.
-    """
-    mats = _as_mats(spec_or_mats)
-    jac = jacobi_residual(mats) if jacobi is None else jacobi
-    if not jac <= tol:
-        raise ValueError(f"structure constants fail the Jacobi identity (residual {jac:.3g})")
-    cl = _bracket_constants(mats)
     c_jki = cl.transpose(2, 0, 1)  # entry [i,j,k] = cl[j,k,i]
     c_kij = cl.transpose(1, 2, 0)  # entry [i,j,k] = cl[k,i,j]
     return (cl - c_jki + c_kij) / 2
 
 
-def riemann(spec: LieAlgebraSpec, gamma: np.ndarray = None) -> CurvatureTensor:
-    """R_ijkl = g(R(e_i, e_j) e_k, e_l) for the left-invariant metric, built at
-    the pair-matrix entries i < j, k < l."""
-    if gamma is None:
-        gamma = levi_civita(spec)
+def levi_civita(spec: LieAlgebraSpec) -> np.ndarray:
+    """The Levi-Civita connection by Koszul, gated on the Jacobi identity."""
+    return InvariantGeometry(spec).gamma
+
+
+def riemann(spec: LieAlgebraSpec, gamma: np.ndarray) -> CurvatureTensor:
+    """R_ijkl = g(R(e_i, e_j) e_k, e_l) for the left-invariant metric with
+    Levi-Civita connection gamma, built at the pair-matrix entries i < j, k < l."""
     # grad_i grad_j e_k = Gamma_jkp Gamma_ipl e_l, as a flattened (jk, il) matrix
     gg = gamma.reshape(DIM * DIM, DIM).dot(gamma.transpose(1, 0, 2).reshape(DIM, DIM * DIM))
     gg = gg.reshape(-1)
@@ -261,25 +241,83 @@ def connection_form_action(gamma: np.ndarray, a: Form) -> list:
 # --- the full invariant pipeline -----------------------------------------------------
 
 
-@dataclass
 class InvariantGeometry:
-    spec: LieAlgebraSpec
-    phi: Form
-    d_mats: dict
-    dphi: Form
-    dstarphi: Form  # d *phi
-    gamma: np.ndarray
-    curvature: CurvatureTensor
-    torsion: TorsionComponents
-    xi: IntrinsicTorsion
-    gamma_bar: np.ndarray
-    jacobi_product: np.ndarray  # d_2 d_1, d(d e^k) for each k, formed once
-    jacobi: float  # max |d d e^k|, measured by the Levi-Civita gate
-    nabla_bar_phi: float  # max |nabla-bar phi|, measured by the canonical-connection gate
+    """The invariant geometry of (spec, phi), each stage built on first use
+    and kept.  Three stages are gates and raise ValueError: `gamma` on the
+    Jacobi identity, `torsion` on the extraction and `nabla_bar_phi` on the
+    canonical connection."""
+
+    def __init__(self, spec: LieAlgebraSpec, phi: Form = None):
+        self.spec = spec
+        self.phi = standard_phi(spec.exact) if phi is None else phi
 
     @property
     def exact(self) -> bool:
         return self.spec.exact
+
+    @functools.cached_property
+    def d_mats(self) -> dict:
+        return invariant_d_matrices(self.spec)
+
+    @functools.cached_property
+    def jacobi_product(self) -> np.ndarray:
+        """d_2 d_1: d(d e^k) for each k."""
+        return self.d_mats[2].dot(self.d_mats[1])
+
+    @functools.cached_property
+    def jacobi(self) -> float:
+        return max_abs(self.jacobi_product)
+
+    @functools.cached_property
+    def d_squared(self) -> float:
+        """max |d d| over all degrees."""
+        mats = self.d_mats
+        return max_abs(self.jacobi_product, *(mats[k + 1].dot(mats[k]) for k in range(2, DIM - 1)))
+
+    @functools.cached_property
+    def gamma(self) -> np.ndarray:
+        """The Levi-Civita connection."""
+        if not self.jacobi <= JACOBI_TOL:
+            raise ValueError(f"structure constants fail the Jacobi identity (residual {self.jacobi:.3g})")
+        return _koszul(self.d_mats[1])
+
+    @functools.cached_property
+    def curvature(self) -> CurvatureTensor:
+        return riemann(self.spec, self.gamma)
+
+    @functools.cached_property
+    def dphi(self) -> Form:
+        return invariant_d(self.d_mats, self.phi)
+
+    @functools.cached_property
+    def dstarphi(self) -> Form:
+        return invariant_d(self.d_mats, hodge(self.phi))
+
+    @functools.cached_property
+    def structure_solve(self) -> tuple:
+        """(torsion, reconstruction residual) of the structure equations."""
+        return solve_structure_equations(self.phi, self.dphi, self.dstarphi)
+
+    torsion = property(lambda self: self.structure_solve[0])
+    structure_residual = property(lambda self: self.structure_solve[1])
+
+    @functools.cached_property
+    def xi(self) -> IntrinsicTorsion:
+        return intrinsic_from_torsion(self.torsion)
+
+    @functools.cached_property
+    def gamma_bar(self) -> np.ndarray:
+        """The canonical connection gamma - xi."""
+        return self.gamma - self.xi.xi
+
+    @functools.cached_property
+    def nabla_bar_phi(self) -> float:
+        """max |nabla-bar phi|; a residual signals a convention error upstream
+        rather than a property of the input."""
+        residual = max_abs(_connection_stack(self.gamma_bar, self.phi))
+        if not residual <= bound(1e-9, max_abs(self.gamma)):
+            raise ValueError(f"canonical connection does not annihilate phi (residual {residual:.3g})")
+        return residual
 
     def d(self, a: Form) -> Form:
         return invariant_d(self.d_mats, a)
@@ -300,45 +338,11 @@ def canonical_connection(spec: LieAlgebraSpec, phi: Form = None):
 
 
 def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
-    """Assemble the full invariant geometry of (spec, phi).
-
-    The d-matrices, the Jacobi product d_2 d_1, the Levi-Civita connection,
-    d phi and d *phi, the torsion and nabla-bar phi are each built once here
-    and shared by everything downstream.
-    """
-    if phi is None:
-        phi = standard_phi(spec.exact)
-    mats = invariant_d_matrices(spec)
-    jacobi_product = mats[2].dot(mats[1])
-    jacobi = max_abs(jacobi_product)
-    gamma = levi_civita(mats, jacobi=jacobi)
-    r = riemann(spec, gamma)
-    dphi, dstarphi = invariant_d(mats, phi), invariant_d(mats, hodge(phi))
-    t = extract_torsion(phi, dphi, dstarphi)
-    xi = intrinsic_from_torsion(t)
-    gamma_bar = gamma - xi.xi
-    # the canonical connection annihilates phi; a residual signals a
-    # convention error upstream rather than a property of the input
-    nabla_bar_phi = max_abs(_connection_stack(gamma_bar, phi))
-    if not nabla_bar_phi <= bound(1e-9, max_abs(gamma)):
-        raise ValueError(
-            f"canonical connection does not annihilate phi (residual {nabla_bar_phi:.3g})"
-        )
-    return InvariantGeometry(
-        spec=spec,
-        phi=phi,
-        d_mats=mats,
-        dphi=dphi,
-        dstarphi=dstarphi,
-        gamma=gamma,
-        curvature=r,
-        torsion=t,
-        xi=xi,
-        gamma_bar=gamma_bar,
-        jacobi_product=jacobi_product,
-        jacobi=jacobi,
-        nabla_bar_phi=nabla_bar_phi,
-    )
+    """The invariant geometry of (spec, phi) with its three gates passed:
+    Jacobi, then extraction, then the canonical connection."""
+    geo = InvariantGeometry(spec, phi)
+    geo.nabla_bar_phi  # the last gate builds the stages of the other two
+    return geo
 
 
 def nabla_bar_tau(geo: InvariantGeometry) -> MixedV14:
@@ -424,21 +428,11 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     """
     report = Report(spec.name, tol)
     exact = spec.exact
-    if phi is None:
-        phi = standard_phi(exact)
-
     geo = geometry(spec, phi)
+    phi, dphi, t = geo.phi, geo.dphi, geo.torsion
     report.add("jacobi (d d e^k = 0)", geo.jacobi)
-    report.add("d^2 = 0 (all degrees)", d_squared_residual(geo.d_mats, geo.jacobi_product))
-
-    t = geo.torsion
-    dphi, dstarphi = geo.dphi, geo.dstarphi
-
-    rec_d, rec_s = recompose(t)
-    report.add(
-        "structure equations solve (d phi, d *phi)",
-        max_abs(rec_d.coeffs - dphi.coeffs, rec_s.coeffs - dstarphi.coeffs),
-    )
+    report.add("d^2 = 0 (all degrees)", geo.d_squared)
+    report.add("structure equations solve (d phi, d *phi)", geo.structure_residual)
 
     # Levi-Civita sanity: metric and torsion-free
     report.add(
@@ -518,9 +512,10 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
 
     # summary data
     ric0g_n = (ric0g * ric0g).sum()
+    norms = t.norms()
     report.summary = {
-        "fg_type": sorted(fg_type(t)),
-        "torsion_norms": t.norms(),
+        "fg_type": sorted(fg_type_of_norms(norms)),
+        "torsion_norms": norms,
         "scalar_curvature": float(s_g),
         "block_norms": dec.block_norms(),
         "ric0_norm2": float(ric0g_n),
@@ -528,21 +523,17 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
 
     closed = max_abs(dphi.coeffs) <= bound(1e-10, max_abs(phi.coeffs))
     if closed:
-        _closed_structure_checks(
-            report, geo, dec, ric0p, ric0g_n, d_tau2, dbar_tau2, terms["*(tau2^tau2)"]
-        )
+        _closed_structure_checks(report, geo, dec, ric0g_n, d_tau2, dbar_tau2, terms["*(tau2^tau2)"])
     return report
 
 
-def _closed_structure_checks(
-    report: Report, geo: InvariantGeometry, dec, ric0p, ric0g_n, dtau, dbar_tau, star_tt
-):
+def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0g_n, dtau, dbar_tau, star_tt):
     """The d phi = 0 chain: everything the closed case pins down pointwise.
 
-    ``ric0p`` is Ric0^phi, ``ric0g_n`` is ||Ric0^g||^2, ``dtau`` and
-    ``dbar_tau`` are d tau2 and d^nabla-bar tau2, ``star_tt`` is
-    *(tau2 ^ tau2), all already computed by `analyze`; the scalar curvature,
-    Ric0^g and the block norms come from ``dec``.
+    ``ric0g_n`` is ||Ric0^g||^2, ``dtau`` and ``dbar_tau`` are d tau2 and
+    d^nabla-bar tau2, ``star_tt`` is *(tau2 ^ tau2), all already computed by
+    `analyze`; the scalar curvature, Ric0^g, Ric0^phi and the block norms
+    come from ``dec``.
     """
     t = geo.torsion
     tau = t.tau2
@@ -601,7 +592,7 @@ def _closed_structure_checks(
 
     # closed-case Ricci formula and norms
     r = geo.curvature
-    s_g, ric0g = dec.s, dec.ric0
+    s_g, ric0g, ric0p = dec.s, dec.ric0, dec.ric0_phi
     for k in K_VALUES:
         ric0k = k[0] * ric0g + k[1] * ric0p
         k_dbar, k_tt = k[0] - 4 * k[1], k[0] + 5 * k[1]

@@ -185,10 +185,9 @@ def recompose(t: TorsionComponents, tol: float = 1e-9):
     return Form(4, u[:35]), Form(5, u[35:])
 
 
-def extract_torsion(
-    phi: Form, dphi: Form, dstarphi: Form, tol: float = 1e-8
-) -> TorsionComponents:
-    """Solve the structure equations for (tau0, tau1, tau2, tau3).
+def solve_structure_equations(phi: Form, dphi: Form, dstarphi: Form, tol: float = 1e-8) -> tuple:
+    """Solve the structure equations for (tau0, tau1, tau2, tau3); returns
+    the quadruple and the residual of (d phi, d *phi) rebuilt from it.
 
     ``phi`` must carry the standard coefficients (the adapted-frame
     pointwise model); inputs that are not in the image of any torsion
@@ -211,7 +210,12 @@ def extract_torsion(
             f"(d phi, d *phi) is not generated by any torsion quadruple "
             f"(residual {residual:.3g})"
         )
-    return TorsionComponents(v[0], Form(1, v[1:8]), Form(2, v[8:29]), Form(3, v[29:]))
+    return TorsionComponents(v[0], Form(1, v[1:8]), Form(2, v[8:29]), Form(3, v[29:])), residual
+
+
+def extract_torsion(phi: Form, dphi: Form, dstarphi: Form, tol: float = 1e-8) -> TorsionComponents:
+    """The torsion quadruple of `solve_structure_equations`."""
+    return solve_structure_equations(phi, dphi, dstarphi, tol)[0]
 
 
 def fg_type(t: TorsionComponents, eps: float = 1e-9, eps_abs: float = 1e-12) -> frozenset:
@@ -222,9 +226,13 @@ def fg_type(t: TorsionComponents, eps: float = 1e-9, eps_abs: float = 1e-12) -> 
     torsion size and eps_abs an absolute floor below which components count
     as rounding dust.  The empty set means parallel.
     """
+    return fg_type_of_norms(t.norms(), eps, eps_abs)
+
+
+def fg_type_of_norms(norms: dict, eps: float = 1e-9, eps_abs: float = 1e-12) -> frozenset:
+    """`fg_type` from the component norms of `TorsionComponents.norms`."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    norms = t.norms()
     if not all(map(math.isfinite, norms.values())):
         raise ValueError(f"torsion norms are not finite: {norms}")
     scale = sum(norms.values())

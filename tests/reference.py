@@ -1,7 +1,9 @@
 """Reference code for the tests: helpers the package itself does not use,
 the plain loops that built the index tables of `g2lab.exterior_algebra`
-before they were read off the wedge table, and the degree-by-degree build
-of the invariant d-matrices that `g2lab.homogeneous` fuses into one scatter.
+before they were read off the wedge table, the degree-by-degree build
+of the invariant d-matrices that `g2lab.homogeneous` fuses into one scatter,
+and the eager build of the invariant geometry that `InvariantGeometry`
+makes lazy.
 
 Each loop builds its rows from the multi-indices directly, with a
 permutation sign of its own, so comparing a derived table with its loop
@@ -11,26 +13,35 @@ checks the derivation, not a shared helper.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
-from g2lab._linalg import is_exact, zeros
+from g2lab._linalg import bound, is_exact, max_abs, zeros
 from g2lab.exterior_algebra import (
     BASIS,
     DIM,
     INDEX,
     Form,
+    _connection_stack,
     _derivation_table,
     covariant_wedge,
     dim_of,
+    hodge,
     phi_arrays,
     standard_phi,
     standard_phi_dual,
     wedge,
 )
 from g2lab.g2_algebra import projector_matrix
-from g2lab.homogeneous import _d_on_one_forms
-from g2lab.torsion import TorsionComponents, xi_from_xibar
+from g2lab.homogeneous import _PAIR_I, _PAIR_J, _d_on_one_forms, invariant_d, invariant_d_matrices, riemann
+from g2lab.torsion import (
+    TorsionComponents,
+    extract_torsion,
+    intrinsic_from_torsion,
+    recompose,
+    xi_from_xibar,
+)
 
 # --- forms and torsion ----------------------------------------------------------
 
@@ -153,3 +164,61 @@ def loop_invariant_d_matrices(spec) -> dict:
         np.add.at(m, (out, pos), sign * d1[pair, head])
         mats[k] = m
     return mats
+
+
+# --- the invariant geometry, every stage built up front ------------------------------
+
+
+def eager_geometry(spec, phi=None) -> SimpleNamespace:
+    """Every stage of `g2lab.homogeneous.InvariantGeometry` in one pass, in
+    the order the gates fire: Jacobi, extraction, canonical connection.  The
+    structure-equation residual is measured on `recompose`, the d^2 residual
+    on d_2 d_1 and the four other products."""
+    if phi is None:
+        phi = standard_phi(spec.exact)
+    mats = invariant_d_matrices(spec)
+    jacobi_product = mats[2].dot(mats[1])
+    jacobi = max_abs(jacobi_product)
+    d_squared = max_abs(jacobi_product, *(mats[k + 1].dot(mats[k]) for k in range(2, DIM - 1)))
+    if not jacobi <= 1e-10:
+        raise ValueError(f"structure constants fail the Jacobi identity (residual {jacobi:.3g})")
+    cl = zeros((DIM, DIM, DIM), spec.exact)  # cl[i,j,k] = c^k_ij, read off d on 1-forms
+    cl[_PAIR_I, _PAIR_J] = -mats[1]
+    cl[_PAIR_J, _PAIR_I] = mats[1]
+    gamma = (cl - cl.transpose(2, 0, 1) + cl.transpose(1, 2, 0)) / 2
+    curvature = riemann(spec, gamma)
+    dphi, dstarphi = invariant_d(mats, phi), invariant_d(mats, hodge(phi))
+    t = extract_torsion(phi, dphi, dstarphi)
+    rec_d, rec_s = recompose(t)
+    structure_residual = max_abs(rec_d.coeffs - dphi.coeffs, rec_s.coeffs - dstarphi.coeffs)
+    xi = intrinsic_from_torsion(t)
+    gamma_bar = gamma - xi.xi
+    nabla_bar_phi = max_abs(_connection_stack(gamma_bar, phi))
+    if not nabla_bar_phi <= bound(1e-9, max_abs(gamma)):
+        raise ValueError(f"canonical connection does not annihilate phi (residual {nabla_bar_phi:.3g})")
+    return SimpleNamespace(
+        phi=phi,
+        d_mats=mats,
+        jacobi_product=jacobi_product,
+        jacobi=jacobi,
+        d_squared=d_squared,
+        gamma=gamma,
+        curvature=curvature,
+        dphi=dphi,
+        dstarphi=dstarphi,
+        torsion=t,
+        structure_residual=structure_residual,
+        xi=xi,
+        gamma_bar=gamma_bar,
+        nabla_bar_phi=nabla_bar_phi,
+    )
+
+
+# --- warped products -----------------------------------------------------------------
+
+
+def einstein_warp_check(f, rho: float, rho_star: float) -> tuple:
+    """Residuals of (f')^2 + rho f^2 = rho* and f'' + rho f = 0 for a warp jet f."""
+    r1 = f.d1**2 + rho * f.value**2 - rho_star
+    r2 = f.d2 + rho * f.value
+    return (r1, r2)

@@ -350,11 +350,14 @@ def test_parser_requires_command():
 
 
 def test_curvature_rejects_count_below_one(capsys):
-    for count in ("0", "-3"):
+    # a negative seed is bad input too, not a failed check with a traceback
+    for switch in (["--count", "0"], ["--count", "-3"], ["--seed", "-1"]):
         with pytest.raises(SystemExit) as exc:
-            main(["curvature", "--count", count])
+            main(["curvature"] + switch)
         assert exc.value.code == 2
-    assert "checks passed" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "checks passed" not in captured.out
+    assert "--seed: must be at least 0" in captured.err
 
 
 def test_switches_after_the_command(capsys):

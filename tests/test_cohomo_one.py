@@ -22,7 +22,6 @@ from g2lab.cohomo_one import (
     WarpSpec,
     cohom_torsion,
     delta_tau1,
-    einstein_warp_check,
     flag_model,
     holonomy_residual,
     holonomy_triple,
@@ -47,7 +46,7 @@ from g2lab.exterior_algebra import (
     wedge,
 )
 from g2lab.torsion import TorsionComponents, conformal_transform, fg_type
-from reference import wedge_all
+from reference import einstein_warp_check, wedge_all
 
 T0 = 1.1
 
@@ -114,7 +113,7 @@ def test_nan_residual_fails_the_gates(monkeypatch):
     nan_torsion = TorsionComponents(math.nan, Form.zero(1), Form.zero(2), Form.zero(3))
     warp = WarpSpec(jet_var(T0).sin(), jet_var(T0), 1.0)
     cohom = CohomSpec(*holonomy_triple(0.5, 0.5, 0.5), Jet(0.3, 0.5, 0.1))
-    monkeypatch.setattr(co, "extraction_route", lambda spec, frame=None: nan_torsion)
+    monkeypatch.setattr(co._Solve, "generic_torsion", lambda solve: nan_torsion)
     with pytest.raises(ValueError, match="disagree"):
         warped_torsion(warp)
     with pytest.raises(ValueError, match="disagree"):
@@ -649,9 +648,9 @@ def test_array_engine_matches_reference_on_random_forms(kind):
 
 def structure_forms(spec) -> dict:
     """The product forms the torsion routes and ricW_vanishes build."""
-    frame = co._Frame(spec)
-    phi, starphi = co._phi_forms(frame)
-    sym = co._tau_symbolic(frame)
+    solve = co._Solve(spec)
+    phi, starphi = solve.phi_forms
+    sym = solve.sym
     forms = {"phi": phi, "*phi": starphi, "tau1": sym["tau1"], "tau2": sym["tau2"], "tau3": sym["tau3"]}
     forms["tau1 ^ *phi"] = sym["tau1"].wedge(starphi)
     return forms
@@ -723,9 +722,17 @@ def test_torsion_call_builds_each_stage_once(monkeypatch):
     assert calls == once
     # `g2lab warp` reports torsion, scalar curvature and ricW from one frame
     # and one pointwise closed-form torsion
-    counting(co, "_tau_pointwise")
+    closed_at_point = co._Solve.t_closed.func
+
+    def t_closed(solve):
+        calls["t_closed"] = calls.get("t_closed", 0) + 1
+        return closed_at_point(solve)
+
+    member = functools.cached_property(t_closed)
+    member.__set_name__(co._Solve, "t_closed")
+    monkeypatch.setattr(co._Solve, "t_closed", member)
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--json", "warp", "--f", "exp", "--theta", "sin", "--t", "0.7"]) == 0
     assert calls.pop("wedge") > 0
-    assert calls == {**once, "_tau_pointwise": 1}
+    assert calls == {**once, "t_closed": 1}

@@ -26,7 +26,6 @@ from g2lab.g2_algebra import (
     projector_matrix,
     quad_A,
     quad_B,
-    quad_C,
     sigma_contract,
     sym2_from_27,
 )
@@ -505,7 +504,7 @@ def ricci_rhs_canonical_reference(t, dbar_star_t1_wstar, dbar_tau2, dbar_tau3, k
         - (k1 - 4 * k2) * dbar_tau2
         + one / 3 * (k1 + 5 * k2) * hodge(wedge(t.tau2, t.tau2))
         + (k1 + 4 * k2) * hodge(dbar_tau3)
-        - one / 6 * (k1 - 2 * k2) * quad_C(t.tau3)
+        - one / 6 * (k1 - 2 * k2) * (quad_A(t.tau3) - 2 * quad_B(t.tau3))
         - 2 * one / 3 * (k1 - 2 * k2) * (t.tau0 * t.tau3)
         - 4 * one / 3 * (k1 + 2 * k2) * wedge(t.tau1, t.tau2)
         + 2 * one / 3 * (k1 - 4 * k2) * hodge(wedge(t.tau1, t.tau3))
