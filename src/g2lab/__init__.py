@@ -50,7 +50,6 @@ from .curvature import (
 from .torsion import (
     IntrinsicTorsion,
     TorsionComponents,
-    closed_identities,
     conformal_transform,
     extract_torsion,
     fg_type,

@@ -278,6 +278,11 @@ class CurvatureDecomposition:
             "S": self.scalar_block.norm2(),
         }
 
+    @functools.cached_property
+    def ric0_norm2(self):
+        """||Ric0^g||^2, in the scalar mode of the tensor."""
+        return (self.ric0 * self.ric0).sum()
+
     def block_norms(self) -> dict:
         return {name: float(n) for name, n in self.norm2s.items()}
 
@@ -346,7 +351,7 @@ def norm_split_residual(r: CurvatureTensor, dec: CurvatureDecomposition = None) 
         dec.w77.norm2()
         + dec.w64.norm2()
         + scalar(15, r.exact) / 28 * (ricw * ricw).sum()
-        + scalar(4, r.exact) / 5 * (dec.ric0 * dec.ric0).sum()
+        + scalar(4, r.exact) / 5 * dec.ric0_norm2
         + dec.s * dec.s / 21
     )
     n = r.norm2()

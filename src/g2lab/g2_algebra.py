@@ -274,13 +274,12 @@ class MixedV14:
     def exact(self) -> bool:
         return is_exact(self.array)
 
-    def slice(self, i: int) -> Form:
-        return Form(2, self.array[i])
-
     def tensor_norm2(self):
         return 2 * (self.array * self.array).sum()
 
+    @functools.cached_property
     def membership_residual(self) -> float:
+        """Distance of the slots from Lambda^2_14, measured once per tensor."""
         q14 = projector_matrix(2, 14, self.exact)
         return max_abs(self.array.dot(q14.T) - self.array)
 
@@ -331,7 +330,7 @@ def split_v14(gamma: MixedV14, tol: float = 1e-9):
     pieces of wedge3(gamma); the 64 part is the remainder (the kernel of
     wedge3).  The pieces are mutually orthogonal and sum to gamma.
     """
-    if not gamma.membership_residual() <= tol:
+    if not gamma.membership_residual <= tol:
         raise ValueError("slices of gamma are not in Lambda^2_14")
     w = wedge3(gamma)
     parts = {}

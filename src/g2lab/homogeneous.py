@@ -13,9 +13,11 @@ first use and kept, and every consumer reads it there.  The Jacobi check is
 the residual of the Levi-Civita gate, d^2 = 0 is checked on that product
 and the four others, and the structure-equation check is the residual of
 the extraction gate.  The torsion terms of the generalized Ricci formula
-and their derivatives are likewise built once, each route gets its rows
-for all three weightings from one weighted sum over them, and the six
-residuals are one reduction.
+(`ricci_terms`), their derivatives on both routes (`ricci_derivs`) and the
+stack nabla-bar_i tau2 (`nabla_bar_tau2`) are stages too: d^nabla-bar tau2
+alternates that stack and the closed chain's `nabla_bar_tau` gates it, so
+it is built once.  Each route gets its rows for all three weightings from
+one weighted sum over the terms, and the six residuals are one reduction.
 
 d on k-forms and the action of a connection on k-forms are the one
 derivation table of `exterior_algebra` applied to d on 1-forms and to
@@ -53,10 +55,12 @@ from .exterior_algebra import (
     _connection_stack,
     _derivation_table,
     antisym_coefficients,
+    contract,
     covariant_wedge,
     dim_of,
     form_inner,
     frame_interior,
+    frame_wedge,
     hodge,
     index_columns,
     phi_arrays,
@@ -64,7 +68,7 @@ from .exterior_algebra import (
     to_antisym,
     wedge,
 )
-from .g2_algebra import MixedV14, project, projector_matrix, split_v14
+from .g2_algebra import MixedV14, lambda3, project, projector_matrix, split_v14
 from .curvature import CurvatureTensor, _iphi_matrix, decompose
 from .torsion import (
     RICCI_ROUTES,
@@ -76,8 +80,6 @@ from .torsion import (
     scalar_from_torsion,
     solve_structure_equations,
 )
-from .exterior_algebra import contract
-from .g2_algebra import lambda3
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,12 @@ class LieAlgebraSpec:
             raise ValueError("structure constants must be a 7x7x7 array")
         if not (self.exact or np.isfinite(self.c).all()):
             raise ValueError("structure constants must be finite")
-        if not max_abs(self.c + self.c.transpose(0, 2, 1)) <= 1e-12:
+        if not max_abs(self.c + self.c.transpose(0, 2, 1)) <= bound(1e-12, max_abs(self.c)):
             raise ValueError("structure constants must be antisymmetric in (i, j)")
 
     @property
     def exact(self) -> bool:
         return is_exact(self.c)
-
-    def bracket(self, i: int, j: int) -> np.ndarray:
-        """[e_i, e_j] as a component vector (0-based arguments)."""
-        return self.c[:, i, j].copy()
 
 
 def spec_from_coframe_d(name: str, coframe_d: dict, exact: bool = False) -> LieAlgebraSpec:
@@ -137,28 +135,29 @@ def _d_on_one_forms(spec: LieAlgebraSpec) -> np.ndarray:
 def _d_table():
     """The rows of `_derivation_table(k, 2)` for k = 2..6 as one read-only
     table over a flat buffer that holds the five matrices back to back:
-    columns (flat position, flat position in d on 1-forms, sign), then the
-    (start, stop, shape) of each degree's matrix in the buffer.  The rows of
-    each degree keep their order, so every entry sums as a scatter of its
-    degree alone would.
+    columns (flat position, flat position in d on 1-forms stacked over its
+    negative, which picks the sign), then the (start, stop, shape) of each
+    degree's matrix in the buffer.  The rows of each degree keep their
+    order, so every entry sums as a scatter of its degree alone would.
     """
     cols, layout, start = [], {}, 0
     for k in range(2, DIM):
         out, pos, pair, head, sign = _derivation_table(k, 2)
         shape = (dim_of(k + 1), dim_of(k))
-        cols.append(np.stack([start + out * shape[1] + pos, pair * DIM + head, sign], axis=1))
+        src = pair * DIM + head + (sign < 0) * dim_of(2) * DIM
+        cols.append(np.stack([start + out * shape[1] + pos, src], axis=1))
         layout[k] = (start, start + shape[0] * shape[1], shape)
         start += shape[0] * shape[1]
-    return (*index_columns(np.concatenate(cols), 3), layout)
+    return (*index_columns(np.concatenate(cols), 2), layout)
 
 
 def invariant_d_matrices(spec: LieAlgebraSpec) -> dict:
     """Per-degree matrices of the invariant exterior derivative: d on
     1-forms, and one scatter of it through `_d_table` for degrees 2..6."""
     d1 = _d_on_one_forms(spec)
-    flat, src, sign, layout = _d_table()
+    flat, src, layout = _d_table()
     buf = zeros(layout[DIM - 1][1], spec.exact)  # degree 6 ends the buffer
-    np.add.at(buf, flat, sign * d1.reshape(-1)[src])
+    np.add.at(buf, flat, np.concatenate((d1, -d1)).reshape(-1)[src])
     mats = {0: zeros((DIM, 1), spec.exact), 1: d1}
     for k, (start, stop, shape) in layout.items():
         mats[k] = buf[start:stop].reshape(shape)
@@ -319,6 +318,28 @@ class InvariantGeometry:
             raise ValueError(f"canonical connection does not annihilate phi (residual {residual:.3g})")
         return residual
 
+    @functools.cached_property
+    def ricci_terms(self) -> dict:
+        """The k-independent torsion terms of the generalized Ricci formula."""
+        return ricci_terms(self.torsion)
+
+    @functools.cached_property
+    def nabla_bar_tau2(self) -> np.ndarray:
+        """(7, 21) coefficients of nabla-bar_i tau2, ungated: d^nabla-bar tau2
+        alternates it and `nabla_bar_tau` gates it."""
+        return _connection_stack(self.gamma_bar, self.torsion.tau2)
+
+    @functools.cached_property
+    def ricci_derivs(self) -> dict:
+        """Per route, the derivatives of *(tau1 ^ *phi), tau2 and tau3 that the
+        generalized Ricci formula takes: d, and d^nabla-bar."""
+        t1_w, tau2, tau3 = self.ricci_terms["*(tau1^*phi)"], self.torsion.tau2, self.torsion.tau3
+        dbar_tau2 = frame_wedge(self.nabla_bar_tau2, 2)
+        return {
+            "exterior": [self.d(t1_w), self.d(tau2), self.d(tau3)],
+            "canonical": [self.d_nabla_bar(t1_w), dbar_tau2, self.d_nabla_bar(tau3)],
+        }
+
     def d(self, a: Form) -> Form:
         return invariant_d(self.d_mats, a)
 
@@ -347,8 +368,8 @@ def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
 
 def nabla_bar_tau(geo: InvariantGeometry) -> MixedV14:
     """nabla-bar of the Lambda^2_14 torsion form as a mixed tensor."""
-    mixed = MixedV14(_connection_stack(geo.gamma_bar, geo.torsion.tau2))
-    if not mixed.membership_residual() <= 1e-8:
+    mixed = MixedV14(geo.nabla_bar_tau2)
+    if not mixed.membership_residual <= 1e-8:
         raise ValueError("nabla-bar tau left Lambda^2_14; connection is not G2")
     return mixed
 
@@ -476,12 +497,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     # generalized Ricci formulas, both routes, three weightings, on one set
     # of torsion terms and derivatives
     ric0g, ric0p = dec.ric0, dec.ric0_phi
-    terms = ricci_terms(t)
-    sources = (terms["*(tau1^*phi)"], t.tau2, t.tau3)
-    derivs = {
-        "exterior": [geo.d(a) for a in sources],
-        "canonical": [geo.d_nabla_bar(a) for a in sources],
-    }
+    terms, derivs = geo.ricci_terms, geo.ricci_derivs
     rhs = np.array([ricci_rows(route, derivs[route], terms, K_VALUES) for route in RICCI_ROUTES])
     lhs = np.array([lambda3(k[0] * ric0g + k[1] * ric0p).coeffs for k in K_VALUES])
     residuals = np.abs(rhs - lhs).max(axis=-1)  # (route, k)
@@ -511,31 +527,27 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     )
 
     # summary data
-    ric0g_n = (ric0g * ric0g).sum()
     norms = t.norms()
     report.summary = {
         "fg_type": sorted(fg_type_of_norms(norms)),
         "torsion_norms": norms,
         "scalar_curvature": float(s_g),
         "block_norms": dec.block_norms(),
-        "ric0_norm2": float(ric0g_n),
+        "ric0_norm2": float(dec.ric0_norm2),
     }
 
     closed = max_abs(dphi.coeffs) <= bound(1e-10, max_abs(phi.coeffs))
     if closed:
-        _closed_structure_checks(report, geo, dec, ric0g_n, d_tau2, dbar_tau2, terms["*(tau2^tau2)"])
+        _closed_structure_checks(report, geo, dec)
     return report
 
 
-def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0g_n, dtau, dbar_tau, star_tt):
-    """The d phi = 0 chain: everything the closed case pins down pointwise.
-
-    ``ric0g_n`` is ||Ric0^g||^2, ``dtau`` and ``dbar_tau`` are d tau2 and
-    d^nabla-bar tau2, ``star_tt`` is *(tau2 ^ tau2), all already computed by
-    `analyze`; the scalar curvature, Ric0^g, Ric0^phi and the block norms
-    come from ``dec``.
-    """
+def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec):
+    """The d phi = 0 chain: everything the closed case pins down pointwise,
+    read off the stages of ``geo`` and the curvature decomposition ``dec``."""
     t = geo.torsion
+    dtau, dbar_tau = geo.ricci_derivs["exterior"][1], geo.ricci_derivs["canonical"][1]
+    star_tt = geo.ricci_terms["*(tau2^tau2)"]
     tau = t.tau2
     tau_n = tau.norm2()
     phi = geo.phi
@@ -622,7 +634,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0g_
 
     # extremally pinched Ricci predicate: d^nabla-bar tau = 0 iff
     # ||Ric0||^2 = 4/21 s^2; report both sides
-    epr_lhs = float(ric0g_n)
+    epr_lhs = float(dec.ric0_norm2)
     epr_rhs = float(4 * s_g * s_g / 21)
     is_epr = max_abs(dbar_tau.coeffs) <= bound(1e-8, float(tau_n))
     if is_epr:
@@ -651,9 +663,9 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0g_
     lhs40 = 2 * r.mat.dot(b.T)  # the sum over a < b, doubled
     tau_arr = to_antisym(tau).array
     term1 = b.T.dot(tau_arr.T.dot(tau_arr))  # phi_qij (tau_pq tau_pt)
-    # term2_ijt = tau_ip phi_pqt tau_jq, as (i, t, j)
-    term2 = np.tensordot(np.tensordot(tau_arr, p3, axes=([1], [0])), tau_arr, axes=([1], [1]))
-    term2 = term2[_PAIR_I, :, _PAIR_J]
+    # term2_ijt = tau_ip phi_pqt tau_jq, as (i, t, j): the reshapes and products of np.tensordot
+    tp = tau_arr.dot(p3.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM).transpose(0, 2, 1)
+    term2 = tp.reshape(DIM * DIM, DIM).dot(tau_arr.T).reshape(DIM, DIM, DIM)[_PAIR_I, :, _PAIR_J]
     rhs40 = (frame_interior(dbar_tau).T - nb_tau.array.T) + (term1 - term2) / 6
     report.add(
         "closed: curvature contraction identity (componentwise)",
@@ -666,7 +678,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0g_
     lhs41 = 2 * (lhs40 * lhs40).sum()  # the (i, j) and (j, i) entries
     rhs41 = (
         3 * w64_n
-        + scalar(40, exact) / 7 * ric0g_n
+        + scalar(40, exact) / 7 * dec.ric0_norm2
         - scalar(13, exact) / 147 * s_g * s_g
         + scalar(34, exact) / 63 * star_d_tau3
     )

@@ -27,7 +27,7 @@ The generalized Ricci formula is linear in its weighting k, so it is stored
 as data: `RICCI_TABLE` holds, per term and route, the (k1, k2) coefficients
 over 6; `ricci_terms` builds the k-independent torsion terms once and
 `ricci_rows` combines them with a route's derivatives for several k in one
-weighted reduction over the stacked terms (`ricci_rhs` for one k).
+weighted reduction over the stacked terms.
 """
 
 from __future__ import annotations
@@ -293,31 +293,6 @@ def scalar_from_torsion(t: TorsionComponents, delta_tau1=0):
     )
 
 
-def closed_identities(tau2: Form, tol: float = 1e-9) -> dict:
-    """Residuals of the pointwise identities for tau in Lambda^2_14:
-
-    *(tau ^ tau ^ phi) = -|tau|^2,  |tau ^ tau|^2 = |tau|^4,
-    |(tau ^ tau)_27|^2 = 6/7 |tau|^4   (all form norms).
-    """
-    if not max_abs(project(tau2, (2, 14)).coeffs - tau2.coeffs) <= tol:
-        raise ValueError("tau2 is not in Lambda^2_14")
-    phi = standard_phi(tau2.exact)
-    tt = wedge(tau2, tau2)
-    n2 = tau2.norm2()
-    report = {
-        "*(tau^tau^phi) = -|tau|^2": max_abs(
-            np.asarray([hodge(wedge(tt, phi)).coeffs[0] + n2])
-        ),
-        "|tau^tau|^2 = |tau|^4": max_abs(np.asarray([tt.norm2() - n2 * n2])),
-        "|(tau^tau)_27|^2 = 6/7 |tau|^4": max_abs(
-            np.asarray(
-                [project(tt, (4, 27)).norm2() - scalar(6, tau2.exact) / 7 * n2 * n2]
-            )
-        ),
-    }
-    return report
-
-
 def conformal_transform(t: TorsionComponents, f0: float, df: Form = None) -> TorsionComponents:
     """Torsion of e^{3f} phi: (e^-f tau0, tau1 + df, e^f tau2, e^2f tau3).
 
@@ -415,12 +390,8 @@ def _ricci_weights(route: str, ks: tuple, exact: bool) -> np.ndarray:
     return weights
 
 
-def ricci_rhs(route: str, derivs, terms: dict, k) -> Form:
-    """Lambda^3_27 part of the generalized Ricci right-hand side of a route:
-    the row of `ricci_rows` for the one weighting k."""
-    return Form(3, ricci_rows(route, derivs, terms, (k,))[0])
-
-
 def ricci_rhs_exterior(t: TorsionComponents, d_star_t1_wstar: Form, d_tau2: Form, d_tau3: Form, k):
-    """`ricci_rhs` on the exterior route, building the torsion terms of t."""
-    return ricci_rhs("exterior", (d_star_t1_wstar, d_tau2, d_tau3), ricci_terms(t), k)
+    """The exterior row of `ricci_rows` for the one weighting k, building the
+    torsion terms of t."""
+    derivs = (d_star_t1_wstar, d_tau2, d_tau3)
+    return Form(3, ricci_rows("exterior", derivs, ricci_terms(t), (k,))[0])

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from g2lab._linalg import bound, is_exact, max_abs, zeros
+from g2lab._linalg import bound, is_exact, max_abs, scalar, zeros
 from g2lab.exterior_algebra import (
     BASIS,
     DIM,
@@ -33,17 +33,43 @@ from g2lab.exterior_algebra import (
     standard_phi_dual,
     wedge,
 )
-from g2lab.g2_algebra import projector_matrix
+from g2lab.g2_algebra import project, projector_matrix
 from g2lab.homogeneous import _PAIR_I, _PAIR_J, _d_on_one_forms, invariant_d, invariant_d_matrices, riemann
 from g2lab.torsion import (
     TorsionComponents,
     extract_torsion,
     intrinsic_from_torsion,
     recompose,
+    ricci_terms,
     xi_from_xibar,
 )
 
 # --- forms and torsion ----------------------------------------------------------
+
+
+def closed_identities(tau2: Form, tol: float = 1e-9) -> dict:
+    """Residuals of the pointwise identities for tau in Lambda^2_14:
+
+    *(tau ^ tau ^ phi) = -|tau|^2,  |tau ^ tau|^2 = |tau|^4,
+    |(tau ^ tau)_27|^2 = 6/7 |tau|^4   (all form norms).
+    """
+    if not max_abs(project(tau2, (2, 14)).coeffs - tau2.coeffs) <= tol:
+        raise ValueError("tau2 is not in Lambda^2_14")
+    phi = standard_phi(tau2.exact)
+    tt = wedge(tau2, tau2)
+    n2 = tau2.norm2()
+    report = {
+        "*(tau^tau^phi) = -|tau|^2": max_abs(
+            np.asarray([hodge(wedge(tt, phi)).coeffs[0] + n2])
+        ),
+        "|tau^tau|^2 = |tau|^4": max_abs(np.asarray([tt.norm2() - n2 * n2])),
+        "|(tau^tau)_27|^2 = 6/7 |tau|^4": max_abs(
+            np.asarray(
+                [project(tt, (4, 27)).norm2() - scalar(6, tau2.exact) / 7 * n2 * n2]
+            )
+        ),
+    }
+    return report
 
 
 def wedge_all(*forms: Form) -> Form:
@@ -173,7 +199,8 @@ def eager_geometry(spec, phi=None) -> SimpleNamespace:
     """Every stage of `g2lab.homogeneous.InvariantGeometry` in one pass, in
     the order the gates fire: Jacobi, extraction, canonical connection.  The
     structure-equation residual is measured on `recompose`, the d^2 residual
-    on d_2 d_1 and the four other products."""
+    on d_2 d_1 and the four other products, and every canonical derivative
+    of the Ricci formula, d^nabla-bar tau2 among them, on a stack of its own."""
     if phi is None:
         phi = standard_phi(spec.exact)
     mats = invariant_d_matrices(spec)
@@ -196,6 +223,8 @@ def eager_geometry(spec, phi=None) -> SimpleNamespace:
     nabla_bar_phi = max_abs(_connection_stack(gamma_bar, phi))
     if not nabla_bar_phi <= bound(1e-9, max_abs(gamma)):
         raise ValueError(f"canonical connection does not annihilate phi (residual {nabla_bar_phi:.3g})")
+    terms = ricci_terms(t)
+    sources = (terms["*(tau1^*phi)"], t.tau2, t.tau3)
     return SimpleNamespace(
         phi=phi,
         d_mats=mats,
@@ -211,6 +240,12 @@ def eager_geometry(spec, phi=None) -> SimpleNamespace:
         xi=xi,
         gamma_bar=gamma_bar,
         nabla_bar_phi=nabla_bar_phi,
+        nabla_bar_tau2=_connection_stack(gamma_bar, t.tau2),
+        ricci_terms=terms,
+        ricci_derivs={
+            "exterior": [invariant_d(mats, a) for a in sources],
+            "canonical": [covariant_wedge(gamma_bar, a) for a in sources],
+        },
     )
 
 

@@ -1,7 +1,7 @@
 """Left-invariant geometry: connection, curvature, torsion, analyze."""
 
+import functools
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from g2lab.exterior_algebra import (
 )
 from g2lab.g2_algebra import MixedV14, split_v14, sym2_from_27
 from g2lab.homogeneous import (
+    InvariantGeometry,
     LieAlgebraSpec,
     Report,
     analyze,
@@ -41,7 +42,6 @@ from g2lab.homogeneous import (
 )
 from g2lab.torsion import (
     TorsionComponents,
-    closed_identities,
     extract_torsion,
     fg_type,
     recompose,
@@ -114,6 +114,19 @@ def test_spec_validation():
     for k in (0, 8):  # 0 once wrote de^7 through c[-1], and 8 raised IndexError
         with pytest.raises(ValueError, match="bad coframe index"):
             spec_from_coframe_d("bad-k", {k: {(1, 2): 1.0}})
+    # antisymmetry is judged against the size of the constants: a float change
+    # of coframe of Bryant's algebra, scaled to |c| = 1e4, is antisymmetric up
+    # to rounding above an absolute 1e-12, while 1e-6 |c| is not rounding
+    rng = np.random.default_rng(0)
+    a = np.eye(7) + 0.3 * rng.normal(size=(7, 7))
+    a_inv = np.linalg.inv(a)
+    c = np.einsum("ak,kij,ib,jc->abc", a, builtin_examples()["bryant"]["spec"].c, a_inv, a_inv)
+    c *= 1e4 / max_abs(c)
+    assert max_abs(c + c.transpose(0, 2, 1)) > 1e-12
+    LieAlgebraSpec("conjugated", c)
+    c[0, 1, 2] += 1e-6 * max_abs(c)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        LieAlgebraSpec("conjugated-bad", c)
 
 
 def test_jacobi_rejection():
@@ -374,12 +387,14 @@ def test_conformal_scaling_of_lie_spec():
 
 def test_analyze_builds_each_stage_once(monkeypatch):
     import g2lab.curvature as cv
+    import g2lab.exterior_algebra as ea
     import g2lab.homogeneous as hm
     import g2lab.torsion as tr
 
     spec = builtin_examples()["bryant"]["spec"]
     hm.analyze(spec)  # builds the cached tables, r_g(g) among them
     lc = hm.levi_civita(spec)  # nabla-bar phi is the action of any other gamma on phi
+    tau2 = hm.geometry(spec).torsion.tau2
     calls = {}
 
     def count(name):
@@ -399,9 +414,23 @@ def test_analyze_builds_each_stage_once(monkeypatch):
     def stack(gamma, a):
         if np.array_equal(a.coeffs, PHI.coeffs) and not np.array_equal(gamma, lc):
             count("nabla-bar phi")
+        if a.degree == 2 and np.array_equal(a.coeffs, tau2.coeffs):
+            count("nabla-bar tau2")
         return real_stack(gamma, a)
 
+    # d^nabla-bar of a form reaches the stack through covariant_wedge
     monkeypatch.setattr(hm, "_connection_stack", stack)
+    monkeypatch.setattr(ea, "_connection_stack", stack)
+    # the Lambda^2_14 residual of nabla-bar tau, which two gates read
+    real_residual = MixedV14.membership_residual.func
+
+    def residual(mixed):
+        count("membership_residual")
+        return real_residual(mixed)
+
+    counting_residual = functools.cached_property(residual)
+    counting_residual.__set_name__(MixedV14, "membership_residual")
+    monkeypatch.setattr(MixedV14, "membership_residual", counting_residual)
     for name in (
         "invariant_d_matrices",
         "_koszul",
@@ -433,6 +462,8 @@ def test_analyze_builds_each_stage_once(monkeypatch):
         "phi_ricci": 1,
         "bianchi_residual": 1,
         "nabla-bar phi": 1,
+        "nabla-bar tau2": 1,
+        "membership_residual": 1,
     }  # no recompose
 
 
@@ -488,8 +519,12 @@ def _stage_values(geo) -> dict:
         "xi_bar": geo.xi.xi_bar,
         "gamma_bar": geo.gamma_bar,
         "nabla_bar_phi": geo.nabla_bar_phi,
+        "nabla_bar_tau2": geo.nabla_bar_tau2,
     }
     values.update({f"d_mats[{k}]": m for k, m in geo.d_mats.items()})
+    values.update({f"ricci_terms[{name}]": f.coeffs for name, f in geo.ricci_terms.items()})
+    for route, derivs in geo.ricci_derivs.items():
+        values.update({f"ricci_derivs[{route}][{i}]": f.coeffs for i, f in enumerate(derivs)})
     t = geo.torsion
     values.update(tau0=t.tau0, tau1=t.tau1.coeffs, tau2=t.tau2.coeffs, tau3=t.tau3.coeffs)
     return values
@@ -763,6 +798,16 @@ def _nan(shape):
     return np.full(shape, np.nan)
 
 
+def _with_gamma_bar(spec, gamma_bar) -> InvariantGeometry:
+    """The geometry of spec with its canonical connection replaced by
+    gamma_bar and nothing built on it yet: the stack of nabla-bar tau2 and
+    its checks run in the next call that reads it."""
+    geo = InvariantGeometry(spec)
+    geo.__dict__["gamma_bar"] = gamma_bar
+    assert "nabla_bar_tau2" not in geo.__dict__
+    return geo
+
+
 NAN_GATES = {
     "extract_torsion: phi": (
         lambda: extract_torsion(Form(3, _nan(35)), Form.zero(4), Form.zero(5)),
@@ -779,12 +824,13 @@ NAN_GATES = {
     "sym2_from_27": (lambda: sym2_from_27(Form(3, _nan(35))), "not in Lambda\\^3_27"),
     "split_v14": (lambda: split_v14(MixedV14(_nan((7, 21)))), "not in Lambda\\^2_14"),
     "nabla_bar_tau": (  # the connection action rejects a NaN connection
-        lambda: nabla_bar_tau(
-            SimpleNamespace(torsion=SimpleNamespace(tau2=Form.zero(2)), gamma_bar=_nan((7, 7, 7)))
-        ),
+        lambda: nabla_bar_tau(_with_gamma_bar(builtin_examples()["flat"]["spec"], _nan((7, 7, 7)))),
         "input array is not antisymmetric",
     ),
-    "closed_identities": (lambda: closed_identities(Form(2, _nan(21))), "not in Lambda\\^2_14"),
+    "closed_identities": (
+        lambda: reference.closed_identities(Form(2, _nan(21))),
+        "not in Lambda\\^2_14",
+    ),
     "LieAlgebraSpec": (lambda: LieAlgebraSpec("nan", _nan((7, 7, 7))), "must be finite"),
     "LieAlgebraSpec: one constant": (
         lambda: LieAlgebraSpec("nan", np.where(np.arange(343).reshape(7, 7, 7) == 6, np.nan, 0.0)),
@@ -802,10 +848,10 @@ def test_nan_input_fails_the_gate(gate):
 
 
 def test_nabla_bar_tau_rejects_a_connection_that_is_not_g2():
-    geo = geometry(builtin_examples()["bryant"]["spec"])
+    spec = builtin_examples()["bryant"]["spec"]
     # Levi-Civita moves tau out of Lambda^2_14 where the canonical connection does not
     with pytest.raises(ValueError, match="left Lambda\\^2_14"):
-        nabla_bar_tau(SimpleNamespace(torsion=geo.torsion, gamma_bar=geo.gamma))
+        nabla_bar_tau(_with_gamma_bar(spec, levi_civita(spec)))
 
 
 def test_nan_reconstruction_fails_the_extraction_gate(monkeypatch):
