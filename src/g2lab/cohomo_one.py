@@ -10,18 +10,20 @@ Geometry of the form M = I x M* with G2 three-form phi = omega_t ^ dt
 
 A product form alpha + beta ^ dt is one array of order-2 jets in t, shape
 (2, n, 3): the fiber and dt blocks over the n orthonormal-frame ("unit")
-symbols of the fiber, the value, first and second derivative last.  The
-Leibniz rule is one constant (3, 3, 3) table.  The Hodge star, the wedge,
-the stacked per-degree dictionaries and the pattern of d (its geometric-symbol
+symbols of the fiber, the value, first and second derivative last.  Row s of
+the fiber block is the symbol form on e^1..e^6 and row s of the dt block is
+the symbol ^ e^7 (beta ^ dt, dt last).  The Leibniz rule is one constant
+(3, 3, 3) table.  The stacked per-degree dictionaries of the 2n rows, the
+Hodge star and the wedge (the package's R^7 `hodge` and `wedge` restricted
+to the rows, span-checked) and the pattern of d (its geometric-symbol
 coefficients at unit scale, and where each 3 x 3 jet block sits in the d
-operator) are constant arrays over the 2n rows, built and span-checked once
-per fiber kind and shared read-only; a model adds only the scale of d (sigma
-for a nearly Kaehler fiber).  The frame weights (monomials in the warp
-factors, from an exponent table) are evaluated once per spec, where they
-turn d into one matrix on the flattened array.  Evaluation undoes the phase
-of psi_t^+/psi_t^- by a frame rotation of the (psi+, psi-) rows and lands
-every form in the adapted frame of the standard phi, where the generic
-torsion machinery applies.
+operator) are constant arrays built once per fiber kind and shared
+read-only; a model adds only the scale of d (sigma for a nearly Kaehler
+fiber).  The frame weights (monomials in the warp factors, from an exponent
+table) are evaluated once per spec, where they turn d into one matrix on the
+flattened array.  Evaluation undoes the phase of psi_t^+/psi_t^- by a frame
+rotation of the (psi+, psi-) rows and lands every form in the adapted frame
+of the standard phi, where the generic torsion machinery applies.
 
 Closed-form torsion components (scalar `Jet` arithmetic, one tuple per
 operation) and the generic structure-equation extraction are cross-checked
@@ -38,7 +40,7 @@ import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from operator import itemgetter
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -48,10 +50,8 @@ from ._linalg import max_abs
 from .exterior_algebra import (
     DIM,
     Form,
-    basis_vector,
     dim_of,
     hodge,
-    interior,
     standard_omega,
     standard_psi_minus,
     standard_psi_plus,
@@ -264,26 +264,6 @@ class FiberModel:
         return self.symbols[s][1]
 
 
-def _star6(a: Form) -> Form:
-    """Hodge star of the fiber e^1..e^6 inside the ambient 7-dim algebra."""
-    k = 6 - a.degree
-    sign = 1 if k % 2 == 0 else -1
-    return sign * interior(basis_vector(7), hodge(a))
-
-
-def _express(kind: str, symbols: Mapping, syms: tuple, form: Form, degree: int) -> Mapping:
-    """Write a fiber form in the span of the symbols syms of its degree."""
-    if not syms:
-        if not max_abs(form.coeffs) <= 1e-12:
-            raise ValueError(f"{kind}: form of degree {degree} not in span")
-        return MappingProxyType({})
-    cols = np.stack([symbols[s][1].coeffs for s in syms], axis=1)
-    sol, *_ = np.linalg.lstsq(cols, np.asarray(form.coeffs, dtype=float), rcond=None)
-    if not max_abs(cols.dot(sol) - form.coeffs) <= 1e-10:
-        raise ValueError(f"{kind}: degree-{degree} form escapes the symbol span")
-    return MappingProxyType({s: c for s, c in zip(syms, sol) if abs(c) > 1e-14})
-
-
 def _d_positions(index: Mapping, source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Flat positions of the 3 x 3 jet blocks of the d operator of
     `_d_operator`, shaped (2, n, 3, 2, n, 3), in the order it fills them:
@@ -302,9 +282,10 @@ def _d_positions(index: Mapping, source: np.ndarray, target: np.ndarray) -> np.n
 
 
 def _build_tables(kind: str, entries: dict, d_geom: dict) -> _FiberTables:
-    """Freeze the dictionaries; derive the Hodge, wedge and evaluation tables,
-    checking that every product lies in the symbol span of its degree; and lay
-    out the pattern of the exterior derivative.
+    """Freeze the dictionaries; derive the Hodge and wedge tables as the R^7
+    ones restricted to the 2n rows, checking that every result lies in the
+    span of the rows of its degree; and lay out the pattern of the exterior
+    derivative.
 
     entries: name -> (degree, dictionary Form, frame-weight exponents).
     d_geom: source -> {target: coefficient}, the geometric-symbol d of a
@@ -319,35 +300,35 @@ def _build_tables(kind: str, entries: dict, d_geom: dict) -> _FiberTables:
     for _, form in symbols.values():
         form.coeffs.setflags(write=False)
 
-    def express(form: Form, degree: int) -> Mapping:
-        syms = tuple(s for s in symbols if symbols[s][0] == degree)
-        return _express(kind, symbols, syms, form, degree)
-
-    sign = np.array([(-1.0) ** deg for deg, _ in symbols.values()])
-    star6, wedge6 = np.zeros((n, n)), np.zeros((n, n, n))
-    for s, (deg, form) in symbols.items():
-        for s2, x in express(_star6(form), 6 - deg).items():
-            star6[index[s2], index[s]] = x
-        for t, (deg2, form2) in symbols.items():
-            if deg + deg2 <= 6:
-                for s3, x in express(wedge(form, form2), deg + deg2).items():
-                    wedge6[index[s3], index[s], index[t]] = x
-    # *(a + b dt) = (-1)^deg(b) *b + *a dt and
-    # (a + b dt) ^ (c + e dt) = a ^ c + ((-1)^deg(a) a ^ e + b ^ c) dt
-    zero = np.zeros((n, n))
-    star = np.block([[zero, star6 * sign], [star6, zero]])
-    wedge_rows = np.zeros((2, n, 2, n, 2, n))
-    wedge_rows[0, :, 0, :, 0] = wedge_rows[1, :, 1, :, 0] = wedge6
-    wedge_rows[1, :, 0, :, 1] = wedge6 * sign[:, None]
-
+    # row s is the symbol form, row n + s the symbol ^ e^7: a product form
+    # alpha + beta ^ dt has its beta block on the rows n..2n-1
     e7 = Form.basis((7,))
+    rows = [form for _, form in symbols.values()] + [wedge(form, e7) for _, form in symbols.values()]
     dictionaries = tuple(np.zeros((2 * n, dim_of(p))) for p in range(DIM + 1))
-    for s, (deg, form) in symbols.items():
-        dictionaries[deg][index[s]] = form.coeffs
-        dictionaries[deg + 1][n + index[s]] = wedge(form, e7).coeffs
+    for a, row in enumerate(rows):
+        dictionaries[row.degree][a] = row.coeffs
+    norm2 = np.array([row.norm2() for row in rows])
+
+    def restrict(form: Form) -> np.ndarray:
+        """Coefficients on the 2n rows of the orthogonal projection of form
+        onto the (mutually orthogonal) rows of its degree."""
+        span = dictionaries[form.degree]
+        x = span.dot(form.coeffs) / norm2
+        if not max_abs(x.dot(span) - form.coeffs) <= 1e-10:
+            raise ValueError(f"{kind}: degree-{form.degree} form escapes the symbol span")
+        return x
+
+    star, wedge_rows = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n, 2 * n))
+    for a, row in enumerate(rows):
+        star[:, a] = restrict(hodge(row))
+        for b, row2 in enumerate(rows):
+            if row.degree + row2.degree <= DIM:
+                wedge_rows[:, a, b] = restrict(wedge(row, row2))
+    # d(c s) = c' dt ^ s + c ds, and dt ^ s = sign[s] s ^ dt
+    fiber = np.arange(n)
+    sign = wedge_rows[n + fiber, n + index["one"], fiber]
 
     exponents = np.array([exps for *_, exps in entries.values()], dtype=float)
-    wedge_rows = wedge_rows.reshape(2 * n, 2 * n, 2 * n)
     d_rows = [(index[s], index[t], c) for s, row in d_geom.items() for t, c in row.items()]
     d_source, d_target, d_coeff = (np.array(x) for x in zip(*d_rows))
     d_positions = _d_positions(index, d_source, d_target)
@@ -493,6 +474,7 @@ class ProductForm(NamedTuple):
         return ProductForm(self.frame, DIM - self.degree, jets.reshape(self.jets.shape))
 
     def wedge(self, other: "ProductForm") -> "ProductForm":
+        """(a + b dt) ^ (c + e dt) = a ^ c + (a ^ e + (-1)^deg(c) b ^ c) dt."""
         table = self.frame.model.tables.wedge
         a, b = self.jets.reshape(-1, 3), other.jets.reshape(-1, 3)
         jets = table.reshape(len(table), -1).dot(jet_product(a[:, None], b[None]).reshape(-1, 3))
@@ -628,8 +610,8 @@ class _Solve:
     @functools.cached_property
     def phi_forms(self) -> tuple:
         """phi = omega_t ^ dt + psi_t^+ and its dual as product forms."""
-        th = self.spec.theta
-        om = ("om",) if isinstance(self.spec, WarpSpec) else ("om1", "om2", "om3")
+        th, model = self.spec.theta, self.frame.model
+        om = (s for s in model.symbols if model.degree(s) == 2)
         phi = ProductForm.of(
             self.frame, 3, fiber={"psi+": th.cos(), "psi-": -1 * th.sin()}, dt=dict.fromkeys(om, 1.0)
         )
@@ -666,14 +648,18 @@ class _Solve:
         return t_generic
 
     def delta_tau1(self) -> float:
-        """delta(u dt) = -(u' + u d/dt log(fiber volume density)) for tau1 = u dt."""
-        spec = self.spec
-        u = Jet(*self.sym["tau1"].dt[self.frame.model.tables.index["one"]].tolist())
-        if isinstance(spec, WarpSpec):
-            dlog = 6 * spec.f.derivative() / spec.f
-        else:
-            p = spec.f1 * spec.f2 * spec.f3
-            dlog = 2 * p.derivative() / p
+        """delta(u dt) = -(u' + u d/dt log(fiber volume density)) for tau1 = u dt.
+
+        The density is the frame weight of the unit volume symbol (degree 6),
+        prod_i f_i ** e with one exponent e for every warp factor."""
+        frame, tab = self.frame, self.frame.model.tables
+        u = Jet(*self.sym["tau1"].dt[tab.index["one"]].tolist())
+        (vol,) = (tab.index[s] for s, (deg, _) in tab.symbols.items() if deg == 6)
+        e, *rest = tab.exponents[vol].tolist()
+        if any(x != e for x in rest):
+            raise ValueError(f"{frame.model.name}: unequal volume exponents {tab.exponents[vol]}")
+        p = functools.reduce(mul, frame.factors)
+        dlog = e * p.derivative() / p
         return -(u.derivative() + u * dlog).value
 
     def scalar_curvature(self) -> float:

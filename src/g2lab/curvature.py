@@ -259,6 +259,7 @@ class CurvatureDecomposition:
     scalar_block: CurvatureTensor  # S = s/84 r_g(g)
     ric0: np.ndarray  # traceless Ricci
     ric0_phi: np.ndarray  # traceless phi-Ricci
+    ricw: np.ndarray  # Ric^W = (4 ric0 - 5 ric0_phi) / 20
     s: object  # scalar curvature
     bianchi: float  # max |b(R)| of the input, measured by the gate of `decompose`
 
@@ -336,21 +337,19 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
         scalar_block=CurvatureTensor(s_block),
         ric0=ric0,
         ric0_phi=ric0_phi,
+        ricw=ricw,
         s=s,
         bianchi=res,
     )
 
 
-def norm_split_residual(r: CurvatureTensor, dec: CurvatureDecomposition = None) -> float:
+def norm_split_residual(r: CurvatureTensor, dec: CurvatureDecomposition) -> float:
     """Residual of ||R||^2 = ||W77||^2 + ||W64||^2 + 15/28 ||RicW||^2
-    + 4/5 ||Ric0||^2 + 1/21 s^2, relative to ||R||^2."""
-    if dec is None:
-        dec = decompose(r)
-    ricw = (4 * dec.ric0 - 5 * dec.ric0_phi) / 20
+    + 4/5 ||Ric0||^2 + 1/21 s^2, relative to ||R||^2, for dec = decompose(r)."""
     total = (
         dec.w77.norm2()
         + dec.w64.norm2()
-        + scalar(15, r.exact) / 28 * (ricw * ricw).sum()
+        + scalar(15, r.exact) / 28 * (dec.ricw * dec.ricw).sum()
         + scalar(4, r.exact) / 5 * dec.ric0_norm2
         + dec.s * dec.s / 21
     )

@@ -383,7 +383,6 @@ class Check:
     residual: float
     tol: float
     scale: float = 0.0  # the size the tolerance is relative to; 0 for absolute checks
-    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -396,7 +395,6 @@ class Check:
             "tol": self.tol,
             "scale": self.scale,
             "passed": self.passed,
-            "detail": self.detail,
         }
 
 
@@ -411,10 +409,8 @@ class Report:
     checks: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    def add(self, name: str, residual, scale: float = 0.0, slack: int = 1, detail: str = ""):
-        self.checks.append(
-            Check(name, float(residual), bound(self.tol, scale) * slack, scale, detail)
-        )
+    def add(self, name: str, residual, scale: float = 0.0, slack: int = 1):
+        self.checks.append(Check(name, float(residual), bound(self.tol, scale) * slack, scale))
 
     @property
     def passed(self) -> bool:

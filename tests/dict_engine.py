@@ -1,13 +1,15 @@
 """The dict-of-Jet product-form engine, kept as a reference for the array engine.
 
 A product form here is a pair of dictionaries {unit symbol: Jet}, its fiber
-part and its dt part.  d, the Hodge star, the wedge and the pointwise
-evaluation loop over symbols with scalar `Jet` arithmetic, the frame weights
-come from one function of the spec per symbol, and the Hodge and wedge tables
-are {symbol: {symbol: coefficient}} dictionaries fitted in the symbol span.
-This is how `g2lab.cohomo_one` computed product forms before its array
-engine; the tests compare the two.  `conformal_warp`, the warped spec of a
-conformally rescaled structure, is the geometric side of the
+part alpha and its dt part beta of alpha + beta ^ dt.  d, the Hodge star, the
+wedge and the pointwise evaluation loop over symbols with scalar `Jet`
+arithmetic, the frame weights come from one function of the spec per symbol,
+and the fiber Hodge and wedge tables are {symbol: {symbol: coefficient}}
+dictionaries fitted in the symbol span by least squares, with the dt blocks
+from sign rules.  This is how `g2lab.cohomo_one` computed product forms
+before its array engine, whose tables are the R^7 star and wedge restricted
+to the symbol rows; the tests compare the two.  `conformal_warp`, the warped
+spec of a conformally rescaled structure, is the geometric side of the
 conformal-transform tests.
 """
 
@@ -20,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from g2lab import cohomo_one as co
+from g2lab._linalg import max_abs
 from g2lab.cohomo_one import Jet
-from g2lab.exterior_algebra import DIM, Form, wedge
+from g2lab.exterior_algebra import DIM, Form, basis_vector, hodge, interior, wedge
 
 #: frame weight of each unit symbol: unit_symbol = w(spec) * geometric_symbol
 WEIGHT_FNS = {
@@ -61,6 +64,26 @@ D_GEOM = {
 }
 
 
+def star6(a: Form) -> Form:
+    """Hodge star of the fiber e^1..e^6 inside the ambient 7-dim algebra."""
+    k = 6 - a.degree
+    sign = 1 if k % 2 == 0 else -1
+    return sign * interior(basis_vector(7), hodge(a))
+
+
+def express(kind: str, symbols, syms: tuple, form: Form, degree: int) -> dict:
+    """Write a fiber form in the span of the symbols syms of its degree."""
+    if not syms:
+        if not max_abs(form.coeffs) <= 1e-12:
+            raise ValueError(f"{kind}: form of degree {degree} not in span")
+        return {}
+    cols = np.stack([symbols[s][1].coeffs for s in syms], axis=1)
+    sol, *_ = np.linalg.lstsq(cols, np.asarray(form.coeffs, dtype=float), rcond=None)
+    if not max_abs(cols.dot(sol) - form.coeffs) <= 1e-10:
+        raise ValueError(f"{kind}: degree-{degree} form escapes the symbol span")
+    return {s: c for s, c in zip(syms, sol) if abs(c) > 1e-14}
+
+
 @functools.cache
 def dict_tables(kind: str) -> tuple:
     """(star6, wedge) of a fiber kind as dictionaries, fitted in the span."""
@@ -70,17 +93,17 @@ def dict_tables(kind: str) -> tuple:
     for s, (deg, _) in symbols.items():
         by_degree.setdefault(deg, []).append(s)
 
-    def express(form: Form, degree: int) -> dict:
-        return dict(co._express(kind, symbols, tuple(by_degree.get(degree, ())), form, degree))
+    def fit(form: Form, degree: int) -> dict:
+        return express(kind, symbols, tuple(by_degree.get(degree, ())), form, degree)
 
-    star6 = {s: express(co._star6(form), 6 - deg) for s, (deg, form) in symbols.items()}
+    star_table = {s: fit(star6(form), 6 - deg) for s, (deg, form) in symbols.items()}
     wedge_table = {
-        (s1, s2): express(wedge(f1, f2), d1 + d2)
+        (s1, s2): fit(wedge(f1, f2), d1 + d2)
         for s1, (d1, f1) in symbols.items()
         for s2, (d2, f2) in symbols.items()
         if d1 + d2 <= 6
     }
-    return star6, wedge_table
+    return star_table, wedge_table
 
 
 class DictModel:
@@ -145,21 +168,23 @@ class DictProductForm:
         return out
 
     def wedge(self, other: "DictProductForm") -> "DictProductForm":
+        """(a + b dt) ^ (c + e dt) = a ^ c + (a ^ e + (-1)^deg(c) b ^ c) dt;
+        a ^ c is zero where the table has no entry (degree 7 on the fiber)."""
         out = DictProductForm(self.model, self.spec, self.degree + other.degree)
         tbl = self.model._wedge
         for s1, c1 in self.fiber.items():
             for s2, c2 in other.fiber.items():
-                for s3, x in tbl[(s1, s2)].items():
+                for s3, x in tbl.get((s1, s2), {}).items():
                     out.fiber[s3] = out.fiber.get(s3, Jet.const(0)) + x * c1 * c2
-        a_sign = 1 if self.degree % 2 == 0 else -1
         for s1, c1 in self.fiber.items():
             for s2, c2 in other.dt.items():
                 for s3, x in tbl[(s1, s2)].items():
-                    out.dt[s3] = out.dt.get(s3, Jet.const(0)) + a_sign * x * c1 * c2
+                    out.dt[s3] = out.dt.get(s3, Jet.const(0)) + x * c1 * c2
+        c_sign = 1 if other.degree % 2 == 0 else -1
         for s1, c1 in self.dt.items():
             for s2, c2 in other.fiber.items():
                 for s3, x in tbl[(s1, s2)].items():
-                    out.dt[s3] = out.dt.get(s3, Jet.const(0)) + x * c1 * c2
+                    out.dt[s3] = out.dt.get(s3, Jet.const(0)) + c_sign * x * c1 * c2
         return out
 
     def evaluate(self, theta_value: float) -> Form:

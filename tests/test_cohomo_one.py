@@ -186,41 +186,58 @@ def test_d_squared_vanishes_pointwise():
 
 
 def test_fiber_models_closed_under_wedge():
-    nearly_kahler_model(1.0)
-    flag_model()  # construction already asserts closure
-    # the tables are built once per process, so check every entry here too
-    for model in (nearly_kahler_model(1.0), flag_model()):
+    # the tables are built once per process, so check every entry here: row s
+    # is the symbol form, row n + s the symbol ^ e^7, and each column of the
+    # star and the wedge, rebuilt over the rows of its degree, is the R^7
+    # `hodge` or `wedge` of its rows
+    e7 = Form.basis((7,))
+    for kind, model in (("NK", nearly_kahler_model(1.0)), ("flag", flag_model())):
         tab = model.tables
         n = len(tab.index)
-        # the fiber blocks: fiber ^ fiber -> fiber, and * from fiber to dt
-        wedge6, star6 = tab.wedge[:n, :n, :n], tab.star[n:, :n]
+        fiber = [model.dictionary(s) for s in tab.index]
+        rows = fiber + [wedge(form, e7) for form in fiber]
+        degrees = np.array([row.degree for row in rows])
+        for a, row in enumerate(rows):
+            np.testing.assert_array_equal(tab.dictionaries[row.degree][a], row.coeffs)
 
-        def rebuild(column, degree, model=model):
-            out = Form.zero(degree)
-            for s, c in zip(tab.index, column):
-                if c:
-                    out = out + c * model.dictionary(s)
-            return out
+        def rebuild(column, degree):
+            assert not column[degrees != degree].any(), degree
+            return Form(degree, column.dot(tab.dictionaries[degree]))
 
-        for s1 in model.symbols:
-            for s2 in model.symbols:
-                degree = model.degree(s1) + model.degree(s2)
-                column = wedge6[:, tab.index[s1], tab.index[s2]]
-                if degree > 6:
+        for a, row in enumerate(rows):
+            for b, row2 in enumerate(rows):
+                degree = row.degree + row2.degree
+                column = tab.wedge[:, a, b]
+                if degree > 7:
                     assert not column.any()
                     continue
-                want = wedge(model.dictionary(s1), model.dictionary(s2))
                 got = rebuild(column, degree)
-                assert max_abs(got.coeffs - want.coeffs) < 1e-12, (s1, s2)
-            want = co._star6(model.dictionary(s1))
-            got = rebuild(star6[:, tab.index[s1]], 6 - model.degree(s1))
+                assert max_abs(got.coeffs - wedge(row, row2).coeffs) < 1e-12, (a, b)
+            got = rebuild(tab.star[:, a], 7 - row.degree)
+            assert max_abs(got.coeffs - hodge(row).coeffs) < 1e-12, a
+        # the fiber blocks against the reference: its own fiber star, and the
+        # star and wedge tables it fits in the symbol span by least squares
+        star_table, wedge_table = ref.dict_tables(kind)
+        for s1 in model.symbols:
+            i = tab.index[s1]
+            got = rebuild(tab.star[:, i], 7 - model.degree(s1))
+            want = wedge(ref.star6(model.dictionary(s1)), e7)
             assert max_abs(got.coeffs - want.coeffs) < 1e-12, s1
+            fitted = np.zeros(n)
+            for s2, x in star_table[s1].items():
+                fitted[tab.index[s2]] = x
+            assert max_abs(tab.star[n:, i] - fitted) < 1e-14, s1
+            for s2 in model.symbols:
+                fitted = np.zeros(n)
+                for s3, x in wedge_table.get((s1, s2), {}).items():
+                    fitted[tab.index[s3]] = x
+                assert max_abs(tab.wedge[:n, i, tab.index[s2]] - fitted) < 1e-14, (s1, s2)
 
 
 def test_fiber_tables_built_once_per_kind(monkeypatch):
     nearly_kahler_model(0.3)
     flag_model()
-    calls = {"wedge": 0, "express": 0}
+    calls = {"wedge": 0, "hodge": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -230,16 +247,16 @@ def test_fiber_tables_built_once_per_kind(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(co, "wedge", counting("wedge", co.wedge))
-    monkeypatch.setattr(co, "_express", counting("express", co._express))
+    monkeypatch.setattr(co, "hodge", counting("hodge", co.hodge))
     for sigma in (0.0, 0.5, 1.0, 2.5):
         nearly_kahler_model(sigma)
     flag_model()
-    assert calls == {"wedge": 0, "express": 0}
+    assert calls == {"wedge": 0, "hodge": 0}
     # the counters do see a build: drop the cached tables and rebuild them
     monkeypatch.setattr(co, "_flag_tables", functools.cache(co._flag_tables.__wrapped__))
     flag_model()
     flag_model()
-    assert calls["wedge"] > 0 and calls["express"] > 0
+    assert calls["wedge"] > 0 and calls["hodge"] > 0
     built = dict(calls)
     flag_model()
     assert calls == built
@@ -593,7 +610,7 @@ def check_engine(forms: dict, theta: float):
         check_form(form.d(), ref.to_dict(form).d(), theta, f"d {name}")
         check_form(form.star(), ref.to_dict(form).star(), theta, f"* {name}")
         for other_name, other in forms.items():
-            if form.degree + other.degree <= 6:  # the reference table stops at 6
+            if form.degree + other.degree <= 7:
                 # phi ^ tau3 = 0 on Lambda^3_27, a sum of products that cancel
                 want = ref.to_dict(form).wedge(ref.to_dict(other))
                 terms = max_abs(form.jets) * max_abs(other.jets)
@@ -644,6 +661,28 @@ def test_array_engine_matches_reference_on_random_forms(kind):
         frame = co._Frame(spec)
         forms = {f"random {p}": random_form(frame, p, rng) for p in range(8)}
         check_engine(forms, rng.uniform(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("kind", ["NK", "flag"])
+def test_star_and_wedge_are_the_pointwise_ones(kind):
+    # independent of the reference engine: the product-form star and wedge,
+    # evaluated, against the R^7 `hodge` and `wedge` of the evaluated forms
+    rng = np.random.default_rng(53)
+    for _ in range(4):
+        if kind == "NK":
+            spec = WarpSpec(random_jet(rng, 0.3), random_jet(rng), rng.uniform(0.0, 2.0))
+        else:
+            spec = CohomSpec(random_jet(rng, 0.3), random_jet(rng, 0.3), random_jet(rng, 0.3), random_jet(rng))
+        frame, theta = co._Frame(spec), rng.uniform(-2.0, 2.0)
+        forms = [random_form(frame, p, rng) for p in range(8)]
+        points = [a.evaluate(theta) for a in forms]
+        for a, pa in zip(forms, points):
+            got = a.star().evaluate(theta)
+            assert_matches_ref(got.coeffs, hodge(pa).coeffs, f"* {a.degree}", max_abs(pa.coeffs))
+            for b, pb in zip(forms, points):
+                if a.degree + b.degree <= 7:
+                    got, terms = a.wedge(b).evaluate(theta), max_abs(pa.coeffs) * max_abs(pb.coeffs)
+                    assert_matches_ref(got.coeffs, wedge(pa, pb).coeffs, f"{a.degree} ^ {b.degree}", terms)
 
 
 def structure_forms(spec) -> dict:

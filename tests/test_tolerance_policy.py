@@ -51,6 +51,37 @@ def test_the_guard_sees_a_hand_built_floor():
     assert _unit_floors(tree) == [("gate", 2), ("gate", 2)]
 
 
+def _least_squares_calls(tree: ast.AST):
+    """Lines of every call of `lstsq` in a module, as `np.linalg.lstsq(...)`
+    or as a bare `lstsq(...)`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "lstsq")
+            or (isinstance(node.func, ast.Name) and node.func.id == "lstsq")
+        )
+    ]
+
+
+def test_no_least_squares_fit_in_the_package():
+    # tables are derived from the form calculus, not fitted
+    sites = {
+        path.name: _least_squares_calls(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in sites.items() if found} == {}
+
+
+def test_the_guard_sees_a_hand_written_fit():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy.linalg import lstsq\n"
+        "def fit(a, b):\n    return np.linalg.lstsq(a, b, rcond=None)[0] + lstsq(a, b)[0]\n"
+    )
+    assert _least_squares_calls(tree) == [4, 4]
+
+
 def test_bound():
     assert bound(1e-9) == 1e-9
     assert bound(1e-9, 0.5) == 1e-9
