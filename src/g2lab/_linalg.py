@@ -10,10 +10,15 @@ as the numerical references the tests compare those against.
 `bound` is the one judging rule of the package: every relative gate and
 every `Report` check passes when ``residual <= bound(tol, scale)``, and a
 gate raises on ``not residual <= bound(...)``, so a NaN residual fails.
+
+`scatter_add` is the one scatter of the index-table kernels, and `lazy` the
+one compute-once attribute of the staged objects (`InvariantGeometry`, the
+warped solve, the curvature decomposition).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +45,14 @@ def eye(n: int, exact: bool = False) -> np.ndarray:
     return np.eye(n)
 
 
+@functools.cache
+def identity(n: int, exact: bool = False) -> np.ndarray:
+    """`eye` as a shared read-only array."""
+    m = eye(n, exact)
+    m.flags.writeable = False
+    return m
+
+
 def scalar(x, exact: bool = False):
     return Fraction(x) if exact else float(x)
 
@@ -56,7 +69,45 @@ def as_mode(arr, exact: bool = False) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
+def scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[index[i]] += values[i] for i in order, into n zeros.
+
+    The scalar mode is read off ``values``: a float array goes through
+    ``np.bincount``, a Fraction array through ``np.add.at``.  Both add each
+    output's terms in index order starting from 0, so a float result is
+    the same, bit for bit, whichever runs.
+    """
+    if values.dtype == object:
+        out = zeros(n, True)
+        np.add.at(out, index, values)
+        return out
+    return np.bincount(index, values, n)
+
+
+class lazy:
+    """A compute-once attribute: the first read calls the function and stores
+    its value in the instance's ``__dict__``, where every later read finds it
+    without calling this descriptor again.  Unlike
+    ``functools.cached_property`` it takes no lock, so an instance must not
+    be shared between threads while its stages are being built.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 _max_reduce = np.maximum.reduce
+_FLOAT = np.dtype(float)
 
 
 def max_abs(*arrays) -> float:
@@ -64,10 +115,13 @@ def max_abs(*arrays) -> float:
 
     A NaN anywhere gives NaN, so a NaN residual never passes a tolerance.
     Fraction arrays are converted entry by entry; lists and scalars go
-    through ``np.asarray``.  A float ndarray, the case of every residual on
-    the float hot path, takes neither conversion, and its maximum is the
-    ufunc reduction that ``ndarray.max`` wraps.  -0.0 gives 0.0.
+    through ``np.asarray``.  Float ndarrays, the case of every residual on
+    the float hot path, take neither conversion: several are joined and
+    reduced once, with the ufunc reduction that ``ndarray.max`` wraps.
+    -0.0 gives 0.0.
     """
+    if len(arrays) > 1 and all(type(a) is np.ndarray and a.dtype is _FLOAT for a in arrays):
+        arrays = (np.concatenate(arrays, axis=None),)
     peak = 0.0
     for a in arrays:
         if type(a) is not np.ndarray:
@@ -82,6 +136,18 @@ def max_abs(*arrays) -> float:
         if m > peak:
             peak = m
     return peak
+
+
+def max_abs_each(*arrays) -> list:
+    """`max_abs` of each array, as a list.  Float arrays are joined and their
+    maxima taken in one reduction."""
+    starts, n = [], 0
+    for a in arrays:
+        if type(a) is not np.ndarray or a.dtype is not _FLOAT or not a.size:
+            return [max_abs(a) for a in arrays]
+        starts.append(n)
+        n += a.size
+    return np.maximum.reduceat(np.abs(np.concatenate(arrays, axis=None)), starts).tolist()
 
 
 def bound(tol: float, scale: float = 0.0) -> float:

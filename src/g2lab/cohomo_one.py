@@ -39,14 +39,13 @@ import functools
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import max_abs
+from ._linalg import lazy, max_abs
 from .exterior_algebra import (
     DIM,
     Form,
@@ -434,7 +433,7 @@ class _Frame:
         self.model = nearly_kahler_model(spec.sigma) if warped else flag_model()
         self.factors = (spec.f,) if warped else (spec.f1, spec.f2, spec.f3)
 
-    @functools.cached_property
+    @lazy
     def d_operator(self) -> np.ndarray:
         return _d_operator(self.model, self.factors)
 
@@ -498,52 +497,69 @@ class ProductForm(NamedTuple):
 # --- warped and cohomogeneity-one specs -----------------------------------------------
 
 
-def _require_finite(spec) -> None:
-    """Reject a spec with a NaN or infinite jet entry or sigma."""
-    for fld in fields(spec):
-        x = getattr(spec, fld.name)
-        entries = (x.value, x.d1, x.d2) if isinstance(x, Jet) else (x,)
-        if not all(map(math.isfinite, entries)):
-            raise ValueError(f"{fld.name} must be finite, got {x}")
+class _Spec:
+    """Immutable value base of the warped and cohomogeneity-one specs: the
+    fields named in FIELDS, equal and hashable as their tuple, and rejected
+    when a jet entry or number among them is NaN or infinite."""
+
+    __slots__ = ()
+    FIELDS = ()
+
+    def __init__(self, *values):
+        for name, x in zip(self.FIELDS, values):
+            entries = (x.value, x.d1, x.d2) if isinstance(x, Jet) else (x,)
+            if not all(map(math.isfinite, entries)):
+                raise ValueError(f"{name} must be finite, got {x}")
+            object.__setattr__(self, name, x)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class WarpSpec:
+class WarpSpec(_Spec):
     """Warped product over a nearly Kaehler fiber: f, theta jets, sigma >= 0."""
 
-    f: Jet
-    theta: Jet
-    sigma: float = 1.0
+    __slots__ = FIELDS = ("f", "theta", "sigma")
 
-    def __post_init__(self):
-        _require_finite(self)
-        if self.f.value <= 0:
+    def __init__(self, f: Jet, theta: Jet, sigma: float = 1.0):
+        super().__init__(f, theta, sigma)
+        if f.value <= 0:
             raise ValueError("warp factor f must be positive")
-        if self.sigma < 0:
+        if sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CohomSpec:
+class CohomSpec(_Spec):
     """Cohomogeneity-one flag-fiber spec: three warp factors and theta."""
 
-    f1: Jet
-    f2: Jet
-    f3: Jet
-    theta: Jet
+    __slots__ = FIELDS = ("f1", "f2", "f3", "theta")
 
-    def __post_init__(self):
-        _require_finite(self)
-        if min(self.f1.value, self.f2.value, self.f3.value) <= 0:
+    def __init__(self, f1: Jet, f2: Jet, f3: Jet, theta: Jet):
+        super().__init__(f1, f2, f3, theta)
+        if min(f1.value, f2.value, f3.value) <= 0:
             raise ValueError("warp factors must be positive")
 
 
-@dataclass(frozen=True)
 class WarpedForms:
-    phi: ProductForm
-    starphi: ProductForm
-    phi_point: Form
-    starphi_point: Form
+    """phi and *phi of a warped spec, as product forms and at the sample point."""
+
+    __slots__ = ("phi", "starphi", "phi_point", "starphi_point")
+
+    def __init__(self, phi: ProductForm, starphi: ProductForm, phi_point: Form, starphi_point: Form):
+        self.phi, self.starphi, self.phi_point, self.starphi_point = phi, starphi, phi_point, starphi_point
 
 
 def warped_phi(spec) -> WarpedForms:
@@ -607,7 +623,7 @@ class _Solve:
         self.spec, self.theta_value = spec, spec.theta.value
         self.frame = _Frame(spec)
 
-    @functools.cached_property
+    @lazy
     def phi_forms(self) -> tuple:
         """phi = omega_t ^ dt + psi_t^+ and its dual as product forms."""
         th, model = self.spec.theta, self.frame.model
@@ -617,12 +633,12 @@ class _Solve:
         )
         return phi, phi.star()
 
-    @functools.cached_property
+    @lazy
     def sym(self) -> dict:
         """The closed-form torsion components as symbolic product forms."""
         return _tau_symbolic(self.frame)
 
-    @functools.cached_property
+    @lazy
     def t_closed(self) -> TorsionComponents:
         """The closed-form torsion at the sample point."""
         th, sym = self.theta_value, self.sym
@@ -725,6 +741,27 @@ def warped_torsion(spec: WarpSpec, tol: float = 1e-9) -> TorsionComponents:
     return _Solve(spec).two_route(tol)
 
 
+def _off_locus(spec):
+    """The holonomy residuals of a cohomogeneity-one spec off the locus
+    (f_i f_j)' = f_k that the closed-form torsion assumes (a NaN residual is
+    off it); None on the locus and for a warped spec."""
+    if isinstance(spec, WarpSpec):
+        return None
+    res = holonomy_residual(spec.f1, spec.f2, spec.f3)
+    return None if max_abs(res) <= 1e-9 else res
+
+
+def _closed_form_solve(spec) -> _Solve:
+    """The solve of a spec whose closed-form torsion holds; a
+    cohomogeneity-one spec off the holonomy locus is rejected."""
+    res = _off_locus(spec)
+    if res is not None:
+        raise ValueError(
+            f"holonomy condition fails (residuals {res}); the closed-form torsion does not hold there"
+        )
+    return _Solve(spec)
+
+
 def cohom_torsion(spec: CohomSpec, tol: float = 1e-9) -> TorsionComponents:
     """Torsion of a cohomogeneity-one spec.
 
@@ -732,8 +769,8 @@ def cohom_torsion(spec: CohomSpec, tol: float = 1e-9) -> TorsionComponents:
     (f_i f_j)' = f_k; off that locus only the generic route is returned
     and a warning is emitted.
     """
-    res = holonomy_residual(spec.f1, spec.f2, spec.f3)
-    if not max_abs(res) <= 1e-9:
+    res = _off_locus(spec)
+    if res is not None:
         warnings.warn(
             f"holonomy condition fails (residuals {res}); "
             "closed-form torsion not comparable",
@@ -763,13 +800,15 @@ def theta_family(b: Jet, a_value: float, branch: int = 1) -> Jet:
 
 
 def delta_tau1(spec) -> float:
-    """Codifferential of tau1 = u dt on the warped metric."""
-    return _Solve(spec).delta_tau1()
+    """Codifferential of tau1 = u dt on the warped metric; off the holonomy
+    locus a cohomogeneity-one spec raises ValueError."""
+    return _closed_form_solve(spec).delta_tau1()
 
 
 def scalar_curvature_warped(spec) -> float:
-    """Scalar curvature via the torsion formula with the honest delta tau1."""
-    return _Solve(spec).scalar_curvature()
+    """Scalar curvature via the torsion formula with the honest delta tau1;
+    off the holonomy locus a cohomogeneity-one spec raises ValueError."""
+    return _closed_form_solve(spec).scalar_curvature()
 
 
 def ricW_vanishes(spec, k=(4, -5)) -> float:
@@ -779,9 +818,11 @@ def ricW_vanishes(spec, k=(4, -5)) -> float:
     derivatives of the closed-form torsion), then everything is evaluated
     pointwise and fed to the exterior-route Ricci formula.  For k=(4,-5)
     this is the Weyl-Ricci tensor of the warped structure, expected to be
-    zero for every warped product over a nearly Kaehler fiber.
+    zero for every warped product over a nearly Kaehler fiber.  The terms
+    are the closed-form torsion's, so off the holonomy locus a
+    cohomogeneity-one spec raises ValueError.
     """
-    return _Solve(spec).ricW(k)
+    return _closed_form_solve(spec).ricW(k)
 
 
 def warp_point(spec: WarpSpec, tol: float = 1e-9) -> dict:

@@ -26,43 +26,41 @@ with P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 acting on the pair
 matrix through the degree-2 projectors.
 
 r_g is an index table from the 49 entries of h to the 441 pair-matrix
-entries, r_g(g) is a cached constant, and b is two gathers (the R_kijl and
-R_jkil terms of each entry).  `decompose` builds every block
-once and keeps the blocks, Ric0^g, Ric0^phi and the Bianchi residual of its
-gate, so that reassembly, block norms and callers reuse them.
+entries, applied to Ric0^g and Ric^W in one scatter; r_g(g) is a cached
+constant, and b is two gathers (the R_kijl and R_jkil terms of each entry).
+`decompose` builds every block once and keeps the blocks, Ric0^g, Ric0^phi
+and the Bianchi residual of its gate; the blocks stack into one
+(5, 21, 21) array, which reassembly sums once and the block norms reduce
+once.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_mode, bound, eye, is_exact, max_abs, scalar, zeros
-from .exterior_algebra import BASIS, DIM, index_columns
+from ._linalg import as_mode, bound, identity, lazy, max_abs, max_abs_each, scalar, scatter_add, zeros
+from .exterior_algebra import BASIS, DIM, float_column, index_columns
 from .g2_algebra import iphi_matrix, projector_matrix
 
 PAIRS = BASIS[2]
 NPAIRS = len(PAIRS)
 
 
-@dataclass(frozen=True)
 class CurvatureTensor:
     """Element of S^2(Lambda^2 R^7) over the i < j pair basis."""
 
-    mat: np.ndarray
+    __slots__ = ("mat",)
 
-    def __post_init__(self):
-        if self.mat.shape != (NPAIRS, NPAIRS):
+    def __init__(self, mat: np.ndarray):
+        if mat.shape != (NPAIRS, NPAIRS):
             raise ValueError(f"expected a {NPAIRS} x {NPAIRS} matrix")
+        self.mat = mat
 
     @property
     def exact(self) -> bool:
-        return is_exact(self.mat)
-
-    def symmetry_residual(self) -> float:
-        return max_abs(self.mat - self.mat.T)
+        return self.mat.dtype == object
 
     def norm2(self):
         """Tensor norm, summed over all four indices."""
@@ -93,8 +91,8 @@ def inner(a: CurvatureTensor, b: CurvatureTensor):
 @functools.cache
 def _bianchi_table():
     """(p1, s1, p2, s2): at each pair-matrix entry (ij), (kl), the flat positions
-    and signs of R_kijl and R_jkil, the terms b adds to R_ijkl.  The sign is 0
-    where a pair repeats an index."""
+    and signs of R_kijl and R_jkil, the terms b adds to R_ijkl; then s1 and
+    s2 as floats.  The sign is 0 where a pair repeats an index."""
     i, j = index_columns(PAIRS, 2)
     pos = np.zeros((DIM, DIM), dtype=np.intp)
     pos[i, j] = pos[j, i] = np.arange(NPAIRS)
@@ -103,15 +101,17 @@ def _bianchi_table():
     table = []
     for w, x, y, z in ((k, i, j, l), (j, k, i, l)):  # R_wxyz
         table += [pos[w, x] * NPAIRS + pos[y, z], sign[w, x] * sign[y, z]]
-    table = np.stack(table)
+    p1, s1, p2, s2 = table = np.stack(table)
     table.flags.writeable = False
-    return table
+    return p1, s1, p2, s2, float_column(s1), float_column(s2)
 
 
 def bianchi_b(r: CurvatureTensor) -> np.ndarray:
     """b(R)_ijkl = R_ijkl + R_jkil + R_kijl as a 21 x 21 array over i < j, k < l;
     on S^2(Lambda^2) b(R) is a 4-form, which these entries determine."""
-    p1, s1, p2, s2 = _bianchi_table()
+    p1, s1, p2, s2, float_s1, float_s2 = _bianchi_table()
+    if r.mat.dtype != object:
+        s1, s2 = float_s1, float_s2
     flat = r.mat.reshape(-1)
     return (r.mat + s1 * flat[p1]) + s2 * flat[p2]
 
@@ -156,10 +156,10 @@ def ricci(r: CurvatureTensor) -> np.ndarray:
     <r_g(h), M> for every 21 x 21 M, so it gathers through the table of
     `kn_product`.
     """
-    pos_out, pos_in, sign = _kn_table()
-    ric = zeros(DIM * DIM, r.exact)
-    np.add.at(ric, pos_in, sign * r.mat.reshape(-1)[pos_out])
-    return ric.reshape(DIM, DIM)
+    pos_out, pos_in, sign, float_sign = _kn_table()
+    values = r.mat.reshape(-1)[pos_out]
+    values = (sign if values.dtype == object else float_sign) * values
+    return scatter_add(pos_in, values, DIM * DIM).reshape(DIM, DIM)
 
 
 def scalar_curvature(r: CurvatureTensor):
@@ -181,7 +181,7 @@ def phi_ricci(r: CurvatureTensor) -> np.ndarray:
 
 
 def traceless_part(h: np.ndarray) -> np.ndarray:
-    return h - eye(DIM, is_exact(h)) * (h.trace() / DIM)
+    return h - identity(DIM, h.dtype == object) * (h.trace() / DIM)
 
 
 # --- Kulkarni-Nomizu style products ------------------------------------------------
@@ -190,7 +190,8 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
 @functools.cache
 def _kn_table():
     """Rows (pos_out, pos_in, sign) of r_g over the 441 pair-matrix entries and
-    the 49 entries of h, from R_ijkl = h_jk g_il - h_ik g_jl + h_il g_jk - h_jl g_ik.
+    the 49 entries of h, from R_ijkl = h_jk g_il - h_ik g_jl + h_il g_jk - h_jl g_ik,
+    and the sign as floats.
 
     An entry has at most two rows (the g_jl and g_ik terms, on the diagonal
     pairs), so a float sum does not depend on their order.
@@ -202,22 +203,39 @@ def _kn_table():
     for a, b, x, y, sign in ((j, k, i, l, 1), (i, k, j, l, -1), (i, l, j, k, 1), (j, l, i, k, -1)):
         hit = x == y  # the g factor
         rows.append(np.stack([out[hit], (DIM * a + b)[hit], np.full(hit.sum(), sign)], axis=1))
-    return index_columns(np.concatenate(rows), 3)
+    pos_out, pos_in, sign = index_columns(np.concatenate(rows), 3)
+    return pos_out, pos_in, sign, float_column(sign)
+
+
+@functools.cache
+def _kn_stack_index(n: int) -> np.ndarray:
+    """Read-only output positions of the r_g table rows for a stack of n
+    tensors, tensor by tensor, in the flattened (n, 21, 21) result."""
+    pos_out = _kn_table()[0]
+    index = (pos_out + NPAIRS * NPAIRS * np.arange(n)[:, None]).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def _kn_stack(h: np.ndarray) -> np.ndarray:
+    """r_g of each tensor of an (n, 7, 7) stack as an (n, 21, 21) array, in one
+    scatter; each entry adds the rows of its own tensor in table order."""
+    _, pos_in, sign, float_sign = _kn_table()
+    n = len(h)
+    values = h.reshape(n, DIM * DIM).take(pos_in, axis=1)
+    values = (sign if values.dtype == object else float_sign) * values
+    return scatter_add(_kn_stack_index(n), values.reshape(-1), n * NPAIRS * NPAIRS).reshape(n, NPAIRS, NPAIRS)
 
 
 def kn_product(h: np.ndarray) -> CurvatureTensor:
     """r_g(h) = h (.) g, the Kulkarni-Nomizu product with the metric."""
-    h = np.asarray(h)
-    pos_out, pos_in, sign = _kn_table()
-    m = zeros(NPAIRS * NPAIRS, is_exact(h))
-    np.add.at(m, pos_out, sign * h.reshape(DIM * DIM)[pos_in])
-    return CurvatureTensor(m.reshape(NPAIRS, NPAIRS))
+    return CurvatureTensor(_kn_stack(np.asarray(h).reshape(1, DIM, DIM))[0])
 
 
 @functools.cache
 def _kn_metric(exact: bool) -> CurvatureTensor:
     """r_g(g), read-only (-2 Id as a pair matrix)."""
-    m = kn_product(eye(DIM, exact)).mat
+    m = kn_product(identity(DIM, exact)).mat
     m.flags.writeable = False
     return CurvatureTensor(m)
 
@@ -229,7 +247,7 @@ def phi_product(h: np.ndarray) -> CurvatureTensor:
     e_u -| phi of `iphi_matrix`, followed by removal of the Lambda^4 part.
     """
     h = np.asarray(h)
-    b = _iphi_matrix(is_exact(h))
+    b = _iphi_matrix(h.dtype == object)
     return project_to_kernel(CurvatureTensor(b.T.dot(h.T).dot(b)))
 
 
@@ -247,39 +265,47 @@ def ric_W(r: CurvatureTensor) -> np.ndarray:
 # --- the five-block decomposition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CurvatureDecomposition:
     """The five blocks of an algebraic curvature tensor, with the Ricci data
     they were built from and the input's first Bianchi residual."""
 
-    w77: CurvatureTensor
-    w64: CurvatureTensor
-    w27: CurvatureTensor
-    ricci_block: CurvatureTensor  # R_0 = r_g(ric0) / 5
-    scalar_block: CurvatureTensor  # S = s/84 r_g(g)
-    ric0: np.ndarray  # traceless Ricci
-    ric0_phi: np.ndarray  # traceless phi-Ricci
-    ricw: np.ndarray  # Ric^W = (4 ric0 - 5 ric0_phi) / 20
-    s: object  # scalar curvature
-    bianchi: float  # max |b(R)| of the input, measured by the gate of `decompose`
+    __slots__ = (
+        "w77",
+        "w64",
+        "w27",
+        "ricci_block",  # R_0 = r_g(ric0) / 5
+        "scalar_block",  # S = s/84 r_g(g)
+        "ric0",  # traceless Ricci
+        "ric0_phi",  # traceless phi-Ricci
+        "ricw",  # Ric^W = (4 ric0 - 5 ric0_phi) / 20
+        "s",  # scalar curvature
+        "bianchi",  # max |b(R)| of the input, measured by the gate of `decompose`
+        "__dict__",  # the lazy fields
+    )
+
+    #: the block names of `norm2s`, in the order of `blocks`
+    NAMES = ("W77", "W64", "W27", "R0", "S")
+
+    def __init__(self, w77, w64, w27, ricci_block, scalar_block, ric0, ric0_phi, ricw, s, bianchi):
+        self.w77, self.w64, self.w27 = w77, w64, w27
+        self.ricci_block, self.scalar_block = ricci_block, scalar_block
+        self.ric0, self.ric0_phi, self.ricw, self.s, self.bianchi = ric0, ric0_phi, ricw, s, bianchi
+
+    @lazy
+    def blocks(self) -> np.ndarray:
+        """The five blocks as one (5, 21, 21) array, in the order of NAMES."""
+        return np.array([b.mat for b in (self.w77, self.w64, self.w27, self.ricci_block, self.scalar_block)])
 
     def reassemble(self) -> CurvatureTensor:
-        return (
-            self.w77 + self.w64 + self.w27 + self.ricci_block + self.scalar_block
-        )
+        """The sum of the blocks, added in the order of NAMES."""
+        return CurvatureTensor(self.blocks.sum(axis=0))
 
-    @functools.cached_property
+    @lazy
     def norm2s(self) -> dict:
         """Squared norms of the five blocks, in the scalar mode of the tensor."""
-        return {
-            "W77": self.w77.norm2(),
-            "W64": self.w64.norm2(),
-            "W27": self.w27.norm2(),
-            "R0": self.ricci_block.norm2(),
-            "S": self.scalar_block.norm2(),
-        }
+        return dict(zip(self.NAMES, 4 * (self.blocks * self.blocks).sum(axis=(1, 2))))
 
-    @functools.cached_property
+    @lazy
     def ric0_norm2(self):
         """||Ric0^g||^2, in the scalar mode of the tensor."""
         return (self.ric0 * self.ric0).sum()
@@ -288,30 +314,19 @@ class CurvatureDecomposition:
         return {name: float(n) for name, n in self.norm2s.items()}
 
 
-def _p_g2(m: np.ndarray, exact: bool) -> np.ndarray:
-    q14 = projector_matrix(2, 14, exact)
-    return q14.dot(m).dot(q14)
-
-
-def _p_odot(m: np.ndarray, exact: bool) -> np.ndarray:
-    q7 = projector_matrix(2, 7, exact)
-    q14 = projector_matrix(2, 14, exact)
-    return q7.dot(m).dot(q14) + q14.dot(m).dot(q7)
-
-
 def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     """Split an algebraic curvature tensor into its five orthogonal blocks.
 
     Rejects input whose first Bianchi residual exceeds tol (relative to the
     largest entry) rather than silently projecting.
     """
-    limit = bound(tol, max_abs(r.mat))
-    res = bianchi_residual(r)
+    size, res, asymmetry = max_abs_each(r.mat, bianchi_b(r), r.mat - r.mat.T)
+    limit = bound(tol, size)
     if not res <= limit:
         raise ValueError(
             f"input violates the first Bianchi identity (residual {res:.3g})"
         )
-    if not r.symmetry_residual() <= limit:
+    if not asymmetry <= limit:
         raise ValueError("input pair matrix is not symmetric")
     exact = r.exact
     one = scalar(1, exact)
@@ -325,13 +340,17 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     # the blocks as pair matrices; each scalar multiplies from the right, as
     # CurvatureTensor.__mul__ does
     s_block = _kn_metric(exact).mat * (s * one / 84)
-    r_block = kn_product(ric0).mat * (one / 5)
-    w27 = (kn_product(ricw).mat - phi_product(ricw).mat * 5) * (3 * one / 112)
+    kn_ric0, kn_ricw = _kn_stack(np.array([ric0, ricw]))
+    r_block = kn_ric0 * (one / 5)
+    w27 = (kn_ricw - phi_product(ricw).mat * 5) * (3 * one / 112)
 
+    # P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 on the Weyl rest
     weyl_rest = r.mat - s_block - r_block - w27
+    q7, q14 = projector_matrix(2, 7, exact), projector_matrix(2, 14, exact)
+    q14_rest = q14.dot(weyl_rest)
     return CurvatureDecomposition(
-        w77=CurvatureTensor(_p_g2(weyl_rest, exact)),
-        w64=CurvatureTensor(_p_odot(weyl_rest, exact)),
+        w77=CurvatureTensor(q14_rest.dot(q14)),
+        w64=CurvatureTensor(q7.dot(weyl_rest).dot(q14) + q14_rest.dot(q7)),
         w27=CurvatureTensor(w27),
         ricci_block=CurvatureTensor(r_block),
         scalar_block=CurvatureTensor(s_block),

@@ -15,11 +15,13 @@ Conventions, fixed once for the whole package:
 The kernels (wedge, Hodge star, interior product, contraction and the
 antisymmetric unfold) are stored as integer index tables, built once per
 degree: the positions each structure constant reads and writes and its
-sign.  Applying one is a numpy gather and an ``np.add.at`` scatter, the same
-code for float64 and for ``Fraction`` object arrays; float sums run in the
-table's row order.  Signs come from two sources only: the wedge table and
-the antisymmetric unfold call `perm_sign`, and every other table is read
-off the wedge table.  The contraction is its adjoint, <e^I -| e^J, e^C> =
+sign.  Applying one is a numpy gather and one `scatter_add`, the same code
+for float64 and for ``Fraction`` object arrays: the mode is read off the
+gathered values, which Fractions multiply by the integer signs and floats
+by their float twins (`float_column`); float sums run in the table's row
+order.  Signs come from two sources only: the wedge table and the
+antisymmetric unfold call `perm_sign`, and every other table is read off
+the wedge table.  The contraction is its adjoint, <e^I -| e^J, e^C> =
 <e^J, e^I ^ e^C>; the interior product is contraction by a 1-form; the
 Hodge star pairs with vol, e^I ^ *e^I = vol; and the Leibniz rule
 D e^I = sum_s (-1)^s D(e^(i_s)) ^ e^(I - i_s) of a derivation that maps
@@ -30,7 +32,7 @@ apply e^i ^ and e_i -| for all seven i in one pass.
 
 With r = 2 the derivation table builds the invariant exterior derivative
 of `homogeneous` from d on 1-forms, with r = 1 the action of a connection
-with constant coefficients on k-forms (`_connection_stack`), and
+with constant coefficients on k-forms (`connection_action`), and
 `covariant_wedge` alternates that action into sum_i e^i ^ grad_i a.
 
 The distinguished three-form is
@@ -47,11 +49,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_mode, is_exact, max_abs, scalar, zeros
+from ._linalg import as_mode, max_abs, scalar, scatter_add, zeros
 
 DIM = 7
 
@@ -93,22 +94,22 @@ def check_multi_index(indices, degree=None):
     return tuple(i - 1 for i in idx)
 
 
-@dataclass(frozen=True)
 class Form:
     """A degree-k exterior form as a dense coefficient vector."""
 
-    degree: int
-    coeffs: np.ndarray
+    __slots__ = ("degree", "coeffs")
 
-    def __post_init__(self):
-        shape = _COEFF_SHAPES.get(self.degree)
+    def __init__(self, degree: int, coeffs: np.ndarray):
+        shape = _COEFF_SHAPES.get(degree)
         if shape is None:
-            raise ValueError(f"degree must be 0..7, got {self.degree}")
-        if self.coeffs.shape != shape:
+            raise ValueError(f"degree must be 0..7, got {degree}")
+        if coeffs.shape != shape:
             raise ValueError(
-                f"degree-{self.degree} form needs {dim_of(self.degree)} "
-                f"coefficients, got shape {self.coeffs.shape}"
+                f"degree-{degree} form needs {dim_of(degree)} "
+                f"coefficients, got shape {coeffs.shape}"
             )
+        self.degree = degree
+        self.coeffs = coeffs
 
     # --- constructors ----------------------------------------------------
     @staticmethod
@@ -132,7 +133,7 @@ class Form:
     # --- ring structure ---------------------------------------------------
     @property
     def exact(self) -> bool:
-        return is_exact(self.coeffs)
+        return self.coeffs.dtype == object
 
     def __add__(self, other: "Form") -> "Form":
         if self.degree != other.degree:
@@ -191,7 +192,18 @@ def index_columns(rows, width: int) -> np.ndarray:
     return cols
 
 
-@dataclass(frozen=True)
+def float_column(col: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of an integer sign or coefficient column.
+
+    Float arrays are multiplied by it and Fraction arrays by the integer
+    column: the products are the same, and a float product skips numpy's
+    per-call conversion of the integers.
+    """
+    out = col.astype(float)
+    out.flags.writeable = False
+    return out
+
+
 class IndexTable:
     """Bilinear kernel out[po] += coef * x[pa] * y[pb], summed in row order.
 
@@ -199,11 +211,11 @@ class IndexTable:
     multiplicities for the tables composed from them.
     """
 
-    pa: np.ndarray
-    pb: np.ndarray
-    po: np.ndarray
-    coef: np.ndarray
-    n_out: int
+    __slots__ = ("pa", "pb", "po", "coef", "n_out", "float_coef")
+
+    def __init__(self, pa: np.ndarray, pb: np.ndarray, po: np.ndarray, coef: np.ndarray, n_out: int):
+        self.pa, self.pb, self.po, self.coef, self.n_out = pa, pb, po, coef, n_out
+        self.float_coef = float_column(coef)
 
     @staticmethod
     def from_rows(rows, n_out: int) -> "IndexTable":
@@ -228,10 +240,11 @@ class IndexTable:
         np.add.at(t, (self.po, self.pa, self.pb), self.coef)
         return t
 
-    def apply(self, x: np.ndarray, y: np.ndarray, exact: bool) -> np.ndarray:
-        out = zeros(self.n_out, exact)
-        np.add.at(out, self.po, self.coef * x[self.pa] * y[self.pb])
-        return out
+    def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The kernel on x and y, in the scalar mode of their product."""
+        xa = x[self.pa]
+        coef = self.coef if xa.dtype == object else self.float_coef
+        return scatter_add(self.po, coef * xa * y[self.pb], self.n_out)
 
 
 # --- wedge -----------------------------------------------------------------
@@ -255,24 +268,25 @@ def wedge(a: Form, b: Form) -> Form:
         raise ValueError(
             f"wedge of degrees {a.degree} and {b.degree} exceeds dimension {DIM}"
         )
-    out = _wedge_table(a.degree, b.degree).apply(a.coeffs, b.coeffs, a.exact or b.exact)
-    return Form(a.degree + b.degree, out)
+    return Form(a.degree + b.degree, _wedge_table(a.degree, b.degree).apply(a.coeffs, b.coeffs))
 
 
 @functools.cache
 def _frame_wedge_table(k: int):
     """Read-only columns (flat position in a (7, dim_k) stack, output
-    position, sign) of the wedge table of (1, k), in its row order."""
+    position, sign) of the wedge table of (1, k), in its row order, and the
+    sign as floats."""
     t = _wedge_table(1, k)
-    return index_columns(np.stack([t.pa * dim_of(k) + t.pb, t.po, t.coef], axis=1), 3)
+    src, po, sign = index_columns(np.stack([t.pa * dim_of(k) + t.pb, t.po, t.coef], axis=1), 3)
+    return src, po, sign, float_column(sign)
 
 
 def frame_wedge(stack: np.ndarray, degree: int) -> Form:
     """sum_i e^i ^ stack[i] for a (7, dim_k) stack of k-form coefficients."""
-    src, po, sign = _frame_wedge_table(degree)
-    out = zeros(dim_of(degree + 1), is_exact(stack))
-    np.add.at(out, po, sign * stack.reshape(-1)[src])
-    return Form(degree + 1, out)
+    src, po, sign, float_sign = _frame_wedge_table(degree)
+    values = stack.reshape(-1)[src]
+    values = (sign if values.dtype == object else float_sign) * values
+    return Form(degree + 1, scatter_add(po, values, dim_of(degree + 1)))
 
 
 @functools.cache
@@ -300,33 +314,46 @@ def _derivation_table(k: int, r: int):
 @functools.cache
 def _connection_scatter(k: int):
     """Read-only columns (flat position in the (49, dim_k) matrix M of
-    `_connection_stack`, input position, sign) of the r = 1 derivation table,
-    the sign negated: grad_i e^p = -sum_j Gamma[i, j, p] e^j."""
+    `connection_matrix`, input position, sign) of the r = 1 derivation table,
+    the sign negated: grad_i e^p = -sum_j Gamma[i, j, p] e^j; and that sign
+    as floats."""
     out, pos, target, head, sign = _derivation_table(k, 1)
     flat = (target * DIM + head) * dim_of(k) + out
-    return index_columns(np.stack([flat, pos, -sign], axis=1), 3)
+    flat, pos, sign = index_columns(np.stack([flat, pos, -sign], axis=1), 3)
+    return flat, pos, sign, float_column(sign)
+
+
+def connection_matrix(a: Form) -> np.ndarray:
+    """The (49, dim_k) matrix M of a form a with constant coefficients,
+    M[j*7 + p, J] = d(grad a)_J / d Gamma[., j, p]: the one scatter of a that
+    every connection's action on it reads (`connection_action`)."""
+    flat, pos, sign, float_sign = _connection_scatter(a.degree)
+    values = a.coeffs[pos]
+    exact = values.dtype == object
+    m = zeros(DIM * DIM * dim_of(a.degree), exact)
+    m[flat] = (sign if exact else float_sign) * values  # each entry is written once
+    return m.reshape(DIM * DIM, -1)
+
+
+def connection_action(gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(7, dim_k) coefficients of grad_(e_i) a, i = 1..7, for the matrix
+    m = `connection_matrix`(a): one product of Gamma, read as 7 x 49, with m.
+
+    Gamma[i, j, p] = g(grad_(e_i) e_j, e_p) gives grad_i e^p =
+    -sum_j Gamma[i, j, p] e^j, extended to k-forms by the r = 1 derivation
+    table.  A NaN or infinite Gamma is rejected as the antisymmetric fold
+    (`antisym_coefficients`) rejects a bad array.
+    """
+    stack = gamma.reshape(DIM, DIM * DIM).dot(m)
+    if not (stack.dtype == object or np.isfinite(stack).all()):
+        raise ValueError("input array is not antisymmetric (residual nan)")
+    return stack
 
 
 def _connection_stack(gamma: np.ndarray, a: Form) -> np.ndarray:
     """(7, dim_k) coefficients of grad_(e_i) a, i = 1..7, for a form a with
-    constant coefficients.
-
-    Gamma[i, j, p] = g(grad_(e_i) e_j, e_p) gives grad_i e^p =
-    -sum_j Gamma[i, j, p] e^j, extended to k-forms by the r = 1 derivation
-    table: a is scattered into a (49, dim_k) matrix M with
-    M[j*7 + p, J] = d(grad a)_J / d Gamma[., j, p], and the stack is one
-    product of Gamma, read as 7 x 49, with M.  A NaN or infinite Gamma is
-    rejected as the antisymmetric fold (`antisym_coefficients`) rejects a
-    bad array.
-    """
-    flat, pos, sign = _connection_scatter(a.degree)
-    exact = is_exact(gamma) or a.exact
-    m = zeros(DIM * DIM * dim_of(a.degree), exact)
-    m[flat] = sign * a.coeffs[pos]  # each entry is written once
-    stack = gamma.reshape(DIM, DIM * DIM).dot(m.reshape(DIM * DIM, -1))
-    if not (exact or np.isfinite(stack).all()):
-        raise ValueError("input array is not antisymmetric (residual nan)")
-    return stack
+    constant coefficients (`connection_action` of its `connection_matrix`)."""
+    return connection_action(gamma, connection_matrix(a))
 
 
 def covariant_wedge(gamma: np.ndarray, a: Form) -> Form:
@@ -363,12 +390,21 @@ def wedge_phi_matrix(k: int) -> np.ndarray:
     return m
 
 
+@functools.cache
+def _hodge_gather(k: int):
+    """Read-only (source position, sign, sign as floats) per output position
+    of * on k-forms: `hodge_table` read from the output side."""
+    po, sign = hodge_table(k)
+    src = np.argsort(po)
+    src, sign = index_columns(np.stack([src, sign[src]], axis=1), 2)
+    return src, sign, float_column(sign)
+
+
 def hodge(a: Form) -> Form:
     """Hodge star for vol = e^1234567; a wedge *b = <a,b> vol."""
-    po, sign = hodge_table(a.degree)
-    out = zeros(dim_of(DIM - a.degree), a.exact)
-    out[po] = sign * a.coeffs
-    return Form(DIM - a.degree, out)
+    src, sign, float_sign = _hodge_gather(a.degree)
+    values = a.coeffs[src]
+    return Form(DIM - a.degree, (sign if values.dtype == object else float_sign) * values)
 
 
 # --- interior product -------------------------------------------------------
@@ -379,7 +415,7 @@ def interior(v, a: Form) -> Form:
     v = np.asarray(v, dtype=object if a.exact else float)
     if a.degree == 0:
         return Form.zero(0, a.exact)
-    return Form(a.degree - 1, _contract_table(1, a.degree).apply(v, a.coeffs, a.exact))
+    return Form(a.degree - 1, _contract_table(1, a.degree).apply(v, a.coeffs))
 
 
 def frame_interior(a: Form) -> np.ndarray:
@@ -416,19 +452,19 @@ def contract(a: Form, b: Form) -> Form:
     """
     if a.degree > b.degree:
         raise ValueError("cannot contract a higher degree into a lower one")
-    out = _contract_table(a.degree, b.degree).apply(a.coeffs, b.coeffs, a.exact or b.exact)
-    return Form(b.degree - a.degree, out)
+    return Form(b.degree - a.degree, _contract_table(a.degree, b.degree).apply(a.coeffs, b.coeffs))
 
 
 # --- totally antisymmetric component arrays ---------------------------------
 
 
-@dataclass(frozen=True)
 class AntisymArray:
     """Full component array A[i1..ik] of a k-form, totally antisymmetric."""
 
-    degree: int
-    array: np.ndarray
+    __slots__ = ("degree", "array")
+
+    def __init__(self, degree: int, array: np.ndarray):
+        self.degree, self.array = degree, array
 
     def tensor_norm2(self):
         return (self.array * self.array).sum()
@@ -445,21 +481,38 @@ def _flat(idx) -> int:
 @functools.cache
 def _antisym_table(k: int):
     """(flat entry, coefficient position, sign) over all orderings of each I,
-    and the flat entry of each sorted I."""
+    the flat entry of each sorted I, and the sign as floats."""
     rows = [
         (_flat(perm), p, perm_sign(perm))
         for p, I in enumerate(BASIS[k])
         for perm in itertools.permutations(I)
     ]
     (sorted_entry,) = index_columns([_flat(I) for I in BASIS[k]], 1)
-    return (*index_columns(rows, 3), sorted_entry)
+    entry, pos, sign = index_columns(rows, 3)
+    return entry, pos, sign, sorted_entry, float_column(sign)
+
+
+@functools.lru_cache(maxsize=32)
+def _unfold_table(k: int, n: int):
+    """The columns of `_antisym_table(k)` for a stack of n coefficient
+    vectors, as positions in the flattened stacks of coefficients and of
+    component arrays: (flat entry, coefficient position, sign, sign as floats)."""
+    entry, pos, sign, _, float_sign = _antisym_table(k)
+    batch = np.arange(n)[:, None]
+    cols = ((entry + batch * DIM**k).reshape(-1), (pos + batch * dim_of(k)).reshape(-1))
+    cols += tuple(np.tile(s, n) for s in (sign, float_sign))
+    for c in cols:
+        c.flags.writeable = False
+    return cols
 
 
 def _unfold(coeffs: np.ndarray, degree: int) -> np.ndarray:
     """Flattened component arrays of a (..., dim_k) stack of coefficients."""
-    entry, pos, sign, _ = _antisym_table(degree)
-    flat = zeros(coeffs.shape[:-1] + (DIM**degree,), is_exact(coeffs))
-    flat[..., entry] = sign * coeffs[..., pos]  # every entry is written once
+    entry, pos, sign, float_sign = _unfold_table(degree, coeffs.size // dim_of(degree))
+    values = coeffs.reshape(-1).take(pos)
+    exact = values.dtype == object
+    flat = zeros(coeffs.shape[:-1] + (DIM**degree,), exact)
+    flat.reshape(-1)[entry] = (sign if exact else float_sign) * values  # every entry is written once
     return flat
 
 
@@ -474,9 +527,9 @@ def antisym_coefficients(arr: np.ndarray, degree: int, tol: float = 1e-12) -> np
     stack.  One check covers the whole stack and rejects it if any array is
     not antisymmetric.
     """
-    exact = is_exact(arr)
+    exact = arr.dtype == object
     flat = arr.reshape(arr.shape[: arr.ndim - degree] + (DIM**degree,))
-    coeffs = flat[..., _antisym_table(degree)[3]]
+    coeffs = flat.take(_antisym_table(degree)[3], axis=-1)
     if not exact:
         coeffs = np.asarray(coeffs, dtype=float)
     rebuilt = _unfold(coeffs, degree)

@@ -30,12 +30,11 @@ from the interior, contraction, wedge and Hodge tables of
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import as_mode, eye, is_exact, max_abs, scalar, zeros
+from ._linalg import as_mode, eye, lazy, max_abs, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
@@ -107,8 +106,9 @@ def _projectors(exact: bool) -> dict:
 
 
 def projector_matrix(degree: int, dim: int, exact: bool = False) -> np.ndarray:
-    r, d = check_label((degree, dim))
-    return _projectors(bool(exact))[(r, d)]
+    mats = _projectors(bool(exact))
+    m = mats.get((degree, dim))  # a valid label of ints, the usual case
+    return mats[check_label((degree, dim))] if m is None else m
 
 
 def project(a: Form, label) -> Form:
@@ -116,7 +116,7 @@ def project(a: Form, label) -> Form:
     r, d = check_label(label)
     if a.degree != r:
         raise ValueError(f"form has degree {a.degree}, label expects {r}")
-    return Form(r, projector_matrix(r, d, a.exact).dot(a.coeffs))
+    return Form(r, _projectors(a.exact)[(r, d)].dot(a.coeffs))
 
 
 # --- symmetric 2-tensors ------------------------------------------------------
@@ -143,7 +143,7 @@ def _lambda3_matrix(exact: bool) -> np.ndarray:
 def lambda3(h: np.ndarray) -> Form:
     """lambda3(h) = sum_ab h_ab e^a ^ (e_b -| phi); lambda3(g) = 3 phi."""
     h = np.asarray(h)
-    return Form(3, _lambda3_matrix(is_exact(h)).dot(h.reshape(DIM * DIM)))
+    return Form(3, _lambda3_matrix(h.dtype == object).dot(h.reshape(DIM * DIM)))
 
 
 def sigma_contract(a: Form) -> np.ndarray:
@@ -231,14 +231,13 @@ def _quad_tables() -> dict:
 
 def odot_bracket(a: Form, b: Form) -> Form:
     """[a (.) b] = sum_k i_k a ^ i_k b (degrees at least 1)."""
-    out = _odot_table(a.degree, b.degree).apply(a.coeffs, b.coeffs, a.exact or b.exact)
-    return Form(a.degree + b.degree - 2, out)
+    return Form(a.degree + b.degree - 2, _odot_table(a.degree, b.degree).apply(a.coeffs, b.coeffs))
 
 
 def _quad(name: str, b: Form) -> Form:
     if b.degree != 3:
         raise ValueError(f"quad_{name} expects a 3-form")
-    return Form(3, _quad_tables()[name].apply(b.coeffs, b.coeffs, b.exact))
+    return Form(3, _quad_tables()[name].apply(b.coeffs, b.coeffs))
 
 
 def quad_A(b: Form) -> Form:
@@ -259,7 +258,6 @@ def quad_B(b: Form) -> Form:
 # --- V* (x) Lambda^2_14 and its three invariant pieces -------------------------
 
 
-@dataclass(frozen=True)
 class MixedV14:
     """Element of V* (x) Lambda^2_14 as a 7 x 21 coefficient array.
 
@@ -268,16 +266,19 @@ class MixedV14:
     squares (2-form slots).
     """
 
-    array: np.ndarray
+    __slots__ = ("array", "__dict__")  # the dict holds the lazy residual
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
 
     @property
     def exact(self) -> bool:
-        return is_exact(self.array)
+        return self.array.dtype == object
 
     def tensor_norm2(self):
         return 2 * (self.array * self.array).sum()
 
-    @functools.cached_property
+    @lazy
     def membership_residual(self) -> float:
         """Distance of the slots from Lambda^2_14, measured once per tensor."""
         q14 = projector_matrix(2, 14, self.exact)
@@ -297,7 +298,7 @@ class MixedV14:
 
 def mixed_project_14(arr: np.ndarray) -> MixedV14:
     """Project the Lambda^2 slot of a 7 x 21 array onto Lambda^2_14."""
-    q14 = projector_matrix(2, 14, is_exact(arr))
+    q14 = projector_matrix(2, 14, arr.dtype == object)
     return MixedV14(arr.dot(q14.T))
 
 

@@ -17,7 +17,11 @@ the extraction gate.  The torsion terms of the generalized Ricci formula
 stack nabla-bar_i tau2 (`nabla_bar_tau2`) are stages too: d^nabla-bar tau2
 alternates that stack and the closed chain's `nabla_bar_tau` gates it, so
 it is built once.  Each route gets its rows for all three weightings from
-one weighted sum over the terms, and the six residuals are one reduction.
+one weighted sum over the terms, and the six residuals are one reduction;
+the other check residuals of `analyze` are another (`max_abs_each`), and
+those of the closed chain a third.  The actions of gamma and gamma-bar on
+phi read one scatter of phi (`phi_matrix`).  A stage is a `lazy`
+attribute: computed on first read, then a plain instance attribute.
 
 d on k-forms and the action of a connection on k-forms are the one
 derivation table of `exterior_algebra` applied to d on 1-forms and to
@@ -43,11 +47,11 @@ comes out with negative sectional curvature (a build-time self test).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
-from ._linalg import bound, is_exact, max_abs, scalar, zeros
+from ._linalg import bound, lazy, max_abs, max_abs_each, scalar, scatter_add, zeros
 from .exterior_algebra import (
     BASIS,
     DIM,
@@ -55,6 +59,8 @@ from .exterior_algebra import (
     _connection_stack,
     _derivation_table,
     antisym_coefficients,
+    connection_action,
+    connection_matrix,
     contract,
     covariant_wedge,
     dim_of,
@@ -82,24 +88,24 @@ from .torsion import (
 )
 
 
-@dataclass(frozen=True)
 class LieAlgebraSpec:
     """Structure constants c[k,i,j] with de^k = -sum_{i<j} c^k_ij e^ij."""
 
-    name: str
-    c: np.ndarray
+    __slots__ = ("name", "c")
 
-    def __post_init__(self):
-        if self.c.shape != (DIM, DIM, DIM):
+    def __init__(self, name: str, c: np.ndarray):
+        if c.shape != (DIM, DIM, DIM):
             raise ValueError("structure constants must be a 7x7x7 array")
-        if not (self.exact or np.isfinite(self.c).all()):
+        size, asymmetry = max_abs_each(c, c + c.transpose(0, 2, 1))
+        if not size < math.inf:  # a NaN or infinite constant
             raise ValueError("structure constants must be finite")
-        if not max_abs(self.c + self.c.transpose(0, 2, 1)) <= bound(1e-12, max_abs(self.c)):
+        if not asymmetry <= bound(1e-12, size):
             raise ValueError("structure constants must be antisymmetric in (i, j)")
+        self.name, self.c = name, c
 
     @property
     def exact(self) -> bool:
-        return is_exact(self.c)
+        return self.c.dtype == object
 
 
 def spec_from_coframe_d(name: str, coframe_d: dict, exact: bool = False) -> LieAlgebraSpec:
@@ -122,13 +128,20 @@ def spec_from_coframe_d(name: str, coframe_d: dict, exact: bool = False) -> LieA
 
 # --- invariant exterior derivative ------------------------------------------------
 
-#: the pairs (i, j), i < j, in Lambda^2 basis order, as index arrays
+#: the pairs (i, j), i < j, in Lambda^2 basis order, as index arrays, and
+#: the flat position of each (i, j) in a 7 x 7 array
 _PAIR_I, _PAIR_J = index_columns(BASIS[2], 2)
+_PAIR_IJ = _PAIR_I * DIM + _PAIR_J
+
+
+def _pair_entries(a: np.ndarray) -> np.ndarray:
+    """a[:, i, j] for the pairs i < j of a 7 x 7 x 7 array, as (7, 21)."""
+    return a.reshape(DIM, DIM * DIM).take(_PAIR_IJ, axis=1)
 
 
 def _d_on_one_forms(spec: LieAlgebraSpec) -> np.ndarray:
     """Matrix of d: Lambda^1 -> Lambda^2 over coefficient bases."""
-    return -spec.c[:, _PAIR_I, _PAIR_J].T
+    return -_pair_entries(spec.c).T
 
 
 @functools.cache
@@ -156,8 +169,8 @@ def invariant_d_matrices(spec: LieAlgebraSpec) -> dict:
     1-forms, and one scatter of it through `_d_table` for degrees 2..6."""
     d1 = _d_on_one_forms(spec)
     flat, src, layout = _d_table()
-    buf = zeros(layout[DIM - 1][1], spec.exact)  # degree 6 ends the buffer
-    np.add.at(buf, flat, np.concatenate((d1, -d1)).reshape(-1)[src])
+    # degree 6 ends the buffer
+    buf = scatter_add(flat, np.concatenate((d1, -d1)).reshape(-1)[src], layout[DIM - 1][1])
     mats = {0: zeros((DIM, 1), spec.exact), 1: d1}
     for k, (start, stop, shape) in layout.items():
         mats[k] = buf[start:stop].reshape(shape)
@@ -207,7 +220,7 @@ JACOBI_TOL = 1e-10
 def _koszul(d1: np.ndarray) -> np.ndarray:
     """Gamma_ijk = (c_ijk - c_jki + c_kij)/2, c_ijk = g([e_i,e_j],e_k) = c^k_ij
     read off d on 1-forms."""
-    cl = zeros((DIM, DIM, DIM), is_exact(d1))
+    cl = zeros((DIM, DIM, DIM), d1.dtype == object)
     cl[_PAIR_I, _PAIR_J] = -d1
     cl[_PAIR_J, _PAIR_I] = d1
     c_jki = cl.transpose(2, 0, 1)  # entry [i,j,k] = cl[j,k,i]
@@ -227,9 +240,9 @@ def riemann(spec: LieAlgebraSpec, gamma: np.ndarray) -> CurvatureTensor:
     gg = gamma.reshape(DIM * DIM, DIM).dot(gamma.transpose(1, 0, 2).reshape(DIM, DIM * DIM))
     gg = gg.reshape(-1)
     jkil, ikjl = _GG_ENTRIES
-    brackets = spec.c[:, _PAIR_I, _PAIR_J].T  # (ij, p) -> c^p_ij
+    brackets = _pair_entries(spec.c).T  # (ij, p) -> c^p_ij
     # R_ijkl = Gamma_jkp Gamma_ipl - Gamma_ikp Gamma_jpl - c^p_ij Gamma_pkl
-    return CurvatureTensor(gg[jkil] - gg[ikjl] - brackets.dot(gamma[:, _PAIR_I, _PAIR_J]))
+    return CurvatureTensor(gg[jkil] - gg[ikjl] - brackets.dot(_pair_entries(gamma)))
 
 
 def connection_form_action(gamma: np.ndarray, a: Form) -> list:
@@ -254,45 +267,45 @@ class InvariantGeometry:
     def exact(self) -> bool:
         return self.spec.exact
 
-    @functools.cached_property
+    @lazy
     def d_mats(self) -> dict:
         return invariant_d_matrices(self.spec)
 
-    @functools.cached_property
+    @lazy
     def jacobi_product(self) -> np.ndarray:
         """d_2 d_1: d(d e^k) for each k."""
         return self.d_mats[2].dot(self.d_mats[1])
 
-    @functools.cached_property
+    @lazy
     def jacobi(self) -> float:
         return max_abs(self.jacobi_product)
 
-    @functools.cached_property
+    @lazy
     def d_squared(self) -> float:
         """max |d d| over all degrees."""
         mats = self.d_mats
         return max_abs(self.jacobi_product, *(mats[k + 1].dot(mats[k]) for k in range(2, DIM - 1)))
 
-    @functools.cached_property
+    @lazy
     def gamma(self) -> np.ndarray:
         """The Levi-Civita connection."""
         if not self.jacobi <= JACOBI_TOL:
             raise ValueError(f"structure constants fail the Jacobi identity (residual {self.jacobi:.3g})")
         return _koszul(self.d_mats[1])
 
-    @functools.cached_property
+    @lazy
     def curvature(self) -> CurvatureTensor:
         return riemann(self.spec, self.gamma)
 
-    @functools.cached_property
+    @lazy
     def dphi(self) -> Form:
         return invariant_d(self.d_mats, self.phi)
 
-    @functools.cached_property
+    @lazy
     def dstarphi(self) -> Form:
         return invariant_d(self.d_mats, hodge(self.phi))
 
-    @functools.cached_property
+    @lazy
     def structure_solve(self) -> tuple:
         """(torsion, reconstruction residual) of the structure equations."""
         return solve_structure_equations(self.phi, self.dphi, self.dstarphi)
@@ -300,36 +313,41 @@ class InvariantGeometry:
     torsion = property(lambda self: self.structure_solve[0])
     structure_residual = property(lambda self: self.structure_solve[1])
 
-    @functools.cached_property
+    @lazy
     def xi(self) -> IntrinsicTorsion:
         return intrinsic_from_torsion(self.torsion)
 
-    @functools.cached_property
+    @lazy
     def gamma_bar(self) -> np.ndarray:
         """The canonical connection gamma - xi."""
         return self.gamma - self.xi.xi
 
-    @functools.cached_property
+    @lazy
+    def phi_matrix(self) -> np.ndarray:
+        """The scatter of phi that the actions of gamma and gamma-bar on it read."""
+        return connection_matrix(self.phi)
+
+    @lazy
     def nabla_bar_phi(self) -> float:
         """max |nabla-bar phi|; a residual signals a convention error upstream
         rather than a property of the input."""
-        residual = max_abs(_connection_stack(self.gamma_bar, self.phi))
-        if not residual <= bound(1e-9, max_abs(self.gamma)):
+        residual, size = max_abs_each(connection_action(self.gamma_bar, self.phi_matrix), self.gamma)
+        if not residual <= bound(1e-9, size):
             raise ValueError(f"canonical connection does not annihilate phi (residual {residual:.3g})")
         return residual
 
-    @functools.cached_property
+    @lazy
     def ricci_terms(self) -> dict:
         """The k-independent torsion terms of the generalized Ricci formula."""
         return ricci_terms(self.torsion)
 
-    @functools.cached_property
+    @lazy
     def nabla_bar_tau2(self) -> np.ndarray:
         """(7, 21) coefficients of nabla-bar_i tau2, ungated: d^nabla-bar tau2
         alternates it and `nabla_bar_tau` gates it."""
         return _connection_stack(self.gamma_bar, self.torsion.tau2)
 
-    @functools.cached_property
+    @lazy
     def ricci_derivs(self) -> dict:
         """Per route, the derivatives of *(tau1 ^ *phi), tau2 and tau3 that the
         generalized Ricci formula takes: d, and d^nabla-bar."""
@@ -377,12 +395,12 @@ def nabla_bar_tau(geo: InvariantGeometry) -> MixedV14:
 # --- report -------------------------------------------------------------------------
 
 
-@dataclass
 class Check:
-    name: str
-    residual: float
-    tol: float
-    scale: float = 0.0  # the size the tolerance is relative to; 0 for absolute checks
+    __slots__ = ("name", "residual", "tol", "scale")
+
+    def __init__(self, name: str, residual: float, tol: float, scale: float = 0.0):
+        self.name, self.residual, self.tol = name, residual, tol
+        self.scale = scale  # the size the tolerance is relative to; 0 for absolute checks
 
     @property
     def passed(self) -> bool:
@@ -398,16 +416,17 @@ class Check:
         }
 
 
-@dataclass
 class Report:
     """Named checks judged by one rule: a check passes when its residual is
     at most ``bound(tol, scale) * slack``, with ``tol`` the report's base
     tolerance and ``slack`` the headroom of a long chain of rounding."""
 
-    name: str
-    tol: float
-    checks: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    __slots__ = ("name", "tol", "checks", "summary")
+
+    def __init__(self, name: str, tol: float, checks: list = None, summary: dict = None):
+        self.name, self.tol = name, tol
+        self.checks = [] if checks is None else checks
+        self.summary = {} if summary is None else summary
 
     def add(self, name: str, residual, scale: float = 0.0, slack: int = 1):
         self.checks.append(Check(name, float(residual), bound(self.tol, scale) * slack, scale))
@@ -429,6 +448,12 @@ class Report:
 
 
 K_VALUES = ((1, 0), (0, 1), (4, -5))
+#: (k row, route column, check name) of the Ricci-formula checks, in report order
+_RICCI_CHECKS = tuple(
+    (row, col, f"Ricci formula, {route} route, k={k}")
+    for row, k in enumerate(K_VALUES)
+    for col, route in enumerate(RICCI_ROUTES)
+)
 
 
 def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report:
@@ -447,48 +472,12 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     exact = spec.exact
     geo = geometry(spec, phi)
     phi, dphi, t = geo.phi, geo.dphi, geo.torsion
-    report.add("jacobi (d d e^k = 0)", geo.jacobi)
-    report.add("d^2 = 0 (all degrees)", geo.d_squared)
-    report.add("structure equations solve (d phi, d *phi)", geo.structure_residual)
-
-    # Levi-Civita sanity: metric and torsion-free
-    report.add(
-        "Levi-Civita metric (Gamma antisym in last two)",
-        max_abs(geo.gamma + geo.gamma.transpose(0, 2, 1)),
-    )
-    cl = spec.c.transpose(1, 2, 0)
-    report.add(
-        "Levi-Civita torsion-free", max_abs(geo.gamma - geo.gamma.transpose(1, 0, 2) - cl)
-    )
-    report.add(
-        "d = alt(grad) on phi", max_abs(covariant_wedge(geo.gamma, phi).coeffs - dphi.coeffs)
-    )
-
-    # canonical connection
-    report.add("nabla-bar phi = 0", geo.nabla_bar_phi)
-    report.add(
-        "nabla-bar g = 0 (gamma-bar antisymmetry)",
-        max_abs(geo.gamma_bar + geo.gamma_bar.transpose(0, 2, 1)),
-    )
-    slots = antisym_coefficients(geo.gamma_bar, 2)  # row i: the 2-form gamma-bar_i
-    report.add("gamma-bar is g2-valued", max_abs(slots.dot(projector_matrix(2, 7, exact).T)))
-
-    # curvature block
+    gamma, gamma_bar = geo.gamma, geo.gamma_bar
+    alt_grad_phi = frame_wedge(connection_action(gamma, geo.phi_matrix), 3)
+    slots = antisym_coefficients(gamma_bar, 2)  # row i: the 2-form gamma-bar_i
     r = geo.curvature
     dec = decompose(r, tol=max(tol, 1e-8))
-    report.add("first Bianchi identity", dec.bianchi)
-    report.add(
-        "curvature blocks reassemble", max_abs(dec.reassemble().mat - r.mat), max_abs(r.mat)
-    )
     s_g = dec.s
-
-    # scalar curvature from torsion, Eq-4.25 style
-    delta_tau1 = geo.delta(t.tau1).coeffs[0]
-    report.add(
-        "scalar curvature from torsion",
-        abs(float(scalar_from_torsion(t, delta_tau1) - s_g)),
-        abs(float(s_g)),
-    )
 
     # generalized Ricci formulas, both routes, three weightings, on one set
     # of torsion terms and derivatives
@@ -496,13 +485,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     terms, derivs = geo.ricci_terms, geo.ricci_derivs
     rhs = np.array([ricci_rows(route, derivs[route], terms, K_VALUES) for route in RICCI_ROUTES])
     lhs = np.array([lambda3(k[0] * ric0g + k[1] * ric0p).coeffs for k in K_VALUES])
-    residuals = np.abs(rhs - lhs).max(axis=-1)  # (route, k)
-    scale44 = max_abs(ric0g, ric0p)
-    for row, k in enumerate(K_VALUES):
-        for col, route in enumerate(RICCI_ROUTES):
-            report.add(
-                f"Ricci formula, {route} route, k={k}", residuals[col, row], scale44, slack=50
-            )
+    ricci_residuals = np.abs(rhs - lhs).max(axis=-1)  # (route, k)
 
     # d tau2 conversion identity (exterior vs canonical derivative); the
     # 7-part coefficient is pinned by the pointwise fit over random torsion
@@ -518,9 +501,62 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         - one / 6 * terms["[tau2.tau3]"].coeffs
         + one / 6 * hodge(wedge(contract(t.tau2, t.tau3), phi)).coeffs
     )
-    report.add(
-        "d tau2 vs canonical-derivative conversion", max_abs(conv - d_tau2.coeffs), slack=50
+
+    # the residuals of the checks below, in one reduction
+    (
+        lc_metric,
+        lc_torsion,
+        alt_grad,
+        nabla_bar_g,
+        g2_valued,
+        reassembly,
+        r_size,
+        ric0g_size,
+        ric0p_size,
+        conversion,
+        dphi_size,
+        phi_size,
+    ) = max_abs_each(
+        gamma + gamma.transpose(0, 2, 1),
+        gamma - gamma.transpose(1, 0, 2) - spec.c.transpose(1, 2, 0),
+        alt_grad_phi.coeffs - dphi.coeffs,
+        gamma_bar + gamma_bar.transpose(0, 2, 1),
+        slots.dot(projector_matrix(2, 7, exact).T),
+        dec.reassemble().mat - r.mat,
+        r.mat,
+        ric0g,
+        ric0p,
+        conv - d_tau2.coeffs,
+        dphi.coeffs,
+        phi.coeffs,
     )
+
+    report.add("jacobi (d d e^k = 0)", geo.jacobi)
+    report.add("d^2 = 0 (all degrees)", geo.d_squared)
+    report.add("structure equations solve (d phi, d *phi)", geo.structure_residual)
+    # Levi-Civita sanity: metric and torsion-free
+    report.add("Levi-Civita metric (Gamma antisym in last two)", lc_metric)
+    report.add("Levi-Civita torsion-free", lc_torsion)
+    report.add("d = alt(grad) on phi", alt_grad)
+    # canonical connection
+    report.add("nabla-bar phi = 0", geo.nabla_bar_phi)
+    report.add("nabla-bar g = 0 (gamma-bar antisymmetry)", nabla_bar_g)
+    report.add("gamma-bar is g2-valued", g2_valued)
+    # curvature block
+    report.add("first Bianchi identity", dec.bianchi)
+    report.add("curvature blocks reassemble", reassembly, r_size)
+
+    # scalar curvature from torsion, Eq-4.25 style
+    delta_tau1 = geo.delta(t.tau1).coeffs[0]
+    report.add(
+        "scalar curvature from torsion",
+        abs(float(scalar_from_torsion(t, delta_tau1) - s_g)),
+        abs(float(s_g)),
+    )
+    scale44 = max(ric0g_size, ric0p_size)  # both finite: decompose gated the curvature
+    for row, col, name in _RICCI_CHECKS:
+        report.add(name, ricci_residuals[col, row], scale44, slack=50)
+    report.add("d tau2 vs canonical-derivative conversion", conversion, slack=50)
 
     # summary data
     norms = t.norms()
@@ -532,15 +568,31 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         "ric0_norm2": float(dec.ric0_norm2),
     }
 
-    closed = max_abs(dphi.coeffs) <= bound(1e-10, max_abs(phi.coeffs))
-    if closed:
+    if dphi_size <= bound(1e-10, phi_size):  # closed
         _closed_structure_checks(report, geo, dec)
     return report
 
 
+#: the names of the closed chain's Ricci-formula and Ricci-norm checks, per k
+_CLOSED_RICCI_CHECKS = tuple(
+    (f"closed: Ricci formula, k={k}", f"closed: Ricci norm identity, k={k}") for k in K_VALUES
+)
+
+
+@functools.cache
+def _term2_entries() -> np.ndarray:
+    """Flat positions of the entries (i, t, j), i < j, of a 7 x 7 x 7 array,
+    as a read-only (21, 7) array: rows the pairs, columns t."""
+    entries = (_PAIR_I[:, None] * DIM + np.arange(DIM)) * DIM + _PAIR_J[:, None]
+    entries.flags.writeable = False
+    return entries
+
+
 def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec):
     """The d phi = 0 chain: everything the closed case pins down pointwise,
-    read off the stages of ``geo`` and the curvature decomposition ``dec``."""
+    read off the stages of ``geo`` and the curvature decomposition ``dec``.
+    The arrays of the checks are built first and their maxima taken in one
+    reduction; the checks are then recorded in their order."""
     t = geo.torsion
     dtau, dbar_tau = geo.ricci_derivs["exterior"][1], geo.ricci_derivs["canonical"][1]
     star_tt = geo.ricci_terms["*(tau2^tau2)"]
@@ -551,28 +603,11 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec):
     one = scalar(1, exact)
     p3, _ = phi_arrays(exact)
 
-    report.add(
-        "closed: torsion reduces to tau2", max_abs(t.tau0, t.tau1.coeffs, t.tau3.coeffs)
-    )
-    report.add("closed: delta phi = tau", max_abs(geo.delta(phi).coeffs - tau.coeffs))
-    report.add("closed: cyclic identity for xi", geo.xi.cyclic_residual())
-
     nb_tau = nabla_bar_tau(geo)
     g64, g27, g7 = split_v14(nb_tau)
-    report.add("closed: nabla-bar tau has no 7-part", max_abs(g7.array))
 
     # d^nabla-bar tau = d tau - *(tau^tau)/6 - |tau|^2 phi / 6
     rhs = dtau - one / 6 * star_tt - one / 6 * tau_n * phi
-    report.add(
-        "closed: canonical-derivative identity for d tau",
-        max_abs(dbar_tau.coeffs - rhs.coeffs),
-        slack=10,
-    )
-    report.add(
-        "closed: d^nabla-bar tau lands in Lambda^3_27",
-        max_abs(project(dbar_tau, (3, 1)).coeffs, project(dbar_tau, (3, 7)).coeffs),
-        slack=10,
-    )
 
     # the inner-product chain around *d(tau^3); *d(tau^3) is 0 on every
     # unimodular algebra, so each inner product is also judged against its
@@ -588,6 +623,58 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec):
 
     scale_ab = max(abs(float(lhs_a)), norm(dtau) * norm(star_tt))
     scale_bc = max(scale_ab, norm(dbar_tau) * norm(star_tt27))
+
+    # closed-case Ricci formula and norms
+    r = geo.curvature
+    s_g, ric0g, ric0p = dec.s, dec.ric0, dec.ric0_phi
+    dbar_tau_n = dbar_tau.norm2()
+    ric0ks, formula_residuals, norm_checks = [], [], []
+    for k in K_VALUES:
+        ric0k = k[0] * ric0g + k[1] * ric0p
+        k_dbar, k_tt = k[0] - 4 * k[1], k[0] + 5 * k[1]
+        rhs_c = -k_dbar * dbar_tau + one / 3 * k_tt * star_tt27
+        ric0ks.append(ric0k)
+        formula_residuals.append(lambda3(ric0k).coeffs - rhs_c.coeffs)
+        n_pred = (
+            one / 2 * k_dbar**2 * dbar_tau_n
+            + one / 21 * k_tt**2 * tau_n**2
+            - one / 3 * k_tt * k_dbar * lhs_c
+        )
+        n_true = (ric0k * ric0k).sum()
+        norm_checks.append((abs(float(n_pred - n_true)), abs(float(n_true))))
+
+    # contraction of the curvature against phi at the pairs i < j (rows) and t:
+    # R_ijab phi_abt = (dbar tau)_ijt - nabla-bar_t tau_ij
+    #                  + (tau_pq tau_pt phi_qij - tau_ip tau_jq phi_pqt)/6
+    b = _iphi_matrix(exact)  # b[t, ab] = phi_abt
+    lhs40 = 2 * r.mat.dot(b.T)  # the sum over a < b, doubled
+    tau_arr = to_antisym(tau).array
+    term1 = b.T.dot(tau_arr.T.dot(tau_arr))  # phi_qij (tau_pq tau_pt)
+    # term2_ijt = tau_ip phi_pqt tau_jq, as (i, t, j): the reshapes and products of np.tensordot
+    tp = tau_arr.dot(p3.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM).transpose(0, 2, 1)
+    term2 = tp.reshape(DIM * DIM, DIM).dot(tau_arr.T).reshape(-1).take(_term2_entries())
+    rhs40 = (frame_interior(dbar_tau).T - nb_tau.array.T) + (term1 - term2) / 6
+
+    residuals = iter(
+        max_abs_each(
+            np.concatenate(([t.tau0], t.tau1.coeffs, t.tau3.coeffs)),
+            geo.delta(phi).coeffs - tau.coeffs,
+            geo.xi.cyclic_sum(),
+            g7.array,
+            dbar_tau.coeffs - rhs.coeffs,
+            np.concatenate((project(dbar_tau, (3, 1)).coeffs, project(dbar_tau, (3, 7)).coeffs)),
+            *(a for pair in zip(formula_residuals, ric0ks) for a in pair),
+            dbar_tau.coeffs,
+            lhs40 - rhs40,
+            lhs40,
+        )
+    )
+    report.add("closed: torsion reduces to tau2", next(residuals))
+    report.add("closed: delta phi = tau", next(residuals))
+    report.add("closed: cyclic identity for xi", next(residuals))
+    report.add("closed: nabla-bar tau has no 7-part", next(residuals))
+    report.add("closed: canonical-derivative identity for d tau", next(residuals), slack=10)
+    report.add("closed: d^nabla-bar tau lands in Lambda^3_27", next(residuals), slack=10)
     report.add(
         "closed: *d(tau^3)/3 = <d tau, *(tau^tau)>", abs(float(lhs_a - lhs_b)), scale_ab, slack=10
     )
@@ -597,32 +684,10 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec):
         scale_bc,
         slack=10,
     )
-
-    # closed-case Ricci formula and norms
-    r = geo.curvature
-    s_g, ric0g, ric0p = dec.s, dec.ric0, dec.ric0_phi
-    for k in K_VALUES:
-        ric0k = k[0] * ric0g + k[1] * ric0p
-        k_dbar, k_tt = k[0] - 4 * k[1], k[0] + 5 * k[1]
-        rhs_c = -k_dbar * dbar_tau + one / 3 * k_tt * star_tt27
-        report.add(
-            f"closed: Ricci formula, k={k}",
-            max_abs(lambda3(ric0k).coeffs - rhs_c.coeffs),
-            max_abs(ric0k),
-            slack=10,
-        )
-        n_pred = (
-            one / 2 * k_dbar**2 * dbar_tau.norm2()
-            + one / 21 * k_tt**2 * tau_n**2
-            - one / 3 * k_tt * k_dbar * lhs_c
-        )
-        n_true = (ric0k * ric0k).sum()
-        report.add(
-            f"closed: Ricci norm identity, k={k}",
-            abs(float(n_pred - n_true)),
-            abs(float(n_true)),
-            slack=10,
-        )
+    for (formula, norm_identity), (n_residual, n_scale) in zip(_CLOSED_RICCI_CHECKS, norm_checks):
+        residual = next(residuals)
+        report.add(formula, residual, next(residuals), slack=10)
+        report.add(norm_identity, n_residual, n_scale, slack=10)
 
     report.add(
         "closed: scalar curvature = -|tau|^2 / 2", abs(float(s_g + tau_n / 2)), abs(float(s_g))
@@ -632,7 +697,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec):
     # ||Ric0||^2 = 4/21 s^2; report both sides
     epr_lhs = float(dec.ric0_norm2)
     epr_rhs = float(4 * s_g * s_g / 21)
-    is_epr = max_abs(dbar_tau.coeffs) <= bound(1e-8, float(tau_n))
+    is_epr = next(residuals) <= bound(1e-8, float(tau_n))
     if is_epr:
         report.add(
             "closed: EPR norm identity (dbar tau = 0)", abs(epr_lhs - epr_rhs), epr_rhs, slack=10
@@ -652,22 +717,9 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec):
     nb_norm = float(nb_tau.tensor_norm2())
     report.summary["parallel_torsion"] = bool(nb_norm <= bound(1e-12, float(tau_n)))
 
-    # contraction of the curvature against phi at the pairs i < j (rows) and t:
-    # R_ijab phi_abt = (dbar tau)_ijt - nabla-bar_t tau_ij
-    #                  + (tau_pq tau_pt phi_qij - tau_ip tau_jq phi_pqt)/6
-    b = _iphi_matrix(exact)  # b[t, ab] = phi_abt
-    lhs40 = 2 * r.mat.dot(b.T)  # the sum over a < b, doubled
-    tau_arr = to_antisym(tau).array
-    term1 = b.T.dot(tau_arr.T.dot(tau_arr))  # phi_qij (tau_pq tau_pt)
-    # term2_ijt = tau_ip phi_pqt tau_jq, as (i, t, j): the reshapes and products of np.tensordot
-    tp = tau_arr.dot(p3.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM).transpose(0, 2, 1)
-    term2 = tp.reshape(DIM * DIM, DIM).dot(tau_arr.T).reshape(DIM, DIM, DIM)[_PAIR_I, :, _PAIR_J]
-    rhs40 = (frame_interior(dbar_tau).T - nb_tau.array.T) + (term1 - term2) / 6
+    residual = next(residuals)
     report.add(
-        "closed: curvature contraction identity (componentwise)",
-        max_abs(lhs40 - rhs40),
-        max_abs(lhs40),
-        slack=10,
+        "closed: curvature contraction identity (componentwise)", residual, next(residuals), slack=10
     )
 
     # the squared identity with the *d(tau^3) term evaluated explicitly

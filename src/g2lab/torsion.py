@@ -25,57 +25,48 @@ grad *phi are the gl(7) action of xi, `covariant_wedge(xi, .)`.
 
 The generalized Ricci formula is linear in its weighting k, so it is stored
 as data: `RICCI_TABLE` holds, per term and route, the (k1, k2) coefficients
-over 6; `ricci_terms` builds the k-independent torsion terms once and
-`ricci_rows` combines them with a route's derivatives for several k in one
-weighted reduction over the stacked terms.
+over 6; `ricci_terms` builds the k-independent torsion terms once, the
+bilinear ones in one index-table pass (`_ricci_pass`), and `ricci_rows`
+combines them with a route's derivatives for several k in one weighted
+reduction over the stacked terms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_mode, bound, eye, is_exact, max_abs, scalar, zeros
+from ._linalg import as_mode, bound, eye, max_abs, max_abs_each, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
+    IndexTable,
+    _phi_templates,
     _unfold,
     _wedge_table,
+    dim_of,
+    float_column,
     hodge,
     hodge_matrix,
     hodge_table,
     phi_arrays,
     phi_coefficients,
-    standard_phi,
-    standard_phi_dual,
-    wedge,
     wedge_phi_matrix,
 )
-from .g2_algebra import (
-    odot_bracket,
-    project,
-    projector_matrix,
-    quad_A,
-    quad_B,
-    sigma_contract,
-)
+from .g2_algebra import _odot_table, _quad_tables, projector_matrix, sigma_contract
 
 
-@dataclass(frozen=True)
 class TorsionComponents:
     """The quadruple (tau0, tau1, tau2, tau3)."""
 
-    tau0: object
-    tau1: Form
-    tau2: Form
-    tau3: Form
+    __slots__ = ("tau0", "tau1", "tau2", "tau3")
 
-    def __post_init__(self):
-        if (self.tau1.degree, self.tau2.degree, self.tau3.degree) != (1, 2, 3):
+    def __init__(self, tau0, tau1: Form, tau2: Form, tau3: Form):
+        if (tau1.degree, tau2.degree, tau3.degree) != (1, 2, 3):
             raise ValueError("torsion components must have degrees (1, 2, 3)")
+        self.tau0, self.tau1, self.tau2, self.tau3 = tau0, tau1, tau2, tau3
 
     @property
     def exact(self) -> bool:
@@ -195,17 +186,16 @@ def solve_structure_equations(phi: Form, dphi: Form, dstarphi: Form, tol: float 
     quadruple passes the membership gate of `recompose`.
     """
     exact = dphi.exact
-    std = standard_phi(exact)
-    if not max_abs(phi.coeffs - std.coeffs) <= 1e-12:
+    if not max_abs(phi.coeffs - _phi_templates(exact)[0]) <= 1e-12:
         raise ValueError("phi must be the standard three-form in an adapted frame")
     if dphi.degree != 4 or dstarphi.degree != 5:
         raise ValueError("expected (d phi, d *phi) of degrees (4, 5)")
     extract, membership, rebuild = _structure_tables(exact)
     u = np.concatenate((dphi.coeffs, dstarphi.coeffs))
     v = extract.dot(u)
-    _membership_gate(max_abs(membership.dot(v)))
-    residual = max_abs(rebuild.dot(v) - u)
-    if not residual <= bound(tol, max_abs(u)):
+    off_type, residual, size = max_abs_each(membership.dot(v), rebuild.dot(v) - u, u)
+    _membership_gate(off_type)
+    if not residual <= bound(tol, size):
         raise ValueError(
             f"(d phi, d *phi) is not generated by any torsion quadruple "
             f"(residual {residual:.3g})"
@@ -244,22 +234,26 @@ def fg_type_of_norms(norms: dict, eps: float = 1e-9, eps_abs: float = 1e-12) -> 
 # --- intrinsic torsion ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IntrinsicTorsion:
     """xi_ijk (skew in the last two, g2-perp valued) and its contraction xibar."""
 
-    xi: np.ndarray
-    xi_bar: np.ndarray
+    __slots__ = ("xi", "xi_bar")
+
+    def __init__(self, xi: np.ndarray, xi_bar: np.ndarray):
+        self.xi, self.xi_bar = xi, xi_bar
+
+    def cyclic_sum(self) -> np.ndarray:
+        """xi_ijk + xi_jki + xi_kij, which vanishes on closed structures."""
+        return self.xi + self.xi.transpose(1, 2, 0) + self.xi.transpose(2, 0, 1)
 
     def cyclic_residual(self) -> float:
         """Residual of xi_ijk + xi_jki + xi_kij = 0 (closed structures)."""
-        c = self.xi + self.xi.transpose(1, 2, 0) + self.xi.transpose(2, 0, 1)
-        return max_abs(c)
+        return max_abs(self.cyclic_sum())
 
 
 def xi_from_xibar(xibar: np.ndarray) -> np.ndarray:
     """xi_ijk = xibar_ip phi_pjk / 6."""
-    p3, _ = phi_arrays(is_exact(xibar))
+    p3, _ = phi_arrays(xibar.dtype == object)
     return xibar.dot(p3.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM) / 6
 
 
@@ -336,25 +330,98 @@ _RICCI_COEFFS = np.array([[row[1 + r] for row in RICCI_TABLE] for r in range(len
 _RICCI_COEFFS.flags.writeable = False
 
 
+#: offsets of tau1, tau2 and tau3 in the packed torsion vector, and the
+#: position of the 1 that `ricci_terms` appends to it
+_TAU1, _TAU2, _TAU3, _ONE = 1, 8, 29, 64
+
+
+@functools.cache
+def _ricci_pass() -> tuple:
+    """The bilinear terms of `ricci_terms` as one index table on the packed
+    torsion vector with a 1 appended, its output stacked by term; the
+    read-only signs that multiply that output last, as integers and as
+    floats; and the (name, degree, start, stop) of each term in it.
+
+    Every term keeps the rows of the kernel that built it alone, in their
+    order, so each output entry adds the same products in the same order.
+    A Hodge star is a signed reindexing of a sum: the table writes the sum
+    to its starred position and the sign multiplies it after, as `hodge`
+    does.  *(tau1 ^ *phi) is linear, a product with the appended 1, and
+    each of its entries is one +-tau1 entry, so the rows of
+    tau1 ^ *(tau1 ^ *phi) read tau1 twice.
+    """
+    starphi = hodge_matrix(3).dot(phi_coefficients())
+    t1_w = hodge_matrix(5).dot(_wedge_starphi())  # tau1 -> *(tau1 ^ *phi)
+    if not ((np.abs(t1_w) <= 1).all() and ((t1_w != 0).sum(axis=1) <= 1).all()):
+        raise AssertionError("an entry of *(tau1 ^ *phi) is not one +-tau1 entry")
+    t1_w_src = np.abs(t1_w).argmax(axis=1)
+    t1_w_sign = t1_w[np.arange(len(t1_w)), t1_w_src]
+    w14, w12, w22, w13 = (_wedge_table(*k) for k in ((1, 4), (1, 2), (2, 2), (1, 3)))
+    quad, odot = _quad_tables(), _odot_table(2, 3)
+    keep = starphi[w14.pb] != 0
+    lead = t1_w_sign[w12.pb] != 0
+    terms = (  # name, degree, (pa, pb, po, coef) of the kernel, star
+        ("[tau2.tau3]", 3, (_TAU2 + odot.pa, _TAU3 + odot.pb, odot.po, odot.coef), None),
+        (
+            "*(tau1^*phi)",
+            2,
+            (_TAU1 + w14.pa[keep], np.full(keep.sum(), _ONE), w14.po[keep], w14.coef[keep] * starphi[w14.pb[keep]]),
+            5,
+        ),
+        (
+            "tau1^*(tau1^*phi)",
+            3,
+            (_TAU1 + w12.pa[lead], _TAU1 + t1_w_src[w12.pb[lead]], w12.po[lead], w12.coef[lead] * t1_w_sign[w12.pb[lead]]),
+            None,
+        ),
+        ("*(tau2^tau2)", 3, (_TAU2 + w22.pa, _TAU2 + w22.pb, w22.po, w22.coef), 4),
+        ("[tau3^2]^A", 3, (_TAU3 + quad["A"].pa, _TAU3 + quad["A"].pb, quad["A"].po, quad["A"].coef), None),
+        ("[tau3^2]^B", 3, (_TAU3 + quad["B"].pa, _TAU3 + quad["B"].pb, quad["B"].po, quad["B"].coef), None),
+        ("tau1^tau2", 3, (_TAU1 + w12.pa, _TAU2 + w12.pb, w12.po, w12.coef), None),
+        ("*(tau1^tau3)", 3, (_TAU1 + w13.pa, _TAU3 + w13.pb, w13.po, w13.coef), 4),
+    )
+    rows, signs, layout, start = [], [], [], 0
+    for name, degree, (pa, pb, po, coef), star in terms:
+        n = dim_of(degree)
+        sign = np.ones(n, dtype=np.int64)
+        if star is not None:
+            to, by = hodge_table(star)
+            po, sign[to] = to[po], by
+        rows.append(np.stack([pa, pb, start + po, coef], axis=1))
+        signs.append(sign)
+        layout.append((name, degree, start, start + n))
+        start += n
+    sign = np.concatenate(signs)
+    sign.flags.writeable = False
+    return IndexTable.from_rows(np.concatenate(rows), start), sign, float_column(sign), tuple(layout)
+
+
 def ricci_terms(t: TorsionComponents) -> dict:
     """The k-independent torsion terms of the generalized Ricci formula.
 
     Also holds the 2-form *(tau1 ^ *phi), whose derivative the formula takes,
     and the bracket [tau2.tau3] before its projection, which the d tau2
-    conversion of `homogeneous.analyze` reads.
+    conversion of `homogeneous.analyze` reads.  Every bilinear term comes
+    from one pass of `_ricci_pass`, bit for bit the kernel of its own; the
+    forms are views of that pass's output.
     """
-    t1_w = hodge(wedge(t.tau1, standard_phi_dual(t.exact)))
-    bracket = odot_bracket(t.tau2, t.tau3)
+    table, sign, float_sign, layout = _ricci_pass()
+    exact = t.exact
+    v = np.concatenate(([t.tau0], t.tau1.coeffs, t.tau2.coeffs, t.tau3.coeffs, [scalar(1, exact)]))
+    out = table.apply(v, v)
+    out = out * (sign if exact else float_sign)
+    forms = {name: Form(degree, out[a:b]) for name, degree, a, b in layout}
+    bracket = forms["[tau2.tau3]"]
     return {
-        "*(tau1^*phi)": t1_w,
-        "tau1^*(tau1^*phi)": wedge(t.tau1, t1_w),
-        "*(tau2^tau2)": hodge(wedge(t.tau2, t.tau2)),
-        "[tau3^2]^A": quad_A(t.tau3),
-        "[tau3^2]^B": quad_B(t.tau3),
-        "tau0 tau3": t.tau0 * t.tau3,
-        "tau1^tau2": wedge(t.tau1, t.tau2),
-        "*(tau1^tau3)": hodge(wedge(t.tau1, t.tau3)),
-        "[tau2.tau3]_27": project(bracket, (3, 27)),
+        "*(tau1^*phi)": forms["*(tau1^*phi)"],
+        "tau1^*(tau1^*phi)": forms["tau1^*(tau1^*phi)"],
+        "*(tau2^tau2)": forms["*(tau2^tau2)"],
+        "[tau3^2]^A": forms["[tau3^2]^A"],
+        "[tau3^2]^B": forms["[tau3^2]^B"],
+        "tau0 tau3": Form(3, t.tau3.coeffs * t.tau0),
+        "tau1^tau2": forms["tau1^tau2"],
+        "*(tau1^tau3)": forms["*(tau1^tau3)"],
+        "[tau2.tau3]_27": Form(3, projector_matrix(3, 27, exact).dot(bracket.coeffs)),
         "[tau2.tau3]": bracket,
     }
 
