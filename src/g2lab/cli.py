@@ -195,18 +195,20 @@ def cmd_curvature(args) -> int:
 _SHAPES = {dict: "an object", list: "a list", int: "an integer", (int, float): "a number"}
 
 
-def _shape(value, kind, what: str):
-    """value if it has the JSON shape kind (true and false are not numbers)."""
+def _shape(value, kind, what: str, *args):
+    """value if it has the JSON shape kind (true and false are not numbers).
+    The subject of the error is ``what.format(*args)``, formatted only when
+    the value is rejected."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_SHAPES[kind]}, got {value!r}")
+        raise ValueError(f"{what.format(*args)} must be {_SHAPES[kind]}, got {value!r}")
     return value
 
 
-def _coeff(value, what: str) -> float:
+def _coeff(value, what: str, *args) -> float:
     try:
-        return float(_shape(value, (int, float), what))
+        return float(_shape(value, (int, float), what, *args))
     except OverflowError:
-        raise ValueError(f"{what} is out of the float range") from None
+        raise ValueError(f"{what.format(*args)} is out of the float range") from None
 
 
 def load_spec(path: str):
@@ -217,41 +219,42 @@ def load_spec(path: str):
     ValueError.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = _shape(json.load(fh), dict, f"{path}: the document")
+        doc = _shape(json.load(fh), dict, "{}: the document", path)
     if doc.get("dim", 7) != 7:
         raise ValueError(f"{path}: only dim = 7 is supported")
     coframe = {}
-    for entry in _shape(doc.get("coframe_d", []), list, f"{path}: coframe_d"):
-        entry = _shape(entry, dict, f"{path}: a coframe_d entry")
-        k = _shape(entry["k"], int, f"{path}: coframe index k")
+    for entry in _shape(doc.get("coframe_d", []), list, "{}: coframe_d", path):
+        entry = _shape(entry, dict, "{}: a coframe_d entry", path)
+        k = _shape(entry["k"], int, "{}: coframe index k", path)
         if not 1 <= k <= 7:
             raise ValueError(f"{path}: coframe index k = {k} out of range")
         if k in coframe:
             raise ValueError(f"{path}: coframe index k = {k} is repeated")
         terms = {}
-        for t in _shape(entry.get("terms", []), list, f"{path}: the terms of k = {k}"):
-            t = _shape(t, dict, f"{path}: a term of k = {k}")
-            i, j = (_shape(t[key], int, f"{path}: index {key} for k = {k}") for key in "ij")
+        for t in _shape(entry.get("terms", []), list, "{}: the terms of k = {}", path, k):
+            t = _shape(t, dict, "{}: a term of k = {}", path, k)
+            i = _shape(t["i"], int, "{}: index i for k = {}", path, k)
+            j = _shape(t["j"], int, "{}: index j for k = {}", path, k)
             if not 1 <= i < j <= 7:
                 raise ValueError(f"{path}: bad index pair ({i}, {j}) for k = {k}")
             if (i, j) in terms:
                 raise ValueError(f"{path}: index pair ({i}, {j}) is repeated for k = {k}")
-            terms[(i, j)] = _coeff(t["coeff"], f"{path}: coeff of ({i}, {j}) for k = {k}")
+            terms[(i, j)] = _coeff(t["coeff"], "{}: coeff of ({}, {}) for k = {}", path, i, j, k)
         coframe[k] = terms
     from .homogeneous import spec_from_coframe_d
 
-    name = doc.get("name", os.path.splitext(os.path.basename(path))[0])
+    name = doc["name"] if "name" in doc else os.path.splitext(os.path.basename(path))[0]
     spec = spec_from_coframe_d(name, coframe)
     phi = None
     if "phi" in doc:
         terms = {}
-        for t in _shape(doc["phi"], list, f"{path}: phi"):
-            t = _shape(t, dict, f"{path}: a phi term")
-            indices = _shape(t["indices"], list, f"{path}: phi indices")
-            idx = tuple(_shape(i, int, f"{path}: a phi index") for i in indices)
+        for t in _shape(doc["phi"], list, "{}: phi", path):
+            t = _shape(t, dict, "{}: a phi term", path)
+            indices = _shape(t["indices"], list, "{}: phi indices", path)
+            idx = tuple(_shape(i, int, "{}: a phi index", path) for i in indices)
             if idx in terms:
                 raise ValueError(f"{path}: phi multi-index {idx} is repeated")
-            terms[idx] = _coeff(t["coeff"], f"{path}: coeff of phi term {idx}")
+            terms[idx] = _coeff(t["coeff"], "{}: coeff of phi term {}", path, idx)
         phi = Form.from_terms(3, terms)
     return spec, phi
 

@@ -146,6 +146,12 @@ def lambda3(h: np.ndarray) -> Form:
     return Form(3, _lambda3_matrix(h.dtype == object).dot(h.reshape(DIM * DIM)))
 
 
+def lambda3_rows(hs: np.ndarray) -> np.ndarray:
+    """The coefficients of lambda3 of each tensor of an (n, 7, 7) stack, as
+    (n, 35) rows: one product."""
+    return hs.reshape(-1, DIM * DIM).dot(_lambda3_matrix(hs.dtype == object).T)
+
+
 def sigma_contract(a: Form) -> np.ndarray:
     """sigma(a)_ij = phi_ipq a_jpq (both slots contracted); sigma(phi) = 6 g.
 
@@ -314,32 +320,45 @@ def wedge3(gamma: MixedV14) -> Form:
     return frame_wedge(gamma.array, 2)
 
 
-def _wedge3_adjoint(w: Form) -> MixedV14:
-    """Adjoint of wedge3 under coefficient inner products."""
-    return mixed_project_14(frame_interior(w))
-
-
 # measured once by tracing wedge3 after the adjoint pullback over the basis
 # 3-forms and frozen: wedge3 of the pullback of w in Lambda^3_d is c_d w
 SPLIT_V14_CONSTANTS = {27: Fraction(7, 3), 7: Fraction(1)}
+
+
+@functools.cache
+def _split_v14_tables(exact: bool) -> tuple:
+    """Read-only tables of the stacked pass of `split_v14`: the projectors
+    onto Lambda^3_d for d in SPLIT_V14_CONSTANTS, stacked as one (2 * 35, 35)
+    matrix; the adjoint of wedge3, w -> p_14(e_i -| w) for i = 1..7, as one
+    (35, 7 * 21) matrix (each entry is one signed entry of p_14); and
+    1 / SPLIT_V14_CONSTANTS[d] per part, as (2, 1, 1)."""
+    projectors = np.concatenate([projector_matrix(3, d, exact) for d in SPLIT_V14_CONSTANTS])
+    t = _contract_table(1, 3)  # rows (i, w position, slot position, sign)
+    adjoint = zeros((dim_of(3), DIM, dim_of(2)), exact)
+    adjoint[t.pb, t.pa] = projector_matrix(2, 14, exact)[:, t.po].T * t.coef[:, None]
+    inverse = zeros((len(SPLIT_V14_CONSTANTS), 1, 1), exact)
+    inverse[:, 0, 0] = [1 / scalar(c, exact) for c in SPLIT_V14_CONSTANTS.values()]
+    adjoint = adjoint.reshape(dim_of(3), -1)
+    for a in (projectors, adjoint, inverse):
+        a.flags.writeable = False
+    return projectors, adjoint, inverse
 
 
 def split_v14(gamma: MixedV14, tol: float = 1e-9):
     """Split gamma in V* (x) Lambda^2_14 into its (64, 27, 7) parts.
 
     The 27 and 7 parts are least-squares preimages of the corresponding
-    pieces of wedge3(gamma); the 64 part is the remainder (the kernel of
-    wedge3).  The pieces are mutually orthogonal and sum to gamma.
+    pieces of wedge3(gamma): the adjoint of wedge3 of each piece over
+    SPLIT_V14_CONSTANTS, in one stacked pass (one product projects onto both
+    pieces, one pulls both back).  The 64 part is the remainder (the kernel
+    of wedge3).  The pieces are mutually orthogonal and sum to gamma.
     """
     if not gamma.membership_residual <= tol:
         raise ValueError("slices of gamma are not in Lambda^2_14")
-    w = wedge3(gamma)
-    parts = {}
-    for d, c in SPLIT_V14_CONSTANTS.items():
-        wd = project(w, (3, d))
-        parts[d] = (1 / scalar(c, gamma.exact)) * _wedge3_adjoint(wd)
-    g64 = gamma - parts[27] - parts[7]
-    return g64, parts[27], parts[7]
+    projectors, adjoint, inverse = _split_v14_tables(gamma.exact)
+    pieces = projectors.dot(wedge3(gamma).coeffs).reshape(len(inverse), -1)
+    g27, g7 = pieces.dot(adjoint).reshape(len(inverse), DIM, -1) * inverse
+    return MixedV14(gamma.array - g27 - g7), MixedV14(g27), MixedV14(g7)
 
 
 # --- test elements for the mixed-tensor splitting ------------------------------

@@ -27,8 +27,10 @@ The generalized Ricci formula is linear in its weighting k, so it is stored
 as data: `RICCI_TABLE` holds, per term and route, the (k1, k2) coefficients
 over 6; `ricci_terms` builds the k-independent torsion terms once, the
 bilinear ones in one index-table pass (`_ricci_pass`), and `ricci_rows`
-combines them with a route's derivatives for several k in one weighted
-reduction over the stacked terms.
+gathers the eight torsion-term rows that every route shares and each
+route's three derivative rows into one (route, term) stack, whose rows for
+every route and several k are one weighted reduction over a constant
+(route, k, term) weight table.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ from .exterior_algebra import (
     DIM,
     Form,
     IndexTable,
+    _hodge_gather,
     _phi_templates,
     _unfold,
     _wedge_table,
     dim_of,
     float_column,
-    hodge,
     hodge_matrix,
     hodge_table,
     phi_arrays,
@@ -183,7 +185,8 @@ def solve_structure_equations(phi: Form, dphi: Form, dstarphi: Form, tol: float 
     ``phi`` must carry the standard coefficients (the adapted-frame
     pointwise model); inputs that are not in the image of any torsion
     quadruple are rejected with the reconstruction residual.  The solved
-    quadruple passes the membership gate of `recompose`.
+    quadruple passes the membership gate of `recompose`, judged against the
+    size of (d phi, d *phi).
     """
     exact = dphi.exact
     if not max_abs(phi.coeffs - _phi_templates(exact)[0]) <= 1e-12:
@@ -194,7 +197,7 @@ def solve_structure_equations(phi: Form, dphi: Form, dstarphi: Form, tol: float 
     u = np.concatenate((dphi.coeffs, dstarphi.coeffs))
     v = extract.dot(u)
     off_type, residual, size = max_abs_each(membership.dot(v), rebuild.dot(v) - u, u)
-    _membership_gate(off_type)
+    _membership_gate(off_type, bound(1e-9, size))
     if not residual <= bound(tol, size):
         raise ValueError(
             f"(d phi, d *phi) is not generated by any torsion quadruple "
@@ -426,39 +429,66 @@ def ricci_terms(t: TorsionComponents) -> dict:
     }
 
 
-def ricci_rows(route: str, derivs, terms: dict, ks) -> np.ndarray:
-    """The route's generalized Ricci right-hand sides, one Lambda^3_27 row per k in ks.
+#: the terms of RICCI_TABLE that are a route's derivatives, in the order of
+#: the ``derivs`` of `ricci_rows`; the other eight are torsion terms that
+#: every route shares
+_DERIV_TERMS = ("d*(tau1^*phi)", "d tau2", "*d tau3")
+_SHARED_TERMS = tuple(name for name, *_ in RICCI_TABLE if name not in _DERIV_TERMS)
 
-    ``derivs`` are the route's derivatives of *(tau1 ^ *phi), tau2 and tau3
-    (3-, 3- and 4-form), ``terms`` the output of `ricci_terms`.  The terms are
-    stacked in table order and each row is their coefficient-weighted sum, a
-    reduction over the term axis that adds left to right, with only the
+
+def ricci_rows(derivs: dict, terms: dict, ks) -> np.ndarray:
+    """The generalized Ricci right-hand sides as a (route, k, 35) stack of
+    Lambda^3_27 rows, for each route of ``derivs`` and each k in ks.
+
+    ``derivs`` maps a route of RICCI_ROUTES to its derivatives of
+    *(tau1 ^ *phi), tau2 and tau3 (3-, 3- and 4-form), ``terms`` is the
+    output of `ricci_terms`.  The shared torsion-term rows and the routes'
+    derivative rows are joined into one buffer and gathered into a (route,
+    term, 35) stack in table order, *d tau3 by the reindexing of the star
+    (its sign rides on the weights).  Each row is the coefficient-weighted
+    sum over the terms, a reduction that adds left to right, with only the
     bracket term projected beforehand: a different order moves the rounding
     of the exterior route, whose residual `cohomo_one.ricW_vanishes` reports.
     """
-    d_t1_w, d_tau2, d_tau3 = derivs
-    exact = d_tau2.exact
-    forms = {**terms, "d*(tau1^*phi)": d_t1_w, "d tau2": d_tau2, "*d tau3": hodge(d_tau3)}
-    stack = np.array([forms[name].coeffs for name, *_ in RICCI_TABLE])  # (term, 35)
-    weights = _ricci_weights(route, tuple(map(tuple, ks)), exact)
-    total = (weights * stack).sum(axis=1)  # (k, 35), term by term
-    # one matrix-vector product per row, the same for one k as for several
+    routes = tuple(derivs)
+    exact = terms["tau1^tau2"].exact
+    index, weights = _ricci_stack(routes, tuple(map(tuple, ks)), exact)
+    buf = np.concatenate(
+        [terms[name].coeffs for name in _SHARED_TERMS] + [f.coeffs for route in routes for f in derivs[route]]
+    )
+    total = (weights * buf[index]).sum(axis=2)  # (route, k, 35), term by term
+    # one matrix-vector product per row, the same for one row as for several
     p27 = projector_matrix(3, 27, exact)
-    return np.array([p27.dot(row) for row in total])
+    return np.array([[p27.dot(row) for row in rows] for rows in total])
 
 
-@functools.lru_cache(maxsize=64)
-def _ricci_weights(route: str, ks: tuple, exact: bool) -> np.ndarray:
-    """Read-only (k, term, 1) weights of a route's rows in `ricci_rows`: the
-    RICCI_TABLE coefficients of each k in ks, over 6."""
-    weights = as_mode(np.dot(ks, _RICCI_COEFFS[RICCI_ROUTES.index(route)].T), exact) / 6
-    weights = weights[:, :, None]
-    weights.flags.writeable = False
-    return weights
+@functools.lru_cache(maxsize=16)
+def _ricci_stack(routes: tuple, ks: tuple, exact: bool) -> tuple:
+    """Read-only (route, 1, term, 35) gather index into the buffer of
+    `ricci_rows`, and (route, k, term, 35) weights: the RICCI_TABLE
+    coefficients of each k in ks over 6, times the sign of the star on the
+    *d tau3 row."""
+    n, star_src, star_sign = dim_of(3), *_hodge_gather(4)[:2]
+    index = np.empty((len(routes), 1, len(RICCI_TABLE), n), dtype=np.intp)
+    signs = np.ones((len(RICCI_TABLE), n), dtype=np.int64)
+    for term, (name, *_) in enumerate(RICCI_TABLE):
+        if name in _SHARED_TERMS:
+            index[:, 0, term] = _SHARED_TERMS.index(name) * n + np.arange(n)
+            continue
+        row = len(_SHARED_TERMS) + 3 * np.arange(len(routes)) + _DERIV_TERMS.index(name)
+        index[:, 0, term] = row[:, None] * n + (star_src if name == "*d tau3" else np.arange(n))
+        if name == "*d tau3":
+            signs[term] = star_sign
+    coeffs = _RICCI_COEFFS[[RICCI_ROUTES.index(route) for route in routes]]  # (route, term, 2)
+    weights = as_mode(np.array([np.dot(ks, c.T) for c in coeffs]), exact) / 6
+    weights = weights[..., None] * signs
+    for a in (index, weights):
+        a.flags.writeable = False
+    return index, weights
 
 
 def ricci_rhs_exterior(t: TorsionComponents, d_star_t1_wstar: Form, d_tau2: Form, d_tau3: Form, k):
     """The exterior row of `ricci_rows` for the one weighting k, building the
     torsion terms of t."""
-    derivs = (d_star_t1_wstar, d_tau2, d_tau3)
-    return Form(3, ricci_rows("exterior", derivs, ricci_terms(t), (k,))[0])
+    derivs = {"exterior": (d_star_t1_wstar, d_tau2, d_tau3)}
+    return Form(3, ricci_rows(derivs, ricci_terms(t), (k,))[0, 0])

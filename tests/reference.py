@@ -2,8 +2,9 @@
 the plain loops that built the index tables of `g2lab.exterior_algebra`
 before they were read off the wedge table, the degree-by-degree build
 of the invariant d-matrices that `g2lab.homogeneous` fuses into one scatter,
-and the eager build of the invariant geometry that `InvariantGeometry`
-makes lazy.
+the eager build of the invariant geometry that `InvariantGeometry`
+makes lazy, and the per-route Ricci rows and per-k closed-structure chain
+that `g2lab.torsion.ricci_rows` and `g2lab.homogeneous.analyze` stack.
 
 Each loop builds its rows from the multi-indices directly, with a
 permutation sign of its own, so comparing a derived table with its loop
@@ -17,7 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from g2lab._linalg import bound, is_exact, max_abs, scalar, zeros
+from g2lab._linalg import as_mode, bound, is_exact, max_abs, max_abs_each, scalar, zeros
+from g2lab.curvature import _iphi_matrix
 from g2lab.exterior_algebra import (
     BASIS,
     DIM,
@@ -27,15 +29,29 @@ from g2lab.exterior_algebra import (
     _derivation_table,
     covariant_wedge,
     dim_of,
+    form_inner,
+    frame_interior,
     hodge,
     phi_arrays,
     standard_phi,
     standard_phi_dual,
+    to_antisym,
     wedge,
 )
-from g2lab.g2_algebra import project, projector_matrix
-from g2lab.homogeneous import _PAIR_I, _PAIR_J, _d_on_one_forms, invariant_d, invariant_d_matrices, riemann
+from g2lab.g2_algebra import SPLIT_V14_CONSTANTS, lambda3, mixed_project_14, project, projector_matrix, wedge3
+from g2lab.homogeneous import (
+    _PAIR_I,
+    _PAIR_J,
+    K_VALUES,
+    _d_on_one_forms,
+    invariant_d,
+    invariant_d_matrices,
+    nabla_bar_tau,
+    riemann,
+)
 from g2lab.torsion import (
+    RICCI_ROUTES,
+    RICCI_TABLE,
     TorsionComponents,
     extract_torsion,
     intrinsic_from_torsion,
@@ -246,6 +262,199 @@ def eager_geometry(spec, phi=None) -> SimpleNamespace:
             "exterior": [invariant_d(mats, a) for a in sources],
             "canonical": [covariant_wedge(gamma_bar, a) for a in sources],
         },
+    )
+
+
+# --- the generalized Ricci formula, one route at a time ---------------------------
+
+
+def loop_ricci_rows(route: str, derivs, terms: dict, ks) -> np.ndarray:
+    """The route's generalized Ricci right-hand sides, one Lambda^3_27 row per
+    k in ks: the terms stacked in table order, each row their coefficient-
+    weighted sum over 6 added left to right, then projected row by row."""
+    d_t1_w, d_tau2, d_tau3 = derivs
+    exact = d_tau2.exact
+    forms = {**terms, "d*(tau1^*phi)": d_t1_w, "d tau2": d_tau2, "*d tau3": hodge(d_tau3)}
+    stack = np.array([forms[name].coeffs for name, *_ in RICCI_TABLE])  # (term, 35)
+    coeffs = np.array([row[1 + RICCI_ROUTES.index(route)] for row in RICCI_TABLE])  # (term, 2)
+    weights = as_mode(np.dot(ks, coeffs.T), exact) / 6
+    total = (weights[:, :, None] * stack).sum(axis=1)  # (k, 35), term by term
+    p27 = projector_matrix(3, 27, exact)
+    return np.array([p27.dot(row) for row in total])
+
+
+# --- the closed-structure chain, one weighting at a time ---------------------------
+
+
+def loop_split_v14(gamma, tol: float = 1e-9):
+    """`g2lab.g2_algebra.split_v14` one part at a time: project wedge3(gamma)
+    onto Lambda^3_d, pull it back by the adjoint of wedge3 and divide by
+    SPLIT_V14_CONSTANTS[d]."""
+    if not gamma.membership_residual <= tol:
+        raise ValueError("slices of gamma are not in Lambda^2_14")
+    w = wedge3(gamma)
+    parts = {}
+    for d, c in SPLIT_V14_CONSTANTS.items():
+        wd = project(w, (3, d))
+        parts[d] = (1 / scalar(c, gamma.exact)) * mixed_project_14(frame_interior(wd))
+    g64 = gamma - parts[27] - parts[7]
+    return g64, parts[27], parts[7]
+
+
+CLOSED_RICCI_CHECKS = tuple(
+    (f"closed: Ricci formula, k={k}", f"closed: Ricci norm identity, k={k}") for k in K_VALUES
+)
+#: flat positions of the entries (i, t, j), i < j, of a 7 x 7 x 7 array: rows
+#: the pairs, columns t
+TERM2_ENTRIES = (_PAIR_I[:, None] * DIM + np.arange(DIM)) * DIM + _PAIR_J[:, None]
+
+
+def loop_closed_structure_checks(report, geo, dec):
+    """The closed chain of `g2lab.homogeneous.analyze` one weighting k at a
+    time, with the split of nabla-bar tau one part at a time (`loop_split_v14`),
+    delta phi through the codifferential and tau^3 as (tau ^ tau) ^ tau."""
+    t = geo.torsion
+    dtau, dbar_tau = geo.ricci_derivs["exterior"][1], geo.ricci_derivs["canonical"][1]
+    star_tt = geo.ricci_terms["*(tau2^tau2)"]
+    tau = t.tau2
+    tau_n = tau.norm2()
+    phi = geo.phi
+    exact = geo.exact
+    one = scalar(1, exact)
+    p3, _ = phi_arrays(exact)
+
+    nb_tau = nabla_bar_tau(geo)
+    g64, g27, g7 = loop_split_v14(nb_tau)
+
+    # d^nabla-bar tau = d tau - *(tau^tau)/6 - |tau|^2 phi / 6
+    rhs = dtau - one / 6 * star_tt - one / 6 * tau_n * phi
+
+    # the inner-product chain around *d(tau^3); *d(tau^3) is 0 on every
+    # unimodular algebra, so each inner product is also judged against its
+    # Cauchy-Schwarz bound, which grows like |tau|^4
+    star_d_tau3 = hodge(geo.d(wedge(wedge(tau, tau), tau))).coeffs[0]
+    star_tt27 = project(star_tt, (3, 27))
+    lhs_a = star_d_tau3 / 3
+    lhs_b = form_inner(dtau, star_tt)
+    lhs_c = form_inner(dbar_tau, star_tt27)  # <dbar tau, *(tau^tau)_27>
+
+    def norm(form) -> float:
+        return float(form.norm2()) ** 0.5
+
+    scale_ab = max(abs(float(lhs_a)), norm(dtau) * norm(star_tt))
+    scale_bc = max(scale_ab, norm(dbar_tau) * norm(star_tt27))
+
+    # closed-case Ricci formula and norms
+    r = geo.curvature
+    s_g, ric0g, ric0p = dec.s, dec.ric0, dec.ric0_phi
+    dbar_tau_n = dbar_tau.norm2()
+    ric0ks, formula_residuals, norm_checks = [], [], []
+    for k in K_VALUES:
+        ric0k = k[0] * ric0g + k[1] * ric0p
+        k_dbar, k_tt = k[0] - 4 * k[1], k[0] + 5 * k[1]
+        rhs_c = -k_dbar * dbar_tau + one / 3 * k_tt * star_tt27
+        ric0ks.append(ric0k)
+        formula_residuals.append(lambda3(ric0k).coeffs - rhs_c.coeffs)
+        n_pred = (
+            one / 2 * k_dbar**2 * dbar_tau_n
+            + one / 21 * k_tt**2 * tau_n**2
+            - one / 3 * k_tt * k_dbar * lhs_c
+        )
+        n_true = (ric0k * ric0k).sum()
+        norm_checks.append((abs(float(n_pred - n_true)), abs(float(n_true))))
+
+    # contraction of the curvature against phi at the pairs i < j (rows) and t:
+    # R_ijab phi_abt = (dbar tau)_ijt - nabla-bar_t tau_ij
+    #                  + (tau_pq tau_pt phi_qij - tau_ip tau_jq phi_pqt)/6
+    b = _iphi_matrix(exact)  # b[t, ab] = phi_abt
+    lhs40 = 2 * r.mat.dot(b.T)  # the sum over a < b, doubled
+    tau_arr = to_antisym(tau).array
+    term1 = b.T.dot(tau_arr.T.dot(tau_arr))  # phi_qij (tau_pq tau_pt)
+    # term2_ijt = tau_ip phi_pqt tau_jq, as (i, t, j): the reshapes and products of np.tensordot
+    tp = tau_arr.dot(p3.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM).transpose(0, 2, 1)
+    term2 = tp.reshape(DIM * DIM, DIM).dot(tau_arr.T).reshape(-1).take(TERM2_ENTRIES)
+    rhs40 = (frame_interior(dbar_tau).T - nb_tau.array.T) + (term1 - term2) / 6
+
+    residuals = iter(
+        max_abs_each(
+            np.concatenate(([t.tau0], t.tau1.coeffs, t.tau3.coeffs)),
+            geo.delta(phi).coeffs - tau.coeffs,
+            geo.xi.cyclic_sum(),
+            g7.array,
+            dbar_tau.coeffs - rhs.coeffs,
+            np.concatenate((project(dbar_tau, (3, 1)).coeffs, project(dbar_tau, (3, 7)).coeffs)),
+            *(a for pair in zip(formula_residuals, ric0ks) for a in pair),
+            dbar_tau.coeffs,
+            lhs40 - rhs40,
+            lhs40,
+        )
+    )
+    report.add("closed: torsion reduces to tau2", next(residuals))
+    report.add("closed: delta phi = tau", next(residuals))
+    report.add("closed: cyclic identity for xi", next(residuals))
+    report.add("closed: nabla-bar tau has no 7-part", next(residuals))
+    report.add("closed: canonical-derivative identity for d tau", next(residuals), slack=10)
+    report.add("closed: d^nabla-bar tau lands in Lambda^3_27", next(residuals), slack=10)
+    report.add(
+        "closed: *d(tau^3)/3 = <d tau, *(tau^tau)>", abs(float(lhs_a - lhs_b)), scale_ab, slack=10
+    )
+    report.add(
+        "closed: <d tau, *(tau^tau)> = <dbar tau, *(tau^tau)_27>",
+        abs(float(lhs_b - lhs_c)),
+        scale_bc,
+        slack=10,
+    )
+    for (formula, norm_identity), (n_residual, n_scale) in zip(CLOSED_RICCI_CHECKS, norm_checks):
+        residual = next(residuals)
+        report.add(formula, residual, next(residuals), slack=10)
+        report.add(norm_identity, n_residual, n_scale, slack=10)
+
+    report.add(
+        "closed: scalar curvature = -|tau|^2 / 2", abs(float(s_g + tau_n / 2)), abs(float(s_g))
+    )
+
+    # extremally pinched Ricci predicate: d^nabla-bar tau = 0 iff
+    # ||Ric0||^2 = 4/21 s^2; report both sides
+    epr_lhs = float(dec.ric0_norm2)
+    epr_rhs = float(4 * s_g * s_g / 21)
+    is_epr = next(residuals) <= bound(1e-8, float(tau_n))
+    if is_epr:
+        report.add(
+            "closed: EPR norm identity (dbar tau = 0)", abs(epr_lhs - epr_rhs), epr_rhs, slack=10
+        )
+    report.summary["extremally_pinched"] = bool(is_epr)
+    report.summary["epr_identity"] = (epr_lhs, epr_rhs)
+
+    # closed case: the 64-block norm is tied to the canonical derivative
+    w64_n = dec.norm2s["W64"]
+    report.add(
+        "closed: ||W64||^2 = ||(nabla-bar tau)_64||^2 / 3",
+        abs(float(w64_n - g64.tensor_norm2() / 3)),
+        float(w64_n),
+        slack=10,
+    )
+    # parallel-torsion characterisation: nabla-bar tau = 0 iff EPR and W64 = 0
+    nb_norm = float(nb_tau.tensor_norm2())
+    report.summary["parallel_torsion"] = bool(nb_norm <= bound(1e-12, float(tau_n)))
+
+    residual = next(residuals)
+    report.add(
+        "closed: curvature contraction identity (componentwise)", residual, next(residuals), slack=10
+    )
+
+    # the squared identity with the *d(tau^3) term evaluated explicitly
+    lhs41 = 2 * (lhs40 * lhs40).sum()  # the (i, j) and (j, i) entries
+    rhs41 = (
+        3 * w64_n
+        + scalar(40, exact) / 7 * dec.ric0_norm2
+        - scalar(13, exact) / 147 * s_g * s_g
+        + scalar(34, exact) / 63 * star_d_tau3
+    )
+    report.add(
+        "closed: squared contraction identity",
+        abs(float(lhs41 - rhs41)),
+        abs(float(lhs41)),
+        slack=10,
     )
 
 

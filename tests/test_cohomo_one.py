@@ -795,3 +795,19 @@ def test_torsion_call_builds_each_stage_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--json", "warp", "--f", "exp", "--theta", "sin", "--t", "0.7"]) == 0
     assert calls == {**once, "t_closed": 1}
+
+
+def test_warped_outputs_match_the_frozen_snapshot():
+    # torsion norms, tau0, s and the Weyl-Ricci residual of 32 profiles at
+    # three t and of four holonomy triples, bit for bit (float.hex); see
+    # tests/warped_snapshot.py for how the snapshot was made
+    import json
+    from pathlib import Path
+
+    import warped_snapshot
+
+    frozen = json.loads((Path(__file__).parent / "data" / "warped_snapshot.json").read_text())
+    outputs = warped_snapshot.warped_outputs()
+    assert outputs.keys() == frozen.keys()
+    for name, values in frozen.items():
+        assert outputs[name] == values, name

@@ -20,8 +20,9 @@ from g2lab.exterior_algebra import (
     to_antisym,
     wedge,
 )
-from g2lab.g2_algebra import MixedV14, split_v14, sym2_from_27
+from g2lab.g2_algebra import MixedV14, lambda3, lambda3_rows, split_v14, sym2_from_27
 from g2lab.homogeneous import (
+    K_VALUES,
     InvariantGeometry,
     LieAlgebraSpec,
     Report,
@@ -43,6 +44,7 @@ from g2lab.homogeneous import (
 )
 from g2lab.torsion import (
     TorsionComponents,
+    ricci_rows,
     extract_torsion,
     fg_type,
     recompose,
@@ -591,12 +593,11 @@ def test_analyze_builds_each_stage_once(monkeypatch):
         "ricci": 1,
         "phi_ricci": 1,
         "bianchi_b": 2,  # the gate's residual and r_phi's kernel projection
-        "phi scatter": 1,
         "nabla-bar phi": 1,
         "tau2 scatter": 1,
         "nabla-bar tau2": 1,
         "membership_residual": 1,
-    }  # no recompose, no kn_product
+    }  # no recompose, no kn_product, and no phi scatter: the standard phi's is cached
 
 
 def test_warm_analyze_unfolds_only_tau(monkeypatch):
@@ -690,22 +691,100 @@ def test_lazy_geometry_matches_the_eager_reference(exact):
                 assert g.tobytes() == w.tobytes(), (spec.name, name)
 
 
+def _reference_ricci_checks(geo, dec) -> dict:
+    """The six Ricci-formula residuals of `analyze` through the per-route loop
+    of `reference.loop_ricci_rows` and one lambda3 product per k."""
+    residuals = {}
+    for route, derivs in geo.ricci_derivs.items():
+        rows = reference.loop_ricci_rows(route, derivs, geo.ricci_terms, K_VALUES)
+        for k, row in zip(K_VALUES, rows):
+            lhs = lambda3(k[0] * dec.ric0 + k[1] * dec.ric0_phi).coeffs
+            residuals[f"Ricci formula, {route} route, k={k}"] = max_abs(row - lhs)
+    return residuals
+
+
+def _closed_reference_inputs():
+    rng = np.random.default_rng(29)
+    specs = [builtin_examples()["bryant"]["spec"], closed_almost_abelian("closed", CLOSED_Z)]
+    specs += [closed_nilpotent(name) for name in sorted(CLOSED_NILPOTENT)]
+    specs += [closed_almost_abelian(f"closed {i}", seeded_closed_z(rng)) for i in range(3)]
+    return [LieAlgebraSpec(spec.name, spec.c * lam) for spec in specs for lam in (2.0**-3, 1.0, 2.0**3)]
+
+
+def test_stacked_passes_match_the_per_k_and_per_route_references():
+    # the closed chain and the Ricci-formula checks of `analyze` against the
+    # per-k chain and the per-route rows of tests/reference.py on the same
+    # stages: the same names, order, scales and verdicts, and each residual
+    # within 1e-6 of its tolerance of the reference's
+    worst = 0.0
+    for spec in _closed_reference_inputs():
+        rep = analyze(spec)
+        geo = geometry(spec)
+        dec = decompose(geo.curvature, tol=1e-8)
+        ref = Report(spec.name, rep.tol)
+        reference.loop_closed_structure_checks(ref, geo, dec)
+        ricci = _reference_ricci_checks(geo, dec)
+        got = {c.name: c for c in rep.checks}
+        for name, residual in ricci.items():
+            assert got[name].passed == (residual <= got[name].tol), (spec.name, name)
+            worst = max(worst, abs(got[name].residual - residual) / got[name].tol)
+        closed = [c for c in rep.checks if c.name.startswith("closed:")]
+        assert [c.name for c in closed] == [c.name for c in ref.checks], spec.name
+        for c, r in zip(closed, ref.checks):
+            assert c.passed == r.passed, (spec.name, c.name)
+            assert c.scale == pytest.approx(r.scale, rel=1e-12, abs=0), (spec.name, c.name)
+            worst = max(worst, abs(c.residual - r.residual) / c.tol)
+        for key in ("extremally_pinched", "parallel_torsion", "epr_identity"):
+            assert rep.summary[key] == ref.summary[key], (spec.name, key)
+    assert worst <= 1e-6, worst
+
+
+@pytest.mark.parametrize("name", ["bryant", "closed"])
+def test_stacked_passes_match_the_references_in_exact_mode(name):
+    # exact mode: the same Ricci rows and lambda3 rows as Fractions, and the
+    # closed chain records the same values as the per-k reference
+    if name == "bryant":
+        spec = builtin_examples(exact=True)["bryant"]["spec"]
+    else:
+        spec = closed_almost_abelian("closed", CLOSED_Z, exact=True)
+    rep = analyze(spec)
+    geo = geometry(spec)
+    dec = decompose(geo.curvature, tol=1e-8)
+    rows = ricci_rows(geo.ricci_derivs, geo.ricci_terms, K_VALUES)
+    for got, (route, derivs) in zip(rows, geo.ricci_derivs.items()):
+        want = reference.loop_ricci_rows(route, derivs, geo.ricci_terms, K_VALUES)
+        assert set(map(type, got.flat)) == {Fraction} and np.array_equal(got, want)
+    ric0k = np.array([k[0] * dec.ric0 + k[1] * dec.ric0_phi for k in K_VALUES])
+    want = np.array([lambda3(h).coeffs for h in ric0k])
+    got = lambda3_rows(ric0k)
+    assert set(map(type, got.flat)) == {Fraction} and np.array_equal(got, want)
+    for check_name, residual in _reference_ricci_checks(geo, dec).items():
+        assert [c.residual for c in rep.checks if c.name == check_name] == [residual]
+    ref = Report(spec.name, rep.tol)
+    reference.loop_closed_structure_checks(ref, geo, dec)
+    closed = [c.as_dict() for c in rep.checks if c.name.startswith("closed:")]
+    assert closed == [c.as_dict() for c in ref.checks]
+    assert {k: rep.summary[k] for k in ref.summary} == ref.summary
+
+
 @pytest.mark.parametrize(
     "name, bounds",
     [
-        ("aa", {"max_abs": 12, "bincount": 10, "Form": 38, "CurvatureTensor": 9}),
-        ("bryant", {"max_abs": 28, "bincount": 13, "Form": 68, "CurvatureTensor": 9}),
+        ("aa", {"max_abs": 4, "bincount": 10, "Form": 32, "CurvatureTensor": 9}),
+        ("bryant", {"max_abs": 5, "bincount": 12, "Form": 37, "CurvatureTensor": 9}),
     ],
     ids=["aa", "bryant"],
 )
 def test_warm_float_analyze_call_counts(monkeypatch, name, bounds):
     # d in degrees 2..6 is one scatter; d_2 d_1 is formed once for the
-    # Levi-Civita gate, the Jacobi check and d^2; the six Ricci-formula
-    # residuals are one reduction and the other check residuals another;
-    # every float scatter is a bincount; value objects are counted as they
-    # are built
+    # Levi-Civita gate, the Jacobi check and d^2; the six Ricci-formula rows
+    # are one `ricci_rows` call and their left sides one lambda3 product,
+    # which the closed chain reads too; the six residuals are one reduction
+    # and the other check residuals another; every float scatter is a
+    # bincount; value objects are counted as they are built
     import sys
 
+    import g2lab.g2_algebra as ga
     import g2lab.homogeneous as hm
     from g2lab.curvature import CurvatureTensor
 
@@ -716,6 +795,16 @@ def test_warm_float_analyze_call_counts(monkeypatch, name, bounds):
     hm.analyze(spec)  # builds every table once
     counts = {"add.at": 0, "bincount": 0, "jacobi product": 0, "max_abs": 0, "Form": 0, "CurvatureTensor": 0}
     d1, d_scatters = [], []
+    products = {"ricci_rows": 0, "lambda3_rows": 0, "lambda3": 0}
+
+    def counting_call(module, fname):
+        real = getattr(module, fname)
+
+        def wrapper(*args, **kwargs):
+            products[fname] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, fname, wrapper)
 
     class AddAt:
         def __call__(self, *args, **kwargs):
@@ -775,7 +864,11 @@ def test_warm_float_analyze_call_counts(monkeypatch, name, bounds):
                 monkeypatch.setattr(mod, "max_abs", counting_max_abs)
     counting_init(Form)
     counting_init(CurvatureTensor)
+    counting_call(hm, "ricci_rows")
+    counting_call(hm, "lambda3_rows")
+    counting_call(ga, "lambda3")
     assert hm.analyze(spec).passed
+    assert products == {"ricci_rows": 1, "lambda3_rows": 1, "lambda3": 0}
     assert d_scatters == [1] and counts["jacobi product"] == 1
     assert counts.pop("add.at") == 0 and counts.pop("jacobi product") == 1
     for what, n in counts.items():

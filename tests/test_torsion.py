@@ -43,7 +43,7 @@ from g2lab.torsion import (
     scalar_from_torsion,
     xi_from_xibar,
 )
-from reference import closed_identities, differential_from_xibar, random_torsion, xibar_from_xi
+from reference import closed_identities, differential_from_xibar, loop_ricci_rows, random_torsion, xibar_from_xi
 
 PHI = standard_phi()
 
@@ -538,7 +538,7 @@ def test_ricci_rhs_matches_the_hand_written_routes(route, k, exact):
     for seed in range(2 if exact else 6):
         t, derivs = ricci_inputs(seed, exact)
         ref = RICCI_REFERENCES[route](t, *derivs, k)
-        got = ricci_rows(route, derivs, ricci_terms(t), (k,))[0]
+        got = ricci_rows({route: derivs}, ricci_terms(t), (k,))[0, 0]
         if exact:
             assert set(map(type, got)) == {Fraction} and list(got) == list(ref.coeffs)
             continue
@@ -554,10 +554,10 @@ def test_stacked_ricci_rows_equal_ricci_rhs_per_k(route, exact):
     for seed in range(2 if exact else 6):
         t, derivs = ricci_inputs(seed, exact)
         terms = ricci_terms(t)
-        rows = ricci_rows(route, derivs, terms, ks)
+        rows = ricci_rows({route: derivs}, terms, ks)[0]
         assert rows.shape == (len(ks), 35)
         for row, k in zip(rows, ks):
-            want = ricci_rows(route, derivs, terms, (k,))[0]
+            want = ricci_rows({route: derivs}, terms, (k,))[0, 0]
             ref = RICCI_REFERENCES[route](t, *derivs, k).coeffs
             if exact:
                 assert set(map(type, row)) == {Fraction}
@@ -569,12 +569,31 @@ def test_stacked_ricci_rows_equal_ricci_rhs_per_k(route, exact):
             assert max_abs(row - ref) <= 1e-14 * max(1.0, max_abs(ref))
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_two_route_ricci_rows_equal_the_per_route_loop(exact):
+    # one call for both routes and every k gives, per route, the rows of the
+    # per-route loop: bit for bit in float, the same Fractions in exact mode
+    ks = K_VALUES + ((3, 7),)
+    for seed in range(2 if exact else 6):
+        t, derivs = ricci_inputs(seed, exact)
+        other = [3 * f for f in derivs]
+        terms = ricci_terms(t)
+        rows = ricci_rows(dict(zip(RICCI_ROUTES, (derivs, other))), terms, ks)
+        assert rows.shape == (2, len(ks), 35)
+        for got, route, d in zip(rows, RICCI_ROUTES, (derivs, other)):
+            want = loop_ricci_rows(route, d, terms, ks)
+            if exact:
+                assert set(map(type, got.flat)) == {Fraction} and np.array_equal(got, want)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("route", RICCI_ROUTES)
 def test_weyl_ricci_ignores_the_tau1_derivative(route):
     t, (d_a, d_tau2, d_tau3) = ricci_inputs(4)
     terms = ricci_terms(t)
     other = Form(3, 1e3 * np.random.default_rng(9).normal(size=35))
     for k, ignored in (((4, -5), True), ((1, 0), False)):
-        a = ricci_rows(route, (d_a, d_tau2, d_tau3), terms, (k,))[0]
-        b = ricci_rows(route, (other, d_tau2, d_tau3), terms, (k,))[0]
+        a = ricci_rows({route: (d_a, d_tau2, d_tau3)}, terms, (k,))[0, 0]
+        b = ricci_rows({route: (other, d_tau2, d_tau3)}, terms, (k,))[0, 0]
         assert np.array_equal(a, b) == ignored
