@@ -10,6 +10,7 @@ as the numerical references the tests compare those against.
 `bound` is the one judging rule of the package: every relative gate and
 every `Report` check passes when ``residual <= bound(tol, scale)``, and a
 gate raises on ``not residual <= bound(...)``, so a NaN residual fails.
+`bounds` is the same rule over an array of scales, for a family of checks.
 
 `scatter_add` is the one scatter of the index-table kernels, and `lazy` the
 one compute-once attribute of the staged objects (`InvariantGeometry`, the
@@ -121,7 +122,7 @@ def max_abs(*arrays) -> float:
     -0.0 gives 0.0.
     """
     if len(arrays) > 1 and all(type(a) is np.ndarray and a.dtype is _FLOAT for a in arrays):
-        arrays = (np.concatenate(arrays, axis=None),)
+        arrays = (_joined(arrays),)
     peak = 0.0
     for a in arrays:
         if type(a) is not np.ndarray:
@@ -147,7 +148,13 @@ def max_abs_each(*arrays) -> list:
             return [max_abs(a) for a in arrays]
         starts.append(n)
         n += a.size
-    return np.maximum.reduceat(np.abs(np.concatenate(arrays, axis=None)), starts).tolist()
+    return np.maximum.reduceat(np.abs(_joined(arrays)), starts).tolist()
+
+
+def _joined(arrays) -> np.ndarray:
+    """The entries of the arrays in one flat array (raveled one by one, which
+    is cheaper than ``np.concatenate(arrays, axis=None)``)."""
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 def bound(tol: float, scale: float = 0.0) -> float:
@@ -158,6 +165,12 @@ def bound(tol: float, scale: float = 0.0) -> float:
     residual passes.
     """
     return tol * max(scale, 1.0)
+
+
+def bounds(tol: float, scales: np.ndarray) -> np.ndarray:
+    """`bound` of each scale of an array in one vectorised pass: per entry
+    the same IEEE product tol * max(scale, 1.0), and NaN for a NaN scale."""
+    return tol * np.maximum(scales, 1.0)
 
 
 def inv_exact(m: np.ndarray) -> np.ndarray:

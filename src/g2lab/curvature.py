@@ -40,7 +40,7 @@ import functools
 
 import numpy as np
 
-from ._linalg import as_mode, bound, identity, lazy, max_abs, max_abs_each, scalar, scatter_add, zeros
+from ._linalg import as_mode, bound, identity, lazy, max_abs_each, scalar, scatter_add, zeros
 from .exterior_algebra import BASIS, DIM, float_column, index_columns
 from .g2_algebra import iphi_matrix, projector_matrix
 
@@ -116,10 +116,6 @@ def bianchi_b(r: CurvatureTensor) -> np.ndarray:
     return (r.mat + s1 * flat[p1]) + s2 * flat[p2]
 
 
-def bianchi_residual(r: CurvatureTensor) -> float:
-    return max_abs(bianchi_b(r))
-
-
 def project_to_kernel(r: CurvatureTensor) -> CurvatureTensor:
     """Orthogonal projection of S^2(Lambda^2) onto ker b.
 
@@ -146,20 +142,73 @@ def random_algebraic_curvature(seed: int = 0, exact: bool = False) -> CurvatureT
     return project_to_kernel(CurvatureTensor(m))
 
 
+# --- linear tables ---------------------------------------------------------------
+
+
+def _linear_table(m: np.ndarray) -> tuple:
+    """The scatter that applies an integer matrix: read-only columns (output
+    position, input position, coefficient) of its nonzero entries in (output,
+    input) order, and the coefficient as floats."""
+    dst, src = np.nonzero(m)
+    dst, src, coef = index_columns(np.stack([dst, src, m[dst, src]], axis=1), 3)
+    return dst, src, coef, float_column(coef), len(m)
+
+
+def _apply_linear(table: tuple, x: np.ndarray) -> np.ndarray:
+    """An integer matrix of `_linear_table` on the entries of x, in one
+    gather and one scatter; each output adds its terms in input order."""
+    dst, src, coef, float_coef, n = table
+    values = x.reshape(-1)[src]
+    values = (coef if values.dtype == object else float_coef) * values
+    return scatter_add(dst, values, n)
+
+
 # --- contractions ----------------------------------------------------------------
 
 
-def ricci(r: CurvatureTensor) -> np.ndarray:
-    """c^g(r)(u, v) = r(u, e_i, e_i, v).
+@functools.cache
+def _pair_table() -> tuple:
+    """The `_linear_table` of the linear maps of the pair matrix r that
+    `decompose` reads, their outputs back to back: (c^g(r), c^phi(r)) as 98
+    entries, their two traces, b(r) at the pair entries (`bianchi_b`) and
+    r - r^T, 441 entries each.
 
     c^g is the adjoint of r_g over the pair matrix, <h, c^g(M)> =
-    <r_g(h), M> for every 21 x 21 M, so it gathers through the table of
-    `kn_product`.
+    <r_g(h), M> for every 21 x 21 M, so its rows are the table of
+    `kn_product` read backwards; c^phi(r) = 4 b r b^T with b the rows
+    e_u -| phi of `iphi_matrix`, whose rows hold three entries each, so every
+    entry of c^phi reads nine entries of r.
     """
-    pos_out, pos_in, sign, float_sign = _kn_table()
-    values = r.mat.reshape(-1)[pos_out]
-    values = (sign if values.dtype == object else float_sign) * values
-    return scatter_add(pos_in, values, DIM * DIM).reshape(DIM, DIM)
+    n = NPAIRS * NPAIRS
+    pos_out, pos_in, sign, _ = _kn_table()
+    contractions = np.zeros((2, DIM * DIM, n), dtype=np.int64)
+    np.add.at(contractions[0], (pos_in, pos_out), sign)
+    b = iphi_matrix()
+    contractions[1] = 4 * np.multiply.outer(b, b).transpose(0, 2, 1, 3).reshape(DIM * DIM, n)
+    traces = contractions[:, :: DIM + 1].sum(axis=1)
+    rows = np.arange(n)
+    p1, s1, p2, s2 = (c.reshape(-1) for c in _bianchi_table()[:4])
+    bianchi = np.eye(n, dtype=np.int64)  # b(R) = R + R_kijl + R_jkil at (ij), (kl)
+    np.add.at(bianchi, (rows, p1), s1)
+    np.add.at(bianchi, (rows, p2), s2)
+    transpose = rows.reshape(NPAIRS, NPAIRS).T.reshape(-1)
+    asymmetry = np.eye(n, dtype=np.int64) - np.eye(n, dtype=np.int64)[transpose]
+    return _linear_table(np.concatenate((contractions.reshape(2 * DIM * DIM, n), traces, bianchi, asymmetry)))
+
+
+def _pair_maps(r: CurvatureTensor) -> np.ndarray:
+    """The outputs of `_pair_table` on r, in one scatter of its pair matrix."""
+    return _apply_linear(_pair_table(), r.mat)
+
+
+def _contractions(r: CurvatureTensor) -> np.ndarray:
+    """(c^g(r), c^phi(r)) as one (2, 7, 7) array (`_pair_table`)."""
+    return _pair_maps(r)[: 2 * DIM * DIM].reshape(2, DIM, DIM)
+
+
+def ricci(r: CurvatureTensor) -> np.ndarray:
+    """c^g(r)(u, v) = r(u, e_i, e_i, v) (`_pair_table`)."""
+    return _contractions(r)[0]
 
 
 def scalar_curvature(r: CurvatureTensor):
@@ -175,9 +224,9 @@ def _iphi_matrix(exact: bool) -> np.ndarray:
 
 
 def phi_ricci(r: CurvatureTensor) -> np.ndarray:
-    """c^phi(r)(u, v) = 4 r(u -| phi, v -| phi); trace is -2 s_g."""
-    b = _iphi_matrix(r.exact)
-    return 4 * b.dot(r.mat).dot(b.T)
+    """c^phi(r)(u, v) = 4 r(u -| phi, v -| phi) (`_pair_table`);
+    trace is -2 s_g."""
+    return _contractions(r)[1]
 
 
 def traceless_part(h: np.ndarray) -> np.ndarray:
@@ -251,6 +300,22 @@ def phi_product(h: np.ndarray) -> CurvatureTensor:
     return project_to_kernel(CurvatureTensor(b.T.dot(h.T).dot(b)))
 
 
+@functools.cache
+def _w27_table() -> tuple:
+    """The `_linear_table` of h to 112 W27(h) = 3 r_g(h) - 15 r_phi(h), with
+    r_phi(h) = T - b(T)/3 and T = b^T h^T b as in `phi_product`, composed
+    on the 49 basis tensors in integer arithmetic: 441 rows, 49 columns."""
+    pos_out, pos_in, sign, _ = _kn_table()
+    kn = np.zeros((NPAIRS * NPAIRS, DIM * DIM), dtype=np.int64)
+    np.add.at(kn, (pos_out, pos_in), sign)
+    b = iphi_matrix()
+    # T(e_a (x) e_b) = b[b]^T b[a]: entry (p, q) is b[b, p] b[a, q]
+    t = np.multiply.outer(b, b).transpose(1, 3, 2, 0).reshape(NPAIRS * NPAIRS, DIM * DIM)
+    p1, s1, p2, s2 = (c.reshape(-1, 1) for c in _bianchi_table()[:4])
+    bt = t + s1 * t[p1[:, 0]] + s2 * t[p2[:, 0]]
+    return _linear_table(3 * kn - 15 * t + 5 * bt)
+
+
 def generalized_ricci(r: CurvatureTensor, k) -> np.ndarray:
     """Ric0^k = k1 Ric0^g + k2 Ric0^phi (traceless)."""
     k1, k2 = k
@@ -270,13 +335,8 @@ class CurvatureDecomposition:
     they were built from and the input's first Bianchi residual."""
 
     __slots__ = (
-        "w77",
-        "w64",
-        "w27",
-        "ricci_block",  # R_0 = r_g(ric0) / 5
-        "scalar_block",  # S = s/84 r_g(g)
-        "ric0",  # traceless Ricci
-        "ric0_phi",  # traceless phi-Ricci
+        "blocks",  # the five blocks as one (5, 21, 21) array, in the order of NAMES
+        "ric0_stack",  # (Ric0^g, Ric0^phi) as one (2, 7, 7) array
         "ricw",  # Ric^W = (4 ric0 - 5 ric0_phi) / 20
         "s",  # scalar curvature
         "bianchi",  # max |b(R)| of the input, measured by the gate of `decompose`
@@ -286,15 +346,18 @@ class CurvatureDecomposition:
     #: the block names of `norm2s`, in the order of `blocks`
     NAMES = ("W77", "W64", "W27", "R0", "S")
 
-    def __init__(self, w77, w64, w27, ricci_block, scalar_block, ric0, ric0_phi, ricw, s, bianchi):
-        self.w77, self.w64, self.w27 = w77, w64, w27
-        self.ricci_block, self.scalar_block = ricci_block, scalar_block
-        self.ric0, self.ric0_phi, self.ricw, self.s, self.bianchi = ric0, ric0_phi, ricw, s, bianchi
+    def __init__(self, blocks, ric0_stack, ricw, s, bianchi):
+        self.blocks, self.ric0_stack, self.ricw, self.s, self.bianchi = blocks, ric0_stack, ricw, s, bianchi
 
-    @lazy
-    def blocks(self) -> np.ndarray:
-        """The five blocks as one (5, 21, 21) array, in the order of NAMES."""
-        return np.array([b.mat for b in (self.w77, self.w64, self.w27, self.ricci_block, self.scalar_block)])
+    # the blocks, R_0 = r_g(ric0) / 5 and S = s/84 r_g(g), and the traceless
+    # Ricci and phi-Ricci tensors, as views
+    w77 = property(lambda self: CurvatureTensor(self.blocks[0]))
+    w64 = property(lambda self: CurvatureTensor(self.blocks[1]))
+    w27 = property(lambda self: CurvatureTensor(self.blocks[2]))
+    ricci_block = property(lambda self: CurvatureTensor(self.blocks[3]))
+    scalar_block = property(lambda self: CurvatureTensor(self.blocks[4]))
+    ric0 = property(lambda self: self.ric0_stack[0])
+    ric0_phi = property(lambda self: self.ric0_stack[1])
 
     def reassemble(self) -> CurvatureTensor:
         """The sum of the blocks, added in the order of NAMES."""
@@ -314,13 +377,32 @@ class CurvatureDecomposition:
         return {name: float(n) for name, n in self.norm2s.items()}
 
 
+@functools.cache
+def _decompose_tables(exact: bool) -> tuple:
+    """Read-only tables of `decompose` in one scalar mode: the weights that
+    take (Ric0^g, Ric0^phi) to Ric^W = (4 Ric0^g - 5 Ric0^phi) / 20; (Q14
+    over Q7) as one (42, 21) matrix; and Q7 and Q14."""
+    one = scalar(1, exact)
+    weights = np.array([4 * one / 20, -5 * one / 20])
+    q7, q14 = projector_matrix(2, 7, exact), projector_matrix(2, 14, exact)
+    q = np.concatenate((q14, q7))
+    for a in (weights, q):
+        a.flags.writeable = False
+    return weights, q, q7, q14
+
+
 def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     """Split an algebraic curvature tensor into its five orthogonal blocks.
 
     Rejects input whose first Bianchi residual exceeds tol (relative to the
-    largest entry) rather than silently projecting.
+    largest entry) rather than silently projecting.  The blocks are written
+    into one (5, 21, 21) array.
     """
-    size, res, asymmetry = max_abs_each(r.mat, bianchi_b(r), r.mat - r.mat.T)
+    # the gate's b(R) and R - R^T and the two contractions with their traces
+    # are one scatter of the pair matrix
+    maps = _pair_maps(r)
+    m, n = 2 * DIM * DIM, NPAIRS * NPAIRS
+    size, res, asymmetry = max_abs_each(r.mat, maps[m + 2 : m + 2 + n], maps[m + 2 + n :])
     limit = bound(tol, size)
     if not res <= limit:
         raise ValueError(
@@ -330,36 +412,31 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
         raise ValueError("input pair matrix is not symmetric")
     exact = r.exact
     one = scalar(1, exact)
+    weights, q, q7, q14 = _decompose_tables(exact)
 
-    ric = ricci(r)  # the one Ricci contraction: s, Ric0 and Ric^W share it
-    s = ric.trace()
-    ric0 = traceless_part(ric)
-    ric0_phi = traceless_part(phi_ricci(r))
-    ricw = (4 * ric0 - 5 * ric0_phi) / 20
+    # the Ricci and phi-Ricci contractions as one stack: s, Ric0 and Ric^W
+    # share the one Ricci contraction, and Ric^W is one product of the
+    # traceless stack
+    contractions, traces = maps[:m].reshape(2, DIM, DIM), maps[m : m + 2]
+    s = traces[0]
+    ric0_stack = contractions - identity(DIM, exact) * (traces / DIM)[:, None, None]
+    ricw = weights.dot(ric0_stack.reshape(2, -1)).reshape(DIM, DIM)
 
-    # the blocks as pair matrices; each scalar multiplies from the right, as
-    # CurvatureTensor.__mul__ does
-    s_block = _kn_metric(exact).mat * (s * one / 84)
-    kn_ric0, kn_ricw = _kn_stack(np.array([ric0, ricw]))
-    r_block = kn_ric0 * (one / 5)
-    w27 = (kn_ricw - phi_product(ricw).mat * 5) * (3 * one / 112)
+    # the blocks as pair matrices, in the order of NAMES; each scalar
+    # multiplies from the right, as CurvatureTensor.__mul__ does, and W27
+    # is one scatter of Ric^W
+    blocks = np.empty((5, NPAIRS, NPAIRS), dtype=r.mat.dtype)  # W77, W64, W27, R0, S
+    np.multiply(_kn_metric(exact).mat, s * one / 84, out=blocks[4])
+    np.multiply(_kn_stack(ric0_stack[:1])[0], one / 5, out=blocks[3])
+    np.multiply(_apply_linear(_w27_table(), ricw).reshape(NPAIRS, NPAIRS), one / 112, out=blocks[2])
 
-    # P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 on the Weyl rest
-    weyl_rest = r.mat - s_block - r_block - w27
-    q7, q14 = projector_matrix(2, 7, exact), projector_matrix(2, 14, exact)
-    q14_rest = q14.dot(weyl_rest)
-    return CurvatureDecomposition(
-        w77=CurvatureTensor(q14_rest.dot(q14)),
-        w64=CurvatureTensor(q7.dot(weyl_rest).dot(q14) + q14_rest.dot(q7)),
-        w27=CurvatureTensor(w27),
-        ricci_block=CurvatureTensor(r_block),
-        scalar_block=CurvatureTensor(s_block),
-        ric0=ric0,
-        ric0_phi=ric0_phi,
-        ricw=ricw,
-        s=s,
-        bianchi=res,
-    )
+    # P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 on the Weyl rest, in
+    # three products with the stacked (Q14; Q7)
+    weyl_rest = r.mat - blocks[4] - blocks[3] - blocks[2]
+    q_rest = q.dot(weyl_rest)  # Q14 rest over Q7 rest
+    np.dot(q_rest, q14, out=blocks[:2].reshape(2 * NPAIRS, NPAIRS))  # W77 over Q7 rest Q14
+    np.add(blocks[1], q_rest[:NPAIRS].dot(q7), out=blocks[1])
+    return CurvatureDecomposition(blocks, ric0_stack, ricw, s, res)
 
 
 def norm_split_residual(r: CurvatureTensor, dec: CurvatureDecomposition) -> float:

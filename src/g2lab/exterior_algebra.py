@@ -272,21 +272,35 @@ def wedge(a: Form, b: Form) -> Form:
 
 
 @functools.cache
-def _frame_wedge_table(k: int):
-    """Read-only columns (flat position in a (7, dim_k) stack, output
-    position, sign) of the wedge table of (1, k), in its row order, and the
-    sign as floats."""
-    t = _wedge_table(1, k)
-    src, po, sign = index_columns(np.stack([t.pa * dim_of(k) + t.pb, t.po, t.coef], axis=1), 3)
-    return src, po, sign, float_column(sign)
+def _alternation_table(degrees: tuple):
+    """Read-only columns (flat position in a (7, n) stack of blocks of the
+    given degrees side by side, output position in the results back to back,
+    sign) of the wedge tables of (1, k), each in its row order, and the sign
+    as floats."""
+    width = sum(dim_of(k) for k in degrees)
+    cols, col, out = [], 0, 0
+    for k in degrees:
+        t = _wedge_table(1, k)
+        cols.append(np.stack([t.pa * width + col + t.pb, out + t.po, t.coef], axis=1))
+        col, out = col + dim_of(k), out + dim_of(k + 1)
+    src, po, sign = index_columns(np.concatenate(cols), 3)
+    return src, po, sign, float_column(sign), out
+
+
+def alternate(stack: np.ndarray, degrees: tuple) -> np.ndarray:
+    """sum_i e^i ^ block[i] for each (7, dim_k) block of a (7, n) stack whose
+    blocks have the given degrees, side by side: the coefficients of the
+    (k + 1)-forms back to back, in one scatter.  Each output adds the rows
+    of its own block in table order, as a scatter of that block alone does."""
+    src, po, sign, float_sign, n = _alternation_table(degrees)
+    values = stack.reshape(-1)[src]
+    values = (sign if values.dtype == object else float_sign) * values
+    return scatter_add(po, values, n)
 
 
 def frame_wedge(stack: np.ndarray, degree: int) -> Form:
     """sum_i e^i ^ stack[i] for a (7, dim_k) stack of k-form coefficients."""
-    src, po, sign, float_sign = _frame_wedge_table(degree)
-    values = stack.reshape(-1)[src]
-    values = (sign if values.dtype == object else float_sign) * values
-    return Form(degree + 1, scatter_add(po, values, dim_of(degree + 1)))
+    return Form(degree + 1, alternate(stack, (degree,)))
 
 
 @functools.cache
@@ -312,32 +326,38 @@ def _derivation_table(k: int, r: int):
 
 
 @functools.cache
-def _connection_scatter(k: int):
-    """Read-only columns (flat position in the (49, dim_k) matrix M of
-    `connection_matrix`, input position, sign) of the r = 1 derivation table,
-    the sign negated: grad_i e^p = -sum_j Gamma[i, j, p] e^j; and that sign
-    as floats."""
-    out, pos, target, head, sign = _derivation_table(k, 1)
-    flat = (target * DIM + head) * dim_of(k) + out
-    flat, pos, sign = index_columns(np.stack([flat, pos, -sign], axis=1), 3)
-    return flat, pos, sign, float_column(sign)
+def _connection_scatter(degrees: tuple):
+    """Read-only columns (flat position in the (49, n) matrix M of
+    `connection_matrix`, position in the coefficients back to back, sign) of
+    the r = 1 derivation table of each degree, the sign negated:
+    grad_i e^p = -sum_j Gamma[i, j, p] e^j; and that sign as floats."""
+    width = sum(dim_of(k) for k in degrees)
+    cols, start = [], 0
+    for k in degrees:
+        out, pos, target, head, sign = _derivation_table(k, 1)
+        cols.append(np.stack([(target * DIM + head) * width + start + out, start + pos, -sign], axis=1))
+        start += dim_of(k)
+    flat, pos, sign = index_columns(np.concatenate(cols), 3)
+    return flat, pos, sign, float_column(sign), width
 
 
-def connection_matrix(a: Form) -> np.ndarray:
-    """The (49, dim_k) matrix M of a form a with constant coefficients,
-    M[j*7 + p, J] = d(grad a)_J / d Gamma[., j, p]: the one scatter of a that
-    every connection's action on it reads (`connection_action`)."""
-    flat, pos, sign, float_sign = _connection_scatter(a.degree)
-    values = a.coeffs[pos]
+def connection_matrix(*forms: Form) -> np.ndarray:
+    """The (49, n) matrix M of forms with constant coefficients, their
+    columns side by side, M[j*7 + p, J] = d(grad a)_J / d Gamma[., j, p]:
+    the one scatter of the forms that every connection's action on them
+    reads (`connection_action`)."""
+    flat, pos, sign, float_sign, width = _connection_scatter(tuple(a.degree for a in forms))
+    values = np.concatenate([a.coeffs for a in forms])[pos]
     exact = values.dtype == object
-    m = zeros(DIM * DIM * dim_of(a.degree), exact)
+    m = zeros(DIM * DIM * width, exact)
     m[flat] = (sign if exact else float_sign) * values  # each entry is written once
-    return m.reshape(DIM * DIM, -1)
+    return m.reshape(DIM * DIM, width)
 
 
 def connection_action(gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(7, dim_k) coefficients of grad_(e_i) a, i = 1..7, for the matrix
-    m = `connection_matrix`(a): one product of Gamma, read as 7 x 49, with m.
+    """(7, n) coefficients of grad_(e_i) a, i = 1..7, for each form a of the
+    matrix m = `connection_matrix`(...), side by side as in m: one product
+    of Gamma, read as 7 x 49, with m.
 
     Gamma[i, j, p] = g(grad_(e_i) e_j, e_p) gives grad_i e^p =
     -sum_j Gamma[i, j, p] e^j, extended to k-forms by the r = 1 derivation

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import as_mode, eye, lazy, max_abs, scalar, zeros
+from ._linalg import as_mode, bound, eye, lazy, max_abs, max_abs_each, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
@@ -272,7 +272,7 @@ class MixedV14:
     squares (2-form slots).
     """
 
-    __slots__ = ("array", "__dict__")  # the dict holds the lazy residual
+    __slots__ = ("array", "__dict__")  # the dict holds the lazy membership
 
     def __init__(self, array: np.ndarray):
         self.array = array
@@ -285,10 +285,17 @@ class MixedV14:
         return 2 * (self.array * self.array).sum()
 
     @lazy
-    def membership_residual(self) -> float:
-        """Distance of the slots from Lambda^2_14, measured once per tensor."""
+    def membership(self) -> tuple:
+        """(distance of the slots from Lambda^2_14, largest entry), measured
+        once per tensor in one reduction: the residual and the size that the
+        Lambda^2_14 gates judge it against."""
         q14 = projector_matrix(2, 14, self.exact)
-        return max_abs(self.array.dot(q14.T) - self.array)
+        return tuple(max_abs_each(self.array.dot(q14.T) - self.array, self.array))
+
+    @property
+    def membership_residual(self) -> float:
+        """Distance of the slots from Lambda^2_14."""
+        return self.membership[0]
 
     def __add__(self, other):
         return MixedV14(self.array + other.array)
@@ -352,11 +359,20 @@ def split_v14(gamma: MixedV14, tol: float = 1e-9):
     SPLIT_V14_CONSTANTS, in one stacked pass (one product projects onto both
     pieces, one pulls both back).  The 64 part is the remainder (the kernel
     of wedge3).  The pieces are mutually orthogonal and sum to gamma.
+    Slices farther than tol from Lambda^2_14, relative to the largest entry,
+    are rejected.
     """
-    if not gamma.membership_residual <= tol:
+    return _split_v14(gamma, wedge3(gamma), tol)
+
+
+def _split_v14(gamma: MixedV14, w: Form, tol: float = 1e-9):
+    """`split_v14` of gamma with w = wedge3(gamma) given, for a caller that
+    has built it."""
+    residual, size = gamma.membership
+    if not residual <= bound(tol, size):
         raise ValueError("slices of gamma are not in Lambda^2_14")
     projectors, adjoint, inverse = _split_v14_tables(gamma.exact)
-    pieces = projectors.dot(wedge3(gamma).coeffs).reshape(len(inverse), -1)
+    pieces = projectors.dot(w.coeffs).reshape(len(inverse), -1)
     g27, g7 = pieces.dot(adjoint).reshape(len(inverse), DIM, -1) * inverse
     return MixedV14(gamma.array - g27 - g7), MixedV14(g27), MixedV14(g7)
 

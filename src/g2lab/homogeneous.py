@@ -60,33 +60,32 @@ import math
 
 import numpy as np
 
-from ._linalg import bound, lazy, max_abs, max_abs_each, scalar, scatter_add, zeros
+from ._linalg import bound, bounds, lazy, max_abs, max_abs_each, scalar, scatter_add, zeros
 from .exterior_algebra import (
     BASIS,
     DIM,
     Form,
     _connection_stack,
     _derivation_table,
-    antisym_coefficients,
+    _phi_templates,
+    alternate,
     connection_action,
     connection_matrix,
-    contract,
     covariant_wedge,
     dim_of,
     frame_interior,
-    frame_wedge,
     hodge,
     index_columns,
     phi_arrays,
-    standard_phi,
     to_antisym,
     wedge,
 )
-from .g2_algebra import MixedV14, lambda3_rows, project, projector_matrix, split_v14
+from .g2_algebra import MixedV14, _split_v14, lambda3_rows, projector_matrix
 from .curvature import CurvatureTensor, _iphi_matrix, decompose
 from .torsion import (
     RICCI_ROUTES,
     IntrinsicTorsion,
+    dtau2_conversion,
     fg_type_of_norms,
     intrinsic_from_torsion,
     ricci_rows,
@@ -260,6 +259,11 @@ def connection_form_action(gamma: np.ndarray, a: Form) -> list:
 
 # --- the full invariant pipeline -----------------------------------------------------
 
+#: the degrees of the forms of the canonical-connection pass, phi,
+#: *(tau1 ^ *phi), tau2 and tau3, and the columns each takes in its stack
+_PASS_DEGREES = (3, 2, 2, 3)
+_PASS_COLUMNS = tuple(np.cumsum([0] + [dim_of(k) for k in _PASS_DEGREES]).tolist())
+
 
 class InvariantGeometry:
     """The invariant geometry of (spec, phi), each stage built on first use
@@ -269,10 +273,9 @@ class InvariantGeometry:
 
     def __init__(self, spec: LieAlgebraSpec, phi: Form = None):
         self.spec = spec
-        if phi is None:  # the scatter of the standard phi is built once per scalar mode
-            self.phi, self.phi_matrix = standard_phi(spec.exact), _standard_phi_matrix(spec.exact)
-        else:
-            self.phi = phi
+        # the standard phi holds the read-only template, which the
+        # extraction gate knows to be standard
+        self.phi = Form(3, _phi_templates(spec.exact)[0]) if phi is None else phi
 
     @property
     def exact(self) -> bool:
@@ -334,39 +337,52 @@ class InvariantGeometry:
         return self.gamma - self.xi.xi
 
     @lazy
-    def phi_matrix(self) -> np.ndarray:
-        """The scatter of phi that the actions of gamma and gamma-bar on it read."""
-        return connection_matrix(self.phi)
-
-    @lazy
-    def nabla_bar_phi(self) -> float:
-        """max |nabla-bar phi|; a residual signals a convention error upstream
-        rather than a property of the input."""
-        residual, size = max_abs_each(connection_action(self.gamma_bar, self.phi_matrix), self.gamma)
-        if not residual <= bound(1e-9, size):
-            raise ValueError(f"canonical connection does not annihilate phi (residual {residual:.3g})")
-        return residual
-
-    @lazy
     def ricci_terms(self) -> dict:
         """The k-independent torsion terms of the generalized Ricci formula."""
         return ricci_terms(self.torsion)
 
     @lazy
+    def connection_pass(self) -> tuple:
+        """The canonical-connection pass over phi, *(tau1 ^ *phi), tau2 and
+        tau3: their (7, 112) stack nabla-bar_i a, side by side, and the
+        (4, 35) rows of the alternations alt(grad phi) and d^nabla-bar a of
+        the other three.  One scatter of the four forms, one product of
+        gamma-bar with it and one of gamma with phi's block, and one
+        alternation scatter over the outputs."""
+        t = self.torsion
+        m = connection_matrix(self.phi, self.ricci_terms["*(tau1^*phi)"], t.tau2, t.tau3)
+        bar = connection_action(self.gamma_bar, m)
+        n = _PASS_COLUMNS[1]
+        grad_phi = connection_action(self.gamma, m[:, :n])
+        alts = alternate(np.concatenate((grad_phi, bar[:, n:]), axis=1), _PASS_DEGREES)
+        return bar, alts.reshape(len(_PASS_DEGREES), -1)  # each output has 35 coefficients
+
+    @lazy
+    def nabla_bar_phi(self) -> float:
+        """max |nabla-bar phi|; a residual signals a convention error upstream
+        rather than a property of the input."""
+        residual, size = max_abs_each(self.connection_pass[0][:, : _PASS_COLUMNS[1]], self.gamma)
+        if not residual <= bound(1e-9, size):
+            raise ValueError(f"canonical connection does not annihilate phi (residual {residual:.3g})")
+        return residual
+
+    @property
     def nabla_bar_tau2(self) -> np.ndarray:
-        """(7, 21) coefficients of nabla-bar_i tau2, ungated: d^nabla-bar tau2
-        alternates it and `nabla_bar_tau` gates it."""
-        return _connection_stack(self.gamma_bar, self.torsion.tau2)
+        """(7, 21) coefficients of nabla-bar_i tau2, ungated: a view of the
+        connection pass, whose d^nabla-bar tau2 alternates it and which
+        `nabla_bar_tau` gates."""
+        return self.connection_pass[0][:, _PASS_COLUMNS[2] : _PASS_COLUMNS[3]]
 
     @lazy
     def ricci_derivs(self) -> dict:
         """Per route, the derivatives of *(tau1 ^ *phi), tau2 and tau3 that the
-        generalized Ricci formula takes: d, and d^nabla-bar."""
+        generalized Ricci formula takes: d, and d^nabla-bar (views of the
+        connection pass)."""
         t1_w, tau2, tau3 = self.ricci_terms["*(tau1^*phi)"], self.torsion.tau2, self.torsion.tau3
-        dbar_tau2 = frame_wedge(self.nabla_bar_tau2, 2)
+        alts = self.connection_pass[1]
         return {
             "exterior": [self.d(t1_w), self.d(tau2), self.d(tau3)],
-            "canonical": [self.d_nabla_bar(t1_w), dbar_tau2, self.d_nabla_bar(tau3)],
+            "canonical": [Form(3, alts[1]), Form(3, alts[2]), Form(4, alts[3])],
         }
 
     def d(self, a: Form) -> Form:
@@ -378,14 +394,6 @@ class InvariantGeometry:
     def d_nabla_bar(self, a: Form) -> Form:
         """d^nabla-bar a = sum_i e^i ^ nabla-bar_i a."""
         return covariant_wedge(self.gamma_bar, a)
-
-
-@functools.cache
-def _standard_phi_matrix(exact: bool) -> np.ndarray:
-    """The read-only `connection_matrix` of the standard phi."""
-    m = connection_matrix(standard_phi(exact))
-    m.flags.writeable = False
-    return m
 
 
 def canonical_connection(spec: LieAlgebraSpec, phi: Form = None):
@@ -404,9 +412,11 @@ def geometry(spec: LieAlgebraSpec, phi: Form = None) -> InvariantGeometry:
 
 
 def nabla_bar_tau(geo: InvariantGeometry) -> MixedV14:
-    """nabla-bar of the Lambda^2_14 torsion form as a mixed tensor."""
+    """nabla-bar of the Lambda^2_14 torsion form as a mixed tensor, gated on
+    its Lambda^2_14 membership relative to its size."""
     mixed = MixedV14(geo.nabla_bar_tau2)
-    if not mixed.membership_residual <= 1e-8:
+    residual, size = mixed.membership
+    if not residual <= bound(1e-8, size):
         raise ValueError("nabla-bar tau left Lambda^2_14; connection is not G2")
     return mixed
 
@@ -450,6 +460,14 @@ class Report:
     def add(self, name: str, residual, scale: float = 0.0, slack: int = 1):
         self.checks.append(Check(name, float(residual), bound(self.tol, scale) * slack, scale))
 
+    def extend(self, names, residuals, scales, slack=1):
+        """`add` for a family of checks, with one slack or an array of one
+        per check: one vectorised `bounds` gives every tolerance, the same
+        IEEE product ``bound(tol, scale) * slack`` as `add` makes for each."""
+        scales = np.array(scales, dtype=float)
+        tols = bounds(self.tol, scales) * slack
+        self.checks += map(Check, names, map(float, residuals), tols.tolist(), scales.tolist())
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -469,12 +487,30 @@ class Report:
 K_VALUES = ((1, 0), (0, 1), (4, -5))
 _K = np.array(K_VALUES)
 _K.flags.writeable = False
-#: (k row, route column, check name) of the Ricci-formula checks, in report order
-_RICCI_CHECKS = tuple(
-    (row, col, f"Ricci formula, {route} route, k={k}")
-    for row, k in enumerate(K_VALUES)
-    for col, route in enumerate(RICCI_ROUTES)
+#: the checks of `analyze`, in report order: those judged with slack 1,
+#: then the Ricci-formula checks, (k row, route column) in their residual
+#: array, and the d tau2 conversion, judged with slack 50
+_CHECKS = (
+    "jacobi (d d e^k = 0)",
+    "d^2 = 0 (all degrees)",
+    "structure equations solve (d phi, d *phi)",
+    # Levi-Civita sanity: metric and torsion-free
+    "Levi-Civita metric (Gamma antisym in last two)",
+    "Levi-Civita torsion-free",
+    "d = alt(grad) on phi",
+    # canonical connection
+    "nabla-bar phi = 0",
+    "nabla-bar g = 0 (gamma-bar antisymmetry)",
+    "gamma-bar is g2-valued",
+    # curvature block
+    "first Bianchi identity",
+    "curvature blocks reassemble",
+    "scalar curvature from torsion",
+    *(f"Ricci formula, {route} route, k={k}" for k in K_VALUES for route in RICCI_ROUTES),
+    "d tau2 vs canonical-derivative conversion",
 )
+_SLACK = np.array([1.0] * 12 + [50.0] * 7)
+_SLACK.flags.writeable = False
 
 
 def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report:
@@ -487,15 +523,13 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     curvature formula, and the closed-structure chain (cyclic identity,
     nabla-bar tau splitting, Ricci-pinching predicate, the curvature
     contraction identities) when d phi = 0.  Each check is judged by
-    `Report.add` against the size of what it compares.
+    `Report.extend` against the size of what it compares.
     """
     report = Report(spec.name, tol)
     exact = spec.exact
     geo = geometry(spec, phi)
     phi, dphi, t = geo.phi, geo.dphi, geo.torsion
     gamma, gamma_bar = geo.gamma, geo.gamma_bar
-    alt_grad_phi = frame_wedge(connection_action(gamma, geo.phi_matrix), 3)
-    slots = antisym_coefficients(gamma_bar, 2)  # row i: the 2-form gamma-bar_i
     r = geo.curvature
     dec = decompose(r, tol=max(tol, 1e-8))
     s_g = dec.s
@@ -505,25 +539,15 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     # of the (k, 49) stack Ric0^k, which the closed chain reads too
     ric0g, ric0p = dec.ric0, dec.ric0_phi
     terms, derivs = geo.ricci_terms, geo.ricci_derivs
-    ric0k = _K.dot(np.concatenate((ric0g, ric0p), axis=None).reshape(2, -1))
+    ric0k = _K.dot(dec.ric0_stack.reshape(2, -1))
     lhs = lambda3_rows(ric0k)
     rhs = ricci_rows(derivs, terms, K_VALUES)  # (route, k, 35)
     ricci_residuals = np.abs(rhs - lhs).max(axis=-1)  # (route, k)
 
-    # d tau2 conversion identity (exterior vs canonical derivative); the
-    # 7-part coefficient is pinned by the pointwise fit over random torsion
-    # tuples, matching alt(xi . tau2)
-    one = scalar(1, exact)
-    d_tau2, dbar_tau2 = derivs["exterior"][1], derivs["canonical"][1]
-    conv = (
-        dbar_tau2.coeffs
-        + 2 * one / 3 * terms["tau1^tau2"].coeffs
-        - 8 * one / 3 * project(terms["tau1^tau2"], (3, 7)).coeffs
-        + one / 6 * terms["*(tau2^tau2)"].coeffs
-        + one / 6 * t.tau2.norm2() * phi.coeffs
-        - one / 6 * terms["[tau2.tau3]"].coeffs
-        + one / 6 * hodge(wedge(contract(t.tau2, t.tau3), phi)).coeffs
-    )
+    # d tau2 conversion identity (exterior vs canonical derivative), one
+    # weighted row over the torsion terms
+    d_tau2 = derivs["exterior"][1].coeffs
+    conv = dtau2_conversion(t, terms, derivs["canonical"][1])
 
     # the residuals of the checks below, in one reduction
     (
@@ -537,49 +561,51 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         ric0g_size,
         ric0p_size,
         conversion,
+        conv_size,
+        d_tau2_size,
         dphi_size,
         phi_size,
     ) = max_abs_each(
         gamma + gamma.transpose(0, 2, 1),
         gamma - gamma.transpose(1, 0, 2) - spec.c.transpose(1, 2, 0),
-        alt_grad_phi.coeffs - dphi.coeffs,
+        geo.connection_pass[1][0] - dphi.coeffs,
         gamma_bar + gamma_bar.transpose(0, 2, 1),
-        slots.dot(projector_matrix(2, 7, exact).T),
+        _pair_entries(gamma_bar).dot(projector_matrix(2, 7, exact).T),  # row i: the 2-form gamma-bar_i
         dec.reassemble().mat - r.mat,
         r.mat,
         ric0g,
         ric0p,
-        conv - d_tau2.coeffs,
+        conv - d_tau2,
+        conv,
+        d_tau2,
         dphi.coeffs,
         phi.coeffs,
     )
 
-    report.add("jacobi (d d e^k = 0)", geo.jacobi)
-    report.add("d^2 = 0 (all degrees)", geo.d_squared)
-    report.add("structure equations solve (d phi, d *phi)", geo.structure_residual)
-    # Levi-Civita sanity: metric and torsion-free
-    report.add("Levi-Civita metric (Gamma antisym in last two)", lc_metric)
-    report.add("Levi-Civita torsion-free", lc_torsion)
-    report.add("d = alt(grad) on phi", alt_grad)
-    # canonical connection
-    report.add("nabla-bar phi = 0", geo.nabla_bar_phi)
-    report.add("nabla-bar g = 0 (gamma-bar antisymmetry)", nabla_bar_g)
-    report.add("gamma-bar is g2-valued", g2_valued)
-    # curvature block
-    report.add("first Bianchi identity", dec.bianchi)
-    report.add("curvature blocks reassemble", reassembly, r_size)
-
     # scalar curvature from torsion, Eq-4.25 style
     delta_tau1 = geo.delta(t.tau1).coeffs[0]
-    report.add(
-        "scalar curvature from torsion",
-        abs(float(scalar_from_torsion(t, delta_tau1) - s_g)),
-        abs(float(s_g)),
-    )
     scale44 = max(ric0g_size, ric0p_size)  # both finite: decompose gated the curvature
-    for row, col, name in _RICCI_CHECKS:
-        report.add(name, ricci_residuals[col, row], scale44, slack=50)
-    report.add("d tau2 vs canonical-derivative conversion", conversion, slack=50)
+    report.extend(
+        _CHECKS,
+        [
+            geo.jacobi,
+            geo.d_squared,
+            geo.structure_residual,
+            lc_metric,
+            lc_torsion,
+            alt_grad,
+            geo.nabla_bar_phi,
+            nabla_bar_g,
+            g2_valued,
+            dec.bianchi,
+            reassembly,
+            abs(float(scalar_from_torsion(t, delta_tau1) - s_g)),
+            *ricci_residuals.T.ravel().tolist(),
+            conversion,
+        ],
+        (0.0,) * 10 + (r_size, abs(float(s_g))) + (scale44,) * 6 + (max(conv_size, d_tau2_size),),
+        _SLACK,
+    )
 
     # summary data
     norms = t.norms()
@@ -596,10 +622,41 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     return report
 
 
-#: the names of the closed chain's Ricci-formula and Ricci-norm checks, per k
-_CLOSED_RICCI_CHECKS = tuple(
-    (f"closed: Ricci formula, k={k}", f"closed: Ricci norm identity, k={k}") for k in K_VALUES
+#: the closed chain's checks in report order, each with its slack; the EPR
+#: check is recorded only when dbar tau = 0
+_CLOSED_CHECKS = (
+    ("closed: torsion reduces to tau2", 1),
+    ("closed: delta phi = tau", 1),
+    ("closed: cyclic identity for xi", 1),
+    ("closed: nabla-bar tau has no 7-part", 1),
+    ("closed: canonical-derivative identity for d tau", 10),
+    ("closed: d^nabla-bar tau lands in Lambda^3_27", 10),
+    ("closed: *d(tau^3)/3 = <d tau, *(tau^tau)>", 10),
+    ("closed: <d tau, *(tau^tau)> = <dbar tau, *(tau^tau)_27>", 10),
+    *(
+        (name, 10)
+        for k in K_VALUES
+        for name in (f"closed: Ricci formula, k={k}", f"closed: Ricci norm identity, k={k}")
+    ),
+    ("closed: scalar curvature = -|tau|^2 / 2", 1),
+    ("closed: EPR norm identity (dbar tau = 0)", 10),
+    ("closed: ||W64||^2 = ||(nabla-bar tau)_64||^2 / 3", 10),
+    ("closed: curvature contraction identity (componentwise)", 10),
+    ("closed: squared contraction identity", 10),
 )
+_EPR = 15  # the position of the EPR check
+
+
+def _closed_family(with_epr: bool) -> tuple:
+    """The names and the read-only slack array of the closed chain's checks,
+    with or without the EPR check."""
+    checks = _CLOSED_CHECKS if with_epr else _CLOSED_CHECKS[:_EPR] + _CLOSED_CHECKS[_EPR + 1 :]
+    slack = np.array([s for _, s in checks], dtype=float)
+    slack.flags.writeable = False
+    return tuple(name for name, _ in checks), slack
+
+
+_CLOSED_FAMILIES = {epr: _closed_family(epr) for epr in (True, False)}
 
 
 @functools.cache
@@ -642,10 +699,10 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k,
     array operations over one stack: the three weightings, the two parts of
     the split of nabla-bar tau and the four Cauchy-Schwarz norms (one Gram
     matrix).  The maxima of the check arrays are one reduction; the checks
-    are then recorded in their order."""
+    are then recorded in their order, in one `Report.extend`."""
     t = geo.torsion
     tau = t.tau2
-    tau_n = tau.norm2()
+    tau_n = t.norm2s[1]
     phi = geo.phi
     exact = geo.exact
     one = scalar(1, exact)
@@ -654,8 +711,9 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k,
     dtau, dbar_tau = geo.ricci_derivs["exterior"][1].coeffs, dbar_form.coeffs
     star_tt = geo.ricci_terms["*(tau2^tau2)"]
 
+    # the split reads the wedge of nabla-bar tau that d^nabla-bar tau is
     nb_tau = nabla_bar_tau(geo)
-    g64, _, g7 = split_v14(nb_tau)
+    g64, _, g7 = _split_v14(nb_tau, dbar_form)
 
     # d^nabla-bar tau = d tau - *(tau^tau)/6 - |tau|^2 phi / 6
     rhs = dtau - one / 6 * star_tt.coeffs - one / 6 * tau_n * phi.coeffs
@@ -693,12 +751,13 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k,
     term2 = tp.reshape(DIM * DIM, DIM).dot(tau_arr.T).reshape(-1).take(_term2_entries())
     rhs40 = (frame_interior(dbar_form).T - nb_tau.array.T) + (term1 - term2) / 6
 
-    reduces, delta_phi, cyclic, no_7, canonical, lands_27, *rest = max_abs_each(
+    reduces, delta_phi, cyclic, no_7, canonical, rhs_size, lands_27, *rest = max_abs_each(
         np.concatenate(([t.tau0], t.tau1.coeffs, t.tau3.coeffs)),
         -hodge(geo.dstarphi).coeffs - tau.coeffs,  # delta phi = -*d*phi on 3-forms
         geo.xi.cyclic_sum(),
         g7.array,
         dbar_tau - rhs,
+        rhs,
         np.concatenate([projector_matrix(3, d, exact).dot(dbar_tau) for d in (1, 7)]),
         *formula,
         *ric0k,
@@ -709,59 +768,17 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k,
     n_k = len(K_VALUES)
     formula_residuals, ric0k_sizes = rest[:n_k], rest[n_k : 2 * n_k]
     dbar_size, contraction, lhs40_size = rest[2 * n_k :]
-    report.add("closed: torsion reduces to tau2", reduces)
-    report.add("closed: delta phi = tau", delta_phi)
-    report.add("closed: cyclic identity for xi", cyclic)
-    report.add("closed: nabla-bar tau has no 7-part", no_7)
-    report.add("closed: canonical-derivative identity for d tau", canonical, slack=10)
-    report.add("closed: d^nabla-bar tau lands in Lambda^3_27", lands_27, slack=10)
-    report.add(
-        "closed: *d(tau^3)/3 = <d tau, *(tau^tau)>", abs(float(lhs_a - lhs_b)), scale_ab, slack=10
-    )
-    report.add(
-        "closed: <d tau, *(tau^tau)> = <dbar tau, *(tau^tau)_27>",
-        abs(float(lhs_b - lhs_c)),
-        scale_bc,
-        slack=10,
-    )
-    for (formula_name, norm_name), residual, size, pred, true in zip(
-        _CLOSED_RICCI_CHECKS, formula_residuals, ric0k_sizes, n_pred, n_true
-    ):
-        report.add(formula_name, residual, size, slack=10)
-        report.add(norm_name, abs(float(pred - true)), abs(float(true)), slack=10)
-
-    report.add(
-        "closed: scalar curvature = -|tau|^2 / 2", abs(float(s_g + tau_n / 2)), abs(float(s_g))
-    )
+    nb_size = nb_tau.membership[1]
 
     # extremally pinched Ricci predicate: d^nabla-bar tau = 0 iff
     # ||Ric0||^2 = 4/21 s^2; report both sides
     epr_lhs = float(dec.ric0_norm2)
     epr_rhs = float(4 * s_g * s_g / 21)
     is_epr = dbar_size <= bound(1e-8, float(tau_n))
-    if is_epr:
-        report.add(
-            "closed: EPR norm identity (dbar tau = 0)", abs(epr_lhs - epr_rhs), epr_rhs, slack=10
-        )
-    report.summary["extremally_pinched"] = bool(is_epr)
-    report.summary["epr_identity"] = (epr_lhs, epr_rhs)
-
     # closed case: the 64-block norm is tied to the canonical derivative
     w64_n = dec.norm2s["W64"]
-    report.add(
-        "closed: ||W64||^2 = ||(nabla-bar tau)_64||^2 / 3",
-        abs(float(w64_n - g64.tensor_norm2() / 3)),
-        float(w64_n),
-        slack=10,
-    )
     # parallel-torsion characterisation: nabla-bar tau = 0 iff EPR and W64 = 0
     nb_norm = float(nb_tau.tensor_norm2())
-    report.summary["parallel_torsion"] = bool(nb_norm <= bound(1e-12, float(tau_n)))
-
-    report.add(
-        "closed: curvature contraction identity (componentwise)", contraction, lhs40_size, slack=10
-    )
-
     # the squared identity with the *d(tau^3) term evaluated explicitly
     lhs41 = 2 * (lhs40 * lhs40).sum()  # the (i, j) and (j, i) entries
     rhs41 = (
@@ -770,12 +787,33 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k,
         - scalar(13, exact) / 147 * s_g * s_g
         + scalar(34, exact) / 63 * star_d_tau3
     )
-    report.add(
-        "closed: squared contraction identity",
-        abs(float(lhs41 - rhs41)),
-        abs(float(lhs41)),
-        slack=10,
-    )
+
+    residuals = [
+        reduces,
+        delta_phi,
+        cyclic,
+        no_7,
+        canonical,
+        lands_27,
+        abs(float(lhs_a - lhs_b)),
+        abs(float(lhs_b - lhs_c)),
+    ]
+    scales = [0.0, 0.0, 0.0, nb_size, max(dbar_size, rhs_size), dbar_size, scale_ab, scale_bc]
+    for residual, size, pred, true in zip(formula_residuals, ric0k_sizes, n_pred, n_true):
+        residuals += [residual, abs(float(pred - true))]
+        scales += [size, abs(float(true))]
+    residuals.append(abs(float(s_g + tau_n / 2)))
+    scales.append(abs(float(s_g)))
+    if is_epr:
+        residuals.append(abs(epr_lhs - epr_rhs))
+        scales.append(epr_rhs)
+    residuals += [abs(float(w64_n - g64.tensor_norm2() / 3)), contraction, abs(float(lhs41 - rhs41))]
+    scales += [float(w64_n), lhs40_size, abs(float(lhs41))]
+    names, slack = _CLOSED_FAMILIES[is_epr]
+    report.extend(names, residuals, scales, slack)
+    report.summary["extremally_pinched"] = bool(is_epr)
+    report.summary["epr_identity"] = (epr_lhs, epr_rhs)
+    report.summary["parallel_torsion"] = bool(nb_norm <= bound(1e-12, float(tau_n)))
 
 
 # --- built-in examples ----------------------------------------------------------------

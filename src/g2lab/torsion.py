@@ -37,14 +37,16 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import as_mode, bound, eye, max_abs, max_abs_each, scalar, zeros
+from ._linalg import as_mode, bound, eye, lazy, max_abs, max_abs_each, scalar, zeros
 from .exterior_algebra import (
     DIM,
     Form,
     IndexTable,
+    _contract_table,
     _hodge_gather,
     _phi_templates,
     _unfold,
@@ -63,7 +65,7 @@ from .g2_algebra import _odot_table, _quad_tables, projector_matrix, sigma_contr
 class TorsionComponents:
     """The quadruple (tau0, tau1, tau2, tau3)."""
 
-    __slots__ = ("tau0", "tau1", "tau2", "tau3")
+    __slots__ = ("tau0", "tau1", "tau2", "tau3", "__dict__")  # the dict holds the lazy norms
 
     def __init__(self, tau0, tau1: Form, tau2: Form, tau3: Form):
         if (tau1.degree, tau2.degree, tau3.degree) != (1, 2, 3):
@@ -78,14 +80,16 @@ class TorsionComponents:
         """Distance of tau2 / tau3 from Lambda^2_14 / Lambda^3_27."""
         return max_abs(_structure_tables(self.exact)[1].dot(_pack(self)))
 
+    @lazy
+    def norm2s(self) -> tuple:
+        """Squared form norms of tau1, tau2 and tau3, in the scalar mode of
+        the forms, measured once: `norms` and `scalar_from_torsion` read them."""
+        return self.tau1.norm2(), self.tau2.norm2(), self.tau3.norm2()
+
     def norms(self) -> dict:
         """Form norms of the four components."""
-        return {
-            1: abs(float(self.tau0)),
-            4: float(self.tau1.norm2()) ** 0.5,
-            2: float(self.tau2.norm2()) ** 0.5,
-            3: float(self.tau3.norm2()) ** 0.5,
-        }
+        n1, n2, n3 = self.norm2s
+        return {1: abs(float(self.tau0)), 4: float(n1) ** 0.5, 2: float(n2) ** 0.5, 3: float(n3) ** 0.5}
 
     @staticmethod
     def zero(exact: bool = False) -> "TorsionComponents":
@@ -189,7 +193,8 @@ def solve_structure_equations(phi: Form, dphi: Form, dstarphi: Form, tol: float 
     size of (d phi, d *phi).
     """
     exact = dphi.exact
-    if not max_abs(phi.coeffs - _phi_templates(exact)[0]) <= 1e-12:
+    template = _phi_templates(exact)[0]  # read-only: a phi that holds it is standard
+    if phi.coeffs is not template and not max_abs(phi.coeffs - template) <= 1e-12:
         raise ValueError("phi must be the standard three-form in an adapted frame")
     if dphi.degree != 4 or dstarphi.degree != 5:
         raise ValueError("expected (d phi, d *phi) of degrees (4, 5)")
@@ -249,10 +254,6 @@ class IntrinsicTorsion:
         """xi_ijk + xi_jki + xi_kij, which vanishes on closed structures."""
         return self.xi + self.xi.transpose(1, 2, 0) + self.xi.transpose(2, 0, 1)
 
-    def cyclic_residual(self) -> float:
-        """Residual of xi_ijk + xi_jki + xi_kij = 0 (closed structures)."""
-        return max_abs(self.cyclic_sum())
-
 
 def xi_from_xibar(xibar: np.ndarray) -> np.ndarray:
     """xi_ijk = xibar_ip phi_pjk / 6."""
@@ -281,13 +282,8 @@ def scalar_from_torsion(t: TorsionComponents, delta_tau1=0):
     Form norms throughout; the codifferential of tau1 is supplied by the
     caller (it needs a derivative, available on the invariant models).
     """
-    return (
-        scalar(21, t.exact) / 8 * t.tau0**2
-        + 12 * delta_tau1
-        + 30 * t.tau1.norm2()
-        - t.tau2.norm2() / 2
-        - t.tau3.norm2() / 2
-    )
+    n1, n2, n3 = t.norm2s
+    return scalar(21, t.exact) / 8 * t.tau0**2 + 12 * delta_tau1 + 30 * n1 - n2 / 2 - n3 / 2
 
 
 def conformal_transform(t: TorsionComponents, f0: float, df: Form = None) -> TorsionComponents:
@@ -429,6 +425,85 @@ def ricci_terms(t: TorsionComponents) -> dict:
     }
 
 
+# --- the d tau2 conversion identity ------------------------------------------------
+
+#: d tau2 as the weighted sum of these terms, in summation order: the
+#: canonical derivative, four Ricci-formula torsion terms (tau1 ^ tau2 twice,
+#: once through its 7-part) and two terms of their own.  The 7-part weight is
+#: pinned by the pointwise fit over random torsion tuples, matching
+#: alt(xi . tau2).
+CONVERSION_TABLE = (
+    ("d^nabla-bar tau2", Fraction(1)),
+    ("tau1^tau2", Fraction(2, 3)),
+    ("(tau1^tau2)_7", Fraction(-8, 3)),
+    ("*(tau2^tau2)", Fraction(1, 6)),
+    ("|tau2|^2 phi", Fraction(1, 6)),
+    ("[tau2.tau3]", Fraction(-1, 6)),
+    ("*((tau2-|tau3)^phi)", Fraction(1, 6)),
+)
+
+
+@functools.cache
+def _conversion_pass() -> IndexTable:
+    """The two conversion terms that no Ricci term holds, |tau2|^2 phi and
+    *((tau2 -| tau3) ^ phi), as one index table on the packed torsion
+    vector, their outputs back to back.  The second composes the
+    contraction table with the integer matrix of c -> *(c ^ phi) on
+    1-forms; rows are merged and sorted by output."""
+    phi = phi_coefficients()
+    on_phi, pairs = np.flatnonzero(phi), np.arange(dim_of(2))
+    norm_rows = (
+        np.tile(_TAU2 + pairs, len(on_phi)),
+        np.tile(_TAU2 + pairs, len(on_phi)),
+        np.repeat(on_phi, len(pairs)),
+        np.repeat(phi[on_phi], len(pairs)),
+    )
+    c = _contract_table(2, 3)
+    star_wedge = hodge_matrix(4).dot(wedge_phi_matrix(1))  # (35, 7): c -> *(c ^ phi)
+    row, out = np.nonzero(star_wedge[:, c.po].T)
+    contract_rows = (
+        _TAU2 + c.pa[row],
+        _TAU3 + c.pb[row],
+        dim_of(3) + out,
+        c.coef[row] * star_wedge[out, c.po[row]],
+    )
+    pa, pb, po, coef = (np.concatenate(cols) for cols in zip(norm_rows, contract_rows))
+    return IndexTable.merged(pa, pb, po, coef, 2 * dim_of(3), _ONE, _ONE)
+
+
+@functools.cache
+def _conversion_weights(exact: bool) -> np.ndarray:
+    """The weights of CONVERSION_TABLE in one scalar mode, read-only."""
+    w = as_mode([w for _, w in CONVERSION_TABLE], exact)
+    w.flags.writeable = False
+    return w
+
+
+def dtau2_conversion(t: TorsionComponents, terms: dict, dbar_tau2: Form) -> np.ndarray:
+    """The right side of the d tau2 conversion identity: the terms of
+    CONVERSION_TABLE stacked in one (7, 35) array and summed in one weighted
+    reduction.  ``terms`` is the output of `ricci_terms` and ``dbar_tau2``
+    the canonical derivative d^nabla-bar tau2; the two terms of their own
+    are one pass of `_conversion_pass`."""
+    exact = t.exact
+    v = _pack(t)
+    own = _conversion_pass().apply(v, v)
+    n = dim_of(3)
+    t1t2 = terms["tau1^tau2"].coeffs
+    stack = np.concatenate(
+        (
+            dbar_tau2.coeffs,
+            t1t2,
+            projector_matrix(3, 7, exact).dot(t1t2),
+            terms["*(tau2^tau2)"].coeffs,
+            own[:n],
+            terms["[tau2.tau3]"].coeffs,
+            own[n:],
+        )
+    )
+    return _conversion_weights(exact).dot(stack.reshape(len(CONVERSION_TABLE), n))
+
+
 #: the terms of RICCI_TABLE that are a route's derivatives, in the order of
 #: the ``derivs`` of `ricci_rows`; the other eight are torsion terms that
 #: every route shares
@@ -457,9 +532,9 @@ def ricci_rows(derivs: dict, terms: dict, ks) -> np.ndarray:
         [terms[name].coeffs for name in _SHARED_TERMS] + [f.coeffs for route in routes for f in derivs[route]]
     )
     total = (weights * buf[index]).sum(axis=2)  # (route, k, 35), term by term
-    # one matrix-vector product per row, the same for one row as for several
-    p27 = projector_matrix(3, 27, exact)
-    return np.array([[p27.dot(row) for row in rows] for rows in total])
+    # one stacked matrix-vector product, which rounds each row as p27.dot(row)
+    # does (`X.dot(p27.T)` would not), the same for one row as for several
+    return np.matmul(projector_matrix(3, 27, exact), total[..., None])[..., 0]
 
 
 @functools.lru_cache(maxsize=16)
