@@ -366,7 +366,8 @@ class CurvatureDecomposition:
     @lazy
     def norm2s(self) -> dict:
         """Squared norms of the five blocks, in the scalar mode of the tensor."""
-        return dict(zip(self.NAMES, 4 * (self.blocks * self.blocks).sum(axis=(1, 2))))
+        flat = self.blocks.reshape(len(self.NAMES), -1)
+        return dict(zip(self.NAMES, 4 * (flat * flat).sum(axis=1)))
 
     @lazy
     def ric0_norm2(self):

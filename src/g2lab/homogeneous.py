@@ -537,7 +537,6 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     # generalized Ricci formulas, both routes, three weightings: one stack
     # of right-hand sides, and the left sides lambda3(Ric0^k) in one product
     # of the (k, 49) stack Ric0^k, which the closed chain reads too
-    ric0g, ric0p = dec.ric0, dec.ric0_phi
     terms, derivs = geo.ricci_terms, geo.ricci_derivs
     ric0k = _K.dot(dec.ric0_stack.reshape(2, -1))
     lhs = lambda3_rows(ric0k)
@@ -558,8 +557,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         g2_valued,
         reassembly,
         r_size,
-        ric0g_size,
-        ric0p_size,
+        scale44,
         conversion,
         conv_size,
         d_tau2_size,
@@ -573,8 +571,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         _pair_entries(gamma_bar).dot(projector_matrix(2, 7, exact).T),  # row i: the 2-form gamma-bar_i
         dec.reassemble().mat - r.mat,
         r.mat,
-        ric0g,
-        ric0p,
+        dec.ric0_stack,
         conv - d_tau2,
         conv,
         d_tau2,
@@ -584,7 +581,6 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
 
     # scalar curvature from torsion, Eq-4.25 style
     delta_tau1 = geo.delta(t.tau1).coeffs[0]
-    scale44 = max(ric0g_size, ric0p_size)  # both finite: decompose gated the curvature
     report.extend(
         _CHECKS,
         [
@@ -682,6 +678,11 @@ def _closed_ricci_weights(exact: bool) -> tuple:
     return formula, norm
 
 
+#: the positions of tau0, tau1 and tau3 in the packed torsion vector
+_NOT_TAU2 = np.r_[0:8, 29:64]
+_NOT_TAU2.flags.writeable = False
+
+
 @functools.cache
 def _term2_entries() -> np.ndarray:
     """Flat positions of the entries (i, t, j), i < j, of a 7 x 7 x 7 array,
@@ -752,7 +753,7 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k,
     rhs40 = (frame_interior(dbar_form).T - nb_tau.array.T) + (term1 - term2) / 6
 
     reduces, delta_phi, cyclic, no_7, canonical, rhs_size, lands_27, *rest = max_abs_each(
-        np.concatenate(([t.tau0], t.tau1.coeffs, t.tau3.coeffs)),
+        t.packed[_NOT_TAU2],
         -hodge(geo.dstarphi).coeffs - tau.coeffs,  # delta phi = -*d*phi on 3-forms
         geo.xi.cyclic_sum(),
         g7.array,

@@ -81,6 +81,13 @@ class TorsionComponents:
         return max_abs(_structure_tables(self.exact)[1].dot(_pack(self)))
 
     @lazy
+    def packed(self) -> np.ndarray:
+        """The quadruple as one vector (tau0, tau1, tau2, tau3) of length 64,
+        built once; the structure-equation solve sets it to the vector it
+        solved for, of which the forms are views."""
+        return np.concatenate(([self.tau0], self.tau1.coeffs, self.tau2.coeffs, self.tau3.coeffs))
+
+    @lazy
     def norm2s(self) -> tuple:
         """Squared form norms of tau1, tau2 and tau3, in the scalar mode of
         the forms, measured once: `norms` and `scalar_from_torsion` read them."""
@@ -105,7 +112,7 @@ class TorsionComponents:
 
 
 def _pack(t: TorsionComponents) -> np.ndarray:
-    return np.concatenate(([t.tau0], t.tau1.coeffs, t.tau2.coeffs, t.tau3.coeffs))
+    return t.packed
 
 
 @functools.cache
@@ -208,7 +215,9 @@ def solve_structure_equations(phi: Form, dphi: Form, dstarphi: Form, tol: float 
             f"(d phi, d *phi) is not generated by any torsion quadruple "
             f"(residual {residual:.3g})"
         )
-    return TorsionComponents(v[0], Form(1, v[1:8]), Form(2, v[8:29]), Form(3, v[29:])), residual
+    t = TorsionComponents(v[0], Form(1, v[1:8]), Form(2, v[8:29]), Form(3, v[29:]))
+    t.packed = v
+    return t, residual
 
 
 def extract_torsion(phi: Form, dphi: Form, dstarphi: Form, tol: float = 1e-8) -> TorsionComponents:
@@ -335,6 +344,14 @@ _TAU1, _TAU2, _TAU3, _ONE = 1, 8, 29, 64
 
 
 @functools.cache
+def _one(exact: bool) -> np.ndarray:
+    """The read-only vector (1), appended to the packed torsion vector."""
+    one = np.array([scalar(1, exact)], dtype=object if exact else float)
+    one.flags.writeable = False
+    return one
+
+
+@functools.cache
 def _ricci_pass() -> tuple:
     """The bilinear terms of `ricci_terms` as one index table on the packed
     torsion vector with a 1 appended, its output stacked by term; the
@@ -406,7 +423,7 @@ def ricci_terms(t: TorsionComponents) -> dict:
     """
     table, sign, float_sign, layout = _ricci_pass()
     exact = t.exact
-    v = np.concatenate(([t.tau0], t.tau1.coeffs, t.tau2.coeffs, t.tau3.coeffs, [scalar(1, exact)]))
+    v = np.concatenate((t.packed, _one(exact)))
     out = table.apply(v, v)
     out = out * (sign if exact else float_sign)
     forms = {name: Form(degree, out[a:b]) for name, degree, a, b in layout}
