@@ -26,12 +26,17 @@ with P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 acting on the pair
 matrix through the degree-2 projectors.
 
 r_g is an index table from the 49 entries of h to the 441 pair-matrix
-entries, applied to Ric0^g and Ric^W in one scatter; r_g(g) is a cached
-constant, and b is two gathers (the R_kijl and R_jkil terms of each entry).
-`decompose` builds every block once and keeps the blocks, Ric0^g, Ric0^phi
-and the Bianchi residual of its gate; the blocks stack into one
-(5, 21, 21) array, which reassembly sums once and the block norms reduce
-once.
+entries; r_g(g) is a cached constant, and b is two gathers (the R_kijl and
+R_jkil terms of each entry).  The linear maps `decompose` takes of a pair
+matrix and of Ric^W are integer tables composed once from these
+(`_linear_table`): one scatter of R gives the gate's b(R) and R - R^T, the
+two contractions and their traces (`_pair_table`, which `ricci` and
+`phi_ricci` read too), and one scatter of Ric^W gives W_27 (`_w27_table`,
+r_g and r_phi with its kernel projection composed).  `decompose` writes
+the five blocks into one (5, 21, 21) array, W_77 and W_64 from three
+products with the stacked (Q14; Q7); reassembly sums it once and the block
+norms reduce it once.  It keeps Ric0^g and Ric0^phi as one (2, 7, 7)
+stack and the Bianchi residual of its gate.
 """
 
 from __future__ import annotations

@@ -34,6 +34,9 @@ With r = 2 the derivation table builds the invariant exterior derivative
 of `homogeneous` from d on 1-forms, with r = 1 the action of a connection
 with constant coefficients on k-forms (`connection_action`), and
 `covariant_wedge` alternates that action into sum_i e^i ^ grad_i a.
+`connection_matrix` scatters several forms side by side, so that one
+product gives a connection's action on all of them, and `alternate` is
+`frame_wedge` over several blocks of one stack in one scatter.
 
 The distinguished three-form is
 

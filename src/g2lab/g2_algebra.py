@@ -292,11 +292,6 @@ class MixedV14:
         q14 = projector_matrix(2, 14, self.exact)
         return tuple(max_abs_each(self.array.dot(q14.T) - self.array, self.array))
 
-    @property
-    def membership_residual(self) -> float:
-        """Distance of the slots from Lambda^2_14."""
-        return self.membership[0]
-
     def __add__(self, other):
         return MixedV14(self.array + other.array)
 

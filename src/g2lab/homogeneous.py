@@ -13,24 +13,28 @@ first use and kept, and every consumer reads it there.  The Jacobi check is
 the residual of the Levi-Civita gate, d^2 = 0 is checked on that product
 and the four others, and the structure-equation check is the residual of
 the extraction gate.  The torsion terms of the generalized Ricci formula
-(`ricci_terms`), their derivatives on both routes (`ricci_derivs`) and the
-stack nabla-bar_i tau2 (`nabla_bar_tau2`) are stages too: d^nabla-bar tau2
-alternates that stack and the closed chain's `nabla_bar_tau` gates it, so
-it is built once.  The actions of gamma and gamma-bar on phi read one
-scatter of phi (`phi_matrix`), built once per scalar mode for the standard
-phi.  A stage is a `lazy` attribute: computed on first read, then a plain
-instance attribute.
+(`ricci_terms`) and their derivatives on both routes (`ricci_derivs`) are
+stages too.  The canonical connection acts in one pass
+(`connection_pass`): one scatter of the forms `analyze` differentiates,
+phi, *(tau1 ^ *phi), tau2 and tau3, one product of gamma-bar with it, one
+product of gamma with phi's block and one alternation scatter over all
+outputs give nabla-bar phi (the gate), alt(grad phi), the stack
+nabla-bar_i tau2 and the three canonical-route derivatives; the closed
+chain's `nabla_bar_tau` gates that stack and its split reads the
+alternation d^nabla-bar tau2 the pass made.  A stage is a `lazy`
+attribute: computed on first read, then a plain instance attribute.
 
 The families of checks are stacked passes, a few array operations each
 rather than a loop over k, route or part.  One `ricci_rows` call gives the
 Ricci-formula rows of both routes for all three weightings, and one
 lambda3 product of the (k, 7, 7) stack Ric0^k gives their left sides,
 which the closed chain reads too; the six residuals are one reduction.
-The closed chain takes its three weightings from that stack, splits
-nabla-bar tau in one pass over its 27 and 7 parts (`split_v14`) and reads
-its four Cauchy-Schwarz norms and two inner products off one Gram matrix.
-The other check residuals of `analyze` are one reduction (`max_abs_each`),
-and those of the closed chain another.
+The d tau2 conversion identity is one weighted row over the torsion terms
+(`torsion.dtau2_conversion`).  The closed chain takes its three weightings
+from the Ric0^k stack, splits nabla-bar tau in one pass over its 27 and 7
+parts and reads its four Cauchy-Schwarz norms and two inner products off
+one Gram matrix.  The other check residuals of `analyze` are one
+reduction (`max_abs_each`), and those of the closed chain another.
 
 d on k-forms and the action of a connection on k-forms are the one
 derivation table of `exterior_algebra` applied to d on 1-forms and to
@@ -45,8 +49,11 @@ Koszul formula reads the structure constants back off d on 1-forms.
 `analyze` returns a `Report`.  A report holds one base tolerance, and each
 check it records is judged against ``bound(tol, scale) * slack``: the scale
 is the size of what the check compares (0 for an absolute check) and the
-slack (10 or 50) the headroom of a long chain of rounding.  The closed,
-EPR and parallel-torsion predicates use the same `bound`.
+slack (10 or 50) the headroom of a long chain of rounding.  `analyze` and
+the closed chain each record their checks with one `Report.extend`, whose
+tolerances are one vectorised `bounds`.  The closed, EPR and
+parallel-torsion predicates and the Lambda^2_14 gates of nabla-bar tau
+use the same `bound`.
 
 Sign conventions: Gamma[i,j,k] = g(grad_{e_i} e_j, e_k) and
 R_ijkl = g(R(e_i,e_j) e_k, e_l) so that the hyperbolic solvable example

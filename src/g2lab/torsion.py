@@ -31,6 +31,15 @@ gathers the eight torsion-term rows that every route shares and each
 route's three derivative rows into one (route, term) stack, whose rows for
 every route and several k are one weighted reduction over a constant
 (route, k, term) weight table.
+
+The d tau2 conversion identity of `homogeneous.analyze` is data as well:
+`CONVERSION_TABLE` holds its weights over the canonical derivative
+d^nabla-bar tau2, four of the Ricci torsion terms and two terms of its
+own, |tau2|^2 phi and *((tau2 -| tau3) ^ phi), which one index table on
+the packed torsion vector gives (`_conversion_pass`); `dtau2_conversion`
+stacks the seven rows and sums them in one weighted product.  A quadruple
+keeps its packed vector (the solve's own, when it comes from
+`solve_structure_equations`) and its squared norms once built.
 """
 
 from __future__ import annotations

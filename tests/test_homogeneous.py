@@ -822,20 +822,25 @@ def test_stacked_passes_match_the_references_in_exact_mode(name):
 
 
 @pytest.mark.parametrize(
-    "name, bounds",
+    "name, want",
     [
-        ("aa", {"max_abs": 4, "bincount": 10, "Form": 32, "CurvatureTensor": 9}),
-        ("bryant", {"max_abs": 5, "bincount": 12, "Form": 37, "CurvatureTensor": 9}),
+        ("aa", {"max_abs": 2, "bincount": 7, "Form": 27, "CurvatureTensor": 2, "extend": 1}),
+        ("bryant", {"max_abs": 2, "bincount": 8, "Form": 31, "CurvatureTensor": 2, "extend": 2}),
     ],
     ids=["aa", "bryant"],
 )
-def test_warm_float_analyze_call_counts(monkeypatch, name, bounds):
+def test_warm_float_analyze_call_counts(monkeypatch, name, want):
     # d in degrees 2..6 is one scatter; d_2 d_1 is formed once for the
-    # Levi-Civita gate, the Jacobi check and d^2; the six Ricci-formula rows
-    # are one `ricci_rows` call and their left sides one lambda3 product,
-    # which the closed chain reads too; the six residuals are one reduction
-    # and the other check residuals another; every float scatter is a
-    # bincount; value objects are counted as they are built
+    # Levi-Civita gate, the Jacobi check and d^2; the canonical connection
+    # is one scatter of four forms and two products (gamma-bar on all of
+    # them, gamma on phi); the six Ricci-formula rows are one `ricci_rows`
+    # call and their left sides one lambda3 product, which the closed chain
+    # reads too; the six residuals are one reduction and the other check
+    # residuals another; every float scatter is a bincount (d, r_g, the
+    # pass and its alternation, the Ricci and conversion terms, the pair
+    # matrix and W27, and in the closed chain the wedge tau ^ tau^2); the checks of
+    # analyze and of the closed chain are one `Report.extend` each; value
+    # objects are counted as they are built
     import sys
 
     import g2lab.g2_algebra as ga
@@ -849,7 +854,8 @@ def test_warm_float_analyze_call_counts(monkeypatch, name, bounds):
     hm.analyze(spec)  # builds every table once
     counts = {"add.at": 0, "bincount": 0, "jacobi product": 0, "max_abs": 0, "Form": 0, "CurvatureTensor": 0}
     d1, d_scatters = [], []
-    products = {"ricci_rows": 0, "lambda3_rows": 0, "lambda3": 0}
+    products = {name: 0 for name in ("ricci_rows", "lambda3_rows", "lambda3", "connection_matrix", "connection_action")}
+    products.update(add=0, extend=0)
 
     def counting_call(module, fname):
         real = getattr(module, fname)
@@ -921,12 +927,23 @@ def test_warm_float_analyze_call_counts(monkeypatch, name, bounds):
     counting_call(hm, "ricci_rows")
     counting_call(hm, "lambda3_rows")
     counting_call(ga, "lambda3")
+    counting_call(hm, "connection_matrix")
+    counting_call(hm, "connection_action")
+    counting_call(hm.Report, "add")
+    counting_call(hm.Report, "extend")
     assert hm.analyze(spec).passed
-    assert products == {"ricci_rows": 1, "lambda3_rows": 1, "lambda3": 0}
+    assert products.pop("extend") == want.pop("extend")
+    assert products == {
+        "ricci_rows": 1,
+        "lambda3_rows": 1,
+        "lambda3": 0,
+        "connection_matrix": 1,
+        "connection_action": 2,
+        "add": 0,
+    }
     assert d_scatters == [1] and counts["jacobi product"] == 1
     assert counts.pop("add.at") == 0 and counts.pop("jacobi product") == 1
-    for what, n in counts.items():
-        assert n <= bounds[what], (what, n)
+    assert counts == want
 
 
 @pytest.mark.parametrize("where", [0, 3, 6])
