@@ -27,16 +27,16 @@ matrix through the degree-2 projectors.
 
 r_g is an index table from the 49 entries of h to the 441 pair-matrix
 entries; r_g(g) is a cached constant, and b is two gathers (the R_kijl and
-R_jkil terms of each entry).  The linear maps `decompose` takes of a pair
-matrix and of Ric^W are integer tables composed once from these
-(`_linear_table`): one scatter of R gives the gate's b(R) and R - R^T, the
-two contractions and their traces (`_pair_table`, which `ricci` and
-`phi_ricci` read too), and one scatter of Ric^W gives W_27 (`_w27_table`,
-r_g and r_phi with its kernel projection composed).  `decompose` writes
-the five blocks into one (5, 21, 21) array, W_77 and W_64 from three
-products with the stacked (Q14; Q7); reassembly sums it once and the block
-norms reduce it once.  It keeps Ric0^g and Ric0^phi as one (2, 7, 7)
-stack and the Bianchi residual of its gate.
+R_jkil terms of each entry).  The linear maps `decompose` takes are integer
+tables composed once from these (`_linear_table`): one scatter of R gives
+the gate's b(R) and R - R^T, the traceless parts of the two contractions
+(`_contraction_matrix`, which `ricci` and `phi_ricci` apply) and the scalar
+curvature (`_pair_table`), and one scatter of (Ric0, Ric^W) gives W_27 and
+R_0 (`_block_table`, r_g and r_phi with its kernel projection composed).
+`decompose` writes the five blocks into one (5, 21, 21) array, W_77 and
+W_64 from three products with the stacked (Q14; Q7); reassembly sums it
+once and the block norms reduce it once.  It keeps Ric0^g and Ric0^phi as
+one (2, 7, 7) stack and the Bianchi residual of its gate.
 """
 
 from __future__ import annotations
@@ -172,11 +172,8 @@ def _apply_linear(table: tuple, x: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _pair_table() -> tuple:
-    """The `_linear_table` of the linear maps of the pair matrix r that
-    `decompose` reads, their outputs back to back: (c^g(r), c^phi(r)) as 98
-    entries, their two traces, b(r) at the pair entries (`bianchi_b`) and
-    r - r^T, 441 entries each.
+def _contraction_matrix() -> np.ndarray:
+    """Read-only integer (98, 441) matrix of the pair matrix to (c^g, c^phi).
 
     c^g is the adjoint of r_g over the pair matrix, <h, c^g(M)> =
     <r_g(h), M> for every 21 x 21 M, so its rows are the table of
@@ -184,13 +181,40 @@ def _pair_table() -> tuple:
     e_u -| phi of `iphi_matrix`, whose rows hold three entries each, so every
     entry of c^phi reads nine entries of r.
     """
-    n = NPAIRS * NPAIRS
     pos_out, pos_in, sign, _ = _kn_table()
-    contractions = np.zeros((2, DIM * DIM, n), dtype=np.int64)
-    np.add.at(contractions[0], (pos_in, pos_out), sign)
+    m = np.zeros((2, DIM * DIM, NPAIRS * NPAIRS), dtype=np.int64)
+    np.add.at(m[0], (pos_in, pos_out), sign)
     b = iphi_matrix()
-    contractions[1] = 4 * np.multiply.outer(b, b).transpose(0, 2, 1, 3).reshape(DIM * DIM, n)
-    traces = contractions[:, :: DIM + 1].sum(axis=1)
+    m[1] = 4 * np.multiply.outer(b, b).transpose(0, 2, 1, 3).reshape(DIM * DIM, -1)
+    m = m.reshape(2 * DIM * DIM, -1)
+    m.flags.writeable = False
+    return m
+
+
+@functools.cache
+def _contraction_table() -> tuple:
+    return _linear_table(_contraction_matrix())
+
+
+def _contractions(r: CurvatureTensor) -> np.ndarray:
+    """(c^g(r), c^phi(r)) as one (2, 7, 7) array, one scatter of the pair
+    matrix (`_contraction_matrix`)."""
+    return _apply_linear(_contraction_table(), r.mat).reshape(2, DIM, DIM)
+
+
+@functools.cache
+def _pair_table() -> tuple:
+    """The `_linear_table` of the linear maps of the pair matrix r that
+    `decompose` reads, their outputs back to back: 7 Ric0^g and 7 Ric0^phi
+    (the traceless parts of the two contractions, times 7) as 98 entries,
+    the scalar curvature, b(r) at the pair entries (`bianchi_b`) and r - r^T,
+    441 entries each."""
+    n = NPAIRS * NPAIRS
+    contractions = _contraction_matrix().reshape(2, DIM * DIM, n)
+    traces = contractions[:, :: DIM + 1].sum(axis=1)  # (2, n)
+    traceless = DIM * contractions - np.multiply.outer(traces, np.eye(DIM, dtype=np.int64).reshape(-1)).transpose(
+        0, 2, 1
+    )
     rows = np.arange(n)
     p1, s1, p2, s2 = (c.reshape(-1) for c in _bianchi_table()[:4])
     bianchi = np.eye(n, dtype=np.int64)  # b(R) = R + R_kijl + R_jkil at (ij), (kl)
@@ -198,21 +222,11 @@ def _pair_table() -> tuple:
     np.add.at(bianchi, (rows, p2), s2)
     transpose = rows.reshape(NPAIRS, NPAIRS).T.reshape(-1)
     asymmetry = np.eye(n, dtype=np.int64) - np.eye(n, dtype=np.int64)[transpose]
-    return _linear_table(np.concatenate((contractions.reshape(2 * DIM * DIM, n), traces, bianchi, asymmetry)))
-
-
-def _pair_maps(r: CurvatureTensor) -> np.ndarray:
-    """The outputs of `_pair_table` on r, in one scatter of its pair matrix."""
-    return _apply_linear(_pair_table(), r.mat)
-
-
-def _contractions(r: CurvatureTensor) -> np.ndarray:
-    """(c^g(r), c^phi(r)) as one (2, 7, 7) array (`_pair_table`)."""
-    return _pair_maps(r)[: 2 * DIM * DIM].reshape(2, DIM, DIM)
+    return _linear_table(np.concatenate((traceless.reshape(-1, n), traces[:1], bianchi, asymmetry)))
 
 
 def ricci(r: CurvatureTensor) -> np.ndarray:
-    """c^g(r)(u, v) = r(u, e_i, e_i, v) (`_pair_table`)."""
+    """c^g(r)(u, v) = r(u, e_i, e_i, v) (`_contraction_matrix`)."""
     return _contractions(r)[0]
 
 
@@ -229,7 +243,7 @@ def _iphi_matrix(exact: bool) -> np.ndarray:
 
 
 def phi_ricci(r: CurvatureTensor) -> np.ndarray:
-    """c^phi(r)(u, v) = 4 r(u -| phi, v -| phi) (`_pair_table`);
+    """c^phi(r)(u, v) = 4 r(u -| phi, v -| phi) (`_contraction_matrix`);
     trace is -2 s_g."""
     return _contractions(r)[1]
 
@@ -261,29 +275,13 @@ def _kn_table():
     return pos_out, pos_in, sign, float_column(sign)
 
 
-@functools.cache
-def _kn_stack_index(n: int) -> np.ndarray:
-    """Read-only output positions of the r_g table rows for a stack of n
-    tensors, tensor by tensor, in the flattened (n, 21, 21) result."""
-    pos_out = _kn_table()[0]
-    index = (pos_out + NPAIRS * NPAIRS * np.arange(n)[:, None]).reshape(-1)
-    index.flags.writeable = False
-    return index
-
-
-def _kn_stack(h: np.ndarray) -> np.ndarray:
-    """r_g of each tensor of an (n, 7, 7) stack as an (n, 21, 21) array, in one
-    scatter; each entry adds the rows of its own tensor in table order."""
-    _, pos_in, sign, float_sign = _kn_table()
-    n = len(h)
-    values = h.reshape(n, DIM * DIM).take(pos_in, axis=1)
-    values = (sign if values.dtype == object else float_sign) * values
-    return scatter_add(_kn_stack_index(n), values.reshape(-1), n * NPAIRS * NPAIRS).reshape(n, NPAIRS, NPAIRS)
-
-
 def kn_product(h: np.ndarray) -> CurvatureTensor:
-    """r_g(h) = h (.) g, the Kulkarni-Nomizu product with the metric."""
-    return CurvatureTensor(_kn_stack(np.asarray(h).reshape(1, DIM, DIM))[0])
+    """r_g(h) = h (.) g, the Kulkarni-Nomizu product with the metric: one
+    scatter of the entries of h through `_kn_table`."""
+    pos_out, pos_in, sign, float_sign = _kn_table()
+    values = np.asarray(h).reshape(-1)[pos_in]
+    values = (sign if values.dtype == object else float_sign) * values
+    return CurvatureTensor(scatter_add(pos_out, values, NPAIRS * NPAIRS).reshape(NPAIRS, NPAIRS))
 
 
 @functools.cache
@@ -306,19 +304,24 @@ def phi_product(h: np.ndarray) -> CurvatureTensor:
 
 
 @functools.cache
-def _w27_table() -> tuple:
-    """The `_linear_table` of h to 112 W27(h) = 3 r_g(h) - 15 r_phi(h), with
-    r_phi(h) = T - b(T)/3 and T = b^T h^T b as in `phi_product`, composed
-    on the 49 basis tensors in integer arithmetic: 441 rows, 49 columns."""
+def _block_table() -> tuple:
+    """The `_linear_table` of (Ric0, Ric^W), 98 entries, to 112 W27 and 5 R0,
+    441 entries each: 112 W27(h) = 3 r_g(h) - 15 r_phi(h) at h = Ric^W, with
+    r_phi(h) = T - b(T)/3 and T = b^T h^T b as in `phi_product`, and
+    5 R0 = r_g(Ric0), composed on the basis tensors in integer arithmetic."""
+    n = NPAIRS * NPAIRS
     pos_out, pos_in, sign, _ = _kn_table()
-    kn = np.zeros((NPAIRS * NPAIRS, DIM * DIM), dtype=np.int64)
+    kn = np.zeros((n, DIM * DIM), dtype=np.int64)
     np.add.at(kn, (pos_out, pos_in), sign)
     b = iphi_matrix()
     # T(e_a (x) e_b) = b[b]^T b[a]: entry (p, q) is b[b, p] b[a, q]
-    t = np.multiply.outer(b, b).transpose(1, 3, 2, 0).reshape(NPAIRS * NPAIRS, DIM * DIM)
+    t = np.multiply.outer(b, b).transpose(1, 3, 2, 0).reshape(n, DIM * DIM)
     p1, s1, p2, s2 = (c.reshape(-1, 1) for c in _bianchi_table()[:4])
     bt = t + s1 * t[p1[:, 0]] + s2 * t[p2[:, 0]]
-    return _linear_table(3 * kn - 15 * t + 5 * bt)
+    m = np.zeros((2, n, 2, DIM * DIM), dtype=np.int64)
+    m[0, :, 1] = 3 * kn - 15 * t + 5 * bt
+    m[1, :, 0] = kn
+    return _linear_table(m.reshape(2 * n, -1))
 
 
 def generalized_ricci(r: CurvatureTensor, k) -> np.ndarray:
@@ -386,15 +389,17 @@ class CurvatureDecomposition:
 @functools.cache
 def _decompose_tables(exact: bool) -> tuple:
     """Read-only tables of `decompose` in one scalar mode: the weights that
-    take (Ric0^g, Ric0^phi) to Ric^W = (4 Ric0^g - 5 Ric0^phi) / 20; (Q14
-    over Q7) as one (42, 21) matrix; and Q7 and Q14."""
+    take (Ric0^g, Ric0^phi) to (Ric0^g, Ric^W = (4 Ric0^g - 5 Ric0^phi) / 20)
+    as a (2, 2) matrix; the scales of the outputs of `_block_table`, (1/112,
+    1/5) as (2, 1, 1); (Q14 over Q7) as one (42, 21) matrix; and Q7 and Q14."""
     one = scalar(1, exact)
-    weights = np.array([4 * one / 20, -5 * one / 20])
+    weights = np.array([[one, 0 * one], [4 * one / 20, -5 * one / 20]])
+    scales = np.array([one / 112, one / 5]).reshape(2, 1, 1)
     q7, q14 = projector_matrix(2, 7, exact), projector_matrix(2, 14, exact)
     q = np.concatenate((q14, q7))
-    for a in (weights, q):
+    for a in (weights, scales, q):
         a.flags.writeable = False
-    return weights, q, q7, q14
+    return weights, scales, q, q7, q14
 
 
 def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
@@ -404,11 +409,11 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     largest entry) rather than silently projecting.  The blocks are written
     into one (5, 21, 21) array.
     """
-    # the gate's b(R) and R - R^T and the two contractions with their traces
-    # are one scatter of the pair matrix
-    maps = _pair_maps(r)
+    # the gate's b(R) and R - R^T, the traceless contractions and the
+    # scalar curvature are one scatter of the pair matrix
+    maps = _apply_linear(_pair_table(), r.mat)
     m, n = 2 * DIM * DIM, NPAIRS * NPAIRS
-    size, res, asymmetry = max_abs_each(r.mat, maps[m + 2 : m + 2 + n], maps[m + 2 + n :])
+    size, res, asymmetry = max_abs_each(r.mat, maps[m + 1 : m + 1 + n], maps[m + 1 + n :])
     limit = bound(tol, size)
     if not res <= limit:
         raise ValueError(
@@ -418,23 +423,19 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
         raise ValueError("input pair matrix is not symmetric")
     exact = r.exact
     one = scalar(1, exact)
-    weights, q, q7, q14 = _decompose_tables(exact)
+    weights, scales, q, q7, q14 = _decompose_tables(exact)
 
-    # the Ricci and phi-Ricci contractions as one stack: s, Ric0 and Ric^W
-    # share the one Ricci contraction, and Ric^W is one product of the
-    # traceless stack
-    contractions, traces = maps[:m].reshape(2, DIM, DIM), maps[m : m + 2]
-    s = traces[0]
-    ric0_stack = contractions - identity(DIM, exact) * (traces / DIM)[:, None, None]
-    ricw = weights.dot(ric0_stack.reshape(2, -1)).reshape(DIM, DIM)
+    # (Ric0^g, Ric0^phi) as one stack, and (Ric0, Ric^W) one product of it
+    ric0_stack = (maps[:m] / DIM).reshape(2, DIM, DIM)
+    s = maps[m]
+    ric0_ricw = weights.dot(ric0_stack.reshape(2, -1))
 
     # the blocks as pair matrices, in the order of NAMES; each scalar
     # multiplies from the right, as CurvatureTensor.__mul__ does, and W27
-    # is one scatter of Ric^W
+    # and R0 are one scatter of (Ric0, Ric^W)
     blocks = np.empty((5, NPAIRS, NPAIRS), dtype=r.mat.dtype)  # W77, W64, W27, R0, S
     np.multiply(_kn_metric(exact).mat, s * one / 84, out=blocks[4])
-    np.multiply(_kn_stack(ric0_stack[:1])[0], one / 5, out=blocks[3])
-    np.multiply(_apply_linear(_w27_table(), ricw).reshape(NPAIRS, NPAIRS), one / 112, out=blocks[2])
+    np.multiply(_apply_linear(_block_table(), ric0_ricw).reshape(2, NPAIRS, NPAIRS), scales, out=blocks[2:4])
 
     # P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 on the Weyl rest, in
     # three products with the stacked (Q14; Q7)
@@ -442,7 +443,7 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     q_rest = q.dot(weyl_rest)  # Q14 rest over Q7 rest
     np.dot(q_rest, q14, out=blocks[:2].reshape(2 * NPAIRS, NPAIRS))  # W77 over Q7 rest Q14
     np.add(blocks[1], q_rest[:NPAIRS].dot(q7), out=blocks[1])
-    return CurvatureDecomposition(blocks, ric0_stack, ricw, s, res)
+    return CurvatureDecomposition(blocks, ric0_stack, ric0_ricw[1].reshape(DIM, DIM), s, res)
 
 
 def norm_split_residual(r: CurvatureTensor, dec: CurvatureDecomposition) -> float:

@@ -632,13 +632,14 @@ def test_analyze_builds_each_stage_once(monkeypatch):
     counting(tr, "recompose")
     counting(tr.TorsionComponents, "norms")
     # the curvature stages, wherever they are called from
-    for name in ("_pair_maps", "ricci", "phi_ricci", "kn_product", "phi_product", "_kn_stack", "bianchi_b"):
+    for name in ("_apply_linear", "ricci", "phi_ricci", "kn_product", "phi_product", "bianchi_b"):
         for module in (cv, hm):
             if hasattr(module, name):
                 counting(module, name)
     rep = hm.analyze(spec)
     assert rep.passed
-    assert calls.pop("_kn_stack") == 1  # r_g(Ric0); r_g(g) is cached and W27 is one table
+    # one scatter of the pair matrix and one of (Ric0, Ric^W); r_g(g) is cached
+    assert calls.pop("_apply_linear") == 2
     assert calls == {
         "invariant_d_matrices": 1,
         "_koszul": 1,
@@ -646,7 +647,6 @@ def test_analyze_builds_each_stage_once(monkeypatch):
         "norms": 1,
         "nabla_bar_tau": 1,
         "ricci_terms": 1,
-        "_pair_maps": 1,  # the gate's b(R) and R - R^T, c^g and c^phi in one scatter
         "pass scatter": 1,
         "gamma-bar action (49, 112)": 1,
         "gamma action (49, 35)": 1,
@@ -824,8 +824,8 @@ def test_stacked_passes_match_the_references_in_exact_mode(name):
 @pytest.mark.parametrize(
     "name, want",
     [
-        ("aa", {"max_abs": 2, "bincount": 7, "Form": 27, "CurvatureTensor": 2, "extend": 1}),
-        ("bryant", {"max_abs": 2, "bincount": 8, "Form": 31, "CurvatureTensor": 2, "extend": 2}),
+        ("aa", {"max_abs": 2, "bincount": 6, "Form": 27, "CurvatureTensor": 2, "extend": 1}),
+        ("bryant", {"max_abs": 2, "bincount": 7, "Form": 31, "CurvatureTensor": 2, "extend": 2}),
     ],
     ids=["aa", "bryant"],
 )
@@ -836,9 +836,9 @@ def test_warm_float_analyze_call_counts(monkeypatch, name, want):
     # them, gamma on phi); the six Ricci-formula rows are one `ricci_rows`
     # call and their left sides one lambda3 product, which the closed chain
     # reads too; the six residuals are one reduction and the other check
-    # residuals another; every float scatter is a bincount (d, r_g, the
-    # pass and its alternation, the Ricci and conversion terms, the pair
-    # matrix and W27, and in the closed chain the wedge tau ^ tau^2); the checks of
+    # residuals another; every float scatter is a bincount (d, the pass's
+    # alternation, the Ricci and conversion terms, the pair matrix, the
+    # (W27, R0) blocks, and in the closed chain the wedge tau ^ tau^2); the checks of
     # analyze and of the closed chain are one `Report.extend` each; value
     # objects are counted as they are built
     import sys
