@@ -685,6 +685,15 @@ def _closed_ricci_weights(exact: bool) -> tuple:
     return formula, norm
 
 
+@functools.cache
+def _lambda3_1_7(exact: bool) -> np.ndarray:
+    """The projectors onto Lambda^3_1 and Lambda^3_7 stacked as one read-only
+    (70, 35) matrix."""
+    m = np.concatenate([projector_matrix(3, d, exact) for d in (1, 7)])
+    m.flags.writeable = False
+    return m
+
+
 #: the positions of tau0, tau1 and tau3 in the packed torsion vector
 _NOT_TAU2 = np.r_[0:8, 29:64]
 _NOT_TAU2.flags.writeable = False
@@ -759,23 +768,20 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k,
     term2 = tp.reshape(DIM * DIM, DIM).dot(tau_arr.T).reshape(-1).take(_term2_entries())
     rhs40 = (frame_interior(dbar_form).T - nb_tau.array.T) + (term1 - term2) / 6
 
-    reduces, delta_phi, cyclic, no_7, canonical, rhs_size, lands_27, *rest = max_abs_each(
+    reduces, delta_phi, cyclic, no_7, canonical, rhs_size, lands_27, dbar_size, contraction, lhs40_size = max_abs_each(
         t.packed[_NOT_TAU2],
         -hodge(geo.dstarphi).coeffs - tau.coeffs,  # delta phi = -*d*phi on 3-forms
         geo.xi.cyclic_sum(),
         g7.array,
         dbar_tau - rhs,
         rhs,
-        np.concatenate([projector_matrix(3, d, exact).dot(dbar_tau) for d in (1, 7)]),
-        *formula,
-        *ric0k,
+        _lambda3_1_7(exact).dot(dbar_tau),
         dbar_tau,
         lhs40 - rhs40,
         lhs40,
     )
-    n_k = len(K_VALUES)
-    formula_residuals, ric0k_sizes = rest[:n_k], rest[n_k : 2 * n_k]
-    dbar_size, contraction, lhs40_size = rest[2 * n_k :]
+    # per k, the largest entries of the formula residual and of Ric0^k
+    formula_residuals, ric0k_sizes = np.abs(formula).max(axis=1), np.abs(ric0k).max(axis=1)
     nb_size = nb_tau.membership[1]
 
     # extremally pinched Ricci predicate: d^nabla-bar tau = 0 iff
