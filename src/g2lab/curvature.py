@@ -28,11 +28,12 @@ matrix through the degree-2 projectors.
 r_g is an index table from the 49 entries of h to the 441 pair-matrix
 entries; r_g(g) is a cached constant, and b is two gathers (the R_kijl and
 R_jkil terms of each entry).  The linear maps `decompose` takes are integer
-tables composed once from these (`_linear_table`): one scatter of R gives
-the gate's b(R) and R - R^T, the traceless parts of the two contractions
-(`_contraction_matrix`, which `ricci` and `phi_ricci` apply) and the scalar
-curvature (`_pair_table`), and one scatter of (Ric0, Ric^W) gives W_27 and
-R_0 (`_block_table`, r_g and r_phi with its kernel projection composed).
+tables composed once from these (`exterior_algebra.linear_table`): one
+scatter of R gives the gate's b(R) and R - R^T, the traceless parts of the
+two contractions (`_contraction_matrix`, which `ricci` and `phi_ricci`
+apply) and the scalar curvature (`_pair_table`), and one scatter of
+(Ric0, Ric^W) gives W_27 and R_0 (`_block_table`, r_g and r_phi with its
+kernel projection composed).
 `decompose` writes the five blocks into one (5, 21, 21) array, W_77 and
 W_64 from three products with the stacked (Q14; Q7); reassembly sums it
 once and the block norms reduce it once.  It keeps Ric0^g and Ric0^phi as
@@ -46,7 +47,7 @@ import functools
 import numpy as np
 
 from ._linalg import as_mode, bound, identity, lazy, max_abs_each, scalar, scatter_add, zeros
-from .exterior_algebra import BASIS, DIM, float_column, index_columns
+from .exterior_algebra import BASIS, DIM, apply_linear, float_column, index_columns, linear_table
 from .g2_algebra import iphi_matrix, projector_matrix
 
 PAIRS = BASIS[2]
@@ -147,27 +148,6 @@ def random_algebraic_curvature(seed: int = 0, exact: bool = False) -> CurvatureT
     return project_to_kernel(CurvatureTensor(m))
 
 
-# --- linear tables ---------------------------------------------------------------
-
-
-def _linear_table(m: np.ndarray) -> tuple:
-    """The scatter that applies an integer matrix: read-only columns (output
-    position, input position, coefficient) of its nonzero entries in (output,
-    input) order, and the coefficient as floats."""
-    dst, src = np.nonzero(m)
-    dst, src, coef = index_columns(np.stack([dst, src, m[dst, src]], axis=1), 3)
-    return dst, src, coef, float_column(coef), len(m)
-
-
-def _apply_linear(table: tuple, x: np.ndarray) -> np.ndarray:
-    """An integer matrix of `_linear_table` on the entries of x, in one
-    gather and one scatter; each output adds its terms in input order."""
-    dst, src, coef, float_coef, n = table
-    values = x.reshape(-1)[src]
-    values = (coef if values.dtype == object else float_coef) * values
-    return scatter_add(dst, values, n)
-
-
 # --- contractions ----------------------------------------------------------------
 
 
@@ -193,18 +173,18 @@ def _contraction_matrix() -> np.ndarray:
 
 @functools.cache
 def _contraction_table() -> tuple:
-    return _linear_table(_contraction_matrix())
+    return linear_table(_contraction_matrix())
 
 
 def _contractions(r: CurvatureTensor) -> np.ndarray:
     """(c^g(r), c^phi(r)) as one (2, 7, 7) array, one scatter of the pair
     matrix (`_contraction_matrix`)."""
-    return _apply_linear(_contraction_table(), r.mat).reshape(2, DIM, DIM)
+    return apply_linear(_contraction_table(), r.mat).reshape(2, DIM, DIM)
 
 
 @functools.cache
 def _pair_table() -> tuple:
-    """The `_linear_table` of the linear maps of the pair matrix r that
+    """The `linear_table` of the linear maps of the pair matrix r that
     `decompose` reads, their outputs back to back: 7 Ric0^g and 7 Ric0^phi
     (the traceless parts of the two contractions, times 7) as 98 entries,
     the scalar curvature, b(r) at the pair entries (`bianchi_b`) and r - r^T,
@@ -222,7 +202,7 @@ def _pair_table() -> tuple:
     np.add.at(bianchi, (rows, p2), s2)
     transpose = rows.reshape(NPAIRS, NPAIRS).T.reshape(-1)
     asymmetry = np.eye(n, dtype=np.int64) - np.eye(n, dtype=np.int64)[transpose]
-    return _linear_table(np.concatenate((traceless.reshape(-1, n), traces[:1], bianchi, asymmetry)))
+    return linear_table(np.concatenate((traceless.reshape(-1, n), traces[:1], bianchi, asymmetry)))
 
 
 def ricci(r: CurvatureTensor) -> np.ndarray:
@@ -305,7 +285,7 @@ def phi_product(h: np.ndarray) -> CurvatureTensor:
 
 @functools.cache
 def _block_table() -> tuple:
-    """The `_linear_table` of (Ric0, Ric^W), 98 entries, to 112 W27 and 5 R0,
+    """The `linear_table` of (Ric0, Ric^W), 98 entries, to 112 W27 and 5 R0,
     441 entries each: 112 W27(h) = 3 r_g(h) - 15 r_phi(h) at h = Ric^W, with
     r_phi(h) = T - b(T)/3 and T = b^T h^T b as in `phi_product`, and
     5 R0 = r_g(Ric0), composed on the basis tensors in integer arithmetic."""
@@ -321,7 +301,7 @@ def _block_table() -> tuple:
     m = np.zeros((2, n, 2, DIM * DIM), dtype=np.int64)
     m[0, :, 1] = 3 * kn - 15 * t + 5 * bt
     m[1, :, 0] = kn
-    return _linear_table(m.reshape(2 * n, -1))
+    return linear_table(m.reshape(2 * n, -1))
 
 
 def generalized_ricci(r: CurvatureTensor, k) -> np.ndarray:
@@ -411,7 +391,7 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     """
     # the gate's b(R) and R - R^T, the traceless contractions and the
     # scalar curvature are one scatter of the pair matrix
-    maps = _apply_linear(_pair_table(), r.mat)
+    maps = apply_linear(_pair_table(), r.mat)
     m, n = 2 * DIM * DIM, NPAIRS * NPAIRS
     size, res, asymmetry = max_abs_each(r.mat, maps[m + 1 : m + 1 + n], maps[m + 1 + n :])
     limit = bound(tol, size)
@@ -435,7 +415,7 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     # and R0 are one scatter of (Ric0, Ric^W)
     blocks = np.empty((5, NPAIRS, NPAIRS), dtype=r.mat.dtype)  # W77, W64, W27, R0, S
     np.multiply(_kn_metric(exact).mat, s * one / 84, out=blocks[4])
-    np.multiply(_apply_linear(_block_table(), ric0_ricw).reshape(2, NPAIRS, NPAIRS), scales, out=blocks[2:4])
+    np.multiply(apply_linear(_block_table(), ric0_ricw).reshape(2, NPAIRS, NPAIRS), scales, out=blocks[2:4])
 
     # P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 on the Weyl rest, in
     # three products with the stacked (Q14; Q7)

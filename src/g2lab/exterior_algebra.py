@@ -250,6 +250,24 @@ class IndexTable:
         return scatter_add(self.po, coef * xa * y[self.pb], self.n_out)
 
 
+def linear_table(m: np.ndarray) -> tuple:
+    """The scatter that applies an integer matrix: read-only columns (output
+    position, input position, coefficient) of its nonzero entries in (output,
+    input) order, the coefficient as floats, and the number of outputs."""
+    dst, src = np.nonzero(m)
+    dst, src, coef = index_columns(np.stack([dst, src, m[dst, src]], axis=1), 3)
+    return dst, src, coef, float_column(coef), len(m)
+
+
+def apply_linear(table: tuple, x: np.ndarray) -> np.ndarray:
+    """An integer matrix of `linear_table` on the entries of x, in one
+    gather and one scatter; each output adds its terms in input order."""
+    dst, src, coef, float_coef, n = table
+    values = x.reshape(-1)[src]
+    values = (coef if values.dtype == object else float_coef) * values
+    return scatter_add(dst, values, n)
+
+
 # --- wedge -----------------------------------------------------------------
 
 

@@ -360,7 +360,8 @@ class InvariantGeometry:
         m = connection_matrix(self.phi, self.ricci_terms["*(tau1^*phi)"], t.tau2, t.tau3)
         bar = connection_action(self.gamma_bar, m)
         n = _PASS_COLUMNS[1]
-        grad_phi = connection_action(self.gamma, m[:, :n])
+        # gamma = gamma-bar + xi: the NaN check of gamma-bar's action covers it
+        grad_phi = self.gamma.reshape(DIM, DIM * DIM).dot(m[:, :n])
         alts = alternate(np.concatenate((grad_phi, bar[:, n:]), axis=1), _PASS_DEGREES)
         return bar, alts.reshape(len(_PASS_DEGREES), -1)  # each output has 35 coefficients
 
