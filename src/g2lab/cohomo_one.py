@@ -58,7 +58,6 @@ from .exterior_algebra import (
 )
 from .torsion import (
     TorsionComponents,
-    _pack,
     extract_torsion,
     fg_type,
     fg_type_of_norms,
@@ -654,7 +653,7 @@ class _Solve:
     def two_route(self, tol: float) -> TorsionComponents:
         """The generic torsion, checked against the closed form within tol."""
         t_closed, t_generic = self.t_closed, self.generic_torsion()
-        resid = max_abs(_pack(t_closed) - _pack(t_generic))
+        resid = max_abs(t_closed.packed - t_generic.packed)
         if not resid <= tol:
             raise RouteMismatch(
                 f"closed-form and structure-equation torsion disagree "

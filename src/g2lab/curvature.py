@@ -192,17 +192,31 @@ def _pair_table() -> tuple:
     n = NPAIRS * NPAIRS
     contractions = _contraction_matrix().reshape(2, DIM * DIM, n)
     traces = contractions[:, :: DIM + 1].sum(axis=1)  # (2, n)
-    traceless = DIM * contractions - np.multiply.outer(traces, np.eye(DIM, dtype=np.int64).reshape(-1)).transpose(
-        0, 2, 1
-    )
+    eye = np.eye(DIM, dtype=np.int64).reshape(-1)
+    traceless = DIM * contractions - traces[:, None, :] * eye[None, :, None]
+    dst, src, coef, _, start = linear_table(np.concatenate((traceless.reshape(-1, n), traces[:1])))
+    # b(R) = R + R_kijl + R_jkil at (ij), (kl), and R - R^T off the diagonal:
+    # rows of equal (output, input) summed, zero sums dropped, in (output,
+    # input) order
     rows = np.arange(n)
     p1, s1, p2, s2 = (c.reshape(-1) for c in _bianchi_table()[:4])
-    bianchi = np.eye(n, dtype=np.int64)  # b(R) = R + R_kijl + R_jkil at (ij), (kl)
-    np.add.at(bianchi, (rows, p1), s1)
-    np.add.at(bianchi, (rows, p2), s2)
     transpose = rows.reshape(NPAIRS, NPAIRS).T.reshape(-1)
-    asymmetry = np.eye(n, dtype=np.int64) - np.eye(n, dtype=np.int64)[transpose]
-    return linear_table(np.concatenate((traceless.reshape(-1, n), traces[:1], bianchi, asymmetry)))
+    off = transpose != rows
+    ones = np.ones(n, dtype=np.int64)
+    more = np.array(
+        [
+            np.concatenate((rows, rows, rows, n + rows[off], n + rows[off])),
+            np.concatenate((rows, p1, p2, rows[off], transpose[off])),
+            np.concatenate((ones, s1, s2, ones[off], -ones[off])),
+        ]
+    )
+    key, inverse = np.unique(more[0] * n + more[1], return_inverse=True)  # sorted by (output, input)
+    total = np.zeros(len(key), dtype=np.int64)
+    np.add.at(total, inverse, more[2])
+    keep = total != 0
+    more = np.stack([start + key[keep] // n, key[keep] % n, total[keep]])
+    dst, src, coef = index_columns(np.concatenate((np.stack([dst, src, coef]), more), axis=1).T, 3)
+    return dst, src, coef, float_column(coef), start + 2 * n
 
 
 def ricci(r: CurvatureTensor) -> np.ndarray:

@@ -466,12 +466,12 @@ class Report:
         self.summary = {} if summary is None else summary
 
     def add(self, name: str, residual, scale: float = 0.0, slack: int = 1):
-        self.checks.append(Check(name, float(residual), bound(self.tol, scale) * slack, scale))
+        self.extend((name,), (residual,), (scale,), slack)
 
     def extend(self, names, residuals, scales, slack=1):
-        """`add` for a family of checks, with one slack or an array of one
-        per check: one vectorised `bounds` gives every tolerance, the same
-        IEEE product ``bound(tol, scale) * slack`` as `add` makes for each."""
+        """Record a family of checks, with one slack or an array of one per
+        check: one vectorised `bounds` gives every tolerance, per check the
+        IEEE product ``bound(tol, scale) * slack``."""
         scales = np.array(scales, dtype=float)
         tols = bounds(self.tol, scales) * slack
         self.checks += map(Check, names, map(float, residuals), tols.tolist(), scales.tolist())

@@ -87,7 +87,7 @@ class TorsionComponents:
 
     def membership_residual(self) -> float:
         """Distance of tau2 / tau3 from Lambda^2_14 / Lambda^3_27."""
-        return max_abs(_structure_tables(self.exact)[1].dot(_pack(self)))
+        return max_abs(_structure_tables(self.exact)[1].dot(self.packed))
 
     @lazy
     def packed(self) -> np.ndarray:
@@ -118,10 +118,6 @@ class TorsionComponents:
 # A quadruple is packed as one vector v = (tau0, tau1, tau2, tau3) of length
 # 1 + 7 + 21 + 35 and the pair (d phi, d *phi) as one u of length 35 + 21;
 # extraction, membership and reconstruction are each one matrix product.
-
-
-def _pack(t: TorsionComponents) -> np.ndarray:
-    return t.packed
 
 
 @functools.cache
@@ -194,7 +190,7 @@ def _membership_gate(residual, tol: float = 1e-9) -> None:
 def recompose(t: TorsionComponents, tol: float = 1e-9):
     """(d phi, d *phi) generated by a torsion quadruple."""
     _membership_gate(t.membership_residual(), tol)
-    u = _structure_tables(t.exact)[2].dot(_pack(t))
+    u = _structure_tables(t.exact)[2].dot(t.packed)
     return Form(4, u[:35]), Form(5, u[35:])
 
 
@@ -287,7 +283,7 @@ def intrinsic_from_torsion(t: TorsionComponents) -> IntrinsicTorsion:
     one come from one product with `_intrinsic_table`; sigma(tau3) / 2 is
     added to it last.
     """
-    xibar = _intrinsic_table(t.exact).dot(_pack(t)[:29]).reshape(DIM, DIM) + sigma_contract(t.tau3) / 2
+    xibar = _intrinsic_table(t.exact).dot(t.packed[:29]).reshape(DIM, DIM) + sigma_contract(t.tau3) / 2
     return IntrinsicTorsion(xi=xi_from_xibar(xibar), xi_bar=xibar)
 
 
@@ -512,7 +508,7 @@ def dtau2_conversion(t: TorsionComponents, terms: dict, dbar_tau2: Form) -> np.n
     the canonical derivative d^nabla-bar tau2; the two terms of their own
     are one pass of `_conversion_pass`."""
     exact = t.exact
-    v = _pack(t)
+    v = t.packed
     own = _conversion_pass().apply(v, v)
     n = dim_of(3)
     t1t2 = terms["tau1^tau2"].coeffs
