@@ -374,12 +374,12 @@ class InvariantGeometry:
             raise ValueError(f"canonical connection does not annihilate phi (residual {residual:.3g})")
         return residual
 
-    @property
+    @lazy
     def nabla_bar_tau2(self) -> np.ndarray:
-        """(7, 21) coefficients of nabla-bar_i tau2, ungated: a view of the
+        """(7, 21) coefficients of nabla-bar_i tau2, ungated: the block of the
         connection pass, whose d^nabla-bar tau2 alternates it and which
-        `nabla_bar_tau` gates."""
-        return self.connection_pass[0][:, _PASS_COLUMNS[2] : _PASS_COLUMNS[3]]
+        `nabla_bar_tau` gates, as one contiguous array."""
+        return np.ascontiguousarray(self.connection_pass[0][:, _PASS_COLUMNS[2] : _PASS_COLUMNS[3]])
 
     @lazy
     def ricci_derivs(self) -> dict:
