@@ -46,7 +46,7 @@ import functools
 
 import numpy as np
 
-from ._linalg import as_mode, bound, identity, lazy, max_abs_each, scalar, scatter_add, zeros
+from ._linalg import as_mode, bound, identity, lazy, max_abs_each, scalar, zeros
 from .exterior_algebra import BASIS, DIM, apply_linear, float_column, index_columns, linear_table
 from .g2_algebra import iphi_matrix, projector_matrix
 
@@ -161,7 +161,7 @@ def _contraction_matrix() -> np.ndarray:
     e_u -| phi of `iphi_matrix`, whose rows hold three entries each, so every
     entry of c^phi reads nine entries of r.
     """
-    pos_out, pos_in, sign, _ = _kn_table()
+    pos_out, pos_in, sign, *_ = _kn_table()
     m = np.zeros((2, DIM * DIM, NPAIRS * NPAIRS), dtype=np.int64)
     np.add.at(m[0], (pos_in, pos_out), sign)
     b = iphi_matrix()
@@ -251,9 +251,9 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _kn_table():
-    """Rows (pos_out, pos_in, sign) of r_g over the 441 pair-matrix entries and
-    the 49 entries of h, from R_ijkl = h_jk g_il - h_ik g_jl + h_il g_jk - h_jl g_ik,
-    and the sign as floats.
+    """r_g as a `linear_table` from the 49 entries of h to the 441 pair-matrix
+    entries: rows (pos_out, pos_in, sign) from R_ijkl = h_jk g_il - h_ik g_jl
+    + h_il g_jk - h_jl g_ik, the sign as floats, and the number of outputs.
 
     An entry has at most two rows (the g_jl and g_ik terms, on the diagonal
     pairs), so a float sum does not depend on their order.
@@ -266,16 +266,13 @@ def _kn_table():
         hit = x == y  # the g factor
         rows.append(np.stack([out[hit], (DIM * a + b)[hit], np.full(hit.sum(), sign)], axis=1))
     pos_out, pos_in, sign = index_columns(np.concatenate(rows), 3)
-    return pos_out, pos_in, sign, float_column(sign)
+    return pos_out, pos_in, sign, float_column(sign), NPAIRS * NPAIRS
 
 
 def kn_product(h: np.ndarray) -> CurvatureTensor:
     """r_g(h) = h (.) g, the Kulkarni-Nomizu product with the metric: one
     scatter of the entries of h through `_kn_table`."""
-    pos_out, pos_in, sign, float_sign = _kn_table()
-    values = np.asarray(h).reshape(-1)[pos_in]
-    values = (sign if values.dtype == object else float_sign) * values
-    return CurvatureTensor(scatter_add(pos_out, values, NPAIRS * NPAIRS).reshape(NPAIRS, NPAIRS))
+    return CurvatureTensor(apply_linear(_kn_table(), np.asarray(h)).reshape(NPAIRS, NPAIRS))
 
 
 @functools.cache
@@ -304,7 +301,7 @@ def _block_table() -> tuple:
     r_phi(h) = T - b(T)/3 and T = b^T h^T b as in `phi_product`, and
     5 R0 = r_g(Ric0), composed on the basis tensors in integer arithmetic."""
     n = NPAIRS * NPAIRS
-    pos_out, pos_in, sign, _ = _kn_table()
+    pos_out, pos_in, sign, *_ = _kn_table()
     kn = np.zeros((n, DIM * DIM), dtype=np.int64)
     np.add.at(kn, (pos_out, pos_in), sign)
     b = iphi_matrix()

@@ -260,8 +260,9 @@ def linear_table(m: np.ndarray) -> tuple:
 
 
 def apply_linear(table: tuple, x: np.ndarray) -> np.ndarray:
-    """An integer matrix of `linear_table` on the entries of x, in one
-    gather and one scatter; each output adds its terms in input order."""
+    """A linear table on the entries of x, in one gather and one scatter;
+    each output adds its terms in row order (input order, for the table of
+    `linear_table`)."""
     dst, src, coef, float_coef, n = table
     values = x.reshape(-1)[src]
     values = (coef if values.dtype == object else float_coef) * values
@@ -294,18 +295,17 @@ def wedge(a: Form, b: Form) -> Form:
 
 @functools.cache
 def _alternation_table(degrees: tuple):
-    """Read-only columns (flat position in a (7, n) stack of blocks of the
-    given degrees side by side, output position in the results back to back,
-    sign) of the wedge tables of (1, k), each in its row order, and the sign
-    as floats."""
+    """The `linear_table` of a (7, n) stack of blocks of the given degrees,
+    side by side, to sum_i e^i ^ block[i] of each, back to back: the rows of
+    the wedge tables of (1, k), each in its row order."""
     width = sum(dim_of(k) for k in degrees)
     cols, col, out = [], 0, 0
     for k in degrees:
         t = _wedge_table(1, k)
-        cols.append(np.stack([t.pa * width + col + t.pb, out + t.po, t.coef], axis=1))
+        cols.append(np.stack([out + t.po, t.pa * width + col + t.pb, t.coef], axis=1))
         col, out = col + dim_of(k), out + dim_of(k + 1)
-    src, po, sign = index_columns(np.concatenate(cols), 3)
-    return src, po, sign, float_column(sign), out
+    po, src, sign = index_columns(np.concatenate(cols), 3)
+    return po, src, sign, float_column(sign), out
 
 
 def alternate(stack: np.ndarray, degrees: tuple) -> np.ndarray:
@@ -313,10 +313,7 @@ def alternate(stack: np.ndarray, degrees: tuple) -> np.ndarray:
     blocks have the given degrees, side by side: the coefficients of the
     (k + 1)-forms back to back, in one scatter.  Each output adds the rows
     of its own block in table order, as a scatter of that block alone does."""
-    src, po, sign, float_sign, n = _alternation_table(degrees)
-    values = stack.reshape(-1)[src]
-    values = (sign if values.dtype == object else float_sign) * values
-    return scatter_add(po, values, n)
+    return apply_linear(_alternation_table(degrees), stack)
 
 
 def frame_wedge(stack: np.ndarray, degree: int) -> Form:

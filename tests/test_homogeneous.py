@@ -1,7 +1,6 @@
 """Left-invariant geometry: connection, curvature, torsion, analyze."""
 
 import functools
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -515,9 +514,10 @@ def test_connection_pass_matches_the_per_form_actions():
     assert geo.nabla_bar_tau2 is geo.nabla_bar_tau2  # built once
 
 
-def test_report_extend_judges_as_add():
-    # one vectorised bound per family gives the tolerance add gives each
-    # check, bit for bit, with one slack or one per check; a NaN fails
+def test_report_extend_judges_with_bound():
+    # one vectorised bounds per family gives each check the tolerance
+    # bound(tol, scale) * slack, bit for bit, with one slack or one per
+    # check, and plain floats; a NaN scale or residual fails
     rng = np.random.default_rng(23)
     scales = [0.0, 0.5, 1.0, 3.7, 1e8, float("nan")] + np.exp(rng.normal(size=20) * 5).tolist()
     residuals = (rng.random(len(scales)) * 1e-8).tolist() + [float("nan")]
@@ -525,13 +525,13 @@ def test_report_extend_judges_as_add():
     names = [f"c{i}" for i in range(len(scales))]
     slacks = rng.choice([1, 10, 50], size=len(scales))
     for slack in (1, 50, slacks):
-        one_by_one, family = Report("a", 1e-9), Report("b", 1e-9)
-        for name, r, sc, sl in zip(names, residuals, scales, np.broadcast_to(slack, len(scales))):
-            one_by_one.add(name, r, sc, int(sl))
-        family.extend(names, residuals, scales, slack)
-        got, want = [c.as_dict() for c in family.checks], [c.as_dict() for c in one_by_one.checks]
-        assert [json.dumps(g) for g in got] == [json.dumps(w) for w in want]
-    assert not family.checks[5].passed and not family.checks[-1].passed  # NaN scale, NaN residual
+        rep = Report("family", 1e-9)
+        rep.extend(names, residuals, scales, slack)
+        want = [bound(1e-9, sc) * int(sl) for sc, sl in zip(scales, np.broadcast_to(slack, len(scales)))]
+        assert [c.tol.hex() for c in rep.checks] == [w.hex() for w in want]
+        assert {type(v) for c in rep.checks for v in (c.residual, c.tol, c.scale)} == {float}
+    assert [c.name for c in rep.checks] == names
+    assert not rep.checks[5].passed and not rep.checks[-1].passed  # NaN scale, NaN residual
 
 
 def test_exact_mode_bryant():
@@ -570,7 +570,7 @@ def test_analyze_builds_each_stage_once(monkeypatch):
 
     spec = builtin_examples()["bryant"]["spec"]
     hm.analyze(spec)  # builds the cached tables, r_g(g) among them
-    lc = hm.levi_civita(spec)  # nabla-bar phi is the action of any other gamma on phi
+    lc = hm.levi_civita(spec)  # an action of any other gamma is gamma-bar's
     tau2 = hm.geometry(spec).torsion.tau2
     calls = {}
 
@@ -604,8 +604,8 @@ def test_analyze_builds_each_stage_once(monkeypatch):
         return real_action(gamma, m)
 
     # d^nabla-bar of a form reaches the scatter and the action through
-    # covariant_wedge; the pass makes one scatter of the four forms and
-    # the two connections act on it
+    # covariant_wedge; the pass makes one scatter of the four forms, which
+    # gamma-bar acts on through connection_action
     for module in (hm, ea):
         monkeypatch.setattr(module, "connection_matrix", matrix)
         monkeypatch.setattr(module, "connection_action", action)
