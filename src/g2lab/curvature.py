@@ -151,9 +151,9 @@ def random_algebraic_curvature(seed: int = 0, exact: bool = False) -> CurvatureT
 # --- contractions ----------------------------------------------------------------
 
 
-@functools.cache
 def _contraction_matrix() -> np.ndarray:
-    """Read-only integer (98, 441) matrix of the pair matrix to (c^g, c^phi).
+    """The integer (98, 441) matrix of the pair matrix to (c^g, c^phi), built
+    for the two tables that apply it and not kept.
 
     c^g is the adjoint of r_g over the pair matrix, <h, c^g(M)> =
     <r_g(h), M> for every 21 x 21 M, so its rows are the table of
@@ -166,13 +166,12 @@ def _contraction_matrix() -> np.ndarray:
     np.add.at(m[0], (pos_in, pos_out), sign)
     b = iphi_matrix()
     m[1] = 4 * np.multiply.outer(b, b).transpose(0, 2, 1, 3).reshape(DIM * DIM, -1)
-    m = m.reshape(2 * DIM * DIM, -1)
-    m.flags.writeable = False
-    return m
+    return m.reshape(2 * DIM * DIM, -1)
 
 
 @functools.cache
 def _contraction_table() -> tuple:
+    """The `linear_table` of `_contraction_matrix`."""
     return linear_table(_contraction_matrix())
 
 
