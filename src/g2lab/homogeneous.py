@@ -648,7 +648,7 @@ _CLOSED_CHECKS = (
     ("closed: curvature contraction identity (componentwise)", 10),
     ("closed: squared contraction identity", 10),
 )
-_EPR = 15  # the position of the EPR check
+_EPR = [name for name, _ in _CLOSED_CHECKS].index("closed: EPR norm identity (dbar tau = 0)")
 
 
 def _closed_family(with_epr: bool) -> tuple:
