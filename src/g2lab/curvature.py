@@ -32,8 +32,9 @@ tables composed once from these (`exterior_algebra.linear_table`): one
 scatter of R gives the gate's b(R) and R - R^T, the traceless parts of the
 two contractions (`_contraction_matrix`, which `ricci` and `phi_ricci`
 apply) and the scalar curvature (`_pair_table`), and one scatter of
-(Ric0, Ric^W) gives W_27 and R_0 (`_block_table`, r_g and r_phi with its
-kernel projection composed).
+(Ric0, Ric^W) gives W_27 and R_0 (`_block_table`, composed from r_g and
+the integer matrix of r_phi with its kernel projection, which `phi_product`
+applies).
 `decompose` writes the five blocks into one (5, 21, 21) array, W_77 and
 W_64 from three products with the stacked (Q14; Q7); reassembly sums it
 once and the block norms reduce it once.  It keeps Ric0^g and Ric0^phi as
@@ -282,34 +283,44 @@ def _kn_metric(exact: bool) -> CurvatureTensor:
     return CurvatureTensor(m)
 
 
+def _phi_product_matrix() -> np.ndarray:
+    """The integer (441, 49) matrix of h to 3 r_phi(h) = 3 T - b(T), with
+    T_ijkl = h_ab phi_bij phi_akl the pair matrix b^T h^T b (b the rows
+    e_u -| phi of `iphi_matrix`), composed on the basis tensors and not
+    kept: T(e_a (x) e_b) = b[b]^T b[a], entry (p, q) b[b, p] b[a, q]."""
+    b = iphi_matrix()
+    t = np.multiply.outer(b, b).transpose(1, 3, 2, 0).reshape(NPAIRS * NPAIRS, DIM * DIM)
+    p1, s1, p2, s2 = (c.reshape(-1, 1) for c in _bianchi_table()[:4])
+    return 3 * t - (t + s1 * t[p1[:, 0]] + s2 * t[p2[:, 0]])
+
+
+@functools.cache
+def _phi_product_table() -> tuple:
+    """The `linear_table` of `_phi_product_matrix`."""
+    return linear_table(_phi_product_matrix())
+
+
 def phi_product(h: np.ndarray) -> CurvatureTensor:
     """r_phi(h): insert both slots of h into phi, Bianchi-projected.
 
-    T_ijkl = h_ab phi_bij phi_akl, the pair matrix b^T h^T b with b the rows
-    e_u -| phi of `iphi_matrix`, followed by removal of the Lambda^4 part.
+    T_ijkl = h_ab phi_bij phi_akl, followed by removal of the Lambda^4 part
+    b(T)/3: one scatter of h through `_phi_product_matrix`, divided by 3.
     """
-    h = np.asarray(h)
-    b = _iphi_matrix(h.dtype == object)
-    return project_to_kernel(CurvatureTensor(b.T.dot(h.T).dot(b)))
+    return CurvatureTensor(apply_linear(_phi_product_table(), np.asarray(h)).reshape(NPAIRS, NPAIRS) / 3)
 
 
 @functools.cache
 def _block_table() -> tuple:
     """The `linear_table` of (Ric0, Ric^W), 98 entries, to 112 W27 and 5 R0,
-    441 entries each: 112 W27(h) = 3 r_g(h) - 15 r_phi(h) at h = Ric^W, with
-    r_phi(h) = T - b(T)/3 and T = b^T h^T b as in `phi_product`, and
-    5 R0 = r_g(Ric0), composed on the basis tensors in integer arithmetic."""
+    441 entries each: 112 W27 = 3 r_g(Ric^W) - 15 r_phi(Ric^W) and
+    5 R0 = r_g(Ric0), composed from the r_g table and `_phi_product_matrix`
+    in integer arithmetic."""
     n = NPAIRS * NPAIRS
     pos_out, pos_in, sign, *_ = _kn_table()
     kn = np.zeros((n, DIM * DIM), dtype=np.int64)
     np.add.at(kn, (pos_out, pos_in), sign)
-    b = iphi_matrix()
-    # T(e_a (x) e_b) = b[b]^T b[a]: entry (p, q) is b[b, p] b[a, q]
-    t = np.multiply.outer(b, b).transpose(1, 3, 2, 0).reshape(n, DIM * DIM)
-    p1, s1, p2, s2 = (c.reshape(-1, 1) for c in _bianchi_table()[:4])
-    bt = t + s1 * t[p1[:, 0]] + s2 * t[p2[:, 0]]
     m = np.zeros((2, n, 2, DIM * DIM), dtype=np.int64)
-    m[0, :, 1] = 3 * kn - 15 * t + 5 * bt
+    m[0, :, 1] = 3 * kn - 5 * _phi_product_matrix()
     m[1, :, 0] = kn
     return linear_table(m.reshape(2 * n, -1))
 

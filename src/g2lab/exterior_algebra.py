@@ -36,7 +36,10 @@ with constant coefficients on k-forms (`connection_action`), and
 `covariant_wedge` alternates that action into sum_i e^i ^ grad_i a.
 `connection_matrix` scatters several forms side by side, so that one
 product gives a connection's action on all of them, and `alternate` is
-`frame_wedge` over several blocks of one stack in one scatter.
+`frame_wedge` over several blocks of one stack in one scatter.  A linear
+map that other modules compose from these tables as an integer matrix is
+applied the same way, one gather and one scatter (`linear_table`,
+`apply_linear`).
 
 The distinguished three-form is
 
