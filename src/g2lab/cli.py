@@ -4,7 +4,7 @@
     g2lab curvature [--count N] [--seed S] [--tol T]      (N >= 1, S >= 0)
     g2lab analyze FILE.g2 [--json] [--tol T]
     g2lab warp --f PROFILE --theta PROFILE --sigma S --t T
-    g2lab sweep [--t T] [--json]
+    g2lab sweep [--t T] [--json] [--tol T]
 
 --json and --tol may stand before or after the command.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad input.
@@ -99,12 +99,14 @@ def cmd_identities(args) -> int:
         SIGMA_LAMBDA3_CONSTANT,
         VALID_LABELS,
         lambda3,
+        mixed_project_14,
         wedge3_test_pair,
         projector_matrix,
         sigma_contract,
+        split_v14,
         wedge3,
     )
-    from ._linalg import eye, scalar
+    from ._linalg import as_mode, eye, scalar
     from .curvature import inner, kn_product, phi_product, phi_ricci, ricci
 
     exact = args.exact
@@ -145,6 +147,14 @@ def cmd_identities(args) -> int:
         "7 ||gamma||^2 = ||wedge3 gamma||^2",
         abs(float(7 * gam.tensor_norm2() - wedge3(gam).tensor_norm2())),
     )
+    # wedge3 maps each part of V* (x) Lambda^2_14 onto its piece of wedge3(gamma)
+    rng = np.random.default_rng(0)
+    gam = mixed_project_14(as_mode(np.round(rng.normal(size=(7, 21)) * 16) / 16, exact))
+    w, (g64, g27, g7) = wedge3(gam).coeffs, split_v14(gam)
+    p27, p7 = projector_matrix(3, 27, exact), projector_matrix(3, 7, exact)
+    rep.add("split: wedge3(gamma_27) = p_27 wedge3(gamma)", max_abs(wedge3(g27).coeffs - p27.dot(w)))
+    rep.add("split: wedge3(gamma_7) = p_7 wedge3(gamma)", max_abs(wedge3(g7).coeffs - p7.dot(w)))
+    rep.add("split: wedge3(gamma_64) = 0", max_abs(wedge3(g64).coeffs))
 
     rg, rp = kn_product(h), phi_product(h)
     one = scalar(1, exact)
@@ -293,7 +303,10 @@ def cmd_warp(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        table, wrong = co.sweep_check(t=args.t)
+        table, wrong = co.sweep_check(t=args.t, tol=args.tol)
+    except co.RouteMismatch as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

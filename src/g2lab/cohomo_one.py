@@ -870,11 +870,11 @@ def sweep_grid(t: float = 1.0) -> list:
     ]
 
 
-def sweep_check(t: float = 1.0, eps: float = 1e-7) -> tuple:
-    """`type_sweep` and the names of the entries off their designed class."""
+def sweep_check(t: float = 1.0, eps: float = 1e-7, tol: float = 1e-9) -> tuple:
+    """`type_sweep` and the entries off their designed class (tol: the two-route bound)."""
     grid = sweep_grid(t)
     table = {
-        name: sorted(fg_type(warped_torsion(spec) if isinstance(spec, WarpSpec) else cohom_torsion(spec), eps))
+        name: sorted(fg_type((warped_torsion if isinstance(spec, WarpSpec) else cohom_torsion)(spec, tol), eps))
         for name, spec, _ in grid
     }
     return table, [name for name, _, cls in grid if table[name] != list(cls)]

@@ -25,16 +25,16 @@ The five-block splitting is
 with P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 acting on the pair
 matrix through the degree-2 projectors.
 
-r_g is an index table from the 49 entries of h to the 441 pair-matrix
-entries; r_g(g) is a cached constant, and b is two gathers (the R_kijl and
-R_jkil terms of each entry).  The linear maps `decompose` takes are integer
-tables composed once from these (`exterior_algebra.linear_table`): one
-scatter of R gives the gate's b(R) and R - R^T, the traceless parts of the
+r_g, b and the contractions are `exterior_algebra.LinearTable`s: r_g from
+the 49 entries of h to the 441 pair-matrix entries (r_g(g) is a cached
+constant), and b with three rows per entry (R_ijkl, R_kijl, R_jkil).  The
+linear maps `decompose` takes are tables composed once from these, in
+integer arithmetic: one merged stack on R gives the traceless parts of the
 two contractions (`_contraction_matrix`, which `ricci` and `phi_ricci`
-apply) and the scalar curvature (`_pair_table`), and one scatter of
-(Ric0, Ric^W) gives W_27 and R_0 (`_block_table`, composed from r_g and
-the integer matrix of r_phi with its kernel projection, which `phi_product`
-applies).
+apply), the scalar curvature, the gate's b(R) and R - R^T (`_pair_table`),
+and one table on (Ric0, Ric^W) gives W_27 and R_0 (`_block_table`, from
+the dense r_g and the integer matrix of r_phi with its kernel projection,
+which `phi_product` applies).
 `decompose` writes the five blocks into one (5, 21, 21) array, W_77 and
 W_64 from three products with the stacked (Q14; Q7); reassembly sums it
 once and the block norms reduce it once.  It keeps Ric0^g and Ric0^phi as
@@ -48,7 +48,7 @@ import functools
 import numpy as np
 
 from ._linalg import as_mode, bound, identity, lazy, max_abs_each, scalar, zeros
-from .exterior_algebra import BASIS, DIM, apply_linear, float_column, index_columns, linear_table
+from .exterior_algebra import BASIS, DIM, LinearTable, index_columns
 from .g2_algebra import iphi_matrix, projector_matrix
 
 PAIRS = BASIS[2]
@@ -96,31 +96,26 @@ def inner(a: CurvatureTensor, b: CurvatureTensor):
 
 
 @functools.cache
-def _bianchi_table():
-    """(p1, s1, p2, s2): at each pair-matrix entry (ij), (kl), the flat positions
-    and signs of R_kijl and R_jkil, the terms b adds to R_ijkl; then s1 and
-    s2 as floats.  The sign is 0 where a pair repeats an index."""
+def _bianchi_table() -> LinearTable:
+    """b on the 441 pair-matrix entries: the rows of R_ijkl, R_kijl and R_jkil
+    at each entry (ij), (kl), with their signs, each term over all entries in
+    turn; the sign is 0 where a pair repeats an index."""
     i, j = index_columns(PAIRS, 2)
     pos = np.zeros((DIM, DIM), dtype=np.intp)
     pos[i, j] = pos[j, i] = np.arange(NPAIRS)
     sign = np.sign(np.subtract.outer(range(DIM), range(DIM))).T  # +1 where a < b
     i, j, k, l = i[:, None], j[:, None], i, j  # rows (ij) against columns (kl)
-    table = []
-    for w, x, y, z in ((k, i, j, l), (j, k, i, l)):  # R_wxyz
-        table += [pos[w, x] * NPAIRS + pos[y, z], sign[w, x] * sign[y, z]]
-    p1, s1, p2, s2 = table = np.stack(table)
-    table.flags.writeable = False
-    return p1, s1, p2, s2, float_column(s1), float_column(s2)
+    terms = ((i, j, k, l), (k, i, j, l), (j, k, i, l))  # R_wxyz
+    src = np.concatenate([(pos[w, x] * NPAIRS + pos[y, z]).reshape(-1) for w, x, y, z in terms])
+    coef = np.concatenate([(sign[w, x] * sign[y, z]).reshape(-1) for w, x, y, z in terms])
+    n = NPAIRS * NPAIRS
+    return LinearTable(np.tile(np.arange(n), 3), src, coef, n, n)
 
 
 def bianchi_b(r: CurvatureTensor) -> np.ndarray:
     """b(R)_ijkl = R_ijkl + R_jkil + R_kijl as a 21 x 21 array over i < j, k < l;
     on S^2(Lambda^2) b(R) is a 4-form, which these entries determine."""
-    p1, s1, p2, s2, float_s1, float_s2 = _bianchi_table()
-    if r.mat.dtype != object:
-        s1, s2 = float_s1, float_s2
-    flat = r.mat.reshape(-1)
-    return (r.mat + s1 * flat[p1]) + s2 * flat[p2]
+    return _bianchi_table().apply(r.mat).reshape(NPAIRS, NPAIRS)
 
 
 def project_to_kernel(r: CurvatureTensor) -> CurvatureTensor:
@@ -162,61 +157,42 @@ def _contraction_matrix() -> np.ndarray:
     e_u -| phi of `iphi_matrix`, whose rows hold three entries each, so every
     entry of c^phi reads nine entries of r.
     """
-    pos_out, pos_in, sign, *_ = _kn_table()
     m = np.zeros((2, DIM * DIM, NPAIRS * NPAIRS), dtype=np.int64)
-    np.add.at(m[0], (pos_in, pos_out), sign)
+    m[0] = _kn_table().dense().T
     b = iphi_matrix()
     m[1] = 4 * np.multiply.outer(b, b).transpose(0, 2, 1, 3).reshape(DIM * DIM, -1)
     return m.reshape(2 * DIM * DIM, -1)
 
 
 @functools.cache
-def _contraction_table() -> tuple:
-    """The `linear_table` of `_contraction_matrix`."""
-    return linear_table(_contraction_matrix())
+def _contraction_table() -> LinearTable:
+    """The table of `_contraction_matrix`."""
+    return LinearTable.from_matrix(_contraction_matrix())
 
 
 def _contractions(r: CurvatureTensor) -> np.ndarray:
     """(c^g(r), c^phi(r)) as one (2, 7, 7) array, one scatter of the pair
     matrix (`_contraction_matrix`)."""
-    return apply_linear(_contraction_table(), r.mat).reshape(2, DIM, DIM)
+    return _contraction_table().apply(r.mat).reshape(2, DIM, DIM)
 
 
 @functools.cache
-def _pair_table() -> tuple:
-    """The `linear_table` of the linear maps of the pair matrix r that
-    `decompose` reads, their outputs back to back: 7 Ric0^g and 7 Ric0^phi
-    (the traceless parts of the two contractions, times 7) as 98 entries,
-    the scalar curvature, b(r) at the pair entries (`bianchi_b`) and r - r^T,
+def _pair_table() -> LinearTable:
+    """The linear maps of the pair matrix r that `decompose` reads, as one
+    merged table, their outputs back to back: 7 Ric0^g and 7 Ric0^phi (the
+    traceless parts of the two contractions, times 7) as 98 entries, the
+    scalar curvature, b(r) at the pair entries (`bianchi_b`) and r - r^T,
     441 entries each."""
     n = NPAIRS * NPAIRS
     contractions = _contraction_matrix().reshape(2, DIM * DIM, n)
     traces = contractions[:, :: DIM + 1].sum(axis=1)  # (2, n)
     eye = np.eye(DIM, dtype=np.int64).reshape(-1)
     traceless = DIM * contractions - traces[:, None, :] * eye[None, :, None]
-    dst, src, coef, _, start = linear_table(np.concatenate((traceless.reshape(-1, n), traces[:1])))
-    # b(R) = R + R_kijl + R_jkil at (ij), (kl), and R - R^T off the diagonal:
-    # rows of equal (output, input) summed, zero sums dropped, in (output,
-    # input) order
     rows = np.arange(n)
-    p1, s1, p2, s2 = (c.reshape(-1) for c in _bianchi_table()[:4])
     transpose = rows.reshape(NPAIRS, NPAIRS).T.reshape(-1)
-    off = transpose != rows
-    ones = np.ones(n, dtype=np.int64)
-    more = np.array(
-        [
-            np.concatenate((rows, rows, rows, n + rows[off], n + rows[off])),
-            np.concatenate((rows, p1, p2, rows[off], transpose[off])),
-            np.concatenate((ones, s1, s2, ones[off], -ones[off])),
-        ]
-    )
-    key, inverse = np.unique(more[0] * n + more[1], return_inverse=True)  # sorted by (output, input)
-    total = np.zeros(len(key), dtype=np.int64)
-    np.add.at(total, inverse, more[2])
-    keep = total != 0
-    more = np.stack([start + key[keep] // n, key[keep] % n, total[keep]])
-    dst, src, coef = index_columns(np.concatenate((np.stack([dst, src, coef]), more), axis=1).T, 3)
-    return dst, src, coef, float_column(coef), start + 2 * n
+    asymmetry = LinearTable(np.tile(rows, 2), np.concatenate((rows, transpose)), np.repeat([1, -1], n), n, n)
+    ricci = LinearTable.from_matrix(np.concatenate((traceless.reshape(-1, n), traces[:1])))
+    return LinearTable.stack(ricci, _bianchi_table(), asymmetry).merged()
 
 
 def ricci(r: CurvatureTensor) -> np.ndarray:
@@ -250,10 +226,10 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _kn_table():
-    """r_g as a `linear_table` from the 49 entries of h to the 441 pair-matrix
+def _kn_table() -> LinearTable:
+    """r_g as a table from the 49 entries of h to the 441 pair-matrix
     entries: rows (pos_out, pos_in, sign) from R_ijkl = h_jk g_il - h_ik g_jl
-    + h_il g_jk - h_jl g_ik, the sign as floats, and the number of outputs.
+    + h_il g_jk - h_jl g_ik.
 
     An entry has at most two rows (the g_jl and g_ik terms, on the diagonal
     pairs), so a float sum does not depend on their order.
@@ -265,14 +241,13 @@ def _kn_table():
     for a, b, x, y, sign in ((j, k, i, l, 1), (i, k, j, l, -1), (i, l, j, k, 1), (j, l, i, k, -1)):
         hit = x == y  # the g factor
         rows.append(np.stack([out[hit], (DIM * a + b)[hit], np.full(hit.sum(), sign)], axis=1))
-    pos_out, pos_in, sign = index_columns(np.concatenate(rows), 3)
-    return pos_out, pos_in, sign, float_column(sign), NPAIRS * NPAIRS
+    return LinearTable(*np.concatenate(rows).T, NPAIRS * NPAIRS, DIM * DIM)
 
 
 def kn_product(h: np.ndarray) -> CurvatureTensor:
     """r_g(h) = h (.) g, the Kulkarni-Nomizu product with the metric: one
     scatter of the entries of h through `_kn_table`."""
-    return CurvatureTensor(apply_linear(_kn_table(), np.asarray(h)).reshape(NPAIRS, NPAIRS))
+    return CurvatureTensor(_kn_table().apply(np.asarray(h)).reshape(NPAIRS, NPAIRS))
 
 
 @functools.cache
@@ -290,14 +265,15 @@ def _phi_product_matrix() -> np.ndarray:
     kept: T(e_a (x) e_b) = b[b]^T b[a], entry (p, q) b[b, p] b[a, q]."""
     b = iphi_matrix()
     t = np.multiply.outer(b, b).transpose(1, 3, 2, 0).reshape(NPAIRS * NPAIRS, DIM * DIM)
-    p1, s1, p2, s2 = (c.reshape(-1, 1) for c in _bianchi_table()[:4])
-    return 3 * t - (t + s1 * t[p1[:, 0]] + s2 * t[p2[:, 0]])
+    bianchi, b_t = _bianchi_table(), np.zeros_like(t)
+    np.add.at(b_t, bianchi.dst, bianchi.coef[:, None] * t[bianchi.src])  # b of each column
+    return 3 * t - b_t
 
 
 @functools.cache
-def _phi_product_table() -> tuple:
-    """The `linear_table` of `_phi_product_matrix`."""
-    return linear_table(_phi_product_matrix())
+def _phi_product_table() -> LinearTable:
+    """The table of `_phi_product_matrix`."""
+    return LinearTable.from_matrix(_phi_product_matrix())
 
 
 def phi_product(h: np.ndarray) -> CurvatureTensor:
@@ -306,23 +282,21 @@ def phi_product(h: np.ndarray) -> CurvatureTensor:
     T_ijkl = h_ab phi_bij phi_akl, followed by removal of the Lambda^4 part
     b(T)/3: one scatter of h through `_phi_product_matrix`, divided by 3.
     """
-    return CurvatureTensor(apply_linear(_phi_product_table(), np.asarray(h)).reshape(NPAIRS, NPAIRS) / 3)
+    return CurvatureTensor(_phi_product_table().apply(np.asarray(h)).reshape(NPAIRS, NPAIRS) / 3)
 
 
 @functools.cache
-def _block_table() -> tuple:
-    """The `linear_table` of (Ric0, Ric^W), 98 entries, to 112 W27 and 5 R0,
-    441 entries each: 112 W27 = 3 r_g(Ric^W) - 15 r_phi(Ric^W) and
+def _block_table() -> LinearTable:
+    """The table of (Ric0, Ric^W), 98 entries, to 112 W27 and 5 R0, 441
+    entries each: 112 W27 = 3 r_g(Ric^W) - 15 r_phi(Ric^W) and
     5 R0 = r_g(Ric0), composed from the r_g table and `_phi_product_matrix`
     in integer arithmetic."""
     n = NPAIRS * NPAIRS
-    pos_out, pos_in, sign, *_ = _kn_table()
-    kn = np.zeros((n, DIM * DIM), dtype=np.int64)
-    np.add.at(kn, (pos_out, pos_in), sign)
+    kn = _kn_table().dense()
     m = np.zeros((2, n, 2, DIM * DIM), dtype=np.int64)
     m[0, :, 1] = 3 * kn - 5 * _phi_product_matrix()
     m[1, :, 0] = kn
-    return linear_table(m.reshape(2 * n, -1))
+    return LinearTable.from_matrix(m.reshape(2 * n, -1))
 
 
 def generalized_ricci(r: CurvatureTensor, k) -> np.ndarray:
@@ -412,7 +386,7 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     """
     # the gate's b(R) and R - R^T, the traceless contractions and the
     # scalar curvature are one scatter of the pair matrix
-    maps = apply_linear(_pair_table(), r.mat)
+    maps = _pair_table().apply(r.mat)
     m, n = 2 * DIM * DIM, NPAIRS * NPAIRS
     size, res, asymmetry = max_abs_each(r.mat, maps[m + 1 : m + 1 + n], maps[m + 1 + n :])
     limit = bound(tol, size)
@@ -436,7 +410,7 @@ def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:
     # and R0 are one scatter of (Ric0, Ric^W)
     blocks = np.empty((5, NPAIRS, NPAIRS), dtype=r.mat.dtype)  # W77, W64, W27, R0, S
     np.multiply(_kn_metric(exact).mat, s * one / 84, out=blocks[4])
-    np.multiply(apply_linear(_block_table(), ric0_ricw).reshape(2, NPAIRS, NPAIRS), scales, out=blocks[2:4])
+    np.multiply(_block_table().apply(ric0_ricw).reshape(2, NPAIRS, NPAIRS), scales, out=blocks[2:4])
 
     # P_g2 = Q14 X Q14 and P_odot = Q7 X Q14 + Q14 X Q7 on the Weyl rest, in
     # three products with the stacked (Q14; Q7)

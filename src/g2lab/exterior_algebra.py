@@ -12,16 +12,17 @@ Conventions, fixed once for the whole package:
   k-form is k! times its form norm.  Identities in later modules name which
   of the two norms they use; mixing them up is a factor-of-k! bug.
 
-The kernels (wedge, Hodge star, interior product, contraction and the
-antisymmetric unfold) are stored as integer index tables, built once per
-degree: the positions each structure constant reads and writes and its
-sign.  Applying one is a numpy gather and one `scatter_add`, the same code
-for float64 and for ``Fraction`` object arrays: the mode is read off the
-gathered values, which Fractions multiply by the integer signs and floats
-by their float twins (`float_column`); float sums run in the table's row
-order.  Signs come from two sources only: the wedge table and the
-antisymmetric unfold call `perm_sign`, and every other table is read off
-the wedge table.  The contraction is its adjoint, <e^I -| e^J, e^C> =
+The kernels are stored as integer index tables, built once per degree:
+the positions each structure constant reads and writes and its sign.  A
+bilinear kernel (wedge, contraction, interior product) is an `IndexTable`;
+every signed linear map (the Hodge star, the antisymmetric unfold, the
+alternation, the frame interior, the connection scatter and the curvature
+maps of `curvature`) is a `LinearTable`.  Only these two classes pick
+between a table's integer coefficients, which multiply Fractions, and
+their float twins, which multiply floats; float sums run in row order.
+Signs come from two sources only: the wedge table and the antisymmetric
+unfold call `perm_sign`, and every other table is read off the wedge
+table.  The contraction is its adjoint, <e^I -| e^J, e^C> =
 <e^J, e^I ^ e^C>; the interior product is contraction by a 1-form; the
 Hodge star pairs with vol, e^I ^ *e^I = vol; and the Leibniz rule
 D e^I = sum_s (-1)^s D(e^(i_s)) ^ e^(I - i_s) of a derivation that maps
@@ -36,10 +37,7 @@ with constant coefficients on k-forms (`connection_action`), and
 `covariant_wedge` alternates that action into sum_i e^i ^ grad_i a.
 `connection_matrix` scatters several forms side by side, so that one
 product gives a connection's action on all of them, and `alternate` is
-`frame_wedge` over several blocks of one stack in one scatter.  A linear
-map that other modules compose from these tables as an integer matrix is
-applied the same way, one gather and one scatter (`linear_table`,
-`apply_linear`).
+`frame_wedge` over several blocks of one stack in one scatter.
 
 The distinguished three-form is
 
@@ -199,7 +197,7 @@ def index_columns(rows, width: int) -> np.ndarray:
 
 
 def float_column(col: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of an integer sign or coefficient column.
+    """A read-only float64 copy of an integer coefficient column.
 
     Float arrays are multiplied by it and Fraction arrays by the integer
     column: the products are the same, and a float product skips numpy's
@@ -229,16 +227,9 @@ class IndexTable:
 
     @staticmethod
     def merged(pa, pb, po, coef, n_out: int, n_a: int, n_b: int) -> "IndexTable":
-        """The table of integer rows, with rows of equal (po, pa, pb) summed,
-        zero sums dropped, and the rows sorted by (po, pa, pb)."""
-        key = (po * n_a + pa) * n_b + pb
-        uniq, inverse = np.unique(key, return_inverse=True)
-        total = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(total, inverse, coef)
-        keep = total != 0
-        po, rest = np.divmod(uniq[keep], n_a * n_b)
-        pa, pb = np.divmod(rest, n_b)
-        return IndexTable.from_rows(np.stack([pa, pb, po, total[keep]], axis=1), n_out)
+        """The table of integer rows merged by (po, pa, pb) (`LinearTable.merged`)."""
+        t = LinearTable(po, pa * n_b + pb, coef, n_out, n_a * n_b).merged()
+        return IndexTable.from_rows(np.stack([*np.divmod(t.src, n_b), t.dst, t.coef], axis=1), n_out)
 
     def dense(self, n_a: int, n_b: int) -> np.ndarray:
         """The table as an integer array t[out, a, b], for composing tables."""
@@ -253,23 +244,80 @@ class IndexTable:
         return scatter_add(self.po, coef * xa * y[self.pb], self.n_out)
 
 
-def linear_table(m: np.ndarray) -> tuple:
-    """The scatter that applies an integer matrix: read-only columns (output
-    position, input position, coefficient) of its nonzero entries in (output,
-    input) order, the coefficient as floats, and the number of outputs."""
-    dst, src = np.nonzero(m)
-    dst, src, coef = index_columns(np.stack([dst, src, m[dst, src]], axis=1), 3)
-    return dst, src, coef, float_column(coef), len(m)
+class LinearTable:
+    """Linear map out[dst] += coef * x[src] from n_in inputs to n_out outputs,
+    each output adding its rows in row order, with integer coefficients.
 
+    A Fraction input is multiplied by the integer column and a float input by
+    its float twin.  The table picks how it writes its products once, from
+    dst: a table with one row per output, in output order, is a pure gather
+    (the Hodge star); one whose outputs each have at most one row assigns its
+    products into zeros (the antisymmetric unfold, `connection_matrix`,
+    `frame_interior`); any other adds them with `scatter_add`.
+    """
 
-def apply_linear(table: tuple, x: np.ndarray) -> np.ndarray:
-    """A linear table on the entries of x, in one gather and one scatter;
-    each output adds its terms in row order (input order, for the table of
-    `linear_table`)."""
-    dst, src, coef, float_coef, n = table
-    values = x.reshape(-1)[src]
-    values = (coef if values.dtype == object else float_coef) * values
-    return scatter_add(dst, values, n)
+    __slots__ = ("dst", "src", "coef", "float_coef", "n_out", "n_in", "path")
+
+    def __init__(self, dst, src, coef, n_out: int, n_in: int):
+        self.dst, self.src, self.coef = index_columns(np.stack([dst, src, coef], axis=1), 3)
+        self.float_coef = float_column(self.coef)
+        self.n_out, self.n_in = int(n_out), int(n_in)
+        if np.array_equal(self.dst, np.arange(self.n_out)):
+            self.path = "gather"
+        elif np.bincount(self.dst, minlength=1).max() <= 1:
+            self.path = "assign"
+        else:
+            self.path = "scatter"
+
+    @staticmethod
+    def from_matrix(m: np.ndarray) -> "LinearTable":
+        """The table of an integer matrix: its nonzero entries in (output, input) order."""
+        dst, src = np.nonzero(m)
+        return LinearTable(dst, src, m[dst, src], *m.shape)
+
+    @staticmethod
+    def stack(*tables: "LinearTable") -> "LinearTable":
+        """The tables on one input, their outputs back to back."""
+        starts = np.cumsum([0] + [t.n_out for t in tables])
+        rows = [np.stack([t.dst + start, t.src, t.coef]) for t, start in zip(tables, starts)]
+        return LinearTable(*np.concatenate(rows, axis=1), starts[-1], tables[0].n_in)
+
+    def merged(self) -> "LinearTable":
+        """The table with rows of equal (dst, src) summed, zero sums dropped,
+        and the rows sorted by (dst, src)."""
+        key, inverse = np.unique(self.dst * self.n_in + self.src, return_inverse=True)
+        total = np.zeros(len(key), dtype=np.int64)
+        np.add.at(total, inverse, self.coef)
+        keep = total != 0
+        return LinearTable(*np.divmod(key[keep], self.n_in), total[keep], self.n_out, self.n_in)
+
+    def dense(self) -> np.ndarray:
+        """The table as an integer (n_out, n_in) matrix."""
+        m = np.zeros((self.n_out, self.n_in), dtype=np.int64)
+        np.add.at(m, (self.dst, self.src), self.coef)
+        return m
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The map on the entries of x, flattened; or, when x has more than
+        one axis and its last holds the n_in inputs, on each of its rows,
+        the leading axes a batch."""
+        if x.ndim > 1 and x.shape[-1] == self.n_in:
+            batch, src, dst = x.shape[:-1], (..., self.src), (..., self.dst)
+        else:
+            batch, src, dst, x = (), self.src, self.dst, x.reshape(-1)
+        values = x[src]
+        values = (self.coef if values.dtype == object else self.float_coef) * values
+        if self.path == "gather":
+            return values
+        if self.path == "assign":
+            out = zeros(batch + (self.n_out,), values.dtype == object)
+            out[dst] = values  # each output is written once
+            return out
+        if not batch:
+            return scatter_add(self.dst, values, self.n_out)
+        n = math.prod(batch)  # each batch entry's outputs back to back
+        index = (self.dst + self.n_out * np.arange(n)[:, None]).reshape(-1)
+        return scatter_add(index, values.reshape(-1), n * self.n_out).reshape(batch + (self.n_out,))
 
 
 # --- wedge -----------------------------------------------------------------
@@ -297,18 +345,17 @@ def wedge(a: Form, b: Form) -> Form:
 
 
 @functools.cache
-def _alternation_table(degrees: tuple):
-    """The `linear_table` of a (7, n) stack of blocks of the given degrees,
-    side by side, to sum_i e^i ^ block[i] of each, back to back: the rows of
-    the wedge tables of (1, k), each in its row order."""
+def _alternation_table(degrees: tuple) -> LinearTable:
+    """The table of a (7, n) stack of blocks of the given degrees, side by
+    side, to sum_i e^i ^ block[i] of each, back to back: the rows of the
+    wedge tables of (1, k), each in its row order."""
     width = sum(dim_of(k) for k in degrees)
     cols, col, out = [], 0, 0
     for k in degrees:
         t = _wedge_table(1, k)
-        cols.append(np.stack([out + t.po, t.pa * width + col + t.pb, t.coef], axis=1))
+        cols.append(np.stack([out + t.po, t.pa * width + col + t.pb, t.coef]))
         col, out = col + dim_of(k), out + dim_of(k + 1)
-    po, src, sign = index_columns(np.concatenate(cols), 3)
-    return po, src, sign, float_column(sign), out
+    return LinearTable(*np.concatenate(cols, axis=1), out, DIM * width)
 
 
 def alternate(stack: np.ndarray, degrees: tuple) -> np.ndarray:
@@ -316,7 +363,7 @@ def alternate(stack: np.ndarray, degrees: tuple) -> np.ndarray:
     blocks have the given degrees, side by side: the coefficients of the
     (k + 1)-forms back to back, in one scatter.  Each output adds the rows
     of its own block in table order, as a scatter of that block alone does."""
-    return apply_linear(_alternation_table(degrees), stack)
+    return _alternation_table(degrees).apply(stack)
 
 
 def frame_wedge(stack: np.ndarray, degree: int) -> Form:
@@ -347,19 +394,18 @@ def _derivation_table(k: int, r: int):
 
 
 @functools.cache
-def _connection_scatter(degrees: tuple):
-    """Read-only columns (flat position in the (49, n) matrix M of
-    `connection_matrix`, position in the coefficients back to back, sign) of
-    the r = 1 derivation table of each degree, the sign negated:
-    grad_i e^p = -sum_j Gamma[i, j, p] e^j; and that sign as floats."""
+def _connection_table(degrees: tuple) -> LinearTable:
+    """The table of the coefficients of forms of the given degrees, back to
+    back, to the flattened (49, n) matrix M of `connection_matrix`: the
+    r = 1 derivation table of each degree, the sign negated,
+    grad_i e^p = -sum_j Gamma[i, j, p] e^j."""
     width = sum(dim_of(k) for k in degrees)
     cols, start = [], 0
     for k in degrees:
         out, pos, target, head, sign = _derivation_table(k, 1)
-        cols.append(np.stack([(target * DIM + head) * width + start + out, start + pos, -sign], axis=1))
+        cols.append(np.stack([(target * DIM + head) * width + start + out, start + pos, -sign]))
         start += dim_of(k)
-    flat, pos, sign = index_columns(np.concatenate(cols), 3)
-    return flat, pos, sign, float_column(sign), width
+    return LinearTable(*np.concatenate(cols, axis=1), DIM * DIM * width, width)
 
 
 def connection_matrix(*forms: Form) -> np.ndarray:
@@ -367,12 +413,8 @@ def connection_matrix(*forms: Form) -> np.ndarray:
     columns side by side, M[j*7 + p, J] = d(grad a)_J / d Gamma[., j, p]:
     the one scatter of the forms that every connection's action on them
     reads (`connection_action`)."""
-    flat, pos, sign, float_sign, width = _connection_scatter(tuple(a.degree for a in forms))
-    values = np.concatenate([a.coeffs for a in forms])[pos]
-    exact = values.dtype == object
-    m = zeros(DIM * DIM * width, exact)
-    m[flat] = (sign if exact else float_sign) * values  # each entry is written once
-    return m.reshape(DIM * DIM, width)
+    table = _connection_table(tuple(a.degree for a in forms))
+    return table.apply(np.concatenate([a.coeffs for a in forms])).reshape(DIM * DIM, table.n_in)
 
 
 def connection_action(gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -417,10 +459,7 @@ def hodge_table(k: int):
 
 def hodge_matrix(k: int) -> np.ndarray:
     """The Hodge star on k-forms as an integer (signed permutation) matrix."""
-    po, sign = hodge_table(k)
-    m = np.zeros((dim_of(DIM - k), dim_of(k)), dtype=np.int64)
-    m[po, np.arange(dim_of(k))] = sign
-    return m
+    return _hodge_gather(k).dense()
 
 
 @functools.cache
@@ -432,20 +471,17 @@ def wedge_phi_matrix(k: int) -> np.ndarray:
 
 
 @functools.cache
-def _hodge_gather(k: int):
-    """Read-only (source position, sign, sign as floats) per output position
-    of * on k-forms: `hodge_table` read from the output side."""
+def _hodge_gather(k: int) -> LinearTable:
+    """* on k-forms as a table with one row per output position (a gather):
+    `hodge_table` read from the output side."""
     po, sign = hodge_table(k)
     src = np.argsort(po)
-    src, sign = index_columns(np.stack([src, sign[src]], axis=1), 2)
-    return src, sign, float_column(sign)
+    return LinearTable(np.arange(len(po)), src, sign[src], len(po), len(po))
 
 
 def hodge(a: Form) -> Form:
     """Hodge star for vol = e^1234567; a wedge *b = <a,b> vol."""
-    src, sign, float_sign = _hodge_gather(a.degree)
-    values = a.coeffs[src]
-    return Form(DIM - a.degree, (sign if values.dtype == object else float_sign) * values)
+    return Form(DIM - a.degree, _hodge_gather(a.degree).apply(a.coeffs))
 
 
 # --- interior product -------------------------------------------------------
@@ -459,14 +495,18 @@ def interior(v, a: Form) -> Form:
     return Form(a.degree - 1, _contract_table(1, a.degree).apply(v, a.coeffs))
 
 
+@functools.cache
+def _frame_interior_table(k: int) -> LinearTable:
+    """The interior rows (i, pos_in, pos_out, sign) of k-forms to the flat stack of `frame_interior`."""
+    t = _contract_table(1, k)
+    return LinearTable(t.pa * t.n_out + t.po, t.pb, t.coef, DIM * t.n_out, dim_of(k))
+
+
 def frame_interior(a: Form) -> np.ndarray:
     """The (7, dim_(k-1)) stack of e_i -| a for i = 1..7 (degree k >= 1)."""
     if a.degree == 0:
         raise ValueError("the interior product of a 0-form has no degree -1 result")
-    t = _contract_table(1, a.degree)
-    out = zeros((DIM, t.n_out), a.exact)
-    out[t.pa, t.po] = t.coef * a.coeffs[t.pb]  # each entry is written once
-    return out
+    return _frame_interior_table(a.degree).apply(a.coeffs).reshape(DIM, -1)
 
 
 def basis_vector(i: int, exact: bool = False) -> np.ndarray:
@@ -520,45 +560,20 @@ def _flat(idx) -> int:
 
 
 @functools.cache
-def _antisym_table(k: int):
-    """(flat entry, coefficient position, sign) over all orderings of each I,
-    the flat entry of each sorted I, and the sign as floats."""
+def _antisym_table(k: int) -> LinearTable:
+    """The unfold of k-form coefficients into the flattened component array:
+    rows (flat entry, coefficient position, sign) over all orderings of each
+    I, the sorted I first."""
     rows = [
         (_flat(perm), p, perm_sign(perm))
         for p, I in enumerate(BASIS[k])
         for perm in itertools.permutations(I)
     ]
-    (sorted_entry,) = index_columns([_flat(I) for I in BASIS[k]], 1)
-    entry, pos, sign = index_columns(rows, 3)
-    return entry, pos, sign, sorted_entry, float_column(sign)
-
-
-@functools.lru_cache(maxsize=32)
-def _unfold_table(k: int, n: int):
-    """The columns of `_antisym_table(k)` for a stack of n coefficient
-    vectors, as positions in the flattened stacks of coefficients and of
-    component arrays: (flat entry, coefficient position, sign, sign as floats)."""
-    entry, pos, sign, _, float_sign = _antisym_table(k)
-    batch = np.arange(n)[:, None]
-    cols = ((entry + batch * DIM**k).reshape(-1), (pos + batch * dim_of(k)).reshape(-1))
-    cols += tuple(np.tile(s, n) for s in (sign, float_sign))
-    for c in cols:
-        c.flags.writeable = False
-    return cols
-
-
-def _unfold(coeffs: np.ndarray, degree: int) -> np.ndarray:
-    """Flattened component arrays of a (..., dim_k) stack of coefficients."""
-    entry, pos, sign, float_sign = _unfold_table(degree, coeffs.size // dim_of(degree))
-    values = coeffs.reshape(-1).take(pos)
-    exact = values.dtype == object
-    flat = zeros(coeffs.shape[:-1] + (DIM**degree,), exact)
-    flat.reshape(-1)[entry] = (sign if exact else float_sign) * values  # every entry is written once
-    return flat
+    return LinearTable(*index_columns(rows, 3), DIM**k, dim_of(k))
 
 
 def to_antisym(a: Form) -> AntisymArray:
-    return AntisymArray(a.degree, _unfold(a.coeffs, a.degree).reshape((DIM,) * a.degree))
+    return AntisymArray(a.degree, _antisym_table(a.degree).apply(a.coeffs).reshape((DIM,) * a.degree))
 
 
 def antisym_coefficients(arr: np.ndarray, degree: int, tol: float = 1e-12) -> np.ndarray:
@@ -570,10 +585,11 @@ def antisym_coefficients(arr: np.ndarray, degree: int, tol: float = 1e-12) -> np
     """
     exact = arr.dtype == object
     flat = arr.reshape(arr.shape[: arr.ndim - degree] + (DIM**degree,))
-    coeffs = flat.take(_antisym_table(degree)[3], axis=-1)
+    unfold = _antisym_table(degree)
+    coeffs = flat.take(unfold.dst[:: math.factorial(degree)], axis=-1)  # the sorted orderings
     if not exact:
         coeffs = np.asarray(coeffs, dtype=float)
-    rebuilt = _unfold(coeffs, degree)
+    rebuilt = unfold.apply(coeffs)
     off = rebuilt != flat  # subtract only where they differ: cheap on Fractions
     residual = max_abs(rebuilt[off] - flat[off])
     if not residual <= tol:

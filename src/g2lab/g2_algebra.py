@@ -40,6 +40,7 @@ from .exterior_algebra import (
     Form,
     IndexTable,
     _contract_table,
+    _hodge_gather,
     _wedge_table,
     dim_of,
     frame_interior,
@@ -80,28 +81,24 @@ def _projectors(exact: bool) -> dict:
     # Lambda^2, b -> <b, phi> phi and b -> *(*(phi ^ b) ^ phi) on Lambda^3
     # (phi ^ b = -b ^ phi for a 3-form b); the last star is applied as the
     # signed reindexing `hodge` does, which keeps the float tables bit-equal
-    # to the star of each basis form
+    # to the star of each basis form, signs of zeros included
     phi = as_mode(phi_coefficients(), exact)
     star_phi2 = as_mode(hodge_matrix(5).dot(wedge_phi_matrix(2)), exact)
     m4 = -wedge_phi_matrix(1).dot(hodge_matrix(6)).dot(wedge_phi_matrix(3))
-    po, sign = hodge_table(4)
-    p37 = zeros((35, 35), exact)
-    p37[po] = sign[:, None] * as_mode(m4, exact)
     one2 = eye(21, exact)
     mats = {
         (2, 7): (one2 + star_phi2) / 3,
         (2, 14): (2 * one2 - star_phi2) / 3,
         (3, 1): np.outer(phi, phi) / 7,
-        (3, 7): p37 / 4,
+        (3, 7): _hodge_gather(4).apply(as_mode(m4, exact).T).T / 4,
     }
     mats[(3, 27)] = eye(35, exact) - mats[(3, 1)] - mats[(3, 7)]
 
     # degrees 4, 5 by p_d^{7-r} = * p_d^r *; the star is a signed
     # permutation (*e^I = sign_I e^(po_I), ** = 1), so this is a reindexing
     for (r, d), m in list(mats.items()):
-        po, sign = hodge_table(r)
-        src = np.argsort(po)
-        mats[(7 - r, d)] = np.outer(sign[src], sign[src]) * m[np.ix_(src, src)]
+        star = _hodge_gather(r)
+        mats[(7 - r, d)] = np.outer(star.coef, star.coef) * m[np.ix_(star.src, star.src)]
     return mats
 
 

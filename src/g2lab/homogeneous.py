@@ -48,12 +48,13 @@ Koszul formula reads the structure constants back off d on 1-forms.
 
 `analyze` returns a `Report`.  A report holds one base tolerance, and each
 check it records is judged against ``bound(tol, scale) * slack``: the scale
-is the size of what the check compares (0 for an absolute check) and the
-slack (10 or 50) the headroom of a long chain of rounding.  `analyze` and
-the closed chain each record their checks with one `Report.extend`, whose
-tolerances are one vectorised `bounds`.  The closed, EPR and
-parallel-torsion predicates and the Lambda^2_14 gates of nabla-bar tau
-use the same `bound`.
+is the size of what the check compares (0 for an absolute check, max |Gamma|
+for the Levi-Civita and canonical-connection checks, whose residuals are
+rounding on Gamma) and the slack (10 or 50) the headroom of a long chain of
+rounding.  `analyze` and the closed chain each record their checks with one
+`Report.extend`, whose tolerances are one vectorised `bounds`.  The closed,
+EPR and parallel-torsion predicates and the Lambda^2_14 gates of nabla-bar
+tau use the same `bound`.
 
 Sign conventions: Gamma[i,j,k] = g(grad_{e_i} e_j, e_k) and
 R_ijkl = g(R(e_i,e_j) e_k, e_l) so that the hyperbolic solvable example
@@ -571,6 +572,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         d_tau2_size,
         dphi_size,
         phi_size,
+        gamma_size,
     ) = max_abs_each(
         gamma + gamma.transpose(0, 2, 1),
         gamma - gamma.transpose(1, 0, 2) - spec.c.transpose(1, 2, 0),
@@ -585,6 +587,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         d_tau2,
         dphi.coeffs,
         phi.coeffs,
+        gamma,
     )
 
     # scalar curvature from torsion, Eq-4.25 style
@@ -607,7 +610,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
             *ricci_residuals.T.ravel().tolist(),
             conversion,
         ],
-        (0.0,) * 10 + (r_size, abs(float(s_g))) + (scale44,) * 6 + (max(conv_size, d_tau2_size),),
+        (0.0,) * 3 + (gamma_size,) * 6 + (0.0, r_size, abs(float(s_g))) + (scale44,) * 6 + (max(conv_size, d_tau2_size),),
         _SLACK,
     )
 

@@ -26,11 +26,12 @@ grad *phi are the gl(7) action of xi, `covariant_wedge(xi, .)`.
 The generalized Ricci formula is linear in its weighting k, so it is stored
 as data: `RICCI_TABLE` holds, per term and route, the (k1, k2) coefficients
 over 6; `ricci_terms` builds the k-independent torsion terms once, the
-bilinear ones in one index-table pass (`_ricci_pass`), and `ricci_rows`
-gathers the eight torsion-term rows that every route shares and each
-route's three derivative rows into one (route, term) stack, whose rows for
-every route and several k are one weighted reduction over a constant
-(route, k, term) weight table.
+bilinear ones in one `IndexTable` pass (`_ricci_pass`, the sign of each
+Hodge star folded into its rows), and `ricci_rows` gathers the eight
+torsion-term rows that every route shares and each route's three
+derivative rows into one (route, term) stack, whose rows for every route
+and several k are one weighted reduction over a constant (route, k, term)
+weight table.
 
 The d tau2 conversion identity of `homogeneous.analyze` is data as well:
 `CONVERSION_TABLE` holds its weights over the canonical derivative
@@ -55,13 +56,12 @@ from .exterior_algebra import (
     DIM,
     Form,
     IndexTable,
+    _antisym_table,
     _contract_table,
     _hodge_gather,
     _phi_templates,
-    _unfold,
     _wedge_table,
     dim_of,
-    float_column,
     hodge_matrix,
     hodge_table,
     phi_arrays,
@@ -144,8 +144,7 @@ def _structure_tables(exact: bool) -> tuple:
     extract[0, :35] = as_mode(starphi, exact) / 7
     extract[1:8, :35] = as_mode(wedge_phi_matrix(1).T, exact).dot(projector_matrix(4, 7, exact)) / 12
     extract[8:29, 35:] = as_mode(-hodge_matrix(5), exact).dot(projector_matrix(5, 14, exact))
-    po, sign = hodge_table(4)
-    extract[29 + po, :35] = as_mode(sign[:, None], exact) * projector_matrix(4, 27, exact)
+    extract[29:, :35] = _hodge_gather(4).apply(projector_matrix(4, 27, exact).T).T
 
     membership = zeros((56, 64), exact)
     membership[:21, 8:29] = projector_matrix(2, 14, exact) - eye(21, exact)
@@ -176,8 +175,8 @@ def _intrinsic_table(exact: bool) -> np.ndarray:
     """
     table = zeros((DIM * DIM, 29), exact)
     table[:, 0] = -eye(DIM, exact).reshape(-1) / 2
-    table[:, 1:8] = _unfold(as_mode(2 * hodge_matrix(5).dot(_wedge_starphi()).T, exact), 2).T
-    table[:, 8:] = _unfold(eye(21, exact), 2).T
+    table[:, 1:8] = _antisym_table(2).apply(as_mode(2 * hodge_matrix(5).dot(_wedge_starphi()).T, exact)).T
+    table[:, 8:] = _antisym_table(2).apply(eye(21, exact)).T
     table.flags.writeable = False
     return table
 
@@ -359,17 +358,18 @@ def _one(exact: bool) -> np.ndarray:
 @functools.cache
 def _ricci_pass() -> tuple:
     """The bilinear terms of `ricci_terms` as one index table on the packed
-    torsion vector with a 1 appended, its output stacked by term; the
-    read-only signs that multiply that output last, as integers and as
-    floats; and the (name, degree, start, stop) of each term in it.
+    torsion vector with a 1 appended, its output stacked by term, and the
+    (name, degree, start, stop) of each term in it.
 
     Every term keeps the rows of the kernel that built it alone, in their
     order, so each output entry adds the same products in the same order.
-    A Hodge star is a signed reindexing of a sum: the table writes the sum
-    to its starred position and the sign multiplies it after, as `hodge`
-    does.  *(tau1 ^ *phi) is linear, a product with the appended 1, and
-    each of its entries is one +-tau1 entry, so the rows of
-    tau1 ^ *(tau1 ^ *phi) read tau1 twice.
+    A Hodge star is a signed reindexing of a sum: the table writes each row
+    to its starred position with the star's sign folded into its
+    coefficient.  Rounding is symmetric in sign, so a sum of negated
+    products is the negated sum, and an entry differs from the star of the
+    kernel's output at most in the sign of a zero.  *(tau1 ^ *phi) is
+    linear, a product with the appended 1, and each of its entries is one
+    +-tau1 entry, so the rows of tau1 ^ *(tau1 ^ *phi) read tau1 twice.
     """
     starphi = hodge_matrix(3).dot(phi_coefficients())
     t1_w = hodge_matrix(5).dot(_wedge_starphi())  # tau1 -> *(tau1 ^ *phi)
@@ -401,20 +401,15 @@ def _ricci_pass() -> tuple:
         ("tau1^tau2", 3, (_TAU1 + w12.pa, _TAU2 + w12.pb, w12.po, w12.coef), None),
         ("*(tau1^tau3)", 3, (_TAU1 + w13.pa, _TAU3 + w13.pb, w13.po, w13.coef), 4),
     )
-    rows, signs, layout, start = [], [], [], 0
+    rows, layout, start = [], [], 0
     for name, degree, (pa, pb, po, coef), star in terms:
-        n = dim_of(degree)
-        sign = np.ones(n, dtype=np.int64)
         if star is not None:
             to, by = hodge_table(star)
-            po, sign[to] = to[po], by
+            po, coef = to[po], by[po] * coef
         rows.append(np.stack([pa, pb, start + po, coef], axis=1))
-        signs.append(sign)
-        layout.append((name, degree, start, start + n))
-        start += n
-    sign = np.concatenate(signs)
-    sign.flags.writeable = False
-    return IndexTable.from_rows(np.concatenate(rows), start), sign, float_column(sign), tuple(layout)
+        layout.append((name, degree, start, start + dim_of(degree)))
+        start += dim_of(degree)
+    return IndexTable.from_rows(np.concatenate(rows), start), tuple(layout)
 
 
 def ricci_terms(t: TorsionComponents) -> dict:
@@ -426,11 +421,10 @@ def ricci_terms(t: TorsionComponents) -> dict:
     from one pass of `_ricci_pass`, bit for bit the kernel of its own; the
     forms are views of that pass's output.
     """
-    table, sign, float_sign, layout = _ricci_pass()
+    table, layout = _ricci_pass()
     exact = t.exact
     v = np.concatenate((t.packed, _one(exact)))
     out = table.apply(v, v)
-    out = out * (sign if exact else float_sign)
     forms = {name: Form(degree, out[a:b]) for name, degree, a, b in layout}
     bracket = forms["[tau2.tau3]"]
     return {
@@ -565,7 +559,7 @@ def _ricci_stack(routes: tuple, ks: tuple, exact: bool) -> tuple:
     `ricci_rows`, and (route, k, term, 35) weights: the RICCI_TABLE
     coefficients of each k in ks over 6, times the sign of the star on the
     *d tau3 row."""
-    n, star_src, star_sign = dim_of(3), *_hodge_gather(4)[:2]
+    n, star = dim_of(3), _hodge_gather(4)
     index = np.empty((len(routes), 1, len(RICCI_TABLE), n), dtype=np.intp)
     signs = np.ones((len(RICCI_TABLE), n), dtype=np.int64)
     for term, (name, *_) in enumerate(RICCI_TABLE):
@@ -573,9 +567,9 @@ def _ricci_stack(routes: tuple, ks: tuple, exact: bool) -> tuple:
             index[:, 0, term] = _SHARED_TERMS.index(name) * n + np.arange(n)
             continue
         row = len(_SHARED_TERMS) + 3 * np.arange(len(routes)) + _DERIV_TERMS.index(name)
-        index[:, 0, term] = row[:, None] * n + (star_src if name == "*d tau3" else np.arange(n))
+        index[:, 0, term] = row[:, None] * n + (star.src if name == "*d tau3" else np.arange(n))
         if name == "*d tau3":
-            signs[term] = star_sign
+            signs[term] = star.coef
     coeffs = _RICCI_COEFFS[[RICCI_ROUTES.index(route) for route in routes]]  # (route, term, 2)
     weights = as_mode(np.array([np.dot(ks, c.T) for c in coeffs]), exact) / 6
     weights = weights[..., None] * signs

@@ -34,6 +34,27 @@ def test_identities_exact_all_zero(capsys):
     assert len(doc["checks"]) >= 30
 
 
+def test_identities_catch_a_wrong_split_constant(capsys, monkeypatch):
+    # SPLIT_V14_CONSTANTS[7] x 1.1 once survived every shipped command
+    from fractions import Fraction
+
+    import g2lab.g2_algebra as ga
+
+    monkeypatch.setitem(ga.SPLIT_V14_CONSTANTS, 7, ga.SPLIT_V14_CONSTANTS[7] * Fraction(11, 10))
+    ga._split_v14_tables.cache_clear()
+    try:
+        code, out = run(capsys, "identities", "--exact")
+    finally:
+        monkeypatch.undo()
+        ga._split_v14_tables.cache_clear()
+    assert code == 1
+    # the 7-part is off by 1/1.1, and the 64-part, the remainder, with it
+    failed = [line.split("  residual")[0][7:].rstrip() for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["split: wedge3(gamma_7) = p_7 wedge3(gamma)", "split: wedge3(gamma_64) = 0"]
+    code, out = run(capsys, "identities", "--exact")
+    assert code == 0 and "split: wedge3(gamma_64) = 0" in out
+
+
 def test_identities_report_failure_names_check(capsys, monkeypatch):
     # fixture: inject a corrupted residual into one identity
     import g2lab.cli as cli
@@ -422,6 +443,23 @@ def test_warp_exit_codes(capsys, monkeypatch):
     monkeypatch.delenv("G2LAB_TOL")
     for argv in bad_inputs:
         assert main(argv) == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--tol", "1e-30"],  # the routes agree to about 1e-15, not to 1e-30
+        ["sweep", "--t", "3.14159265"],  # rounding on terms of size 1/f^2, residual 4.8e-9
+        ["sweep", "--t", "1e-7"],  # torsion of size about 1e7, residual 1.2e-9
+    ],
+    ids=["tol 1e-30", "t near pi", "t near 0"],
+)
+def test_sweep_route_mismatch_is_a_failed_check(capsys, argv):
+    # sweep once ran every entry at the default 1e-9 whatever --tol said, and
+    # a route mismatch exited 2 as bad input
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("FAIL: closed-form and structure-equation torsion disagree")
 
 
 def test_warp_route_mismatch_is_a_value_error():

@@ -467,3 +467,82 @@ def test_perm_sign_is_used_only_by_the_wedge_and_antisym_tables():
     assert users.pop("exterior_algebra.py") == {"_wedge_table", "_antisym_table"}
     assert {name: found for name, found in users.items() if found} == {}
     assert _perm_sign_users(ast.parse("from m import perm_sign\ndef f():\n    return m.perm_sign\n")) == {None, "f"}
+
+
+def _float_twin_users(tree: ast.AST) -> set:
+    """Enclosing class (None outside one) of every use of a name, attribute,
+    argument or import that starts with float_: the float twin of a
+    coefficient column, which a module reads to pick that column over the
+    integer one, and `float_column`, which makes it."""
+    found = set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None))
+        if isinstance(node, ast.alias):
+            names += (node.name, node.asname)
+        if any(isinstance(n, str) and n.startswith("float_") for n in names):
+            found.add(cls)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_table_classes_pick_a_coefficient_column():
+    # the integer and float columns of a table were once picked at seven call
+    # sites in three modules, and float_column was imported by two more
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "g2lab"
+    users = {
+        path.name: _float_twin_users(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(src.glob("*.py"))
+    }
+    assert users.pop("exterior_algebra.py") == {"IndexTable", "LinearTable"}
+    assert {name: found for name, found in users.items() if found} == {}
+    snippet = "from m import float_column\nclass T:\n    def f(self, float_sign):\n        return self.float_coef\n"
+    assert _float_twin_users(ast.parse(snippet)) == {None, "T"}
+
+
+def _package_tables() -> dict:
+    """Every `LinearTable` the package builds, by name, with the path its
+    apply takes."""
+    import g2lab.curvature as cv
+    import g2lab.exterior_algebra as ea
+
+    tables = {}
+    for k in range(8):
+        tables[f"hodge {k}"] = (ea._hodge_gather(k), "gather")
+        tables[f"connection {k}"] = (ea._connection_table((k,)), "assign")
+    for k in range(6):  # the 7^6 and 7^7 entry arrays take seconds as Fractions
+        tables[f"unfold {k}"] = (ea._antisym_table(k), "gather" if k < 2 else "assign")
+    for k in range(7):  # one row per output for a 0-form
+        tables[f"alternation {k}"] = (ea._alternation_table((k,)), "gather" if k == 0 else "scatter")
+    for k in range(1, 8):  # e_i -| of a 1-form is one entry per i
+        tables[f"interior {k}"] = (ea._frame_interior_table(k), "gather" if k == 1 else "assign")
+    tables["connection pass"] = (ea._connection_table((3, 2, 2, 3)), "assign")
+    tables["alternation pass"] = (ea._alternation_table((3, 2, 2, 3)), "scatter")
+    for name in ("_kn_table", "_phi_product_table", "_bianchi_table", "_contraction_table", "_pair_table", "_block_table"):
+        tables[name] = (getattr(cv, name)(), "scatter")
+    return tables
+
+
+@pytest.mark.parametrize("name", list(_package_tables()))
+def test_table_apply_is_its_dense_matrix(name):
+    # on dyadic input every sum is exact: the gather, the assignment and the
+    # scatter give the dense product, as Fractions and as floats, one input
+    # at a time and for a batch on leading axes
+    table, path = _package_tables()[name]
+    assert table.path == path
+    rng = np.random.default_rng(23)
+    num = rng.integers(-64, 65, size=(2, 3, table.n_in))
+    want = num.dot(table.dense().T)  # integers, over 16
+    exact = np.vectorize(lambda n: Fraction(int(n), 16), otypes=[object])(num)
+    for x, scale in ((exact, Fraction(1, 16)), (num / 16, 1 / 16)):
+        got = table.apply(x[0, 0])
+        assert got.dtype == x.dtype and got.shape == (table.n_out,)
+        assert np.array_equal(got, want[0, 0] * scale)
+        got = table.apply(x)
+        assert got.dtype == x.dtype and got.shape == (2, 3, table.n_out)
+        assert np.array_equal(got, want * scale)

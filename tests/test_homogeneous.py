@@ -433,6 +433,32 @@ def test_verdicts_hold_from_2_to_the_minus_20_to_2_to_the_20():
             assert rep.passed, (spec.name, k, [c.name for c in rep.failed_checks()])
 
 
+#: the checks of `analyze` whose residuals are rounding on Gamma
+GAMMA_CHECKS = (
+    "Levi-Civita metric (Gamma antisym in last two)",
+    "Levi-Civita torsion-free",
+    "d = alt(grad) on phi",
+    "nabla-bar phi = 0",
+    "nabla-bar g = 0 (gamma-bar antisymmetry)",
+    "gamma-bar is g2-valued",
+)
+
+
+def test_gamma_rounding_checks_are_judged_against_gamma():
+    # judged absolutely, CLOSED_Z failed "nabla-bar phi = 0" from 2^23 (3.7e-9
+    # at 2^24 against 1e-9), a residual that the nabla-bar phi gate itself
+    # passed against bound(1e-9, max |Gamma|)
+    spec = closed_almost_abelian("closed", CLOSED_Z)
+    scaled = LieAlgebraSpec(spec.name, spec.c * 2.0**24)
+    rep = analyze(scaled)
+    assert rep.passed, [c.name for c in rep.failed_checks()]
+    size = max_abs(geometry(scaled).gamma)
+    judged = {c.name: c for c in rep.checks if c.name in GAMMA_CHECKS}
+    assert sorted(judged) == sorted(GAMMA_CHECKS)
+    for c in judged.values():
+        assert c.scale == size > 1e7 and c.tol == bound(rep.tol, size), c.name
+
+
 def _mutant_residuals(geo) -> dict:
     """Per rescaled check of the closed chain, the residual of a mutant of
     what it compares: 1/5 for the 1/6 of *(tau^tau) in the canonical
@@ -631,15 +657,26 @@ def test_analyze_builds_each_stage_once(monkeypatch):
     # and the summary classifies from the norms it reports
     counting(tr, "recompose")
     counting(tr.TorsionComponents, "norms")
-    # the curvature stages, wherever they are called from
-    for name in ("apply_linear", "ricci", "phi_ricci", "kn_product", "phi_product", "bianchi_b"):
+    # the curvature stages, wherever they are called from, and the
+    # applications of the curvature module's tables
+    for name in ("ricci", "phi_ricci", "kn_product", "phi_product", "bianchi_b"):
         for module in (cv, hm):
             if hasattr(module, name):
                 counting(module, name)
+    names = ("_pair_table", "_block_table", "_contraction_table", "_kn_table", "_phi_product_table", "_bianchi_table")
+    curvature_tables = {id(getattr(cv, name)()) for name in names}
+    real_apply = ea.LinearTable.apply
+
+    def apply(table, x):
+        if id(table) in curvature_tables:
+            count("curvature table apply")
+        return real_apply(table, x)
+
+    monkeypatch.setattr(ea.LinearTable, "apply", apply)
     rep = hm.analyze(spec)
     assert rep.passed
     # one scatter of the pair matrix and one of (Ric0, Ric^W); r_g(g) is cached
-    assert calls.pop("apply_linear") == 2
+    assert calls.pop("curvature table apply") == 2
     assert calls == {
         "invariant_d_matrices": 1,
         "_koszul": 1,
