@@ -202,7 +202,7 @@ def cmd_curvature(args) -> int:
 
 
 #: the JSON shapes a .g2 document is read with
-_SHAPES = {dict: "an object", list: "a list", int: "an integer", (int, float): "a number"}
+_SHAPES = {dict: "an object", list: "a list", str: "a string", int: "an integer", (int, float): "a number"}
 
 
 def _shape(value, kind, what: str, *args):
@@ -253,7 +253,7 @@ def load_spec(path: str):
         coframe[k] = terms
     from .homogeneous import spec_from_coframe_d
 
-    name = doc["name"] if "name" in doc else os.path.splitext(os.path.basename(path))[0]
+    name = _shape(doc.get("name", os.path.splitext(os.path.basename(path))[0]), str, "{}: name", path)
     spec = spec_from_coframe_d(name, coframe)
     phi = None
     if "phi" in doc:

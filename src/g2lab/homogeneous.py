@@ -46,15 +46,18 @@ of a per-degree build.  Both run in float64 and in exact mode alike.
 `invariant_d` and `invariant_delta` act through the built matrices, and the
 Koszul formula reads the structure constants back off d on 1-forms.
 
-`analyze` returns a `Report`.  A report holds one base tolerance, and each
-check it records is judged against ``bound(tol, scale) * slack``: the scale
-is the size of what the check compares (0 for an absolute check, max |Gamma|
-for the Levi-Civita and canonical-connection checks, whose residuals are
-rounding on Gamma) and the slack (10 or 50) the headroom of a long chain of
-rounding.  `analyze` and the closed chain each record their checks with one
-`Report.extend`, whose tolerances are one vectorised `bounds`.  The closed,
-EPR and parallel-torsion predicates and the Lambda^2_14 gates of nabla-bar
-tau use the same `bound`.
+`analyze` returns a `Report` of the checks of the catalogue `CHECKS`, which
+holds each check's name, weight w and slack.  Structure constants 2^k c
+give a check 2^(k w) times the residual and the scale of c, bit for bit: w
+is 1 for what is linear in c (Gamma, torsion), 2 for curvature and 4 for
+its squared norms.  A check passes when its residual is at most
+``bound(tol, scale) * slack``, with tol the report's base tolerance, the
+scale the size of what the check compares (0 for Jacobi and d^2, which are
+absolute) and the slack (1, 10 or 50) the headroom of a long chain of
+rounding.  `analyze` and the closed chain each make one `Report.extend` of
+catalogue rows and (residual, scale) pairs, whose tolerances are one
+vectorised `bounds`; the closed, EPR and parallel-torsion predicates and
+the Lambda^2_14 gates of nabla-bar tau use the same `bound`.
 
 Sign conventions: Gamma[i,j,k] = g(grad_{e_i} e_j, e_k) and
 R_ijkl = g(R(e_i,e_j) e_k, e_l) so that the hyperbolic solvable example
@@ -467,15 +470,16 @@ class Report:
         self.summary = {} if summary is None else summary
 
     def add(self, name: str, residual, scale: float = 0.0, slack: int = 1):
-        self.extend((name,), (residual,), (scale,), slack)
+        """Record one check outside the catalogue, of weight 0."""
+        self.extend(_catalogue((name, 0, slack)), ((residual, scale),))
 
-    def extend(self, names, residuals, scales, slack=1):
-        """Record a family of checks, with one slack or an array of one per
-        check: one vectorised `bounds` gives every tolerance, per check the
-        IEEE product ``bound(tol, scale) * slack``."""
+    def extend(self, rows, pairs):
+        """Record catalogue rows, one (residual, scale) pair per row: one vectorised
+        `bounds` gives every tolerance, per check the IEEE product ``bound(tol, scale) * slack``."""
+        residuals, scales = zip(*pairs)
         scales = np.array(scales, dtype=float)
-        tols = bounds(self.tol, scales) * slack
-        self.checks += map(Check, names, map(float, residuals), tols.tolist(), scales.tolist())
+        tols = bounds(self.tol, scales) * rows["slack"]
+        self.checks += map(Check, rows["name"].tolist(), map(float, residuals), tols.tolist(), scales.tolist())
 
     @property
     def passed(self) -> bool:
@@ -493,33 +497,64 @@ class Report:
         }
 
 
+def _catalogue(*rows) -> np.ndarray:
+    """(name, weight, slack) rows as one read-only record array."""
+    table = np.array(list(rows), dtype=[("name", object), ("weight", int), ("slack", float)])
+    table.flags.writeable = False
+    return table
+
+
 K_VALUES = ((1, 0), (0, 1), (4, -5))
 _K = np.array(K_VALUES)
 _K.flags.writeable = False
-#: the checks of `analyze`, in report order: those judged with slack 1,
-#: then the Ricci-formula checks, (k row, route column) in their residual
-#: array, and the d tau2 conversion, judged with slack 50
-_CHECKS = (
-    "jacobi (d d e^k = 0)",
-    "d^2 = 0 (all degrees)",
-    "structure equations solve (d phi, d *phi)",
+#: the check catalogue: one (name, weight, slack) row per check of `analyze`
+#: in report order, the closed chain's last
+CHECKS = _catalogue(
+    ("jacobi (d d e^k = 0)", 2, 1),
+    ("d^2 = 0 (all degrees)", 2, 1),
+    ("structure equations solve (d phi, d *phi)", 1, 1),
     # Levi-Civita sanity: metric and torsion-free
-    "Levi-Civita metric (Gamma antisym in last two)",
-    "Levi-Civita torsion-free",
-    "d = alt(grad) on phi",
+    ("Levi-Civita metric (Gamma antisym in last two)", 1, 1),
+    ("Levi-Civita torsion-free", 1, 1),
+    ("d = alt(grad) on phi", 1, 1),
     # canonical connection
-    "nabla-bar phi = 0",
-    "nabla-bar g = 0 (gamma-bar antisymmetry)",
-    "gamma-bar is g2-valued",
+    ("nabla-bar phi = 0", 1, 1),
+    ("nabla-bar g = 0 (gamma-bar antisymmetry)", 1, 1),
+    ("gamma-bar is g2-valued", 1, 1),
     # curvature block
-    "first Bianchi identity",
-    "curvature blocks reassemble",
-    "scalar curvature from torsion",
-    *(f"Ricci formula, {route} route, k={k}" for k in K_VALUES for route in RICCI_ROUTES),
-    "d tau2 vs canonical-derivative conversion",
+    ("first Bianchi identity", 2, 1),
+    ("curvature blocks reassemble", 2, 1),
+    ("scalar curvature from torsion", 2, 1),
+    *((f"Ricci formula, {route} route, k={k}", 2, 50) for k in K_VALUES for route in RICCI_ROUTES),
+    ("d tau2 vs canonical-derivative conversion", 2, 50),
+    ("closed: torsion reduces to tau2", 1, 1),
+    ("closed: delta phi = tau", 1, 1),
+    ("closed: cyclic identity for xi", 1, 1),
+    ("closed: nabla-bar tau has no 7-part", 2, 1),
+    ("closed: canonical-derivative identity for d tau", 2, 10),
+    ("closed: d^nabla-bar tau lands in Lambda^3_27", 2, 10),
+    ("closed: *d(tau^3)/3 = <d tau, *(tau^tau)>", 4, 10),
+    ("closed: <d tau, *(tau^tau)> = <dbar tau, *(tau^tau)_27>", 4, 10),
+    *(
+        row
+        for k in K_VALUES
+        for row in ((f"closed: Ricci formula, k={k}", 2, 10), (f"closed: Ricci norm identity, k={k}", 4, 10))
+    ),
+    ("closed: scalar curvature = -|tau|^2 / 2", 2, 1),
+    ("closed: EPR norm identity (dbar tau = 0)", 4, 10),
+    ("closed: ||W64||^2 = ||(nabla-bar tau)_64||^2 / 3", 4, 10),
+    ("closed: curvature contraction identity (componentwise)", 2, 10),
+    ("closed: squared contraction identity", 4, 10),
 )
-_SLACK = np.array([1.0] * 12 + [50.0] * 7)
-_SLACK.flags.writeable = False
+
+
+#: the rows `analyze` records, and the closed chain's with (True) and without
+#: (False) the EPR check, which it records only when dbar tau = 0
+_ANALYZE_ROWS = _catalogue(*(row for row in CHECKS if not row["name"].startswith("closed:")))
+_CLOSED_ROWS = {
+    epr: _catalogue(*(row for row in CHECKS[len(_ANALYZE_ROWS) :] if epr or "EPR" not in row["name"]))
+    for epr in (True, False)
+}
 
 
 def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report:
@@ -571,6 +606,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         conv_size,
         d_tau2_size,
         dphi_size,
+        dstarphi_size,
         phi_size,
         gamma_size,
     ) = max_abs_each(
@@ -586,6 +622,7 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
         conv,
         d_tau2,
         dphi.coeffs,
+        geo.dstarphi.coeffs,
         phi.coeffs,
         gamma,
     )
@@ -593,25 +630,23 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     # scalar curvature from torsion, Eq-4.25 style
     delta_tau1 = geo.delta(t.tau1).coeffs[0]
     report.extend(
-        _CHECKS,
-        [
-            geo.jacobi,
-            geo.d_squared,
-            geo.structure_residual,
-            lc_metric,
-            lc_torsion,
-            alt_grad,
-            geo.nabla_bar_phi,
-            nabla_bar_g,
-            g2_valued,
-            dec.bianchi,
-            reassembly,
-            abs(float(scalar_from_torsion(t, delta_tau1) - s_g)),
-            *ricci_residuals.T.ravel().tolist(),
-            conversion,
-        ],
-        (0.0,) * 3 + (gamma_size,) * 6 + (0.0, r_size, abs(float(s_g))) + (scale44,) * 6 + (max(conv_size, d_tau2_size),),
-        _SLACK,
+        _ANALYZE_ROWS,
+        (
+            (geo.jacobi, 0.0),
+            (geo.d_squared, 0.0),
+            (geo.structure_residual, max(dphi_size, dstarphi_size)),
+            (lc_metric, gamma_size),
+            (lc_torsion, gamma_size),
+            (alt_grad, gamma_size),
+            (geo.nabla_bar_phi, gamma_size),
+            (nabla_bar_g, gamma_size),
+            (g2_valued, gamma_size),
+            (dec.bianchi, r_size),
+            (reassembly, r_size),
+            (abs(float(scalar_from_torsion(t, delta_tau1) - s_g)), abs(float(s_g))),
+            *((residual, scale44) for residual in ricci_residuals.T.ravel().tolist()),
+            (conversion, max(conv_size, d_tau2_size)),
+        ),
     )
 
     # summary data
@@ -627,43 +662,6 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     if dphi_size <= bound(1e-10, phi_size):  # closed
         _closed_structure_checks(report, geo, dec, ric0k, lhs)
     return report
-
-
-#: the closed chain's checks in report order, each with its slack; the EPR
-#: check is recorded only when dbar tau = 0
-_CLOSED_CHECKS = (
-    ("closed: torsion reduces to tau2", 1),
-    ("closed: delta phi = tau", 1),
-    ("closed: cyclic identity for xi", 1),
-    ("closed: nabla-bar tau has no 7-part", 1),
-    ("closed: canonical-derivative identity for d tau", 10),
-    ("closed: d^nabla-bar tau lands in Lambda^3_27", 10),
-    ("closed: *d(tau^3)/3 = <d tau, *(tau^tau)>", 10),
-    ("closed: <d tau, *(tau^tau)> = <dbar tau, *(tau^tau)_27>", 10),
-    *(
-        (name, 10)
-        for k in K_VALUES
-        for name in (f"closed: Ricci formula, k={k}", f"closed: Ricci norm identity, k={k}")
-    ),
-    ("closed: scalar curvature = -|tau|^2 / 2", 1),
-    ("closed: EPR norm identity (dbar tau = 0)", 10),
-    ("closed: ||W64||^2 = ||(nabla-bar tau)_64||^2 / 3", 10),
-    ("closed: curvature contraction identity (componentwise)", 10),
-    ("closed: squared contraction identity", 10),
-)
-_EPR = [name for name, _ in _CLOSED_CHECKS].index("closed: EPR norm identity (dbar tau = 0)")
-
-
-def _closed_family(with_epr: bool) -> tuple:
-    """The names and the read-only slack array of the closed chain's checks,
-    with or without the EPR check."""
-    checks = _CLOSED_CHECKS if with_epr else _CLOSED_CHECKS[:_EPR] + _CLOSED_CHECKS[_EPR + 1 :]
-    slack = np.array([s for _, s in checks], dtype=float)
-    slack.flags.writeable = False
-    return tuple(name for name, _ in checks), slack
-
-
-_CLOSED_FAMILIES = {epr: _closed_family(epr) for epr in (True, False)}
 
 
 @functools.cache
@@ -772,10 +770,14 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k,
     term2 = tp.reshape(DIM * DIM, DIM).dot(tau_arr.T).reshape(-1).take(_term2_entries())
     rhs40 = (frame_interior(dbar_form).T - nb_tau.array.T) + (term1 - term2) / 6
 
-    reduces, delta_phi, cyclic, no_7, canonical, rhs_size, lands_27, dbar_size, contraction, lhs40_size = max_abs_each(
+    (reduces, delta_phi, dstarphi_size, tau_size, cyclic, xi_size, no_7, canonical, rhs_size, lands_27, dbar_size,
+     contraction, lhs40_size) = max_abs_each(
         t.packed[_NOT_TAU2],
         -hodge(geo.dstarphi).coeffs - tau.coeffs,  # delta phi = -*d*phi on 3-forms
+        geo.dstarphi.coeffs,
+        tau.coeffs,
         geo.xi.cyclic_sum(),
+        geo.xi.xi,
         g7.array,
         dbar_tau - rhs,
         rhs,
@@ -806,29 +808,27 @@ def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k,
         + scalar(34, exact) / 63 * star_d_tau3
     )
 
-    residuals = [
-        reduces,
-        delta_phi,
-        cyclic,
-        no_7,
-        canonical,
-        lands_27,
-        abs(float(lhs_a - lhs_b)),
-        abs(float(lhs_b - lhs_c)),
+    pairs = [
+        (reduces, max(reduces, tau_size)),  # max |tau|
+        (delta_phi, max(dstarphi_size, tau_size)),
+        (cyclic, xi_size),
+        (no_7, nb_size),
+        (canonical, max(dbar_size, rhs_size)),
+        (lands_27, dbar_size),
+        (abs(float(lhs_a - lhs_b)), scale_ab),
+        (abs(float(lhs_b - lhs_c)), scale_bc),
     ]
-    scales = [0.0, 0.0, 0.0, nb_size, max(dbar_size, rhs_size), dbar_size, scale_ab, scale_bc]
     for residual, size, pred, true in zip(formula_residuals, ric0k_sizes, n_pred, n_true):
-        residuals += [residual, abs(float(pred - true))]
-        scales += [size, abs(float(true))]
-    residuals.append(abs(float(s_g + tau_n / 2)))
-    scales.append(abs(float(s_g)))
+        pairs += [(residual, size), (abs(float(pred - true)), abs(float(true)))]
+    pairs.append((abs(float(s_g + tau_n / 2)), abs(float(s_g))))
     if is_epr:
-        residuals.append(abs(epr_lhs - epr_rhs))
-        scales.append(epr_rhs)
-    residuals += [abs(float(w64_n - g64.tensor_norm2() / 3)), contraction, abs(float(lhs41 - rhs41))]
-    scales += [float(w64_n), lhs40_size, abs(float(lhs41))]
-    names, slack = _CLOSED_FAMILIES[is_epr]
-    report.extend(names, residuals, scales, slack)
+        pairs.append((abs(epr_lhs - epr_rhs), epr_rhs))
+    pairs += [
+        (abs(float(w64_n - g64.tensor_norm2() / 3)), float(w64_n)),
+        (contraction, lhs40_size),
+        (abs(float(lhs41 - rhs41)), abs(float(lhs41))),
+    ]
+    report.extend(_CLOSED_ROWS[is_epr], pairs)
     report.summary["extremally_pinched"] = bool(is_epr)
     report.summary["epr_identity"] = (epr_lhs, epr_rhs)
     report.summary["parallel_torsion"] = bool(nb_norm <= bound(1e-12, float(tau_n)))

@@ -406,11 +406,16 @@ def loop_closed_structure_checks(report, geo, dec):
             lhs40,
         )
     )
-    report.add("closed: torsion reduces to tau2", next(residuals))
-    report.add("closed: delta phi = tau", next(residuals))
-    report.add("closed: cyclic identity for xi", next(residuals))
-    # the three checks on the split and the canonical derivative are judged
-    # against the size of what they compare
+    # every check is judged against the size of what it compares
+    report.add(
+        "closed: torsion reduces to tau2",
+        next(residuals),
+        max_abs([t.tau0], t.tau1.coeffs, tau.coeffs, t.tau3.coeffs),
+    )
+    report.add(
+        "closed: delta phi = tau", next(residuals), max(max_abs(geo.dstarphi.coeffs), max_abs(tau.coeffs))
+    )
+    report.add("closed: cyclic identity for xi", next(residuals), max_abs(geo.xi.xi))
     dbar_size = max_abs(dbar_tau.coeffs)
     report.add("closed: nabla-bar tau has no 7-part", next(residuals), max_abs(nb_tau.array))
     report.add(

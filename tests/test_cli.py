@@ -167,6 +167,8 @@ def test_analyze_malformed_file(tmp_path, capsys):
         {"coframe_d": [{"k": 1, "terms": [{**term, "coeff": 10**400}]}]},
         {"phi": [{"indices": 5, "coeff": 1}]},
         {"phi": [{"indices": [1, 2, True], "coeff": 1}]},
+        {"name": 5},
+        {"name": None},
     ]
     # a repeated entry is named, not silently overwritten
     repeats = {

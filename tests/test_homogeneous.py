@@ -1,6 +1,7 @@
 """Left-invariant geometry: connection, curvature, torsion, analyze."""
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,10 +31,12 @@ from g2lab.exterior_algebra import (
 )
 from g2lab.g2_algebra import MixedV14, lambda3, lambda3_rows, projector_matrix, split_v14, sym2_from_27
 from g2lab.homogeneous import (
+    CHECKS,
     K_VALUES,
     InvariantGeometry,
     LieAlgebraSpec,
     Report,
+    _catalogue,
     analyze,
     builtin_examples,
     canonical_connection,
@@ -415,12 +418,14 @@ def test_closed_inner_product_chain_holds_at_every_scale():
             assert rep.passed, (i, k, [c.name for c in rep.failed_checks()])
 
 
-def test_verdicts_hold_from_2_to_the_minus_20_to_2_to_the_20():
-    # the Lambda^2_14 gates of nabla-bar tau and the split, the conversion
-    # and the closed chain's 7-part, canonical-identity and Lambda^3_27
-    # checks are judged against the size of what they compare: absolute,
+def test_verdicts_hold_from_2_to_the_minus_24_to_2_to_the_24():
+    # the Lambda^2_14 gates of nabla-bar tau and the split, the conversion,
+    # the structure equations, first Bianchi and every check of the closed
+    # chain are judged against the size of what they compare: absolute,
     # CLOSED_Z left Lambda^2_14 at 2^12 (membership residual 1.5e-8 on a
-    # stack of size 1.9e8) and the almost-abelian conversion failed from 2^12
+    # stack of size 1.9e8), the almost-abelian conversion failed from 2^12,
+    # the structure equations (7 of these inputs at 2^24) and delta phi = tau
+    # from 2^21, and the cyclic identity at 2^24
     rng = np.random.default_rng(77)
     specs = [closed_almost_abelian("closed", CLOSED_Z)]
     specs += [closed_nilpotent(name) for name in sorted(CLOSED_NILPOTENT)]
@@ -428,9 +433,49 @@ def test_verdicts_hold_from_2_to_the_minus_20_to_2_to_the_20():
     rng = np.random.default_rng(3)
     specs += [almost_abelian(f"aa{i}", rng.integers(-8, 9, size=(6, 6)) / 4) for i in range(4)]
     for spec in specs:
-        for k in range(-20, 21):
+        for k in range(-24, 25):
             rep = analyze(LieAlgebraSpec(spec.name, spec.c * 2.0**k))
             assert rep.passed, (spec.name, k, [c.name for c in rep.failed_checks()])
+
+
+#: the checks whose scale is 0 on an input where their residual is not:
+#: hyperbolic space is Einstein, so Ric0^k is 0 while the canonical route's
+#: terms are not (these fail from lambda = 2^13)
+UNSCALED = {
+    ("hyperbolic", "Ricci formula, canonical route, k=(1, 0)"),
+    ("hyperbolic", "Ricci formula, canonical route, k=(0, 1)"),
+}
+
+
+def test_every_check_scales_by_its_catalogue_weight():
+    # structure constants 2^k c give each check 2^(k w) times the residual
+    # and the scale of c, bit for bit, with w the weight of its catalogue row
+    weight = dict(zip(CHECKS["name"], CHECKS["weight"].tolist()))
+    specs = [ex["spec"] for ex in builtin_examples().values()]
+    specs.append(closed_almost_abelian("CLOSED_Z", CLOSED_Z))
+    specs += [closed_nilpotent(name) for name in sorted(CLOSED_NILPOTENT)]
+    rng = np.random.default_rng(3)
+    specs += [almost_abelian(f"aa{i}", rng.integers(-8, 9, size=(6, 6)) / 4) for i in range(3)]
+    recorded, nonzero, unscaled = {}, set(), set()
+    for spec in specs:
+        unit = analyze(spec).checks
+        recorded[spec.name] = {c.name for c in unit}
+        nonzero |= {c.name for c in unit if c.residual or c.scale}
+        unscaled |= {(spec.name, c.name) for c in unit if c.residual and not c.scale}
+        for k in (-13, 5, 13):
+            scaled = analyze(LieAlgebraSpec(spec.name, spec.c * 2.0**k)).checks
+            assert [c.name for c in scaled] == [c.name for c in unit], (spec.name, k)
+            for got, want in zip(scaled, unit):
+                w = weight[got.name]
+                assert got.residual == math.ldexp(want.residual, k * w), (spec.name, k, got.name)
+                assert got.scale == math.ldexp(want.scale, k * w), (spec.name, k, got.name)
+    assert set().union(*recorded.values()) == set(weight)
+    epr = "closed: EPR norm identity (dbar tau = 0)"
+    assert epr in recorded["flat"] and epr in recorded["bryant"] and epr not in recorded["CLOSED_Z"]
+    # Jacobi and d^2 are exactly 0 on dyadic constants; every other check
+    # compares something nonzero on some input
+    assert set(weight) - nonzero == {"jacobi (d d e^k = 0)", "d^2 = 0 (all degrees)"}
+    assert unscaled == UNSCALED
 
 
 #: the checks of `analyze` whose residuals are rounding on Gamma
@@ -542,8 +587,8 @@ def test_connection_pass_matches_the_per_form_actions():
 
 def test_report_extend_judges_with_bound():
     # one vectorised bounds per family gives each check the tolerance
-    # bound(tol, scale) * slack, bit for bit, with one slack or one per
-    # check, and plain floats; a NaN scale or residual fails
+    # bound(tol, scale) * slack of its catalogue row, bit for bit, and plain
+    # floats; a NaN scale or residual fails
     rng = np.random.default_rng(23)
     scales = [0.0, 0.5, 1.0, 3.7, 1e8, float("nan")] + np.exp(rng.normal(size=20) * 5).tolist()
     residuals = (rng.random(len(scales)) * 1e-8).tolist() + [float("nan")]
@@ -551,9 +596,10 @@ def test_report_extend_judges_with_bound():
     names = [f"c{i}" for i in range(len(scales))]
     slacks = rng.choice([1, 10, 50], size=len(scales))
     for slack in (1, 50, slacks):
+        slack = np.broadcast_to(slack, len(scales)).tolist()
         rep = Report("family", 1e-9)
-        rep.extend(names, residuals, scales, slack)
-        want = [bound(1e-9, sc) * int(sl) for sc, sl in zip(scales, np.broadcast_to(slack, len(scales)))]
+        rep.extend(_catalogue(*zip(names, [0] * len(names), slack)), zip(residuals, scales))
+        want = [bound(1e-9, sc) * sl for sc, sl in zip(scales, slack)]
         assert [c.tol.hex() for c in rep.checks] == [w.hex() for w in want]
         assert {type(v) for c in rep.checks for v in (c.residual, c.tol, c.scale)} == {float}
     assert [c.name for c in rep.checks] == names
