@@ -798,8 +798,8 @@ def test_torsion_call_builds_each_stage_once(monkeypatch):
 
 
 def test_warped_outputs_match_the_frozen_snapshot():
-    # torsion norms, tau0, s and the Weyl-Ricci residual of 32 profiles at
-    # three t and of four holonomy triples, bit for bit (float.hex); see
+    # packed torsion, torsion norms, tau0, s and the Weyl-Ricci residual of 32
+    # profiles at five t and of four holonomy triples, bit for bit (float.hex); see
     # tests/warped_snapshot.py for how the snapshot was made
     import json
     from pathlib import Path

@@ -1,9 +1,12 @@
 """The warped and cohomogeneity-one outputs that `data/warped_snapshot.json`
 freezes, as float.hex strings so that equality is bit for bit.
 
-For each of the 32 warp profiles (f, theta, sigma) at three fixed t, and for
-four holonomy triples with fixed theta jets: the torsion norms, tau0, the
-scalar curvature from the torsion formula and the Weyl-Ricci residual.
+For each of the 32 warp profiles (f, theta, sigma) at five fixed t, and for
+four holonomy triples with fixed theta jets: the packed torsion vector, the
+torsion norms, tau0, the scalar curvature from the torsion formula and the
+Weyl-Ricci residual.  Two of the t sit 1e-3 from the ends of (0, pi), where
+the torsion is largest against the rounding of the two routes and of the
+Weyl-Ricci residual, so a change of rounding shows there first.
 
 Regenerate the snapshot (only when a change to the warped engine is meant to
 move its rounding) with
@@ -14,13 +17,14 @@ move its rounding) with
 from __future__ import annotations
 
 import json
+import math
 
 from g2lab import cohomo_one as co
 
 F_PROFILES = ("sin", "exp", "cosh", "sinh")
 THETA_PROFILES = ("t", "zero", "sin", "cos")
 SIGMAS = (0.0, 1.0)
-TS = (0.5, 1.5, 2.5)
+TS = (1e-3, 0.5, 1.5, 2.5, math.pi - 1e-3)
 TRIPLES = (
     ((0.5, 0.5, 0.5), (0.8, 0.5, 0.1)),
     ((0.6, 0.9, 1.4), (0.8, 0.5, 0.1)),
@@ -34,7 +38,9 @@ def _entry(solve_torsion, spec) -> dict:
     values = {"tau0": float(t.tau0), **{f"norm{k}": v for k, v in sorted(t.norms().items())}}
     values["s"] = co.scalar_curvature_warped(spec)
     values["ricW"] = co.ricW_vanishes(spec)
-    return {name: float(v).hex() for name, v in values.items()}
+    out = {name: float(v).hex() for name, v in values.items()}
+    out["packed"] = [float(x).hex() for x in t.packed]
+    return out
 
 
 def warped_outputs() -> dict:
