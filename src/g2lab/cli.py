@@ -282,17 +282,32 @@ def cmd_analyze(args) -> int:
 # --- warp / sweep -------------------------------------------------------------------
 
 
-def cmd_warp(args) -> int:
+def _two_route(compute, t: float):
+    """(compute(), 0), or (None, exit code) with the reason printed: 1 when a
+    two-route check fails, 2 for bad input, a spec whose arithmetic at t
+    leaving the float range included."""
     try:
-        f = co.jet_profile(args.f, args.t)
-        theta = co.jet_profile(args.theta, args.t)
-        payload = {"t": args.t, **co.warp_point(co.WarpSpec(f, theta, args.sigma), tol=args.tol)}
+        return compute(), 0
     except co.RouteMismatch as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+        return None, 1
+    except (OverflowError, ZeroDivisionError):
+        print(f"error: the warped solve at t = {t!r} is out of the float range", file=sys.stderr)
+        return None, 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return None, 2
+
+
+def cmd_warp(args) -> int:
+    def compute():
+        f = co.jet_profile(args.f, args.t)
+        theta = co.jet_profile(args.theta, args.t)
+        return {"t": args.t, **co.warp_point(co.WarpSpec(f, theta, args.sigma), tol=args.tol)}
+
+    payload, code = _two_route(compute, args.t)
+    if code:
+        return code
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -302,14 +317,10 @@ def cmd_warp(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        table, wrong = co.sweep_check(t=args.t, tol=args.tol)
-    except co.RouteMismatch as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result, code = _two_route(lambda: co.sweep_check(t=args.t, tol=args.tol), args.t)
+    if code:
+        return code
+    table, wrong = result
     realized = sorted({tuple(v) for v in table.values()})
     if args.json:
         print(json.dumps({"table": table, "realized": [list(r) for r in realized]}, indent=2))

@@ -12,18 +12,20 @@ A product form alpha + beta ^ dt is one array of order-2 jets in t, shape
 (2, n, 3): the fiber and dt blocks over the n orthonormal-frame ("unit")
 symbols of the fiber, the value, first and second derivative last.  Row s of
 the fiber block is the symbol form on e^1..e^6 and row s of the dt block is
-the symbol ^ e^7 (beta ^ dt, dt last).  The Leibniz rule is one constant
-(3, 3, 3) table.  The stacked per-degree dictionaries of the 2n rows, the
-Hodge star and the wedge (the package's R^7 `hodge` and `wedge` restricted
-to the rows, span-checked) and the pattern of d (its geometric-symbol
-coefficients at unit scale, and where each 3 x 3 jet block sits in the d
-operator) are constant arrays built once per fiber kind and shared
-read-only; a model adds only the scale of d (sigma for a nearly Kaehler
-fiber).  The frame weights (monomials in the warp factors, from an exponent
-table) are evaluated once per spec, where they turn d into one matrix on the
-flattened array.  Evaluation undoes the phase of psi_t^+/psi_t^- by a frame
-rotation of the (psi+, psi-) rows and lands every form in the adapted frame
-of the standard phi, where the generic torsion machinery applies.
+the symbol ^ e^7 (beta ^ dt, dt last).  Star and wedge act on whole jets
+(the wedge through the (3, 3, 3) Leibniz table).  The stacked per-degree
+dictionaries of the 2n rows, the Hodge star and the wedge (the package's R^7
+`hodge` and `wedge` restricted to the rows, span-checked) and the pattern of
+d (its geometric-symbol coefficients at unit scale, and where each entry sits
+in the value rows of d) are constant arrays built once per fiber kind and
+shared read-only; a model adds only the scale of d (sigma for a nearly
+Kaehler fiber).  Every exterior derivative is read at the sample point, so
+only the value rows of d are built: once per spec, from the values and first
+log-derivatives of the frame weights (monomials in the warp factors, from an
+exponent table), as one (2n, 6n) matrix on the flattened jets.  Evaluation
+undoes the phase of psi_t^+/psi_t^- by a frame rotation of the (psi+, psi-)
+rows and lands every form in the adapted frame of the standard phi, where
+the generic torsion machinery applies.
 
 Closed-form torsion components (scalar `Jet` arithmetic, one tuple per
 operation) and the generic structure-equation extraction are cross-checked
@@ -204,20 +206,10 @@ LEIBNIZ[0, 0, 0] = LEIBNIZ[1, 0, 1] = LEIBNIZ[0, 1, 1] = LEIBNIZ[2, 0, 2] = LEIB
 LEIBNIZ[1, 1, 2] = 2
 LEIBNIZ.flags.writeable = False
 
-#: c -> w c as a matrix: _MULTIPLY[j] holds LEIBNIZ[i, j, k] at [k, i]
-_MULTIPLY = LEIBNIZ.transpose(1, 2, 0).reshape(3, 9)
-#: d/dt of a jet, truncated: (value, d1, d2) -> (d1, d2, 0)
-_SHIFT = np.eye(3, k=1)
-
 
 def jet_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of arrays of jets (last axis: value, d1, d2), broadcast."""
     return np.einsum("...i,...j,ijk->...k", a, b, LEIBNIZ)
-
-
-def jet_matrices(w: np.ndarray) -> np.ndarray:
-    """The (..., 3, 3) matrices of c -> w c for an array of jets w."""
-    return (w @ _MULTIPLY).reshape(w.shape[:-1] + (3, 3))
 
 
 # --- fiber models -------------------------------------------------------------------
@@ -239,7 +231,7 @@ class _FiberTables(NamedTuple):
     d_source: np.ndarray  # d_geom at d_scale 1 as rows (source, target, coefficient)
     d_target: np.ndarray
     d_coeff: np.ndarray
-    d_positions: np.ndarray  # flat positions of the jet blocks of the `_d_operator` matrix
+    d_positions: np.ndarray  # flat positions of the entries of `_d_values` on (2, n, 2, n, 3)
 
 
 class FiberModel:
@@ -260,23 +252,6 @@ class FiberModel:
 
     def dictionary(self, s: str) -> Form:
         return self.symbols[s][1]
-
-
-def _d_positions(index: Mapping, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Flat positions of the 3 x 3 jet blocks of the d operator of
-    `_d_operator`, shaped (2, n, 3, 2, n, 3), in the order it fills them:
-    d_geom on the fiber block, d_geom on the dt block, and dt ^ d/dt from
-    each fiber row to its dt row."""
-    n, k = len(index), np.arange(3)
-    rows = np.arange(n)
-
-    def blocks(out_block, out, src_block, src):
-        at = (out_block, out[:, None, None], k[:, None], src_block, src[:, None, None], k)
-        return np.ravel_multi_index(at, (2, n, 3, 2, n, 3)).reshape(-1)
-
-    return np.concatenate(
-        (blocks(0, target, 0, source), blocks(1, target, 1, source), blocks(1, rows, 0, rows))
-    )
 
 
 def _build_tables(kind: str, entries: dict, d_geom: dict) -> _FiberTables:
@@ -329,7 +304,11 @@ def _build_tables(kind: str, entries: dict, d_geom: dict) -> _FiberTables:
     exponents = np.array([exps for *_, exps in entries.values()], dtype=float)
     d_rows = [(index[s], index[t], c) for s, row in d_geom.items() for t, c in row.items()]
     d_source, d_target, d_coeff = (np.array(x) for x in zip(*d_rows))
-    d_positions = _d_positions(index, d_source, d_target)
+    # in the order `_d_values` fills them: d_geom on the fiber block and on
+    # the dt block, then dt ^ d/dt from the value and from the first
+    # derivative of each fiber row to its dt row
+    at = (0, d_target, 0, d_source, 0), (1, d_target, 1, d_source, 0), (1, fiber, 0, fiber, 0), (1, fiber, 0, fiber, 1)
+    d_positions = np.concatenate([np.ravel_multi_index(x, (2, n, 2, n, 3)) for x in at])
     arrays = (exponents, sign, star, wedge_rows, d_source, d_target, d_coeff, d_positions, *dictionaries)
     for a in arrays:
         a.flags.writeable = False
@@ -391,40 +370,32 @@ def flag_model() -> FiberModel:
     return FiberModel("flag", _flag_tables(), 1.0)
 
 
-def _frame_weights(exponents: np.ndarray, factors) -> np.ndarray:
-    """Jets (2, n, 3) of the frame weights w_s = prod_i f_i ** exponents[s, i]
-    and of their inverses, from the log-derivatives l1 = w'/w and
-    l2 = (w'/w)' of the warp factors: w = w0 (1, l1, l2 + l1^2)."""
-    value, d1, d2 = np.array(factors).T
-    dlog = d1 / value
-    lam1, lam2 = exponents.dot(dlog), exponents.dot(d2 / value - dlog * dlog)
-    w0, one, sq = (value ** exponents).prod(axis=1), np.ones(len(exponents)), lam1 * lam1
-    jets = np.array([[one, lam1, lam2 + sq], [one, -lam1, sq - lam2]])
-    return jets.transpose(0, 2, 1) * np.array([w0, 1 / w0])[:, :, None]
-
-
-def _d_operator(model: FiberModel, factors) -> np.ndarray:
-    """Exterior derivative on flattened (2, n, 3) product forms as one matrix.
+def _d_values(model: FiberModel, factors) -> np.ndarray:
+    """The value rows of the exterior derivative on flattened (2, n, 3)
+    product forms: a (2n, 6n) matrix, (2, n, 2, n, 3) unflattened.
 
     In geometric symbols d is d_geom on both blocks plus (-1)^degree dt ^ d/dt
     from fiber to dt.  A unit symbol is the geometric one times its frame
-    weight w, so d_geom s -> t carries the jet w_s / w_t, and d/dt of a unit
-    coefficient c is (c w)' / w."""
+    weight w = prod_i f_i ** exponents[s, i], so d_geom s -> t carries
+    w_s / w_t, and the value of (c w)' / w, for a unit coefficient c, is
+    l1 c + c' with l1 = w'/w.  Each entry is rounded as the value of the
+    order-2 jet product it stands for: w0 l1 / w0 is not reduced to l1."""
     tab = model.tables
-    weights = _frame_weights(tab.exponents, factors)
-    w, w_inv = weights
-    across = jet_matrices(model.d_coeff[:, None] * jet_product(w[tab.d_source], w_inv[tab.d_target]))
-    lw, lw_inv = jet_matrices(weights)
-    along_t = tab.sign[:, None, None] * (lw_inv @ _SHIFT @ lw)
-    size = 6 * len(tab.sign)
-    op = np.zeros(size * size)
-    op[tab.d_positions] = np.concatenate((across, across, along_t), axis=None)
-    return op.reshape(size, size)
+    value, d1, _ = np.array(factors).T
+    w0, lam1 = (value ** tab.exponents).prod(axis=1), tab.exponents.dot(d1 / value)
+    w0_inv = 1 / w0
+    across = model.d_coeff * (w0[tab.d_source] * w0_inv[tab.d_target])
+    n = len(tab.sign)
+    op = np.zeros(12 * n * n)
+    op[tab.d_positions] = np.concatenate(
+        (across, across, tab.sign * (w0_inv * (lam1 * w0)), tab.sign * (w0_inv * w0))
+    )
+    return op.reshape(2 * n, 6 * n)
 
 
 class _Frame:
-    """The fiber model of a spec, with the d operator at the spec built on
-    first use and shared by every product form of the frame."""
+    """The fiber model of a spec, with the value rows of d at the spec built
+    on first use and shared by every product form of the frame."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -433,8 +404,8 @@ class _Frame:
         self.factors = (spec.f,) if warped else (spec.f1, spec.f2, spec.f3)
 
     @lazy
-    def d_operator(self) -> np.ndarray:
-        return _d_operator(self.model, self.factors)
+    def d_values(self) -> np.ndarray:
+        return _d_values(self.model, self.factors)
 
 
 # --- product forms -------------------------------------------------------------------
@@ -461,10 +432,11 @@ class ProductForm(NamedTuple):
     fiber = property(lambda self: self.jets[0])
     dt = property(lambda self: self.jets[1])
 
-    def d(self) -> "ProductForm":
-        """Exterior derivative: d_fiber plus dt ^ (time derivative)."""
-        jets = self.frame.d_operator.dot(self.jets.reshape(-1))
-        return ProductForm(self.frame, self.degree + 1, jets.reshape(self.jets.shape))
+    def d_at(self, theta_value: float) -> Form:
+        """The exterior derivative, d_fiber plus dt ^ (time derivative), at
+        the sample point: as `evaluate` gives it."""
+        values = self.frame.d_values.dot(self.jets.reshape(-1))
+        return _at_point(self.frame, self.degree + 1, values.reshape(2, -1), theta_value)
 
     def star(self) -> "ProductForm":
         """Hodge star of the product metric (orthonormal unit symbols)."""
@@ -485,12 +457,17 @@ class ProductForm(NamedTuple):
         psi_theta-) maps to the standard (psi+, psi-), so the evaluated phi
         is always the standard three-form.
         """
-        c, s = math.cos(theta_value), math.sin(theta_value)
-        tab = self.frame.model.tables
-        values = self.jets[:, :, 0].copy()
-        (a, b), (a_dt, b_dt) = values[:, tab.psi].tolist()
-        values[:, tab.psi] = (c * a - s * b, s * a + c * b), (c * a_dt - s * b_dt, s * a_dt + c * b_dt)
-        return Form(self.degree, values.reshape(-1).dot(tab.dictionaries[self.degree]))
+        return _at_point(self.frame, self.degree, self.jets[:, :, 0].copy(), theta_value)
+
+
+def _at_point(frame: _Frame, degree: int, values: np.ndarray, theta_value: float) -> Form:
+    """The form of degree with unit-symbol values (2, n) in the rotated
+    orthonormal frame; values is overwritten."""
+    c, s = math.cos(theta_value), math.sin(theta_value)
+    tab = frame.model.tables
+    (a, b), (a_dt, b_dt) = values[:, tab.psi].tolist()
+    values[:, tab.psi] = (c * a - s * b, s * a + c * b), (c * a_dt - s * b_dt, s * a_dt + c * b_dt)
+    return Form(degree, values.reshape(-1).dot(tab.dictionaries[degree]))
 
 
 # --- warped and cohomogeneity-one specs -----------------------------------------------
@@ -645,14 +622,33 @@ class _Solve:
             sym["tau0"].value, sym["tau1"].evaluate(th), sym["tau2"].evaluate(th), sym["tau3"].evaluate(th)
         )
 
-    def generic_torsion(self) -> TorsionComponents:
-        """Torsion via d phi / d *phi and the generic structure-equation solve."""
+    @lazy
+    def d_terms(self) -> float:
+        """The size of the terms that d phi and d *phi at the sample point
+        are sums of: the largest |d| |x| over the value rows of d and the
+        jets x of phi and *phi."""
+        phi, starphi = self.phi_forms
+        x = np.abs(np.concatenate((phi.jets, starphi.jets)).reshape(2, -1))
+        return max_abs(np.abs(self.frame.d_values).dot(x.T))
+
+    def generic_torsion(self, tol: float = 1e-8) -> TorsionComponents:
+        """Torsion via d phi / d *phi and the generic structure-equation
+        solve, whose reconstruction is judged within tol against the size of
+        the terms of d phi and d *phi."""
         (phi, starphi), th = self.phi_forms, self.theta_value
-        return extract_torsion(phi.evaluate(th), phi.d().evaluate(th), starphi.d().evaluate(th))
+        return extract_torsion(phi.evaluate(th), phi.d_at(th), starphi.d_at(th), tol, self.d_terms)
 
     def two_route(self, tol: float) -> TorsionComponents:
-        """The generic torsion, checked against the closed form within tol."""
-        t_closed, t_generic = self.t_closed, self.generic_torsion()
+        """The generic torsion, checked against the closed form within tol.
+
+        The structure solve's reconstruction is judged within tol as well,
+        after the routes are compared; on valid input its failure is a
+        failed check too."""
+        t_closed = self.t_closed
+        try:
+            t_generic, unrebuilt = self.generic_torsion(tol), None
+        except ValueError as exc:  # raised again here unless it is the reconstruction
+            t_generic, unrebuilt = self.generic_torsion(math.inf), exc
         resid = max_abs(t_closed.packed - t_generic.packed)
         if not resid <= tol:
             raise RouteMismatch(
@@ -660,6 +656,8 @@ class _Solve:
                 f"(residual {resid:.3g}): closed {t_closed.norms()} vs "
                 f"generic {t_generic.norms()}"
             )
+        if unrebuilt is not None:
+            raise RouteMismatch(str(unrebuilt)) from unrebuilt
         return t_generic
 
     def delta_tau1(self) -> float:
@@ -684,9 +682,9 @@ class _Solve:
     def ricW(self, k=(4, -5)) -> float:
         """Norm of the exterior-route generalized-Ricci right-hand side at k."""
         th, sym = self.theta_value, self.sym
-        d_term1 = sym["tau1"].wedge(self.phi_forms[1]).star().d().evaluate(th)
-        d_term2 = sym["tau2"].d().evaluate(th)
-        d_term3 = sym["tau3"].d().evaluate(th)
+        d_term1 = sym["tau1"].wedge(self.phi_forms[1]).star().d_at(th)
+        d_term2 = sym["tau2"].d_at(th)
+        d_term3 = sym["tau3"].d_at(th)
         return max_abs(ricci_rhs_exterior(self.t_closed, d_term1, d_term2, d_term3, k).coeffs)
 
 
@@ -730,8 +728,9 @@ def extraction_route(spec) -> TorsionComponents:
 
 
 class RouteMismatch(ValueError):
-    """The closed-form and structure-equation torsion disagree: a failed
-    check on valid input, not malformed input."""
+    """The closed-form and structure-equation torsion disagree, or the
+    structure solve does not rebuild (d phi, d *phi): a failed check on
+    valid input, not malformed input."""
 
 
 def warped_torsion(spec: WarpSpec, tol: float = 1e-9) -> TorsionComponents:

@@ -193,15 +193,21 @@ def recompose(t: TorsionComponents, tol: float = 1e-9):
     return Form(4, u[:35]), Form(5, u[35:])
 
 
-def solve_structure_equations(phi: Form, dphi: Form, dstarphi: Form, tol: float = 1e-8) -> tuple:
+def solve_structure_equations(
+    phi: Form, dphi: Form, dstarphi: Form, tol: float = 1e-8, scale: float = None
+) -> tuple:
     """Solve the structure equations for (tau0, tau1, tau2, tau3); returns
     the quadruple and the residual of (d phi, d *phi) rebuilt from it.
 
     ``phi`` must carry the standard coefficients (the adapted-frame
     pointwise model); inputs that are not in the image of any torsion
-    quadruple are rejected with the reconstruction residual.  The solved
-    quadruple passes the membership gate of `recompose`, judged against the
-    size of (d phi, d *phi).
+    quadruple are rejected with the reconstruction residual, judged within
+    tol against ``scale``: the size of (d phi, d *phi) when it is None, and
+    otherwise the size of the terms that (d phi, d *phi) are sums of, which
+    a caller that builds them passes, since where the terms cancel the
+    residual is rounding on them.  The solved quadruple passes the
+    membership gate of `recompose`, judged against the size of
+    (d phi, d *phi).
     """
     exact = dphi.exact
     template = _phi_templates(exact)[0]  # read-only: a phi that holds it is standard
@@ -214,7 +220,7 @@ def solve_structure_equations(phi: Form, dphi: Form, dstarphi: Form, tol: float 
     v = extract.dot(u)
     off_type, residual, size = max_abs_each(membership.dot(v), rebuild.dot(v) - u, u)
     _membership_gate(off_type, bound(1e-9, size))
-    if not residual <= bound(tol, size):
+    if not residual <= bound(tol, size if scale is None else scale):
         raise ValueError(
             f"(d phi, d *phi) is not generated by any torsion quadruple "
             f"(residual {residual:.3g})"
@@ -224,9 +230,11 @@ def solve_structure_equations(phi: Form, dphi: Form, dstarphi: Form, tol: float 
     return t, residual
 
 
-def extract_torsion(phi: Form, dphi: Form, dstarphi: Form, tol: float = 1e-8) -> TorsionComponents:
+def extract_torsion(
+    phi: Form, dphi: Form, dstarphi: Form, tol: float = 1e-8, scale: float = None
+) -> TorsionComponents:
     """The torsion quadruple of `solve_structure_equations`."""
-    return solve_structure_equations(phi, dphi, dstarphi, tol)[0]
+    return solve_structure_equations(phi, dphi, dstarphi, tol, scale)[0]
 
 
 def fg_type(t: TorsionComponents, eps: float = 1e-9, eps_abs: float = 1e-12) -> frozenset:

@@ -8,9 +8,11 @@ and the fiber Hodge and wedge tables are {symbol: {symbol: coefficient}}
 dictionaries fitted in the symbol span by least squares, with the dt blocks
 from sign rules.  This is how `g2lab.cohomo_one` computed product forms
 before its array engine, whose tables are the R^7 star and wedge restricted
-to the symbol rows; the tests compare the two.  `conformal_warp`, the warped
-spec of a conformally rescaled structure, is the geometric side of the
-conformal-transform tests.
+to the symbol rows; the tests compare the two.  `d_operator` is the
+exterior derivative on whole order-2 jets as one (6n, 6n) matrix, as the
+array engine built it before it kept only the value rows that are read at
+the sample point.  `conformal_warp`, the warped spec of a conformally
+rescaled structure, is the geometric side of the conformal-transform tests.
 """
 
 from __future__ import annotations
@@ -62,6 +64,58 @@ D_GEOM = {
         "psi-": {"m23": -2.0, "m13": -2.0, "m12": -2.0},
     },
 }
+
+
+#: c -> w c as a matrix: _MULTIPLY[j] holds LEIBNIZ[i, j, k] at [k, i]
+_MULTIPLY = co.LEIBNIZ.transpose(1, 2, 0).reshape(3, 9)
+#: d/dt of a jet, truncated: (value, d1, d2) -> (d1, d2, 0)
+_SHIFT = np.eye(3, k=1)
+
+
+def jet_matrices(w: np.ndarray) -> np.ndarray:
+    """The (..., 3, 3) matrices of c -> w c for an array of jets w."""
+    return (w @ _MULTIPLY).reshape(w.shape[:-1] + (3, 3))
+
+
+def frame_weights(exponents: np.ndarray, factors) -> np.ndarray:
+    """Jets (2, n, 3) of the frame weights w_s = prod_i f_i ** exponents[s, i]
+    and of their inverses, from the log-derivatives l1 = w'/w and
+    l2 = (w'/w)' of the warp factors: w = w0 (1, l1, l2 + l1^2)."""
+    value, d1, d2 = np.array(factors).T
+    dlog = d1 / value
+    lam1, lam2 = exponents.dot(dlog), exponents.dot(d2 / value - dlog * dlog)
+    w0, one, sq = (value ** exponents).prod(axis=1), np.ones(len(exponents)), lam1 * lam1
+    jets = np.array([[one, lam1, lam2 + sq], [one, -lam1, sq - lam2]])
+    return jets.transpose(0, 2, 1) * np.array([w0, 1 / w0])[:, :, None]
+
+
+def d_operator(model: co.FiberModel, factors) -> np.ndarray:
+    """Exterior derivative on flattened (2, n, 3) product forms, whole jets,
+    as one (6n, 6n) matrix, (2, n, 3, 2, n, 3) unflattened.
+
+    In geometric symbols d is d_geom on both blocks plus (-1)^degree dt ^ d/dt
+    from fiber to dt.  A unit symbol is the geometric one times its frame
+    weight w, so d_geom s -> t carries the jet w_s / w_t, and d/dt of a unit
+    coefficient c is (c w)' / w."""
+    tab = model.tables
+    weights = frame_weights(tab.exponents, factors)
+    w, w_inv = weights
+    across = jet_matrices(model.d_coeff[:, None] * co.jet_product(w[tab.d_source], w_inv[tab.d_target]))
+    lw, lw_inv = jet_matrices(weights)
+    along_t = tab.sign[:, None, None] * (lw_inv @ _SHIFT @ lw)
+    n, k = len(tab.sign), np.arange(3)
+    rows = np.arange(n)
+
+    def blocks(out_block, out, src_block, src):
+        at = (out_block, out[:, None, None], k[:, None], src_block, src[:, None, None], k)
+        return np.ravel_multi_index(at, (2, n, 3, 2, n, 3)).reshape(-1)
+
+    positions = np.concatenate(
+        (blocks(0, tab.d_target, 0, tab.d_source), blocks(1, tab.d_target, 1, tab.d_source), blocks(1, rows, 0, rows))
+    )
+    op = np.zeros((6 * n) ** 2)
+    op[positions] = np.concatenate((across, across, along_t), axis=None)
+    return op.reshape(6 * n, 6 * n)
 
 
 def star6(a: Form) -> Form:

@@ -464,6 +464,36 @@ def test_sweep_route_mismatch_is_a_failed_check(capsys, argv):
     assert captured.err.startswith("FAIL: closed-form and structure-equation torsion disagree")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["warp", "--f", "exp", "--t", "1000"],
+        ["warp", "--f", "cosh", "--t", "800"],
+        ["sweep", "--t", "1e308"],
+        ["warp", "--f", "sinh", "--t", "1e-320"],
+        ["sweep", "--t", "1e-320"],
+    ],
+)
+def test_arithmetic_out_of_the_float_range_is_bad_input(capsys, argv):
+    # OverflowError / ZeroDivisionError once left with a traceback and exit 1,
+    # which reads as failed checks
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "out of the float range" in captured.err
+
+
+def test_sweep_near_t0_with_loose_tolerance_is_not_bad_input(capsys):
+    # the structure solve's reconstruction once rejected residual 1.49e-8 as
+    # malformed input (exit 2); it is judged within --tol against the size of
+    # the terms of d phi and d *phi (about 6e7 here).  The sweep then fails a
+    # check: the flat cone's structure-equation tau1 is 1.2e-9 of rounding
+    assert main(["sweep", "--t", "1e-7", "--tol", "1e-6"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err and "not generated" not in captured.err
+    assert captured.err.startswith("FAIL: realized class differs")
+
+
 def test_warp_route_mismatch_is_a_value_error():
     from g2lab import cohomo_one as co
 

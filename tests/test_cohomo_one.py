@@ -25,7 +25,6 @@ from g2lab.cohomo_one import (
     flag_model,
     holonomy_residual,
     holonomy_triple,
-    jet_matrices,
     jet_product,
     jet_profile,
     jet_var,
@@ -113,7 +112,7 @@ def test_nan_residual_fails_the_gates(monkeypatch):
     nan_torsion = TorsionComponents(math.nan, Form.zero(1), Form.zero(2), Form.zero(3))
     warp = WarpSpec(jet_var(T0).sin(), jet_var(T0), 1.0)
     cohom = CohomSpec(*holonomy_triple(0.5, 0.5, 0.5), Jet(0.3, 0.5, 0.1))
-    monkeypatch.setattr(co._Solve, "generic_torsion", lambda solve: nan_torsion)
+    monkeypatch.setattr(co._Solve, "generic_torsion", lambda solve, tol=1e-8: nan_torsion)
     with pytest.raises(ValueError, match="disagree"):
         warped_torsion(warp)
     with pytest.raises(ValueError, match="disagree"):
@@ -173,7 +172,8 @@ def test_symbolic_star_matches_display():
 
 
 def test_d_squared_vanishes_pointwise():
-    # value-level d^2 phi = 0 and d^2 *phi = 0 for generic jets
+    # value-level d^2 phi = 0 and d^2 *phi = 0 for generic jets, on the
+    # reference engine, whose d acts on whole order-2 jets
     for spec in (
         WarpSpec(Jet(0.9, 0.6, -0.3), Jet(0.8, 1.2, 0.4), 1.3),
         CohomSpec(*holonomy_triple(0.6, 0.9, 1.4), Jet(0.5, 0.7, -0.2)),
@@ -181,7 +181,7 @@ def test_d_squared_vanishes_pointwise():
         forms = warped_phi(spec)
         th = spec.theta.value
         for base in (forms.phi, forms.starphi):
-            dd = base.d().d().evaluate(th)
+            dd = ref.to_dict(base).d().d().evaluate(th)
             assert max_abs(dd.coeffs) < 1e-13
 
 
@@ -273,12 +273,51 @@ def test_models_share_tables_but_not_d():
     index = nk0.tables.index
 
     def d_om_to_psi(model):
-        op = co._d_operator(model, (spec.f,)).reshape(2, len(index), 3, 2, len(index), 3)
-        return op[0, index["psi+"], 0, 0, index["om"], 0]
+        op = co._d_values(model, (spec.f,)).reshape(2, len(index), 2, len(index), 3)
+        return op[0, index["psi+"], 0, index["om"], 0]
 
     assert d_om_to_psi(nk0) == 0.0
     assert abs(d_om_to_psi(nk1) - 3 / math.sin(T0)) < 1e-14
     assert flag_model().tables.wedge is flag_model().tables.wedge
+
+
+@pytest.mark.parametrize("kind", ["NK", "flag"])
+def test_d_values_are_the_value_rows_of_the_jet_operator(kind):
+    # bit for bit: each entry is rounded as the value of the order-2 jet
+    # product it stands for in the reference's whole-jet operator
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        if kind == "NK":
+            spec = WarpSpec(random_jet(rng, 0.3), random_jet(rng), rng.uniform(0.0, 2.0))
+        else:
+            spec = CohomSpec(random_jet(rng, 0.3), random_jet(rng, 0.3), random_jet(rng, 0.3), random_jet(rng))
+        frame = co._Frame(spec)
+        n = len(frame.model.tables.index)
+        full = ref.d_operator(frame.model, frame.factors).reshape(2, n, 3, 2, n, 3)[:, :, 0]
+        assert frame.d_values.shape == (2 * n, 6 * n)
+        assert np.array_equal(frame.d_values, full.reshape(2 * n, 6 * n))
+
+
+def test_reconstruction_is_judged_against_the_terms_of_d():
+    # at t = 1e-7 d phi and d *phi cancel terms of size 6e7 down to 1.6e-7:
+    # the residual 1.49e-8 is rounding on the terms, and an absolute gate
+    # once rejected this valid spec as malformed
+    spec = WarpSpec(jet_profile("sin", 1e-7), Jet.const(0.0), 1.0)
+    solve = co._Solve(spec)
+    assert solve.d_terms > 1e7
+    solve.generic_torsion()
+    # the gate's tolerance is the caller's
+    with pytest.raises(ValueError, match="not generated by any torsion quadruple"):
+        solve.generic_torsion(1e-20)
+    # in the two-route check it is judged after the routes are compared, and
+    # a failure is a failed check: here the routes agree to 1.1e-16 and the
+    # structure solve rebuilds (d phi, d *phi) to 2.2e-16 on terms of size 1.37
+    spec = WarpSpec(jet_profile("cosh", 0.5), jet_profile("cos", 0.5), 0.0)
+    with pytest.raises(co.RouteMismatch, match="not generated by any torsion quadruple"):
+        warped_torsion(spec, tol=1.3e-16)
+    with pytest.raises(co.RouteMismatch, match="disagree"):
+        warped_torsion(spec, tol=1e-30)
+    warped_torsion(spec, tol=2e-16)
 
 
 def test_shared_tables_are_read_only():
@@ -620,12 +659,23 @@ def check_form(form: ProductForm, want: "ref.DictProductForm", theta: float, wha
         assert_matches_ref(form.evaluate(theta).coeffs, want_point.coeffs, what + " evaluated")
 
 
+def check_d(form: ProductForm, theta: float, what: str):
+    """The value rows of d on form against the value of the reference d, and
+    `d_at` against the reference evaluation of the reference d (no 8-forms)."""
+    frame = form.frame
+    want = ref.to_array(ref.to_dict(form).d(), frame.model.tables.index)
+    assert_matches_ref(frame.d_values.dot(form.jets.reshape(-1)), want[:, :, 0].reshape(-1), what)
+    if form.degree < 7:
+        want_point = ref.to_dict(ProductForm(frame, form.degree + 1, want)).evaluate(theta)
+        assert_matches_ref(form.d_at(theta).coeffs, want_point.coeffs, what + " at the point")
+
+
 def check_engine(forms: dict, theta: float):
     """d, star and every wedge of the given product forms against the
     reference, each operation on the reference copy of the same input."""
     for name, form in forms.items():
         check_form(form, ref.to_dict(form), theta, name)
-        check_form(form.d(), ref.to_dict(form).d(), theta, f"d {name}")
+        check_d(form, theta, f"d {name}")
         check_form(form.star(), ref.to_dict(form).star(), theta, f"* {name}")
         for other_name, other in forms.items():
             if form.degree + other.degree <= 7:
@@ -661,7 +711,7 @@ def test_product_table_is_the_jet_product():
         want = [want.value, want.d1, want.d2]
         arr_a, arr_b = np.array([a.value, a.d1, a.d2]), np.array([b.value, b.d1, b.d2])
         assert_matches_ref(jet_product(arr_a, arr_b), want, "jet_product")
-        assert_matches_ref(jet_matrices(arr_a) @ arr_b, want, "jet_matrices")
+        assert_matches_ref(ref.jet_matrices(arr_a) @ arr_b, want, "jet_matrices")
     # broadcast over leading axes
     a, b = rng.normal(size=(4, 5, 3)), rng.normal(size=(5, 3))
     rows = [[jet_product(a[i, j], b[j]) for j in range(5)] for i in range(4)]
@@ -742,32 +792,35 @@ def test_torsion_call_builds_each_stage_once(monkeypatch):
     warp = WarpSpec(Jet(0.9, 0.6, -0.3), Jet(0.8, 1.2, 0.4), 1.3)
     cohom = CohomSpec(*holonomy_triple(0.6, 0.9, 1.4), Jet(0.5, 0.7, -0.2))
     warped_torsion(warp), cohom_torsion(cohom)  # the tables exist
-    calls = {}
+    calls, results = {}, {}
 
     def counting(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return real(*args, **kwargs)
+            results[name] = real(*args, **kwargs)
+            return results[name]
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_Frame", "_tau_symbolic", "nearly_kahler_model", "flag_model", "_frame_weights", "_d_operator"):
+    for name in ("_Frame", "_tau_symbolic", "nearly_kahler_model", "flag_model", "_d_values"):
         counting(co, name)
     # every binding of the exterior-algebra wedge in the package
     real_wedge = exterior_algebra.wedge
     for name, module in list(sys.modules.items()):
         if name.startswith("g2lab") and getattr(module, "wedge", None) is real_wedge:
             counting(module, "wedge")
-    # one frame, one fiber model and one d operator per solve: the closed-form
-    # and the structure-equation route share them
+    # one frame, one fiber model and one build of the value rows of d per
+    # solve: the closed-form and the structure-equation route share them
     for solve, spec, model in ((warped_torsion, warp, "nearly_kahler_model"), (cohom_torsion, cohom, "flag_model")):
         calls.clear()
         solve(spec)
-        assert calls == {"_Frame": 1, "_tau_symbolic": 1, model: 1, "_frame_weights": 1, "_d_operator": 1}
+        assert calls == {"_Frame": 1, "_tau_symbolic": 1, model: 1, "_d_values": 1}
+        n = len(results[model].tables.index)
+        assert results["_d_values"].shape == (2 * n, 6 * n)
     # the scalar curvature and its delta tau1 share one closed-form solve,
-    # which needs no d operator
+    # which needs no d
     calls.clear()
     scalar_curvature_warped(warp)
     assert calls == {"_Frame": 1, "_tau_symbolic": 1, "nearly_kahler_model": 1}
@@ -776,7 +829,7 @@ def test_torsion_call_builds_each_stage_once(monkeypatch):
     calls.clear()
     exterior_algebra.wedge(Form.basis((1,)), Form.basis((2,)))
     assert calls == {"wedge": 1}
-    once = {"_Frame": 1, "_tau_symbolic": 1, "nearly_kahler_model": 1, "_frame_weights": 1, "_d_operator": 1}
+    once = {"_Frame": 1, "_tau_symbolic": 1, "nearly_kahler_model": 1, "_d_values": 1}
     calls.clear()
     ricW_vanishes(warp)
     assert calls == once
