@@ -545,10 +545,10 @@ def warped_phi(spec) -> WarpedForms:
     return WarpedForms(phi, starphi, phi.evaluate(th), starphi.evaluate(th))
 
 
-def _tau_symbolic(frame: _Frame) -> dict:
-    """Closed-form torsion components as symbolic product forms."""
+def _tau_symbolic(frame: _Frame) -> tuple:
+    """Closed-form torsion components: the jet tau0 and, for tau1, tau2 and
+    tau3, the arguments (degree, fiber, dt) of `ProductForm.of`."""
     spec = frame.spec
-    form = functools.partial(ProductForm.of, frame)
     th = spec.theta
     sin_t, cos_t = th.sin(), th.cos()
     tp = th.derivative()
@@ -556,14 +556,10 @@ def _tau_symbolic(frame: _Frame) -> dict:
         f, sg = spec.f, spec.sigma
         tau0 = (4.0 / 7.0) * (tp + 6.0 * sg * sin_t / f)
         u1 = (f.derivative() - sg * cos_t) / f
-        tau1 = form(1, dt={"one": u1})
-        tau2 = form(2)
+        tau1 = 1, {}, {"one": u1}
+        tau2 = 2, {}, {}
         w = tp - sg * sin_t / f
-        tau3 = form(
-            3,
-            fiber={"psi+": (3.0 / 7.0) * w * cos_t, "psi-": (-3.0 / 7.0) * w * sin_t},
-            dt={"om": (-4.0 / 7.0) * w},
-        )
+        tau3 = 3, {"psi+": (3.0 / 7.0) * w * cos_t, "psi-": (-3.0 / 7.0) * w * sin_t}, {"om": (-4.0 / 7.0) * w}
     else:
         fs = (spec.f1, spec.f2, spec.f3)
         sq = [fi * fi for fi in fs]
@@ -572,21 +568,18 @@ def _tau_symbolic(frame: _Frame) -> dict:
         h = total * inv_2p
         one_minus_cos = 1 - cos_t
         tau0 = (4.0 / 7.0) * (tp + 2.0 * h * sin_t)
-        tau1 = form(1, dt={"one": (1.0 / 3.0) * h * one_minus_cos})
+        tau1 = 1, {}, {"one": (1.0 / 3.0) * h * one_minus_cos}
         # 2 fi^2 - fj^2 - fk^2 = 3 fi^2 - total, 5 fi^2 - 2 (fj^2 + fk^2) = 7 fi^2 - 2 total
         c2 = (-4.0 / 3.0) * one_minus_cos * inv_2p
-        tau2 = form(2, fiber={f"om{i + 1}": c2 * (3 * sq[i] - total) for i in range(3)})
+        tau2 = 2, {f"om{i + 1}": c2 * (3 * sq[i] - total) for i in range(3)}, {}
         w = tp - (1.0 / 3.0) * h * sin_t
         two_total, sin_2p = 2 * total, sin_t * inv_2p
-        tau3 = form(
+        tau3 = (
             3,
-            fiber={"psi+": (3.0 / 7.0) * w * cos_t, "psi-": (-3.0 / 7.0) * w * sin_t},
-            dt={
-                f"om{i + 1}": (-4.0 / 7.0) * (tp - (7 * sq[i] - two_total) * sin_2p)
-                for i in range(3)
-            },
+            {"psi+": (3.0 / 7.0) * w * cos_t, "psi-": (-3.0 / 7.0) * w * sin_t},
+            {f"om{i + 1}": (-4.0 / 7.0) * (tp - (7 * sq[i] - two_total) * sin_2p) for i in range(3)},
         )
-    return {"tau0": tau0, "tau1": tau1, "tau2": tau2, "tau3": tau3}
+    return tau0, {"tau1": tau1, "tau2": tau2, "tau3": tau3}
 
 
 class _Solve:
@@ -603,40 +596,46 @@ class _Solve:
     def phi_forms(self) -> tuple:
         """phi = omega_t ^ dt + psi_t^+ and its dual as product forms."""
         th, model = self.spec.theta, self.frame.model
-        om = (s for s in model.symbols if model.degree(s) == 2)
+        om = [s for s, (degree, _) in model.symbols.items() if degree == 2]
         phi = ProductForm.of(
             self.frame, 3, fiber={"psi+": th.cos(), "psi-": -1 * th.sin()}, dt=dict.fromkeys(om, 1.0)
         )
         return phi, phi.star()
 
     @lazy
-    def sym(self) -> dict:
-        """The closed-form torsion components as symbolic product forms."""
+    def closed(self) -> tuple:
+        """The closed-form torsion: the jet tau0 and the parts of tau1, tau2
+        and tau3 (`_tau_symbolic`)."""
         return _tau_symbolic(self.frame)
 
     @lazy
-    def t_closed(self) -> TorsionComponents:
-        """The closed-form torsion at the sample point."""
-        th, sym = self.theta_value, self.sym
-        return TorsionComponents(
-            sym["tau0"].value, sym["tau1"].evaluate(th), sym["tau2"].evaluate(th), sym["tau3"].evaluate(th)
-        )
+    def sym(self) -> dict:
+        """tau1, tau2 and tau3 as product forms."""
+        return {name: ProductForm.of(self.frame, *parts) for name, parts in self.closed[1].items()}
 
     @lazy
-    def d_terms(self) -> float:
-        """The size of the terms that d phi and d *phi at the sample point
-        are sums of: the largest |d| |x| over the value rows of d and the
-        jets x of phi and *phi."""
-        phi, starphi = self.phi_forms
-        x = np.abs(np.concatenate((phi.jets, starphi.jets)).reshape(2, -1))
-        return max_abs(np.abs(self.frame.d_values).dot(x.T))
+    def t_closed(self) -> TorsionComponents:
+        """The closed-form torsion at the sample point, evaluated from the
+        values of its parts as `ProductForm.evaluate` would."""
+        (tau0, parts), index = self.closed, self.frame.model.tables.index
+        forms = []
+        for degree, *blocks in parts.values():
+            values = np.zeros((2, len(index)))
+            for block, part in enumerate(blocks):
+                for s, c in part.items():
+                    values[block, index[s]] = c[0]
+            forms.append(_at_point(self.frame, degree, values, self.theta_value))
+        return TorsionComponents(tau0.value, *forms)
 
     def generic_torsion(self, tol: float = 1e-8) -> TorsionComponents:
         """Torsion via d phi / d *phi and the generic structure-equation
-        solve, whose reconstruction is judged within tol against the size of
-        the terms of d phi and d *phi."""
+        solve.  Its reconstruction is judged within tol against the size of
+        the terms that d phi and d *phi are sums of: the largest |d| |x| over
+        the value rows of d and the jets x of phi and *phi (NaN stays NaN)."""
         (phi, starphi), th = self.phi_forms, self.theta_value
-        return extract_torsion(phi.evaluate(th), phi.d_at(th), starphi.d_at(th), tol, self.d_terms)
+        x = np.abs(np.concatenate((phi.jets, starphi.jets)).reshape(2, -1))
+        terms = np.abs(self.frame.d_values).dot(x.T).max()
+        return extract_torsion(phi.evaluate(th), phi.d_at(th), starphi.d_at(th), tol, terms)
 
     def two_route(self, tol: float) -> TorsionComponents:
         """The generic torsion, checked against the closed form within tol.
@@ -666,7 +665,7 @@ class _Solve:
         The density is the frame weight of the unit volume symbol (degree 6),
         prod_i f_i ** e with one exponent e for every warp factor."""
         frame, tab = self.frame, self.frame.model.tables
-        u = Jet(*self.sym["tau1"].dt[tab.index["one"]].tolist())
+        u = self.closed[1]["tau1"][2]["one"]
         (vol,) = (tab.index[s] for s, (deg, _) in tab.symbols.items() if deg == 6)
         e, *rest = tab.exponents[vol].tolist()
         if any(x != e for x in rest):
@@ -691,11 +690,7 @@ class _Solve:
 def holonomy_residual(f1: Jet, f2: Jet, f3: Jet) -> tuple:
     """Residuals of (f_i f_j)' = f_k for the three cyclic index choices."""
     fs = (f1, f2, f3)
-    out = []
-    for i in range(3):
-        fi, fj, fk = fs[i], fs[(i + 1) % 3], fs[(i + 2) % 3]
-        out.append((fi * fj).derivative().value - fk.value)
-    return tuple(out)
+    return tuple((fs[i] * fs[(i + 1) % 3]).d1 - fs[(i + 2) % 3].value for i in range(3))
 
 
 def holonomy_triple(v1: float, v2: float, v3: float) -> tuple:
@@ -746,7 +741,7 @@ def _off_locus(spec):
     if isinstance(spec, WarpSpec):
         return None
     res = holonomy_residual(spec.f1, spec.f2, spec.f3)
-    return None if max_abs(res) <= 1e-9 else res
+    return None if all(abs(r) <= 1e-9 for r in res) else res
 
 
 def _closed_form_solve(spec) -> _Solve:

@@ -304,7 +304,6 @@ def test_reconstruction_is_judged_against_the_terms_of_d():
     # once rejected this valid spec as malformed
     spec = WarpSpec(jet_profile("sin", 1e-7), Jet.const(0.0), 1.0)
     solve = co._Solve(spec)
-    assert solve.d_terms > 1e7
     solve.generic_torsion()
     # the gate's tolerance is the caller's
     with pytest.raises(ValueError, match="not generated by any torsion quadruple"):
