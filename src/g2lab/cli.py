@@ -284,8 +284,8 @@ def cmd_analyze(args) -> int:
 
 def _two_route(compute, t: float):
     """(compute(), 0), or (None, exit code) with the reason printed: 1 when a
-    two-route check fails, 2 for bad input, a spec whose arithmetic at t
-    leaving the float range included."""
+    two-route check fails, 2 for bad input, which includes a spec whose
+    arithmetic at t leaves the float range."""
     try:
         return compute(), 0
     except co.RouteMismatch as exc:

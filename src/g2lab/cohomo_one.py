@@ -28,11 +28,12 @@ rows and lands every form in the adapted frame of the standard phi, where
 the generic torsion machinery applies.
 
 Closed-form torsion components (scalar `Jet` arithmetic, one tuple per
-operation) and the generic structure-equation extraction are cross-checked
-against each other at every call.  Every public entry point builds one
-`_Solve`: one frame (fiber model, d operator) and the intermediates (phi and
-*phi, the closed-form torsion), each built on first use and read by both
-routes, by the scalar curvature and by the Weyl-Ricci residual.
+operation, evaluated from their symbol parts) and the generic
+structure-equation extraction are cross-checked against each other at every
+call.  Every public entry point builds one `_Solve`: one frame (fiber model,
+value rows of d) and the intermediates (phi and *phi, the closed-form
+torsion), each built on first use and read by both routes, by the scalar
+curvature and by the Weyl-Ricci residual.
 """
 
 from __future__ import annotations
@@ -631,7 +632,7 @@ class _Solve:
         """Torsion via d phi / d *phi and the generic structure-equation
         solve.  Its reconstruction is judged within tol against the size of
         the terms that d phi and d *phi are sums of: the largest |d| |x| over
-        the value rows of d and the jets x of phi and *phi (NaN stays NaN)."""
+        the value rows of d and the jets x of phi and *phi."""
         (phi, starphi), th = self.phi_forms, self.theta_value
         x = np.abs(np.concatenate((phi.jets, starphi.jets)).reshape(2, -1))
         terms = np.abs(self.frame.d_values).dot(x.T).max()
@@ -646,7 +647,7 @@ class _Solve:
         t_closed = self.t_closed
         try:
             t_generic, unrebuilt = self.generic_torsion(tol), None
-        except ValueError as exc:  # raised again here unless it is the reconstruction
+        except ValueError as exc:  # any other gate of the solve raises again here
             t_generic, unrebuilt = self.generic_torsion(math.inf), exc
         resid = max_abs(t_closed.packed - t_generic.packed)
         if not resid <= tol:

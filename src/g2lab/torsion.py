@@ -202,12 +202,11 @@ def solve_structure_equations(
     ``phi`` must carry the standard coefficients (the adapted-frame
     pointwise model); inputs that are not in the image of any torsion
     quadruple are rejected with the reconstruction residual, judged within
-    tol against ``scale``: the size of (d phi, d *phi) when it is None, and
-    otherwise the size of the terms that (d phi, d *phi) are sums of, which
-    a caller that builds them passes, since where the terms cancel the
-    residual is rounding on them.  The solved quadruple passes the
-    membership gate of `recompose`, judged against the size of
-    (d phi, d *phi).
+    tol against ``scale``, by default the size of (d phi, d *phi).  A caller
+    that builds (d phi, d *phi) as sums of larger terms passes the size of
+    the terms: where they cancel, the residual is rounding on them.  The
+    solved quadruple passes the membership gate of `recompose`, judged
+    against the size of (d phi, d *phi).
     """
     exact = dphi.exact
     template = _phi_templates(exact)[0]  # read-only: a phi that holds it is standard
@@ -220,10 +219,11 @@ def solve_structure_equations(
     v = extract.dot(u)
     off_type, residual, size = max_abs_each(membership.dot(v), rebuild.dot(v) - u, u)
     _membership_gate(off_type, bound(1e-9, size))
-    if not residual <= bound(tol, size if scale is None else scale):
+    scale = size if scale is None else scale
+    if not residual <= bound(tol, scale):
         raise ValueError(
             f"(d phi, d *phi) is not generated by any torsion quadruple "
-            f"(residual {residual:.3g})"
+            f"(residual {residual:.3g}, scale {scale:.3g})"
         )
     t = TorsionComponents(v[0], Form(1, v[1:8]), Form(2, v[8:29]), Form(3, v[29:]))
     t.packed = v
