@@ -308,7 +308,8 @@ def _build_tables(kind: str, entries: dict, d_geom: dict) -> _FiberTables:
     # in the order `_d_values` fills them: d_geom on the fiber block and on
     # the dt block, then dt ^ d/dt from the value and from the first
     # derivative of each fiber row to its dt row
-    at = (0, d_target, 0, d_source, 0), (1, d_target, 1, d_source, 0), (1, fiber, 0, fiber, 0), (1, fiber, 0, fiber, 1)
+    at = ((0, d_target, 0, d_source, 0), (1, d_target, 1, d_source, 0),
+          (1, fiber, 0, fiber, 0), (1, fiber, 0, fiber, 1))
     d_positions = np.concatenate([np.ravel_multi_index(x, (2, n, 2, n, 3)) for x in at])
     arrays = (exponents, sign, star, wedge_rows, d_source, d_target, d_coeff, d_positions, *dictionaries)
     for a in arrays:
@@ -618,14 +619,15 @@ class _Solve:
     def t_closed(self) -> TorsionComponents:
         """The closed-form torsion at the sample point, evaluated from the
         values of its parts as `ProductForm.evaluate` would."""
-        (tau0, parts), index = self.closed, self.frame.model.tables.index
+        (tau0, parts), index, th = self.closed, self.frame.model.tables.index, self.theta_value
         forms = []
         for degree, *blocks in parts.values():
             values = np.zeros((2, len(index)))
             for block, part in enumerate(blocks):
                 for s, c in part.items():
                     values[block, index[s]] = c[0]
-            forms.append(_at_point(self.frame, degree, values, self.theta_value))
+            # a form without parts is zero (tau2 of a warped spec)
+            forms.append(_at_point(self.frame, degree, values, th) if any(blocks) else Form.zero(degree))
         return TorsionComponents(tau0.value, *forms)
 
     def generic_torsion(self, tol: float = 1e-8) -> TorsionComponents:

@@ -110,9 +110,8 @@ def d_operator(model: co.FiberModel, factors) -> np.ndarray:
         at = (out_block, out[:, None, None], k[:, None], src_block, src[:, None, None], k)
         return np.ravel_multi_index(at, (2, n, 3, 2, n, 3)).reshape(-1)
 
-    positions = np.concatenate(
-        (blocks(0, tab.d_target, 0, tab.d_source), blocks(1, tab.d_target, 1, tab.d_source), blocks(1, rows, 0, rows))
-    )
+    source, target = tab.d_source, tab.d_target
+    positions = np.concatenate((blocks(0, target, 0, source), blocks(1, target, 1, source), blocks(1, rows, 0, rows)))
     op = np.zeros((6 * n) ** 2)
     op[positions] = np.concatenate((across, across, along_t), axis=None)
     return op.reshape(6 * n, 6 * n)
