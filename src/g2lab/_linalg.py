@@ -12,15 +12,19 @@ every `Report` check passes when ``residual <= bound(tol, scale)``, and a
 gate raises on ``not residual <= bound(...)``, so a NaN residual fails.
 `bounds` is the same rule over an array of scales, for a family of checks.
 
-`scatter_add` is the one scatter of the index-table kernels, and `lazy` the
+`scatter_add` is the one scatter of the index-table kernels, `lazy` the
 one compute-once attribute of the staged objects (`InvariantGeometry`, the
-warped solve, the curvature decomposition).
+warped solve, the curvature decomposition), and `table` the one
+compute-once builder of the constant tables (projectors, lambda3, the
+structure-equation and Ricci tables).  A table is shared by every caller,
+so `frozen` makes it read-only as it is stored.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,12 +50,45 @@ def eye(n: int, exact: bool = False) -> np.ndarray:
     return np.eye(n)
 
 
-@functools.cache
+def frozen(value):
+    """value made read-only for sharing: every ndarray reachable through
+    tuples (a NamedTuple keeps its type), lists (returned as tuples), dicts
+    (returned as `MappingProxyType`s) and the ndarray slots of ``__slots__``
+    objects (`Form`, `CurvatureTensor`) is made read-only in place."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        items = map(frozen, value)
+        return type(value)(*items) if hasattr(value, "_fields") else tuple(items)
+    elif isinstance(value, list):
+        return tuple(map(frozen, value))
+    elif isinstance(value, dict):
+        return MappingProxyType({k: frozen(v) for k, v in value.items()})
+    else:
+        for name in getattr(type(value), "__slots__", ()):
+            if isinstance(getattr(value, name, None), np.ndarray):
+                getattr(value, name).flags.writeable = False
+    return value
+
+
+def table(builder):
+    """`functools.cache` around ``builder``, whose result `frozen` makes
+    read-only as it is stored: the one builder of the constant tables.  A
+    hit returns the stored object; ``cache_clear`` and ``__wrapped__`` (the
+    uncached, freezing build) are kept."""
+
+    @functools.cache
+    @functools.wraps(builder)
+    def build(*args, **kwargs):
+        return frozen(builder(*args, **kwargs))
+
+    return build
+
+
+@table
 def identity(n: int, exact: bool = False) -> np.ndarray:
-    """`eye` as a shared read-only array."""
-    m = eye(n, exact)
-    m.flags.writeable = False
-    return m
+    """`eye`, shared."""
+    return eye(n, exact)
 
 
 def scalar(x, exact: bool = False):

@@ -379,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = add_command("warp", help="torsion of a warped product at a point")
-    p.add_argument("--f", default="sin")
-    p.add_argument("--theta", default="t")
+    profiles = f"a profile of t: {', '.join(co.JET_PROFILES)}, const:C or scale-t:C (C t)"
+    p.add_argument("--f", default="sin", help=f"the warp factor, {profiles}")
+    p.add_argument("--theta", default="t", help=f"the phase of psi_t, {profiles}")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
     p.set_defaults(fn=cmd_warp)

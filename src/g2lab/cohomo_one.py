@@ -17,8 +17,8 @@ the symbol ^ e^7 (beta ^ dt, dt last).  Star and wedge act on whole jets
 dictionaries of the 2n rows, the Hodge star and the wedge (the package's R^7
 `hodge` and `wedge` restricted to the rows, span-checked) and the pattern of
 d (its geometric-symbol coefficients at unit scale, and where each entry sits
-in the value rows of d) are constant arrays built once per fiber kind and
-shared read-only; a model adds only the scale of d (sigma for a nearly
+in the value rows of d) are constant tables built once per fiber kind and
+shared; a model adds only the scale of d (sigma for a nearly
 Kaehler fiber).  Every exterior derivative is read at the sample point, so
 only the value rows of d are built: once per spec, from the values and first
 log-derivatives of the frame weights (monomials in the warp factors, from an
@@ -43,12 +43,11 @@ import math
 import warnings
 from collections.abc import Mapping
 from operator import itemgetter, mul
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import lazy, max_abs
+from ._linalg import frozen, lazy, max_abs, table
 from .exterior_algebra import (
     DIM,
     Form,
@@ -205,7 +204,7 @@ def jet_profile(name: str, t: float) -> Jet:
 LEIBNIZ = np.zeros((3, 3, 3))
 LEIBNIZ[0, 0, 0] = LEIBNIZ[1, 0, 1] = LEIBNIZ[0, 1, 1] = LEIBNIZ[2, 0, 2] = LEIBNIZ[0, 2, 2] = 1
 LEIBNIZ[1, 1, 2] = 2
-LEIBNIZ.flags.writeable = False
+frozen(LEIBNIZ)
 
 
 def jet_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,8 +235,8 @@ class _FiberTables(NamedTuple):
 
 
 class FiberModel:
-    """Finite invariant-form algebra of the 6-dimensional fiber: the read-only
-    tables shared by every model of its kind, and d_scale, the factor of its
+    """Finite invariant-form algebra of the 6-dimensional fiber: the tables
+    shared by every model of its kind, and d_scale, the factor of its
     geometric-symbol d over the kind's unit table (sigma for a nearly Kaehler
     fiber, 1 for the flag)."""
 
@@ -256,10 +255,9 @@ class FiberModel:
 
 
 def _build_tables(kind: str, entries: dict, d_geom: dict) -> _FiberTables:
-    """Freeze the dictionaries; derive the Hodge and wedge tables as the R^7
-    ones restricted to the 2n rows, checking that every result lies in the
-    span of the rows of its degree; and lay out the pattern of the exterior
-    derivative.
+    """Derive the Hodge and wedge tables as the R^7 ones restricted to the
+    2n rows, checking that every result lies in the span of the rows of its
+    degree, and lay out the pattern of the exterior derivative.
 
     entries: name -> (degree, dictionary Form, frame-weight exponents).
     d_geom: source -> {target: coefficient}, the geometric-symbol d of a
@@ -271,8 +269,6 @@ def _build_tables(kind: str, entries: dict, d_geom: dict) -> _FiberTables:
     if index["psi-"] != psi.stop - 1:
         raise ValueError(f"{kind}: psi- must follow psi+ in the symbol order")
     n = len(index)
-    for _, form in symbols.values():
-        form.coeffs.setflags(write=False)
 
     # row s is the symbol form, row n + s the symbol ^ e^7: a product form
     # alpha + beta ^ dt has its beta block on the rows n..2n-1
@@ -311,16 +307,13 @@ def _build_tables(kind: str, entries: dict, d_geom: dict) -> _FiberTables:
     at = ((0, d_target, 0, d_source, 0), (1, d_target, 1, d_source, 0),
           (1, fiber, 0, fiber, 0), (1, fiber, 0, fiber, 1))
     d_positions = np.concatenate([np.ravel_multi_index(x, (2, n, 2, n, 3)) for x in at])
-    arrays = (exponents, sign, star, wedge_rows, d_source, d_target, d_coeff, d_positions, *dictionaries)
-    for a in arrays:
-        a.flags.writeable = False
     return _FiberTables(
-        *map(MappingProxyType, (symbols, index)), exponents, sign, star, wedge_rows, dictionaries, psi,
+        symbols, index, exponents, sign, star, wedge_rows, dictionaries, psi,
         d_source, d_target, d_coeff, d_positions,
     )
 
 
-@functools.cache
+@table
 def _nearly_kahler_tables() -> _FiberTables:
     one = Form.from_terms(0, {(): 1})
     om = standard_omega()
@@ -336,7 +329,7 @@ def _nearly_kahler_tables() -> _FiberTables:
     }, {"om": {"psi+": 3.0}, "psi-": {"om2": -2.0}})
 
 
-@functools.cache
+@table
 def _flag_tables() -> _FiberTables:
     one = Form.from_terms(0, {(): 1})
     oms = [Form.from_terms(2, {pair: 1}) for pair in ((1, 2), (3, 4), (5, 6))]

@@ -43,11 +43,9 @@ one (2, 7, 7) stack and the Bianchi residual of its gate.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from ._linalg import as_mode, bound, identity, lazy, max_abs_each, scalar, zeros
+from ._linalg import as_mode, bound, identity, lazy, max_abs_each, scalar, table, zeros
 from .exterior_algebra import BASIS, DIM, LinearTable, index_columns
 from .g2_algebra import iphi_matrix, projector_matrix
 
@@ -95,7 +93,7 @@ def inner(a: CurvatureTensor, b: CurvatureTensor):
 # --- Bianchi map ----------------------------------------------------------------
 
 
-@functools.cache
+@table
 def _bianchi_table() -> LinearTable:
     """b on the 441 pair-matrix entries: the rows of R_ijkl, R_kijl and R_jkil
     at each entry (ij), (kl), with their signs, each term over all entries in
@@ -164,7 +162,7 @@ def _contraction_matrix() -> np.ndarray:
     return m.reshape(2 * DIM * DIM, -1)
 
 
-@functools.cache
+@table
 def _contraction_table() -> LinearTable:
     """The table of `_contraction_matrix`."""
     return LinearTable.from_matrix(_contraction_matrix())
@@ -176,7 +174,7 @@ def _contractions(r: CurvatureTensor) -> np.ndarray:
     return _contraction_table().apply(r.mat).reshape(2, DIM, DIM)
 
 
-@functools.cache
+@table
 def _pair_table() -> LinearTable:
     """The linear maps of the pair matrix r that `decompose` reads, as one
     merged table, their outputs back to back: 7 Ric0^g and 7 Ric0^phi (the
@@ -204,12 +202,10 @@ def scalar_curvature(r: CurvatureTensor):
     return ricci(r).trace()
 
 
-@functools.cache
+@table
 def _iphi_matrix(exact: bool) -> np.ndarray:
-    """`iphi_matrix` in one scalar mode, read-only."""
-    m = as_mode(iphi_matrix(), exact)
-    m.flags.writeable = False
-    return m
+    """`iphi_matrix` in one scalar mode."""
+    return as_mode(iphi_matrix(), exact)
 
 
 def phi_ricci(r: CurvatureTensor) -> np.ndarray:
@@ -225,7 +221,7 @@ def traceless_part(h: np.ndarray) -> np.ndarray:
 # --- Kulkarni-Nomizu style products ------------------------------------------------
 
 
-@functools.cache
+@table
 def _kn_table() -> LinearTable:
     """r_g as a table from the 49 entries of h to the 441 pair-matrix
     entries: rows (pos_out, pos_in, sign) from R_ijkl = h_jk g_il - h_ik g_jl
@@ -250,12 +246,10 @@ def kn_product(h: np.ndarray) -> CurvatureTensor:
     return CurvatureTensor(_kn_table().apply(np.asarray(h)).reshape(NPAIRS, NPAIRS))
 
 
-@functools.cache
+@table
 def _kn_metric(exact: bool) -> CurvatureTensor:
-    """r_g(g), read-only (-2 Id as a pair matrix)."""
-    m = kn_product(identity(DIM, exact)).mat
-    m.flags.writeable = False
-    return CurvatureTensor(m)
+    """r_g(g) (-2 Id as a pair matrix)."""
+    return kn_product(identity(DIM, exact))
 
 
 def _phi_product_matrix() -> np.ndarray:
@@ -270,7 +264,7 @@ def _phi_product_matrix() -> np.ndarray:
     return 3 * t - b_t
 
 
-@functools.cache
+@table
 def _phi_product_table() -> LinearTable:
     """The table of `_phi_product_matrix`."""
     return LinearTable.from_matrix(_phi_product_matrix())
@@ -285,7 +279,7 @@ def phi_product(h: np.ndarray) -> CurvatureTensor:
     return CurvatureTensor(_phi_product_table().apply(np.asarray(h)).reshape(NPAIRS, NPAIRS) / 3)
 
 
-@functools.cache
+@table
 def _block_table() -> LinearTable:
     """The table of (Ric0, Ric^W), 98 entries, to 112 W27 and 5 R0, 441
     entries each: 112 W27 = 3 r_g(Ric^W) - 15 r_phi(Ric^W) and
@@ -361,9 +355,9 @@ class CurvatureDecomposition:
         return {name: float(n) for name, n in self.norm2s.items()}
 
 
-@functools.cache
+@table
 def _decompose_tables(exact: bool) -> tuple:
-    """Read-only tables of `decompose` in one scalar mode: the weights that
+    """The tables of `decompose` in one scalar mode: the weights that
     take (Ric0^g, Ric0^phi) to (Ric0^g, Ric^W = (4 Ric0^g - 5 Ric0^phi) / 20)
     as a (2, 2) matrix; the scales of the outputs of `_block_table`, (1/112,
     1/5) as (2, 1, 1); (Q14 over Q7) as one (42, 21) matrix; and Q7 and Q14."""
@@ -371,10 +365,7 @@ def _decompose_tables(exact: bool) -> tuple:
     weights = np.array([[one, 0 * one], [4 * one / 20, -5 * one / 20]])
     scales = np.array([one / 112, one / 5]).reshape(2, 1, 1)
     q7, q14 = projector_matrix(2, 7, exact), projector_matrix(2, 14, exact)
-    q = np.concatenate((q14, q7))
-    for a in (weights, scales, q):
-        a.flags.writeable = False
-    return weights, scales, q, q7, q14
+    return weights, scales, np.concatenate((q14, q7)), q7, q14
 
 
 def decompose(r: CurvatureTensor, tol: float = 1e-9) -> CurvatureDecomposition:

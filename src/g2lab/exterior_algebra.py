@@ -44,19 +44,18 @@ The distinguished three-form is
     phi = e^127 + e^347 + e^567 + e^135 - e^245 - e^146 - e^236
 
 and its dual four-form *phi (each call returns a fresh copy of a cached
-read-only template), together with the contraction identities between
+template), together with the contraction identities between
 their component arrays that the rest of the package relies on.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 import numpy as np
 
-from ._linalg import as_mode, max_abs, scalar, scatter_add, zeros
+from ._linalg import as_mode, frozen, max_abs, scalar, scatter_add, table, zeros
 
 DIM = 7
 
@@ -189,23 +188,19 @@ def form_inner(a: Form, b: Form):
 
 
 def index_columns(rows, width: int) -> np.ndarray:
-    """Integer rows as a read-only array of contiguous columns (the tables are
-    cached and shared by every caller)."""
-    cols = np.array(rows, dtype=np.intp).reshape(-1, width).T.copy()
-    cols.flags.writeable = False
-    return cols
+    """Integer rows as an array of contiguous columns, `frozen` (the tables
+    are cached and shared by every caller)."""
+    return frozen(np.array(rows, dtype=np.intp).reshape(-1, width).T.copy())
 
 
 def float_column(col: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of an integer coefficient column.
+    """A float64 copy of an integer coefficient column, `frozen`.
 
     Float arrays are multiplied by it and Fraction arrays by the integer
     column: the products are the same, and a float product skips numpy's
     per-call conversion of the integers.
     """
-    out = col.astype(float)
-    out.flags.writeable = False
-    return out
+    return frozen(col.astype(float))
 
 
 class IndexTable:
@@ -323,7 +318,7 @@ class LinearTable:
 # --- wedge -----------------------------------------------------------------
 
 
-@functools.cache
+@table
 def _wedge_table(ka: int, kb: int) -> IndexTable:
     """Rows (pos_a, pos_b, pos_out, sign) over disjoint I, J."""
     rows = []
@@ -344,7 +339,7 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(a.degree + b.degree, _wedge_table(a.degree, b.degree).apply(a.coeffs, b.coeffs))
 
 
-@functools.cache
+@table
 def _alternation_table(degrees: tuple) -> LinearTable:
     """The table of a (7, n) stack of blocks of the given degrees, side by
     side, to sum_i e^i ^ block[i] of each, back to back: the rows of the
@@ -371,7 +366,7 @@ def frame_wedge(stack: np.ndarray, degree: int) -> Form:
     return Form(degree + 1, alternate(stack, (degree,)))
 
 
-@functools.cache
+@table
 def _derivation_table(k: int, r: int):
     """Index table of a derivation D on k-forms from D on 1-forms.
 
@@ -393,7 +388,7 @@ def _derivation_table(k: int, r: int):
     return index_columns(np.stack([w.po[j], pos[i], w.pa[j], head[i], sign[i] * w.coef[j]], axis=1), 5)
 
 
-@functools.cache
+@table
 def _connection_table(degrees: tuple) -> LinearTable:
     """The table of the coefficients of forms of the given degrees, back to
     back, to the flattened (49, n) matrix M of `connection_matrix`: the
@@ -452,7 +447,7 @@ def covariant_wedge(gamma: np.ndarray, a: Form) -> Form:
 def hodge_table(k: int):
     """(pos_out, sign) per input position: *e^I = sign(I, I^c) e^(I^c), read
     off the one row e^I ^ e^(I^c) = sign(I, I^c) vol per I of the wedge
-    table of (k, 7 - k).  Both arrays are read-only."""
+    table of (k, 7 - k)."""
     w = _wedge_table(k, DIM - k)
     return w.pb, w.coef
 
@@ -462,15 +457,13 @@ def hodge_matrix(k: int) -> np.ndarray:
     return _hodge_gather(k).dense()
 
 
-@functools.cache
+@table
 def wedge_phi_matrix(k: int) -> np.ndarray:
-    """Read-only integer matrix of a -> a ^ phi on k-forms."""
-    m = _wedge_table(k, 3).dense(dim_of(k), dim_of(3)).dot(phi_coefficients())
-    m.flags.writeable = False
-    return m
+    """Integer matrix of a -> a ^ phi on k-forms."""
+    return _wedge_table(k, 3).dense(dim_of(k), dim_of(3)).dot(phi_coefficients())
 
 
-@functools.cache
+@table
 def _hodge_gather(k: int) -> LinearTable:
     """* on k-forms as a table with one row per output position (a gather):
     `hodge_table` read from the output side."""
@@ -495,7 +488,7 @@ def interior(v, a: Form) -> Form:
     return Form(a.degree - 1, _contract_table(1, a.degree).apply(v, a.coeffs))
 
 
-@functools.cache
+@table
 def _frame_interior_table(k: int) -> LinearTable:
     """The interior rows (i, pos_in, pos_out, sign) of k-forms to the flat stack of `frame_interior`."""
     t = _contract_table(1, k)
@@ -516,7 +509,7 @@ def basis_vector(i: int, exact: bool = False) -> np.ndarray:
     return v
 
 
-@functools.cache
+@table
 def _contract_table(ka: int, kb: int) -> IndexTable:
     """Rows (pos_a, pos_b, pos_out, sign) of e^I -| e^J, the adjoint of the
     wedge: <e^I -| e^J, e^C> = <e^J, e^I ^ e^C>, so the wedge table of
@@ -559,7 +552,7 @@ def _flat(idx) -> int:
     return pos
 
 
-@functools.cache
+@table
 def _antisym_table(k: int) -> LinearTable:
     """The unfold of k-form coefficients into the flattened component array:
     rows (flat entry, coefficient position, sign) over all orderings of each
@@ -621,24 +614,20 @@ _PHI_TERMS = {
 
 
 
-@functools.cache
+@table
 def phi_coefficients() -> np.ndarray:
-    """The coefficients of phi as a read-only integer vector."""
+    """The coefficients of phi as an integer vector."""
     c = np.zeros(dim_of(3), dtype=np.int64)
     for idx, v in _PHI_TERMS.items():
         c[INDEX[3][check_multi_index(idx, 3)]] = v
-    c.flags.writeable = False
     return c
 
 
-@functools.cache
+@table
 def _phi_templates(exact: bool) -> tuple:
-    """Read-only coefficient arrays of phi and *phi in one scalar mode."""
+    """The coefficient arrays of phi and *phi in one scalar mode."""
     phi = Form(3, as_mode(phi_coefficients(), exact))
-    templates = (phi.coeffs, hodge(phi).coeffs)
-    for t in templates:
-        t.flags.writeable = False
-    return templates
+    return phi.coeffs, hodge(phi).coeffs
 
 
 def standard_phi(exact: bool = False) -> Form:
@@ -667,7 +656,7 @@ def standard_psi_minus(exact: bool = False) -> Form:
     )
 
 
-@functools.cache
+@table
 def _phi_component_arrays(exact: bool) -> tuple:
     return to_antisym(standard_phi(exact)).array, to_antisym(standard_phi_dual(exact)).array
 

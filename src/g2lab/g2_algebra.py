@@ -29,12 +29,11 @@ from the interior, contraction, wedge and Hodge tables of
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import as_mode, bound, eye, lazy, max_abs, max_abs_each, scalar, zeros
+from ._linalg import as_mode, bound, eye, lazy, max_abs, max_abs_each, scalar, table, zeros
 from .exterior_algebra import (
     DIM,
     Form,
@@ -75,7 +74,7 @@ def check_label(label):
 
 # --- projector matrices -------------------------------------------------------
 
-@functools.cache
+@table
 def _projectors(exact: bool) -> dict:
     # the defining operators from integer matrices: a -> *(a ^ phi) on
     # Lambda^2, b -> <b, phi> phi and b -> *(*(phi ^ b) ^ phi) on Lambda^3
@@ -119,22 +118,20 @@ def project(a: Form, label) -> Form:
 # --- symmetric 2-tensors ------------------------------------------------------
 
 
-@functools.cache
+@table
 def iphi_matrix() -> np.ndarray:
-    """Read-only integer (7, 21) matrix whose row u holds e_u -| phi."""
-    m = _contract_table(1, 3).dense(DIM, dim_of(3)).dot(phi_coefficients()).T.copy()
-    m.flags.writeable = False
-    return m
+    """Integer (7, 21) matrix whose row u holds e_u -| phi."""
+    return _contract_table(1, 3).dense(DIM, dim_of(3)).dot(phi_coefficients()).T.copy()
 
 
-@functools.cache
+@table
 def _lambda3_matrix(exact: bool) -> np.ndarray:
     """The 35 x 49 integer matrix of lambda3 on h flattened row by row:
     column 7a + b holds e^a ^ (e_b -| phi).  Python ints in exact mode."""
-    m = _wedge_table(1, 2).dense(DIM, dim_of(2)).dot(iphi_matrix().T).reshape(dim_of(3), DIM * DIM)
-    m = m.astype(object if exact else float)
-    m.flags.writeable = False
-    return m
+    return (
+        _wedge_table(1, 2).dense(DIM, dim_of(2)).dot(iphi_matrix().T)
+        .reshape(dim_of(3), DIM * DIM).astype(object if exact else float)
+    )
 
 
 def lambda3(h: np.ndarray) -> Form:
@@ -209,14 +206,14 @@ def _pairing_table(
     return IndexTable.merged(left.pb[il], right.pb[ir], w_out[x, y], coef, w.n_out, n_a, n_b)
 
 
-@functools.cache
+@table
 def _odot_table(ka: int, kb: int) -> IndexTable:
     return _pairing_table(
         _contract_table(1, ka), _contract_table(1, kb), ka - 1, kb - 1, dim_of(ka), dim_of(kb)
     )
 
 
-@functools.cache
+@table
 def _quad_tables() -> dict:
     """The tables of [b^2]^A and [b^2]^B on 3-forms."""
     n = dim_of(3)
@@ -324,9 +321,9 @@ def wedge3(gamma: MixedV14) -> Form:
 SPLIT_V14_CONSTANTS = {27: Fraction(7, 3), 7: Fraction(1)}
 
 
-@functools.cache
+@table
 def _split_v14_tables(exact: bool) -> tuple:
-    """Read-only tables of the stacked pass of `split_v14`: the projectors
+    """The tables of the stacked pass of `split_v14`: the projectors
     onto Lambda^3_d for d in SPLIT_V14_CONSTANTS, stacked as one (2 * 35, 35)
     matrix; the adjoint of wedge3, w -> p_14(e_i -| w) for i = 1..7, as one
     (35, 7 * 21) matrix (each entry is one signed entry of p_14); and
@@ -337,10 +334,7 @@ def _split_v14_tables(exact: bool) -> tuple:
     adjoint[t.pb, t.pa] = projector_matrix(2, 14, exact)[:, t.po].T * t.coef[:, None]
     inverse = zeros((len(SPLIT_V14_CONSTANTS), 1, 1), exact)
     inverse[:, 0, 0] = [1 / scalar(c, exact) for c in SPLIT_V14_CONSTANTS.values()]
-    adjoint = adjoint.reshape(dim_of(3), -1)
-    for a in (projectors, adjoint, inverse):
-        a.flags.writeable = False
-    return projectors, adjoint, inverse
+    return projectors, adjoint.reshape(dim_of(3), -1), inverse
 
 
 def split_v14(gamma: MixedV14, tol: float = 1e-9):

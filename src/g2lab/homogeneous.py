@@ -66,12 +66,11 @@ comes out with negative sectional curvature (a build-time self test).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from ._linalg import bound, bounds, lazy, max_abs, max_abs_each, scalar, scatter_add, zeros
+from ._linalg import bound, bounds, frozen, lazy, max_abs, max_abs_each, scalar, scatter_add, table, zeros
 from .exterior_algebra import (
     BASIS,
     DIM,
@@ -149,7 +148,7 @@ def spec_from_coframe_d(name: str, coframe_d: dict, exact: bool = False) -> LieA
 #: the pairs (i, j), i < j, in Lambda^2 basis order, as index arrays, and
 #: the flat position of each (i, j) in a 7 x 7 array
 _PAIR_I, _PAIR_J = index_columns(BASIS[2], 2)
-_PAIR_IJ = _PAIR_I * DIM + _PAIR_J
+_PAIR_IJ = frozen(_PAIR_I * DIM + _PAIR_J)
 
 
 def _pair_entries(a: np.ndarray) -> np.ndarray:
@@ -162,10 +161,10 @@ def _d_on_one_forms(spec: LieAlgebraSpec) -> np.ndarray:
     return -_pair_entries(spec.c).T
 
 
-@functools.cache
+@table
 def _d_table():
-    """The rows of `_derivation_table(k, 2)` for k = 2..6 as one read-only
-    table over a flat buffer that holds the five matrices back to back:
+    """The rows of `_derivation_table(k, 2)` for k = 2..6 as one table over
+    a flat buffer that holds the five matrices back to back:
     columns (flat position, flat position in d on 1-forms stacked over its
     negative, which picks the sign), then the (start, stop, shape) of each
     degree's matrix in the buffer.  The rows of each degree keep their
@@ -225,10 +224,10 @@ def d_squared_residual(spec: LieAlgebraSpec) -> float:
 #: the flat positions of the entries (jk, il) and (ik, jl) of the 49 x 49
 #: product Gamma_jkp Gamma_ipl that `riemann` reads at the pair-matrix
 #: entries, rows (ij) against columns (kl)
-_GG_ENTRIES = (
+_GG_ENTRIES = frozen((
     (_PAIR_J[:, None] * DIM + _PAIR_I) * DIM**2 + _PAIR_I[:, None] * DIM + _PAIR_J,
     (_PAIR_I[:, None] * DIM + _PAIR_I) * DIM**2 + _PAIR_J[:, None] * DIM + _PAIR_J,
-)
+))
 
 
 #: the largest max |d d e^k| the Levi-Civita connection accepts
@@ -284,7 +283,7 @@ class InvariantGeometry:
 
     def __init__(self, spec: LieAlgebraSpec, phi: Form = None):
         self.spec = spec
-        # the standard phi holds the read-only template, which the
+        # the standard phi holds the shared template, which the
         # extraction gate knows to be standard
         self.phi = Form(3, _phi_templates(spec.exact)[0]) if phi is None else phi
 
@@ -498,15 +497,12 @@ class Report:
 
 
 def _catalogue(*rows) -> np.ndarray:
-    """(name, weight, slack) rows as one read-only record array."""
-    table = np.array(list(rows), dtype=[("name", object), ("weight", int), ("slack", float)])
-    table.flags.writeable = False
-    return table
+    """(name, weight, slack) rows as one record array, `frozen`."""
+    return frozen(np.array(list(rows), dtype=[("name", object), ("weight", int), ("slack", float)]))
 
 
 K_VALUES = ((1, 0), (0, 1), (4, -5))
-_K = np.array(K_VALUES)
-_K.flags.writeable = False
+_K = frozen(np.array(K_VALUES))
 #: the check catalogue: one (name, weight, slack) row per check of `analyze`
 #: in report order, the closed chain's last
 CHECKS = _catalogue(
@@ -664,9 +660,9 @@ def analyze(spec: LieAlgebraSpec, phi: Form = None, tol: float = 1e-9) -> Report
     return report
 
 
-@functools.cache
+@table
 def _closed_ricci_weights(exact: bool) -> tuple:
-    """Per k of K_VALUES, read-only weights of the closed Ricci formula
+    """Per k of K_VALUES, the weights of the closed Ricci formula
 
         lambda3(Ric0^k) = -(k1 - 4 k2) dbar tau + (k1 + 5 k2)/3 *(tau^tau)_27
 
@@ -682,32 +678,25 @@ def _closed_ricci_weights(exact: bool) -> tuple:
         k_dbar, k_tt = k1 - 4 * k2, k1 + 5 * k2
         formula[row] = -k_dbar * one, one / 3 * k_tt
         norm[row] = one / 2 * k_dbar**2, one / 21 * k_tt**2, -(one / 3 * k_tt * k_dbar)
-    for a in (formula, norm):
-        a.flags.writeable = False
     return formula, norm
 
 
-@functools.cache
+@table
 def _lambda3_1_7(exact: bool) -> np.ndarray:
-    """The projectors onto Lambda^3_1 and Lambda^3_7 stacked as one read-only
-    (70, 35) matrix."""
-    m = np.concatenate([projector_matrix(3, d, exact) for d in (1, 7)])
-    m.flags.writeable = False
-    return m
+    """The projectors onto Lambda^3_1 and Lambda^3_7 stacked as one (70, 35)
+    matrix."""
+    return np.concatenate([projector_matrix(3, d, exact) for d in (1, 7)])
 
 
 #: the positions of tau0, tau1 and tau3 in the packed torsion vector
-_NOT_TAU2 = np.r_[0:8, 29:64]
-_NOT_TAU2.flags.writeable = False
+_NOT_TAU2 = frozen(np.r_[0:8, 29:64])
 
 
-@functools.cache
+@table
 def _term2_entries() -> np.ndarray:
     """Flat positions of the entries (i, t, j), i < j, of a 7 x 7 x 7 array,
-    as a read-only (21, 7) array: rows the pairs, columns t."""
-    entries = (_PAIR_I[:, None] * DIM + np.arange(DIM)) * DIM + _PAIR_J[:, None]
-    entries.flags.writeable = False
-    return entries
+    as a (21, 7) array: rows the pairs, columns t."""
+    return (_PAIR_I[:, None] * DIM + np.arange(DIM)) * DIM + _PAIR_J[:, None]
 
 
 def _closed_structure_checks(report: Report, geo: InvariantGeometry, dec, ric0k, lambda3_ric0k):

@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import as_mode, bound, eye, lazy, max_abs, max_abs_each, scalar, zeros
+from ._linalg import as_mode, bound, eye, frozen, lazy, max_abs, max_abs_each, scalar, table, zeros
 from .exterior_algebra import (
     DIM,
     Form,
@@ -120,17 +120,15 @@ class TorsionComponents:
 # extraction, membership and reconstruction are each one matrix product.
 
 
-@functools.cache
+@table
 def _wedge_starphi() -> np.ndarray:
-    """Read-only integer (21, 7) matrix of a -> a ^ *phi on 1-forms."""
-    m = _wedge_table(1, 4).dense(DIM, 35).dot(hodge_matrix(3).dot(phi_coefficients()))
-    m.flags.writeable = False
-    return m
+    """Integer (21, 7) matrix of a -> a ^ *phi on 1-forms."""
+    return _wedge_table(1, 4).dense(DIM, 35).dot(hodge_matrix(3).dot(phi_coefficients()))
 
 
-@functools.cache
+@table
 def _structure_tables(exact: bool) -> tuple:
-    """Read-only (extract, membership, rebuild) matrices in one scalar mode.
+    """The (extract, membership, rebuild) matrices in one scalar mode.
 
     extract (64 x 56) solves u for v: tau0 = <d phi, *phi> / 7, tau1 =
     w1^T (d phi)_7 / 12 with w1 the matrix of a -> a ^ phi on 1-forms
@@ -159,15 +157,12 @@ def _structure_tables(exact: bool) -> tuple:
     nonzero = rebuild != 0  # exact zeros stay one shared Fraction
     rebuild, entries = zeros(rebuild.shape, exact), as_mode(rebuild[nonzero], exact)
     rebuild[nonzero] = entries
-
-    for m in (extract, membership, rebuild):
-        m.flags.writeable = False
     return extract, membership, rebuild
 
 
-@functools.cache
+@table
 def _intrinsic_table(exact: bool) -> np.ndarray:
-    """Read-only 49 x 29 matrix of the packed (tau0, tau1, tau2) to
+    """The 49 x 29 matrix of the packed (tau0, tau1, tau2) to
     -tau0/2 g + 2 *(tau1 ^ *phi) + tau2 as a component array, flattened row
     by row.  The 2-forms *(e^k ^ *phi) have disjoint monomials, so each row
     holds at most two nonzero entries and each entry of a product is one
@@ -177,7 +172,6 @@ def _intrinsic_table(exact: bool) -> np.ndarray:
     table[:, 0] = -eye(DIM, exact).reshape(-1) / 2
     table[:, 1:8] = _antisym_table(2).apply(as_mode(2 * hodge_matrix(5).dot(_wedge_starphi()).T, exact)).T
     table[:, 8:] = _antisym_table(2).apply(eye(21, exact)).T
-    table.flags.writeable = False
     return table
 
 
@@ -345,9 +339,8 @@ RICCI_TABLE = (
     ("*(tau1^tau3)", (18, -24), (4, -16)),
     ("[tau2.tau3]_27", (0, 12), (1, 8)),
 )
-#: the coefficients of RICCI_TABLE as a read-only (route, term, k) integer array
-_RICCI_COEFFS = np.array([[row[1 + r] for row in RICCI_TABLE] for r in range(len(RICCI_ROUTES))])
-_RICCI_COEFFS.flags.writeable = False
+#: the coefficients of RICCI_TABLE as a (route, term, k) integer array
+_RICCI_COEFFS = frozen(np.array([[row[1 + r] for row in RICCI_TABLE] for r in range(len(RICCI_ROUTES))]))
 
 
 #: offsets of tau1, tau2 and tau3 in the packed torsion vector, and the
@@ -355,15 +348,13 @@ _RICCI_COEFFS.flags.writeable = False
 _TAU1, _TAU2, _TAU3, _ONE = 1, 8, 29, 64
 
 
-@functools.cache
+@table
 def _one(exact: bool) -> np.ndarray:
-    """The read-only vector (1), appended to the packed torsion vector."""
-    one = np.array([scalar(1, exact)], dtype=object if exact else float)
-    one.flags.writeable = False
-    return one
+    """The vector (1), appended to the packed torsion vector."""
+    return np.array([scalar(1, exact)], dtype=object if exact else float)
 
 
-@functools.cache
+@table
 def _ricci_pass() -> tuple:
     """The bilinear terms of `ricci_terms` as one index table on the packed
     torsion vector with a 1 appended, its output stacked by term, and the
@@ -467,7 +458,7 @@ CONVERSION_TABLE = (
 )
 
 
-@functools.cache
+@table
 def _conversion_pass() -> IndexTable:
     """The two conversion terms that no Ricci term holds, |tau2|^2 phi and
     *((tau2 -| tau3) ^ phi), as one index table on the packed torsion
@@ -495,12 +486,10 @@ def _conversion_pass() -> IndexTable:
     return IndexTable.merged(pa, pb, po, coef, 2 * dim_of(3), _ONE, _ONE)
 
 
-@functools.cache
+@table
 def _conversion_weights(exact: bool) -> np.ndarray:
-    """The weights of CONVERSION_TABLE in one scalar mode, read-only."""
-    w = as_mode([w for _, w in CONVERSION_TABLE], exact)
-    w.flags.writeable = False
-    return w
+    """The weights of CONVERSION_TABLE in one scalar mode."""
+    return as_mode([w for _, w in CONVERSION_TABLE], exact)
 
 
 def dtau2_conversion(t: TorsionComponents, terms: dict, dbar_tau2: Form) -> np.ndarray:
@@ -563,10 +552,11 @@ def ricci_rows(derivs: dict, terms: dict, ks) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _ricci_stack(routes: tuple, ks: tuple, exact: bool) -> tuple:
-    """Read-only (route, 1, term, 35) gather index into the buffer of
+    """The (route, 1, term, 35) gather index into the buffer of
     `ricci_rows`, and (route, k, term, 35) weights: the RICCI_TABLE
     coefficients of each k in ks over 6, times the sign of the star on the
-    *d tau3 row."""
+    *d tau3 row, `frozen`: its key holds the caller's ks, so the cache is
+    bounded."""
     n, star = dim_of(3), _hodge_gather(4)
     index = np.empty((len(routes), 1, len(RICCI_TABLE), n), dtype=np.intp)
     signs = np.ones((len(RICCI_TABLE), n), dtype=np.int64)
@@ -580,10 +570,7 @@ def _ricci_stack(routes: tuple, ks: tuple, exact: bool) -> tuple:
             signs[term] = star.coef
     coeffs = _RICCI_COEFFS[[RICCI_ROUTES.index(route) for route in routes]]  # (route, term, 2)
     weights = as_mode(np.array([np.dot(ks, c.T) for c in coeffs]), exact) / 6
-    weights = weights[..., None] * signs
-    for a in (index, weights):
-        a.flags.writeable = False
-    return index, weights
+    return frozen((index, weights[..., None] * signs))
 
 
 def ricci_rhs_exterior(t: TorsionComponents, d_star_t1_wstar: Form, d_tau2: Form, d_tau3: Form, k):
